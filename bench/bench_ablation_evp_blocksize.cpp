@@ -11,7 +11,6 @@
 #include "src/evp/block_evp_preconditioner.hpp"
 #include "src/evp/evp_solver.hpp"
 #include "src/linalg/dense.hpp"
-#include "src/solver/chron_gear.hpp"
 #include "src/util/rng.hpp"
 
 using namespace minipop;

@@ -10,7 +10,7 @@
 #include "bench_common.hpp"
 #include "src/evp/block_evp_preconditioner.hpp"
 #include "src/model/ocean_model.hpp"
-#include "src/solver/chron_gear.hpp"
+#include "src/solver/batched_solver.hpp"
 #include "src/util/rng.hpp"
 
 using namespace minipop;
@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
     evp::BlockEvpPreconditioner m(op, g, depth, eopt);
     solver::SolverOptions sopt;
     sopt.rel_tolerance = 1e-12;
-    solver::ChronGearSolver solver(sopt);
+    solver::BatchedChronGearSolver solver(sopt);
     comm::DistField b(d, 0), x(d, 0);
     util::Xoshiro256 rng(5);
     for (int lb = 0; lb < b.num_local_blocks(); ++lb) {
@@ -102,7 +102,7 @@ int main(int argc, char** argv) {
           b.at(lb, i, j) =
               op.block_mask(lb)(i, j) ? rng.uniform(-1, 1) : 0.0;
     }
-    auto stats = solver.solve(comm, hx, op, m, b, x);
+    auto stats = solver::solve_one(solver, comm, hx, op, m, b, x);
     t3.row()
         .add(simplified ? "simplified (5-coeff)" : "full (9-coeff)")
         .add(std::to_string(m.simplified_tiles()) + " / " +

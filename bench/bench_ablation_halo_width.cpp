@@ -7,7 +7,6 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "src/solver/chron_gear.hpp"
 
 using namespace minipop;
 

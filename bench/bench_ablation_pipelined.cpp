@@ -28,9 +28,7 @@
 
 #include "bench_common.hpp"
 #include "src/comm/thread_comm.hpp"
-#include "src/solver/chron_gear.hpp"
 #include "src/solver/lanczos.hpp"
-#include "src/solver/pcsi.hpp"
 
 using namespace minipop;
 
@@ -87,7 +85,7 @@ MeasuredSolve run_team_solve(const std::string& name, const std::string& mode,
       comm.barrier();
       const auto snapshot = comm.costs().counters();
       const auto t0 = std::chrono::steady_clock::now();
-      stats = solver->solve(comm, halo, a, m, b, x);
+      stats = solver::solve_one(*solver, comm, halo, a, m, b, x);
       comm.barrier();
       const double secs =
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -246,11 +244,13 @@ int main(int argc, char** argv) {
     solves.push_back(run_team_solve(
         "chrongear+evp", mode, *c.stencil, *c.grid, c.depth, decomp,
         c.rhs_global, nranks, evp_opt,
-        [&] { return std::make_unique<solver::ChronGearSolver>(opt); }));
+        [&] { return std::make_unique<solver::BatchedChronGearSolver>(opt); }));
     solves.push_back(run_team_solve(
         "pcsi+evp", mode, *c.stencil, *c.grid, c.depth, decomp,
         c.rhs_global, nranks, evp_opt,
-        [&] { return std::make_unique<solver::PcsiSolver>(bounds, opt); }));
+        [&] {
+          return std::make_unique<solver::BatchedPcsiSolver>(bounds, opt);
+        }));
   }
 
   std::printf("%-16s %-9s %9s %6s %12s %12s %8s\n", "solver", "mode",

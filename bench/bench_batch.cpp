@@ -94,7 +94,7 @@ solver::SolverConfig composed_config() {
   solver::SolverConfig cfg = pcsi_config();
   cfg.options.precision = solver::Precision::kMixed;
   cfg.resilient = true;
-  cfg.overlap = true;
+  cfg.options.overlap = true;
   return cfg;
 }
 

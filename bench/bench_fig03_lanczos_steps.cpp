@@ -45,10 +45,10 @@ int main(int argc, char** argv) {
     solver::SolverOptions sopt;
     sopt.rel_tolerance = 1e-12;
     sopt.max_iterations = 5000;
-    solver::PcsiSolver pcsi(lz.bounds, sopt);
+    solver::BatchedPcsiSolver pcsi(lz.bounds, sopt);
     comm::DistField b(*c.decomp, 0), x(*c.decomp, 0);
     b.load_global(c.rhs_global);
-    auto stats = pcsi.solve(comm, *c.halo, op, precond, b, x);
+    auto stats = solver::solve_one(pcsi, comm, *c.halo, op, precond, b, x);
 
     std::ostringstream interval;
     interval.precision(3);

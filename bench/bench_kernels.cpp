@@ -17,12 +17,11 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "src/solver/chron_gear.hpp"
+#include "src/solver/batched_solver.hpp"
 #include "src/solver/dist_operator.hpp"
 #include "src/solver/field_ops.hpp"
 #include "src/solver/kernels.hpp"
 #include "src/solver/lanczos.hpp"
-#include "src/solver/pcsi.hpp"
 
 using namespace minipop;
 namespace mk = solver::kernels;
@@ -323,9 +322,14 @@ int main(int argc, char** argv) {
   // the speedup the mixed-precision solver path buys per sweep.
   comm::DistField32 x32(*c.decomp, 0), y32(*c.decomp, 0),
       b32(*c.decomp, 0), r32(*c.decomp, 0), z32(*c.decomp, 0);
-  solver::demote(x, x32);
-  solver::demote(b, b32);
-  solver::demote(z, z32);
+  const auto demote = [](const comm::DistField& f, comm::DistField32& f32) {
+    for (int lb = 0; lb < f.num_local_blocks(); ++lb)
+      mk::convert(f.info(lb).nx, f.info(lb).ny, f.interior(lb), f.stride(lb),
+                  f32.interior(lb), f32.stride(lb));
+  };
+  demote(x, x32);
+  demote(b, b32);
+  demote(z, z32);
   c.halo->exchange(comm, x32);
   const auto st32 = [&] {
     return mk::Stencil9f{
@@ -388,13 +392,13 @@ int main(int argc, char** argv) {
   opt.rel_tolerance = 1e-10;
   solver::DiagonalPreconditioner m(op);
   {
-    solver::ChronGearSolver cg(opt);
+    solver::BatchedChronGearSolver cg(opt);
     solver::SolveStats stats;
     comm::DistField xs(*c.decomp, 0);
     const double secs = time_best(
         [&] {
           xs.fill(0.0);
-          stats = cg.solve(comm, *c.halo, op, m, b, xs);
+          stats = solver::solve_one(cg, comm, *c.halo, op, m, b, xs);
         },
         3);
     solves.push_back({"chrongear", stats.iterations, secs,
@@ -405,13 +409,13 @@ int main(int argc, char** argv) {
     const auto bounds =
         solver::estimate_eigenvalue_bounds(comm, *c.halo, op, m, lopt)
             .bounds;
-    solver::PcsiSolver pcsi(bounds, opt);
+    solver::BatchedPcsiSolver pcsi(bounds, opt);
     solver::SolveStats stats;
     comm::DistField xs(*c.decomp, 0);
     const double secs = time_best(
         [&] {
           xs.fill(0.0);
-          stats = pcsi.solve(comm, *c.halo, op, m, b, xs);
+          stats = solver::solve_one(pcsi, comm, *c.halo, op, m, b, xs);
         },
         3);
     solves.push_back({"pcsi", stats.iterations, secs,

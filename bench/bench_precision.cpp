@@ -122,8 +122,13 @@ int main(int argc, char** argv) {
   c.halo->exchange(comm, x);
   comm::DistField32 x32(*c.decomp, 0), y32(*c.decomp, 0),
       b32(*c.decomp, 0), r32(*c.decomp, 0);
-  solver::demote(x, x32);
-  solver::demote(b, b32);
+  const auto demote = [](const comm::DistField& f, comm::DistField32& f32) {
+    for (int lb = 0; lb < f.num_local_blocks(); ++lb)
+      mk::convert(f.info(lb).nx, f.info(lb).ny, f.interior(lb), f.stride(lb),
+                  f32.interior(lb), f32.stride(lb));
+  };
+  demote(x, x32);
+  demote(b, b32);
   c.halo->exchange(comm, x32);
 
   auto stencil_of = [&](auto tag) {
@@ -220,12 +225,17 @@ int main(int argc, char** argv) {
     eopt.max_tile = 6;
     eopt.max_tile32 = 6;
     evp::BlockEvpPreconditioner evp(op, *c.grid, c.depth, eopt);
-    evp.apply(comm, b32, r32);  // builds the fp32 tiles outside timing
+    // Width-1 batches: the precision-generic entry point of the solvers.
+    comm::DistFieldBatch bb(*c.decomp, 0, 1), rb(*c.decomp, 0, 1);
+    comm::DistFieldBatch32 bb32(*c.decomp, 0, 1), rb32(*c.decomp, 0, 1);
+    bb.load_member(0, b);
+    solver::demote(bb, bb32);
+    evp.apply_batch(comm, bb32, rb32);  // builds the fp32 tiles untimed
     const double evp_bytes = 2 * 11 * 8;
     add("evp_apply", "fp64", evp_bytes, points,
-        time_best([&] { evp.apply(comm, b, r); }));
+        time_best([&] { evp.apply_batch(comm, bb, rb); }));
     add("evp_apply", "fp32", evp_bytes, points,
-        time_best([&] { evp.apply(comm, b32, r32); }));
+        time_best([&] { evp.apply_batch(comm, bb32, rb32); }));
   }
 
   auto speedup = [&](const std::string& name) {

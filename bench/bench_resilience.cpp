@@ -1,6 +1,8 @@
 // Resilience benchmark: the cost and the payoff of the detect → recover
-// → fall back layer (src/solver/resilient_solver.*, src/fault/*) and of
-// the end-to-end integrity layer (DESIGN.md §12).
+// → fall back layer (BatchedResilientSolver in
+// src/solver/batched_decorators.*, src/fault/*) and of the end-to-end
+// integrity layer (DESIGN.md §12). Every solve is a single (width-1)
+// solve of the one solver stack.
 //
 // Three experiments, printed as tables and written to
 // BENCH_resilience.json — run from the repo root so the JSON lands
@@ -8,7 +10,7 @@
 //
 //   ./build-faults/bench/bench_resilience [--smoke] [output.json]
 //
-// 1. Guard overhead: raw solver vs ResilientSolver-decorated solver on
+// 1. Guard overhead: raw solver vs resilience-decorated solver on
 //    the same fault-free problem. The decorator adds one checkpoint copy
 //    and one scalar agreement allreduce per solve; the acceptance target
 //    is < 1% wall time.
@@ -50,11 +52,9 @@
 #include "src/grid/decomposition.hpp"
 #include "src/grid/stencil.hpp"
 #include "src/perf/machine.hpp"
-#include "src/solver/chron_gear.hpp"
+#include "src/solver/batched_decorators.hpp"
 #include "src/solver/lanczos.hpp"
 #include "src/solver/pcg.hpp"
-#include "src/solver/pcsi.hpp"
-#include "src/solver/resilient_solver.hpp"
 #include "src/util/rng.hpp"
 
 namespace mc = minipop::comm;
@@ -111,7 +111,7 @@ ms::EigenBounds lanczos_bounds_serial(const Problem& p) {
 }
 
 using SolverFactory =
-    std::function<std::unique_ptr<ms::IterativeSolver>(int rank)>;
+    std::function<std::unique_ptr<ms::BatchedSolver>(int rank)>;
 
 struct SolveRun {
   mu::Field x;
@@ -134,13 +134,13 @@ SolveRun run_with(const Problem& p, int nranks, const SolverFactory& make,
   auto body = [&](mc::Communicator& comm) {
     ms::DistOperator a(*p.stencil, *p.decomp, comm.rank());
     ms::DiagonalPreconditioner m(a);
-    std::unique_ptr<ms::IterativeSolver> s = make(comm.rank());
+    std::unique_ptr<ms::BatchedSolver> s = make(comm.rank());
     mc::DistField b(*p.decomp, comm.rank()), x(*p.decomp, comm.rank());
     b.load_global(p.b_global);
-    stats[comm.rank()] = s->solve(comm, halo, a, m, b, x);
+    stats[comm.rank()] = ms::solve_one(*s, comm, halo, a, m, b, x);
     x.store_global(out.x);  // disjoint interiors; no race
     if (comm.rank() == 0)
-      if (auto* rs = dynamic_cast<ms::ResilientSolver*>(s.get()))
+      if (auto* rs = dynamic_cast<ms::BatchedResilientSolver*>(s.get()))
         out.events = rs->events();
   };
   try {
@@ -182,26 +182,30 @@ ms::SolverOptions integrity_options() {
   return opt;
 }
 
-std::unique_ptr<ms::IterativeSolver> make_primary(const std::string& kind,
-                                                  ms::EigenBounds bounds,
-                                                  const ms::SolverOptions& opt) {
-  if (kind == "pcsi") return std::make_unique<ms::PcsiSolver>(bounds, opt);
-  return std::make_unique<ms::ChronGearSolver>(opt);
+std::unique_ptr<ms::BatchedSolver> make_primary(const std::string& kind,
+                                                ms::EigenBounds bounds,
+                                                const ms::SolverOptions& opt) {
+  if (kind == "pcsi")
+    return std::make_unique<ms::BatchedPcsiSolver>(bounds, opt);
+  return std::make_unique<ms::BatchedChronGearSolver>(opt);
 }
 
-std::unique_ptr<ms::IterativeSolver> make_primary(const std::string& kind,
-                                                  ms::EigenBounds bounds) {
+std::unique_ptr<ms::BatchedSolver> make_primary(const std::string& kind,
+                                                ms::EigenBounds bounds) {
   return make_primary(kind, bounds, solve_options());
 }
 
 /// The production recovery chain: restart x2 → (P-CSI) re-estimate
 /// bounds → ChronGear → diagonal-preconditioned PCG.
 SolverFactory decorated(const std::string& kind, ms::EigenBounds bounds) {
-  return [kind, bounds](int) -> std::unique_ptr<ms::IterativeSolver> {
-    auto rs = std::make_unique<ms::ResilientSolver>(make_primary(kind, bounds));
+  return [kind, bounds](int) -> std::unique_ptr<ms::BatchedSolver> {
+    auto rs =
+        std::make_unique<ms::BatchedResilientSolver>(make_primary(kind, bounds));
     if (kind != "cg")
-      rs->add_fallback(std::make_unique<ms::ChronGearSolver>(solve_options()));
-    rs->add_fallback(std::make_unique<ms::PcgSolver>(solve_options()),
+      rs->add_fallback(
+          std::make_unique<ms::BatchedChronGearSolver>(solve_options()));
+    rs->add_fallback(std::make_unique<ms::SequentialBatchedSolver>(
+                         std::make_unique<ms::PcgSolver>(solve_options())),
                      /*use_diagonal_precond=*/true);
     return rs;
   };
@@ -216,13 +220,14 @@ SolverFactory raw(const std::string& kind, ms::EigenBounds bounds) {
 /// to run when silent data corruption is in the threat model.
 SolverFactory decorated_integrity(const std::string& kind,
                                   ms::EigenBounds bounds) {
-  return [kind, bounds](int) -> std::unique_ptr<ms::IterativeSolver> {
+  return [kind, bounds](int) -> std::unique_ptr<ms::BatchedSolver> {
     const ms::SolverOptions opt = integrity_options();
-    auto rs = std::make_unique<ms::ResilientSolver>(
+    auto rs = std::make_unique<ms::BatchedResilientSolver>(
         make_primary(kind, bounds, opt));
     if (kind != "cg")
-      rs->add_fallback(std::make_unique<ms::ChronGearSolver>(opt));
-    rs->add_fallback(std::make_unique<ms::PcgSolver>(opt),
+      rs->add_fallback(std::make_unique<ms::BatchedChronGearSolver>(opt));
+    rs->add_fallback(std::make_unique<ms::SequentialBatchedSolver>(
+                         std::make_unique<ms::PcgSolver>(opt)),
                      /*use_diagonal_precond=*/true);
     return rs;
   };
@@ -323,11 +328,11 @@ OverheadResult measure_overhead(const Problem& p, const std::string& kind,
   auto s_dec = decorated(kind, bounds)(0);
   auto solve_raw = [&] {
     x.fill(0.0);
-    s_raw->solve(comm, halo, a, m, b, x);
+    ms::solve_one(*s_raw, comm, halo, a, m, b, x);
   };
   auto solve_dec = [&] {
     x.fill(0.0);
-    s_dec->solve(comm, halo, a, m, b, x);
+    ms::solve_one(*s_dec, comm, halo, a, m, b, x);
   };
 
   OverheadResult res;
@@ -353,11 +358,11 @@ OverheadResult measure_integrity_overhead(const Problem& p,
   ms::SolveStats st_off, st_on;
   auto solve_off = [&] {
     x.fill(0.0);
-    st_off = s_off->solve(comm, halo, a, m, b, x);
+    st_off = ms::solve_one(*s_off, comm, halo, a, m, b, x);
   };
   auto solve_on = [&] {
     x.fill(0.0);
-    st_on = s_on->solve(comm, halo, a, m, b, x);
+    st_on = ms::solve_one(*s_on, comm, halo, a, m, b, x);
   };
   OverheadResult res;
   res.solver = kind;

@@ -24,7 +24,6 @@
 #include "src/solver/field_ops.hpp"
 #include "src/solver/kernels.hpp"
 #include "src/solver/lanczos.hpp"
-#include "src/solver/pcsi.hpp"
 #include "src/solver/preconditioner.hpp"
 #include "src/solver/span_plan.hpp"
 #include "src/util/rng.hpp"
@@ -346,12 +345,12 @@ SolvePair solve_pair(Case& c, bool audit_only) {
     solver::DistOperator a(*c.stencil, *c.blocks, 0);
     a.set_use_spans(spans);
     solver::DiagonalPreconditioner m(a);
-    solver::PcsiSolver s(bounds, opt);
+    solver::BatchedPcsiSolver s(bounds, opt);
     comm::DistField b(*c.blocks, 0);
     b.load_global(c.rhs_global);
     x.fill(0.0);
     const auto snap = comm.costs().counters();
-    stats = s.solve(comm, halo, a, m, b, x);
+    stats = solver::solve_one(s, comm, halo, a, m, b, x);
     const auto d = comm.costs().since(snap);
     // Counter audit: every span-planned sweep records the block's ocean
     // census against the swept region, so the ratio must reproduce the
@@ -387,17 +386,17 @@ SolvePair solve_pair(Case& c, bool audit_only) {
   a_on.set_use_spans(true);
   a_off.set_use_spans(false);
   solver::DiagonalPreconditioner m_on(a_on), m_off(a_off);
-  solver::PcsiSolver s(bounds, opt);
+  solver::BatchedPcsiSolver s(bounds, opt);
   out.span_on_s = time_best(
       [&] {
         x.fill(0.0);
-        s.solve(comm, halo, a_on, m_on, b, x);
+        solver::solve_one(s, comm, halo, a_on, m_on, b, x);
       },
       3);
   out.span_off_s = time_best(
       [&] {
         x.fill(0.0);
-        s.solve(comm, halo, a_off, m_off, b, x);
+        solver::solve_one(s, comm, halo, a_off, m_off, b, x);
       },
       3);
   std::printf("  pcsi %-10s %4d iters  span-on %7.2f ms  span-off %7.2f "

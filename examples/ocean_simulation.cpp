@@ -31,6 +31,9 @@
 // With --ranks > 1 the same simulation runs on a team of virtual MPI
 // ranks (threads) over the block decomposition — the code path is
 // identical to a distributed-memory run.
+//
+// An unknown option or a malformed value exits with status 2 and a
+// usage line.
 #include <iomanip>
 #include <iostream>
 #include <string>
@@ -39,6 +42,7 @@
 #include "src/comm/thread_comm.hpp"
 #include "src/model/ocean_model.hpp"
 #include "src/util/cli.hpp"
+#include "src/util/error.hpp"
 #include "src/util/table.hpp"
 #include "src/util/timer.hpp"
 
@@ -134,37 +138,56 @@ void run(comm::Communicator& comm, const model::ModelConfig& cfg,
 
 }  // namespace
 
+constexpr const char* kUsage =
+    "[--days=90] [--scale=0.12] [--nz=4] [--solver=pcsi] [--precond=evp] "
+    "[--ranks=1] [--precision=fp64|fp32|mixed] [--halo-depth=1..4|auto] "
+    "[--block-size=NX or NXxNY]";
+
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
   model::ModelConfig cfg;
-  cfg.grid = grid::pop_1deg_spec(cli.get_double("scale", 0.12));
-  cfg.nz = cli.get_int("nz", 4);
-  // --block-size=NX or NXxNY (rectangular blocks); legacy --block=N
-  // still works when the new flag is absent.
-  const std::string bs =
-      cli.get("block-size", std::to_string(cli.get_int("block", 12)));
-  const auto xpos = bs.find('x');
-  cfg.block_size = std::stoi(bs.substr(0, xpos));
-  cfg.block_size_y =
-      xpos == std::string::npos ? 0 : std::stoi(bs.substr(xpos + 1));
-  cfg.solver.solver =
-      solver::solver_kind_from_string(cli.get("solver", "pcsi"));
-  cfg.solver.preconditioner = solver::preconditioner_kind_from_string(
-      cli.get("precond", "evp"));
-  cfg.solver.options.precision =
-      solver::precision_from_string(cli.get("precision", "fp64"));
-  // Reduced-precision sweeps can stall at the fp32 accuracy floor when
-  // the tolerance is tighter than fp32 can deliver; arm the stagnation
-  // guard so the stall becomes a quick typed kStagnated (cured by the
-  // resilience layer's precision escalation) instead of a burned
-  // 20000-iteration budget per solve.
-  if (cfg.solver.options.precision != solver::Precision::kFp64)
-    cfg.solver.options.stagnation_window = 5;
-  const std::string hd = cli.get("halo-depth", "1");
-  cfg.solver.options.halo_depth =
-      hd == "auto" ? solver::kHaloDepthAuto : std::stoi(hd);
-  cfg.nranks = cli.get_int("ranks", 1);
-  const double days = cli.get_double("days", 90.0);
+  double days = 0.0;
+  try {
+    cfg.grid = grid::pop_1deg_spec(cli.get_double("scale", 0.12));
+    cfg.nz = cli.get_int("nz", 4);
+    // --block-size=NX or NXxNY (rectangular blocks); legacy --block=N
+    // still works when the new flag is absent.
+    const std::string bs =
+        cli.get("block-size", std::to_string(cli.get_int("block", 12)));
+    const auto xpos = bs.find('x');
+    cfg.block_size = util::parse_int("--block-size", bs.substr(0, xpos));
+    cfg.block_size_y = xpos == std::string::npos
+                           ? 0
+                           : util::parse_int("--block-size",
+                                             bs.substr(xpos + 1));
+    cfg.solver.solver =
+        solver::solver_kind_from_string(cli.get("solver", "pcsi"));
+    cfg.solver.preconditioner = solver::preconditioner_kind_from_string(
+        cli.get("precond", "evp"));
+    cfg.solver.options.precision =
+        solver::precision_from_string(cli.get("precision", "fp64"));
+    // Reduced-precision sweeps can stall at the fp32 accuracy floor when
+    // the tolerance is tighter than fp32 can deliver; arm the stagnation
+    // guard so the stall becomes a quick typed kStagnated (cured by the
+    // resilience layer's precision escalation) instead of a burned
+    // 20000-iteration budget per solve.
+    if (cfg.solver.options.precision != solver::Precision::kFp64)
+      cfg.solver.options.stagnation_window = 5;
+    const std::string hd = cli.get("halo-depth", "1");
+    int& depth = cfg.solver.options.halo_depth;
+    depth = hd == "auto" ? solver::kHaloDepthAuto
+                         : util::parse_int("--halo-depth", hd);
+    if (depth != solver::kHaloDepthAuto &&
+        (depth < 1 || depth > solver::kMaxHaloDepth))
+      throw util::Error("--halo-depth=" + hd + " is not 1.." +
+                        std::to_string(solver::kMaxHaloDepth) +
+                        " or auto");
+    cfg.nranks = cli.get_int("ranks", 1);
+    days = cli.get_double("days", 90.0);
+    cli.reject_unread();
+  } catch (const util::Error& e) {
+    return cli.usage_error(e, kUsage);
+  }
 
   if (cfg.nranks == 1) {
     comm::SerialComm comm;

@@ -7,7 +7,9 @@
 //                [--nx=… --ny=…] [--tol=1e-13]
 //
 // Walks through the whole public API: grid -> synthetic bathymetry ->
-// nine-point stencil -> block decomposition -> BarotropicSolver.
+// nine-point stencil -> block decomposition -> BarotropicSolver. An
+// unknown option or a malformed value exits with status 2 and a usage
+// line.
 #include <iostream>
 
 #include "src/comm/serial_comm.hpp"
@@ -17,18 +19,32 @@
 #include "src/model/ocean_model.hpp"
 #include "src/solver/solver_factory.hpp"
 #include "src/util/cli.hpp"
+#include "src/util/error.hpp"
 #include "src/util/rng.hpp"
 
 using namespace minipop;
 
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
-
   // 1. A curvilinear grid. pop_1deg_spec(scale) mimics POP's 1-degree
   //    dipole grid; scale 0.25 gives a workstation-sized 80x96.
   grid::GridSpec spec = grid::pop_1deg_spec(0.25);
-  spec.nx = cli.get_int("nx", spec.nx);
-  spec.ny = cli.get_int("ny", spec.ny);
+  solver::SolverConfig config;
+  try {
+    spec.nx = cli.get_int("nx", spec.nx);
+    spec.ny = cli.get_int("ny", spec.ny);
+    config.solver = solver::solver_kind_from_string(
+        cli.get("solver", "pcsi"));
+    config.preconditioner = solver::preconditioner_kind_from_string(
+        cli.get("precond", "evp"));
+    config.options.rel_tolerance = cli.get_double("tol", 1e-13);
+    cli.reject_unread();
+  } catch (const util::Error& e) {
+    return cli.usage_error(
+        e, "[--solver=pcsi|chrongear|pcg|pipecg] "
+           "[--precond=evp|diagonal|identity] [--nx=N] [--ny=N] "
+           "[--tol=1e-13]");
+  }
   grid::CurvilinearGrid g(spec);
   std::cout << "grid: " << spec.describe() << "\n";
 
@@ -55,12 +71,6 @@ int main(int argc, char** argv) {
 
   // 5. The solver. P-CSI runs Lanczos at construction to bound the
   //    preconditioned spectrum (paper Sec. 3).
-  solver::SolverConfig config;
-  config.solver = solver::solver_kind_from_string(
-      cli.get("solver", "pcsi"));
-  config.preconditioner = solver::preconditioner_kind_from_string(
-      cli.get("precond", "evp"));
-  config.options.rel_tolerance = cli.get_double("tol", 1e-13);
   solver::BarotropicSolver solver(comm, halo, g, depth, stencil, decomp,
                                   config);
   std::cout << "solver: " << solver.description();

@@ -9,10 +9,14 @@
 //
 //   ./scaling_study [--machine=yellowstone|edison] [--grid=0.1deg|1deg]
 //                   [--scale=0.05] [--live=1]
+//
+// An unknown option or a malformed value exits with status 2 and a
+// usage line.
 #include <iostream>
 
 #include "src/perf/pop_timing_model.hpp"
 #include "src/util/cli.hpp"
+#include "src/util/error.hpp"
 #include "src/util/table.hpp"
 
 #include "../bench/bench_common.hpp"
@@ -21,9 +25,25 @@ using namespace minipop;
 
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
-  const std::string machine_name = cli.get("machine", "yellowstone");
-  const std::string grid_name = cli.get("grid", "0.1deg");
-  const bool live = cli.get_bool("live", true);
+  std::string machine_name, grid_name;
+  bool live = true;
+  double scale = 0.0;
+  try {
+    machine_name = cli.get("machine", "yellowstone");
+    grid_name = cli.get("grid", "0.1deg");
+    live = cli.get_bool("live", true);
+    scale = cli.get_double("scale", grid_name == "1deg" ? 0.25 : 0.05);
+    if (machine_name != "yellowstone" && machine_name != "edison")
+      throw util::Error("--machine=" + machine_name +
+                        " is not yellowstone or edison");
+    if (grid_name != "0.1deg" && grid_name != "1deg")
+      throw util::Error("--grid=" + grid_name + " is not 0.1deg or 1deg");
+    cli.reject_unread();
+  } catch (const util::Error& e) {
+    return cli.usage_error(e,
+                           "[--machine=yellowstone|edison] "
+                           "[--grid=0.1deg|1deg] [--scale=0.05] [--live=1]");
+  }
 
   const perf::MachineProfile machine = machine_name == "edison"
                                            ? perf::edison_profile()
@@ -38,8 +58,6 @@ int main(int argc, char** argv) {
     // P-CSI/ChronGear ratio (conditioning transfers across scales; the
     // absolute counts are resolution-dependent, so keep the calibrated
     // cg_diag and move pcsi_diag with the live ratio).
-    const double scale = cli.get_double(
-        "scale", grid_name == "1deg" ? 0.25 : 0.05);
     std::cout << "measuring live iteration ratio on the scaled grid...\n";
     auto c = bench::make_live_case(grid_name, scale, 12);
     auto cg = bench::measure_iterations(

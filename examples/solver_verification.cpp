@@ -9,6 +9,8 @@
 //                         [--solver=pcsi] [--precond=evp] [--tol=1e-13]
 //
 // Try --tol=1e-10 to watch a genuinely inconsistent configuration fail.
+// An unknown option or a malformed value exits with status 2 and a usage
+// line.
 #include <iostream>
 
 #include "src/comm/serial_comm.hpp"
@@ -16,6 +18,7 @@
 #include "src/stats/ensemble.hpp"
 #include "src/stats/statistics.hpp"
 #include "src/util/cli.hpp"
+#include "src/util/error.hpp"
 #include "src/util/table.hpp"
 
 using namespace minipop;
@@ -24,13 +27,30 @@ int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
 
   stats::EnsembleConfig ens;
-  ens.model.grid = grid::pop_1deg_spec(cli.get_double("scale", 0.08));
-  ens.model.nz = cli.get_int("nz", 3);
   ens.model.block_size = 12;
   ens.model.nranks = 1;
   ens.model.solver.options.rel_tolerance = 1e-13;  // production default
-  ens.members = cli.get_int("members", 10);
-  ens.months = cli.get_int("months", 3);
+  // Candidate configuration: the reference ensemble's, with the solver
+  // under test.
+  auto candidate_cfg = ens;
+  try {
+    ens.model.grid = grid::pop_1deg_spec(cli.get_double("scale", 0.08));
+    ens.model.nz = cli.get_int("nz", 3);
+    ens.members = cli.get_int("members", 10);
+    ens.months = cli.get_int("months", 3);
+    candidate_cfg = ens;
+    candidate_cfg.model.solver.solver =
+        solver::solver_kind_from_string(cli.get("solver", "pcsi"));
+    candidate_cfg.model.solver.preconditioner =
+        solver::preconditioner_kind_from_string(cli.get("precond", "evp"));
+    candidate_cfg.model.solver.options.rel_tolerance =
+        cli.get_double("tol", 1e-13);
+    cli.reject_unread();
+  } catch (const util::Error& e) {
+    return cli.usage_error(
+        e, "[--members=10] [--months=3] [--scale=0.08] [--nz=3] "
+           "[--solver=pcsi] [--precond=evp] [--tol=1e-13]");
+  }
 
   std::cout << "building the reference ensemble (" << ens.members
             << " members x " << ens.months << " months, O(1e-14) initial "
@@ -40,14 +60,6 @@ int main(int argc, char** argv) {
     if (done == total) std::cout << "\n";
   });
 
-  // Candidate configuration.
-  auto candidate_cfg = ens;
-  candidate_cfg.model.solver.solver =
-      solver::solver_kind_from_string(cli.get("solver", "pcsi"));
-  candidate_cfg.model.solver.preconditioner =
-      solver::preconditioner_kind_from_string(cli.get("precond", "evp"));
-  candidate_cfg.model.solver.options.rel_tolerance =
-      cli.get_double("tol", 1e-13);
   std::cout << "running candidate: "
             << solver::to_string(candidate_cfg.model.solver.solver) << "+"
             << solver::to_string(candidate_cfg.model.solver.preconditioner)

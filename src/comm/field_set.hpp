@@ -12,12 +12,6 @@
 // kernels) written against nb() therefore reproduce the scalar path
 // byte-for-byte at nb() == 1.
 //
-// scalar_backed() survives the erasure deliberately: the fault-
-// injection halo hook arms only on scalar fp64 exchanges (fault sites
-// target the scalar resilient solve; batch members recover through the
-// per-member sub-batch path instead), so the exchanger needs to know
-// which backing it is exchanging even though the data path is shared.
-//
 // The view holds a pointer to the backing container; the container must
 // outlive every FieldSet over it. Copying the view is copying the
 // pointer.
@@ -40,9 +34,6 @@ class FieldSetT {
   FieldSetT(DistFieldBatchT<T>& f) : batch_(&f) {}  // NOLINT
 
   bool valid() const { return scalar_ != nullptr || batch_ != nullptr; }
-  /// True when the backing container is a scalar DistFieldT (the
-  /// fault-hook arming condition, together with T == double).
-  bool scalar_backed() const { return scalar_ != nullptr; }
 
   const grid::Decomposition& decomposition() const {
     return scalar_ ? scalar_->decomposition() : batch_->decomposition();

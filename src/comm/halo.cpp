@@ -253,14 +253,13 @@ HaloHandleT<T> HaloExchanger::begin_set(Communicator& comm,
       const int owner = decomp_->block(nid).owner;
       if (owner == my_rank) continue;
       pack_w<T>(fs.data(lb), h, w, send_region(d, b.nx, b.ny, h), buf);
-      // The fault sites corrupt scalar fp64 state halos: the fp32
-      // mirror path is exercised under the fp64 refinement guard, and
-      // batch members recover through per-member sub-batches of the
-      // batched resilient decorator rather than through injected wire
-      // corruption.
+      // The fault sites corrupt a single solve's fp64 halos (width 1):
+      // the fp32 mirror path is exercised under the fp64 refinement
+      // guard, and members of wider batches recover through per-member
+      // sub-batches of the resilient decorator rather than through
+      // injected wire corruption.
       if constexpr (std::is_same_v<T, double>) {
-        if (fs.scalar_backed())
-          fault::hook_halo_payload(my_rank, buf.data(), buf.size());
+        if (w == 1) fault::hook_halo_payload(my_rank, buf.data(), buf.size());
       }
       if (crc_enabled_) {
         // The CRC is taken AFTER hook_halo_payload: that site models
@@ -333,14 +332,12 @@ void HaloExchanger::exchange_group(Communicator& comm,
   MINIPOP_REQUIRE(fs0.valid(), "halo exchange of an empty FieldSet");
   MINIPOP_REQUIRE(&fs0.decomposition() == decomp_,
                   "field belongs to a different decomposition");
-  bool all_scalar = true;
   for (const FieldSetT<T>& fs : sets) {
     MINIPOP_REQUIRE(fs.valid() && &fs.decomposition() == decomp_ &&
                         fs.rank() == fs0.rank() && fs.halo() == fs0.halo() &&
                         fs.nb() == fs0.nb(),
                     "group members must share decomposition, rank, halo "
                     "width and batch width");
-    all_scalar = all_scalar && fs.scalar_backed();
   }
   const int h = fs0.halo();
   const int w = fs0.nb();
@@ -370,8 +367,7 @@ void HaloExchanger::exchange_group(Communicator& comm,
       for (const FieldSetT<T>& fs : sets)
         pack_append_w<T>(fs.data(lb), h, w, src, buf);
       if constexpr (std::is_same_v<T, double>) {
-        if (all_scalar)
-          fault::hook_halo_payload(my_rank, buf.data(), buf.size());
+        if (w == 1) fault::hook_halo_payload(my_rank, buf.data(), buf.size());
       }
       if (crc_enabled_) {
         const std::size_t payload = buf.size();

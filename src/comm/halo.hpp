@@ -136,9 +136,9 @@ class HaloExchanger {
   /// finish(); the owned interior may be read freely (but not written)
   /// in between. One message per (block, neighbor) carries all nb()
   /// members. The fault-injection halo payload hook arms only on
-  /// scalar-backed fp64 sets — fault sites target the scalar resilient
-  /// solve; batch members recover through per-member sub-batches
-  /// (DESIGN.md §10, §11).
+  /// width-1 fp64 sets — fault sites target a single solve; members of
+  /// wider batches recover through per-member sub-batches (DESIGN.md
+  /// §10, §11).
   template <typename T>
   HaloHandleT<T> begin_set(Communicator& comm,
                            const FieldSetT<T>& fs) const;
@@ -151,8 +151,8 @@ class HaloExchanger {
   /// must share decomposition, rank, halo width and batch width; each
   /// set's rims are bitwise identical to what its own exchange_set()
   /// would deliver. With CRC enabled, one trailer covers the whole
-  /// concatenated payload; the fault payload hook arms on scalar-backed
-  /// fp64 groups exactly like the single-set path. Blocking.
+  /// concatenated payload; the fault payload hook arms on width-1 fp64
+  /// groups exactly like the single-set path. Blocking.
   template <typename T>
   void exchange_group(Communicator& comm,
                       std::span<const FieldSetT<T>> sets) const;

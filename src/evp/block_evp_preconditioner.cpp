@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <type_traits>
 
 #include "src/util/error.hpp"
 
@@ -151,78 +152,75 @@ int BlockEvpPreconditioner::simplified_tiles() const {
   return n;
 }
 
-// Contract: apply() is block-local and communication-free — it never
-// touches `comm` beyond cost accounting and reads no halo points. The
-// overlapped solvers rely on this to run it while reductions are in
+// Contract: every apply is block-local and communication-free — it
+// never touches `comm` beyond cost accounting and reads no halo points.
+// The overlapped solvers rely on this to run it while reductions are in
 // flight (split-phase engine); keep it that way.
-void BlockEvpPreconditioner::apply(comm::Communicator& comm,
-                                   const comm::DistField& in,
-                                   comm::DistField& out) {
-  MINIPOP_REQUIRE(in.compatible_with(out), "block-EVP field mismatch");
+template <typename T, typename In, typename Out>
+void BlockEvpPreconditioner::apply_tiles(comm::Communicator& comm,
+                                         const std::vector<Tile>& tiles,
+                                         const In& in, Out& out,
+                                         int nb) const {
   std::uint64_t flops = 0;
-  util::Field y, x;
-  for (const auto& t : tiles_) {
+  util::Array2D<T> y, x;
+  for (const auto& t : tiles) {
     const auto& s = *t.solver;
     if (y.nx() != s.nx() || y.ny() != s.ny()) {
-      y = util::Field(s.nx(), s.ny());
-      x = util::Field(s.nx(), s.ny());
+      y = util::Array2D<T>(s.nx(), s.ny());
+      x = util::Array2D<T>(s.nx(), s.ny());
     }
     // Row-pointer gather/scatter: this runs per tile per iteration, so
-    // skip the per-element block lookup of DistField::at.
-    const double* in_p = in.interior(t.local_block);
+    // skip the per-element block lookup of at().
+    const T* in_p = in.interior(t.local_block) +
+                    static_cast<std::ptrdiff_t>(s.i0()) * nb;
     const std::ptrdiff_t in_s = in.stride(t.local_block);
-    for (int j = 0; j < s.ny(); ++j) {
-      const double* row = in_p + (s.j0() + j) * in_s + s.i0();
-      for (int i = 0; i < s.nx(); ++i) y(i, j) = row[i];
-    }
-    s.solve(y, x);
-    const auto& mask = op_->block_mask(t.local_block);
-    double* out_p = out.interior(t.local_block);
+    T* out_p = out.interior(t.local_block) +
+               static_cast<std::ptrdiff_t>(s.i0()) * nb;
     const std::ptrdiff_t out_s = out.stride(t.local_block);
-    for (int j = 0; j < s.ny(); ++j) {
-      double* row = out_p + (s.j0() + j) * out_s + s.i0();
-      const unsigned char* mrow = mask.data() + (s.j0() + j) * mask.nx() +
-                                  s.i0();
-      for (int i = 0; i < s.nx(); ++i) row[i] = mrow[i] ? x(i, j) : 0.0;
+    const auto& mask = op_->block_mask(t.local_block);
+    for (int m = 0; m < nb; ++m) {
+      for (int j = 0; j < s.ny(); ++j) {
+        const T* row = in_p + (s.j0() + j) * in_s + m;
+        for (int i = 0; i < s.nx(); ++i)
+          y(i, j) = row[static_cast<std::ptrdiff_t>(i) * nb];
+      }
+      if constexpr (std::is_same_v<T, double>)
+        s.solve(y, x);
+      else
+        s.solve32(y, x);
+      for (int j = 0; j < s.ny(); ++j) {
+        T* row = out_p + (s.j0() + j) * out_s + m;
+        const unsigned char* mrow =
+            mask.data() + (s.j0() + j) * mask.nx() + s.i0();
+        for (int i = 0; i < s.nx(); ++i)
+          row[static_cast<std::ptrdiff_t>(i) * nb] = mrow[i] ? x(i, j) : T(0);
+      }
     }
-    flops += s.solve_flops();
+    flops += s.solve_flops() * static_cast<std::uint64_t>(nb);
   }
   comm.costs().add_flops(flops);
 }
 
-// Same contract as the fp64 apply: block-local, communication-free.
 void BlockEvpPreconditioner::apply(comm::Communicator& comm,
-                                   const comm::DistField32& in,
-                                   comm::DistField32& out) {
+                                   const comm::DistField& in,
+                                   comm::DistField& out) {
   MINIPOP_REQUIRE(in.compatible_with(out), "block-EVP field mismatch");
+  apply_tiles<double>(comm, tiles_, in, out, 1);
+}
+
+void BlockEvpPreconditioner::apply_batch(comm::Communicator& comm,
+                                         const comm::DistFieldBatch& in,
+                                         comm::DistFieldBatch& out) {
+  MINIPOP_REQUIRE(in.compatible_with(out), "block-EVP batch mismatch");
+  apply_tiles<double>(comm, tiles_, in, out, in.nb());
+}
+
+void BlockEvpPreconditioner::apply_batch(comm::Communicator& comm,
+                                         const comm::DistFieldBatch32& in,
+                                         comm::DistFieldBatch32& out) {
+  MINIPOP_REQUIRE(in.compatible_with(out), "block-EVP batch mismatch");
   if (tiles32_.empty()) build_tiles32();
-  std::uint64_t flops = 0;
-  util::Array2D<float> y, x;
-  for (const auto& t : tiles32_) {
-    const auto& s = *t.solver;
-    if (y.nx() != s.nx() || y.ny() != s.ny()) {
-      y = util::Array2D<float>(s.nx(), s.ny());
-      x = util::Array2D<float>(s.nx(), s.ny());
-    }
-    const float* in_p = in.interior(t.local_block);
-    const std::ptrdiff_t in_s = in.stride(t.local_block);
-    for (int j = 0; j < s.ny(); ++j) {
-      const float* row = in_p + (s.j0() + j) * in_s + s.i0();
-      for (int i = 0; i < s.nx(); ++i) y(i, j) = row[i];
-    }
-    s.solve32(y, x);
-    const auto& mask = op_->block_mask(t.local_block);
-    float* out_p = out.interior(t.local_block);
-    const std::ptrdiff_t out_s = out.stride(t.local_block);
-    for (int j = 0; j < s.ny(); ++j) {
-      float* row = out_p + (s.j0() + j) * out_s + s.i0();
-      const unsigned char* mrow = mask.data() + (s.j0() + j) * mask.nx() +
-                                  s.i0();
-      for (int i = 0; i < s.nx(); ++i) row[i] = mrow[i] ? x(i, j) : 0.0f;
-    }
-    flops += s.solve_flops();
-  }
-  comm.costs().add_flops(flops);
+  apply_tiles<float>(comm, tiles32_, in, out, in.nb());
 }
 
 }  // namespace minipop::evp

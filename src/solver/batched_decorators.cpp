@@ -135,14 +135,14 @@ BatchSolveStats BatchedMixedPrecisionSolver::solve_mixed(
     threshold2[mm] = opt_.rel_tolerance * opt_.rel_tolerance * b_norm2[mm];
     if (bad_slot[mm]) {
       // Untrustworthy ||b||² ⇒ untrustworthy threshold: fail the member
-      // before it refines (batched-core init parity).
+      // before it refines (as the batched core's init does).
       out.members[mm].failure = FailureKind::kCorruptReduction;
       active[mm] = 0;
       --n_active;
       continue;
     }
     if (b_norm2[mm] == 0.0) {
-      // Scalar early-out parity: x_m = 0, converged.
+      // Zero right-hand side: x_m = 0, converged.
       for (int lb = 0; lb < x.num_local_blocks(); ++lb) {
         const auto& info = x.info(lb);
         for (int j = 0; j < info.ny; ++j)
@@ -208,8 +208,10 @@ BatchSolveStats BatchedMixedPrecisionSolver::solve_mixed(
       if (active[mm] && sums[mm] <= threshold2[mm]) accept_s[mm] = 1;
     if (opt_.integrity.any_solver_check()) {
       // The refinement loop's r IS the true fp64 residual (r_is_true),
-      // so only the ABFT operator audit applies; slot == member here
-      // (the outer batch never compacts).
+      // so only the ABFT operator audit applies — refinement is already
+      // self-auditing against recurrence drift by construction, and the
+      // outer check bounds whatever the fp32 inner solves did. Slot ==
+      // member here (the outer batch never compacts).
       auditor.at_check(comm, halo, a, b, r, x, b_norm2.data(),
                        member_id.data(), active.data(), nb, nullptr,
                        /*r_is_true=*/true, accept_s.data(),
@@ -218,14 +220,17 @@ BatchSolveStats BatchedMixedPrecisionSolver::solve_mixed(
 
     for (int mm = 0; mm < nb; ++mm) {
       if (!active[mm]) continue;
+      const double rel = std::sqrt(sums[mm] / b_norm2[mm]);
+      out.members[mm].relative_residual = rel;
+      if (opt_.record_residuals)
+        out.members[mm].residual_history.emplace_back(
+            out.members[mm].iterations, rel);
       if (audit[mm] != FailureKind::kNone) {
         out.members[mm].failure = audit[mm];
         active[mm] = 0;
         --n_active;
         continue;
       }
-      const double rel = std::sqrt(sums[mm] / b_norm2[mm]);
-      out.members[mm].relative_residual = rel;
       if (accept_s[mm]) {
         out.members[mm].converged = true;
         active[mm] = 0;
@@ -244,9 +249,11 @@ BatchSolveStats BatchedMixedPrecisionSolver::solve_mixed(
     if (n_active == 0) break;
 
     // Batched fp32 inner solve of A d = r from zero, to a loose
-    // tolerance relative to each member's ||r||. Members already frozen
-    // by the outer loop get their residual plane zeroed: the inner
-    // solve's zero-RHS early-out freezes them instantly (d_m = 0).
+    // tolerance relative to each member's ||r|| — each sweep shrinks the
+    // fp64 residual by about that factor, so fp64 tolerance is reached
+    // in a handful of sweeps. Members already frozen by the outer loop
+    // get their residual plane zeroed: the inner solve's zero-RHS
+    // early-out freezes them instantly (d_m = 0).
     if (!ov) demote(r, r32);
     for (int mm = 0; mm < nb; ++mm)
       if (!active[mm]) zero_member(r32, mm);
@@ -261,9 +268,9 @@ BatchSolveStats BatchedMixedPrecisionSolver::solve_mixed(
       if (!active[mm]) continue;
       out.members[mm].iterations += istats.members[mm].iterations;
       const FailureKind fi = istats.members[mm].failure;
-      // Scalar parity: a NaN/breakdown inside the inner solve fails the
-      // member before its correction is applied; other inner failures
-      // (max_iters at a loose tolerance) still improve x.
+      // A NaN/breakdown inside the inner solve fails the member before
+      // its correction is applied; other inner failures (max_iters at a
+      // loose tolerance) still improve x.
       if (fi == FailureKind::kNanDetected ||
           fi == FailureKind::kBreakdown) {
         out.members[mm].failure = fi;
@@ -285,32 +292,18 @@ BatchSolveStats BatchedMixedPrecisionSolver::solve_mixed(
 BatchedResilientSolver::BatchedResilientSolver(
     std::unique_ptr<BatchedSolver> primary, RecoveryPolicy policy)
     : policy_(policy) {
-  MINIPOP_REQUIRE(primary != nullptr, "batched resilient needs a primary");
-  Stage st;
-  st.batched = std::move(primary);
-  chain_.push_back(std::move(st));
+  MINIPOP_REQUIRE(primary != nullptr, "resilient solver needs a primary");
+  chain_.push_back(Stage{std::move(primary), false});
 }
 
 void BatchedResilientSolver::add_fallback(
     std::unique_ptr<BatchedSolver> solver, bool use_diagonal_precond) {
-  MINIPOP_REQUIRE(solver != nullptr, "null batched fallback solver");
-  Stage st;
-  st.batched = std::move(solver);
-  st.use_diagonal_precond = use_diagonal_precond;
-  chain_.push_back(std::move(st));
-}
-
-void BatchedResilientSolver::add_scalar_fallback(
-    std::unique_ptr<IterativeSolver> solver, bool use_diagonal_precond) {
-  MINIPOP_REQUIRE(solver != nullptr, "null scalar fallback solver");
-  Stage st;
-  st.scalar = std::move(solver);
-  st.use_diagonal_precond = use_diagonal_precond;
-  chain_.push_back(std::move(st));
+  MINIPOP_REQUIRE(solver != nullptr, "null fallback solver");
+  chain_.push_back(Stage{std::move(solver), use_diagonal_precond});
 }
 
 std::string BatchedResilientSolver::name() const {
-  return "resilient(" + chain_.front().batched->name() + ")";
+  return "resilient(" + chain_.front().solver->name() + ")";
 }
 
 void BatchedResilientSolver::checkpoint(const comm::DistFieldBatch& x) {
@@ -320,43 +313,6 @@ void BatchedResilientSolver::checkpoint(const comm::DistFieldBatch& x) {
   copy_interior(x, snap);
   ring_.push_front(std::move(snap));
   while (ring_.size() > 2) ring_.pop_back();
-}
-
-BatchSolveStats BatchedResilientSolver::run_stage(
-    Stage& st, comm::Communicator& comm, const comm::HaloExchanger& halo,
-    const DistOperator& a, Preconditioner& m, const comm::DistFieldBatch& bw,
-    comm::DistFieldBatch& xw, comm::HaloFreshness fresh) {
-  if (st.batched) {
-    if (st.use_diagonal_precond) {
-      DiagonalPreconditioner diag(a);
-      return st.batched->solve(comm, halo, a, diag, bw, xw, fresh);
-    }
-    return st.batched->solve(comm, halo, a, m, bw, xw, fresh);
-  }
-  // Scalar demux: the failed members one at a time through the scalar
-  // fallback — the configuration that shares no code with the batched
-  // engine, so it cannot share its failure mode either.
-  const int w = bw.nb();
-  BatchSolveStats out;
-  out.members.resize(w);
-  std::unique_ptr<DiagonalPreconditioner> diag;
-  if (st.use_diagonal_precond) diag = std::make_unique<DiagonalPreconditioner>(a);
-  comm::DistField b_m(bw.decomposition(), bw.rank(), bw.halo());
-  comm::DistField x_m(bw.decomposition(), bw.rank(), bw.halo());
-  for (int s = 0; s < w; ++s) {
-    bw.store_member(s, b_m);
-    xw.store_member(s, x_m);
-    const SolveStats ss = st.scalar->solve(
-        comm, halo, a, diag ? *diag : m, b_m, x_m, fresh);
-    xw.load_member(s, x_m);
-    out.members[s].iterations = ss.iterations;
-    out.members[s].converged = ss.converged;
-    out.members[s].relative_residual = ss.relative_residual;
-    out.members[s].failure = ss.failure;
-    out.iterations = std::max(out.iterations, ss.iterations);
-    out.refine_sweeps += ss.refine_sweeps;
-  }
-  return out;
 }
 
 BatchSolveStats BatchedResilientSolver::solve(comm::Communicator& comm,
@@ -370,10 +326,15 @@ BatchSolveStats BatchedResilientSolver::solve(comm::Communicator& comm,
   const int nb = b.nb();
   checkpoint(x);
 
-  // A previous solve's precision escalation does not outlive it.
+  // A previous solve's precision escalation does not outlive it: each
+  // solve gets a fresh shot at the fast fp32/mixed path.
   auto* mixed =
-      dynamic_cast<BatchedMixedPrecisionSolver*>(chain_.front().batched.get());
+      dynamic_cast<BatchedMixedPrecisionSolver*>(chain_.front().solver.get());
   if (mixed) mixed->set_forced_fp64(false);
+  // The P-CSI whose bounds the re-estimation rung replaces, if any.
+  BatchedPcsiSolver* pcsi =
+      dynamic_cast<BatchedPcsiSolver*>(chain_.front().solver.get());
+  if (!pcsi && mixed) pcsi = mixed->pcsi();
 
   BatchSolveStats out;
   out.members.resize(nb);
@@ -401,7 +362,13 @@ BatchSolveStats BatchedResilientSolver::solve(comm::Communicator& comm,
     FailureKind broken_code = FailureKind::kCommTimeout;
     std::vector<double> codes(w, 0.0);
     try {
-      stats = run_stage(chain_[stage], comm, halo, a, m, *bw, *xw, fresh);
+      Stage& st = chain_[stage];
+      if (st.use_diagonal_precond) {
+        DiagonalPreconditioner diag(a);
+        stats = st.solver->solve(comm, halo, a, diag, *bw, *xw, fresh);
+      } else {
+        stats = st.solver->solve(comm, halo, a, m, *bw, *xw, fresh);
+      }
       for (int s = 0; s < w; ++s)
         codes[s] = stats.members[s].converged
                        ? 0.0
@@ -463,6 +430,8 @@ BatchSolveStats BatchedResilientSolver::solve(comm::Communicator& comm,
             stats.members[s].relative_residual;
         out.members[mm].failure = FailureKind::kNone;
         out.members[mm].iterations = iter_accum[mm];
+        out.members[mm].residual_history =
+            std::move(stats.members[s].residual_history);
         if (xw != &x) x.copy_member_from(mm, *xw, s);
       } else {
         failed_slots.push_back(s);
@@ -478,8 +447,7 @@ BatchSolveStats BatchedResilientSolver::solve(comm::Communicator& comm,
     // --- recovery decision (identical on every rank) ---
     RecoveryEvent ev;
     ev.failure = worst;
-    ev.solver = chain_[stage].batched ? chain_[stage].batched->name()
-                                      : chain_[stage].scalar->name();
+    ev.solver = chain_[stage].solver->name();
     ev.attempt = attempt;
     ev.iterations = stats.iterations;
     ev.members = static_cast<int>(failed_slots.size());
@@ -488,7 +456,6 @@ BatchSolveStats BatchedResilientSolver::solve(comm::Communicator& comm,
       kRepair, kEscalate, kReestimate, kRestart, kFallback, kGiveUp
     };
     Act act = Act::kGiveUp;
-    std::size_t restore_slot = 0;
     if (worst == FailureKind::kCorruptOperator && !operator_repaired) {
       // A corrupted operator is repaired in place, once per solve: no
       // other rung can cure bad coefficients (every retry would re-run
@@ -501,30 +468,50 @@ BatchSolveStats BatchedResilientSolver::solve(comm::Communicator& comm,
       // for comm-layer failures (timeouts, corrupt payloads) —
       // precision cannot fix a lost or mangled message.
       act = Act::kEscalate;
-    } else if (stage == 0 && policy_.reestimate_bounds &&
+    } else if (stage == 0 && pcsi && policy_.reestimate_bounds &&
                !bounds_reestimated &&
                (worst == FailureKind::kDiverged ||
-                worst == FailureKind::kStagnated) &&
-               (dynamic_cast<BatchedPcsiSolver*>(
-                    chain_[0].batched.get()) != nullptr ||
-                (mixed && mixed->pcsi() != nullptr))) {
-      act = Act::kReestimate;
-    } else if (stage == 0 && restarts_used < policy_.max_restarts) {
-      act = Act::kRestart;
-      // Restart 1 retries from this solve's entry state; restart 2
-      // falls back to the previous solve's (the older ring slot).
-      restore_slot = static_cast<std::size_t>(restarts_used);
-      ++restarts_used;
-    } else if (policy_.fallback && stage + 1 < chain_.size()) {
-      act = Act::kFallback;
-      ++stage;
+                worst == FailureKind::kStagnated)) {
+      // A diverging P-CSI usually means the Chebyshev interval no
+      // longer brackets the spectrum; measure it again (collective).
+      // Lanczos itself can fail — a corrupted operator may not even be
+      // SPD any more — and that must burn the rung, not escape the
+      // recovery chain: the failed members then take the restart or
+      // fallback rung below with the bounds unchanged. Its requirement
+      // checks fire on globally-reduced values, so every rank throws
+      // (or not) together; comm-layer exceptions keep propagating.
+      bounds_reestimated = true;
+      try {
+        const LanczosResult lr =
+            estimate_eigenvalue_bounds(comm, halo, a, m, policy_.lanczos);
+        pcsi->set_bounds(lr.bounds);
+        act = Act::kReestimate;
+      } catch (const comm::CommTimeoutError&) {
+        throw;
+      } catch (const comm::CorruptPayloadError&) {
+        throw;
+      } catch (const util::Error&) {
+      }
+    }
+    std::size_t restore_slot = 0;
+    if (act == Act::kGiveUp) {
+      if (stage == 0 && restarts_used < policy_.max_restarts) {
+        act = Act::kRestart;
+        // Restart 1 retries from this solve's entry state; restart 2
+        // falls back to the previous solve's (the older ring slot).
+        restore_slot = static_cast<std::size_t>(restarts_used);
+        ++restarts_used;
+      } else if (policy_.fallback && stage + 1 < chain_.size()) {
+        act = Act::kFallback;
+        ++stage;
+      }
     }
 
     if (act == Act::kGiveUp) {
       ev.action = "give_up";
       events_.push_back(ev);
       if (comm.rank() == 0)
-        MINIPOP_WARN("batched resilient solver giving up: "
+        MINIPOP_WARN("resilient solver giving up: "
                      << to_string(worst) << " on " << failed_slots.size()
                      << " member(s) after " << (attempt + 1)
                      << " attempt(s)");
@@ -536,6 +523,8 @@ BatchSolveStats BatchedResilientSolver::solve(comm::Communicator& comm,
         out.members[mm].relative_residual =
             stats.members[s].relative_residual;
         out.members[mm].iterations = iter_accum[mm];
+        out.members[mm].residual_history =
+            std::move(stats.members[s].residual_history);
         if (xw != &x) x.copy_member_from(mm, *xw, s);
       }
       out.costs = comm.costs().since(snapshot);
@@ -552,33 +541,9 @@ BatchSolveStats BatchedResilientSolver::solve(comm::Communicator& comm,
         ev.action = "escalate_precision";
         mixed->set_forced_fp64(true);
         break;
-      case Act::kReestimate: {
+      case Act::kReestimate:
         ev.action = "reestimate_bounds";
-        // A diverging P-CSI usually means the Chebyshev interval no
-        // longer brackets the spectrum; measure it again (collective).
-        // Lanczos itself can fail — a corrupted operator may not even
-        // be SPD any more — and that must burn the rung, not escape
-        // the recovery chain; the failed members then simply restart
-        // from the checkpoint with the bounds unchanged. Its
-        // requirement checks fire on globally-reduced values, so every
-        // rank throws (or not) together.
-        BatchedPcsiSolver* pcsi =
-            dynamic_cast<BatchedPcsiSolver*>(chain_[0].batched.get());
-        if (!pcsi && mixed) pcsi = mixed->pcsi();
-        try {
-          const LanczosResult lr =
-              estimate_eigenvalue_bounds(comm, halo, a, m, policy_.lanczos);
-          pcsi->set_bounds(lr.bounds);
-        } catch (const comm::CommTimeoutError&) {
-          throw;
-        } catch (const comm::CorruptPayloadError&) {
-          throw;
-        } catch (const util::Error&) {
-          ev.action = "restart";
-        }
-        bounds_reestimated = true;
         break;
-      }
       case Act::kRestart:
         ev.action = "restart";
         break;
@@ -620,13 +585,10 @@ BatchSolveStats BatchedResilientSolver::solve(comm::Communicator& comm,
 // ---------------------------------------------------------------------------
 // SequentialBatchedSolver
 
-SequentialBatchedSolver::SequentialBatchedSolver(IterativeSolver* scalar)
-    : scalar_(scalar) {
+SequentialBatchedSolver::SequentialBatchedSolver(
+    std::unique_ptr<IterativeSolver> scalar)
+    : scalar_(std::move(scalar)) {
   MINIPOP_REQUIRE(scalar_ != nullptr, "sequential batch needs a solver");
-}
-
-std::string SequentialBatchedSolver::name() const {
-  return "sequential(" + scalar_->name() + ")";
 }
 
 BatchSolveStats SequentialBatchedSolver::solve(comm::Communicator& comm,
@@ -653,8 +615,8 @@ BatchSolveStats SequentialBatchedSolver::solve(comm::Communicator& comm,
     out.members[mm].converged = s.converged;
     out.members[mm].relative_residual = s.relative_residual;
     out.members[mm].failure = s.failure;
+    out.members[mm].residual_history = s.residual_history;
     out.iterations = std::max(out.iterations, s.iterations);
-    out.refine_sweeps += s.refine_sweeps;
   }
   out.costs = comm.costs().since(snapshot);
   return out;

@@ -1,6 +1,6 @@
-// Decorators over the batched execution core, mirroring the scalar
-// decorator stack so SolverConfig composes identically at any batch
-// width:
+// Decorators over the batched execution core. BarotropicSolver stacks
+// them the same way for every batch width (a single solve is a width-1
+// batch):
 //
 //   BatchedMixedPrecisionSolver — fp32/mixed arithmetic over batched
 //     lockstep sweeps. kFp32 demotes the whole batch and runs the
@@ -15,17 +15,16 @@
 //     per-member recovery: each attempt ends with one B-element kMax
 //     agreement allreduce of the members' failure codes; members that
 //     converged are final, and ONLY the failed members are gathered
-//     into a narrow recovery sub-batch that walks the scalar
-//     decorator's chain (escalate precision → checkpoint restart →
-//     Lanczos re-estimation → batched fallback solvers → scalar demux
-//     as last resort). One diverging member therefore never freezes or
-//     restarts the healthy rest of the batch.
+//     into a narrow recovery sub-batch that walks the chain (repair a
+//     corrupted operator → escalate precision → re-estimate the P-CSI
+//     bounds → checkpoint restart → fallback solvers, ending at
+//     diagonal-preconditioned PCG). One diverging member therefore
+//     never freezes or restarts the healthy rest of the batch.
 //
-//   SequentialBatchedSolver — adapts the fully decorated SCALAR solver
-//     stack to the BatchedSolver interface by solving members one at a
-//     time. This is the composition path for solvers without a lockstep
-//     batched core (PCG, pipelined CG): every SolverConfig keeps a
-//     working solve_batch, just without the fused-lane amortization.
+//   SequentialBatchedSolver — owns a solver without a lockstep batched
+//     core (PCG, pipelined CG) and runs it member by member, so those
+//     solvers enter the same decorated stack — just without the
+//     fused-lane amortization.
 #pragma once
 
 #include <deque>
@@ -34,13 +33,27 @@
 #include <vector>
 
 #include "src/solver/batched_solver.hpp"
-#include "src/solver/resilient_solver.hpp"
+#include "src/solver/lanczos.hpp"
 
 namespace minipop::solver {
 
-/// Batched twin of MixedPrecisionSolver. `fp64_twin` must be a
-/// BatchedPcsiSolver or BatchedChronGearSolver; it defines the lockstep
-/// iteration run at every precision and is the escalation target.
+/// Mixed-precision decorator: fp32 inner sweeps under an fp64 guard.
+/// Per SolverOptions::precision:
+///   kFp64  — delegate to the wrapped solver untouched (bit-identical).
+///   kFp32  — the whole solve in float: fp32 fields, fp32 stencil
+///            coefficients, half-size halo messages. Reductions still
+///            accumulate in double, so the convergence check measures
+///            the true fp32 residual; round-off floors the relative
+///            residual near 1e-7 (a tighter tolerance stalls there and
+///            the stagnation guard reports kStagnated).
+///   kMixed — iterative refinement: an fp64 outer loop computes the true
+///            residual r = b - A x and checks it against the caller's
+///            fp64 tolerance; each sweep demotes r, solves A d = r in
+///            fp32 to a loose inner tolerance, and applies x += d in
+///            fp64 (axpy_promoted). One reduction per outer sweep.
+/// `fp64_twin` must be a BatchedPcsiSolver or BatchedChronGearSolver; it
+/// defines the lockstep iteration run at every precision and is the
+/// target BatchedResilientSolver escalates to (set_forced_fp64).
 class BatchedMixedPrecisionSolver final : public BatchedSolver {
  public:
   BatchedMixedPrecisionSolver(std::unique_ptr<BatchedSolver> fp64_twin,
@@ -100,24 +113,50 @@ class BatchedMixedPrecisionSolver final : public BatchedSolver {
   bool forced_fp64_ = false;
 };
 
-/// Batched twin of ResilientSolver with per-member recovery (see the
-/// file comment). Recovery policy, event vocabulary and chain order are
-/// shared with the scalar decorator; RecoveryEvent::members records how
-/// many members entered each transition.
+struct RecoveryPolicy {
+  /// Checkpoint restarts of the primary solver before falling back.
+  int max_restarts = 2;
+  /// Re-run Lanczos (once per solve) when a P-CSI primary diverges or
+  /// stagnates — the classic stale-interval failure.
+  bool reestimate_bounds = true;
+  LanczosOptions lanczos;
+  /// Walk the fallback chain after the primary is out of options.
+  bool fallback = true;
+};
+
+/// One recorded recovery transition.
+struct RecoveryEvent {
+  FailureKind failure;  ///< worst failure the attempt's members reported
+  std::string solver;   ///< solver that failed
+  /// repair_operator | escalate_precision | reestimate_bounds | restart |
+  /// fallback | give_up
+  std::string action;
+  int attempt;          ///< 0-based attempt ordinal within the solve
+  int iterations;       ///< iterations spent in the failed attempt
+  /// How many members of the batch failed together and entered the
+  /// transition (1 for a single solve).
+  int members = 1;
+};
+
+/// Resilience decorator with per-member recovery (see the file
+/// comment). Every attempt ends with the agreement reduction — the only
+/// collective the decorator adds to a fault-free solve. A
+/// CommTimeoutError or CorruptPayloadError from an attempt is absorbed:
+/// the team is fenced with Communicator::resync() and the attempt's
+/// members are typed kCommTimeout / kCorruptPayload. Every transition
+/// is recorded as a RecoveryEvent.
 class BatchedResilientSolver final : public BatchedSolver {
  public:
   explicit BatchedResilientSolver(std::unique_ptr<BatchedSolver> primary,
                                   RecoveryPolicy policy = {});
 
-  /// Append a batched fallback stage (tried in order).
+  /// Append a fallback stage (tried in order). With
+  /// `use_diagonal_precond` the stage runs with a diagonal
+  /// preconditioner built from the operator instead of the caller's —
+  /// the last-resort configuration that cannot itself be the source of
+  /// the failure.
   void add_fallback(std::unique_ptr<BatchedSolver> solver,
                     bool use_diagonal_precond = false);
-
-  /// Append a SCALAR fallback stage: the failed members are solved one
-  /// at a time through `solver` — the last-resort configuration that
-  /// shares no code with the lockstep batched engine.
-  void add_scalar_fallback(std::unique_ptr<IterativeSolver> solver,
-                           bool use_diagonal_precond = false);
 
   BatchSolveStats solve(
       comm::Communicator& comm, const comm::HaloExchanger& halo,
@@ -131,27 +170,17 @@ class BatchedResilientSolver final : public BatchedSolver {
   const std::vector<RecoveryEvent>& events() const { return events_; }
   void clear_events() { events_.clear(); }
 
-  BatchedSolver& primary() { return *chain_.front().batched; }
+  BatchedSolver& primary() { return *chain_.front().solver; }
 
  private:
-  /// One stage of the recovery chain: a batched solver, or a scalar
-  /// solver run member-by-member (exactly one of the two is set).
   struct Stage {
-    std::unique_ptr<BatchedSolver> batched;
-    std::unique_ptr<IterativeSolver> scalar;
+    std::unique_ptr<BatchedSolver> solver;
     bool use_diagonal_precond = false;
   };
 
   /// Push a snapshot of the full-width x onto the checkpoint ring
-  /// (keeps 2, like the scalar decorator's entry snapshots).
+  /// (keeps the two most recent solve-entry snapshots).
   void checkpoint(const comm::DistFieldBatch& x);
-  /// Run `stage` on the working batch (member demux for scalar stages).
-  BatchSolveStats run_stage(Stage& st, comm::Communicator& comm,
-                            const comm::HaloExchanger& halo,
-                            const DistOperator& a, Preconditioner& m,
-                            const comm::DistFieldBatch& bw,
-                            comm::DistFieldBatch& xw,
-                            comm::HaloFreshness fresh);
 
   std::vector<Stage> chain_;
   RecoveryPolicy policy_;
@@ -159,12 +188,12 @@ class BatchedResilientSolver final : public BatchedSolver {
   std::deque<comm::DistFieldBatch> ring_;  ///< [0] = newest entry snapshot
 };
 
-/// Adapter: the decorated scalar stack as a BatchedSolver, one member
-/// at a time. Non-owning — the factory keeps the scalar stack alive for
-/// BarotropicSolver::solve(); this view shares it.
+/// A solver without a lockstep batched core (PCG, pipelined CG) as a
+/// BatchedSolver: members are solved one at a time through scratch
+/// planes. Owns the wrapped solver.
 class SequentialBatchedSolver final : public BatchedSolver {
  public:
-  explicit SequentialBatchedSolver(IterativeSolver* scalar);
+  explicit SequentialBatchedSolver(std::unique_ptr<IterativeSolver> scalar);
 
   BatchSolveStats solve(
       comm::Communicator& comm, const comm::HaloExchanger& halo,
@@ -172,10 +201,11 @@ class SequentialBatchedSolver final : public BatchedSolver {
       const comm::DistFieldBatch& b, comm::DistFieldBatch& x,
       comm::HaloFreshness x_fresh = comm::HaloFreshness::kStale) override;
 
-  std::string name() const override;
+  /// The wrapped solver's name (e.g. "pcg").
+  std::string name() const override { return scalar_->name(); }
 
  private:
-  IterativeSolver* scalar_;  ///< non-owning; outlives this adapter
+  std::unique_ptr<IterativeSolver> scalar_;
 };
 
 }  // namespace minipop::solver

@@ -60,7 +60,7 @@ std::uint64_t plan_active_points(const SpanPlan& plan) {
 }
 
 /// x_m *= a[m] for active members. Flops counted for active lanes only
-/// (scalar parity: a frozen member's scalar solve has already returned).
+/// (a frozen member's solve has, logically, already returned).
 template <typename T>
 void scale_active(comm::Communicator& comm, const T* a,
                   comm::DistFieldBatchT<T>& x,
@@ -157,6 +157,7 @@ struct BatchControl {
   std::vector<unsigned char> active;    // slot -> still iterating
   int n_active = 0;
   int cur_nb = 0;
+  bool record = false;  // SolverOptions::record_residuals
 
   void freeze(int s, bool converged, double rel, FailureKind failure) {
     BatchMemberStats& ms = out.members[member_of[s]];
@@ -169,8 +170,8 @@ struct BatchControl {
 };
 
 /// ||b_m||² for every member with ONE vector allreduce; zero-RHS members
-/// resolve immediately (x_m = 0, converged), mirroring the scalar
-/// early-out. Returns the initialized control block.
+/// resolve immediately (x_m = 0, converged). Returns the initialized
+/// control block.
 template <typename T>
 BatchControl init_control(const SolverOptions& opt, comm::Communicator& comm,
                           const DistOperator& a,
@@ -187,6 +188,7 @@ BatchControl init_control(const SolverOptions& opt, comm::Communicator& comm,
   ctl.active.assign(nb, 1);
   ctl.n_active = nb;
   ctl.cur_nb = nb;
+  ctl.record = opt.record_residuals;
 
   a.local_dot_batch(comm, b, b, ctl.b_norm2.data());
   std::vector<int> bad;
@@ -220,9 +222,9 @@ BatchControl init_control(const SolverOptions& opt, comm::Communicator& comm,
 
 /// Stamp the relative residual of every member frozen without a norm in
 /// hand, from its (frozen or deterministically recomputed) r plane. One
-/// extra vector allreduce; bit-equal per member to the scalar solver's
-/// final global_dot(r, r) stamp because dot_batch keeps masked_dot's
-/// accumulation order and vector allreduces combine element-wise.
+/// extra vector allreduce; bit-equal per member at every batch width
+/// because dot_batch keeps masked_dot's accumulation order and vector
+/// allreduces combine element-wise.
 template <typename T>
 void stamp_pending(BatchControl& ctl, comm::Communicator& comm,
                    const DistOperator& a, const comm::DistFieldBatchT<T>& r,
@@ -247,7 +249,7 @@ void stamp_pending(BatchControl& ctl, comm::Communicator& comm,
 /// paths' wider working halos: same width keeps the historical
 /// full-plane copy (halo freshness carries over), differing widths copy
 /// the interior (the caller's halos are stale either way after a
-/// comm-avoiding solve, matching the scalar path).
+/// comm-avoiding solve).
 template <typename T>
 void flush_member(comm::DistFieldBatchT<T>& x_caller, int m,
                   const comm::DistFieldBatchT<T>& xw, int s) {
@@ -255,6 +257,35 @@ void flush_member(comm::DistFieldBatchT<T>& x_caller, int m,
     x_caller.copy_member_from(m, xw, s);
   else
     x_caller.copy_member_interior_from(m, xw, s);
+}
+
+/// Per-member verdicts of the convergence check at iteration k, for
+/// every still-active slot: record the checked relative residual, then
+/// an integrity-audit failure freezes the member, an accepting norm
+/// converges it, and otherwise its guard may fail it. `norm2[s]` is
+/// slot s's reduced ||r||². A guard freeze needs no pending stamp: the
+/// checked norm is the member's final residual.
+void apply_check(BatchControl& ctl, int k, const double* norm2,
+                 const std::vector<unsigned char>& accept_s,
+                 const std::vector<FailureKind>& audit) {
+  for (int s = 0; s < ctl.cur_nb; ++s) {
+    if (!ctl.active[s]) continue;
+    const int mm = ctl.member_of[s];
+    const double rel = std::sqrt(norm2[s] / ctl.b_norm2[mm]);
+    if (ctl.record)
+      ctl.out.members[mm].residual_history.emplace_back(k, rel);
+    if (audit[s] != FailureKind::kNone) {
+      ctl.needs_stamp[mm] = 1;
+      ctl.freeze(s, false, 0.0, audit[s]);
+      continue;
+    }
+    if (accept_s[s]) {
+      ctl.freeze(s, true, rel, FailureKind::kNone);
+      continue;
+    }
+    const FailureKind f = ctl.guards[mm].check(rel);
+    if (f != FailureKind::kNone) ctl.freeze(s, false, rel, f);
+  }
 }
 
 bool should_retire(const SolverOptions& opt, const BatchControl& ctl) {
@@ -427,8 +458,7 @@ BatchSolveStats BatchedPcsiSolver::solve_t(comm::Communicator& comm,
 
   // Chebyshev constants are member-independent: one shared recurrence,
   // computed in double at every storage precision (the fp32 mirror
-  // rounds each coefficient once per fill, exactly like the scalar fp32
-  // sweeps round their entry scalars).
+  // rounds each coefficient once per fill).
   EigenBounds eb = bounds_;
   if constexpr (std::is_same_v<T, double>)
     fault::hook_eigen_bounds(a.rank(), &eb.nu, &eb.mu);
@@ -454,7 +484,7 @@ BatchSolveStats BatchedPcsiSolver::solve_t(comm::Communicator& comm,
   BatchIntegrityAuditor auditor(opt_);
 
   // Initial step (Algorithm 2, step 2), gated so zero-RHS members'
-  // solutions stay exactly at the scalar early-out's fill(0).
+  // solutions stay exactly at the early-out's fill(0).
   if (ov)
     a.residual_overlapped_batch(comm, halo, *bw, *xw, r, x_fresh);
   else
@@ -489,8 +519,8 @@ BatchSolveStats BatchedPcsiSolver::solve_t(comm::Communicator& comm,
 
     if (k % opt_.check_frequency == 0) {
       // One fused residual+norm sweep, one CURRENT-WIDTH vector
-      // allreduce: slot s reduces bit-identically to the scalar
-      // solver's 1-element check reduction for that member.
+      // allreduce: slot s reduces bit-identically to the 1-element
+      // check reduction of that member solved alone.
       if (ov)
         a.residual_local_norm2_overlapped_batch(comm, halo, *bw, *xw, r,
                                                 sums.data());
@@ -518,7 +548,7 @@ BatchSolveStats BatchedPcsiSolver::solve_t(comm::Communicator& comm,
       if constexpr (std::is_same_v<T, double>) {
         // P-CSI's r IS the true residual, so only the ABFT operator
         // audit applies — run it before any accepting check freezes a
-        // member as converged (scalar-auditor parity).
+        // member as converged.
         if (opt_.integrity.any_solver_check())
           auditor.at_check(comm, halo, a, *bw, r, *xw, ctl.b_norm2.data(),
                            ctl.member_of.data(), ctl.active.data(),
@@ -526,25 +556,7 @@ BatchSolveStats BatchedPcsiSolver::solve_t(comm::Communicator& comm,
                            accept_s.data(), /*any_accept=*/false,
                            audit.data());
       }
-      for (int s = 0; s < ctl.cur_nb; ++s) {
-        if (!ctl.active[s]) continue;
-        const int mm = ctl.member_of[s];
-        if (audit[s] != FailureKind::kNone) {
-          ctl.needs_stamp[mm] = 1;
-          ctl.freeze(s, false, 0.0, audit[s]);
-          continue;
-        }
-        const double rel = std::sqrt(sums[s] / ctl.b_norm2[mm]);
-        if (accept_s[s]) {
-          ctl.freeze(s, true, rel, FailureKind::kNone);
-          continue;
-        }
-        const FailureKind f = ctl.guards[mm].check(rel);
-        // The checked norm doubles as the scalar solver's final
-        // global_dot(r, r) stamp (same sweep, same bits), so a guard
-        // freeze needs no pending stamp.
-        if (f != FailureKind::kNone) ctl.freeze(s, false, rel, f);
-      }
+      apply_check(ctl, k, sums.data(), accept_s, audit);
       if (ctl.n_active == 0) break;
       if (should_retire(opt_, ctl)) {
         compact(ctl, comm, a, x, bw, b_own, xw, x_own, r, {&r, &dx}, {&rp},
@@ -710,22 +722,7 @@ BatchSolveStats BatchedPcsiSolver::solve_comm_avoid_t(
                            accept_s.data(), /*any_accept=*/false,
                            audit.data());
       }
-      for (int s = 0; s < ctl.cur_nb; ++s) {
-        if (!ctl.active[s]) continue;
-        const int mm = ctl.member_of[s];
-        if (audit[s] != FailureKind::kNone) {
-          ctl.needs_stamp[mm] = 1;
-          ctl.freeze(s, false, 0.0, audit[s]);
-          continue;
-        }
-        const double rel = std::sqrt(sums[s] / ctl.b_norm2[mm]);
-        if (accept_s[s]) {
-          ctl.freeze(s, true, rel, FailureKind::kNone);
-          continue;
-        }
-        const FailureKind f = ctl.guards[mm].check(rel);
-        if (f != FailureKind::kNone) ctl.freeze(s, false, rel, f);
-      }
+      apply_check(ctl, k_last, sums.data(), accept_s, audit);
       if (ctl.n_active == 0) break;
       if (should_retire(opt_, ctl)) {
         compact(ctl, comm, a, x, bw, b_own, xw, x_own, r, {&r, &dx}, {&rp},
@@ -788,8 +785,7 @@ BatchSolveStats BatchedChronGearSolver::solve_t(
   comm::DistFieldBatchT<T> r(a.decomposition(), a.rank(), nb0, x.halo());
   comm::DistFieldBatchT<T> rp(a.decomposition(), a.rank(), nb0, x.halo());
   comm::DistFieldBatchT<T> z(a.decomposition(), a.rank(), nb0, x.halo());
-  // s and p start at zero — the constructors zero-fill, matching the
-  // scalar fill_interior(s/p, 0).
+  // s and p start at zero — the constructors zero-fill.
   comm::DistFieldBatchT<T> s_dir(a.decomposition(), a.rank(), nb0, x.halo());
   comm::DistFieldBatchT<T> p_dir(a.decomposition(), a.rank(), nb0, x.halo());
 
@@ -825,7 +821,7 @@ BatchSolveStats BatchedChronGearSolver::solve_t(
 
     // All members' fused {rho, delta[, ||r||²]} partial sums ride ONE
     // grouped vector allreduce. Element-wise fixed-order combination
-    // makes each member's scalars bit-equal to its scalar solve's.
+    // makes each member's scalars bit-equal at every batch width.
     const bool check = (k % opt_.check_frequency == 0);
     a.local_dot3_batch(comm, r, rp, z, check, red.data());
     bad_idx.clear();
@@ -869,28 +865,12 @@ BatchSolveStats BatchedChronGearSolver::solve_t(
                            /*r_is_true=*/false, accept_s.data(), any_accept,
                            audit.data());
       }
-      for (int s = 0; s < ctl.cur_nb; ++s) {
-        if (!ctl.active[s]) continue;
-        const int mm = ctl.member_of[s];
-        if (audit[s] != FailureKind::kNone) {
-          ctl.needs_stamp[mm] = 1;
-          ctl.freeze(s, false, 0.0, audit[s]);
-          continue;
-        }
-        const double r_norm2 = red[2 * ctl.cur_nb + s];
-        const double rel = std::sqrt(r_norm2 / ctl.b_norm2[mm]);
-        if (accept_s[s]) {
-          ctl.freeze(s, true, rel, FailureKind::kNone);
-          continue;
-        }
-        const FailureKind f = ctl.guards[mm].check(rel);
-        if (f != FailureKind::kNone) ctl.freeze(s, false, rel, f);
-      }
+      apply_check(ctl, k, red.data() + 2 * ctl.cur_nb, accept_s, audit);
       if (ctl.n_active == 0) break;
     }
 
     // Steps 10-12 per still-active member; rho/sigma pathologies freeze
-    // the member where the scalar solver aborts its solve.
+    // the member.
     for (int s = 0; s < ctl.cur_nb; ++s) {
       if (!ctl.active[s]) continue;
       const int mm = ctl.member_of[s];
@@ -919,8 +899,10 @@ BatchSolveStats BatchedChronGearSolver::solve_t(
     }
     if (ctl.n_active == 0) break;
 
-    // Steps 13-16, fused pairwise as in the scalar solver; frozen lanes
-    // masked out so their x and r planes stay exactly at freeze state.
+    // Steps 13-16, fused pairwise into two sweeps (the direction update
+    // and the iterate update that consumes it share one pass each);
+    // frozen lanes masked out so their x and r planes stay exactly at
+    // freeze state.
     lincomb_axpy_active(comm, ca.data(), rp, cb.data(), s_dir, cc.data(),
                         *xw, ctl.active, ctl.n_active, a.span_plan());
     lincomb_axpy_active(comm, ca.data(), z, cb.data(), p_dir, cneg.data(),
@@ -935,6 +917,33 @@ BatchSolveStats BatchedChronGearSolver::solve_t(
   finish(ctl, comm, a, x, xw, r, sums);
   ctl.out.costs = comm.costs().since(snapshot);
   return ctl.out;
+}
+
+// ---------------------------------------------------------------------------
+// Width-1 entry point
+
+SolveStats solve_one(BatchedSolver& solver, comm::Communicator& comm,
+                     const comm::HaloExchanger& halo, const DistOperator& a,
+                     Preconditioner& m, const comm::DistField& b,
+                     comm::DistField& x, comm::HaloFreshness x_fresh) {
+  comm::DistFieldBatch bb(a.decomposition(), a.rank(), 1, b.halo());
+  comm::DistFieldBatch xb(a.decomposition(), a.rank(), 1, x.halo());
+  MINIPOP_REQUIRE(bb.member_compatible(b) && xb.member_compatible(x),
+                  "solve_one: b/x do not match the operator's blocks");
+  bb.load_member(0, b);
+  xb.load_member(0, x);
+  BatchSolveStats bs = solver.solve(comm, halo, a, m, bb, xb, x_fresh);
+  xb.store_member(0, x);
+  BatchMemberStats& ms = bs.members[0];
+  SolveStats out;
+  out.iterations = ms.iterations;
+  out.converged = ms.converged;
+  out.relative_residual = ms.relative_residual;
+  out.failure = ms.failure;
+  out.refine_sweeps = bs.refine_sweeps;
+  out.costs = bs.costs;
+  out.residual_history = std::move(ms.residual_history);
+  return out;
 }
 
 }  // namespace minipop::solver

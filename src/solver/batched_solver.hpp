@@ -1,6 +1,8 @@
 // Batched multi-RHS solvers: one lockstep Krylov/Chebyshev iteration
 // advancing B independent right-hand sides over the SAME operator and
-// decomposition (paper §6 ensemble workload, Fig. 13).
+// decomposition (paper §6 ensemble workload, Fig. 13). This is the one
+// execution core of the solver stack: a single solve is the B = 1 case
+// (solve_one), so every fix and every decorator lands once.
 //
 // Why batching wins: every iteration's stencil sweep reloads the same
 // nine coefficient planes regardless of how many members ride along, the
@@ -10,41 +12,47 @@
 // messages and reductions per solve, coefficients loaded once per cell
 // instead of once per cell per member.
 //
-// Bit-for-bit contract: member m of a batched fp64 solve produces
-// EXACTLY the scalar solver's iterates, iteration count, residuals and
-// solution bits (see kernels.hpp — batched kernels keep the scalar
-// per-point expression and accumulation order, and vector allreduces
-// combine element-wise in the same fixed rank order as scalar ones).
-// The fp32 batched path holds the same contract against the scalar fp32
-// sweeps (run by MixedPrecisionSolver): coefficients are rounded from
-// the identical double recurrence once per member, and the fp32 kernels
-// accumulate reductions in double exactly like their scalar twins.
+// Bit-for-bit contract: member m of a batched solve produces EXACTLY
+// the iterates, iteration count, residuals and solution bits of the
+// same member solved alone at B = 1 (see kernels.hpp — batched kernels
+// keep the per-point expression and accumulation order at every width,
+// and vector allreduces combine element-wise in the same fixed rank
+// order as one-element ones). tests/test_golden_pins.cpp pins the B = 1
+// results of every configuration.
 //
 // Lockstep + masking: members share one iteration loop. A member that
 // converges (or trips a guard) at a convergence check FREEZES — its x
-// plane stops updating, exactly as if the scalar solver had returned —
-// but its lanes keep riding in the batch until retirement
+// plane stops updating, exactly as if it had been solved alone — but
+// its lanes keep riding in the batch until retirement
 // (SolverOptions::batch_retire_fraction) compacts the survivors into a
 // narrower batch. Retirement never changes any member's arithmetic,
 // only the lane count. See DESIGN.md §10 for the policy discussion.
 //
 // SolverOptions::overlap is honored: the split-phase batched sweeps
 // hide the aggregated halo exchange behind the interior stencil update
-// (bitwise identical to the blocking path, same as the scalar engine).
-// The scalar fp64 path's reduction speculation is not replicated —
-// the batch already amortizes each reduction over B members.
+// (bitwise identical to the blocking path).
 #pragma once
 
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/comm/dist_field_batch.hpp"
 #include "src/solver/iterative_solver.hpp"
-#include "src/solver/pcsi.hpp"
 
 namespace minipop::solver {
 
-/// Outcome of one member of a batched solve. Mirrors the scalar
-/// SolveStats fields that are per-member meaningful.
+class CommAvoidEngine;
+
+/// Estimated extreme eigenvalues of M^-1 A (from Lanczos; see
+/// lanczos.hpp) — the Chebyshev interval of P-CSI.
+struct EigenBounds {
+  double nu = 0.0;  ///< smallest eigenvalue estimate
+  double mu = 0.0;  ///< largest eigenvalue estimate
+};
+
+/// Outcome of one member of a batched solve: the SolveStats fields that
+/// are per-member meaningful.
 struct BatchMemberStats {
   /// Lockstep iteration at which this member froze (converged or
   /// failed), or the final iteration count if it ran to the end.
@@ -52,6 +60,11 @@ struct BatchMemberStats {
   bool converged = false;
   double relative_residual = 0.0;
   FailureKind failure = FailureKind::kNone;
+  /// (iteration, relative residual) at each of this member's
+  /// convergence checks, when SolverOptions::record_residuals is set.
+  /// After a recovery it holds the final attempt's checks; in mixed
+  /// precision, the fp64 outer-loop checks.
+  std::vector<std::pair<int, double>> residual_history;
 };
 
 /// Outcome of a batched solve.
@@ -71,15 +84,11 @@ struct BatchSolveStats {
   comm::CostCounters costs;
 };
 
-/// Interface of the batched solvers and their decorators. Semantic
-/// difference from the scalar IterativeSolver, by design: a guard
+/// Interface of the batched solvers and their decorators. A guard
 /// failure (divergence/stagnation/NaN) freezes THAT member and the
-/// batch keeps iterating the others, where the scalar solver aborts its
-/// (single-member) solve — per-member outcomes match, the scalar "whole
-/// solve stops" behavior just has no batched analogue.
-/// Fault-injection halo/residual hooks are NOT armed on batched
-/// exchanges (FieldSet::scalar_backed() gates them); hook_eigen_bounds
-/// still applies (see DESIGN.md §10).
+/// batch keeps iterating the others. The fault-injection halo payload
+/// and solver-vector hooks arm on width-1 fp64 batches only (single
+/// solves); wider batches recover member by member (DESIGN.md §10).
 class BatchedSolver {
  public:
   virtual ~BatchedSolver() = default;
@@ -129,11 +138,11 @@ class BatchedPcsiSolver final : public BatchedSolver {
       const comm::DistFieldBatch32& b, comm::DistFieldBatch32& x,
       comm::HaloFreshness x_fresh = comm::HaloFreshness::kStale) override;
 
-  std::string name() const override { return "batched_pcsi"; }
+  std::string name() const override { return "pcsi"; }
 
   const EigenBounds& bounds() const { return bounds_; }
   /// Replace the Chebyshev interval (BatchedResilientSolver's Lanczos
-  /// re-estimation reaches through this, like PcsiSolver::set_bounds).
+  /// re-estimation reaches through this).
   void set_bounds(EigenBounds bounds);
 
  private:
@@ -186,7 +195,7 @@ class BatchedChronGearSolver final : public BatchedSolver {
       const comm::DistFieldBatch32& b, comm::DistFieldBatch32& x,
       comm::HaloFreshness x_fresh = comm::HaloFreshness::kStale) override;
 
-  std::string name() const override { return "batched_chron_gear"; }
+  std::string name() const override { return "chrongear"; }
 
  private:
   template <typename T>
@@ -199,5 +208,15 @@ class BatchedChronGearSolver final : public BatchedSolver {
 
   SolverOptions opt_;
 };
+
+/// Solve the single system A x = b through `solver` as a width-1 batch:
+/// b and x are copied into one-member batches (full padded planes, so
+/// halo freshness carries over), solved, and x is copied back. This is
+/// BarotropicSolver::solve and the entry point for one-off solves.
+SolveStats solve_one(BatchedSolver& solver, comm::Communicator& comm,
+                     const comm::HaloExchanger& halo, const DistOperator& a,
+                     Preconditioner& m, const comm::DistField& b,
+                     comm::DistField& x,
+                     comm::HaloFreshness x_fresh = comm::HaloFreshness::kStale);
 
 }  // namespace minipop::solver

@@ -44,25 +44,8 @@ const T* plane_at(const util::Array2D<T>& p, int w, int e) {
   return p.data() + static_cast<std::ptrdiff_t>(w - e) * p.nx() + (w - e);
 }
 
-/// Pointer to the (-e, -e) corner of the extension-e region of local
-/// block lb of a scalar field (halo >= e).
-template <typename T>
-const T* field_at(const comm::DistFieldT<T>& f, int lb, int e) {
-  const util::Array2D<T>& a = f.data(lb);
-  return a.data() +
-         static_cast<std::ptrdiff_t>(f.halo() - e) * a.nx() +
-         (f.halo() - e);
-}
-template <typename T>
-T* field_at(comm::DistFieldT<T>& f, int lb, int e) {
-  util::Array2D<T>& a = f.data(lb);
-  return a.data() +
-         static_cast<std::ptrdiff_t>(f.halo() - e) * a.nx() +
-         (f.halo() - e);
-}
-
-/// Batched counterpart (member-interleaved columns: corner cell's
-/// member 0).
+/// Pointer to member 0 of the (-e, -e) corner cell of the extension-e
+/// region of local block lb (halo >= e; member-interleaved columns).
 template <typename T>
 const T* field_at(const comm::DistFieldBatchT<T>& f, int lb, int e) {
   const util::Array2D<T>& a = f.data(lb);
@@ -188,53 +171,6 @@ void CommAvoidEngine::count(comm::Communicator& comm, int e, int nb,
 }
 
 template <typename T>
-void CommAvoidEngine::precond(comm::Communicator& comm, CaPrecond kind,
-                              const comm::DistFieldT<T>& r,
-                              comm::DistFieldT<T>& z, int e) const {
-  MINIPOP_REQUIRE(e >= 0 && e <= width_ && e <= r.halo(),
-                  "precond extension " << e);
-  if constexpr (std::is_same_v<T, float>) ensure_planes32();
-  for (int lb = 0; lb < r.num_local_blocks(); ++lb) {
-    const auto& info = r.info(lb);
-    const int nxe = info.nx + 2 * e;
-    const int nye = info.ny + 2 * e;
-    const BlockSpans* sp =
-        op_->span_plan() ? &ext_spans_[lb][e] : nullptr;
-    if (kind == CaPrecond::kDiagonal) {
-      const auto& inv = [&]() -> const auto& {
-        if constexpr (std::is_same_v<T, float>)
-          return planes32_[lb].inv_diag;
-        else
-          return planes_[lb].inv_diag;
-      }();
-      if (sp)
-        kernels::diag_apply_span(plane_at(inv, width_, e), inv.nx(),
-                                 sp->row_offset(), sp->spans(), nxe, nye,
-                                 field_at(r, lb, e), r.stride(lb),
-                                 field_at(z, lb, e), z.stride(lb));
-      else
-        kernels::diag_apply_batch(plane_at(inv, width_, e), inv.nx(), 1,
-                                  nxe, nye, field_at(r, lb, e),
-                                  r.stride(lb), field_at(z, lb, e),
-                                  z.stride(lb));
-    } else {
-      const util::MaskArray& m = planes_[lb].mask;
-      if (sp)
-        kernels::masked_copy_span(sp->row_offset(), sp->spans(), nxe, nye,
-                                  field_at(r, lb, e), r.stride(lb),
-                                  field_at(z, lb, e), z.stride(lb));
-      else
-        kernels::masked_copy_batch(plane_at(m, width_, e), m.nx(), 1, nxe,
-                                   nye, field_at(r, lb, e), r.stride(lb),
-                                   field_at(z, lb, e), z.stride(lb));
-    }
-  }
-  // Flop convention matches the baseline preconditioners: diagonal is
-  // 1 op/point, identity is free.
-  count(comm, e, 1, kind == CaPrecond::kDiagonal ? 1 : 0);
-}
-
-template <typename T>
 void CommAvoidEngine::precond_batch(comm::Communicator& comm,
                                     CaPrecond kind,
                                     const comm::DistFieldBatchT<T>& r,
@@ -281,33 +217,9 @@ void CommAvoidEngine::precond_batch(comm::Communicator& comm,
                                    field_at(z, lb, e), z.stride(lb));
     }
   }
+  // Flop convention matches the baseline preconditioners: diagonal is
+  // 1 op/point, identity is free.
   count(comm, e, nb, kind == CaPrecond::kDiagonal ? 1 : 0);
-}
-
-template <typename T>
-void CommAvoidEngine::update(comm::Communicator& comm, T a,
-                             const comm::DistFieldT<T>& z, T b,
-                             comm::DistFieldT<T>& dx,
-                             comm::DistFieldT<T>& x, int e) const {
-  MINIPOP_REQUIRE(e >= 0 && e <= width_ && e <= z.halo(),
-                  "update extension " << e);
-  for (int lb = 0; lb < z.num_local_blocks(); ++lb) {
-    const auto& info = z.info(lb);
-    if (op_->span_plan()) {
-      const BlockSpans& sp = ext_spans_[lb][e];
-      kernels::lincomb_axpy_span(sp.row_offset(), sp.spans(),
-                                 info.ny + 2 * e, a, field_at(z, lb, e),
-                                 z.stride(lb), b, field_at(dx, lb, e),
-                                 dx.stride(lb), T(1), field_at(x, lb, e),
-                                 x.stride(lb));
-    } else {
-      kernels::lincomb_axpy(info.nx + 2 * e, info.ny + 2 * e, a,
-                            field_at(z, lb, e), z.stride(lb), b,
-                            field_at(dx, lb, e), dx.stride(lb), T(1),
-                            field_at(x, lb, e), x.stride(lb));
-    }
-  }
-  count(comm, e, 1, 4);
 }
 
 template <typename T>
@@ -337,40 +249,6 @@ void CommAvoidEngine::update_batch(comm::Communicator& comm, const T* a,
     }
   }
   count(comm, e, n_act, 4);
-}
-
-template <typename T>
-void CommAvoidEngine::residual(comm::Communicator& comm,
-                               const comm::DistFieldT<T>& b,
-                               const comm::DistFieldT<T>& x,
-                               comm::DistFieldT<T>& r, int e) const {
-  // The stencil reads x one cell beyond the written region.
-  MINIPOP_REQUIRE(e >= 0 && e <= width_ && e + 1 <= x.halo(),
-                  "residual extension " << e);
-  if constexpr (std::is_same_v<T, float>) ensure_planes32();
-  for (int lb = 0; lb < b.num_local_blocks(); ++lb) {
-    const auto& info = b.info(lb);
-    const auto c9 = [&] {
-      if constexpr (std::is_same_v<T, float>)
-        return stencil_at(planes32_[lb].coeff, width_, e);
-      else
-        return stencil_at(planes_[lb].coeff, width_, e);
-    }();
-    if (op_->span_plan()) {
-      const BlockSpans& sp = ext_spans_[lb][e];
-      kernels::residual9_span(c9, sp.row_offset(), sp.spans(),
-                              info.ny + 2 * e, field_at(b, lb, e),
-                              b.stride(lb), field_at(x, lb, e),
-                              x.stride(lb), field_at(r, lb, e),
-                              r.stride(lb));
-    } else {
-      kernels::residual9(c9, info.nx + 2 * e, info.ny + 2 * e,
-                         field_at(b, lb, e), b.stride(lb),
-                         field_at(x, lb, e), x.stride(lb),
-                         field_at(r, lb, e), r.stride(lb));
-    }
-  }
-  count(comm, e, 1, 10);
 }
 
 template <typename T>
@@ -409,22 +287,13 @@ void CommAvoidEngine::residual_batch(comm::Communicator& comm,
 }
 
 #define MINIPOP_COMM_AVOID_INSTANTIATE(T)                                  \
-  template void CommAvoidEngine::precond<T>(                               \
-      comm::Communicator&, CaPrecond, const comm::DistFieldT<T>&,          \
-      comm::DistFieldT<T>&, int) const;                                    \
   template void CommAvoidEngine::precond_batch<T>(                         \
       comm::Communicator&, CaPrecond, const comm::DistFieldBatchT<T>&,     \
       comm::DistFieldBatchT<T>&, int) const;                               \
-  template void CommAvoidEngine::update<T>(                                \
-      comm::Communicator&, T, const comm::DistFieldT<T>&, T,               \
-      comm::DistFieldT<T>&, comm::DistFieldT<T>&, int) const;              \
   template void CommAvoidEngine::update_batch<T>(                          \
       comm::Communicator&, const T*, const comm::DistFieldBatchT<T>&,      \
       const T*, comm::DistFieldBatchT<T>&, const T*,                       \
       comm::DistFieldBatchT<T>&, const unsigned char*, int, int) const;    \
-  template void CommAvoidEngine::residual<T>(                              \
-      comm::Communicator&, const comm::DistFieldT<T>&,                     \
-      const comm::DistFieldT<T>&, comm::DistFieldT<T>&, int) const;        \
   template void CommAvoidEngine::residual_batch<T>(                        \
       comm::Communicator&, const comm::DistFieldBatchT<T>&,                \
       const comm::DistFieldBatchT<T>&, comm::DistFieldBatchT<T>&, int)     \

@@ -69,26 +69,15 @@ class CommAvoidEngine {
   /// at extension e. Flop convention matches the baseline
   /// preconditioners: diagonal 1/pt/member, identity 0.
   template <typename T>
-  void precond(comm::Communicator& comm, CaPrecond kind,
-               const comm::DistFieldT<T>& r, comm::DistFieldT<T>& z,
-               int e) const;
-  template <typename T>
   void precond_batch(comm::Communicator& comm, CaPrecond kind,
                      const comm::DistFieldBatchT<T>& r,
                      comm::DistFieldBatchT<T>& z, int e) const;
 
-  /// Fused P-CSI update pair on extension e: dx = a*z + b*dx, then
-  /// x += dx (the baseline's lincomb_axpy with c = 1, same kernel, same
-  /// bits). 4 flops/pt/member.
-  template <typename T>
-  void update(comm::Communicator& comm, T a, const comm::DistFieldT<T>& z,
-              T b, comm::DistFieldT<T>& dx, comm::DistFieldT<T>& x,
-              int e) const;
-  /// Batched update with per-member coefficients (dx_m = a[m]*z_m +
-  /// b[m]*dx_m; x_m += c[m]*dx_m); members with active[m] == 0 stay
-  /// frozen. Flops counted for the n_act active lanes only — the
-  /// batched solvers' convention (a frozen member's scalar solve has
-  /// already returned).
+  /// Fused P-CSI update pair on extension e with per-member
+  /// coefficients (dx_m = a[m]*z_m + b[m]*dx_m; x_m += c[m]*dx_m — the
+  /// baseline's lincomb_axpy, same kernel, same bits); members with
+  /// active[m] == 0 stay frozen. 4 flops/pt counted for the n_act active
+  /// lanes only — the batched solvers' convention.
   template <typename T>
   void update_batch(comm::Communicator& comm, const T* a,
                     const comm::DistFieldBatchT<T>& z, const T* b,
@@ -98,10 +87,6 @@ class CommAvoidEngine {
 
   /// r = b - A x on extension e, reading x one cell wider (extension
   /// e + 1 must not exceed the fields' halo). 10 flops/pt/member.
-  template <typename T>
-  void residual(comm::Communicator& comm, const comm::DistFieldT<T>& b,
-                const comm::DistFieldT<T>& x, comm::DistFieldT<T>& r,
-                int e) const;
   template <typename T>
   void residual_batch(comm::Communicator& comm,
                       const comm::DistFieldBatchT<T>& b,
@@ -153,22 +138,13 @@ class CommAvoidEngine {
 };
 
 #define MINIPOP_COMM_AVOID_EXTERN(T)                                       \
-  extern template void CommAvoidEngine::precond<T>(                        \
-      comm::Communicator&, CaPrecond, const comm::DistFieldT<T>&,          \
-      comm::DistFieldT<T>&, int) const;                                    \
   extern template void CommAvoidEngine::precond_batch<T>(                  \
       comm::Communicator&, CaPrecond, const comm::DistFieldBatchT<T>&,     \
       comm::DistFieldBatchT<T>&, int) const;                               \
-  extern template void CommAvoidEngine::update<T>(                         \
-      comm::Communicator&, T, const comm::DistFieldT<T>&, T,               \
-      comm::DistFieldT<T>&, comm::DistFieldT<T>&, int) const;              \
   extern template void CommAvoidEngine::update_batch<T>(                   \
       comm::Communicator&, const T*, const comm::DistFieldBatchT<T>&,      \
       const T*, comm::DistFieldBatchT<T>&, const T*,                       \
       comm::DistFieldBatchT<T>&, const unsigned char*, int, int) const;    \
-  extern template void CommAvoidEngine::residual<T>(                       \
-      comm::Communicator&, const comm::DistFieldT<T>&,                     \
-      const comm::DistFieldT<T>&, comm::DistFieldT<T>&, int) const;        \
   extern template void CommAvoidEngine::residual_batch<T>(                 \
       comm::Communicator&, const comm::DistFieldBatchT<T>&,                \
       const comm::DistFieldBatchT<T>&, comm::DistFieldBatchT<T>&, int)     \

@@ -93,6 +93,25 @@ int rim_rects(int nx, int ny, SubRect out[4]) {
   return 4;
 }
 
+/// Offer each block interior of a sweep's freshly written output (a
+/// DistField or a width-1 batch — same addressing) to the installed
+/// FaultInjector. Compiles to nothing when MINIPOP_FAULTS is off.
+template <typename F>
+void offer_interiors(int rank, F& v,
+                     const std::vector<util::MaskArray>& masks) {
+#if MINIPOP_FAULTS
+  for (int lb = 0; lb < v.num_local_blocks(); ++lb) {
+    const auto& info = v.info(lb);
+    fault::hook_solver_vector(rank, v.interior(lb), v.stride(lb), info.nx,
+                              info.ny, masks[lb].data(), masks[lb].nx());
+  }
+#else
+  (void)rank;
+  (void)v;
+  (void)masks;
+#endif
+}
+
 #if MINIPOP_BOUNDS_CHECK
 /// Debug cross-run audit (DESIGN.md §14): after a span sweep, the
 /// masked kernel is re-run into scratch and the results must agree
@@ -275,31 +294,27 @@ const util::Array2D<float>& DistOperator::block_coeff32(int lb,
 }
 
 void DistOperator::offer_fault_sites(comm::DistField& v) const {
-#if MINIPOP_FAULTS
-  for (int lb = 0; lb < num_local_blocks(); ++lb) {
-    const auto& info = v.info(lb);
-    const auto& mask = block_mask_[lb];
-    fault::hook_solver_vector(rank_, v.interior(lb), v.stride(lb), info.nx,
-                              info.ny, mask.data(), mask.nx());
-  }
-#else
-  (void)v;
-#endif
+  offer_interiors(rank_, v, block_mask_);
 }
 
 template <typename T>
-void DistOperator::apply_t(comm::Communicator& comm,
-                           const comm::HaloExchanger& halo,
-                           comm::DistFieldT<T>& x, comm::DistFieldT<T>& y,
-                           comm::HaloFreshness fresh) const {
+void DistOperator::offer_fault_sites(comm::DistFieldBatchT<T>& v) const {
+  if constexpr (std::is_same_v<T, double>)
+    if (v.nb() == 1) offer_interiors(rank_, v, block_mask_);
+}
+
+void DistOperator::apply(comm::Communicator& comm,
+                         const comm::HaloExchanger& halo,
+                         comm::DistField& x, comm::DistField& y,
+                         comm::HaloFreshness fresh) const {
   MINIPOP_REQUIRE(x.compatible_with(y), "x/y field mismatch");
   MINIPOP_REQUIRE(&x.decomposition() == decomp_ && x.rank() == rank_,
                   "field does not match operator decomposition");
   MINIPOP_REQUIRE(&x != &y, "apply requires distinct x and y");
-  if constexpr (std::is_same_v<T, double>) offer_coeff_fault_sites();
+  offer_coeff_fault_sites();
   if (fresh == comm::HaloFreshness::kStale) halo.exchange(comm, x);
 
-  const auto& coeff = coeffs<T>();
+  const auto& coeff = block_coeff_;
   std::uint64_t points = 0, active = 0;
   for (int lb = 0; lb < num_local_blocks(); ++lb) {
     const auto& b = x.info(lb);
@@ -309,7 +324,7 @@ void DistOperator::apply_t(comm::Communicator& comm,
                            span_full_[lb].spans(), b.ny, x.interior(lb),
                            x.stride(lb), y.interior(lb), y.stride(lb));
 #if MINIPOP_BOUNDS_CHECK
-      std::vector<T> scratch(static_cast<std::size_t>(b.nx) * b.ny);
+      std::vector<double> scratch(static_cast<std::size_t>(b.nx) * b.ny);
       kernels::apply9(stencil_view(coeff[lb]), b.nx, b.ny, x.interior(lb),
                       x.stride(lb), scratch.data(), b.nx);
       audit_span_field(block_mask_[lb], 1, b.nx, b.ny, y.interior(lb),
@@ -328,21 +343,20 @@ void DistOperator::apply_t(comm::Communicator& comm,
   offer_fault_sites(y);
 }
 
-template <typename T>
-void DistOperator::residual_t(comm::Communicator& comm,
-                              const comm::HaloExchanger& halo,
-                              const comm::DistFieldT<T>& b,
-                              comm::DistFieldT<T>& x, comm::DistFieldT<T>& r,
-                              comm::HaloFreshness fresh) const {
+void DistOperator::residual(comm::Communicator& comm,
+                            const comm::HaloExchanger& halo,
+                            const comm::DistField& b, comm::DistField& x,
+                            comm::DistField& r,
+                            comm::HaloFreshness fresh) const {
   MINIPOP_REQUIRE(b.compatible_with(x) && b.compatible_with(r),
                   "b/x/r field mismatch");
   MINIPOP_REQUIRE(&x.decomposition() == decomp_ && x.rank() == rank_,
                   "field does not match operator decomposition");
   MINIPOP_REQUIRE(&b != &r && &x != &r, "residual requires distinct r");
-  if constexpr (std::is_same_v<T, double>) offer_coeff_fault_sites();
+  offer_coeff_fault_sites();
   if (fresh == comm::HaloFreshness::kStale) halo.exchange(comm, x);
 
-  const auto& coeff = coeffs<T>();
+  const auto& coeff = block_coeff_;
   std::uint64_t points = 0, active = 0;
   for (int lb = 0; lb < num_local_blocks(); ++lb) {
     const auto& info = r.info(lb);
@@ -353,7 +367,7 @@ void DistOperator::residual_t(comm::Communicator& comm,
                               b.interior(lb), b.stride(lb), x.interior(lb),
                               x.stride(lb), r.interior(lb), r.stride(lb));
 #if MINIPOP_BOUNDS_CHECK
-      std::vector<T> scratch(static_cast<std::size_t>(info.nx) * info.ny);
+      std::vector<double> scratch(static_cast<std::size_t>(info.nx) * info.ny);
       kernels::residual9(stencil_view(coeff[lb]), info.nx, info.ny,
                          b.interior(lb), b.stride(lb), x.interior(lb),
                          x.stride(lb), scratch.data(), info.nx);
@@ -375,22 +389,21 @@ void DistOperator::residual_t(comm::Communicator& comm,
   offer_fault_sites(r);
 }
 
-template <typename T>
-double DistOperator::residual_local_norm2_t(comm::Communicator& comm,
-                                            const comm::HaloExchanger& halo,
-                                            const comm::DistFieldT<T>& b,
-                                            comm::DistFieldT<T>& x,
-                                            comm::DistFieldT<T>& r,
-                                            comm::HaloFreshness fresh) const {
+double DistOperator::residual_local_norm2(comm::Communicator& comm,
+                                          const comm::HaloExchanger& halo,
+                                          const comm::DistField& b,
+                                          comm::DistField& x,
+                                          comm::DistField& r,
+                                          comm::HaloFreshness fresh) const {
   MINIPOP_REQUIRE(b.compatible_with(x) && b.compatible_with(r),
                   "b/x/r field mismatch");
   MINIPOP_REQUIRE(&x.decomposition() == decomp_ && x.rank() == rank_,
                   "field does not match operator decomposition");
   MINIPOP_REQUIRE(&b != &r && &x != &r, "residual requires distinct r");
-  if constexpr (std::is_same_v<T, double>) offer_coeff_fault_sites();
+  offer_coeff_fault_sites();
   if (fresh == comm::HaloFreshness::kStale) halo.exchange(comm, x);
 
-  const auto& coeff = coeffs<T>();
+  const auto& coeff = block_coeff_;
   double sum = 0.0;
   std::uint64_t points = 0, active = 0;
   for (int lb = 0; lb < num_local_blocks(); ++lb) {
@@ -404,7 +417,7 @@ double DistOperator::residual_local_norm2_t(comm::Communicator& comm,
           span_full_[lb].spans(), info.ny, b.interior(lb), b.stride(lb),
           x.interior(lb), x.stride(lb), r.interior(lb), r.stride(lb), sum);
 #if MINIPOP_BOUNDS_CHECK
-      std::vector<T> scratch(static_cast<std::size_t>(info.nx) * info.ny);
+      std::vector<double> scratch(static_cast<std::size_t>(info.nx) * info.ny);
       const double ref_sum = kernels::residual_norm2_9(
           stencil_view(coeff[lb]), block_mask_[lb].data(),
           block_mask_[lb].nx(), info.nx, info.ny, b.interior(lb),
@@ -436,24 +449,22 @@ double DistOperator::residual_local_norm2_t(comm::Communicator& comm,
   return sum;
 }
 
-template <typename T>
-void DistOperator::apply_overlapped_t(comm::Communicator& comm,
-                                      const comm::HaloExchanger& halo,
-                                      comm::DistFieldT<T>& x,
-                                      comm::DistFieldT<T>& y,
-                                      comm::HaloFreshness fresh) const {
+void DistOperator::apply_overlapped(comm::Communicator& comm,
+                                    const comm::HaloExchanger& halo,
+                                    comm::DistField& x, comm::DistField& y,
+                                    comm::HaloFreshness fresh) const {
   if (fresh == comm::HaloFreshness::kFresh) {
-    apply_t<T>(comm, halo, x, y, fresh);
+    apply(comm, halo, x, y, fresh);
     return;
   }
   MINIPOP_REQUIRE(x.compatible_with(y), "x/y field mismatch");
   MINIPOP_REQUIRE(&x.decomposition() == decomp_ && x.rank() == rank_,
                   "field does not match operator decomposition");
   MINIPOP_REQUIRE(&x != &y, "apply requires distinct x and y");
-  if constexpr (std::is_same_v<T, double>) offer_coeff_fault_sites();
+  offer_coeff_fault_sites();
 
-  const auto& coeff = coeffs<T>();
-  comm::HaloHandleT<T> inflight = halo.begin(comm, x);
+  const auto& coeff = block_coeff_;
+  comm::HaloHandle inflight = halo.begin(comm, x);
   for (int lb = 0; lb < num_local_blocks(); ++lb) {
     const auto& b = x.info(lb);
     SubRect in;
@@ -502,15 +513,14 @@ void DistOperator::apply_overlapped_t(comm::Communicator& comm,
   offer_fault_sites(y);
 }
 
-template <typename T>
-void DistOperator::residual_overlapped_t(comm::Communicator& comm,
-                                         const comm::HaloExchanger& halo,
-                                         const comm::DistFieldT<T>& b,
-                                         comm::DistFieldT<T>& x,
-                                         comm::DistFieldT<T>& r,
-                                         comm::HaloFreshness fresh) const {
+void DistOperator::residual_overlapped(comm::Communicator& comm,
+                                       const comm::HaloExchanger& halo,
+                                       const comm::DistField& b,
+                                       comm::DistField& x,
+                                       comm::DistField& r,
+                                       comm::HaloFreshness fresh) const {
   if (fresh == comm::HaloFreshness::kFresh) {
-    residual_t<T>(comm, halo, b, x, r, fresh);
+    residual(comm, halo, b, x, r, fresh);
     return;
   }
   MINIPOP_REQUIRE(b.compatible_with(x) && b.compatible_with(r),
@@ -518,10 +528,10 @@ void DistOperator::residual_overlapped_t(comm::Communicator& comm,
   MINIPOP_REQUIRE(&x.decomposition() == decomp_ && x.rank() == rank_,
                   "field does not match operator decomposition");
   MINIPOP_REQUIRE(&b != &r && &x != &r, "residual requires distinct r");
-  if constexpr (std::is_same_v<T, double>) offer_coeff_fault_sites();
+  offer_coeff_fault_sites();
 
-  const auto& coeff = coeffs<T>();
-  comm::HaloHandleT<T> inflight = halo.begin(comm, x);
+  const auto& coeff = block_coeff_;
+  comm::HaloHandle inflight = halo.begin(comm, x);
   for (int lb = 0; lb < num_local_blocks(); ++lb) {
     const auto& info = r.info(lb);
     SubRect in;
@@ -573,10 +583,9 @@ void DistOperator::residual_overlapped_t(comm::Communicator& comm,
   offer_fault_sites(r);
 }
 
-template <typename T>
-double DistOperator::local_dot_t(comm::Communicator& comm,
-                                 const comm::DistFieldT<T>& a,
-                                 const comm::DistFieldT<T>& b) const {
+double DistOperator::local_dot(comm::Communicator& comm,
+                               const comm::DistField& a,
+                               const comm::DistField& b) const {
   MINIPOP_REQUIRE(a.compatible_with(b), "a/b field mismatch");
   double sum = 0.0;
   std::uint64_t points = 0, active = 0;
@@ -610,12 +619,11 @@ double DistOperator::local_dot_t(comm::Communicator& comm,
   return sum;
 }
 
-template <typename T>
-void DistOperator::local_dot3_t(comm::Communicator& comm,
-                                const comm::DistFieldT<T>& r,
-                                const comm::DistFieldT<T>& rp,
-                                const comm::DistFieldT<T>& z, bool with_norm,
-                                double out[3]) const {
+void DistOperator::local_dot3(comm::Communicator& comm,
+                              const comm::DistField& r,
+                              const comm::DistField& rp,
+                              const comm::DistField& z, bool with_norm,
+                              double out[3]) const {
   MINIPOP_REQUIRE(r.compatible_with(rp) && r.compatible_with(z),
                   "r/rp/z field mismatch");
   out[0] = out[1] = out[2] = 0.0;
@@ -651,8 +659,7 @@ void DistOperator::local_dot3_t(comm::Communicator& comm,
   comm.costs().add_points(active, points);
 }
 
-template <typename T>
-void DistOperator::mask_interior_t(comm::DistFieldT<T>& x) const {
+void DistOperator::mask_interior(comm::DistField& x) const {
   for (int lb = 0; lb < num_local_blocks(); ++lb) {
     const auto& info = x.info(lb);
     const auto& mask = block_mask_[lb];
@@ -668,49 +675,6 @@ void DistOperator::mask_interior_t(comm::DistFieldT<T>& x) const {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Public entry points (double, then the fp32 mirror).
-
-void DistOperator::apply(comm::Communicator& comm,
-                         const comm::HaloExchanger& halo,
-                         comm::DistField& x, comm::DistField& y,
-                         comm::HaloFreshness fresh) const {
-  apply_t<double>(comm, halo, x, y, fresh);
-}
-
-void DistOperator::residual(comm::Communicator& comm,
-                            const comm::HaloExchanger& halo,
-                            const comm::DistField& b, comm::DistField& x,
-                            comm::DistField& r,
-                            comm::HaloFreshness fresh) const {
-  residual_t<double>(comm, halo, b, x, r, fresh);
-}
-
-double DistOperator::residual_local_norm2(comm::Communicator& comm,
-                                          const comm::HaloExchanger& halo,
-                                          const comm::DistField& b,
-                                          comm::DistField& x,
-                                          comm::DistField& r,
-                                          comm::HaloFreshness fresh) const {
-  return residual_local_norm2_t<double>(comm, halo, b, x, r, fresh);
-}
-
-void DistOperator::apply_overlapped(comm::Communicator& comm,
-                                    const comm::HaloExchanger& halo,
-                                    comm::DistField& x, comm::DistField& y,
-                                    comm::HaloFreshness fresh) const {
-  apply_overlapped_t<double>(comm, halo, x, y, fresh);
-}
-
-void DistOperator::residual_overlapped(comm::Communicator& comm,
-                                       const comm::HaloExchanger& halo,
-                                       const comm::DistField& b,
-                                       comm::DistField& x,
-                                       comm::DistField& r,
-                                       comm::HaloFreshness fresh) const {
-  residual_overlapped_t<double>(comm, halo, b, x, r, fresh);
-}
-
 double DistOperator::residual_local_norm2_overlapped(
     comm::Communicator& comm, const comm::HaloExchanger& halo,
     const comm::DistField& b, comm::DistField& x, comm::DistField& r,
@@ -721,74 +685,14 @@ double DistOperator::residual_local_norm2_overlapped(
   // overlap the residual sweep, then take the norm in a second pass with
   // the blocking accumulation order. Flops match the blocking path
   // (10 + 2 per point).
-  residual_overlapped_t<double>(comm, halo, b, x, r, fresh);
-  return local_dot_t<double>(comm, r, r);
-}
-
-double DistOperator::local_dot(comm::Communicator& comm,
-                               const comm::DistField& a,
-                               const comm::DistField& b) const {
-  return local_dot_t<double>(comm, a, b);
-}
-
-void DistOperator::local_dot3(comm::Communicator& comm,
-                              const comm::DistField& r,
-                              const comm::DistField& rp,
-                              const comm::DistField& z, bool with_norm,
-                              double out[3]) const {
-  local_dot3_t<double>(comm, r, rp, z, with_norm, out);
+  residual_overlapped(comm, halo, b, x, r, fresh);
+  return local_dot(comm, r, r);
 }
 
 double DistOperator::global_dot(comm::Communicator& comm,
                                 const comm::DistField& a,
                                 const comm::DistField& b) const {
   return comm.allreduce_sum(local_dot(comm, a, b));
-}
-
-void DistOperator::mask_interior(comm::DistField& x) const {
-  mask_interior_t<double>(x);
-}
-
-void DistOperator::abft_local_sums(comm::Communicator& comm,
-                                   const comm::DistField& b,
-                                   const comm::DistField& r,
-                                   const comm::DistField& x,
-                                   double out[3]) const {
-  MINIPOP_REQUIRE(b.compatible_with(r) && b.compatible_with(x),
-                  "b/r/x field mismatch");
-  out[0] = out[1] = out[2] = 0.0;
-  std::uint64_t points = 0, active = 0;
-  for (int lb = 0; lb < num_local_blocks(); ++lb) {
-    const auto& info = b.info(lb);
-    const auto& mask = block_mask_[lb];
-    const util::Field& cs = column_sum_[lb];
-    if (use_spans_) {
-      const int* ro = span_full_[lb].row_offset();
-      const kernels::Span* sp = span_full_[lb].spans();
-      out[0] = kernels::sum_span(ro, sp, info.ny, b.interior(lb),
-                                 b.stride(lb), out[0]);
-      out[1] = kernels::sum_span(ro, sp, info.ny, r.interior(lb),
-                                 r.stride(lb), out[1]);
-      out[2] = kernels::dot_shared_span(ro, sp, info.ny, cs.data(),
-                                        cs.nx(), x.interior(lb),
-                                        x.stride(lb), out[2]);
-    } else {
-      out[0] = kernels::masked_sum(mask.data(), mask.nx(), info.nx,
-                                   info.ny, b.interior(lb), b.stride(lb),
-                                   out[0]);
-      out[1] = kernels::masked_sum(mask.data(), mask.nx(), info.nx,
-                                   info.ny, r.interior(lb), r.stride(lb),
-                                   out[1]);
-      out[2] = kernels::dot_shared(mask.data(), mask.nx(), info.nx,
-                                   info.ny, cs.data(), cs.nx(),
-                                   x.interior(lb), x.stride(lb), out[2]);
-    }
-    points += static_cast<std::uint64_t>(info.nx) * info.ny;
-    active += static_cast<std::uint64_t>(span_full_[lb].active_points());
-  }
-  // Two masked sums (1 op/point each) + one shared-factor dot (2).
-  comm.costs().add_flops(4 * points);
-  comm.costs().add_points(active, points);
 }
 
 void DistOperator::abft_local_sums_batch(comm::Communicator& comm,
@@ -832,86 +736,12 @@ void DistOperator::abft_local_sums_batch(comm::Communicator& comm,
   comm.costs().add_points(active * nb, points * nb);
 }
 
-void DistOperator::apply(comm::Communicator& comm,
-                         const comm::HaloExchanger& halo,
-                         comm::DistField32& x, comm::DistField32& y,
-                         comm::HaloFreshness fresh) const {
-  apply_t<float>(comm, halo, x, y, fresh);
-}
-
-void DistOperator::residual(comm::Communicator& comm,
-                            const comm::HaloExchanger& halo,
-                            const comm::DistField32& b, comm::DistField32& x,
-                            comm::DistField32& r,
-                            comm::HaloFreshness fresh) const {
-  residual_t<float>(comm, halo, b, x, r, fresh);
-}
-
-double DistOperator::residual_local_norm2(comm::Communicator& comm,
-                                          const comm::HaloExchanger& halo,
-                                          const comm::DistField32& b,
-                                          comm::DistField32& x,
-                                          comm::DistField32& r,
-                                          comm::HaloFreshness fresh) const {
-  return residual_local_norm2_t<float>(comm, halo, b, x, r, fresh);
-}
-
-void DistOperator::apply_overlapped(comm::Communicator& comm,
-                                    const comm::HaloExchanger& halo,
-                                    comm::DistField32& x,
-                                    comm::DistField32& y,
-                                    comm::HaloFreshness fresh) const {
-  apply_overlapped_t<float>(comm, halo, x, y, fresh);
-}
-
-void DistOperator::residual_overlapped(comm::Communicator& comm,
-                                       const comm::HaloExchanger& halo,
-                                       const comm::DistField32& b,
-                                       comm::DistField32& x,
-                                       comm::DistField32& r,
-                                       comm::HaloFreshness fresh) const {
-  residual_overlapped_t<float>(comm, halo, b, x, r, fresh);
-}
-
-double DistOperator::residual_local_norm2_overlapped(
-    comm::Communicator& comm, const comm::HaloExchanger& halo,
-    const comm::DistField32& b, comm::DistField32& x, comm::DistField32& r,
-    comm::HaloFreshness fresh) const {
-  residual_overlapped_t<float>(comm, halo, b, x, r, fresh);
-  return local_dot_t<float>(comm, r, r);
-}
-
-double DistOperator::local_dot(comm::Communicator& comm,
-                               const comm::DistField32& a,
-                               const comm::DistField32& b) const {
-  return local_dot_t<float>(comm, a, b);
-}
-
-void DistOperator::local_dot3(comm::Communicator& comm,
-                              const comm::DistField32& r,
-                              const comm::DistField32& rp,
-                              const comm::DistField32& z, bool with_norm,
-                              double out[3]) const {
-  local_dot3_t<float>(comm, r, rp, z, with_norm, out);
-}
-
-double DistOperator::global_dot(comm::Communicator& comm,
-                                const comm::DistField32& a,
-                                const comm::DistField32& b) const {
-  return comm.allreduce_sum(local_dot(comm, a, b));
-}
-
-void DistOperator::mask_interior(comm::DistField32& x) const {
-  mask_interior_t<float>(x);
-}
-
 // ---------------------------------------------------------------------------
-// Batched multi-RHS sweeps, templated on the storage scalar. No
-// solver-vector fault sites: those corrupt scalar fp64 state; batch
-// members recover through the per-member sub-batch path of the
-// resilient decorator. Coefficient fault sites DO arm here (the batch
-// reads the same fp64 planes as the scalar path), caught by the
-// batched ABFT audit.
+// Batched multi-RHS sweeps, templated on the storage scalar. Solver-
+// vector fault sites arm on width-1 fp64 batches (a single solve's
+// state); wider batches recover member by member through the resilient
+// decorator's sub-batches. Coefficient fault sites arm on every fp64
+// sweep (shared planes), caught by the ABFT audit.
 
 template <typename T>
 void DistOperator::apply_batch(comm::Communicator& comm,
@@ -956,6 +786,7 @@ void DistOperator::apply_batch(comm::Communicator& comm,
   }
   comm.costs().add_flops(9 * points * nb);
   comm.costs().add_points(active * nb, points * nb);
+  offer_fault_sites(y);
 }
 
 template <typename T>
@@ -1005,6 +836,7 @@ void DistOperator::residual_batch(comm::Communicator& comm,
   }
   comm.costs().add_flops(10 * points * nb);
   comm.costs().add_points(active * nb, points * nb);
+  offer_fault_sites(r);
 }
 
 template <typename T>
@@ -1060,6 +892,7 @@ void DistOperator::residual_local_norm2_batch(
   }
   comm.costs().add_flops(12 * points * nb);
   comm.costs().add_points(active * nb, points * nb);
+  offer_fault_sites(r);
 }
 
 template <typename T>
@@ -1126,6 +959,7 @@ void DistOperator::apply_overlapped_batch(comm::Communicator& comm,
   }
   comm.costs().add_flops(9 * points * nb);
   comm.costs().add_points(active * nb, points * nb);
+  offer_fault_sites(y);
 }
 
 template <typename T>
@@ -1194,6 +1028,7 @@ void DistOperator::residual_overlapped_batch(
   }
   comm.costs().add_flops(10 * points * nb);
   comm.costs().add_points(active * nb, points * nb);
+  offer_fault_sites(r);
 }
 
 template <typename T>

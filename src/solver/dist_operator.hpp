@@ -72,18 +72,13 @@ class DistOperator {
   // corruption of the coefficient planes: the sweeps use the (possibly
   // corrupted) coefficients while c keeps the construction-time truth.
 
-  /// Local (this rank's) terms of the ABFT identity, grouped for one
-  /// vector allreduce: out[0] = masked sum(b), out[1] = masked sum(r),
-  /// out[2] = masked dot(c, x). The identity only holds after BOTH
-  /// sides are reduced across ranks — boundary-crossing stencil legs
-  /// are counted on the row side by the owner of the row and on the
-  /// column side by the owner of the column.
-  void abft_local_sums(comm::Communicator& comm, const comm::DistField& b,
-                       const comm::DistField& r, const comm::DistField& x,
-                       double out[3]) const;
-
-  /// Batched ABFT terms: out[0..nb) = sum(b_m), out[nb..2nb) =
-  /// sum(r_m), out[2nb..3nb) = dot(c, x_m); out[0..3nb) OVERWRITTEN.
+  /// Local (this rank's) terms of the ABFT identity for every member,
+  /// grouped for one vector allreduce: out[0..nb) = masked sum(b_m),
+  /// out[nb..2nb) = masked sum(r_m), out[2nb..3nb) = masked dot(c, x_m);
+  /// out[0..3nb) OVERWRITTEN. The identity only holds after BOTH sides
+  /// are reduced across ranks — boundary-crossing stencil legs are
+  /// counted on the row side by the owner of the row and on the column
+  /// side by the owner of the column.
   void abft_local_sums_batch(comm::Communicator& comm,
                              const comm::DistFieldBatch& b,
                              const comm::DistFieldBatch& r,
@@ -187,10 +182,12 @@ class DistOperator {
   // member m of every result is bit-identical to the scalar sweep on
   // member m's plane (kernels.hpp contract). Reductions fill per-member
   // fp64 arrays the caller combines in ONE vector allreduce. The
-  // solver-vector fault hooks are NOT armed here — those sites corrupt
-  // scalar fp64 state; a batch member that diverges recovers through
-  // the per-member sub-batch path of the resilient decorator (DESIGN.md
-  // §11). Coefficient fault sites DO arm (shared fp64 planes).
+  // solver-vector fault hooks arm on width-1 fp64 batches only (a
+  // single solve); a member of a wider batch that diverges recovers
+  // through the per-member sub-batch path of the resilient decorator
+  // (DESIGN.md §11). Coefficient fault sites arm on every fp64 sweep
+  // (shared planes). The fp32 batches run on a lazily-built float copy
+  // of the coefficients; their reductions still return double.
 
   /// y = A x, all members. sums-free; 9*nb flops/point.
   template <typename T>
@@ -271,56 +268,8 @@ class DistOperator {
   template <typename T>
   void mask_interior_batch(comm::DistFieldBatchT<T>& x) const;
 
-  // -------------------------------------------------------------------
-  // fp32 mirror path. Same sweeps over a lazily-built float copy of the
-  // stencil coefficients: half the bytes per point, half the halo
-  // traffic, identical structure (including the interior/rim overlap
-  // split). Reductions still return double — the kernels accumulate
-  // fp32 operands in fp64, so convergence checks on the fp32 path
-  // measure the true fp32 residual rather than fp32 round-off of it.
-  // The fault-injection hooks only arm the fp64 path: injected state
-  // corruption is caught by the fp64 refinement guard above any fp32
-  // inner solve.
-
-  void apply(comm::Communicator& comm, const comm::HaloExchanger& halo,
-             comm::DistField32& x, comm::DistField32& y,
-             comm::HaloFreshness fresh = comm::HaloFreshness::kStale) const;
-  void residual(comm::Communicator& comm, const comm::HaloExchanger& halo,
-                const comm::DistField32& b, comm::DistField32& x,
-                comm::DistField32& r,
-                comm::HaloFreshness fresh = comm::HaloFreshness::kStale) const;
-  double residual_local_norm2(comm::Communicator& comm,
-                              const comm::HaloExchanger& halo,
-                              const comm::DistField32& b,
-                              comm::DistField32& x, comm::DistField32& r,
-                              comm::HaloFreshness fresh =
-                                  comm::HaloFreshness::kStale) const;
-  void apply_overlapped(
-      comm::Communicator& comm, const comm::HaloExchanger& halo,
-      comm::DistField32& x, comm::DistField32& y,
-      comm::HaloFreshness fresh = comm::HaloFreshness::kStale) const;
-  void residual_overlapped(
-      comm::Communicator& comm, const comm::HaloExchanger& halo,
-      const comm::DistField32& b, comm::DistField32& x,
-      comm::DistField32& r,
-      comm::HaloFreshness fresh = comm::HaloFreshness::kStale) const;
-  double residual_local_norm2_overlapped(
-      comm::Communicator& comm, const comm::HaloExchanger& halo,
-      const comm::DistField32& b, comm::DistField32& x,
-      comm::DistField32& r,
-      comm::HaloFreshness fresh = comm::HaloFreshness::kStale) const;
-  double local_dot(comm::Communicator& comm, const comm::DistField32& a,
-                   const comm::DistField32& b) const;
-  void local_dot3(comm::Communicator& comm, const comm::DistField32& r,
-                  const comm::DistField32& rp, const comm::DistField32& z,
-                  bool with_norm, double out[3]) const;
-  double global_dot(comm::Communicator& comm, const comm::DistField32& a,
-                    const comm::DistField32& b) const;
-  void mask_interior(comm::DistField32& x) const;
-
-  /// fp32 coefficient field of direction d for local block lb (builds
-  /// the mirror on first use; preconditioners read it for their own
-  /// fp32 setups).
+  /// fp32 coefficient field of direction d for local block lb (the
+  /// mirror the fp32 batch sweeps run on; built on first use).
   const util::Array2D<float>& block_coeff32(int lb, grid::Dir d) const;
 
   /// Operator diagonal of local block lb (interior coordinates).
@@ -335,11 +284,12 @@ class DistOperator {
 
  private:
   /// Fault-injection point: offer each block interior of `v` (a sweep's
-  /// freshly written output) to the installed FaultInjector. Compiles to
-  /// nothing when MINIPOP_FAULTS is off (and to nothing for fp32 fields;
-  /// fault sites live on the fp64 state).
+  /// freshly written output) to the installed FaultInjector. Armed on
+  /// DistFields and on width-1 fp64 batches (a single solve's state);
+  /// compiles to nothing when MINIPOP_FAULTS is off.
   void offer_fault_sites(comm::DistField& v) const;
-  void offer_fault_sites(comm::DistField32&) const {}
+  template <typename T>
+  void offer_fault_sites(comm::DistFieldBatchT<T>& v) const;
 
   /// Fault-injection point: offer the fp64 coefficient planes to the
   /// installed FaultInjector (kCoeffBitFlip) at the entry of every fp64
@@ -351,47 +301,6 @@ class DistOperator {
   /// Rebuild column_sum_ from the current block_coeff_ (construction
   /// and repair).
   void build_column_sums() const;
-
-  // Shared sweep bodies: one template instantiated at double (the
-  // pre-existing code, bit-identical) and float (the mirror).
-  template <typename T>
-  void apply_t(comm::Communicator& comm, const comm::HaloExchanger& halo,
-               comm::DistFieldT<T>& x, comm::DistFieldT<T>& y,
-               comm::HaloFreshness fresh) const;
-  template <typename T>
-  void residual_t(comm::Communicator& comm,
-                  const comm::HaloExchanger& halo,
-                  const comm::DistFieldT<T>& b, comm::DistFieldT<T>& x,
-                  comm::DistFieldT<T>& r, comm::HaloFreshness fresh) const;
-  template <typename T>
-  double residual_local_norm2_t(comm::Communicator& comm,
-                                const comm::HaloExchanger& halo,
-                                const comm::DistFieldT<T>& b,
-                                comm::DistFieldT<T>& x,
-                                comm::DistFieldT<T>& r,
-                                comm::HaloFreshness fresh) const;
-  template <typename T>
-  void apply_overlapped_t(comm::Communicator& comm,
-                          const comm::HaloExchanger& halo,
-                          comm::DistFieldT<T>& x, comm::DistFieldT<T>& y,
-                          comm::HaloFreshness fresh) const;
-  template <typename T>
-  void residual_overlapped_t(comm::Communicator& comm,
-                             const comm::HaloExchanger& halo,
-                             const comm::DistFieldT<T>& b,
-                             comm::DistFieldT<T>& x, comm::DistFieldT<T>& r,
-                             comm::HaloFreshness fresh) const;
-  template <typename T>
-  double local_dot_t(comm::Communicator& comm,
-                     const comm::DistFieldT<T>& a,
-                     const comm::DistFieldT<T>& b) const;
-  template <typename T>
-  void local_dot3_t(comm::Communicator& comm, const comm::DistFieldT<T>& r,
-                    const comm::DistFieldT<T>& rp,
-                    const comm::DistFieldT<T>& z, bool with_norm,
-                    double out[3]) const;
-  template <typename T>
-  void mask_interior_t(comm::DistFieldT<T>& x) const;
 
   /// Coefficient storage for scalar T: the double original or the
   /// lazily-built float mirror.
@@ -423,8 +332,8 @@ class DistOperator {
   /// so no two threads share one.
   mutable std::vector<std::array<util::Field, grid::kNumDirs>> block_coeff_;
   std::vector<util::MaskArray> block_mask_;
-  /// ABFT column sums c = A·1 per block (see abft_local_sums); rebuilt
-  /// by repair_coefficients().
+  /// ABFT column sums c = A·1 per block (see abft_local_sums_batch);
+  /// rebuilt by repair_coefficients().
   mutable std::vector<util::Field> column_sum_;
   /// fp32 mirror of block_coeff_, built on first fp32 sweep. mutable +
   /// lazily built is safe: each rank owns its DistOperator, so no two

@@ -6,8 +6,7 @@
 namespace minipop::solver {
 
 namespace {
-template <typename T>
-std::uint64_t interior_points(const comm::DistFieldT<T>& f) {
+std::uint64_t interior_points(const comm::DistField& f) {
   std::uint64_t n = 0;
   for (int lb = 0; lb < f.num_local_blocks(); ++lb) {
     const auto& b = f.info(lb);
@@ -113,136 +112,6 @@ void fill_interior(comm::DistField& x, double v) {
     const auto& info = x.info(lb);
     kernels::fill(info.nx, info.ny, v, x.interior(lb), x.stride(lb));
   }
-}
-
-// ---------------------------------------------------------------------------
-// fp32 overloads
-
-void lincomb(comm::Communicator& comm, double a, const comm::DistField32& x,
-             double b, comm::DistField32& y, const SpanPlan* plan) {
-  MINIPOP_REQUIRE(x.compatible_with(y), "lincomb field mismatch");
-  const float af = static_cast<float>(a), bf = static_cast<float>(b);
-  for (int lb = 0; lb < x.num_local_blocks(); ++lb) {
-    const auto& info = x.info(lb);
-    if (plan)
-      kernels::lincomb_span((*plan)[lb].row_offset(), (*plan)[lb].spans(),
-                            info.ny, af, x.interior(lb), x.stride(lb), bf,
-                            y.interior(lb), y.stride(lb));
-    else
-      kernels::lincomb(info.nx, info.ny, af, x.interior(lb), x.stride(lb), bf,
-                       y.interior(lb), y.stride(lb));
-  }
-  count_update(comm, 2, interior_points(x), plan);
-}
-
-void axpy(comm::Communicator& comm, double a, const comm::DistField32& x,
-          comm::DistField32& y, const SpanPlan* plan) {
-  MINIPOP_REQUIRE(x.compatible_with(y), "axpy field mismatch");
-  const float af = static_cast<float>(a);
-  for (int lb = 0; lb < x.num_local_blocks(); ++lb) {
-    const auto& info = x.info(lb);
-    if (plan)
-      kernels::axpy_span((*plan)[lb].row_offset(), (*plan)[lb].spans(),
-                         info.ny, af, x.interior(lb), x.stride(lb),
-                         y.interior(lb), y.stride(lb));
-    else
-      kernels::axpy(info.nx, info.ny, af, x.interior(lb), x.stride(lb),
-                    y.interior(lb), y.stride(lb));
-  }
-  count_update(comm, 2, interior_points(x), plan);
-}
-
-void lincomb_axpy(comm::Communicator& comm, double a,
-                  const comm::DistField32& x, double b, comm::DistField32& y,
-                  double c, comm::DistField32& z, const SpanPlan* plan) {
-  MINIPOP_REQUIRE(x.compatible_with(y) && x.compatible_with(z),
-                  "lincomb_axpy field mismatch");
-  const float af = static_cast<float>(a), bf = static_cast<float>(b),
-              cf = static_cast<float>(c);
-  for (int lb = 0; lb < x.num_local_blocks(); ++lb) {
-    const auto& info = x.info(lb);
-    if (plan)
-      kernels::lincomb_axpy_span((*plan)[lb].row_offset(),
-                                 (*plan)[lb].spans(), info.ny, af,
-                                 x.interior(lb), x.stride(lb), bf,
-                                 y.interior(lb), y.stride(lb), cf,
-                                 z.interior(lb), z.stride(lb));
-    else
-      kernels::lincomb_axpy(info.nx, info.ny, af, x.interior(lb),
-                            x.stride(lb), bf, y.interior(lb), y.stride(lb),
-                            cf, z.interior(lb), z.stride(lb));
-  }
-  count_update(comm, 4, interior_points(x), plan);
-}
-
-void scale(comm::Communicator& comm, double a, comm::DistField32& x,
-           const SpanPlan* plan) {
-  const float af = static_cast<float>(a);
-  for (int lb = 0; lb < x.num_local_blocks(); ++lb) {
-    const auto& info = x.info(lb);
-    if (plan)
-      kernels::scale_span((*plan)[lb].row_offset(), (*plan)[lb].spans(),
-                          info.ny, af, x.interior(lb), x.stride(lb));
-    else
-      kernels::scale(info.nx, info.ny, af, x.interior(lb), x.stride(lb));
-  }
-  count_update(comm, 1, interior_points(x), plan);
-}
-
-void copy_interior(const comm::DistField32& x, comm::DistField32& y) {
-  MINIPOP_REQUIRE(x.compatible_with(y), "copy field mismatch");
-  for (int lb = 0; lb < x.num_local_blocks(); ++lb) {
-    const auto& info = x.info(lb);
-    kernels::copy(info.nx, info.ny, x.interior(lb), x.stride(lb),
-                  y.interior(lb), y.stride(lb));
-  }
-}
-
-void fill_interior(comm::DistField32& x, double v) {
-  const float vf = static_cast<float>(v);
-  for (int lb = 0; lb < x.num_local_blocks(); ++lb) {
-    const auto& info = x.info(lb);
-    kernels::fill(info.nx, info.ny, vf, x.interior(lb), x.stride(lb));
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Precision boundary
-
-void demote(const comm::DistField& x, comm::DistField32& y) {
-  MINIPOP_REQUIRE(x.compatible_with(y), "demote field mismatch");
-  for (int lb = 0; lb < x.num_local_blocks(); ++lb) {
-    const auto& info = x.info(lb);
-    kernels::convert(info.nx, info.ny, x.interior(lb), x.stride(lb),
-                     y.interior(lb), y.stride(lb));
-  }
-}
-
-void promote(const comm::DistField32& x, comm::DistField& y) {
-  MINIPOP_REQUIRE(x.compatible_with(y), "promote field mismatch");
-  for (int lb = 0; lb < x.num_local_blocks(); ++lb) {
-    const auto& info = x.info(lb);
-    kernels::convert(info.nx, info.ny, x.interior(lb), x.stride(lb),
-                     y.interior(lb), y.stride(lb));
-  }
-}
-
-void axpy_promoted(comm::Communicator& comm, double a,
-                   const comm::DistField32& x, comm::DistField& y) {
-  MINIPOP_REQUIRE(x.compatible_with(y), "axpy_promoted field mismatch");
-  for (int lb = 0; lb < x.num_local_blocks(); ++lb) {
-    const auto& info = x.info(lb);
-    const float* xp = x.interior(lb);
-    double* yp = y.interior(lb);
-    const std::ptrdiff_t xs = x.stride(lb), ys = y.stride(lb);
-    for (int j = 0; j < info.ny; ++j) {
-      const float* MINIPOP_RESTRICT xr = xp + j * xs;
-      double* MINIPOP_RESTRICT yr = yp + j * ys;
-      for (int i = 0; i < info.nx; ++i)
-        yr[i] += a * static_cast<double>(xr[i]);
-    }
-  }
-  comm.costs().add_flops(2 * interior_points(x));
 }
 
 // ---------------------------------------------------------------------------

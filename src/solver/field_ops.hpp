@@ -42,38 +42,9 @@ void copy_interior(const comm::DistField& x, comm::DistField& y);
 /// x = v everywhere in the interiors.
 void fill_interior(comm::DistField& x, double v);
 
-// fp32 overloads of the same operations (scalars arrive as double and
-// are rounded once to float at entry, not per element).
-void lincomb(comm::Communicator& comm, double a, const comm::DistField32& x,
-             double b, comm::DistField32& y, const SpanPlan* plan = nullptr);
-void axpy(comm::Communicator& comm, double a, const comm::DistField32& x,
-          comm::DistField32& y, const SpanPlan* plan = nullptr);
-void lincomb_axpy(comm::Communicator& comm, double a,
-                  const comm::DistField32& x, double b,
-                  comm::DistField32& y, double c, comm::DistField32& z,
-                  const SpanPlan* plan = nullptr);
-void scale(comm::Communicator& comm, double a, comm::DistField32& x,
-           const SpanPlan* plan = nullptr);
-void copy_interior(const comm::DistField32& x, comm::DistField32& y);
-void fill_interior(comm::DistField32& x, double v);
-
 // Precision boundary of the mixed-precision refinement loop (interiors
-// only; halos are refreshed by the next exchange).
-
-/// y32 = (float) x64.
-void demote(const comm::DistField& x, comm::DistField32& y);
-
-/// y64 = (double) x32.
-void promote(const comm::DistField32& x, comm::DistField& y);
-
-/// y64 += a * x32, widening each fp32 element to double before the
-/// multiply — the refinement update x += d without materializing a
-/// promoted copy of d.
-void axpy_promoted(comm::Communicator& comm, double a,
-                   const comm::DistField32& x, comm::DistField& y);
-
-// Batched precision boundary (the batched mixed-precision decorator).
-// Same per-element conversions over the nb-widened interior rows.
+// only; halos are refreshed by the next exchange), over the nb-widened
+// interior rows of every member.
 
 /// y32_m = (float) x64_m, all members.
 void demote(const comm::DistFieldBatch& x, comm::DistFieldBatch32& y);
@@ -81,9 +52,10 @@ void demote(const comm::DistFieldBatch& x, comm::DistFieldBatch32& y);
 /// y64_m = (double) x32_m, all members.
 void promote(const comm::DistFieldBatch32& x, comm::DistFieldBatch& y);
 
-/// y64_m += a[m] * x32_m for active members — the batched refinement
-/// update across the precision boundary. Flops counted for the n_act
-/// active lanes.
+/// y64_m += a[m] * x32_m for active members, widening each fp32
+/// element to double before the multiply — the refinement update
+/// x += d without materializing a promoted copy of d. Flops counted for
+/// the n_act active lanes.
 void axpy_promoted(comm::Communicator& comm, const double* a,
                    const comm::DistFieldBatch32& x, comm::DistFieldBatch& y,
                    const unsigned char* active, int n_act);

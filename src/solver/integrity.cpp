@@ -81,57 +81,6 @@ bool drift_mismatch(const IntegrityOptions& integrity, double rel_true,
   return !(gap <= integrity.drift_tolerance * (1.0 + rel_recurrence));
 }
 
-FailureKind IntegrityAuditor::at_check(comm::Communicator& comm,
-                                       const comm::HaloExchanger& halo,
-                                       const DistOperator& a,
-                                       const comm::DistField& b,
-                                       const comm::DistField& r,
-                                       comm::DistField& x, double b_norm2,
-                                       double r_norm2, bool r_is_true,
-                                       bool accepting) {
-  ++checks_;
-  const bool abft_due =
-      integrity_.abft_interval > 0 &&
-      checks_ % integrity_.abft_interval == 0;
-  const bool drift_due =
-      !r_is_true && integrity_.true_residual_interval > 0 &&
-      (accepting || checks_ % integrity_.true_residual_interval == 0);
-
-  if (abft_due) {
-    double sums[4];
-    a.abft_local_sums(comm, b, r, x, sums);
-    // Piggyback the global ocean-cell count on the audit reduction (an
-    // extra slot instead of an extra collective).
-    sums[3] = static_cast<double>(a.local_ocean_cells());
-    if (allreduce_sum_guarded(comm, integrity_, std::span<double>(sums)))
-      return FailureKind::kCorruptReduction;
-    const bool bad =
-        abft_mismatch(integrity_, sums[0], sums[1], sums[2], sums[3],
-                      b_norm2);
-    comm.costs().add_integrity_check(bad);
-    if (bad) return FailureKind::kCorruptOperator;
-  }
-
-  if (drift_due) {
-    if (!scratch_)
-      scratch_ = std::make_unique<comm::DistField>(a.decomposition(),
-                                                   a.rank(), x.halo());
-    // One residual sweep (with halo refresh of x) into scratch; the
-    // solve's own fields are not touched.
-    double local = a.residual_local_norm2(comm, halo, b, x, *scratch_);
-    if (allreduce_sum_guarded(comm, integrity_,
-                              std::span<double>(&local, 1)))
-      return FailureKind::kCorruptReduction;
-    const double rel_true = std::sqrt(local / b_norm2);
-    const double rel_rec = std::sqrt(r_norm2 / b_norm2);
-    const bool bad = drift_mismatch(integrity_, rel_true, rel_rec);
-    comm.costs().add_integrity_check(bad);
-    if (bad) return FailureKind::kSilentDrift;
-  }
-
-  return FailureKind::kNone;
-}
-
 void BatchIntegrityAuditor::at_check(
     comm::Communicator& comm, const comm::HaloExchanger& halo,
     const DistOperator& a, const comm::DistFieldBatch& b,

@@ -8,7 +8,6 @@
 // combination, so the primary half equals the unguarded result exactly).
 #pragma once
 
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -72,48 +71,17 @@ bool abft_mismatch(const IntegrityOptions& integrity, double sum_b,
 bool drift_mismatch(const IntegrityOptions& integrity, double rel_true,
                     double rel_recurrence);
 
-/// Per-solve audit driver for the SCALAR fp64 solvers: owns the audit
-/// cadence (every abft_interval / true_residual_interval convergence
-/// checks, plus the accepting check for the drift audit) and the
-/// scratch residual field, and leaves the solve state untouched —
-/// audits only read b/r/x (the true-residual sweep refreshes x's halo,
-/// which no scalar solver's subsequent arithmetic reads). Constructed
-/// once per solve; at_check() is collective (the audit reductions are
-/// themselves routed through the guarded allreduce).
-class IntegrityAuditor {
- public:
-  explicit IntegrityAuditor(const SolverOptions& options)
-      : integrity_(options.integrity) {}
-
-  /// Run whatever audits are due at this convergence check.
-  /// `r_norm2` is the reduced squared residual norm the check used;
-  /// `r_is_true` says r holds the true residual b - Ax (P-CSI) rather
-  /// than a recurrence (ChronGear) — the drift audit only applies to
-  /// recurrences. `accepting` marks the check that is about to declare
-  /// convergence, which always drift-audits a recurrence (that is what
-  /// turns "converged" from a claim into a verified statement).
-  /// Returns kNone, kCorruptOperator, kSilentDrift, or
-  /// kCorruptReduction (when the audit's own guarded reduction
-  /// mismatches).
-  FailureKind at_check(comm::Communicator& comm,
-                       const comm::HaloExchanger& halo,
-                       const DistOperator& a, const comm::DistField& b,
-                       const comm::DistField& r, comm::DistField& x,
-                       double b_norm2, double r_norm2, bool r_is_true,
-                       bool accepting);
-
- private:
-  const IntegrityOptions& integrity_;
-  int checks_ = 0;
-  /// Scratch for the true-residual audit, allocated on first use.
-  std::unique_ptr<comm::DistField> scratch_;
-};
-
-/// Per-solve audit driver for the BATCHED fp64 engines (and the batched
-/// mixed-precision outer loop): one ABFT sweep and/or one true-residual
-/// sweep covers every lane of the current batch, verdicts applied per
-/// member. fp64 batches only — the fp32 batch path is guarded by the
-/// fp64 outer loop of the mixed solver instead (DESIGN.md §12).
+/// Per-solve audit driver of the fp64 batched cores (and the
+/// mixed-precision outer loop): owns the audit cadence (every
+/// abft_interval / true_residual_interval convergence checks, plus the
+/// accepting check for the drift audit) and leaves the solve state
+/// untouched — audits only read b/r/x (the true-residual sweep
+/// refreshes x's halo, which no core's subsequent arithmetic reads).
+/// One ABFT sweep and/or one true-residual sweep covers every lane of
+/// the current batch, verdicts applied per member. fp64 batches only —
+/// the fp32 batch path is guarded by the fp64 outer loop of the mixed
+/// solver instead (DESIGN.md §12). Constructed once per solve;
+/// at_check() is collective.
 class BatchIntegrityAuditor {
  public:
   explicit BatchIntegrityAuditor(const SolverOptions& options)
@@ -130,8 +98,7 @@ class BatchIntegrityAuditor {
   /// frozen lanes; `r_norm2[s]` is each slot's reduced recurrence norm
   /// (ignored when r_is_true). The drift audit SWEEPS when any slot is
   /// accepting or the cadence is due, but its verdict only applies to
-  /// slots that are themselves accepting or cadence-due — the scalar
-  /// auditor's per-check gating, member by member. Collective.
+  /// slots that are themselves accepting or cadence-due. Collective.
   void at_check(comm::Communicator& comm, const comm::HaloExchanger& halo,
                 const DistOperator& a, const comm::DistFieldBatch& b,
                 const comm::DistFieldBatch& r, comm::DistFieldBatch& x,

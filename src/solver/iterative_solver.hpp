@@ -171,9 +171,9 @@ struct SolverOptions {
   /// progress for the stagnation guard.
   double stagnation_decrease = 1e-3;
 
-  // --- mixed-precision path (MixedPrecisionSolver) ---
+  // --- mixed-precision path (BatchedMixedPrecisionSolver) ---
 
-  /// Arithmetic of the inner sweeps. kFp64 leaves every existing solver
+  /// Arithmetic of the inner sweeps. kFp64 leaves every solver
   /// untouched; kFp32/kMixed route the solve through the fp32 mirror
   /// sweeps (half the bytes per point and per halo message).
   Precision precision = Precision::kFp64;
@@ -259,6 +259,10 @@ class ConvergenceGuard {
   int stalled_ = 0;
 };
 
+/// Interface of the single-system solvers without a lockstep batched
+/// core (PCG, pipelined CG). They enter the solver stack through
+/// SequentialBatchedSolver; diagonal-preconditioned PCG is also the
+/// last rung of the resilience fallback chain.
 class IterativeSolver {
  public:
   virtual ~IterativeSolver() = default;

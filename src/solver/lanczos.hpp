@@ -15,7 +15,7 @@
 
 #include "src/linalg/tridiag_eigen.hpp"
 #include "src/solver/iterative_solver.hpp"
-#include "src/solver/pcsi.hpp"
+#include "src/solver/batched_solver.hpp"
 
 namespace minipop::solver {
 

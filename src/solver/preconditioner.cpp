@@ -5,45 +5,6 @@
 
 namespace minipop::solver {
 
-void Preconditioner::apply(comm::Communicator& /*comm*/,
-                           const comm::DistField32& /*in*/,
-                           comm::DistField32& /*out*/) {
-  MINIPOP_REQUIRE(false, "preconditioner '" << name()
-                                            << "' has no fp32 path");
-}
-
-void Preconditioner::apply_batch(comm::Communicator& comm,
-                                 const comm::DistFieldBatch& in,
-                                 comm::DistFieldBatch& out) {
-  // Demux fallback: per-member scratch planes through the scalar apply.
-  // Bit-exact (each member sees exactly the scalar code path); the fused
-  // overrides below only change how many passes memory takes.
-  MINIPOP_REQUIRE(in.compatible_with(out), "precond batch mismatch");
-  comm::DistField in_m(in.decomposition(), in.rank(), in.halo());
-  comm::DistField out_m(in.decomposition(), in.rank(), in.halo());
-  for (int m = 0; m < in.nb(); ++m) {
-    in.store_member(m, in_m);
-    apply(comm, in_m, out_m);
-    out.load_member(m, out_m);
-  }
-}
-
-void Preconditioner::apply_batch(comm::Communicator& comm,
-                                 const comm::DistFieldBatch32& in,
-                                 comm::DistFieldBatch32& out) {
-  // fp32 demux: same per-member fallback through the scalar fp32 apply,
-  // so every preconditioner with an fp32 path composes with batching
-  // (one without it fails loudly in the scalar apply).
-  MINIPOP_REQUIRE(in.compatible_with(out), "precond batch mismatch");
-  comm::DistField32 in_m(in.decomposition(), in.rank(), in.halo());
-  comm::DistField32 out_m(in.decomposition(), in.rank(), in.halo());
-  for (int m = 0; m < in.nb(); ++m) {
-    in.store_member(m, in_m);
-    apply(comm, in_m, out_m);
-    out.load_member(m, out_m);
-  }
-}
-
 void IdentityPreconditioner::apply(comm::Communicator& /*comm*/,
                                    const comm::DistField& in,
                                    comm::DistField& out) {
@@ -63,26 +24,6 @@ void IdentityPreconditioner::apply(comm::Communicator& /*comm*/,
       for (int j = 0; j < info.ny; ++j)
         for (int i = 0; i < info.nx; ++i)
           out.at(lb, i, j) = mask(i, j) ? in.at(lb, i, j) : 0.0;
-  }
-}
-
-void IdentityPreconditioner::apply(comm::Communicator& /*comm*/,
-                                   const comm::DistField32& in,
-                                   comm::DistField32& out) {
-  MINIPOP_REQUIRE(in.compatible_with(out), "identity precond field mismatch");
-  const SpanPlan* plan = op_->span_plan();
-  for (int lb = 0; lb < in.num_local_blocks(); ++lb) {
-    const auto& info = in.info(lb);
-    const auto& mask = op_->block_mask(lb);
-    if (plan)
-      kernels::masked_copy_span((*plan)[lb].row_offset(),
-                                (*plan)[lb].spans(), info.nx, info.ny,
-                                in.interior(lb), in.stride(lb),
-                                out.interior(lb), out.stride(lb));
-    else
-      for (int j = 0; j < info.ny; ++j)
-        for (int i = 0; i < info.nx; ++i)
-          out.at(lb, i, j) = mask(i, j) ? in.at(lb, i, j) : 0.0f;
   }
 }
 
@@ -172,34 +113,6 @@ void DiagonalPreconditioner::apply(comm::Communicator& comm,
         static_cast<std::uint64_t>(op_->block_spans()[lb].active_points());
   }
   // Paper convention: diagonal preconditioning is 1 op/point (T_p).
-  comm.costs().add_flops(points);
-  comm.costs().add_points(active, points);
-}
-
-void DiagonalPreconditioner::apply(comm::Communicator& comm,
-                                   const comm::DistField32& in,
-                                   comm::DistField32& out) {
-  MINIPOP_REQUIRE(in.compatible_with(out), "diagonal precond field mismatch");
-  ensure_inv_diag32();
-  const SpanPlan* plan = op_->span_plan();
-  std::uint64_t points = 0, active = 0;
-  for (int lb = 0; lb < in.num_local_blocks(); ++lb) {
-    const auto& info = in.info(lb);
-    const auto& inv = inv_diag32_[lb];
-    if (plan)
-      kernels::diag_apply_span(inv.data(), inv.nx(),
-                               (*plan)[lb].row_offset(),
-                               (*plan)[lb].spans(), info.nx, info.ny,
-                               in.interior(lb), in.stride(lb),
-                               out.interior(lb), out.stride(lb));
-    else
-      for (int j = 0; j < info.ny; ++j)
-        for (int i = 0; i < info.nx; ++i)
-          out.at(lb, i, j) = inv(i, j) * in.at(lb, i, j);
-    points += static_cast<std::uint64_t>(info.nx) * info.ny;
-    active +=
-        static_cast<std::uint64_t>(op_->block_spans()[lb].active_points());
-  }
   comm.costs().add_flops(points);
   comm.costs().add_points(active, points);
 }

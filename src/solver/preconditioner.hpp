@@ -13,6 +13,7 @@
 
 #include "src/comm/communicator.hpp"
 #include "src/comm/dist_field.hpp"
+#include "src/comm/dist_field_batch.hpp"
 #include "src/solver/dist_operator.hpp"
 
 namespace minipop::solver {
@@ -25,33 +26,17 @@ class Preconditioner {
   virtual void apply(comm::Communicator& comm, const comm::DistField& in,
                      comm::DistField& out) = 0;
 
-  /// fp32 mirror of apply(): same block-local, communication-free
-  /// contract on fp32 fields. The built-in preconditioners all implement
-  /// it from a lazily-built float copy of their setup data; the default
-  /// errors so a preconditioner without an fp32 path fails loudly rather
-  /// than silently up-converting.
-  virtual void apply(comm::Communicator& comm, const comm::DistField32& in,
-                     comm::DistField32& out);
-
-  /// Batched multi-RHS apply: out_m = M^{-1} in_m for every member. The
-  /// default demultiplexes through per-member scratch DistFields and the
-  /// scalar apply — bit-exact per member and correct for ANY
-  /// preconditioner (block-EVP included), just without the fused-lane
-  /// bandwidth win. Identity and diagonal override with fused batch
-  /// kernels (whose per-member results are bit-identical to the scalar
-  /// apply by the kernels.hpp contract).
+  /// Batched multi-RHS apply: out_m = M^{-1} in_m for every member,
+  /// per member bit-identical to apply() on that member's plane.
   virtual void apply_batch(comm::Communicator& comm,
                            const comm::DistFieldBatch& in,
-                           comm::DistFieldBatch& out);
+                           comm::DistFieldBatch& out) = 0;
 
-  /// fp32 batched apply — the preconditioner step of the batched
-  /// mixed-precision inner solve. Default demuxes through the scalar
-  /// fp32 apply (so any preconditioner with an fp32 path composes with
-  /// batching); identity and diagonal override with the fused fp32
-  /// batch kernels.
+  /// fp32 batched apply — the preconditioner step of the fp32 and mixed
+  /// inner solves, from a lazily-built float copy of the setup data.
   virtual void apply_batch(comm::Communicator& comm,
                            const comm::DistFieldBatch32& in,
-                           comm::DistFieldBatch32& out);
+                           comm::DistFieldBatch32& out) = 0;
 
   virtual std::string name() const = 0;
 };
@@ -62,8 +47,6 @@ class IdentityPreconditioner final : public Preconditioner {
   explicit IdentityPreconditioner(const DistOperator& op) : op_(&op) {}
   void apply(comm::Communicator& comm, const comm::DistField& in,
              comm::DistField& out) override;
-  void apply(comm::Communicator& comm, const comm::DistField32& in,
-             comm::DistField32& out) override;
   void apply_batch(comm::Communicator& comm, const comm::DistFieldBatch& in,
                    comm::DistFieldBatch& out) override;
   void apply_batch(comm::Communicator& comm,
@@ -81,8 +64,6 @@ class DiagonalPreconditioner final : public Preconditioner {
   explicit DiagonalPreconditioner(const DistOperator& op);
   void apply(comm::Communicator& comm, const comm::DistField& in,
              comm::DistField& out) override;
-  void apply(comm::Communicator& comm, const comm::DistField32& in,
-             comm::DistField32& out) override;
   void apply_batch(comm::Communicator& comm, const comm::DistFieldBatch& in,
                    comm::DistFieldBatch& out) override;
   void apply_batch(comm::Communicator& comm,

@@ -3,6 +3,8 @@
 #include <algorithm>
 
 #include "src/perf/cost_equations.hpp"
+#include "src/solver/pcg.hpp"
+#include "src/solver/pipelined_cg.hpp"
 #include "src/util/error.hpp"
 #include "src/util/log.hpp"
 
@@ -13,9 +15,7 @@ SolverKind solver_kind_from_string(const std::string& s) {
   if (s == "chrongear" || s == "cg") return SolverKind::kChronGear;
   if (s == "pcsi" || s == "csi") return SolverKind::kPcsi;
   if (s == "pipecg" || s == "pipelined") return SolverKind::kPipelinedCg;
-  MINIPOP_REQUIRE(false, "unknown solver '"
-                             << s << "' (pcg|chrongear|pcsi|pipecg)");
-  return SolverKind::kChronGear;
+  throw util::Error("unknown solver '" + s + "' (pcg|chrongear|pcsi|pipecg)");
 }
 
 PreconditionerKind preconditioner_kind_from_string(const std::string& s) {
@@ -23,17 +23,15 @@ PreconditionerKind preconditioner_kind_from_string(const std::string& s) {
   if (s == "diagonal" || s == "diag") return PreconditionerKind::kDiagonal;
   if (s == "evp" || s == "block-evp")
     return PreconditionerKind::kBlockEvp;
-  MINIPOP_REQUIRE(false, "unknown preconditioner '"
-                             << s << "' (identity|diagonal|evp)");
-  return PreconditionerKind::kDiagonal;
+  throw util::Error("unknown preconditioner '" + s +
+                    "' (identity|diagonal|evp)");
 }
 
 Precision precision_from_string(const std::string& s) {
   if (s == "fp64" || s == "double") return Precision::kFp64;
   if (s == "fp32" || s == "float") return Precision::kFp32;
   if (s == "mixed") return Precision::kMixed;
-  MINIPOP_REQUIRE(false, "unknown precision '" << s << "' (fp64|fp32|mixed)");
-  return Precision::kFp64;
+  throw util::Error("unknown precision '" + s + "' (fp64|fp32|mixed)");
 }
 
 std::string to_string(SolverKind k) {
@@ -65,9 +63,6 @@ BarotropicSolver::BarotropicSolver(comm::Communicator& comm,
     : config_(config),
       halo_(&halo),
       op_(stencil, decomp, comm.rank()) {
-  // The facade-level flag is a synonym for the per-solver option.
-  if (config_.overlap) config_.options.overlap = true;
-
   // Resolve the comm-avoiding ghost-zone depth (DESIGN.md §13) to a
   // concrete k in [1, min(kMaxHaloDepth, widest-supported rim)] before
   // anything reads it. Only P-CSI has the reduction-free iteration body
@@ -137,93 +132,62 @@ BarotropicSolver::BarotropicSolver(comm::Communicator& comm,
       break;
   }
 
-  switch (config_.solver) {
-    case SolverKind::kPcg:
-      solver_ = std::make_unique<PcgSolver>(config_.options);
-      break;
-    case SolverKind::kChronGear:
-      solver_ = std::make_unique<ChronGearSolver>(config_.options);
-      break;
-    case SolverKind::kPipelinedCg:
-      solver_ = std::make_unique<PipelinedCgSolver>(config_.options);
-      break;
-    case SolverKind::kPcsi: {
-      lanczos_ =
-          estimate_eigenvalue_bounds(comm, halo, op_, *precond_,
-                                     config_.lanczos);
-      solver_ = std::make_unique<PcsiSolver>(lanczos_->bounds,
-                                             config_.options);
-      break;
-    }
-  }
+  if (config_.solver == SolverKind::kPcsi)
+    lanczos_ = estimate_eigenvalue_bounds(comm, halo, op_, *precond_,
+                                          config_.lanczos);
 
-  if (config_.options.precision != Precision::kFp64) {
-    MINIPOP_REQUIRE(config_.solver == SolverKind::kPcsi ||
-                        config_.solver == SolverKind::kChronGear,
+  if (config_.options.precision != Precision::kFp64)
+    MINIPOP_REQUIRE(has_batched_path(),
                     "precision " << to_string(config_.options.precision)
                                  << " needs pcsi or chrongear (got "
                                  << to_string(config_.solver) << ")");
-    auto mixed = std::make_unique<MixedPrecisionSolver>(std::move(solver_),
-                                                        config_.options);
+
+  // The solver stack: the lockstep core for P-CSI and ChronGear, the
+  // member-by-member adapter for PCG and pipelined CG; then the
+  // mixed-precision and resilience decorators.
+  switch (config_.solver) {
+    case SolverKind::kPcsi:
+      stack_ = std::make_unique<BatchedPcsiSolver>(lanczos_->bounds,
+                                                   config_.options);
+      break;
+    case SolverKind::kChronGear:
+      stack_ = std::make_unique<BatchedChronGearSolver>(config_.options);
+      break;
+    case SolverKind::kPcg:
+      stack_ = std::make_unique<SequentialBatchedSolver>(
+          std::make_unique<PcgSolver>(config_.options));
+      break;
+    case SolverKind::kPipelinedCg:
+      stack_ = std::make_unique<SequentialBatchedSolver>(
+          std::make_unique<PipelinedCgSolver>(config_.options));
+      break;
+  }
+
+  if (config_.options.precision != Precision::kFp64) {
+    auto mixed = std::make_unique<BatchedMixedPrecisionSolver>(
+        std::move(stack_), config_.options);
     mixed_ = mixed.get();
-    solver_ = std::move(mixed);
+    stack_ = std::move(mixed);
   }
 
   if (config_.resilient) {
     config_.recovery.lanczos = config_.lanczos;
-    auto resilient = std::make_unique<ResilientSolver>(std::move(solver_),
-                                                       config_.recovery);
+    auto resilient = std::make_unique<BatchedResilientSolver>(
+        std::move(stack_), config_.recovery);
     // Fallback chain toward ever-simpler methods, ending at the
     // configuration least likely to share the primary's failure mode:
     // PCG with a freshly built diagonal preconditioner.
     if (config_.solver == SolverKind::kPcsi ||
         config_.solver == SolverKind::kPipelinedCg)
       resilient->add_fallback(
-          std::make_unique<ChronGearSolver>(config_.options));
+          std::make_unique<BatchedChronGearSolver>(config_.options));
     if (config_.solver != SolverKind::kPcg)
-      resilient->add_fallback(std::make_unique<PcgSolver>(config_.options),
-                              /*use_diagonal_precond=*/true);
+      resilient->add_fallback(
+          std::make_unique<SequentialBatchedSolver>(
+              std::make_unique<PcgSolver>(config_.options)),
+          /*use_diagonal_precond=*/true);
     resilient_ = resilient.get();
-    solver_ = std::move(resilient);
-  }
-
-  // Batched execution stack, decorated exactly like the scalar one so
-  // every SolverConfig combination (precision × resilient × overlap)
-  // composes with batching. The short-recurrence solvers get the
-  // lockstep multi-RHS core; PCG and pipelined CG have no lockstep core
-  // and demux through the decorated scalar stack instead.
-  batched_lockstep_ = config_.solver == SolverKind::kPcsi ||
-                      config_.solver == SolverKind::kChronGear;
-  if (batched_lockstep_) {
-    if (config_.solver == SolverKind::kPcsi)
-      batched_ = std::make_unique<BatchedPcsiSolver>(lanczos_->bounds,
-                                                     config_.options);
-    else
-      batched_ = std::make_unique<BatchedChronGearSolver>(config_.options);
-
-    if (config_.options.precision != Precision::kFp64) {
-      auto bmixed = std::make_unique<BatchedMixedPrecisionSolver>(
-          std::move(batched_), config_.options);
-      batched_mixed_ = bmixed.get();
-      batched_ = std::move(bmixed);
-    }
-
-    if (config_.resilient) {
-      auto bres = std::make_unique<BatchedResilientSolver>(
-          std::move(batched_), config_.recovery);
-      // Same chain shape as the scalar decorator: a lockstep fallback
-      // first, then the last-resort scalar demux — PCG with a freshly
-      // built diagonal preconditioner, member by member.
-      if (config_.solver == SolverKind::kPcsi)
-        bres->add_fallback(
-            std::make_unique<BatchedChronGearSolver>(config_.options));
-      bres->add_scalar_fallback(std::make_unique<PcgSolver>(config_.options),
-                                /*use_diagonal_precond=*/true);
-      batched_resilient_ = bres.get();
-      batched_ = std::move(bres);
-    }
-  } else {
-    batched_ = std::make_unique<SequentialBatchedSolver>(solver_.get());
+    stack_ = std::move(resilient);
   }
 }
 
@@ -231,7 +195,7 @@ SolveStats BarotropicSolver::solve(comm::Communicator& comm,
                                    const comm::DistField& b,
                                    comm::DistField& x,
                                    comm::HaloFreshness x_fresh) {
-  return solver_->solve(comm, *halo_, op_, *precond_, b, x, x_fresh);
+  return solve_one(*stack_, comm, *halo_, op_, *precond_, b, x, x_fresh);
 }
 
 BatchSolveStats BarotropicSolver::solve_batch(
@@ -255,7 +219,7 @@ BatchSolveStats BarotropicSolver::solve_batch(
   }
 
   BatchSolveStats out =
-      batched_->solve(comm, *halo_, op_, *precond_, bb, xb, x_fresh);
+      stack_->solve(comm, *halo_, op_, *precond_, bb, xb, x_fresh);
   for (int m = 0; m < nb; ++m) xb.store_member(m, *xs[m]);
   return out;
 }

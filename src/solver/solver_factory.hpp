@@ -1,8 +1,13 @@
 // High-level facade mirroring POP's solvers module: pick a solver
-// (pcg / chrongear / pcsi) and a preconditioner (identity / diagonal /
-// block-evp), and get a ready-to-call barotropic solver. P-CSI's
-// eigenvalue interval is estimated with Lanczos at construction
+// (pcg / chrongear / pcsi / pipecg) and a preconditioner (identity /
+// diagonal / block-evp), and get a ready-to-call barotropic solver.
+// P-CSI's eigenvalue interval is estimated with Lanczos at construction
 // (collective), exactly as POP does at initialization.
+//
+// There is one solver stack (DESIGN.md §11): the batched core for P-CSI
+// and ChronGear (or SequentialBatchedSolver around PCG / pipelined CG),
+// under the mixed-precision and resilience decorators. A single solve
+// runs it as a width-1 batch.
 #pragma once
 
 #include <memory>
@@ -13,13 +18,7 @@
 #include "src/evp/block_evp_preconditioner.hpp"
 #include "src/solver/batched_decorators.hpp"
 #include "src/solver/batched_solver.hpp"
-#include "src/solver/chron_gear.hpp"
 #include "src/solver/lanczos.hpp"
-#include "src/solver/mixed_precision.hpp"
-#include "src/solver/pcg.hpp"
-#include "src/solver/pcsi.hpp"
-#include "src/solver/pipelined_cg.hpp"
-#include "src/solver/resilient_solver.hpp"
 
 namespace minipop::solver {
 
@@ -38,11 +37,9 @@ struct SolverConfig {
   SolverOptions options;
   evp::BlockEvpOptions evp;
   LanczosOptions lanczos;
-  /// Select the split-phase (overlapped) solver variants; equivalent to
-  /// setting options.overlap. Bitwise identical results either way.
-  bool overlap = false;
-  /// Route solves through the ResilientSolver decorator (checkpoint
-  /// restarts, P-CSI bounds re-estimation, fallback chain down to
+  /// Route solves through the BatchedResilientSolver decorator
+  /// (operator repair, precision escalation, P-CSI bounds
+  /// re-estimation, checkpoint restarts, fallback chain down to
   /// diagonal-preconditioned PCG). Fault-free iterates are bitwise
   /// identical with or without it; the decorator adds one agreement
   /// reduction per solve.
@@ -62,50 +59,46 @@ class BarotropicSolver {
                    const grid::Decomposition& decomp,
                    const SolverConfig& config);
 
-  /// Solve A x = b (x is both initial guess and result). Collective.
-  /// `x_fresh` attests that x's halo was refreshed since its interior
-  /// was last written (the model's barotropic step guarantees this).
+  /// Solve A x = b (x is both initial guess and result) as a width-1
+  /// batch of the solver stack. Collective. `x_fresh` attests that x's
+  /// halo was refreshed since its interior was last written (the
+  /// model's barotropic step guarantees this).
   SolveStats solve(comm::Communicator& comm, const comm::DistField& b,
                    comm::DistField& x,
                    comm::HaloFreshness x_fresh = comm::HaloFreshness::kStale);
 
-  /// Solve the B independent systems A x_i = b_i as one batch, through
-  /// the batched decorator stack that mirrors the scalar one — the
-  /// mixed-precision, resilience and overlap settings of SolverConfig
-  /// all compose with batching. P-CSI and ChronGear (at any precision)
-  /// interleave the members into a DistFieldBatch and advance them in
-  /// lockstep: ~B× fewer halo messages and allreduces, per-member fp64
-  /// results bit-identical to B scalar solves. PCG and pipelined CG
-  /// have no lockstep core; their stack is the SequentialBatchedSolver
-  /// adapter over the decorated scalar path — same results, no
-  /// batching win (see has_batched_path()).
+  /// Solve the B independent systems A x_i = b_i as one batch of the
+  /// same stack. P-CSI and ChronGear (at any precision) interleave the
+  /// members into a DistFieldBatch and advance them in lockstep: ~B×
+  /// fewer halo messages and allreduces, per-member results
+  /// bit-identical to B single solves. PCG and pipelined CG have no
+  /// lockstep core and solve member by member (see has_batched_path()).
   BatchSolveStats solve_batch(
       comm::Communicator& comm,
       std::span<const comm::DistField* const> bs,
       std::span<comm::DistField* const> xs,
       comm::HaloFreshness x_fresh = comm::HaloFreshness::kStale);
 
-  /// True when this configuration runs a fused lockstep batched core
+  /// True when this configuration runs the fused lockstep batched core
   /// (P-CSI or ChronGear at any precision). False means solve_batch()
-  /// still works but demuxes member-by-member through the scalar stack.
-  bool has_batched_path() const { return batched_lockstep_; }
+  /// still works but solves member by member.
+  bool has_batched_path() const {
+    return config_.solver == SolverKind::kPcsi ||
+           config_.solver == SolverKind::kChronGear;
+  }
 
   const DistOperator& op() const { return op_; }
   Preconditioner& preconditioner() { return *precond_; }
-  /// The mixed-precision wrapper, or nullptr when options.precision is
-  /// kFp64 (only P-CSI and ChronGear have an fp32 inner path).
-  MixedPrecisionSolver* mixed() { return mixed_; }
   const SolverConfig& config() const { return config_; }
   /// Lanczos estimation details; only set for P-CSI.
   const std::optional<LanczosResult>& lanczos() const { return lanczos_; }
+  /// The mixed-precision decorator, or nullptr when options.precision is
+  /// kFp64 (only P-CSI and ChronGear have an fp32 inner path).
+  BatchedMixedPrecisionSolver* mixed() { return mixed_; }
   /// The resilience decorator, or nullptr when config.resilient is off.
-  ResilientSolver* resilient() { return resilient_; }
-  /// The batched decorators' views (nullptr when not in the batched
-  /// stack — non-lockstep solvers, fp64, or resilient off).
-  BatchedMixedPrecisionSolver* batched_mixed() { return batched_mixed_; }
-  BatchedResilientSolver* batched_resilient() { return batched_resilient_; }
-  /// The assembled batched stack (never null).
-  BatchedSolver& batched() { return *batched_; }
+  BatchedResilientSolver* resilient() { return resilient_; }
+  /// The assembled solver stack (never null).
+  BatchedSolver& batched() { return *stack_; }
   /// e.g. "pcsi+block-evp".
   std::string description() const;
 
@@ -114,15 +107,9 @@ class BarotropicSolver {
   const comm::HaloExchanger* halo_;
   DistOperator op_;
   std::unique_ptr<Preconditioner> precond_;
-  std::unique_ptr<IterativeSolver> solver_;
-  /// Batched stack mirroring solver_'s decorators (lockstep core for
-  /// pcsi/chrongear, sequential demux adapter otherwise).
-  std::unique_ptr<BatchedSolver> batched_;
-  bool batched_lockstep_ = false;
-  ResilientSolver* resilient_ = nullptr;  ///< view into solver_, if wrapped
-  MixedPrecisionSolver* mixed_ = nullptr;  ///< view into solver_, if wrapped
-  BatchedMixedPrecisionSolver* batched_mixed_ = nullptr;  ///< view into batched_
-  BatchedResilientSolver* batched_resilient_ = nullptr;   ///< view into batched_
+  std::unique_ptr<BatchedSolver> stack_;
+  BatchedMixedPrecisionSolver* mixed_ = nullptr;  ///< view into stack_
+  BatchedResilientSolver* resilient_ = nullptr;   ///< view into stack_
   std::optional<LanczosResult> lanczos_;
 };
 

@@ -1,6 +1,9 @@
 #include "src/util/cli.hpp"
 
+#include <cerrno>
+#include <climits>
 #include <cstdlib>
+#include <iostream>
 
 #include "src/util/error.hpp"
 
@@ -16,22 +19,22 @@ Cli::Cli(int argc, const char* const* argv) {
     }
     std::string body = arg.substr(2);
     auto eq = body.find('=');
-    if (eq != std::string::npos) {
-      options_[body.substr(0, eq)] = body.substr(eq + 1);
-    } else {
-      options_[body] = "";  // bare flag
-    }
+    const std::string name = body.substr(0, eq);
+    if (options_.count(name) == 0) order_.push_back(name);
+    // A bare flag has the empty value.
+    options_[name] = eq != std::string::npos ? body.substr(eq + 1) : "";
   }
 }
 
 std::optional<std::string> Cli::raw(const std::string& name) const {
+  read_.insert(name);
   auto it = options_.find(name);
   if (it == options_.end()) return std::nullopt;
   return it->second;
 }
 
 bool Cli::has(const std::string& name) const {
-  return options_.count(name) > 0;
+  return raw(name).has_value();
 }
 
 std::string Cli::get(const std::string& name,
@@ -43,11 +46,7 @@ std::string Cli::get(const std::string& name,
 int Cli::get_int(const std::string& name, int fallback) const {
   auto v = raw(name);
   if (!v || v->empty()) return fallback;
-  char* end = nullptr;
-  long out = std::strtol(v->c_str(), &end, 10);
-  MINIPOP_REQUIRE(end && *end == '\0', "--" << name << "=" << *v
-                                            << " is not an integer");
-  return static_cast<int>(out);
+  return parse_int("--" + name, *v);
 }
 
 double Cli::get_double(const std::string& name, double fallback) const {
@@ -55,8 +54,8 @@ double Cli::get_double(const std::string& name, double fallback) const {
   if (!v || v->empty()) return fallback;
   char* end = nullptr;
   double out = std::strtod(v->c_str(), &end);
-  MINIPOP_REQUIRE(end && *end == '\0', "--" << name << "=" << *v
-                                            << " is not a number");
+  if (end == v->c_str() || *end != '\0')
+    throw Error("--" + name + "=" + *v + " is not a number");
   return out;
 }
 
@@ -65,8 +64,41 @@ bool Cli::get_bool(const std::string& name, bool fallback) const {
   if (!v) return fallback;
   if (v->empty() || *v == "1" || *v == "true" || *v == "yes") return true;
   if (*v == "0" || *v == "false" || *v == "no") return false;
-  MINIPOP_REQUIRE(false, "--" << name << "=" << *v << " is not a boolean");
-  return fallback;
+  throw Error("--" + name + "=" + *v + " is not a boolean");
+}
+
+std::vector<std::string> Cli::unread() const {
+  std::vector<std::string> out;
+  for (const std::string& name : order_)
+    if (read_.count(name) == 0) out.push_back(name);
+  return out;
+}
+
+void Cli::reject_unread() const {
+  const std::vector<std::string> names = unread();
+  if (names.empty()) return;
+  std::string msg = "unknown option";
+  if (names.size() > 1) msg += "s";
+  for (std::size_t k = 0; k < names.size(); ++k)
+    msg += (k == 0 ? " --" : ", --") + names[k];
+  throw Error(msg);
+}
+
+int Cli::usage_error(const std::exception& e,
+                     const std::string& usage) const {
+  std::cerr << program_ << ": " << e.what() << "\n"
+            << "usage: " << program_ << " " << usage << "\n";
+  return 2;
+}
+
+int parse_int(const std::string& what, const std::string& text) {
+  char* end = nullptr;
+  errno = 0;
+  const long out = std::strtol(text.c_str(), &end, 10);
+  if (end == text.c_str() || *end != '\0' || errno == ERANGE ||
+      out < INT_MIN || out > INT_MAX)
+    throw Error(what + "=" + text + " is not an integer");
+  return static_cast<int>(out);
 }
 
 }  // namespace minipop::util

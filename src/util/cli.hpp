@@ -1,14 +1,19 @@
 // Minimal command-line parsing for benches and examples.
 //
 // Accepts --key=value and boolean --flag forms (values always use '=' so
-// flags never swallow positionals). Unknown arguments are collected so
-// callers can reject or forward them (benches forward to
-// google-benchmark).
+// flags never swallow positionals). Every lookup (has/get*) marks its
+// option as read, so after a program has looked up all the options it
+// knows, reject_unread() turns a misspelled or unsupported flag into a
+// loud error instead of a silent run with the defaults. Programs that
+// forward unknown arguments (the benches hand them to google-benchmark)
+// simply do not call it.
 #pragma once
 
+#include <exception>
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 namespace minipop::util {
@@ -21,9 +26,23 @@ class Cli {
   bool has(const std::string& name) const;
 
   std::string get(const std::string& name, const std::string& fallback) const;
+  /// Typed lookups throw util::Error on a malformed value
+  /// ("--days=x is not a number").
   int get_int(const std::string& name, int fallback) const;
   double get_double(const std::string& name, double fallback) const;
   bool get_bool(const std::string& name, bool fallback = false) const;
+
+  /// Options that were passed but never looked up, in command-line
+  /// order.
+  std::vector<std::string> unread() const;
+
+  /// Throws util::Error naming every unread option. Call after the last
+  /// lookup.
+  void reject_unread() const;
+
+  /// Report a parse error for the examples: prints "<program>: <what>"
+  /// and "usage: <program> <usage>" to stderr and returns exit code 2.
+  int usage_error(const std::exception& e, const std::string& usage) const;
 
   /// Positional (non --option) arguments in order.
   const std::vector<std::string>& positional() const { return positional_; }
@@ -36,7 +55,14 @@ class Cli {
 
   std::string program_;
   std::unordered_map<std::string, std::string> options_;
+  std::vector<std::string> order_;  ///< option names, first occurrence
+  mutable std::unordered_set<std::string> read_;
   std::vector<std::string> positional_;
 };
+
+/// Parse `text` as a whole decimal integer; throws util::Error naming
+/// `what` (e.g. "--block-size") when it is empty, not a number, or has
+/// trailing characters.
+int parse_int(const std::string& what, const std::string& text);
 
 }  // namespace minipop::util

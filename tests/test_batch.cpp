@@ -1,8 +1,8 @@
 // Batched multi-RHS engine: DistFieldBatch round trips, aggregated halo
 // exchanges (bitwise vs scalar, message/byte audit), batched dots,
-// bit-identity of batched P-CSI/ChronGear solves against the scalar
-// solvers, per-member convergence masking, retirement compaction, cost
-// aggregation, and the batched ensemble runner.
+// bit-identity of B=4 batched P-CSI/ChronGear members against single
+// (B=1) solves, per-member convergence masking, retirement compaction,
+// cost aggregation, and the batched ensemble runner.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -266,9 +266,10 @@ class BatchedSolveIdentityTest
     : public ::testing::TestWithParam<std::tuple<ms::SolverKind, int>> {};
 
 // B=1 batched solves and every member of a B=4 batched solve must be
-// bit-identical to the scalar solver: same iteration counts, same
+// bit-identical to BarotropicSolver::solve: same iteration counts, same
 // relative residuals, same solution bits — serial and on 4 ThreadComm
-// ranks. The batch also has to aggregate: far fewer halo rounds and
+// ranks. (tests/test_golden_pins.cpp pins solve() itself against the
+// retired scalar solvers.) The batch also has to aggregate: far fewer halo rounds and
 // reductions than the 4 sequential solves.
 TEST_P(BatchedSolveIdentityTest, MembersMatchScalarSolveBitwise) {
   const auto [kind, nranks] = GetParam();

@@ -164,6 +164,8 @@ TEST_P(CommAvoidIdentityTest, DepthKSolveIsBitwiseDepth1) {
 
   EXPECT_EQ(ca.iterations, base.iterations);
   EXPECT_EQ(ca.relative_residual, base.relative_residual);
+  // record_residuals is on: empty histories would compare vacuously.
+  ASSERT_FALSE(base.history.empty());
   ASSERT_EQ(ca.history.size(), base.history.size());
   for (std::size_t i = 0; i < base.history.size(); ++i) {
     EXPECT_EQ(ca.history[i].first, base.history[i].first) << "check " << i;

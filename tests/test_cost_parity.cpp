@@ -1,7 +1,7 @@
 // Counter-parity audit of the batched execution core (DESIGN.md §11):
 // a B-member batched solve of B IDENTICAL systems runs the same
-// lockstep iterations as one scalar solve, so its CostTracker counts
-// must relate to the scalar solve's counts exactly —
+// lockstep iterations as one single (width-1) solve, so its CostTracker
+// counts must relate to the single solve's counts exactly —
 //
 //   halo_exchanges       equal      (one aggregated round per sweep)
 //   p2p_messages         equal      (aggregation: same message count)
@@ -95,7 +95,7 @@ TEST_P(CostParityTest, BatchedCountsAreExactlyBTimesScalar) {
   cfg.options.rel_tolerance = 1e-10;
   cfg.options.precision = pc.precision;
   cfg.resilient = pc.resilient;
-  cfg.overlap = pc.overlap;
+  cfg.options.overlap = pc.overlap;
   cfg.lanczos.rel_tolerance = 0.02;
 
   std::vector<mc::CostCounters> scalar_costs(nranks), batch_costs(nranks);

@@ -11,7 +11,7 @@
 #include "src/grid/decomposition.hpp"
 #include "src/grid/stencil.hpp"
 #include "src/linalg/dense.hpp"
-#include "src/solver/chron_gear.hpp"
+#include "src/solver/batched_solver.hpp"
 #include "src/solver/field_ops.hpp"
 #include "src/solver/solver_factory.hpp"
 #include "src/util/rng.hpp"
@@ -341,18 +341,18 @@ TEST(BlockEvp, ReducesChronGearIterationsVsDiagonal) {
   ms::DistOperator op(*p.stencil, *p.decomp, 0);
   ms::SolverOptions sopt;
   sopt.rel_tolerance = 1e-11;
-  ms::ChronGearSolver solver(sopt);
+  ms::BatchedChronGearSolver solver(sopt);
 
   ms::DiagonalPreconditioner diag(op);
   mc::DistField b(*p.decomp, 0), x(*p.decomp, 0);
   b.load_global(p.b_global);
-  auto s_diag = solver.solve(comm, halo, op, diag, b, x);
+  auto s_diag = ms::solve_one(solver, comm, halo, op, diag, b, x);
 
   me::BlockEvpOptions eopt;
   eopt.max_tile = 0;  // tile = process block (10x10), paper configuration
   me::BlockEvpPreconditioner evp(op, *p.grid, p.depth, eopt);
   mc::DistField x2(*p.decomp, 0);
-  auto s_evp = solver.solve(comm, halo, op, evp, b, x2);
+  auto s_evp = ms::solve_one(solver, comm, halo, op, evp, b, x2);
 
   ASSERT_TRUE(s_diag.converged);
   ASSERT_TRUE(s_evp.converged);

@@ -13,7 +13,7 @@
 #include "src/grid/stencil.hpp"
 #include "src/linalg/dense.hpp"
 #include "src/model/ocean_model.hpp"
-#include "src/solver/chron_gear.hpp"
+#include "src/solver/batched_solver.hpp"
 #include "src/solver/pipelined_cg.hpp"
 #include "src/solver/solver_factory.hpp"
 #include "src/util/rng.hpp"
@@ -73,8 +73,8 @@ TEST(PipelinedCg, MatchesChronGearSolutionAndIterations) {
   mc::DistField b(*p.decomp, 0), x1(*p.decomp, 0), x2(*p.decomp, 0);
   b.load_global(p.b_global);
 
-  ms::ChronGearSolver cg(opt);
-  auto s1 = cg.solve(comm, halo, a, m, b, x1);
+  ms::BatchedChronGearSolver cg(opt);
+  auto s1 = ms::solve_one(cg, comm, halo, a, m, b, x1);
   ms::PipelinedCgSolver pipe(opt);
   auto s2 = pipe.solve(comm, halo, a, m, b, x2);
 
@@ -130,10 +130,10 @@ TEST(ResidualHistory, RecordedAtCheckpointsAndDecreasing) {
   ms::SolverOptions opt;
   opt.rel_tolerance = 1e-11;
   opt.record_residuals = true;
-  ms::ChronGearSolver solver(opt);
+  ms::BatchedChronGearSolver solver(opt);
   mc::DistField b(*p.decomp, 0), x(*p.decomp, 0);
   b.load_global(p.b_global);
-  auto stats = solver.solve(comm, halo, a, m, b, x);
+  auto stats = ms::solve_one(solver, comm, halo, a, m, b, x);
   ASSERT_TRUE(stats.converged);
   ASSERT_GE(stats.residual_history.size(), 2u);
   for (std::size_t k = 0; k < stats.residual_history.size(); ++k) {
@@ -147,9 +147,9 @@ TEST(ResidualHistory, RecordedAtCheckpointsAndDecreasing) {
 
   // Off by default.
   opt.record_residuals = false;
-  ms::ChronGearSolver quiet(opt);
+  ms::BatchedChronGearSolver quiet(opt);
   mc::DistField x2(*p.decomp, 0);
-  auto stats2 = quiet.solve(comm, halo, a, m, b, x2);
+  auto stats2 = ms::solve_one(quiet, comm, halo, a, m, b, x2);
   EXPECT_TRUE(stats2.residual_history.empty());
 }
 

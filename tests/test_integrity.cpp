@@ -29,12 +29,8 @@
 #include "src/grid/stencil.hpp"
 #include "src/solver/batched_decorators.hpp"
 #include "src/solver/batched_solver.hpp"
-#include "src/solver/chron_gear.hpp"
 #include "src/solver/integrity.hpp"
 #include "src/solver/lanczos.hpp"
-#include "src/solver/mixed_precision.hpp"
-#include "src/solver/pcsi.hpp"
-#include "src/solver/resilient_solver.hpp"
 #include "src/util/crc32c.hpp"
 #include "src/util/rng.hpp"
 
@@ -122,6 +118,8 @@ void expect_stats_bitwise(const ms::SolveStats& a, const ms::SolveStats& b) {
   EXPECT_EQ(a.iterations, b.iterations);
   EXPECT_EQ(a.converged, b.converged);
   EXPECT_EQ(a.relative_residual, b.relative_residual);
+  // Callers record residuals: empty histories would compare vacuously.
+  ASSERT_FALSE(b.residual_history.empty());
   ASSERT_EQ(a.residual_history.size(), b.residual_history.size());
   for (std::size_t k = 0; k < a.residual_history.size(); ++k) {
     EXPECT_EQ(a.residual_history[k].first, b.residual_history[k].first);
@@ -143,7 +141,7 @@ ms::EigenBounds lanczos_bounds_serial(const Problem& p) {
 }
 
 using SolverFactory =
-    std::function<std::unique_ptr<ms::IterativeSolver>(int rank)>;
+    std::function<std::unique_ptr<ms::BatchedSolver>(int rank)>;
 
 struct SolveRun {
   mu::Field x;
@@ -163,13 +161,13 @@ SolveRun run_with(const Problem& p, int nranks, const SolverFactory& make,
   auto body = [&](mc::Communicator& comm) {
     ms::DistOperator a(*p.stencil, *p.decomp, comm.rank());
     ms::DiagonalPreconditioner m(a);
-    std::unique_ptr<ms::IterativeSolver> s = make(comm.rank());
+    std::unique_ptr<ms::BatchedSolver> s = make(comm.rank());
     mc::DistField b(*p.decomp, comm.rank()), x(*p.decomp, comm.rank());
     b.load_global(bg);
-    stats[comm.rank()] = s->solve(comm, halo, a, m, b, x);
+    stats[comm.rank()] = ms::solve_one(*s, comm, halo, a, m, b, x);
     x.store_global(out.x);  // disjoint interiors; no race
     if (comm.rank() == 0)
-      if (auto* rs = dynamic_cast<ms::ResilientSolver*>(s.get()))
+      if (auto* rs = dynamic_cast<ms::BatchedResilientSolver*>(s.get()))
         out.events = rs->events();
   };
   if (nranks == 1) {
@@ -184,26 +182,27 @@ SolveRun run_with(const Problem& p, int nranks, const SolverFactory& make,
   return out;
 }
 
-/// Scalar solver stack: pcsi|cg core, wrapped in the mixed decorator
-/// when opt.precision says so.
+/// Single-solve stack: pcsi|cg core, wrapped in the mixed decorator
+/// when opt.precision says so; run as a width-1 batch by run_with.
 SolverFactory make_kind(const std::string& kind, const ms::SolverOptions& opt,
                         ms::EigenBounds bounds = {1.0, 2.0}) {
-  return [kind, opt, bounds](int) -> std::unique_ptr<ms::IterativeSolver> {
-    std::unique_ptr<ms::IterativeSolver> core;
+  return [kind, opt, bounds](int) -> std::unique_ptr<ms::BatchedSolver> {
+    std::unique_ptr<ms::BatchedSolver> core;
     if (kind == "cg")
-      core = std::make_unique<ms::ChronGearSolver>(opt);
+      core = std::make_unique<ms::BatchedChronGearSolver>(opt);
     else
-      core = std::make_unique<ms::PcsiSolver>(bounds, opt);
+      core = std::make_unique<ms::BatchedPcsiSolver>(bounds, opt);
     if (opt.precision == ms::Precision::kFp64) return core;
-    return std::make_unique<ms::MixedPrecisionSolver>(std::move(core), opt);
+    return std::make_unique<ms::BatchedMixedPrecisionSolver>(std::move(core),
+                                                             opt);
   };
 }
 
 #if MINIPOP_FAULTS
 SolverFactory resilient(const SolverFactory& inner,
                         ms::RecoveryPolicy pol = {}) {
-  return [inner, pol](int r) -> std::unique_ptr<ms::IterativeSolver> {
-    return std::make_unique<ms::ResilientSolver>(inner(r), pol);
+  return [inner, pol](int r) -> std::unique_ptr<ms::BatchedSolver> {
+    return std::make_unique<ms::BatchedResilientSolver>(inner(r), pol);
   };
 }
 #endif  // MINIPOP_FAULTS
@@ -513,6 +512,7 @@ TEST(IntegrityOn, CleanMixedSolveIsBitwiseIdenticalAndCounted) {
   ms::SolverOptions off;
   off.rel_tolerance = 1e-10;
   off.precision = ms::Precision::kMixed;
+  off.record_residuals = true;
   const ms::SolverOptions on = with_integrity(off);
   for (const std::string& kind : {std::string("cg"), std::string("pcsi")}) {
     SCOPED_TRACE(kind);

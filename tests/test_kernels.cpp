@@ -12,12 +12,11 @@
 #include "src/grid/bathymetry.hpp"
 #include "src/grid/decomposition.hpp"
 #include "src/grid/stencil.hpp"
-#include "src/solver/chron_gear.hpp"
+#include "src/solver/batched_solver.hpp"
 #include "src/solver/dist_operator.hpp"
 #include "src/solver/field_ops.hpp"
 #include "src/solver/kernels.hpp"
 #include "src/solver/lanczos.hpp"
-#include "src/solver/pcsi.hpp"
 #include "src/util/rng.hpp"
 
 namespace mc = minipop::comm;
@@ -681,8 +680,8 @@ TEST(KernelRegression, SolverIterationCountsUnchangedOnSeedProblem) {
   {
     mc::DistField b(*p.decomp, 0), x(*p.decomp, 0);
     b.load_global(bg);
-    ms::ChronGearSolver cg(opt);
-    auto s = cg.solve(comm, halo, a, m, b, x);
+    ms::BatchedChronGearSolver cg(opt);
+    auto s = ms::solve_one(cg, comm, halo, a, m, b, x);
     ASSERT_TRUE(s.converged);
     EXPECT_EQ(s.iterations, 110);  // seed value
     EXPECT_DOUBLE_EQ(s.relative_residual, 5.795712271592336e-12);
@@ -697,8 +696,8 @@ TEST(KernelRegression, SolverIterationCountsUnchangedOnSeedProblem) {
 
     mc::DistField b(*p.decomp, 0), x(*p.decomp, 0);
     b.load_global(bg);
-    ms::PcsiSolver pcsi(bounds, opt);
-    auto s = pcsi.solve(comm, halo, a, m, b, x);
+    ms::BatchedPcsiSolver pcsi(bounds, opt);
+    auto s = ms::solve_one(pcsi, comm, halo, a, m, b, x);
     ASSERT_TRUE(s.converged);
     EXPECT_EQ(s.iterations, 210);  // seed value
     EXPECT_DOUBLE_EQ(s.relative_residual, 6.9164185356193306e-11);

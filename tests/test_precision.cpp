@@ -1,7 +1,7 @@
 // Mixed-precision solver path: the fp32/mixed modes of
-// MixedPrecisionSolver, the fp32 halo payload, and the ResilientSolver
-// precision-escalation rung that rescues an fp32 solve stagnating at its
-// accuracy floor.
+// BatchedMixedPrecisionSolver, the fp32 halo payload, and the
+// BatchedResilientSolver precision-escalation rung that rescues an fp32
+// solve stagnating at its accuracy floor.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -165,7 +165,7 @@ TEST(PrecisionEscalation, Fp32StagnatesAtTightToleranceWithoutResilience) {
   EXPECT_GT(stats.relative_residual, 1e-13);
 }
 
-// With the ResilientSolver in the loop, the same stagnation is cured by
+// With the resilience decorator in the loop, the same stagnation is cured by
 // the precision-escalation rung: one typed RecoveryEvent, then the fp64
 // twin finishes the solve to full tolerance.
 TEST(PrecisionEscalation, ResilientEscalatesStagnatedFp32ToFp64) {
@@ -232,37 +232,49 @@ TEST(PrecisionFields, DemotePromoteAxpyPromotedAreExactWhereExpected) {
   Problem p;
   mc::SerialComm comm;
   mu::Xoshiro256 rng(17);
-  mc::DistField x(*p.decomp, 0), y(*p.decomp, 0);
-  mu::Field g(p.grid->nx(), p.grid->ny(), 0.0);
-  for (int j = 0; j < p.grid->ny(); ++j)
-    for (int i = 0; i < p.grid->nx(); ++i) g(i, j) = rng.uniform(-1, 1);
-  x.load_global(g);
-  y.load_global(g);
+  constexpr int kNb = 2;
+  mc::DistFieldBatch x(*p.decomp, 0, kNb), y(*p.decomp, 0, kNb);
+  for (int m = 0; m < kNb; ++m) {
+    mu::Field g(p.grid->nx(), p.grid->ny(), 0.0);
+    for (int j = 0; j < p.grid->ny(); ++j)
+      for (int i = 0; i < p.grid->nx(); ++i) g(i, j) = rng.uniform(-1, 1);
+    mc::DistField plane(*p.decomp, 0);
+    plane.load_global(g);
+    x.load_member(m, plane);
+    y.load_member(m, plane);
+  }
 
-  mc::DistField32 x32(*p.decomp, 0);
+  mc::DistFieldBatch32 x32(*p.decomp, 0, kNb);
   ms::demote(x, x32);
-  mc::DistField back(*p.decomp, 0);
+  mc::DistFieldBatch back(*p.decomp, 0, kNb);
   ms::promote(x32, back);
   // Promote is exact, so the round trip is a single fp32 rounding.
   for (int lb = 0; lb < x.num_local_blocks(); ++lb) {
     const auto& info = x.info(lb);
     for (int j = 0; j < info.ny; ++j)
-      for (int i = 0; i < info.nx; ++i) {
-        EXPECT_EQ(x32.at(lb, i, j), static_cast<float>(x.at(lb, i, j)));
-        EXPECT_EQ(back.at(lb, i, j),
-                  static_cast<double>(x32.at(lb, i, j)));
-      }
+      for (int i = 0; i < info.nx; ++i)
+        for (int m = 0; m < kNb; ++m) {
+          EXPECT_EQ(x32.at(lb, i, j, m),
+                    static_cast<float>(x.at(lb, i, j, m)));
+          EXPECT_EQ(back.at(lb, i, j, m),
+                    static_cast<double>(x32.at(lb, i, j, m)));
+        }
   }
 
   // axpy_promoted widens each fp32 element before the fp64 fma-free
-  // multiply-add, elementwise identical to the scalar expression.
-  ms::axpy_promoted(comm, 0.75, x32, y);
+  // multiply-add, elementwise identical to the scalar expression, and
+  // leaves inactive members untouched.
+  const double a[kNb] = {0.75, -0.5};
+  const unsigned char active[kNb] = {1, 0};
+  ms::axpy_promoted(comm, a, x32, y, active, 1);
   for (int lb = 0; lb < y.num_local_blocks(); ++lb) {
     const auto& info = y.info(lb);
     for (int j = 0; j < info.ny; ++j)
-      for (int i = 0; i < info.nx; ++i)
-        EXPECT_EQ(y.at(lb, i, j),
-                  x.at(lb, i, j) +
-                      0.75 * static_cast<double>(x32.at(lb, i, j)));
+      for (int i = 0; i < info.nx; ++i) {
+        EXPECT_EQ(y.at(lb, i, j, 0),
+                  x.at(lb, i, j, 0) +
+                      0.75 * static_cast<double>(x32.at(lb, i, j, 0)));
+        EXPECT_EQ(y.at(lb, i, j, 1), x.at(lb, i, j, 1));
+      }
   }
 }

@@ -1,8 +1,9 @@
 // Resilience-layer tests: the ConvergenceGuard failure taxonomy, the
 // solvers' typed failure returns (NaN, breakdown, zero RHS), the
-// ResilientSolver recovery chain (restart → re-estimate bounds →
-// fall back → give up), ThreadComm receive timeouts with the resync
-// fence, and the deterministic fault injector. Full-solve fault
+// BatchedResilientSolver recovery chain on single (width-1) solves
+// (restart → re-estimate bounds → fall back → give up), ThreadComm
+// receive timeouts with the resync fence, and the deterministic fault
+// injector. Full-solve fault
 // campaigns (hooks live in the comm/solver layers) run only when the
 // build compiles them in (-DMINIPOP_FAULTS=ON); the injector's own unit
 // tests drive its methods directly and run in every build.
@@ -25,12 +26,10 @@
 #include "src/grid/bathymetry.hpp"
 #include "src/grid/decomposition.hpp"
 #include "src/grid/stencil.hpp"
-#include "src/solver/chron_gear.hpp"
+#include "src/solver/batched_decorators.hpp"
 #include "src/solver/lanczos.hpp"
 #include "src/solver/pcg.hpp"
-#include "src/solver/pcsi.hpp"
 #include "src/solver/pipelined_cg.hpp"
-#include "src/solver/resilient_solver.hpp"
 #include "src/util/rng.hpp"
 
 namespace mc = minipop::comm;
@@ -120,11 +119,12 @@ ms::EigenBounds lanczos_bounds_serial(const Problem& p) {
 }
 
 using SolverFactory =
-    std::function<std::unique_ptr<ms::IterativeSolver>(int rank)>;
+    std::function<std::unique_ptr<ms::BatchedSolver>(int rank)>;
 
-/// One solve with a diagonal preconditioner over `nranks` virtual ranks
-/// (1 = SerialComm). Returns the gathered solution, rank-0 stats, and —
-/// when the factory produced a ResilientSolver — rank 0's recovery log.
+/// One width-1 solve with a diagonal preconditioner over `nranks`
+/// virtual ranks (1 = SerialComm). Returns the gathered solution,
+/// rank-0 stats, and — when the factory produced a
+/// BatchedResilientSolver — rank 0's recovery log.
 struct SolveRun {
   mu::Field x;
   ms::SolveStats stats;
@@ -142,13 +142,13 @@ SolveRun run_with(const Problem& p, int nranks, const SolverFactory& make,
   auto body = [&](mc::Communicator& comm) {
     ms::DistOperator a(*p.stencil, *p.decomp, comm.rank());
     ms::DiagonalPreconditioner m(a);
-    std::unique_ptr<ms::IterativeSolver> s = make(comm.rank());
+    std::unique_ptr<ms::BatchedSolver> s = make(comm.rank());
     mc::DistField b(*p.decomp, comm.rank()), x(*p.decomp, comm.rank());
     b.load_global(bg);
-    stats[comm.rank()] = s->solve(comm, halo, a, m, b, x);
+    stats[comm.rank()] = ms::solve_one(*s, comm, halo, a, m, b, x);
     x.store_global(out.x);  // disjoint interiors; no race
     if (comm.rank() == 0)
-      if (auto* rs = dynamic_cast<ms::ResilientSolver*>(s.get()))
+      if (auto* rs = dynamic_cast<ms::BatchedResilientSolver*>(s.get()))
         out.events = rs->events();
   };
   if (nranks == 1) {
@@ -165,12 +165,15 @@ SolveRun run_with(const Problem& p, int nranks, const SolverFactory& make,
 
 SolverFactory make_kind(const std::string& kind, const ms::SolverOptions& opt,
                         ms::EigenBounds bounds = {1.0, 2.0}) {
-  return [kind, opt, bounds](int) -> std::unique_ptr<ms::IterativeSolver> {
-    if (kind == "cg") return std::make_unique<ms::ChronGearSolver>(opt);
-    if (kind == "pcg") return std::make_unique<ms::PcgSolver>(opt);
+  return [kind, opt, bounds](int) -> std::unique_ptr<ms::BatchedSolver> {
+    if (kind == "cg") return std::make_unique<ms::BatchedChronGearSolver>(opt);
+    if (kind == "pcg")
+      return std::make_unique<ms::SequentialBatchedSolver>(
+          std::make_unique<ms::PcgSolver>(opt));
     if (kind == "pipecg")
-      return std::make_unique<ms::PipelinedCgSolver>(opt);
-    return std::make_unique<ms::PcsiSolver>(bounds, opt);
+      return std::make_unique<ms::SequentialBatchedSolver>(
+          std::make_unique<ms::PipelinedCgSolver>(opt));
+    return std::make_unique<ms::BatchedPcsiSolver>(bounds, opt);
   };
 }
 
@@ -329,7 +332,8 @@ TEST(Detection, NanRhsDetectedOnEveryRankOfATeam) {
 }
 
 // ---------------------------------------------------------------------
-// ResilientSolver: decorator transparency + recovery chain
+// BatchedResilientSolver on single solves: decorator transparency +
+// recovery chain
 // ---------------------------------------------------------------------
 
 TEST(Resilient, FaultFreeDecoratedSolveIsBitwiseIdentical) {
@@ -344,8 +348,8 @@ TEST(Resilient, FaultFreeDecoratedSolveIsBitwiseIdentical) {
       SolveRun raw = run_with(p, nranks, make_kind(kind, opt, bounds));
       SolveRun dec = run_with(
           p, nranks,
-          [&](int) -> std::unique_ptr<ms::IterativeSolver> {
-            return std::make_unique<ms::ResilientSolver>(
+          [&](int) -> std::unique_ptr<ms::BatchedSolver> {
+            return std::make_unique<ms::BatchedResilientSolver>(
                 make_kind(kind, opt, bounds)(0));
           });
       ASSERT_TRUE(raw.stats.converged);
@@ -378,9 +382,9 @@ const ms::EigenBounds kBadBounds = {0.01, 0.02};
 TEST(Resilient, PcsiBadBoundsReestimatedViaLanczos) {
   Problem p = make_problem(32, 24, 8, 1);
   const ms::SolverOptions opt = fast_guard_options();
-  SolveRun dec = run_with(p, 1, [&](int) -> std::unique_ptr<ms::IterativeSolver> {
-    return std::make_unique<ms::ResilientSolver>(
-        std::make_unique<ms::PcsiSolver>(kBadBounds, opt));
+  SolveRun dec = run_with(p, 1, [&](int) -> std::unique_ptr<ms::BatchedSolver> {
+    return std::make_unique<ms::BatchedResilientSolver>(
+        std::make_unique<ms::BatchedPcsiSolver>(kBadBounds, opt));
   });
   EXPECT_TRUE(dec.stats.converged);
   ASSERT_EQ(dec.events.size(), 1u);
@@ -398,10 +402,10 @@ TEST(Resilient, RestartThenFallbackWhenPrimaryKeepsFailing) {
   ms::RecoveryPolicy pol;
   pol.max_restarts = 1;
   pol.reestimate_bounds = false;
-  SolveRun dec = run_with(p, 1, [&](int) -> std::unique_ptr<ms::IterativeSolver> {
-    auto rs = std::make_unique<ms::ResilientSolver>(
-        std::make_unique<ms::PcsiSolver>(kBadBounds, opt), pol);
-    rs->add_fallback(std::make_unique<ms::ChronGearSolver>(opt));
+  SolveRun dec = run_with(p, 1, [&](int) -> std::unique_ptr<ms::BatchedSolver> {
+    auto rs = std::make_unique<ms::BatchedResilientSolver>(
+        std::make_unique<ms::BatchedPcsiSolver>(kBadBounds, opt), pol);
+    rs->add_fallback(std::make_unique<ms::BatchedChronGearSolver>(opt));
     return rs;
   });
   EXPECT_TRUE(dec.stats.converged);
@@ -425,9 +429,9 @@ TEST(Resilient, GiveUpReturnsTypedFailure) {
   ms::RecoveryPolicy pol;
   pol.max_restarts = 0;
   pol.reestimate_bounds = false;
-  SolveRun dec = run_with(p, 1, [&](int) -> std::unique_ptr<ms::IterativeSolver> {
-    return std::make_unique<ms::ResilientSolver>(
-        std::make_unique<ms::PcsiSolver>(kBadBounds, opt), pol);
+  SolveRun dec = run_with(p, 1, [&](int) -> std::unique_ptr<ms::BatchedSolver> {
+    return std::make_unique<ms::BatchedResilientSolver>(
+        std::make_unique<ms::BatchedPcsiSolver>(kBadBounds, opt), pol);
   });
   EXPECT_FALSE(dec.stats.converged);
   EXPECT_EQ(dec.stats.failure, ms::FailureKind::kDiverged);
@@ -436,8 +440,8 @@ TEST(Resilient, GiveUpReturnsTypedFailure) {
 }
 
 TEST(Resilient, NameWrapsPrimary) {
-  ms::ResilientSolver rs(
-      std::make_unique<ms::ChronGearSolver>(ms::SolverOptions{}));
+  ms::BatchedResilientSolver rs(
+      std::make_unique<ms::BatchedChronGearSolver>(ms::SolverOptions{}));
   EXPECT_EQ(rs.name(), "resilient(chrongear)");
 }
 
@@ -759,8 +763,8 @@ TEST(FaultCampaign, SolverVectorNanDetectedAndRecovered) {
     // fault-free solve exactly (the rule is spent after one fire).
     mf::FaultScope scope(plan);
     SolveRun dec = run_with(p, 1, [&](int) {
-      return std::unique_ptr<ms::IterativeSolver>(
-          std::make_unique<ms::ResilientSolver>(make_kind("cg", opt)(0)));
+      return std::unique_ptr<ms::BatchedSolver>(
+          std::make_unique<ms::BatchedResilientSolver>(make_kind("cg", opt)(0)));
     });
     EXPECT_TRUE(dec.stats.converged);
     ASSERT_GE(dec.events.size(), 1u);
@@ -792,8 +796,8 @@ TEST(FaultCampaign, HaloBitFlipRecoversToFaultFreeAnswer) {
   plan.add(r);
   mf::FaultScope scope(plan);
   SolveRun dec = run_with(p, 4, [&](int) {
-    return std::unique_ptr<ms::IterativeSolver>(
-        std::make_unique<ms::ResilientSolver>(
+    return std::unique_ptr<ms::BatchedSolver>(
+        std::make_unique<ms::BatchedResilientSolver>(
             make_kind("pcsi", opt, bounds)(0)));
   });
   EXPECT_EQ(scope.injector().fire_count(), 1);
@@ -820,8 +824,8 @@ TEST(FaultCampaign, DroppedMessageTimesOutThenRecovers) {
   SolveRun dec = run_with(
       p, 4,
       [&](int) {
-        return std::unique_ptr<ms::IterativeSolver>(
-            std::make_unique<ms::ResilientSolver>(make_kind("cg", opt)(0)));
+        return std::unique_ptr<ms::BatchedSolver>(
+            std::make_unique<ms::BatchedResilientSolver>(make_kind("cg", opt)(0)));
       },
       nullptr, /*recv_timeout_ms=*/500.0);
   EXPECT_EQ(scope.injector().fire_count(), 1);
@@ -877,8 +881,8 @@ TEST(FaultCampaign, DuplicatedMessageNeverHangsOrLiesAboutConvergence) {
   SolveRun dec = run_with(
       p, 4,
       [&](int) {
-        return std::unique_ptr<ms::IterativeSolver>(
-            std::make_unique<ms::ResilientSolver>(make_kind("cg", opt)(0)));
+        return std::unique_ptr<ms::BatchedSolver>(
+            std::make_unique<ms::BatchedResilientSolver>(make_kind("cg", opt)(0)));
       },
       nullptr, /*recv_timeout_ms=*/1000.0);
   EXPECT_EQ(scope.injector().fire_count(), 1);
@@ -928,8 +932,8 @@ TEST(FaultCampaign, CorruptedEigenBoundsReestimatedAndRecovered) {
   plan.add(r);
   mf::FaultScope scope(plan);
   SolveRun dec = run_with(p, 1, [&](int) {
-    return std::unique_ptr<ms::IterativeSolver>(
-        std::make_unique<ms::ResilientSolver>(
+    return std::unique_ptr<ms::BatchedSolver>(
+        std::make_unique<ms::BatchedResilientSolver>(
             make_kind("pcsi", opt, bounds)(0)));
   });
   EXPECT_EQ(scope.injector().fire_count(), 1);

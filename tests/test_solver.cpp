@@ -9,11 +9,10 @@
 #include "src/grid/decomposition.hpp"
 #include "src/grid/stencil.hpp"
 #include "src/linalg/dense.hpp"
-#include "src/solver/chron_gear.hpp"
+#include "src/solver/batched_solver.hpp"
 #include "src/solver/field_ops.hpp"
 #include "src/solver/lanczos.hpp"
 #include "src/solver/pcg.hpp"
-#include "src/solver/pcsi.hpp"
 #include "src/util/rng.hpp"
 
 namespace mc = minipop::comm;
@@ -69,11 +68,26 @@ Problem make_problem(int nx, int ny, int block, int nranks,
   return p;
 }
 
+/// One solve of A x = b: PCG directly, the lockstep cores as a width-1
+/// batch.
+ms::SolveStats run(ms::IterativeSolver& s, mc::Communicator& comm,
+                   const mc::HaloExchanger& halo, const ms::DistOperator& a,
+                   ms::Preconditioner& m, const mc::DistField& b,
+                   mc::DistField& x) {
+  return s.solve(comm, halo, a, m, b, x);
+}
+ms::SolveStats run(ms::BatchedSolver& s, mc::Communicator& comm,
+                   const mc::HaloExchanger& halo, const ms::DistOperator& a,
+                   ms::Preconditioner& m, const mc::DistField& b,
+                   mc::DistField& x) {
+  return ms::solve_one(s, comm, halo, a, m, b, x);
+}
+
 /// Run a solver serially on rank 0 of a 1-rank decomposition; return the
 /// gathered solution and the stats.
+template <typename Solver>
 std::pair<mu::Field, ms::SolveStats> solve_serial(
-    const Problem& p, ms::IterativeSolver& solver,
-    bool diagonal_precond = true) {
+    const Problem& p, Solver& solver, bool diagonal_precond = true) {
   mc::SerialComm comm;
   mc::HaloExchanger halo(*p.decomp);
   ms::DistOperator a(*p.stencil, *p.decomp, 0);
@@ -84,7 +98,7 @@ std::pair<mu::Field, ms::SolveStats> solve_serial(
     m = std::make_unique<ms::IdentityPreconditioner>(a);
   mc::DistField b(*p.decomp, 0), x(*p.decomp, 0);
   b.load_global(p.b_global);
-  auto stats = solver.solve(comm, halo, a, *m, b, x);
+  auto stats = run(solver, comm, halo, a, *m, b, x);
   mu::Field out(p.decomp->nx_global(), p.decomp->ny_global(), 0.0);
   x.store_global(out);
   return {out, stats};
@@ -139,7 +153,7 @@ TEST(ChronGear, MatchesDenseSolution) {
   auto p = make_problem(14, 12, 14, 1);
   ms::SolverOptions opt;
   opt.rel_tolerance = 1e-12;
-  ms::ChronGearSolver solver(opt);
+  ms::BatchedChronGearSolver solver(opt);
   auto [x, stats] = solve_serial(p, solver);
   EXPECT_TRUE(stats.converged);
   EXPECT_LT(max_abs_err(x, p.x_ref), 1e-8 * std::max(1.0, max_abs(p.x_ref)));
@@ -152,7 +166,7 @@ TEST(ChronGear, IterationCountTracksPcg) {
   ms::SolverOptions opt;
   opt.rel_tolerance = 1e-10;
   ms::PcgSolver pcg(opt);
-  ms::ChronGearSolver cg(opt);
+  ms::BatchedChronGearSolver cg(opt);
   auto [x1, s1] = solve_serial(p, pcg);
   auto [x2, s2] = solve_serial(p, cg);
   EXPECT_TRUE(s1.converged);
@@ -164,7 +178,7 @@ TEST(ChronGear, OneReductionPerIteration) {
   auto p = make_problem(20, 16, 20, 1);
   ms::SolverOptions opt;
   opt.rel_tolerance = 1e-10;
-  ms::ChronGearSolver solver(opt);
+  ms::BatchedChronGearSolver solver(opt);
   auto [x, stats] = solve_serial(p, solver);
   ASSERT_TRUE(stats.converged);
   // iterations + initial ||b|| reduction.
@@ -193,7 +207,7 @@ TEST(Pcsi, ConvergesWithLanczosBounds) {
   auto bounds = lanczos_bounds_serial(p);
   ms::SolverOptions opt;
   opt.rel_tolerance = 1e-11;
-  ms::PcsiSolver solver(bounds, opt);
+  ms::BatchedPcsiSolver solver(bounds, opt);
   auto [x, stats] = solve_serial(p, solver);
   EXPECT_TRUE(stats.converged);
   EXPECT_LT(max_abs_err(x, p.x_ref), 1e-7 * std::max(1.0, max_abs(p.x_ref)));
@@ -205,10 +219,10 @@ TEST(Pcsi, NeedsMoreIterationsThanChronGearButFewerReductions) {
   auto p = make_problem(24, 20, 24, 1);
   ms::SolverOptions opt;
   opt.rel_tolerance = 1e-10;
-  ms::ChronGearSolver cg(opt);
+  ms::BatchedChronGearSolver cg(opt);
   auto [xc, sc] = solve_serial(p, cg);
   auto bounds = lanczos_bounds_serial(p);
-  ms::PcsiSolver pcsi(bounds, opt);
+  ms::BatchedPcsiSolver pcsi(bounds, opt);
   auto [xp, sp] = solve_serial(p, pcsi);
   ASSERT_TRUE(sc.converged);
   ASSERT_TRUE(sp.converged);
@@ -219,14 +233,14 @@ TEST(Pcsi, NeedsMoreIterationsThanChronGearButFewerReductions) {
 }
 
 TEST(Pcsi, RejectsInvalidBounds) {
-  EXPECT_THROW(ms::PcsiSolver(ms::EigenBounds{0.0, 1.0}), mu::Error);
-  EXPECT_THROW(ms::PcsiSolver(ms::EigenBounds{2.0, 1.0}), mu::Error);
+  EXPECT_THROW(ms::BatchedPcsiSolver(ms::EigenBounds{0.0, 1.0}), mu::Error);
+  EXPECT_THROW(ms::BatchedPcsiSolver(ms::EigenBounds{2.0, 1.0}), mu::Error);
 }
 
 TEST(Solvers, ZeroRhsGivesZeroSolution) {
   auto p = make_problem(12, 10, 12, 1);
   p.b_global.fill(0.0);
-  ms::ChronGearSolver solver;
+  ms::BatchedChronGearSolver solver;
   auto [x, stats] = solve_serial(p, solver);
   EXPECT_TRUE(stats.converged);
   EXPECT_EQ(stats.iterations, 0);
@@ -238,7 +252,7 @@ TEST(Solvers, NonConvergenceIsReportedNotThrown) {
   ms::SolverOptions opt;
   opt.rel_tolerance = 1e-14;
   opt.max_iterations = 3;
-  ms::ChronGearSolver solver(opt);
+  ms::BatchedChronGearSolver solver(opt);
   auto [x, stats] = solve_serial(p, solver);
   EXPECT_FALSE(stats.converged);
   EXPECT_EQ(stats.iterations, 3);
@@ -249,7 +263,7 @@ TEST(Solvers, DiagonalPreconditioningReducesIterations) {
   auto p = make_problem(20, 18, 20, 1);
   ms::SolverOptions opt;
   opt.rel_tolerance = 1e-10;
-  ms::ChronGearSolver solver(opt);
+  ms::BatchedChronGearSolver solver(opt);
   auto [xd, sd] = solve_serial(p, solver, /*diagonal=*/true);
   auto [xi, si] = solve_serial(p, solver, /*diagonal=*/false);
   ASSERT_TRUE(sd.converged);
@@ -261,7 +275,7 @@ TEST(Solvers, WarmStartConvergesFaster) {
   auto p = make_problem(18, 16, 18, 1);
   ms::SolverOptions opt;
   opt.rel_tolerance = 1e-10;
-  ms::ChronGearSolver solver(opt);
+  ms::BatchedChronGearSolver solver(opt);
 
   mc::SerialComm comm;
   mc::HaloExchanger halo(*p.decomp);
@@ -269,10 +283,10 @@ TEST(Solvers, WarmStartConvergesFaster) {
   ms::DiagonalPreconditioner m(a);
   mc::DistField b(*p.decomp, 0), x(*p.decomp, 0);
   b.load_global(p.b_global);
-  auto cold = solver.solve(comm, halo, a, m, b, x);
+  auto cold = run(solver, comm, halo, a, m, b, x);
   // x now holds the solution; re-solving from it must converge at the
   // first check.
-  auto warm = solver.solve(comm, halo, a, m, b, x);
+  auto warm = run(solver, comm, halo, a, m, b, x);
   ASSERT_TRUE(cold.converged);
   ASSERT_TRUE(warm.converged);
   EXPECT_LE(warm.iterations, opt.check_frequency);
@@ -294,8 +308,8 @@ TEST(Solvers, MultiRankMatchesSerial) {
     ms::DiagonalPreconditioner m(a);
     mc::DistField b(d1, 0), x(d1, 0);
     b.load_global(p.b_global);
-    ms::ChronGearSolver solver(opt);
-    auto stats = solver.solve(comm, halo, a, m, b, x);
+    ms::BatchedChronGearSolver solver(opt);
+    auto stats = run(solver, comm, halo, a, m, b, x);
     ASSERT_TRUE(stats.converged);
     x.store_global(x_serial);
   }
@@ -309,8 +323,8 @@ TEST(Solvers, MultiRankMatchesSerial) {
     ms::DiagonalPreconditioner m(a);
     mc::DistField b(*p.decomp, comm.rank()), x(*p.decomp, comm.rank());
     b.load_global(p.b_global);
-    ms::ChronGearSolver solver(opt);
-    auto stats = solver.solve(comm, halo, a, m, b, x);
+    ms::BatchedChronGearSolver solver(opt);
+    auto stats = run(solver, comm, halo, a, m, b, x);
     EXPECT_TRUE(stats.converged);
     iters[comm.rank()] = stats.iterations;
     x.store_global(x_parallel);  // disjoint interiors; no race
@@ -338,8 +352,8 @@ TEST(Pcsi, MultiRankMatchesSerialWithSameIterations) {
     ms::DiagonalPreconditioner m(a);
     mc::DistField b(d1, 0), x(d1, 0);
     b.load_global(p.b_global);
-    ms::PcsiSolver solver(bounds, opt);
-    auto stats = solver.solve(comm, halo, a, m, b, x);
+    ms::BatchedPcsiSolver solver(bounds, opt);
+    auto stats = run(solver, comm, halo, a, m, b, x);
     ASSERT_TRUE(stats.converged);
     serial_iters = stats.iterations;
     x.store_global(x_serial);
@@ -353,8 +367,8 @@ TEST(Pcsi, MultiRankMatchesSerialWithSameIterations) {
     ms::DiagonalPreconditioner m(a);
     mc::DistField b(*p.decomp, comm.rank()), x(*p.decomp, comm.rank());
     b.load_global(p.b_global);
-    ms::PcsiSolver solver(bounds, opt);
-    auto stats = solver.solve(comm, halo, a, m, b, x);
+    ms::BatchedPcsiSolver solver(bounds, opt);
+    auto stats = run(solver, comm, halo, a, m, b, x);
     EXPECT_TRUE(stats.converged);
     // P-CSI iterations are scalar-recurrence-driven: identical across
     // decompositions (no inner products in the iteration itself).

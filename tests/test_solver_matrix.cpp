@@ -94,7 +94,7 @@ TEST(SolverMatrix, EveryConfigComposesOrRejectsLoudly) {
           cfg.options.rel_tolerance = fp32 ? 1e-5 : 1e-10;
           cfg.options.precision = prec;
           cfg.resilient = resilient != 0;
-          cfg.overlap = overlap != 0;
+          cfg.options.overlap = overlap != 0;
           cfg.lanczos.rel_tolerance = 0.02;
 
           SCOPED_TRACE(ms::to_string(kind) + "/" +

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -19,11 +20,10 @@
 #include "src/grid/bathymetry.hpp"
 #include "src/grid/decomposition.hpp"
 #include "src/grid/stencil.hpp"
-#include "src/solver/chron_gear.hpp"
+#include "src/solver/batched_solver.hpp"
 #include "src/solver/field_ops.hpp"
 #include "src/solver/kernels.hpp"
 #include "src/solver/lanczos.hpp"
-#include "src/solver/pcsi.hpp"
 #include "src/solver/preconditioner.hpp"
 #include "src/solver/span_plan.hpp"
 #include "src/util/rng.hpp"
@@ -406,68 +406,71 @@ void operator_identity_case(int halo_width, std::uint64_t seed) {
   x.load_global(xg);
   b.load_global(p.b_global);
 
-  // apply (pure skip: ocean cells bit-equal)
-  Field y_s(*p.decomp, 0, halo_width), y_m(*p.decomp, 0, halo_width);
-  Field xs_copy = x, xm_copy = x;
-  op_span.apply(comm, halo, xs_copy, y_s);
-  op_mask.apply(comm, halo, xm_copy, y_m);
-  expect_ocean_bitwise(m, y_s, y_m);
+  // Single-field sweeps exist in fp64 only; fp32 runs as batches below.
+  if constexpr (std::is_same_v<T, double>) {
+    // apply (pure skip: ocean cells bit-equal)
+    Field y_s(*p.decomp, 0, halo_width), y_m(*p.decomp, 0, halo_width);
+    Field xs_copy = x, xm_copy = x;
+    op_span.apply(comm, halo, xs_copy, y_s);
+    op_mask.apply(comm, halo, xm_copy, y_m);
+    expect_ocean_bitwise(m, y_s, y_m);
 
-  // fused residual + norm² — residual leaves land at +0.0 on both
-  // paths (land r = 0 - (+0.0) masked, untouched zero span), so the
-  // planes compare bitwise at EVERY cell, and the reduced norm too.
-  Field r_s(*p.decomp, 0, halo_width), r_m(*p.decomp, 0, halo_width);
-  xs_copy = x;
-  xm_copy = x;
-  const double n_s =
-      op_span.residual_local_norm2(comm, halo, b, xs_copy, r_s);
-  const double n_m =
-      op_mask.residual_local_norm2(comm, halo, b, xm_copy, r_m);
-  EXPECT_EQ(n_s, n_m);
-  expect_full_bitwise(r_s, r_m);
+    // fused residual + norm² — residual leaves land at +0.0 on both
+    // paths (land r = 0 - (+0.0) masked, untouched zero span), so the
+    // planes compare bitwise at EVERY cell, and the reduced norm too.
+    Field r_s(*p.decomp, 0, halo_width), r_m(*p.decomp, 0, halo_width);
+    xs_copy = x;
+    xm_copy = x;
+    const double n_s =
+        op_span.residual_local_norm2(comm, halo, b, xs_copy, r_s);
+    const double n_m =
+        op_mask.residual_local_norm2(comm, halo, b, xm_copy, r_m);
+    EXPECT_EQ(n_s, n_m);
+    expect_full_bitwise(r_s, r_m);
 
-  // reductions
-  EXPECT_EQ(op_span.local_dot(comm, r_s, y_s),
-            op_mask.local_dot(comm, r_m, y_m));
-  double d3_s[3], d3_m[3];
-  op_span.local_dot3(comm, r_s, y_s, b, true, d3_s);
-  op_mask.local_dot3(comm, r_m, y_m, b, true, d3_m);
-  for (int k = 0; k < 3; ++k) EXPECT_EQ(d3_s[k], d3_m[k]);
+    // reductions
+    EXPECT_EQ(op_span.local_dot(comm, r_s, y_s),
+              op_mask.local_dot(comm, r_m, y_m));
+    double d3_s[3], d3_m[3];
+    op_span.local_dot3(comm, r_s, y_s, b, true, d3_s);
+    op_mask.local_dot3(comm, r_m, y_m, b, true, d3_m);
+    for (int k = 0; k < 3; ++k) EXPECT_EQ(d3_s[k], d3_m[k]);
 
-  // preconditioners (gap-zero: full bitwise equality at every cell)
-  ms::DiagonalPreconditioner md_s(op_span), md_m(op_mask);
-  ms::IdentityPreconditioner mi_s(op_span), mi_m(op_mask);
-  Field z_s(*p.decomp, 0, halo_width), z_m(*p.decomp, 0, halo_width);
-  md_s.apply(comm, r_s, z_s);
-  md_m.apply(comm, r_m, z_m);
-  expect_full_bitwise(z_s, z_m);
-  mi_s.apply(comm, r_s, z_s);
-  mi_m.apply(comm, r_m, z_m);
-  expect_full_bitwise(z_s, z_m);
+    // preconditioners (gap-zero: full bitwise equality at every cell)
+    ms::DiagonalPreconditioner md_s(op_span), md_m(op_mask);
+    ms::IdentityPreconditioner mi_s(op_span), mi_m(op_mask);
+    Field z_s(*p.decomp, 0, halo_width), z_m(*p.decomp, 0, halo_width);
+    md_s.apply(comm, r_s, z_s);
+    md_m.apply(comm, r_m, z_m);
+    expect_full_bitwise(z_s, z_m);
+    mi_s.apply(comm, r_s, z_s);
+    mi_m.apply(comm, r_m, z_m);
+    expect_full_bitwise(z_s, z_m);
 
-  // field ops with and without the plan
-  Field u_s = r_s, u_m = r_m;
-  ms::lincomb(comm, 1.25, y_s, -0.5, u_s, op_span.span_plan());
-  ms::lincomb(comm, 1.25, y_m, -0.5, u_m, op_mask.span_plan());
-  expect_ocean_bitwise(m, u_s, u_m);
-  ms::axpy(comm, -0.75, y_s, u_s, op_span.span_plan());
-  ms::axpy(comm, -0.75, y_m, u_m, op_mask.span_plan());
-  expect_ocean_bitwise(m, u_s, u_m);
-  ms::lincomb_axpy(comm, 0.5, y_s, 1.5, u_s, 2.0, z_s,
-                   op_span.span_plan());
-  ms::lincomb_axpy(comm, 0.5, y_m, 1.5, u_m, 2.0, z_m,
-                   op_mask.span_plan());
-  expect_ocean_bitwise(m, u_s, u_m);
-  expect_ocean_bitwise(m, z_s, z_m);
-  ms::scale(comm, -1.125, u_s, op_span.span_plan());
-  ms::scale(comm, -1.125, u_m, op_mask.span_plan());
-  expect_ocean_bitwise(m, u_s, u_m);
+    // field ops with and without the plan
+    Field u_s = r_s, u_m = r_m;
+    ms::lincomb(comm, 1.25, y_s, -0.5, u_s, op_span.span_plan());
+    ms::lincomb(comm, 1.25, y_m, -0.5, u_m, op_mask.span_plan());
+    expect_ocean_bitwise(m, u_s, u_m);
+    ms::axpy(comm, -0.75, y_s, u_s, op_span.span_plan());
+    ms::axpy(comm, -0.75, y_m, u_m, op_mask.span_plan());
+    expect_ocean_bitwise(m, u_s, u_m);
+    ms::lincomb_axpy(comm, 0.5, y_s, 1.5, u_s, 2.0, z_s,
+                     op_span.span_plan());
+    ms::lincomb_axpy(comm, 0.5, y_m, 1.5, u_m, 2.0, z_m,
+                     op_mask.span_plan());
+    expect_ocean_bitwise(m, u_s, u_m);
+    expect_ocean_bitwise(m, z_s, z_m);
+    ms::scale(comm, -1.125, u_s, op_span.span_plan());
+    ms::scale(comm, -1.125, u_m, op_mask.span_plan());
+    expect_ocean_bitwise(m, u_s, u_m);
 
-  // mask_interior re-establishes the land-zero invariant on both
-  // paths, after which the planes must agree everywhere.
-  op_span.mask_interior(u_s);
-  op_mask.mask_interior(u_m);
-  expect_full_bitwise(u_s, u_m);
+    // mask_interior re-establishes the land-zero invariant on both
+    // paths, after which the planes must agree everywhere.
+    op_span.mask_interior(u_s);
+    op_mask.mask_interior(u_m);
+    expect_full_bitwise(u_s, u_m);
+  }
 
   // --- B = 4 batch sweeps -------------------------------------------
   const int nb = 4;
@@ -518,6 +521,30 @@ void operator_identity_case(int halo_width, std::uint64_t seed) {
   op_span.local_dot3_batch(comm, rb_s, yb_s, bb, true, d3b_s.data());
   op_mask.local_dot3_batch(comm, rb_m, yb_m, bb, true, d3b_m.data());
   for (int k = 0; k < 3 * nb; ++k) EXPECT_EQ(d3b_s[k], d3b_m[k]);
+
+  // batched preconditioners (gap-zero: full bitwise equality at every
+  // cell and member)
+  ms::DiagonalPreconditioner bd_s(op_span), bd_m(op_mask);
+  ms::IdentityPreconditioner bi_s(op_span), bi_m(op_mask);
+  Batch zb_s(*p.decomp, 0, nb, halo_width),
+      zb_m(*p.decomp, 0, nb, halo_width);
+  const auto expect_batch_bitwise = [&] {
+    for (int lb = 0; lb < zb_s.num_local_blocks(); ++lb) {
+      const auto& info = zb_s.info(lb);
+      for (int j = 0; j < info.ny; ++j)
+        for (int i = 0; i < info.nx; ++i)
+          for (int mm = 0; mm < nb; ++mm)
+            ASSERT_EQ(zb_s.at(lb, i, j, mm), zb_m.at(lb, i, j, mm))
+                << "block " << lb << " (" << i << "," << j << ") member "
+                << mm;
+    }
+  };
+  bd_s.apply_batch(comm, rb_s, zb_s);
+  bd_m.apply_batch(comm, rb_m, zb_m);
+  expect_batch_bitwise();
+  bi_s.apply_batch(comm, rb_s, zb_s);
+  bi_m.apply_batch(comm, rb_m, zb_m);
+  expect_batch_bitwise();
 }
 
 }  // namespace
@@ -567,14 +594,14 @@ SolveOut run_once(const Problem& p, int nranks, bool use_spans,
     ms::DistOperator a(*p.stencil, *p.decomp, comm.rank());
     a.set_use_spans(use_spans);
     ms::DiagonalPreconditioner m(a);
-    std::unique_ptr<ms::IterativeSolver> s;
+    std::unique_ptr<ms::BatchedSolver> s;
     if (kind == "pcsi")
-      s = std::make_unique<ms::PcsiSolver>(bounds, opt);
+      s = std::make_unique<ms::BatchedPcsiSolver>(bounds, opt);
     else
-      s = std::make_unique<ms::ChronGearSolver>(opt);
+      s = std::make_unique<ms::BatchedChronGearSolver>(opt);
     mc::DistField b(*p.decomp, comm.rank()), x(*p.decomp, comm.rank());
     b.load_global(p.b_global);
-    stats[comm.rank()] = s->solve(comm, halo, a, m, b, x);
+    stats[comm.rank()] = ms::solve_one(*s, comm, halo, a, m, b, x);
     x.store_global(out.x);  // disjoint interiors; no race
   };
   if (nranks == 1) {

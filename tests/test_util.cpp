@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "src/util/array2d.hpp"
 #include "src/util/array3d.hpp"
@@ -109,6 +111,51 @@ TEST(Cli, RejectsMalformedNumbers) {
   const char* argv[] = {"prog", "--nx=12abc"};
   mu::Cli cli(2, argv);
   EXPECT_THROW(cli.get_int("nx", 0), mu::Error);
+}
+
+TEST(Cli, RejectsMalformedValuesOfEveryType) {
+  const char* argv[] = {"prog", "--depth=x", "--tol=1e-3q", "--on=maybe",
+                        "--big=99999999999"};
+  mu::Cli cli(5, argv);
+  EXPECT_THROW(cli.get_int("depth", 1), mu::Error);
+  EXPECT_THROW(cli.get_double("tol", 0.0), mu::Error);
+  EXPECT_THROW(cli.get_bool("on"), mu::Error);
+  EXPECT_THROW(cli.get_int("big", 0), mu::Error);
+  EXPECT_EQ(mu::parse_int("--block-size", "16"), 16);
+  EXPECT_EQ(mu::parse_int("--block-size", "-3"), -3);
+  EXPECT_THROW(mu::parse_int("--block-size", ""), mu::Error);
+  EXPECT_THROW(mu::parse_int("--block-size", "16x"), mu::Error);
+  try {
+    cli.get_int("depth", 1);
+  } catch (const mu::Error& e) {
+    EXPECT_STREQ(e.what(), "--depth=x is not an integer");
+  }
+}
+
+TEST(Cli, ReportsOptionsPassedButNeverRead) {
+  const char* argv[] = {"prog", "--halo-depht=4", "--days=3", "--solvr=pcg",
+                        "--verbose", "--days=5"};
+  mu::Cli cli(6, argv);
+  // Nothing looked up yet: every option is unread, first-occurrence order.
+  EXPECT_EQ(cli.unread(), (std::vector<std::string>{"halo-depht", "days",
+                                                    "solvr", "verbose"}));
+  EXPECT_EQ(cli.get_int("days", 90), 5);  // the last value wins
+  EXPECT_TRUE(cli.has("verbose"));
+  // Looking up an absent option marks nothing that was passed.
+  EXPECT_EQ(cli.get("halo-depth", "1"), "1");
+  EXPECT_EQ(cli.get("solver", "pcsi"), "pcsi");
+  EXPECT_EQ(cli.unread(),
+            (std::vector<std::string>{"halo-depht", "solvr"}));
+  try {
+    cli.reject_unread();
+    FAIL() << "should have thrown";
+  } catch (const mu::Error& e) {
+    EXPECT_STREQ(e.what(), "unknown options --halo-depht, --solvr");
+  }
+  cli.get("halo-depht", "");
+  cli.get("solvr", "");
+  EXPECT_TRUE(cli.unread().empty());
+  EXPECT_NO_THROW(cli.reject_unread());
 }
 
 TEST(Table, FormatsAlignedColumns) {
