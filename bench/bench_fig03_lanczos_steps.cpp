@@ -48,7 +48,8 @@ int main(int argc, char** argv) {
     solver::BatchedPcsiSolver pcsi(lz.bounds, sopt);
     comm::DistField b(*c.decomp, 0), x(*c.decomp, 0);
     b.load_global(c.rhs_global);
-    auto stats = solver::solve_one(pcsi, comm, *c.halo, op, precond, b, x);
+    auto stats =
+        solver::solve_one(pcsi, comm, *c.halo, op, precond, b, x);
 
     std::ostringstream interval;
     interval.precision(3);

@@ -199,8 +199,8 @@ std::unique_ptr<ms::BatchedSolver> make_primary(const std::string& kind,
 /// bounds → ChronGear → diagonal-preconditioned PCG.
 SolverFactory decorated(const std::string& kind, ms::EigenBounds bounds) {
   return [kind, bounds](int) -> std::unique_ptr<ms::BatchedSolver> {
-    auto rs =
-        std::make_unique<ms::BatchedResilientSolver>(make_primary(kind, bounds));
+    auto rs = std::make_unique<ms::BatchedResilientSolver>(
+        make_primary(kind, bounds));
     if (kind != "cg")
       rs->add_fallback(
           std::make_unique<ms::BatchedChronGearSolver>(solve_options()));

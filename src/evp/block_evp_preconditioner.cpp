@@ -179,10 +179,15 @@ void BlockEvpPreconditioner::apply_tiles(comm::Communicator& comm,
     const std::ptrdiff_t out_s = out.stride(t.local_block);
     const auto& mask = op_->block_mask(t.local_block);
     for (int m = 0; m < nb; ++m) {
+      // Contiguous rows at nb == 1 (the common single-solve case) keep
+      // the copies vectorizable; the values moved are the same.
       for (int j = 0; j < s.ny(); ++j) {
         const T* row = in_p + (s.j0() + j) * in_s + m;
-        for (int i = 0; i < s.nx(); ++i)
-          y(i, j) = row[static_cast<std::ptrdiff_t>(i) * nb];
+        if (nb == 1)
+          for (int i = 0; i < s.nx(); ++i) y(i, j) = row[i];
+        else
+          for (int i = 0; i < s.nx(); ++i)
+            y(i, j) = row[static_cast<std::ptrdiff_t>(i) * nb];
       }
       if constexpr (std::is_same_v<T, double>)
         s.solve(y, x);
@@ -192,8 +197,12 @@ void BlockEvpPreconditioner::apply_tiles(comm::Communicator& comm,
         T* row = out_p + (s.j0() + j) * out_s + m;
         const unsigned char* mrow =
             mask.data() + (s.j0() + j) * mask.nx() + s.i0();
-        for (int i = 0; i < s.nx(); ++i)
-          row[static_cast<std::ptrdiff_t>(i) * nb] = mrow[i] ? x(i, j) : T(0);
+        if (nb == 1)
+          for (int i = 0; i < s.nx(); ++i) row[i] = mrow[i] ? x(i, j) : T(0);
+        else
+          for (int i = 0; i < s.nx(); ++i)
+            row[static_cast<std::ptrdiff_t>(i) * nb] =
+                mrow[i] ? x(i, j) : T(0);
       }
     }
     flops += s.solve_flops() * static_cast<std::uint64_t>(nb);

@@ -922,6 +922,33 @@ BatchSolveStats BatchedChronGearSolver::solve_t(
 // ---------------------------------------------------------------------------
 // Width-1 entry point
 
+namespace {
+
+/// Lends a field's block planes to a width-1 batch for one scope: at
+/// nb = 1 a batch plane has exactly a DistField block's layout, so the
+/// planes move in and back (also when the solve throws) instead of
+/// being copied, and a single solve holds one copy of x, not two.
+class LentPlanes {
+ public:
+  LentPlanes(comm::DistField& f, comm::DistFieldBatch& batch)
+      : f_(f), batch_(batch) {
+    for (int lb = 0; lb < f_.num_local_blocks(); ++lb)
+      batch_.data(lb) = std::move(f_.data(lb));
+  }
+  ~LentPlanes() {
+    for (int lb = 0; lb < f_.num_local_blocks(); ++lb)
+      f_.data(lb) = std::move(batch_.data(lb));
+  }
+  LentPlanes(const LentPlanes&) = delete;
+  LentPlanes& operator=(const LentPlanes&) = delete;
+
+ private:
+  comm::DistField& f_;
+  comm::DistFieldBatch& batch_;
+};
+
+}  // namespace
+
 SolveStats solve_one(BatchedSolver& solver, comm::Communicator& comm,
                      const comm::HaloExchanger& halo, const DistOperator& a,
                      Preconditioner& m, const comm::DistField& b,
@@ -931,9 +958,11 @@ SolveStats solve_one(BatchedSolver& solver, comm::Communicator& comm,
   MINIPOP_REQUIRE(bb.member_compatible(b) && xb.member_compatible(x),
                   "solve_one: b/x do not match the operator's blocks");
   bb.load_member(0, b);
-  xb.load_member(0, x);
-  BatchSolveStats bs = solver.solve(comm, halo, a, m, bb, xb, x_fresh);
-  xb.store_member(0, x);
+  BatchSolveStats bs;
+  {
+    const LentPlanes lent(x, xb);
+    bs = solver.solve(comm, halo, a, m, bb, xb, x_fresh);
+  }
   BatchMemberStats& ms = bs.members[0];
   SolveStats out;
   out.iterations = ms.iterations;

@@ -210,9 +210,10 @@ class BatchedChronGearSolver final : public BatchedSolver {
 };
 
 /// Solve the single system A x = b through `solver` as a width-1 batch:
-/// b and x are copied into one-member batches (full padded planes, so
-/// halo freshness carries over), solved, and x is copied back. This is
-/// BarotropicSolver::solve and the entry point for one-off solves.
+/// b is copied into a one-member batch and x's planes are lent to one
+/// for the solve (full padded planes, so halo freshness carries over).
+/// This is BarotropicSolver::solve and the entry point for one-off
+/// solves.
 SolveStats solve_one(BatchedSolver& solver, comm::Communicator& comm,
                      const comm::HaloExchanger& halo, const DistOperator& a,
                      Preconditioner& m, const comm::DistField& b,

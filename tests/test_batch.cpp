@@ -269,8 +269,8 @@ class BatchedSolveIdentityTest
 // bit-identical to BarotropicSolver::solve: same iteration counts, same
 // relative residuals, same solution bits — serial and on 4 ThreadComm
 // ranks. (tests/test_golden_pins.cpp pins solve() itself against the
-// retired scalar solvers.) The batch also has to aggregate: far fewer halo rounds and
-// reductions than the 4 sequential solves.
+// retired scalar solvers.) The batch also has to aggregate: far fewer
+// halo rounds and reductions than the 4 sequential solves.
 TEST_P(BatchedSolveIdentityTest, MembersMatchScalarSolveBitwise) {
   const auto [kind, nranks] = GetParam();
   Problem p;

@@ -166,7 +166,8 @@ SolveRun run_with(const Problem& p, int nranks, const SolverFactory& make,
 SolverFactory make_kind(const std::string& kind, const ms::SolverOptions& opt,
                         ms::EigenBounds bounds = {1.0, 2.0}) {
   return [kind, opt, bounds](int) -> std::unique_ptr<ms::BatchedSolver> {
-    if (kind == "cg") return std::make_unique<ms::BatchedChronGearSolver>(opt);
+    if (kind == "cg")
+      return std::make_unique<ms::BatchedChronGearSolver>(opt);
     if (kind == "pcg")
       return std::make_unique<ms::SequentialBatchedSolver>(
           std::make_unique<ms::PcgSolver>(opt));
@@ -764,7 +765,8 @@ TEST(FaultCampaign, SolverVectorNanDetectedAndRecovered) {
     mf::FaultScope scope(plan);
     SolveRun dec = run_with(p, 1, [&](int) {
       return std::unique_ptr<ms::BatchedSolver>(
-          std::make_unique<ms::BatchedResilientSolver>(make_kind("cg", opt)(0)));
+          std::make_unique<ms::BatchedResilientSolver>(
+              make_kind("cg", opt)(0)));
     });
     EXPECT_TRUE(dec.stats.converged);
     ASSERT_GE(dec.events.size(), 1u);
@@ -825,7 +827,8 @@ TEST(FaultCampaign, DroppedMessageTimesOutThenRecovers) {
       p, 4,
       [&](int) {
         return std::unique_ptr<ms::BatchedSolver>(
-            std::make_unique<ms::BatchedResilientSolver>(make_kind("cg", opt)(0)));
+            std::make_unique<ms::BatchedResilientSolver>(
+                make_kind("cg", opt)(0)));
       },
       nullptr, /*recv_timeout_ms=*/500.0);
   EXPECT_EQ(scope.injector().fire_count(), 1);
@@ -882,7 +885,8 @@ TEST(FaultCampaign, DuplicatedMessageNeverHangsOrLiesAboutConvergence) {
       p, 4,
       [&](int) {
         return std::unique_ptr<ms::BatchedSolver>(
-            std::make_unique<ms::BatchedResilientSolver>(make_kind("cg", opt)(0)));
+            std::make_unique<ms::BatchedResilientSolver>(
+                make_kind("cg", opt)(0)));
       },
       nullptr, /*recv_timeout_ms=*/1000.0);
   EXPECT_EQ(scope.injector().fire_count(), 1);
