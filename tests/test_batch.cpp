@@ -432,7 +432,7 @@ TEST(BatchedSolve, ZeroRhsMemberResolvesImmediately) {
 // An easy member (warm-started at the solution) freezes at its first
 // convergence check while a hard (cold) member keeps iterating; the
 // frozen member's solution must not be perturbed by the extra lockstep
-// iterations — it stays bit-identical to its own scalar solve — and the
+// iterations — it stays bit-identical to its own single solve — and the
 // hard member still reaches tolerance.
 TEST(BatchedSolve, EasyMemberFreezesUnperturbedWhileHardMemberIterates) {
   Problem p;
@@ -474,7 +474,7 @@ TEST(BatchedSolve, EasyMemberFreezesUnperturbedWhileHardMemberIterates) {
   EXPECT_LT(stats.members[0].iterations, stats.members[1].iterations);
   EXPECT_LE(stats.members[1].relative_residual, 1e-12);
 
-  // The frozen member's bits match its scalar solve exactly even though
+  // The frozen member's bits match its single solve exactly even though
   // the batch kept sweeping for the hard member.
   for (int lb = 0; lb < x_easy.num_local_blocks(); ++lb) {
     const auto& info = x_easy.info(lb);

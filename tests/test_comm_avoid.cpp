@@ -84,7 +84,7 @@ struct SolveOutcome {
   mc::CostCounters costs;  ///< rank 0's per-solve deltas
 };
 
-/// One scalar solve at the given depth, on `nranks` ranks; returns the
+/// One single solve at the given depth, on `nranks` ranks; returns the
 /// gathered solution and rank-0 stats.
 SolveOutcome run_scalar(const CaProblem& p, int nranks,
                         ms::Precision precision,

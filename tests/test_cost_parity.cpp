@@ -108,7 +108,7 @@ TEST_P(CostParityTest, BatchedCountsAreExactlyBTimesScalar) {
                                 *p.stencil, *p.decomp, cfg);
     ASSERT_TRUE(solver.has_batched_path()) << pc.label;
 
-    // One scalar solve of the reference system.
+    // One single (width-1) solve of the reference system.
     mc::DistField b(*p.decomp, r), x(*p.decomp, r);
     b.load_global(rhs);
     auto snap = comm.costs().counters();

@@ -121,7 +121,7 @@ TEST(SolverMatrix, EveryConfigComposesOrRejectsLoudly) {
           EXPECT_EQ(solver.has_batched_path(), lockstep_kind(kind));
           EXPECT_FALSE(solver.batched().name().empty());
 
-          // B=1: the degenerate batch must converge like a scalar solve.
+          // B=1: the degenerate batch must converge like a single solve.
           const double tol = fp32 ? 1e-4 : 1e-8;
           {
             mc::DistField b(*p.decomp, 0), x(*p.decomp, 0);
