@@ -10,13 +10,9 @@
 // that replaced them (DESIGN.md §11). A mismatch means the arithmetic
 // of a solve changed. To print the table for a deliberate change, run
 //   MINIPOP_PRINT_PINS=1 ./minipop_tests --gtest_filter='GoldenPins.*'
-// and paste the printed rows over kPins.
+// and paste the printed rows over kPins (format: tests/golden_pin.hpp).
 #include <gtest/gtest.h>
 
-#include <cstdint>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -27,8 +23,8 @@
 #include "src/grid/decomposition.hpp"
 #include "src/grid/stencil.hpp"
 #include "src/solver/solver_factory.hpp"
-#include "src/util/crc32c.hpp"
 #include "src/util/rng.hpp"
+#include "tests/golden_pin.hpp"
 
 namespace mc = minipop::comm;
 namespace mg = minipop::grid;
@@ -36,6 +32,10 @@ namespace ms = minipop::solver;
 namespace mu = minipop::util;
 
 namespace {
+
+using minipop::test::check_pin;
+using minipop::test::make_pin;
+using minipop::test::Pin;
 
 /// Bowl with a two-cell island on an nx x ny uniform grid.
 struct PinProblem {
@@ -72,17 +72,6 @@ struct PinProblem {
         if (stencil->mask()(i, j)) b(i, j) = rng.uniform(-1, 1);
     return b;
   }
-};
-
-/// What a pin records about one solve.
-struct Pin {
-  const char* label;
-  int iterations;
-  std::uint64_t rel_bits;  ///< bit pattern of relative_residual
-  int history_len;
-  std::uint32_t history_crc;  ///< CRC32C of the (iteration, rel) pairs
-  std::uint32_t solution_crc;  ///< CRC32C of the gathered solution
-  int refine_sweeps;
 };
 
 // Recorded from the scalar solver stack (see the file comment). No pin
@@ -135,22 +124,6 @@ const Pin kPins[] = {
     {"pcsi/diagonal/ranks4/depth3", 120, 0x3db8f2ae01154be0ull, 12, 0x7dad33b4u, 0x5c6f4dfau, 0},
 };
 
-std::uint64_t bits_of(double v) {
-  std::uint64_t b;
-  std::memcpy(&b, &v, sizeof(b));
-  return b;
-}
-
-std::uint32_t history_crc(const std::vector<std::pair<int, double>>& h) {
-  std::uint32_t s = mu::kCrc32cInit;
-  for (const auto& [k, rel] : h) {
-    const std::int32_t k32 = k;
-    s = mu::crc32c_update(s, &k32, sizeof(k32));
-    s = mu::crc32c_update(s, &rel, sizeof(rel));
-  }
-  return mu::crc32c_final(s);
-}
-
 /// Solve once on `nranks` ranks through BarotropicSolver::solve and
 /// reduce the outcome to a pin (rank 0's stats, gathered solution).
 Pin measure(const char* label, const PinProblem& p, int nranks,
@@ -175,40 +148,10 @@ Pin measure(const char* label, const PinProblem& p, int nranks,
     team.run(body);
   }
   EXPECT_TRUE(stats.converged) << label;
-  Pin pin{};
-  pin.label = label;
-  pin.iterations = stats.iterations;
-  pin.rel_bits = bits_of(stats.relative_residual);
-  pin.history_len = static_cast<int>(stats.residual_history.size());
-  pin.history_crc = history_crc(stats.residual_history);
-  pin.solution_crc = mu::crc32c(x_global.data(),
-                                x_global.size() * sizeof(double));
-  pin.refine_sweeps = stats.refine_sweeps;
-  return pin;
+  return make_pin(label, stats, x_global);
 }
 
-void check(const Pin& got) {
-  if (std::getenv("MINIPOP_PRINT_PINS") != nullptr) {
-    std::printf("    {\"%s\", %d, 0x%016llxull, %d, 0x%08xu, 0x%08xu, %d},\n",
-                got.label, got.iterations,
-                static_cast<unsigned long long>(got.rel_bits),
-                got.history_len, got.history_crc, got.solution_crc,
-                got.refine_sweeps);
-    return;
-  }
-  const Pin* want = nullptr;
-  for (const Pin& p : kPins)
-    if (std::string(p.label) == got.label) want = &p;
-  ASSERT_NE(want, nullptr) << "no pin for " << got.label;
-  SCOPED_TRACE(got.label);
-  EXPECT_GT(got.history_len, 0);
-  EXPECT_EQ(got.iterations, want->iterations);
-  EXPECT_EQ(got.rel_bits, want->rel_bits);
-  EXPECT_EQ(got.history_len, want->history_len);
-  EXPECT_EQ(got.history_crc, want->history_crc);
-  EXPECT_EQ(got.solution_crc, want->solution_crc);
-  EXPECT_EQ(got.refine_sweeps, want->refine_sweeps);
-}
+void check(const Pin& got) { check_pin(got, kPins); }
 
 // Every configuration the solver matrix sweeps, at B = 1, on its
 // 18x14 bowl (one rank, four 9x7 blocks).

@@ -27,6 +27,7 @@
 #include "src/solver/preconditioner.hpp"
 #include "src/solver/span_plan.hpp"
 #include "src/util/rng.hpp"
+#include "tests/golden_pin.hpp"
 
 namespace mc = minipop::comm;
 namespace mg = minipop::grid;
@@ -615,12 +616,30 @@ SolveOut run_once(const Problem& p, int nranks, bool use_spans,
   return out;
 }
 
+// Golden pins of the four feature-mask solves below, recorded with the
+// masked kernels (span execution off) — the path span execution
+// replaced. Format: tests/golden_pin.hpp.
+const minipop::test::Pin kFeatureMaskPins[] = {
+    {"pcsi/ranks1/depth1", 310, 0x3dcdc2dd32234721ull, 31, 0x45dab237u, 0x091a0a3cu, 0},
+    {"pcsi/ranks4/depth1", 310, 0x3dcdc2dd32234723ull, 31, 0x99f81aa3u, 0x091a0a3cu, 0},
+    {"pcsi/ranks1/depth2", 310, 0x3dcdc2dd32234721ull, 31, 0x45dab237u, 0x091a0a3cu, 0},
+    {"chrongear/ranks1/depth1", 110, 0x3dd736d03bdf727cull, 11, 0xef16de32u, 0xd50b6f56u, 0},
+};
+
 void solver_identity_case(int nranks, const std::string& kind,
                           int halo_depth) {
   Problem p = make_problem(30, 22, 6, nranks, 77);
   const ms::EigenBounds bounds = lanczos_bounds_serial(p);
   const SolveOut s = run_once(p, nranks, true, kind, halo_depth, bounds);
   const SolveOut d = run_once(p, nranks, false, kind, halo_depth, bounds);
+  const std::string label = kind + "/ranks" + std::to_string(nranks) +
+                            "/depth" + std::to_string(halo_depth);
+  minipop::test::check_pin(
+      minipop::test::make_pin(label.c_str(), d.stats, d.x),
+      kFeatureMaskPins);
+  minipop::test::check_pin(
+      minipop::test::make_pin(label.c_str(), s.stats, s.x),
+      kFeatureMaskPins);
   EXPECT_TRUE(s.stats.converged);
   EXPECT_EQ(s.stats.iterations, d.stats.iterations);
   EXPECT_EQ(s.stats.converged, d.stats.converged);
@@ -648,5 +667,5 @@ TEST(SpanPlan, PcsiCommAvoidDepth2SolveBitwise) {
   solver_identity_case(1, "pcsi", 2);
 }
 TEST(SpanPlan, ChronGearSolveBitwiseSerial) {
-  solver_identity_case(1, "cg", 1);
+  solver_identity_case(1, "chrongear", 1);
 }
