@@ -26,7 +26,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -232,14 +231,8 @@ void write_json(const std::string& path, const std::vector<Row>& rows,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string json_path = "BENCH_comm_avoid.json";
-  for (int a = 1; a < argc; ++a) {
-    if (std::strcmp(argv[a], "--smoke") == 0)
-      smoke = true;
-    else
-      json_path = argv[a];
-  }
+  const auto [smoke, json_path] =
+      bench::parse_bench_args(argc, argv, "BENCH_comm_avoid.json", true);
 
   bench::print_header("comm_avoid",
                       "depth-k ghost zones: measured halo-round "

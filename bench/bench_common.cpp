@@ -1,9 +1,11 @@
 #include "bench_common.hpp"
 
 #include <cmath>
+#include <cstdlib>
 #include <iostream>
 
 #include "src/model/ocean_model.hpp"
+#include "src/util/error.hpp"
 #include "src/util/rng.hpp"
 
 namespace minipop::bench {
@@ -93,6 +95,24 @@ void print_header(const std::string& experiment, const std::string& what) {
   std::cout << "\n==============================================================\n"
             << experiment << " — " << what << "\n"
             << "==============================================================\n";
+}
+
+BenchArgs parse_bench_args(int argc, char** argv,
+                           const std::string& default_json, bool has_smoke) {
+  const util::Cli cli(argc, argv);
+  BenchArgs args;
+  try {
+    if (has_smoke) args.smoke = cli.get_bool("smoke");
+    if (cli.positional().size() > 1)
+      throw util::Error("more than one output path");
+    args.json_path =
+        cli.positional().empty() ? default_json : cli.positional()[0];
+    cli.reject_unread();
+  } catch (const std::exception& e) {
+    std::exit(cli.usage_error(
+        e, std::string(has_smoke ? "[--smoke] " : "") + "[output.json]"));
+  }
+  return args;
 }
 
 }  // namespace minipop::bench

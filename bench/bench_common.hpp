@@ -62,4 +62,18 @@ solver::SolverConfig config_for(perf::Config c, double rel_tolerance,
 /// Standard bench banner.
 void print_header(const std::string& experiment, const std::string& what);
 
+/// Command line of the benches with their own main():
+/// `[--smoke] [output.json]`.
+struct BenchArgs {
+  bool smoke = false;
+  std::string json_path;
+};
+
+/// Parse argv with util::Cli. `has_smoke` says whether the bench has a
+/// --smoke mode. An unknown or misspelled option, a malformed value or a
+/// second positional prints the usage line and exits 2, so a typo can
+/// neither become the output path nor skip a gate.
+BenchArgs parse_bench_args(int argc, char** argv,
+                           const std::string& default_json, bool has_smoke);
+
 }  // namespace minipop::bench

@@ -1,9 +1,10 @@
 // Kernel benchmark harness: times the hot-path kernels behind the
-// barotropic solvers (src/solver/kernels.*) against the seed's unfused
-// Field-indexing loops, plus end-to-end ChronGear and P-CSI solves, on a
-// representative masked production block (the full 1-degree POP grid as
-// one 320x384 tile). Prints a table and writes BENCH_kernels.json — run
-// it from the repo root so the JSON lands there:
+// barotropic solvers (src/solver/kernels.*, at width 1 over the block's
+// land-span plan) against the seed's unfused Field-indexing loops, plus
+// end-to-end ChronGear and P-CSI solves, on a representative masked
+// production block (the full 1-degree POP grid as one 320x384 tile).
+// Prints a table and writes BENCH_kernels.json — run it from the repo
+// root so the JSON lands there:
 //
 //   ./build/bench/bench_kernels [output.json]
 //
@@ -198,7 +199,9 @@ bool write_json(const std::string& path, int nx, int ny,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string json_path = argc > 1 ? argv[1] : "BENCH_kernels.json";
+  const std::string json_path =
+      bench::parse_bench_args(argc, argv, "BENCH_kernels.json", false)
+          .json_path;
   bench::print_header("kernels",
                       "hot-path kernel rates and fused-vs-seed speedup");
 
@@ -235,8 +238,11 @@ int main(int argc, char** argv) {
         op.block_coeff(0, grid::Dir::kSouthWest).data(),
         op.block_coeff(0, grid::Dir::kCenter).nx()};
   }();
-  const auto& mask = op.block_mask(0);
+  const int* ro = op.span_plan()[0].row_offset();
+  const mk::Span* sp = op.span_plan()[0].spans();
   const auto& info = x.info(0);
+  const double a1 = 1.0001, b1 = 0.9999, c1 = 1e-6;
+  const float a1f = 1.0001f, b1f = 0.9999f, c1f = 1e-6f;
   volatile double sink = 0;  // keeps reduction results live
 
   std::vector<KernelResult> results;
@@ -252,13 +258,13 @@ int main(int argc, char** argv) {
   // read/written, 8 B each per point (halo re-reads and write-allocate
   // traffic not counted — "effective" bandwidth in the STREAM sense).
   add("apply9", 88, time_best([&] {
-        mk::apply9(st, info.nx, info.ny, x.interior(0), x.stride(0),
+        mk::apply9(st, ro, sp, 1, info.ny, x.interior(0), x.stride(0),
                    y.interior(0), y.stride(0));
       }));
   add("apply_seed_reference", 88,
       time_best([&] { reference::apply(op, x, y); }));
   const double fused = time_best([&] {
-    mk::residual9(st, info.nx, info.ny, b.interior(0), b.stride(0),
+    mk::residual9(st, ro, sp, 1, info.ny, b.interior(0), b.stride(0),
                   x.interior(0), x.stride(0), r.interior(0), r.stride(0));
   });
   add("residual9_fused", 96, fused);
@@ -271,10 +277,11 @@ int main(int argc, char** argv) {
   // Fused: residual_norm2_9, one pass. This is the per-check-iteration
   // "residual path" the fusion exists for.
   const double check_fused = time_best([&] {
-    sink = mk::residual_norm2_9(st, mask.data(), mask.nx(), info.nx,
-                                info.ny, b.interior(0), b.stride(0),
-                                x.interior(0), x.stride(0), r.interior(0),
-                                r.stride(0), 0.0);
+    double n2 = 0.0;
+    mk::residual_norm2_9(st, ro, sp, 1, info.ny, b.interior(0), b.stride(0),
+                         x.interior(0), x.stride(0), r.interior(0),
+                         r.stride(0), &n2);
+    sink = n2;
   });
   add("residual_norm2_9_fused", 97, check_fused);
   const double check_unfused = time_best([&] {
@@ -285,35 +292,36 @@ int main(int argc, char** argv) {
 
   // Reductions (mask byte counted once per point).
   add("masked_dot", 17, time_best([&] {
-        sink = mk::masked_dot(mask.data(), mask.nx(), info.nx, info.ny,
-                              x.interior(0), x.stride(0), b.interior(0),
-                              b.stride(0), 0.0);
+        double d = 0.0;
+        mk::dot(ro, sp, 1, info.ny, x.interior(0), x.stride(0),
+                b.interior(0), b.stride(0), &d);
+        sink = d;
       }));
   add("masked_dot_seed_reference", 17,
       time_best([&] { sink = reference::masked_dot(op, x, b); }));
   add("masked_dot3_fused", 25, time_best([&] {
         double out[3] = {0, 0, 0};
-        mk::masked_dot3(mask.data(), mask.nx(), info.nx, info.ny,
-                        r.interior(0), r.stride(0), b.interior(0),
-                        b.stride(0), z.interior(0), z.stride(0), true, out);
+        mk::dot3(ro, sp, 1, info.ny, r.interior(0), r.stride(0),
+                 b.interior(0), b.stride(0), z.interior(0), z.stride(0),
+                 true, out);
         sink = out[0] + out[1] + out[2];
       }));
 
   // Vector updates.
   add("lincomb", 24, time_best([&] {
-        mk::lincomb(info.nx, info.ny, 1.0001, x.interior(0), x.stride(0),
-                    0.9999, y.interior(0), y.stride(0));
+        mk::lincomb(ro, sp, 1, info.ny, &a1, x.interior(0), x.stride(0),
+                    &b1, y.interior(0), y.stride(0), nullptr);
       }));
   add("lincomb_seed_reference", 24,
       time_best([&] { reference::lincomb(1.0001, x, 0.9999, y); }));
   add("axpy", 24, time_best([&] {
-        mk::axpy(info.nx, info.ny, 1e-6, x.interior(0), x.stride(0),
-                 y.interior(0), y.stride(0));
+        mk::axpy(ro, sp, 1, info.ny, &c1, x.interior(0), x.stride(0),
+                 y.interior(0), y.stride(0), nullptr);
       }));
   add("lincomb_axpy_fused", 40, time_best([&] {
-        mk::lincomb_axpy(info.nx, info.ny, 1.0001, x.interior(0),
-                         x.stride(0), 0.9999, y.interior(0), y.stride(0),
-                         1e-6, z.interior(0), z.stride(0));
+        mk::lincomb_axpy(ro, sp, 1, info.ny, &a1, x.interior(0),
+                         x.stride(0), &b1, y.interior(0), y.stride(0), &c1,
+                         z.interior(0), z.stride(0), nullptr);
       }));
   // --- fp32 instantiations of the same kernels -------------------------
   // Storage-precision float sweeps over identical data (demoted once).
@@ -346,34 +354,37 @@ int main(int argc, char** argv) {
   }();
   std::printf("\n");
   add("apply9_fp32", 88, time_best([&] {
-        mk::apply9(st32, info.nx, info.ny, x32.interior(0), x32.stride(0),
-                   y32.interior(0), y32.stride(0));
+        mk::apply9(st32, ro, sp, 1, info.ny, x32.interior(0),
+                   x32.stride(0), y32.interior(0), y32.stride(0));
       }));
   add("residual9_fp32", 96, time_best([&] {
-        mk::residual9(st32, info.nx, info.ny, b32.interior(0),
+        mk::residual9(st32, ro, sp, 1, info.ny, b32.interior(0),
                       b32.stride(0), x32.interior(0), x32.stride(0),
                       r32.interior(0), r32.stride(0));
       }));
   add("residual_norm2_9_fp32", 97, time_best([&] {
-        sink = mk::residual_norm2_9(st32, mask.data(), mask.nx(), info.nx,
-                                    info.ny, b32.interior(0), b32.stride(0),
-                                    x32.interior(0), x32.stride(0),
-                                    r32.interior(0), r32.stride(0), 0.0);
+        double n2 = 0.0;
+        mk::residual_norm2_9(st32, ro, sp, 1, info.ny, b32.interior(0),
+                             b32.stride(0), x32.interior(0), x32.stride(0),
+                             r32.interior(0), r32.stride(0), &n2);
+        sink = n2;
       }));
   add("masked_dot_fp32", 17, time_best([&] {
-        sink = mk::masked_dot(mask.data(), mask.nx(), info.nx, info.ny,
-                              x32.interior(0), x32.stride(0),
-                              b32.interior(0), b32.stride(0), 0.0);
+        double d = 0.0;
+        mk::dot(ro, sp, 1, info.ny, x32.interior(0), x32.stride(0),
+                b32.interior(0), b32.stride(0), &d);
+        sink = d;
       }));
   add("lincomb_fp32", 24, time_best([&] {
-        mk::lincomb(info.nx, info.ny, 1.0001f, x32.interior(0),
-                    x32.stride(0), 0.9999f, y32.interior(0), y32.stride(0));
+        mk::lincomb(ro, sp, 1, info.ny, &a1f, x32.interior(0),
+                    x32.stride(0), &b1f, y32.interior(0), y32.stride(0),
+                    nullptr);
       }));
   add("lincomb_axpy_fp32", 40, time_best([&] {
-        mk::lincomb_axpy(info.nx, info.ny, 1.0001f, x32.interior(0),
-                         x32.stride(0), 0.9999f, y32.interior(0),
-                         y32.stride(0), 1e-6f, z32.interior(0),
-                         z32.stride(0));
+        mk::lincomb_axpy(ro, sp, 1, info.ny, &a1f, x32.interior(0),
+                         x32.stride(0), &b1f, y32.interior(0),
+                         y32.stride(0), &c1f, z32.interior(0),
+                         z32.stride(0), nullptr);
       }));
 
   const double sweep_speedup = unfused / fused;

@@ -2,7 +2,8 @@
 // path buys and proves it costs no accuracy. Four experiments, one JSON:
 //
 //   1. Per-kernel fp32-vs-fp64 rates for the solver hot loops (9-point
-//      matvec, fused residual) and the EVP marching sweep, reported as
+//      matvec, fused residual, at width 1 over the block's land-span
+//      plan) and the EVP marching sweep, reported as
 //      GB/s-EQUIVALENT: both precisions are charged the fp64 byte
 //      convention, so the fp32/fp64 ratio IS the per-sweep speedup the
 //      halved storage buys (2.0x = perfectly bandwidth-bound).
@@ -99,7 +100,8 @@ struct RmseRow {
 
 int main(int argc, char** argv) {
   const std::string json_path =
-      argc > 1 ? argv[1] : "BENCH_precision.json";
+      bench::parse_bench_args(argc, argv, "BENCH_precision.json", false)
+          .json_path;
   bench::print_header("precision",
                       "fp32 storage path: kernel/EVP/halo gains and "
                       "mixed-vs-fp64 accuracy");
@@ -153,6 +155,8 @@ int main(int argc, char** argv) {
   const auto st64 = stencil_of(double{});
   const auto st32 = stencil_of(float{});
   const auto& info = x.info(0);
+  const int* ro = op.span_plan()[0].row_offset();
+  const mk::Span* sp = op.span_plan()[0].spans();
 
   std::vector<KernelRow> kernels;
   auto add = [&](const std::string& name, const std::string& prec,
@@ -164,20 +168,20 @@ int main(int argc, char** argv) {
   };
 
   add("apply9", "fp64", 88, points, time_best([&] {
-        mk::apply9(st64, info.nx, info.ny, x.interior(0), x.stride(0),
+        mk::apply9(st64, ro, sp, 1, info.ny, x.interior(0), x.stride(0),
                    y.interior(0), y.stride(0));
       }));
   add("apply9", "fp32", 88, points, time_best([&] {
-        mk::apply9(st32, info.nx, info.ny, x32.interior(0), x32.stride(0),
-                   y32.interior(0), y32.stride(0));
+        mk::apply9(st32, ro, sp, 1, info.ny, x32.interior(0),
+                   x32.stride(0), y32.interior(0), y32.stride(0));
       }));
   add("residual9", "fp64", 96, points, time_best([&] {
-        mk::residual9(st64, info.nx, info.ny, b.interior(0), b.stride(0),
+        mk::residual9(st64, ro, sp, 1, info.ny, b.interior(0), b.stride(0),
                       x.interior(0), x.stride(0), r.interior(0),
                       r.stride(0));
       }));
   add("residual9", "fp32", 96, points, time_best([&] {
-        mk::residual9(st32, info.nx, info.ny, b32.interior(0),
+        mk::residual9(st32, ro, sp, 1, info.ny, b32.interior(0),
                       b32.stride(0), x32.interior(0), x32.stride(0),
                       r32.interior(0), r32.stride(0));
       }));

@@ -45,6 +45,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "src/comm/serial_comm.hpp"
 #include "src/comm/thread_comm.hpp"
 #include "src/fault/fault_injector.hpp"
@@ -634,15 +635,9 @@ bool write_json(const std::string& path, const Problem& p,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string json_path = "BENCH_resilience.json";
-  for (int a = 1; a < argc; ++a) {
-    const std::string arg = argv[a];
-    if (arg == "--smoke")
-      smoke = true;
-    else
-      json_path = arg;
-  }
+  const auto [smoke, json_path] =
+      minipop::bench::parse_bench_args(argc, argv, "BENCH_resilience.json",
+                                       true);
   std::printf("== bench resilience: guard + integrity overhead%s ==\n\n",
               smoke ? " (smoke)" : " + fault campaign");
 

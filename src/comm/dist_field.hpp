@@ -23,6 +23,7 @@ namespace minipop::comm {
 template <typename T>
 class DistFieldT {
  public:
+  using value_type = T;
   /// Default POP halo width.
   static constexpr int kDefaultHalo = 2;
 
@@ -32,6 +33,9 @@ class DistFieldT {
   const grid::Decomposition& decomposition() const { return *decomp_; }
   int rank() const { return rank_; }
   int halo() const { return halo_; }
+  /// Members per cell: a DistField is the width-1 case of the batch
+  /// layout, so width-generic sweeps accept it as it is.
+  int nb() const { return 1; }
   int num_local_blocks() const { return static_cast<int>(data_.size()); }
 
   const grid::BlockInfo& info(int lb) const;

@@ -33,6 +33,7 @@ using DistField32 = DistFieldT<float>;
 template <typename T>
 class DistFieldBatchT {
  public:
+  using value_type = T;
   /// Default POP halo width (matches DistField::kDefaultHalo).
   static constexpr int kDefaultHalo = 2;
 

@@ -34,8 +34,8 @@ void copy_all(const comm::DistFieldBatchT<T>& x, comm::DistFieldBatchT<T>& y) {
   MINIPOP_REQUIRE(x.compatible_with(y), "batch copy field mismatch");
   for (int lb = 0; lb < x.num_local_blocks(); ++lb) {
     const auto& info = x.info(lb);
-    kernels::copy_batch(x.nb(), info.nx, info.ny, x.interior(lb),
-                        x.stride(lb), y.interior(lb), y.stride(lb));
+    kernels::copy(x.nb(), info.nx, info.ny, x.interior(lb), x.stride(lb),
+                  y.interior(lb), y.stride(lb));
   }
 }
 
@@ -51,35 +51,33 @@ void fill_member(comm::DistFieldBatchT<T>& x, int m, double v) {
   }
 }
 
-/// Ocean census of a span plan, for land-aware sweep accounting.
-std::uint64_t plan_active_points(const SpanPlan& plan) {
-  std::uint64_t n = 0;
+/// Cost of a member-masked update over the plan: `per_point` flops on
+/// every interior point of the n_act active lanes (a frozen member's
+/// solve has, logically, already returned), and the plan's ocean census
+/// against the swept interior.
+template <typename T>
+void count_active(comm::Communicator& comm, std::uint64_t per_point,
+                  const comm::DistFieldBatchT<T>& x, int n_act,
+                  const SpanPlan& plan) {
+  std::uint64_t active = 0;
   for (const auto& bs : plan)
-    n += static_cast<std::uint64_t>(bs.active_points());
-  return n;
+    active += static_cast<std::uint64_t>(bs.active_points());
+  const std::uint64_t swept = interior_points(x) * n_act;
+  comm.costs().add_flops(per_point * swept);
+  comm.costs().add_points(active * n_act, swept);
 }
 
-/// x_m *= a[m] for active members. Flops counted for active lanes only
-/// (a frozen member's solve has, logically, already returned).
+/// x_m *= a[m] for active members.
 template <typename T>
 void scale_active(comm::Communicator& comm, const T* a,
                   comm::DistFieldBatchT<T>& x,
                   const std::vector<unsigned char>& active, int n_act,
-                  const SpanPlan* plan = nullptr) {
-  for (int lb = 0; lb < x.num_local_blocks(); ++lb) {
-    const auto& info = x.info(lb);
-    if (plan)
-      kernels::scale_span_batch((*plan)[lb].row_offset(),
-                                (*plan)[lb].spans(), x.nb(), info.ny, a,
-                                x.interior(lb), x.stride(lb), active.data());
-    else
-      kernels::scale_batch(x.nb(), info.nx, info.ny, a, x.interior(lb),
-                           x.stride(lb), active.data());
-  }
-  comm.costs().add_flops(interior_points(x) * n_act);
-  if (plan)
-    comm.costs().add_points(plan_active_points(*plan) * n_act,
-                            interior_points(x) * n_act);
+                  const SpanPlan& plan) {
+  for (int lb = 0; lb < x.num_local_blocks(); ++lb)
+    kernels::scale(plan[lb].row_offset(), plan[lb].spans(), x.nb(),
+                   x.info(lb).ny, a, x.interior(lb), x.stride(lb),
+                   active.data());
+  count_active(comm, 1, x, n_act, plan);
 }
 
 /// y_m += a[m] * x_m for active members.
@@ -88,24 +86,13 @@ void axpy_active(comm::Communicator& comm, const T* a,
                  const comm::DistFieldBatchT<T>& x,
                  comm::DistFieldBatchT<T>& y,
                  const std::vector<unsigned char>& active, int n_act,
-                 const SpanPlan* plan = nullptr) {
+                 const SpanPlan& plan) {
   MINIPOP_REQUIRE(x.compatible_with(y), "batch axpy field mismatch");
-  for (int lb = 0; lb < x.num_local_blocks(); ++lb) {
-    const auto& info = x.info(lb);
-    if (plan)
-      kernels::axpy_span_batch((*plan)[lb].row_offset(), (*plan)[lb].spans(),
-                               x.nb(), info.ny, a, x.interior(lb),
-                               x.stride(lb), y.interior(lb), y.stride(lb),
-                               active.data());
-    else
-      kernels::axpy_batch(x.nb(), info.nx, info.ny, a, x.interior(lb),
-                          x.stride(lb), y.interior(lb), y.stride(lb),
-                          active.data());
-  }
-  comm.costs().add_flops(2 * interior_points(x) * n_act);
-  if (plan)
-    comm.costs().add_points(plan_active_points(*plan) * n_act,
-                            interior_points(x) * n_act);
+  for (int lb = 0; lb < x.num_local_blocks(); ++lb)
+    kernels::axpy(plan[lb].row_offset(), plan[lb].spans(), x.nb(),
+                  x.info(lb).ny, a, x.interior(lb), x.stride(lb),
+                  y.interior(lb), y.stride(lb), active.data());
+  count_active(comm, 2, x, n_act, plan);
 }
 
 /// Fused y_m = a[m] x_m + b[m] y_m; z_m += c[m] y_m for active members.
@@ -115,27 +102,15 @@ void lincomb_axpy_active(comm::Communicator& comm, const T* a,
                          comm::DistFieldBatchT<T>& y, const T* c,
                          comm::DistFieldBatchT<T>& z,
                          const std::vector<unsigned char>& active,
-                         int n_act, const SpanPlan* plan = nullptr) {
+                         int n_act, const SpanPlan& plan) {
   MINIPOP_REQUIRE(x.compatible_with(y) && x.compatible_with(z),
                   "batch lincomb_axpy field mismatch");
-  for (int lb = 0; lb < x.num_local_blocks(); ++lb) {
-    const auto& info = x.info(lb);
-    if (plan)
-      kernels::lincomb_axpy_span_batch(
-          (*plan)[lb].row_offset(), (*plan)[lb].spans(), x.nb(), info.ny, a,
-          x.interior(lb), x.stride(lb), b, y.interior(lb), y.stride(lb), c,
-          z.interior(lb), z.stride(lb), active.data());
-    else
-      kernels::lincomb_axpy_batch(x.nb(), info.nx, info.ny, a,
-                                  x.interior(lb), x.stride(lb), b,
-                                  y.interior(lb), y.stride(lb), c,
-                                  z.interior(lb), z.stride(lb),
-                                  active.data());
-  }
-  comm.costs().add_flops(4 * interior_points(x) * n_act);
-  if (plan)
-    comm.costs().add_points(plan_active_points(*plan) * n_act,
-                            interior_points(x) * n_act);
+  for (int lb = 0; lb < x.num_local_blocks(); ++lb)
+    kernels::lincomb_axpy(plan[lb].row_offset(), plan[lb].spans(), x.nb(),
+                          x.info(lb).ny, a, x.interior(lb), x.stride(lb), b,
+                          y.interior(lb), y.stride(lb), c, z.interior(lb),
+                          z.stride(lb), active.data());
+  count_active(comm, 4, x, n_act, plan);
 }
 
 /// Slot bookkeeping shared by the batched solvers. Per-MEMBER state
@@ -223,8 +198,8 @@ BatchControl init_control(const SolverOptions& opt, comm::Communicator& comm,
 /// Stamp the relative residual of every member frozen without a norm in
 /// hand, from its (frozen or deterministically recomputed) r plane. One
 /// extra vector allreduce; bit-equal per member at every batch width
-/// because dot_batch keeps masked_dot's accumulation order and vector
-/// allreduces combine element-wise.
+/// because the dot kernel keeps the width-1 accumulation order per
+/// member and vector allreduces combine element-wise.
 template <typename T>
 void stamp_pending(BatchControl& ctl, comm::Communicator& comm,
                    const DistOperator& a, const comm::DistFieldBatchT<T>& r,

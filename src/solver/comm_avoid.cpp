@@ -97,10 +97,10 @@ CommAvoidEngine::CommAvoidEngine(const DistOperator& op, int width)
           c(i, j) = global_at(g, b.i0 + i - width, b.j0 + j - width, px);
       p.coeff[d] = std::move(c);
     }
-    p.mask = util::MaskArray(exnx, exny, 0);
+    util::MaskArray mask(exnx, exny, 0);
     for (int j = 0; j < exny; ++j)
       for (int i = 0; i < exnx; ++i)
-        p.mask(i, j) =
+        mask(i, j) =
             mask_at(st.mask(), b.i0 + i - width, b.j0 + j - width, px);
     // The diagonal preconditioner's exact expression, extended: ghost
     // cells divide the SAME double diagonal value the owning rank
@@ -109,7 +109,7 @@ CommAvoidEngine::CommAvoidEngine(const DistOperator& op, int width)
     p.inv_diag = util::Field(exnx, exny, 0.0);
     for (int j = 0; j < exny; ++j)
       for (int i = 0; i < exnx; ++i)
-        if (p.mask(i, j)) p.inv_diag(i, j) = 1.0 / diag(i, j);
+        if (mask(i, j)) p.inv_diag(i, j) = 1.0 / diag(i, j);
     // Span plans for every extension the engine can sweep (e = 0 is
     // the plain interior; e = width is the full padded plane). Built
     // from the extended mask so ghost-rim land is skipped exactly like
@@ -119,9 +119,9 @@ CommAvoidEngine::CommAvoidEngine(const DistOperator& op, int width)
     for (int e = 0; e <= width; ++e) {
       const int nxe = b.nx + 2 * e;
       const int nye = b.ny + 2 * e;
-      BlockSpans bs(plane_at(p.mask, width, e), p.mask.nx(), nxe, nye);
+      BlockSpans bs(plane_at(mask, width, e), mask.nx(), nxe, nye);
 #if MINIPOP_BOUNDS_CHECK
-      bs.validate(plane_at(p.mask, width, e), p.mask.nx());
+      bs.validate(plane_at(mask, width, e), mask.nx());
 #endif
       per_e.push_back(std::move(bs));
     }
@@ -184,8 +184,7 @@ void CommAvoidEngine::precond_batch(comm::Communicator& comm,
     const auto& info = r.info(lb);
     const int nxe = info.nx + 2 * e;
     const int nye = info.ny + 2 * e;
-    const BlockSpans* sp =
-        op_->span_plan() ? &ext_spans_[lb][e] : nullptr;
+    const BlockSpans& sp = ext_spans_[lb][e];
     if (kind == CaPrecond::kDiagonal) {
       const auto& inv = [&]() -> const auto& {
         if constexpr (std::is_same_v<T, float>)
@@ -193,28 +192,14 @@ void CommAvoidEngine::precond_batch(comm::Communicator& comm,
         else
           return planes_[lb].inv_diag;
       }();
-      if (sp)
-        kernels::diag_apply_span_batch(plane_at(inv, width_, e), inv.nx(),
-                                       sp->row_offset(), sp->spans(), nb,
-                                       nxe, nye, field_at(r, lb, e),
-                                       r.stride(lb), field_at(z, lb, e),
-                                       z.stride(lb));
-      else
-        kernels::diag_apply_batch(plane_at(inv, width_, e), inv.nx(), nb,
-                                  nxe, nye, field_at(r, lb, e),
-                                  r.stride(lb), field_at(z, lb, e),
-                                  z.stride(lb));
+      kernels::diag_apply(plane_at(inv, width_, e), inv.nx(),
+                          sp.row_offset(), sp.spans(), nb, nxe, nye,
+                          field_at(r, lb, e), r.stride(lb),
+                          field_at(z, lb, e), z.stride(lb));
     } else {
-      const util::MaskArray& m = planes_[lb].mask;
-      if (sp)
-        kernels::masked_copy_span_batch(sp->row_offset(), sp->spans(), nb,
-                                        nxe, nye, field_at(r, lb, e),
-                                        r.stride(lb), field_at(z, lb, e),
-                                        z.stride(lb));
-      else
-        kernels::masked_copy_batch(plane_at(m, width_, e), m.nx(), nb, nxe,
-                                   nye, field_at(r, lb, e), r.stride(lb),
-                                   field_at(z, lb, e), z.stride(lb));
+      kernels::masked_copy(sp.row_offset(), sp.spans(), nb, nxe, nye,
+                           field_at(r, lb, e), r.stride(lb),
+                           field_at(z, lb, e), z.stride(lb));
     }
   }
   // Flop convention matches the baseline preconditioners: diagonal is
@@ -233,20 +218,12 @@ void CommAvoidEngine::update_batch(comm::Communicator& comm, const T* a,
   MINIPOP_REQUIRE(e >= 0 && e <= width_ && e <= z.halo(),
                   "update extension " << e);
   for (int lb = 0; lb < z.num_local_blocks(); ++lb) {
-    const auto& info = z.info(lb);
-    if (op_->span_plan()) {
-      const BlockSpans& sp = ext_spans_[lb][e];
-      kernels::lincomb_axpy_span_batch(
-          sp.row_offset(), sp.spans(), z.nb(), info.ny + 2 * e, a,
-          field_at(z, lb, e), z.stride(lb), b, field_at(dx, lb, e),
-          dx.stride(lb), c, field_at(x, lb, e), x.stride(lb), active);
-    } else {
-      kernels::lincomb_axpy_batch(z.nb(), info.nx + 2 * e, info.ny + 2 * e,
-                                  a, field_at(z, lb, e), z.stride(lb), b,
-                                  field_at(dx, lb, e), dx.stride(lb), c,
-                                  field_at(x, lb, e), x.stride(lb),
-                                  active);
-    }
+    const BlockSpans& sp = ext_spans_[lb][e];
+    kernels::lincomb_axpy(sp.row_offset(), sp.spans(), z.nb(),
+                          z.info(lb).ny + 2 * e, a, field_at(z, lb, e),
+                          z.stride(lb), b, field_at(dx, lb, e),
+                          dx.stride(lb), c, field_at(x, lb, e),
+                          x.stride(lb), active);
   }
   count(comm, e, n_act, 4);
 }
@@ -269,19 +246,10 @@ void CommAvoidEngine::residual_batch(comm::Communicator& comm,
       else
         return stencil_at(planes_[lb].coeff, width_, e);
     }();
-    if (op_->span_plan()) {
-      const BlockSpans& sp = ext_spans_[lb][e];
-      kernels::residual9_span_batch(c9, sp.row_offset(), sp.spans(), nb,
-                                    info.ny + 2 * e, field_at(b, lb, e),
-                                    b.stride(lb), field_at(x, lb, e),
-                                    x.stride(lb), field_at(r, lb, e),
-                                    r.stride(lb));
-    } else {
-      kernels::residual9_batch(c9, nb, info.nx + 2 * e, info.ny + 2 * e,
-                               field_at(b, lb, e), b.stride(lb),
-                               field_at(x, lb, e), x.stride(lb),
-                               field_at(r, lb, e), r.stride(lb));
-    }
+    const BlockSpans& sp = ext_spans_[lb][e];
+    kernels::residual9(c9, sp.row_offset(), sp.spans(), nb, info.ny + 2 * e,
+                       field_at(b, lb, e), b.stride(lb), field_at(x, lb, e),
+                       x.stride(lb), field_at(r, lb, e), r.stride(lb));
   }
   count(comm, e, nb, 10);
 }

@@ -101,7 +101,6 @@ class CommAvoidEngine {
   struct BlockPlanes {
     std::array<util::Field, grid::kNumDirs> coeff;
     util::Field inv_diag;
-    util::MaskArray mask;
   };
   struct BlockPlanes32 {
     std::array<util::Array2D<float>, grid::kNumDirs> coeff;
@@ -128,9 +127,8 @@ class CommAvoidEngine {
 
   /// Land-span plans of every extended sweep region (DESIGN.md §14):
   /// ext_spans_[lb][e] covers the (nx+2e) x (ny+2e) extension-e window
-  /// of local block lb's padded mask plane, e in [0, width_]. Used when
-  /// the operator runs span execution, so the depth-k ghost sweeps skip
-  /// land exactly like the baseline sweeps do.
+  /// of local block lb's padded mask plane, e in [0, width_], so the
+  /// depth-k ghost sweeps skip land exactly like the baseline sweeps do.
   std::vector<std::vector<BlockSpans>> ext_spans_;
   /// Ocean census of the extension-e regions summed over local blocks,
   /// indexed by e — the `active` half of count()'s add_points.

@@ -7,6 +7,9 @@
 #include "src/fault/fault_injector.hpp"
 #include "src/solver/kernels.hpp"
 #include "src/util/error.hpp"
+#if MINIPOP_BOUNDS_CHECK
+#include "src/solver/kernels_masked.hpp"
+#endif
 
 namespace minipop::solver {
 
@@ -44,27 +47,11 @@ kernels::Stencil9T<T> shift(const kernels::Stencil9T<T>& s, int i0, int j0) {
                                s.stride};
 }
 
-/// Field pointer advanced to (i0, j0) of a sub-rectangle.
+/// Field pointer advanced to member 0 of cell (i0, j0) of a sub-rect:
+/// the member-interleaved layout widens cell columns by nb (1 for a
+/// DistField), the stencil coefficients stay width 1.
 template <typename T>
-T* at(T* base, std::ptrdiff_t stride, const SubRect& r) {
-  return base + static_cast<std::ptrdiff_t>(r.j0) * stride + r.i0;
-}
-template <typename T>
-const T* at(const T* base, std::ptrdiff_t stride, const SubRect& r) {
-  return base + static_cast<std::ptrdiff_t>(r.j0) * stride + r.i0;
-}
-
-/// Batch-plane pointer advanced to member 0 of cell (i0, j0): the
-/// member-interleaved layout widens cell columns by nb, the stencil
-/// coefficients stay width 1.
-template <typename T>
-T* at_w(T* base, std::ptrdiff_t stride, int nb, const SubRect& r) {
-  return base + static_cast<std::ptrdiff_t>(r.j0) * stride +
-         static_cast<std::ptrdiff_t>(r.i0) * nb;
-}
-template <typename T>
-const T* at_w(const T* base, std::ptrdiff_t stride, int nb,
-              const SubRect& r) {
+T* at(T* base, std::ptrdiff_t stride, int nb, const SubRect& r) {
   return base + static_cast<std::ptrdiff_t>(r.j0) * stride +
          static_cast<std::ptrdiff_t>(r.i0) * nb;
 }
@@ -93,17 +80,23 @@ int rim_rects(int nx, int ny, SubRect out[4]) {
   return 4;
 }
 
-/// Offer each block interior of a sweep's freshly written output (a
-/// DistField or a width-1 batch — same addressing) to the installed
-/// FaultInjector. Compiles to nothing when MINIPOP_FAULTS is off.
+/// Offer each block interior of a sweep's freshly written output to the
+/// installed FaultInjector. Armed on width-1 fp64 operands — a DistField
+/// or a single solve's batch; a member of a wider batch that diverges
+/// recovers through the per-member sub-batches of the resilient
+/// decorator (DESIGN.md §11). Compiles to nothing when MINIPOP_FAULTS is
+/// off.
 template <typename F>
 void offer_interiors(int rank, F& v,
                      const std::vector<util::MaskArray>& masks) {
 #if MINIPOP_FAULTS
-  for (int lb = 0; lb < v.num_local_blocks(); ++lb) {
-    const auto& info = v.info(lb);
-    fault::hook_solver_vector(rank, v.interior(lb), v.stride(lb), info.nx,
-                              info.ny, masks[lb].data(), masks[lb].nx());
+  if constexpr (std::is_same_v<typename F::value_type, double>) {
+    if (v.nb() != 1) return;
+    for (int lb = 0; lb < v.num_local_blocks(); ++lb) {
+      const auto& info = v.info(lb);
+      fault::hook_solver_vector(rank, v.interior(lb), v.stride(lb), info.nx,
+                                info.ny, masks[lb].data(), masks[lb].nx());
+    }
   }
 #else
   (void)rank;
@@ -113,10 +106,10 @@ void offer_interiors(int rank, F& v,
 }
 
 #if MINIPOP_BOUNDS_CHECK
-/// Debug cross-run audit (DESIGN.md §14): after a span sweep, the
-/// masked kernel is re-run into scratch and the results must agree
+/// Debug cross-run audit (DESIGN.md §14): after a span sweep, the masked
+/// reference kernel is re-run into scratch and the results must agree
 /// bitwise at every ocean cell (land cells are exactly the points the
-/// span path is entitled to skip). nb = 1 audits the scalar sweeps.
+/// span path is entitled to skip).
 template <typename T>
 void audit_span_field(const util::MaskArray& mask, int nb, int nx, int ny,
                       const T* span_out, std::ptrdiff_t stride,
@@ -180,6 +173,7 @@ DistOperator::DistOperator(const grid::NinePointStencil& stencil,
         mask(i, j) = stencil.mask()(b.i0 + i, b.j0 + j);
         if (mask(i, j)) ++local_ocean_cells_;
       }
+    local_cells_ += static_cast<long>(b.nx) * b.ny;
     // Span plan (DESIGN.md §14): compress the block mask once; the
     // interior/rim clippings mirror the overlapped sweeps' sub-rects so
     // their shifted field pointers index the re-based spans directly.
@@ -196,7 +190,6 @@ DistOperator::DistOperator(const grid::NinePointStencil& stencil,
     std::array<BlockSpans, 4> rims;
     for (int k = 0; k < nrim; ++k)
       rims[k] = full.clipped(rim[k].i0, rim[k].j0, rim[k].ni, rim[k].nj);
-    span_num_rim_.push_back(nrim);
     span_rim_.push_back(std::move(rims));
     span_full_.push_back(std::move(full));
 
@@ -293,54 +286,179 @@ const util::Array2D<float>& DistOperator::block_coeff32(int lb,
   return block_coeff32_[lb][static_cast<int>(d)];
 }
 
-void DistOperator::offer_fault_sites(comm::DistField& v) const {
-  offer_interiors(rank_, v, block_mask_);
+void DistOperator::count(comm::Communicator& comm, std::uint64_t per_point,
+                         int nb) const {
+  const std::uint64_t swept = static_cast<std::uint64_t>(local_cells_) * nb;
+  comm.costs().add_flops(per_point * swept);
+  comm.costs().add_points(
+      static_cast<std::uint64_t>(local_ocean_cells_) * nb, swept);
 }
 
-template <typename T>
-void DistOperator::offer_fault_sites(comm::DistFieldBatchT<T>& v) const {
-  if constexpr (std::is_same_v<T, double>)
-    if (v.nb() == 1) offer_interiors(rank_, v, block_mask_);
+template <class F, class Sweep>
+void DistOperator::sweep_regions(comm::Communicator& comm,
+                                 const comm::HaloExchanger& halo, F& x,
+                                 comm::HaloFreshness fresh, bool overlap,
+                                 const Sweep& sweep) const {
+  if (!overlap || fresh == comm::HaloFreshness::kFresh) {
+    if (fresh == comm::HaloFreshness::kStale) halo.exchange(comm, x);
+    for (int lb = 0; lb < num_local_blocks(); ++lb)
+      sweep(lb, SubRect{0, 0, x.info(lb).nx, x.info(lb).ny}, span_full_[lb]);
+    return;
+  }
+  auto inflight = halo.begin(comm, x);
+  for (int lb = 0; lb < num_local_blocks(); ++lb) {
+    SubRect in;
+    if (interior_rect(x.info(lb).nx, x.info(lb).ny, &in))
+      sweep(lb, in, span_interior_[lb]);
+  }
+  inflight.finish();
+  for (int lb = 0; lb < num_local_blocks(); ++lb) {
+    SubRect rim[4];
+    const int n = rim_rects(x.info(lb).nx, x.info(lb).ny, rim);
+    for (int k = 0; k < n; ++k) sweep(lb, rim[k], span_rim_[lb][k]);
+  }
+}
+
+template <class F>
+void DistOperator::apply_impl(comm::Communicator& comm,
+                              const comm::HaloExchanger& halo, F& x, F& y,
+                              comm::HaloFreshness fresh,
+                              bool overlap) const {
+  using T = typename F::value_type;
+  MINIPOP_REQUIRE(x.compatible_with(y), "x/y field mismatch");
+  MINIPOP_REQUIRE(&x.decomposition() == decomp_ && x.rank() == rank_,
+                  "field does not match operator decomposition");
+  MINIPOP_REQUIRE(&x != &y, "apply requires distinct x and y");
+  if constexpr (std::is_same_v<T, double>) offer_coeff_fault_sites();
+  const auto& coeff = coeffs<T>();
+  const int nb = x.nb();
+  sweep_regions(comm, halo, x, fresh, overlap,
+                [&](int lb, const SubRect& q, const BlockSpans& sp) {
+                  kernels::apply9(shift(stencil_view(coeff[lb]), q.i0, q.j0),
+                                  sp.row_offset(), sp.spans(), nb, q.nj,
+                                  at(x.interior(lb), x.stride(lb), nb, q),
+                                  x.stride(lb),
+                                  at(y.interior(lb), y.stride(lb), nb, q),
+                                  y.stride(lb));
+                });
+#if MINIPOP_BOUNDS_CHECK
+  for (int lb = 0; lb < num_local_blocks(); ++lb) {
+    const auto& b = x.info(lb);
+    const std::ptrdiff_t ss = static_cast<std::ptrdiff_t>(b.nx) * nb;
+    std::vector<T> scratch(static_cast<std::size_t>(ss) * b.ny);
+    kernels::masked::apply9(stencil_view(coeff[lb]), nb, b.nx, b.ny,
+                            x.interior(lb), x.stride(lb), scratch.data(),
+                            ss);
+    audit_span_field(block_mask_[lb], nb, b.nx, b.ny, y.interior(lb),
+                     y.stride(lb), scratch.data(), ss);
+  }
+#endif
+  // Paper convention (§2): a nine-point matvec is 9 operations per point.
+  count(comm, 9, nb);
+  offer_interiors(rank_, y, block_mask_);
+}
+
+template <class F>
+void DistOperator::residual_impl(comm::Communicator& comm,
+                                 const comm::HaloExchanger& halo,
+                                 const F& b, F& x, F& r,
+                                 comm::HaloFreshness fresh,
+                                 bool overlap) const {
+  using T = typename F::value_type;
+  MINIPOP_REQUIRE(b.compatible_with(x) && b.compatible_with(r),
+                  "b/x/r field mismatch");
+  MINIPOP_REQUIRE(&x.decomposition() == decomp_ && x.rank() == rank_,
+                  "field does not match operator decomposition");
+  MINIPOP_REQUIRE(&b != &r && &x != &r, "residual requires distinct r");
+  if constexpr (std::is_same_v<T, double>) offer_coeff_fault_sites();
+  const auto& coeff = coeffs<T>();
+  const int nb = x.nb();
+  sweep_regions(comm, halo, x, fresh, overlap,
+                [&](int lb, const SubRect& q, const BlockSpans& sp) {
+                  kernels::residual9(
+                      shift(stencil_view(coeff[lb]), q.i0, q.j0),
+                      sp.row_offset(), sp.spans(), nb, q.nj,
+                      at(b.interior(lb), b.stride(lb), nb, q), b.stride(lb),
+                      at(x.interior(lb), x.stride(lb), nb, q), x.stride(lb),
+                      at(r.interior(lb), r.stride(lb), nb, q),
+                      r.stride(lb));
+                });
+#if MINIPOP_BOUNDS_CHECK
+  for (int lb = 0; lb < num_local_blocks(); ++lb) {
+    const auto& info = r.info(lb);
+    const std::ptrdiff_t ss = static_cast<std::ptrdiff_t>(info.nx) * nb;
+    std::vector<T> scratch(static_cast<std::size_t>(ss) * info.ny);
+    kernels::masked::residual9(stencil_view(coeff[lb]), nb, info.nx,
+                               info.ny, b.interior(lb), b.stride(lb),
+                               x.interior(lb), x.stride(lb), scratch.data(),
+                               ss);
+    audit_span_field(block_mask_[lb], nb, info.nx, info.ny, r.interior(lb),
+                     r.stride(lb), scratch.data(), ss);
+  }
+#endif
+  // Matvec (9 ops/point) + subtraction (1 op/point), as before fusion.
+  count(comm, 10, nb);
+  offer_interiors(rank_, r, block_mask_);
+}
+
+template <class F>
+void DistOperator::dot_impl(comm::Communicator& comm, const F& a,
+                            const F& b, double* sums) const {
+  MINIPOP_REQUIRE(a.compatible_with(b), "a/b field mismatch");
+  const int nb = a.nb();
+  for (int m = 0; m < nb; ++m) sums[m] = 0.0;
+  for (int lb = 0; lb < num_local_blocks(); ++lb) {
+    const auto& info = a.info(lb);
+#if MINIPOP_BOUNDS_CHECK
+    std::vector<double> ref(sums, sums + nb);
+    kernels::masked::dot(block_mask_[lb].data(), block_mask_[lb].nx(), nb,
+                         info.nx, info.ny, a.interior(lb), a.stride(lb),
+                         b.interior(lb), b.stride(lb), ref.data());
+#endif
+    kernels::dot(span_full_[lb].row_offset(), span_full_[lb].spans(), nb,
+                 info.ny, a.interior(lb), a.stride(lb), b.interior(lb),
+                 b.stride(lb), sums);
+#if MINIPOP_BOUNDS_CHECK
+    audit_span_sums(sums, ref.data(), nb);
+#endif
+  }
+  // Paper convention: inner product is 2 ops/point (multiply + masked add).
+  count(comm, 2, nb);
+}
+
+template <class F>
+void DistOperator::dot3_impl(comm::Communicator& comm, const F& r,
+                             const F& rp, const F& z, bool with_norm,
+                             double* out) const {
+  MINIPOP_REQUIRE(r.compatible_with(rp) && r.compatible_with(z),
+                  "r/rp/z field mismatch");
+  const int nb = r.nb();
+  for (int m = 0; m < 3 * nb; ++m) out[m] = 0.0;
+  for (int lb = 0; lb < num_local_blocks(); ++lb) {
+    const auto& info = r.info(lb);
+#if MINIPOP_BOUNDS_CHECK
+    std::vector<double> ref(out, out + 3 * nb);
+    kernels::masked::dot3(block_mask_[lb].data(), block_mask_[lb].nx(), nb,
+                          info.nx, info.ny, r.interior(lb), r.stride(lb),
+                          rp.interior(lb), rp.stride(lb), z.interior(lb),
+                          z.stride(lb), with_norm, ref.data());
+#endif
+    kernels::dot3(span_full_[lb].row_offset(), span_full_[lb].spans(), nb,
+                  info.ny, r.interior(lb), r.stride(lb), rp.interior(lb),
+                  rp.stride(lb), z.interior(lb), z.stride(lb), with_norm,
+                  out);
+#if MINIPOP_BOUNDS_CHECK
+    audit_span_sums(out, ref.data(), 3 * nb);
+#endif
+  }
+  count(comm, with_norm ? 6 : 4, nb);
 }
 
 void DistOperator::apply(comm::Communicator& comm,
                          const comm::HaloExchanger& halo,
                          comm::DistField& x, comm::DistField& y,
                          comm::HaloFreshness fresh) const {
-  MINIPOP_REQUIRE(x.compatible_with(y), "x/y field mismatch");
-  MINIPOP_REQUIRE(&x.decomposition() == decomp_ && x.rank() == rank_,
-                  "field does not match operator decomposition");
-  MINIPOP_REQUIRE(&x != &y, "apply requires distinct x and y");
-  offer_coeff_fault_sites();
-  if (fresh == comm::HaloFreshness::kStale) halo.exchange(comm, x);
-
-  const auto& coeff = block_coeff_;
-  std::uint64_t points = 0, active = 0;
-  for (int lb = 0; lb < num_local_blocks(); ++lb) {
-    const auto& b = x.info(lb);
-    if (use_spans_) {
-      kernels::apply9_span(stencil_view(coeff[lb]),
-                           span_full_[lb].row_offset(),
-                           span_full_[lb].spans(), b.ny, x.interior(lb),
-                           x.stride(lb), y.interior(lb), y.stride(lb));
-#if MINIPOP_BOUNDS_CHECK
-      std::vector<double> scratch(static_cast<std::size_t>(b.nx) * b.ny);
-      kernels::apply9(stencil_view(coeff[lb]), b.nx, b.ny, x.interior(lb),
-                      x.stride(lb), scratch.data(), b.nx);
-      audit_span_field(block_mask_[lb], 1, b.nx, b.ny, y.interior(lb),
-                       y.stride(lb), scratch.data(), b.nx);
-#endif
-    } else {
-      kernels::apply9(stencil_view(coeff[lb]), b.nx, b.ny, x.interior(lb),
-                      x.stride(lb), y.interior(lb), y.stride(lb));
-    }
-    points += static_cast<std::uint64_t>(b.nx) * b.ny;
-    active += static_cast<std::uint64_t>(span_full_[lb].active_points());
-  }
-  // Paper convention (§2): a nine-point matvec is 9 operations per point.
-  comm.costs().add_flops(9 * points);
-  comm.costs().add_points(active, points);
-  offer_fault_sites(y);
+  apply_impl(comm, halo, x, y, fresh, false);
 }
 
 void DistOperator::residual(comm::Communicator& comm,
@@ -348,169 +466,14 @@ void DistOperator::residual(comm::Communicator& comm,
                             const comm::DistField& b, comm::DistField& x,
                             comm::DistField& r,
                             comm::HaloFreshness fresh) const {
-  MINIPOP_REQUIRE(b.compatible_with(x) && b.compatible_with(r),
-                  "b/x/r field mismatch");
-  MINIPOP_REQUIRE(&x.decomposition() == decomp_ && x.rank() == rank_,
-                  "field does not match operator decomposition");
-  MINIPOP_REQUIRE(&b != &r && &x != &r, "residual requires distinct r");
-  offer_coeff_fault_sites();
-  if (fresh == comm::HaloFreshness::kStale) halo.exchange(comm, x);
-
-  const auto& coeff = block_coeff_;
-  std::uint64_t points = 0, active = 0;
-  for (int lb = 0; lb < num_local_blocks(); ++lb) {
-    const auto& info = r.info(lb);
-    if (use_spans_) {
-      kernels::residual9_span(stencil_view(coeff[lb]),
-                              span_full_[lb].row_offset(),
-                              span_full_[lb].spans(), info.ny,
-                              b.interior(lb), b.stride(lb), x.interior(lb),
-                              x.stride(lb), r.interior(lb), r.stride(lb));
-#if MINIPOP_BOUNDS_CHECK
-      std::vector<double> scratch(static_cast<std::size_t>(info.nx) * info.ny);
-      kernels::residual9(stencil_view(coeff[lb]), info.nx, info.ny,
-                         b.interior(lb), b.stride(lb), x.interior(lb),
-                         x.stride(lb), scratch.data(), info.nx);
-      audit_span_field(block_mask_[lb], 1, info.nx, info.ny,
-                       r.interior(lb), r.stride(lb), scratch.data(),
-                       info.nx);
-#endif
-    } else {
-      kernels::residual9(stencil_view(coeff[lb]), info.nx, info.ny,
-                         b.interior(lb), b.stride(lb), x.interior(lb),
-                         x.stride(lb), r.interior(lb), r.stride(lb));
-    }
-    points += static_cast<std::uint64_t>(info.nx) * info.ny;
-    active += static_cast<std::uint64_t>(span_full_[lb].active_points());
-  }
-  // Matvec (9 ops/point) + subtraction (1 op/point), as before fusion.
-  comm.costs().add_flops(10 * points);
-  comm.costs().add_points(active, points);
-  offer_fault_sites(r);
-}
-
-double DistOperator::residual_local_norm2(comm::Communicator& comm,
-                                          const comm::HaloExchanger& halo,
-                                          const comm::DistField& b,
-                                          comm::DistField& x,
-                                          comm::DistField& r,
-                                          comm::HaloFreshness fresh) const {
-  MINIPOP_REQUIRE(b.compatible_with(x) && b.compatible_with(r),
-                  "b/x/r field mismatch");
-  MINIPOP_REQUIRE(&x.decomposition() == decomp_ && x.rank() == rank_,
-                  "field does not match operator decomposition");
-  MINIPOP_REQUIRE(&b != &r && &x != &r, "residual requires distinct r");
-  offer_coeff_fault_sites();
-  if (fresh == comm::HaloFreshness::kStale) halo.exchange(comm, x);
-
-  const auto& coeff = block_coeff_;
-  double sum = 0.0;
-  std::uint64_t points = 0, active = 0;
-  for (int lb = 0; lb < num_local_blocks(); ++lb) {
-    const auto& info = r.info(lb);
-    if (use_spans_) {
-#if MINIPOP_BOUNDS_CHECK
-      const double sum0 = sum;
-#endif
-      sum = kernels::residual_norm2_9_span(
-          stencil_view(coeff[lb]), span_full_[lb].row_offset(),
-          span_full_[lb].spans(), info.ny, b.interior(lb), b.stride(lb),
-          x.interior(lb), x.stride(lb), r.interior(lb), r.stride(lb), sum);
-#if MINIPOP_BOUNDS_CHECK
-      std::vector<double> scratch(static_cast<std::size_t>(info.nx) * info.ny);
-      const double ref_sum = kernels::residual_norm2_9(
-          stencil_view(coeff[lb]), block_mask_[lb].data(),
-          block_mask_[lb].nx(), info.nx, info.ny, b.interior(lb),
-          b.stride(lb), x.interior(lb), x.stride(lb), scratch.data(),
-          info.nx, sum0);
-      audit_span_field(block_mask_[lb], 1, info.nx, info.ny,
-                       r.interior(lb), r.stride(lb), scratch.data(),
-                       info.nx);
-      audit_span_sums(&sum, &ref_sum, 1);
-#endif
-    } else {
-      sum = kernels::residual_norm2_9(
-          stencil_view(coeff[lb]), block_mask_[lb].data(),
-          block_mask_[lb].nx(), info.nx, info.ny, b.interior(lb),
-          b.stride(lb), x.interior(lb), x.stride(lb), r.interior(lb),
-          r.stride(lb), sum);
-    }
-    points += static_cast<std::uint64_t>(info.nx) * info.ny;
-    active += static_cast<std::uint64_t>(span_full_[lb].active_points());
-  }
-  // Residual (10 ops/point) + masked norm (2 ops/point), as when the
-  // sweeps were separate.
-  comm.costs().add_flops(12 * points);
-  comm.costs().add_points(active, points);
-  // Corruption lands after the fused norm was taken, exactly like a bit
-  // flip striking between two sweeps: it rides r into the next iterates
-  // and the *next* check window must catch it.
-  offer_fault_sites(r);
-  return sum;
+  residual_impl(comm, halo, b, x, r, fresh, false);
 }
 
 void DistOperator::apply_overlapped(comm::Communicator& comm,
                                     const comm::HaloExchanger& halo,
                                     comm::DistField& x, comm::DistField& y,
                                     comm::HaloFreshness fresh) const {
-  if (fresh == comm::HaloFreshness::kFresh) {
-    apply(comm, halo, x, y, fresh);
-    return;
-  }
-  MINIPOP_REQUIRE(x.compatible_with(y), "x/y field mismatch");
-  MINIPOP_REQUIRE(&x.decomposition() == decomp_ && x.rank() == rank_,
-                  "field does not match operator decomposition");
-  MINIPOP_REQUIRE(&x != &y, "apply requires distinct x and y");
-  offer_coeff_fault_sites();
-
-  const auto& coeff = block_coeff_;
-  comm::HaloHandle inflight = halo.begin(comm, x);
-  for (int lb = 0; lb < num_local_blocks(); ++lb) {
-    const auto& b = x.info(lb);
-    SubRect in;
-    if (!interior_rect(b.nx, b.ny, &in)) continue;
-    if (use_spans_)
-      kernels::apply9_span(shift(stencil_view(coeff[lb]), in.i0, in.j0),
-                           span_interior_[lb].row_offset(),
-                           span_interior_[lb].spans(), in.nj,
-                           at(x.interior(lb), x.stride(lb), in),
-                           x.stride(lb),
-                           at(y.interior(lb), y.stride(lb), in),
-                           y.stride(lb));
-    else
-      kernels::apply9(shift(stencil_view(coeff[lb]), in.i0, in.j0), in.ni,
-                      in.nj, at(x.interior(lb), x.stride(lb), in),
-                      x.stride(lb), at(y.interior(lb), y.stride(lb), in),
-                      y.stride(lb));
-  }
-  inflight.finish();
-
-  std::uint64_t points = 0, active = 0;
-  for (int lb = 0; lb < num_local_blocks(); ++lb) {
-    const auto& b = x.info(lb);
-    SubRect rim[4];
-    const int n = rim_rects(b.nx, b.ny, rim);
-    for (int k = 0; k < n; ++k) {
-      if (use_spans_)
-        kernels::apply9_span(
-            shift(stencil_view(coeff[lb]), rim[k].i0, rim[k].j0),
-            span_rim_[lb][k].row_offset(), span_rim_[lb][k].spans(),
-            rim[k].nj, at(x.interior(lb), x.stride(lb), rim[k]),
-            x.stride(lb), at(y.interior(lb), y.stride(lb), rim[k]),
-            y.stride(lb));
-      else
-        kernels::apply9(
-            shift(stencil_view(coeff[lb]), rim[k].i0, rim[k].j0),
-            rim[k].ni, rim[k].nj,
-            at(x.interior(lb), x.stride(lb), rim[k]), x.stride(lb),
-            at(y.interior(lb), y.stride(lb), rim[k]), y.stride(lb));
-    }
-    points += static_cast<std::uint64_t>(b.nx) * b.ny;
-    active += static_cast<std::uint64_t>(span_full_[lb].active_points());
-  }
-  comm.costs().add_flops(9 * points);
-  comm.costs().add_points(active, points);
-  offer_fault_sites(y);
+  apply_impl(comm, halo, x, y, fresh, true);
 }
 
 void DistOperator::residual_overlapped(comm::Communicator& comm,
@@ -519,103 +482,14 @@ void DistOperator::residual_overlapped(comm::Communicator& comm,
                                        comm::DistField& x,
                                        comm::DistField& r,
                                        comm::HaloFreshness fresh) const {
-  if (fresh == comm::HaloFreshness::kFresh) {
-    residual(comm, halo, b, x, r, fresh);
-    return;
-  }
-  MINIPOP_REQUIRE(b.compatible_with(x) && b.compatible_with(r),
-                  "b/x/r field mismatch");
-  MINIPOP_REQUIRE(&x.decomposition() == decomp_ && x.rank() == rank_,
-                  "field does not match operator decomposition");
-  MINIPOP_REQUIRE(&b != &r && &x != &r, "residual requires distinct r");
-  offer_coeff_fault_sites();
-
-  const auto& coeff = block_coeff_;
-  comm::HaloHandle inflight = halo.begin(comm, x);
-  for (int lb = 0; lb < num_local_blocks(); ++lb) {
-    const auto& info = r.info(lb);
-    SubRect in;
-    if (!interior_rect(info.nx, info.ny, &in)) continue;
-    if (use_spans_)
-      kernels::residual9_span(
-          shift(stencil_view(coeff[lb]), in.i0, in.j0),
-          span_interior_[lb].row_offset(), span_interior_[lb].spans(),
-          in.nj, at(b.interior(lb), b.stride(lb), in), b.stride(lb),
-          at(x.interior(lb), x.stride(lb), in), x.stride(lb),
-          at(r.interior(lb), r.stride(lb), in), r.stride(lb));
-    else
-      kernels::residual9(shift(stencil_view(coeff[lb]), in.i0, in.j0),
-                         in.ni, in.nj,
-                         at(b.interior(lb), b.stride(lb), in), b.stride(lb),
-                         at(x.interior(lb), x.stride(lb), in), x.stride(lb),
-                         at(r.interior(lb), r.stride(lb), in),
-                         r.stride(lb));
-  }
-  inflight.finish();
-
-  std::uint64_t points = 0, active = 0;
-  for (int lb = 0; lb < num_local_blocks(); ++lb) {
-    const auto& info = r.info(lb);
-    SubRect rim[4];
-    const int n = rim_rects(info.nx, info.ny, rim);
-    for (int k = 0; k < n; ++k) {
-      if (use_spans_)
-        kernels::residual9_span(
-            shift(stencil_view(coeff[lb]), rim[k].i0, rim[k].j0),
-            span_rim_[lb][k].row_offset(), span_rim_[lb][k].spans(),
-            rim[k].nj, at(b.interior(lb), b.stride(lb), rim[k]),
-            b.stride(lb), at(x.interior(lb), x.stride(lb), rim[k]),
-            x.stride(lb), at(r.interior(lb), r.stride(lb), rim[k]),
-            r.stride(lb));
-      else
-        kernels::residual9(
-            shift(stencil_view(coeff[lb]), rim[k].i0, rim[k].j0),
-            rim[k].ni, rim[k].nj,
-            at(b.interior(lb), b.stride(lb), rim[k]), b.stride(lb),
-            at(x.interior(lb), x.stride(lb), rim[k]), x.stride(lb),
-            at(r.interior(lb), r.stride(lb), rim[k]), r.stride(lb));
-    }
-    points += static_cast<std::uint64_t>(info.nx) * info.ny;
-    active += static_cast<std::uint64_t>(span_full_[lb].active_points());
-  }
-  comm.costs().add_flops(10 * points);
-  comm.costs().add_points(active, points);
-  offer_fault_sites(r);
+  residual_impl(comm, halo, b, x, r, fresh, true);
 }
 
 double DistOperator::local_dot(comm::Communicator& comm,
                                const comm::DistField& a,
                                const comm::DistField& b) const {
-  MINIPOP_REQUIRE(a.compatible_with(b), "a/b field mismatch");
-  double sum = 0.0;
-  std::uint64_t points = 0, active = 0;
-  for (int lb = 0; lb < num_local_blocks(); ++lb) {
-    const auto& info = a.info(lb);
-    const auto& mask = block_mask_[lb];
-    if (use_spans_) {
-#if MINIPOP_BOUNDS_CHECK
-      const double ref = kernels::masked_dot(
-          mask.data(), mask.nx(), info.nx, info.ny, a.interior(lb),
-          a.stride(lb), b.interior(lb), b.stride(lb), sum);
-#endif
-      sum = kernels::dot_span(span_full_[lb].row_offset(),
-                              span_full_[lb].spans(), info.ny,
-                              a.interior(lb), a.stride(lb), b.interior(lb),
-                              b.stride(lb), sum);
-#if MINIPOP_BOUNDS_CHECK
-      audit_span_sums(&sum, &ref, 1);
-#endif
-    } else {
-      sum = kernels::masked_dot(mask.data(), mask.nx(), info.nx, info.ny,
-                                a.interior(lb), a.stride(lb),
-                                b.interior(lb), b.stride(lb), sum);
-    }
-    points += static_cast<std::uint64_t>(info.nx) * info.ny;
-    active += static_cast<std::uint64_t>(span_full_[lb].active_points());
-  }
-  // Paper convention: inner product is 2 ops/point (multiply + masked add).
-  comm.costs().add_flops(2 * points);
-  comm.costs().add_points(active, points);
+  double sum;
+  dot_impl(comm, a, b, &sum);
   return sum;
 }
 
@@ -624,69 +498,7 @@ void DistOperator::local_dot3(comm::Communicator& comm,
                               const comm::DistField& rp,
                               const comm::DistField& z, bool with_norm,
                               double out[3]) const {
-  MINIPOP_REQUIRE(r.compatible_with(rp) && r.compatible_with(z),
-                  "r/rp/z field mismatch");
-  out[0] = out[1] = out[2] = 0.0;
-  std::uint64_t points = 0, active = 0;
-  for (int lb = 0; lb < num_local_blocks(); ++lb) {
-    const auto& info = r.info(lb);
-    const auto& mask = block_mask_[lb];
-    if (use_spans_) {
-#if MINIPOP_BOUNDS_CHECK
-      double ref[3] = {out[0], out[1], out[2]};
-      kernels::masked_dot3(mask.data(), mask.nx(), info.nx, info.ny,
-                           r.interior(lb), r.stride(lb), rp.interior(lb),
-                           rp.stride(lb), z.interior(lb), z.stride(lb),
-                           with_norm, ref);
-#endif
-      kernels::dot3_span(span_full_[lb].row_offset(),
-                         span_full_[lb].spans(), info.ny, r.interior(lb),
-                         r.stride(lb), rp.interior(lb), rp.stride(lb),
-                         z.interior(lb), z.stride(lb), with_norm, out);
-#if MINIPOP_BOUNDS_CHECK
-      audit_span_sums(out, ref, 3);
-#endif
-    } else {
-      kernels::masked_dot3(mask.data(), mask.nx(), info.nx, info.ny,
-                           r.interior(lb), r.stride(lb), rp.interior(lb),
-                           rp.stride(lb), z.interior(lb), z.stride(lb),
-                           with_norm, out);
-    }
-    points += static_cast<std::uint64_t>(info.nx) * info.ny;
-    active += static_cast<std::uint64_t>(span_full_[lb].active_points());
-  }
-  comm.costs().add_flops((with_norm ? 6 : 4) * points);
-  comm.costs().add_points(active, points);
-}
-
-void DistOperator::mask_interior(comm::DistField& x) const {
-  for (int lb = 0; lb < num_local_blocks(); ++lb) {
-    const auto& info = x.info(lb);
-    const auto& mask = block_mask_[lb];
-    // Gap-zero kernel: writes exactly the land zeros the masked version
-    // writes, so the two are unconditionally bitwise identical.
-    if (use_spans_)
-      kernels::mask_zero_span(span_full_[lb].row_offset(),
-                              span_full_[lb].spans(), info.nx, info.ny,
-                              x.interior(lb), x.stride(lb));
-    else
-      kernels::mask_zero(mask.data(), mask.nx(), info.nx, info.ny,
-                         x.interior(lb), x.stride(lb));
-  }
-}
-
-double DistOperator::residual_local_norm2_overlapped(
-    comm::Communicator& comm, const comm::HaloExchanger& halo,
-    const comm::DistField& b, comm::DistField& x, comm::DistField& r,
-    comm::HaloFreshness fresh) const {
-  // The fused kernel threads one row-major accumulator through whole
-  // blocks; an interior/rim split would reorder that sum. Instead use
-  // the kernel contract "residual_norm2_9 == residual9 + masked_dot":
-  // overlap the residual sweep, then take the norm in a second pass with
-  // the blocking accumulation order. Flops match the blocking path
-  // (10 + 2 per point).
-  residual_overlapped(comm, halo, b, x, r, fresh);
-  return local_dot(comm, r, r);
+  dot3_impl(comm, r, rp, z, with_norm, out);
 }
 
 double DistOperator::global_dot(comm::Communicator& comm,
@@ -704,44 +516,23 @@ void DistOperator::abft_local_sums_batch(comm::Communicator& comm,
                   "b/r/x batch mismatch");
   const int nb = b.nb();
   for (int m = 0; m < 3 * nb; ++m) out[m] = 0.0;
-  std::uint64_t points = 0, active = 0;
   for (int lb = 0; lb < num_local_blocks(); ++lb) {
-    const auto& info = b.info(lb);
-    const auto& mask = block_mask_[lb];
+    const int ny = b.info(lb).ny;
+    const int* ro = span_full_[lb].row_offset();
+    const kernels::Span* sp = span_full_[lb].spans();
     const util::Field& cs = column_sum_[lb];
-    if (use_spans_) {
-      const int* ro = span_full_[lb].row_offset();
-      const kernels::Span* sp = span_full_[lb].spans();
-      kernels::sum_span_batch(ro, sp, nb, info.ny, b.interior(lb),
-                              b.stride(lb), out);
-      kernels::sum_span_batch(ro, sp, nb, info.ny, r.interior(lb),
-                              r.stride(lb), out + nb);
-      kernels::dot_shared_span_batch(ro, sp, nb, info.ny, cs.data(),
-                                     cs.nx(), x.interior(lb), x.stride(lb),
-                                     out + 2 * nb);
-    } else {
-      kernels::masked_sum_batch(mask.data(), mask.nx(), nb, info.nx,
-                                info.ny, b.interior(lb), b.stride(lb), out);
-      kernels::masked_sum_batch(mask.data(), mask.nx(), nb, info.nx,
-                                info.ny, r.interior(lb), r.stride(lb),
-                                out + nb);
-      kernels::dot_shared_batch(mask.data(), mask.nx(), nb, info.nx,
-                                info.ny, cs.data(), cs.nx(), x.interior(lb),
-                                x.stride(lb), out + 2 * nb);
-    }
-    points += static_cast<std::uint64_t>(info.nx) * info.ny;
-    active += static_cast<std::uint64_t>(span_full_[lb].active_points());
+    kernels::sum(ro, sp, nb, ny, b.interior(lb), b.stride(lb), out);
+    kernels::sum(ro, sp, nb, ny, r.interior(lb), r.stride(lb), out + nb);
+    kernels::dot_shared(ro, sp, nb, ny, cs.data(), cs.nx(), x.interior(lb),
+                        x.stride(lb), out + 2 * nb);
   }
-  comm.costs().add_flops(4 * points * nb);
-  comm.costs().add_points(active * nb, points * nb);
+  count(comm, 4, nb);
 }
 
 // ---------------------------------------------------------------------------
-// Batched multi-RHS sweeps, templated on the storage scalar. Solver-
-// vector fault sites arm on width-1 fp64 batches (a single solve's
-// state); wider batches recover member by member through the resilient
-// decorator's sub-batches. Coefficient fault sites arm on every fp64
-// sweep (shared planes), caught by the ABFT audit.
+// Batched multi-RHS sweeps, templated on the storage scalar. Coefficient
+// fault sites arm on every fp64 sweep (shared planes), caught by the ABFT
+// audit.
 
 template <typename T>
 void DistOperator::apply_batch(comm::Communicator& comm,
@@ -749,44 +540,7 @@ void DistOperator::apply_batch(comm::Communicator& comm,
                                comm::DistFieldBatchT<T>& x,
                                comm::DistFieldBatchT<T>& y,
                                comm::HaloFreshness fresh) const {
-  MINIPOP_REQUIRE(x.compatible_with(y), "x/y batch mismatch");
-  MINIPOP_REQUIRE(&x.decomposition() == decomp_ && x.rank() == rank_,
-                  "batch does not match operator decomposition");
-  MINIPOP_REQUIRE(&x != &y, "apply requires distinct x and y");
-  if constexpr (std::is_same_v<T, double>) offer_coeff_fault_sites();
-  if (fresh == comm::HaloFreshness::kStale) halo.exchange(comm, x);
-
-  const auto& coeff = coeffs<T>();
-  const int nb = x.nb();
-  std::uint64_t points = 0, active = 0;
-  for (int lb = 0; lb < num_local_blocks(); ++lb) {
-    const auto& b = x.info(lb);
-    if (use_spans_) {
-      kernels::apply9_span_batch(stencil_view(coeff[lb]),
-                                 span_full_[lb].row_offset(),
-                                 span_full_[lb].spans(), nb, b.ny,
-                                 x.interior(lb), x.stride(lb),
-                                 y.interior(lb), y.stride(lb));
-#if MINIPOP_BOUNDS_CHECK
-      std::vector<T> scratch(static_cast<std::size_t>(b.nx) * b.ny * nb);
-      kernels::apply9_batch(stencil_view(coeff[lb]), nb, b.nx, b.ny,
-                            x.interior(lb), x.stride(lb), scratch.data(),
-                            static_cast<std::ptrdiff_t>(b.nx) * nb);
-      audit_span_field(block_mask_[lb], nb, b.nx, b.ny, y.interior(lb),
-                       y.stride(lb), scratch.data(),
-                       static_cast<std::ptrdiff_t>(b.nx) * nb);
-#endif
-    } else {
-      kernels::apply9_batch(stencil_view(coeff[lb]), nb, b.nx, b.ny,
-                            x.interior(lb), x.stride(lb), y.interior(lb),
-                            y.stride(lb));
-    }
-    points += static_cast<std::uint64_t>(b.nx) * b.ny;
-    active += static_cast<std::uint64_t>(span_full_[lb].active_points());
-  }
-  comm.costs().add_flops(9 * points * nb);
-  comm.costs().add_points(active * nb, points * nb);
-  offer_fault_sites(y);
+  apply_impl(comm, halo, x, y, fresh, false);
 }
 
 template <typename T>
@@ -796,47 +550,7 @@ void DistOperator::residual_batch(comm::Communicator& comm,
                                   comm::DistFieldBatchT<T>& x,
                                   comm::DistFieldBatchT<T>& r,
                                   comm::HaloFreshness fresh) const {
-  MINIPOP_REQUIRE(b.compatible_with(x) && b.compatible_with(r),
-                  "b/x/r batch mismatch");
-  MINIPOP_REQUIRE(&x.decomposition() == decomp_ && x.rank() == rank_,
-                  "batch does not match operator decomposition");
-  MINIPOP_REQUIRE(&b != &r && &x != &r, "residual requires distinct r");
-  if constexpr (std::is_same_v<T, double>) offer_coeff_fault_sites();
-  if (fresh == comm::HaloFreshness::kStale) halo.exchange(comm, x);
-
-  const auto& coeff = coeffs<T>();
-  const int nb = x.nb();
-  std::uint64_t points = 0, active = 0;
-  for (int lb = 0; lb < num_local_blocks(); ++lb) {
-    const auto& info = r.info(lb);
-    if (use_spans_) {
-      kernels::residual9_span_batch(
-          stencil_view(coeff[lb]), span_full_[lb].row_offset(),
-          span_full_[lb].spans(), nb, info.ny, b.interior(lb), b.stride(lb),
-          x.interior(lb), x.stride(lb), r.interior(lb), r.stride(lb));
-#if MINIPOP_BOUNDS_CHECK
-      std::vector<T> scratch(static_cast<std::size_t>(info.nx) * info.ny *
-                             nb);
-      kernels::residual9_batch(stencil_view(coeff[lb]), nb, info.nx,
-                               info.ny, b.interior(lb), b.stride(lb),
-                               x.interior(lb), x.stride(lb), scratch.data(),
-                               static_cast<std::ptrdiff_t>(info.nx) * nb);
-      audit_span_field(block_mask_[lb], nb, info.nx, info.ny,
-                       r.interior(lb), r.stride(lb), scratch.data(),
-                       static_cast<std::ptrdiff_t>(info.nx) * nb);
-#endif
-    } else {
-      kernels::residual9_batch(stencil_view(coeff[lb]), nb, info.nx,
-                               info.ny, b.interior(lb), b.stride(lb),
-                               x.interior(lb), x.stride(lb), r.interior(lb),
-                               r.stride(lb));
-    }
-    points += static_cast<std::uint64_t>(info.nx) * info.ny;
-    active += static_cast<std::uint64_t>(span_full_[lb].active_points());
-  }
-  comm.costs().add_flops(10 * points * nb);
-  comm.costs().add_points(active * nb, points * nb);
-  offer_fault_sites(r);
+  residual_impl(comm, halo, b, x, r, fresh, false);
 }
 
 template <typename T>
@@ -856,43 +570,35 @@ void DistOperator::residual_local_norm2_batch(
   const auto& coeff = coeffs<T>();
   const int nb = x.nb();
   for (int m = 0; m < nb; ++m) sums[m] = 0.0;
-  std::uint64_t points = 0, active = 0;
   for (int lb = 0; lb < num_local_blocks(); ++lb) {
     const auto& info = r.info(lb);
-    if (use_spans_) {
 #if MINIPOP_BOUNDS_CHECK
-      std::vector<double> sums0(sums, sums + nb);
+    std::vector<double> sums0(sums, sums + nb);
 #endif
-      kernels::residual_norm2_9_span_batch(
-          stencil_view(coeff[lb]), span_full_[lb].row_offset(),
-          span_full_[lb].spans(), nb, info.ny, b.interior(lb), b.stride(lb),
-          x.interior(lb), x.stride(lb), r.interior(lb), r.stride(lb), sums);
+    kernels::residual_norm2_9(
+        stencil_view(coeff[lb]), span_full_[lb].row_offset(),
+        span_full_[lb].spans(), nb, info.ny, b.interior(lb), b.stride(lb),
+        x.interior(lb), x.stride(lb), r.interior(lb), r.stride(lb), sums);
 #if MINIPOP_BOUNDS_CHECK
-      std::vector<T> scratch(static_cast<std::size_t>(info.nx) * info.ny *
-                             nb);
-      kernels::residual_norm2_9_batch(
-          stencil_view(coeff[lb]), block_mask_[lb].data(),
-          block_mask_[lb].nx(), nb, info.nx, info.ny, b.interior(lb),
-          b.stride(lb), x.interior(lb), x.stride(lb), scratch.data(),
-          static_cast<std::ptrdiff_t>(info.nx) * nb, sums0.data());
-      audit_span_field(block_mask_[lb], nb, info.nx, info.ny,
-                       r.interior(lb), r.stride(lb), scratch.data(),
-                       static_cast<std::ptrdiff_t>(info.nx) * nb);
-      audit_span_sums(sums, sums0.data(), nb);
+    const std::ptrdiff_t ss = static_cast<std::ptrdiff_t>(info.nx) * nb;
+    std::vector<T> scratch(static_cast<std::size_t>(ss) * info.ny);
+    kernels::masked::residual_norm2_9(
+        stencil_view(coeff[lb]), block_mask_[lb].data(),
+        block_mask_[lb].nx(), nb, info.nx, info.ny, b.interior(lb),
+        b.stride(lb), x.interior(lb), x.stride(lb), scratch.data(), ss,
+        sums0.data());
+    audit_span_field(block_mask_[lb], nb, info.nx, info.ny, r.interior(lb),
+                     r.stride(lb), scratch.data(), ss);
+    audit_span_sums(sums, sums0.data(), nb);
 #endif
-    } else {
-      kernels::residual_norm2_9_batch(
-          stencil_view(coeff[lb]), block_mask_[lb].data(),
-          block_mask_[lb].nx(), nb, info.nx, info.ny, b.interior(lb),
-          b.stride(lb), x.interior(lb), x.stride(lb), r.interior(lb),
-          r.stride(lb), sums);
-    }
-    points += static_cast<std::uint64_t>(info.nx) * info.ny;
-    active += static_cast<std::uint64_t>(span_full_[lb].active_points());
   }
-  comm.costs().add_flops(12 * points * nb);
-  comm.costs().add_points(active * nb, points * nb);
-  offer_fault_sites(r);
+  // Residual (10 ops/point) + masked norm (2 ops/point), as when the
+  // sweeps were separate.
+  count(comm, 12, nb);
+  // Corruption lands after the fused norm was taken, exactly like a bit
+  // flip striking between two sweeps: it rides r into the next iterates
+  // and the *next* check window must catch it.
+  offer_interiors(rank_, r, block_mask_);
 }
 
 template <typename T>
@@ -901,65 +607,7 @@ void DistOperator::apply_overlapped_batch(comm::Communicator& comm,
                                           comm::DistFieldBatchT<T>& x,
                                           comm::DistFieldBatchT<T>& y,
                                           comm::HaloFreshness fresh) const {
-  if (fresh == comm::HaloFreshness::kFresh) {
-    apply_batch<T>(comm, halo, x, y, fresh);
-    return;
-  }
-  MINIPOP_REQUIRE(x.compatible_with(y), "x/y batch mismatch");
-  MINIPOP_REQUIRE(&x.decomposition() == decomp_ && x.rank() == rank_,
-                  "batch does not match operator decomposition");
-  MINIPOP_REQUIRE(&x != &y, "apply requires distinct x and y");
-  if constexpr (std::is_same_v<T, double>) offer_coeff_fault_sites();
-
-  const auto& coeff = coeffs<T>();
-  const int nb = x.nb();
-  comm::HaloHandleT<T> inflight = halo.begin(comm, x);
-  for (int lb = 0; lb < num_local_blocks(); ++lb) {
-    const auto& b = x.info(lb);
-    SubRect in;
-    if (!interior_rect(b.nx, b.ny, &in)) continue;
-    if (use_spans_)
-      kernels::apply9_span_batch(
-          shift(stencil_view(coeff[lb]), in.i0, in.j0),
-          span_interior_[lb].row_offset(), span_interior_[lb].spans(), nb,
-          in.nj, at_w(x.interior(lb), x.stride(lb), nb, in), x.stride(lb),
-          at_w(y.interior(lb), y.stride(lb), nb, in), y.stride(lb));
-    else
-      kernels::apply9_batch(shift(stencil_view(coeff[lb]), in.i0, in.j0),
-                            nb, in.ni, in.nj,
-                            at_w(x.interior(lb), x.stride(lb), nb, in),
-                            x.stride(lb),
-                            at_w(y.interior(lb), y.stride(lb), nb, in),
-                            y.stride(lb));
-  }
-  inflight.finish();
-
-  std::uint64_t points = 0, active = 0;
-  for (int lb = 0; lb < num_local_blocks(); ++lb) {
-    const auto& b = x.info(lb);
-    SubRect rim[4];
-    const int n = rim_rects(b.nx, b.ny, rim);
-    for (int k = 0; k < n; ++k) {
-      if (use_spans_)
-        kernels::apply9_span_batch(
-            shift(stencil_view(coeff[lb]), rim[k].i0, rim[k].j0),
-            span_rim_[lb][k].row_offset(), span_rim_[lb][k].spans(), nb,
-            rim[k].nj, at_w(x.interior(lb), x.stride(lb), nb, rim[k]),
-            x.stride(lb), at_w(y.interior(lb), y.stride(lb), nb, rim[k]),
-            y.stride(lb));
-      else
-        kernels::apply9_batch(
-            shift(stencil_view(coeff[lb]), rim[k].i0, rim[k].j0), nb,
-            rim[k].ni, rim[k].nj,
-            at_w(x.interior(lb), x.stride(lb), nb, rim[k]), x.stride(lb),
-            at_w(y.interior(lb), y.stride(lb), nb, rim[k]), y.stride(lb));
-    }
-    points += static_cast<std::uint64_t>(b.nx) * b.ny;
-    active += static_cast<std::uint64_t>(span_full_[lb].active_points());
-  }
-  comm.costs().add_flops(9 * points * nb);
-  comm.costs().add_points(active * nb, points * nb);
-  offer_fault_sites(y);
+  apply_impl(comm, halo, x, y, fresh, true);
 }
 
 template <typename T>
@@ -967,68 +615,7 @@ void DistOperator::residual_overlapped_batch(
     comm::Communicator& comm, const comm::HaloExchanger& halo,
     const comm::DistFieldBatchT<T>& b, comm::DistFieldBatchT<T>& x,
     comm::DistFieldBatchT<T>& r, comm::HaloFreshness fresh) const {
-  if (fresh == comm::HaloFreshness::kFresh) {
-    residual_batch<T>(comm, halo, b, x, r, fresh);
-    return;
-  }
-  MINIPOP_REQUIRE(b.compatible_with(x) && b.compatible_with(r),
-                  "b/x/r batch mismatch");
-  MINIPOP_REQUIRE(&x.decomposition() == decomp_ && x.rank() == rank_,
-                  "batch does not match operator decomposition");
-  MINIPOP_REQUIRE(&b != &r && &x != &r, "residual requires distinct r");
-  if constexpr (std::is_same_v<T, double>) offer_coeff_fault_sites();
-
-  const auto& coeff = coeffs<T>();
-  const int nb = x.nb();
-  comm::HaloHandleT<T> inflight = halo.begin(comm, x);
-  for (int lb = 0; lb < num_local_blocks(); ++lb) {
-    const auto& info = r.info(lb);
-    SubRect in;
-    if (!interior_rect(info.nx, info.ny, &in)) continue;
-    if (use_spans_)
-      kernels::residual9_span_batch(
-          shift(stencil_view(coeff[lb]), in.i0, in.j0),
-          span_interior_[lb].row_offset(), span_interior_[lb].spans(), nb,
-          in.nj, at_w(b.interior(lb), b.stride(lb), nb, in), b.stride(lb),
-          at_w(x.interior(lb), x.stride(lb), nb, in), x.stride(lb),
-          at_w(r.interior(lb), r.stride(lb), nb, in), r.stride(lb));
-    else
-      kernels::residual9_batch(
-          shift(stencil_view(coeff[lb]), in.i0, in.j0), nb, in.ni, in.nj,
-          at_w(b.interior(lb), b.stride(lb), nb, in), b.stride(lb),
-          at_w(x.interior(lb), x.stride(lb), nb, in), x.stride(lb),
-          at_w(r.interior(lb), r.stride(lb), nb, in), r.stride(lb));
-  }
-  inflight.finish();
-
-  std::uint64_t points = 0, active = 0;
-  for (int lb = 0; lb < num_local_blocks(); ++lb) {
-    const auto& info = r.info(lb);
-    SubRect rim[4];
-    const int n = rim_rects(info.nx, info.ny, rim);
-    for (int k = 0; k < n; ++k) {
-      if (use_spans_)
-        kernels::residual9_span_batch(
-            shift(stencil_view(coeff[lb]), rim[k].i0, rim[k].j0),
-            span_rim_[lb][k].row_offset(), span_rim_[lb][k].spans(), nb,
-            rim[k].nj, at_w(b.interior(lb), b.stride(lb), nb, rim[k]),
-            b.stride(lb), at_w(x.interior(lb), x.stride(lb), nb, rim[k]),
-            x.stride(lb), at_w(r.interior(lb), r.stride(lb), nb, rim[k]),
-            r.stride(lb));
-      else
-        kernels::residual9_batch(
-            shift(stencil_view(coeff[lb]), rim[k].i0, rim[k].j0), nb,
-            rim[k].ni, rim[k].nj,
-            at_w(b.interior(lb), b.stride(lb), nb, rim[k]), b.stride(lb),
-            at_w(x.interior(lb), x.stride(lb), nb, rim[k]), x.stride(lb),
-            at_w(r.interior(lb), r.stride(lb), nb, rim[k]), r.stride(lb));
-    }
-    points += static_cast<std::uint64_t>(info.nx) * info.ny;
-    active += static_cast<std::uint64_t>(span_full_[lb].active_points());
-  }
-  comm.costs().add_flops(10 * points * nb);
-  comm.costs().add_points(active * nb, points * nb);
-  offer_fault_sites(r);
+  residual_impl(comm, halo, b, x, r, fresh, true);
 }
 
 template <typename T>
@@ -1037,11 +624,11 @@ void DistOperator::residual_local_norm2_overlapped_batch(
     const comm::DistFieldBatchT<T>& b, comm::DistFieldBatchT<T>& x,
     comm::DistFieldBatchT<T>& r, double* sums,
     comm::HaloFreshness fresh) const {
-  // Same contract as the scalar overlapped norm²: the fused batch
-  // kernel threads whole-block accumulators, so overlap the residual
-  // sweep and take the per-member norms in a second pass with the
-  // blocking accumulation order ("residual_norm2_9_batch ==
-  // residual9_batch + dot_batch"). Flops match the blocking path.
+  // The fused kernel threads whole-block accumulators, which an
+  // interior/rim split would reorder. Instead overlap the residual sweep
+  // and take the per-member norms in a second pass with the blocking
+  // accumulation order ("residual_norm2_9 == residual9 + dot"). Flops
+  // match the blocking path.
   residual_overlapped_batch<T>(comm, halo, b, x, r, fresh);
   local_dot_batch<T>(comm, r, r, sums);
 }
@@ -1051,37 +638,7 @@ void DistOperator::local_dot_batch(comm::Communicator& comm,
                                    const comm::DistFieldBatchT<T>& a,
                                    const comm::DistFieldBatchT<T>& b,
                                    double* sums) const {
-  MINIPOP_REQUIRE(a.compatible_with(b), "a/b batch mismatch");
-  const int nb = a.nb();
-  for (int m = 0; m < nb; ++m) sums[m] = 0.0;
-  std::uint64_t points = 0, active = 0;
-  for (int lb = 0; lb < num_local_blocks(); ++lb) {
-    const auto& info = a.info(lb);
-    const auto& mask = block_mask_[lb];
-    if (use_spans_) {
-#if MINIPOP_BOUNDS_CHECK
-      std::vector<double> ref(sums, sums + nb);
-      kernels::dot_batch(mask.data(), mask.nx(), nb, info.nx, info.ny,
-                         a.interior(lb), a.stride(lb), b.interior(lb),
-                         b.stride(lb), ref.data());
-#endif
-      kernels::dot_span_batch(span_full_[lb].row_offset(),
-                              span_full_[lb].spans(), nb, info.ny,
-                              a.interior(lb), a.stride(lb), b.interior(lb),
-                              b.stride(lb), sums);
-#if MINIPOP_BOUNDS_CHECK
-      audit_span_sums(sums, ref.data(), nb);
-#endif
-    } else {
-      kernels::dot_batch(mask.data(), mask.nx(), nb, info.nx, info.ny,
-                         a.interior(lb), a.stride(lb), b.interior(lb),
-                         b.stride(lb), sums);
-    }
-    points += static_cast<std::uint64_t>(info.nx) * info.ny;
-    active += static_cast<std::uint64_t>(span_full_[lb].active_points());
-  }
-  comm.costs().add_flops(2 * points * nb);
-  comm.costs().add_points(active * nb, points * nb);
+  dot_impl(comm, a, b, sums);
 }
 
 template <typename T>
@@ -1090,56 +647,16 @@ void DistOperator::local_dot3_batch(comm::Communicator& comm,
                                     const comm::DistFieldBatchT<T>& rp,
                                     const comm::DistFieldBatchT<T>& z,
                                     bool with_norm, double* out) const {
-  MINIPOP_REQUIRE(r.compatible_with(rp) && r.compatible_with(z),
-                  "r/rp/z batch mismatch");
-  const int nb = r.nb();
-  for (int m = 0; m < 3 * nb; ++m) out[m] = 0.0;
-  std::uint64_t points = 0, active = 0;
-  for (int lb = 0; lb < num_local_blocks(); ++lb) {
-    const auto& info = r.info(lb);
-    const auto& mask = block_mask_[lb];
-    if (use_spans_) {
-#if MINIPOP_BOUNDS_CHECK
-      std::vector<double> ref(out, out + 3 * nb);
-      kernels::dot3_batch(mask.data(), mask.nx(), nb, info.nx, info.ny,
-                          r.interior(lb), r.stride(lb), rp.interior(lb),
-                          rp.stride(lb), z.interior(lb), z.stride(lb),
-                          with_norm, ref.data());
-#endif
-      kernels::dot3_span_batch(span_full_[lb].row_offset(),
-                               span_full_[lb].spans(), nb, info.ny,
-                               r.interior(lb), r.stride(lb),
-                               rp.interior(lb), rp.stride(lb),
-                               z.interior(lb), z.stride(lb), with_norm,
-                               out);
-#if MINIPOP_BOUNDS_CHECK
-      audit_span_sums(out, ref.data(), 3 * nb);
-#endif
-    } else {
-      kernels::dot3_batch(mask.data(), mask.nx(), nb, info.nx, info.ny,
-                          r.interior(lb), r.stride(lb), rp.interior(lb),
-                          rp.stride(lb), z.interior(lb), z.stride(lb),
-                          with_norm, out);
-    }
-    points += static_cast<std::uint64_t>(info.nx) * info.ny;
-    active += static_cast<std::uint64_t>(span_full_[lb].active_points());
-  }
-  comm.costs().add_flops((with_norm ? 6u : 4u) * points * nb);
-  comm.costs().add_points(active * nb, points * nb);
+  dot3_impl(comm, r, rp, z, with_norm, out);
 }
 
 template <typename T>
 void DistOperator::mask_interior_batch(comm::DistFieldBatchT<T>& x) const {
   for (int lb = 0; lb < num_local_blocks(); ++lb) {
     const auto& info = x.info(lb);
-    const auto& mask = block_mask_[lb];
-    if (use_spans_)
-      kernels::mask_zero_span_batch(span_full_[lb].row_offset(),
-                                    span_full_[lb].spans(), x.nb(), info.nx,
-                                    info.ny, x.interior(lb), x.stride(lb));
-    else
-      kernels::mask_zero_batch(mask.data(), mask.nx(), x.nb(), info.nx,
-                               info.ny, x.interior(lb), x.stride(lb));
+    kernels::mask_zero(span_full_[lb].row_offset(), span_full_[lb].spans(),
+                       x.nb(), info.nx, info.ny, x.interior(lb),
+                       x.stride(lb));
   }
 }
 

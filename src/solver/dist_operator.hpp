@@ -12,6 +12,7 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
 #include <vector>
 
 #include "src/comm/communicator.hpp"
@@ -40,24 +41,10 @@ class DistOperator {
   long local_ocean_cells() const { return local_ocean_cells_; }
   double phi() const { return phi_; }
 
-  // -------------------------------------------------------------------
-  // Land-span execution (DESIGN.md §14). The per-block span plans are
-  // always built (cost accounting reads their active-point counts);
-  // use_spans() gates whether the sweeps run the mask-free span kernels
-  // (bitwise-identical at ocean cells; a MINIPOP_BOUNDS_CHECK build
-  // cross-runs the masked kernels and compares) or the masked originals.
-
-  bool use_spans() const { return use_spans_; }
-  void set_use_spans(bool on) { use_spans_ = on; }
-  /// Whole-interior span plan, indexed by local block — the plan the
-  /// preconditioners, field ops, and batched core share. nullptr when
-  /// span execution is disabled, so consumers fall back to the masked
-  /// kernels with one check.
-  const SpanPlan* span_plan() const {
-    return use_spans_ ? &span_full_ : nullptr;
-  }
-  /// Span plan regardless of the use_spans() gate (cost accounting).
-  const SpanPlan& block_spans() const { return span_full_; }
+  /// Land-span plan of the whole block interiors, indexed by local block
+  /// (DESIGN.md §14): every sweep of the operator, the preconditioners,
+  /// the field ops and the batched core runs over it.
+  const SpanPlan& span_plan() const { return span_full_; }
 
   // -------------------------------------------------------------------
   // ABFT operator checksums (DESIGN.md §12). The column-sum field
@@ -98,6 +85,9 @@ class DistOperator {
   /// checkpoint; a no-op on healthy coefficients (same values copied).
   void repair_coefficients() const;
 
+  // Single-field sweeps. A DistField is a width-1 plane: these run the
+  // same bodies as the batch sweeps below at nb = 1.
+
   /// y = A x over block interiors. Refreshes x's halo first (one
   /// boundary update) unless the caller attests kFresh, so callers never
   /// manage halos themselves.
@@ -111,25 +101,12 @@ class DistOperator {
                 comm::DistField& r,
                 comm::HaloFreshness fresh = comm::HaloFreshness::kStale) const;
 
-  /// Fused r = b - A x AND local masked ||r||² in the same sweep — the
-  /// solvers' convergence check at zero extra field passes. Returns the
-  /// LOCAL sum; combine across ranks with an allreduce. Bit-identical to
-  /// residual() followed by local_dot(r, r).
-  double residual_local_norm2(comm::Communicator& comm,
-                              const comm::HaloExchanger& halo,
-                              const comm::DistField& b, comm::DistField& x,
-                              comm::DistField& r,
-                              comm::HaloFreshness fresh =
-                                  comm::HaloFreshness::kStale) const;
-
   // Split-phase variants: halo.begin() -> sweep the halo-independent
   // interior of each block -> halo.finish() -> sweep the 1-wide boundary
   // rim whose stencil reads the halo. Per-cell outputs are bitwise
   // identical to the blocking sweeps (the 9-point stencil writes each
-  // cell independently), and the overlapped norm² accumulates via
-  // residual + local_dot, whose order is contractually bit-identical to
-  // the fused kernel. With kFresh they skip the exchange and degrade to
-  // the plain sweeps.
+  // cell independently). With kFresh they skip the exchange and degrade
+  // to the plain sweeps.
 
   /// y = A x with the halo exchange of x hidden behind the interior
   /// sweep.
@@ -141,13 +118,6 @@ class DistOperator {
   /// r = b - A x with the halo exchange of x hidden behind the interior
   /// sweep.
   void residual_overlapped(
-      comm::Communicator& comm, const comm::HaloExchanger& halo,
-      const comm::DistField& b, comm::DistField& x, comm::DistField& r,
-      comm::HaloFreshness fresh = comm::HaloFreshness::kStale) const;
-
-  /// Overlapped r = b - A x plus local masked ||r||²; bit-identical to
-  /// residual_local_norm2 (and to residual + local_dot).
-  double residual_local_norm2_overlapped(
       comm::Communicator& comm, const comm::HaloExchanger& halo,
       const comm::DistField& b, comm::DistField& x, comm::DistField& r,
       comm::HaloFreshness fresh = comm::HaloFreshness::kStale) const;
@@ -168,19 +138,15 @@ class DistOperator {
   double global_dot(comm::Communicator& comm, const comm::DistField& a,
                     const comm::DistField& b) const;
 
-  /// Zero out land cells of the interiors (keeps iterates masked).
-  void mask_interior(comm::DistField& x) const;
-
   // -------------------------------------------------------------------
-  // Batched multi-RHS sweeps, templated on the storage scalar exactly
-  // like the scalar surface: DistFieldBatch (double) carries the fp64
-  // lockstep solves, DistFieldBatch32 (float) the fp32 inner sweeps of
-  // the batched mixed-precision path — half the halo bytes in the same
-  // aggregated messages. Same structure as the scalar sweeps over an
-  // nb-member interleaved batch: ONE aggregated halo exchange and one
-  // coefficient pass serve all members, flop counts scale by nb, and
-  // member m of every result is bit-identical to the scalar sweep on
-  // member m's plane (kernels.hpp contract). Reductions fill per-member
+  // Batched multi-RHS sweeps, templated on the storage scalar:
+  // DistFieldBatch (double) carries the fp64 lockstep solves,
+  // DistFieldBatch32 (float) the fp32 inner sweeps of the batched
+  // mixed-precision path — half the halo bytes in the same aggregated
+  // messages. Over an nb-member interleaved batch, ONE aggregated halo
+  // exchange and one coefficient pass serve all members, flop counts
+  // scale by nb, and member m of every result is bit-identical to the
+  // width-1 sweep on member m's plane (kernels.hpp contract). Reductions fill per-member
   // fp64 arrays the caller combines in ONE vector allreduce. The
   // solver-vector fault hooks arm on width-1 fp64 batches only (a
   // single solve); a member of a wider batch that diverges recovers
@@ -214,7 +180,7 @@ class DistOperator {
       comm::DistFieldBatchT<T>& r, double* sums,
       comm::HaloFreshness fresh = comm::HaloFreshness::kStale) const;
 
-  // Overlapped batch variants: the scalar interior/rim split over the
+  // Overlapped batch variants: the interior/rim split over the
   // aggregated batch exchange — halo.begin() on the batch, interior
   // member sweeps while all B rims are on the wire, finish(), rim
   // sweeps. Per-cell outputs bitwise match the blocking batch sweeps;
@@ -283,13 +249,37 @@ class DistOperator {
   const util::MaskArray& block_mask(int lb) const { return block_mask_[lb]; }
 
  private:
-  /// Fault-injection point: offer each block interior of `v` (a sweep's
-  /// freshly written output) to the installed FaultInjector. Armed on
-  /// DistFields and on width-1 fp64 batches (a single solve's state);
-  /// compiles to nothing when MINIPOP_FAULTS is off.
-  void offer_fault_sites(comm::DistField& v) const;
-  template <typename T>
-  void offer_fault_sites(comm::DistFieldBatchT<T>& v) const;
+  // Sweep bodies behind both entry-point families. F is DistField or
+  // DistFieldBatchT<T>; `overlap` selects the split-phase exchange.
+  template <class F>
+  void apply_impl(comm::Communicator& comm, const comm::HaloExchanger& halo,
+                  F& x, F& y, comm::HaloFreshness fresh, bool overlap) const;
+  template <class F>
+  void residual_impl(comm::Communicator& comm,
+                     const comm::HaloExchanger& halo, const F& b, F& x,
+                     F& r, comm::HaloFreshness fresh, bool overlap) const;
+  template <class F>
+  void dot_impl(comm::Communicator& comm, const F& a, const F& b,
+                double* sums) const;
+  template <class F>
+  void dot3_impl(comm::Communicator& comm, const F& r, const F& rp,
+                 const F& z, bool with_norm, double* out) const;
+
+  /// Refresh x's halo and run sweep(lb, rect, spans) over every local
+  /// block interior: blocking (exchange, then whole blocks) or, with
+  /// overlap and a stale halo, split-phase (begin, halo-independent
+  /// interiors, finish, rims). `spans` is the plan of `rect`, re-based
+  /// to its origin.
+  template <class F, class Sweep>
+  void sweep_regions(comm::Communicator& comm,
+                     const comm::HaloExchanger& halo, F& x,
+                     comm::HaloFreshness fresh, bool overlap,
+                     const Sweep& sweep) const;
+
+  /// Record one sweep over every local interior for nb members:
+  /// `per_point` flops per cell and member, and the ocean/swept census.
+  void count(comm::Communicator& comm, std::uint64_t per_point,
+             int nb) const;
 
   /// Fault-injection point: offer the fp64 coefficient planes to the
   /// installed FaultInjector (kCoeffBitFlip) at the entry of every fp64
@@ -309,16 +299,14 @@ class DistOperator {
       const;
   void ensure_coeff32() const;
 
-  bool use_spans_ = true;
   /// Span plans over the full block interiors plus the interior/rim
   /// decomposition the overlapped sweeps use: span_interior_[lb] covers
   /// interior_rect (empty when the block is too thin to have one),
-  /// span_rim_[lb][0..span_num_rim_[lb]) the rim strips, all with spans
+  /// span_rim_[lb][k] the k-th rim strip of rim_rects, all with spans
   /// re-based to the sub-rect origin like the shifted field pointers.
   SpanPlan span_full_;
   SpanPlan span_interior_;
   std::vector<std::array<BlockSpans, 4>> span_rim_;
-  std::vector<int> span_num_rim_;
 
   const grid::Decomposition* decomp_;
   /// Kept for repair_coefficients(): the model's stencil outlives the
@@ -327,6 +315,7 @@ class DistOperator {
   int rank_;
   double phi_;
   long local_ocean_cells_ = 0;
+  long local_cells_ = 0;
   /// mutable: repair_coefficients() restores the planes through the
   /// const reference the solvers hold; each rank owns its DistOperator,
   /// so no two threads share one.

@@ -15,94 +15,66 @@ std::uint64_t interior_points(const comm::DistField& f) {
   return n;
 }
 
-std::uint64_t plan_active_points(const SpanPlan& plan) {
-  std::uint64_t n = 0;
-  for (const auto& bs : plan) n += static_cast<std::uint64_t>(bs.active_points());
-  return n;
-}
-
-// Region accounting for a field-wide update: when a span plan is in
-// play we know the ocean census of the sweep; record it (add_points is
-// only meaningful when a plan exists — the dense path has no mask).
+// Cost of a field-wide update: flops over every interior point, and the
+// plan's ocean census against the swept interior.
 void count_update(comm::Communicator& comm, std::uint64_t flops_per_point,
-                  std::uint64_t points, const SpanPlan* plan) {
+                  const comm::DistField& x, const SpanPlan& plan) {
+  const std::uint64_t points = interior_points(x);
+  std::uint64_t active = 0;
+  for (const auto& bs : plan)
+    active += static_cast<std::uint64_t>(bs.active_points());
   comm.costs().add_flops(flops_per_point * points);
-  if (plan) comm.costs().add_points(plan_active_points(*plan), points);
+  comm.costs().add_points(active, points);
 }
 }  // namespace
 
 void lincomb(comm::Communicator& comm, double a, const comm::DistField& x,
-             double b, comm::DistField& y, const SpanPlan* plan) {
+             double b, comm::DistField& y, const SpanPlan& plan) {
   MINIPOP_REQUIRE(x.compatible_with(y), "lincomb field mismatch");
-  for (int lb = 0; lb < x.num_local_blocks(); ++lb) {
-    const auto& info = x.info(lb);
-    if (plan)
-      kernels::lincomb_span((*plan)[lb].row_offset(), (*plan)[lb].spans(),
-                            info.ny, a, x.interior(lb), x.stride(lb), b,
-                            y.interior(lb), y.stride(lb));
-    else
-      kernels::lincomb(info.nx, info.ny, a, x.interior(lb), x.stride(lb), b,
-                       y.interior(lb), y.stride(lb));
-  }
-  count_update(comm, 2, interior_points(x), plan);
+  for (int lb = 0; lb < x.num_local_blocks(); ++lb)
+    kernels::lincomb(plan[lb].row_offset(), plan[lb].spans(), 1,
+                     x.info(lb).ny, &a, x.interior(lb), x.stride(lb), &b,
+                     y.interior(lb), y.stride(lb), nullptr);
+  count_update(comm, 2, x, plan);
 }
 
 void axpy(comm::Communicator& comm, double a, const comm::DistField& x,
-          comm::DistField& y, const SpanPlan* plan) {
+          comm::DistField& y, const SpanPlan& plan) {
   MINIPOP_REQUIRE(x.compatible_with(y), "axpy field mismatch");
-  for (int lb = 0; lb < x.num_local_blocks(); ++lb) {
-    const auto& info = x.info(lb);
-    if (plan)
-      kernels::axpy_span((*plan)[lb].row_offset(), (*plan)[lb].spans(),
-                         info.ny, a, x.interior(lb), x.stride(lb),
-                         y.interior(lb), y.stride(lb));
-    else
-      kernels::axpy(info.nx, info.ny, a, x.interior(lb), x.stride(lb),
-                    y.interior(lb), y.stride(lb));
-  }
-  count_update(comm, 2, interior_points(x), plan);
+  for (int lb = 0; lb < x.num_local_blocks(); ++lb)
+    kernels::axpy(plan[lb].row_offset(), plan[lb].spans(), 1, x.info(lb).ny,
+                  &a, x.interior(lb), x.stride(lb), y.interior(lb),
+                  y.stride(lb), nullptr);
+  count_update(comm, 2, x, plan);
 }
 
 void lincomb_axpy(comm::Communicator& comm, double a,
                   const comm::DistField& x, double b, comm::DistField& y,
-                  double c, comm::DistField& z, const SpanPlan* plan) {
+                  double c, comm::DistField& z, const SpanPlan& plan) {
   MINIPOP_REQUIRE(x.compatible_with(y) && x.compatible_with(z),
                   "lincomb_axpy field mismatch");
-  for (int lb = 0; lb < x.num_local_blocks(); ++lb) {
-    const auto& info = x.info(lb);
-    if (plan)
-      kernels::lincomb_axpy_span((*plan)[lb].row_offset(),
-                                 (*plan)[lb].spans(), info.ny, a,
-                                 x.interior(lb), x.stride(lb), b,
-                                 y.interior(lb), y.stride(lb), c,
-                                 z.interior(lb), z.stride(lb));
-    else
-      kernels::lincomb_axpy(info.nx, info.ny, a, x.interior(lb), x.stride(lb),
-                            b, y.interior(lb), y.stride(lb), c,
-                            z.interior(lb), z.stride(lb));
-  }
+  for (int lb = 0; lb < x.num_local_blocks(); ++lb)
+    kernels::lincomb_axpy(plan[lb].row_offset(), plan[lb].spans(), 1,
+                          x.info(lb).ny, &a, x.interior(lb), x.stride(lb),
+                          &b, y.interior(lb), y.stride(lb), &c,
+                          z.interior(lb), z.stride(lb), nullptr);
   // Same count as the lincomb + axpy it fuses: 2 + 2 ops/point.
-  count_update(comm, 4, interior_points(x), plan);
+  count_update(comm, 4, x, plan);
 }
 
 void scale(comm::Communicator& comm, double a, comm::DistField& x,
-           const SpanPlan* plan) {
-  for (int lb = 0; lb < x.num_local_blocks(); ++lb) {
-    const auto& info = x.info(lb);
-    if (plan)
-      kernels::scale_span((*plan)[lb].row_offset(), (*plan)[lb].spans(),
-                          info.ny, a, x.interior(lb), x.stride(lb));
-    else
-      kernels::scale(info.nx, info.ny, a, x.interior(lb), x.stride(lb));
-  }
-  count_update(comm, 1, interior_points(x), plan);
+           const SpanPlan& plan) {
+  for (int lb = 0; lb < x.num_local_blocks(); ++lb)
+    kernels::scale(plan[lb].row_offset(), plan[lb].spans(), 1, x.info(lb).ny,
+                   &a, x.interior(lb), x.stride(lb), nullptr);
+  count_update(comm, 1, x, plan);
 }
 
 void copy_interior(const comm::DistField& x, comm::DistField& y) {
   MINIPOP_REQUIRE(x.compatible_with(y), "copy field mismatch");
   for (int lb = 0; lb < x.num_local_blocks(); ++lb) {
     const auto& info = x.info(lb);
-    kernels::copy(info.nx, info.ny, x.interior(lb), x.stride(lb),
+    kernels::copy(1, info.nx, info.ny, x.interior(lb), x.stride(lb),
                   y.interior(lb), y.stride(lb));
   }
 }
@@ -110,7 +82,7 @@ void copy_interior(const comm::DistField& x, comm::DistField& y) {
 void fill_interior(comm::DistField& x, double v) {
   for (int lb = 0; lb < x.num_local_blocks(); ++lb) {
     const auto& info = x.info(lb);
-    kernels::fill(info.nx, info.ny, v, x.interior(lb), x.stride(lb));
+    kernels::fill(1, info.nx, info.ny, v, x.interior(lb), x.stride(lb));
   }
 }
 
@@ -155,9 +127,9 @@ void axpy_promoted(comm::Communicator& comm, const double* a,
   MINIPOP_REQUIRE(x.compatible_with(y), "batch axpy_promoted field mismatch");
   for (int lb = 0; lb < x.num_local_blocks(); ++lb) {
     const auto& info = x.info(lb);
-    kernels::axpy_promoted_batch(x.nb(), info.nx, info.ny, a, x.interior(lb),
-                                 x.stride(lb), y.interior(lb), y.stride(lb),
-                                 active);
+    kernels::axpy_promoted(x.nb(), info.nx, info.ny, a, x.interior(lb),
+                           x.stride(lb), y.interior(lb), y.stride(lb),
+                           active);
   }
   comm.costs().add_flops(2 * batch_interior_points(x) * n_act);
 }
@@ -166,8 +138,8 @@ void copy_interior(const comm::DistFieldBatch& x, comm::DistFieldBatch& y) {
   MINIPOP_REQUIRE(x.compatible_with(y), "batch copy field mismatch");
   for (int lb = 0; lb < x.num_local_blocks(); ++lb) {
     const auto& info = x.info(lb);
-    kernels::copy_batch(x.nb(), info.nx, info.ny, x.interior(lb),
-                        x.stride(lb), y.interior(lb), y.stride(lb));
+    kernels::copy(x.nb(), info.nx, info.ny, x.interior(lb), x.stride(lb),
+                  y.interior(lb), y.stride(lb));
   }
 }
 

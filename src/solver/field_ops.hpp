@@ -9,32 +9,30 @@
 
 namespace minipop::solver {
 
-// Every update op takes an optional land-span plan (DESIGN.md §14,
-// usually DistOperator::span_plan()): non-null runs the mask-free span
-// kernels, which skip land cells entirely — bit-identical at every
-// ocean cell, while land cells keep their +0.0 (solver iterates are
-// zero on land, and the dense sweep only ever rewrites that zero).
+// Every update op runs over a land-span plan (DESIGN.md §14, the
+// operator's DistOperator::span_plan()) and skips land cells entirely:
+// solver iterates are +0.0 on land, and a dense sweep would only ever
+// rewrite that zero.
 
 /// y = a*x + b*y. Covers the solvers' vector updates: axpy (b=1),
 /// xpby (a=1), and the general P-CSI update.
 void lincomb(comm::Communicator& comm, double a, const comm::DistField& x,
-             double b, comm::DistField& y, const SpanPlan* plan = nullptr);
+             double b, comm::DistField& y, const SpanPlan& plan);
 
 /// y = a*x + y.
 void axpy(comm::Communicator& comm, double a, const comm::DistField& x,
-          comm::DistField& y, const SpanPlan* plan = nullptr);
+          comm::DistField& y, const SpanPlan& plan);
 
 /// Fused y = a*x + b*y followed by z += c*y in one sweep (the direction
 /// and iterate updates of P-CSI steps 7-8 and ChronGear steps 13-16).
 /// Bit-identical to lincomb(a, x, b, y) then axpy(c, y, z).
 void lincomb_axpy(comm::Communicator& comm, double a,
                   const comm::DistField& x, double b, comm::DistField& y,
-                  double c, comm::DistField& z,
-                  const SpanPlan* plan = nullptr);
+                  double c, comm::DistField& z, const SpanPlan& plan);
 
 /// x *= a.
 void scale(comm::Communicator& comm, double a, comm::DistField& x,
-           const SpanPlan* plan = nullptr);
+           const SpanPlan& plan);
 
 /// y = x (interiors; free of flops).
 void copy_interior(const comm::DistField& x, comm::DistField& y);

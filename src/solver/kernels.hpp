@@ -5,29 +5,27 @@
 // masked inner products and the vector updates. These are memory-bound
 // stencil/streaming loops, so the kernels here are written to (a) touch
 // each field exactly once per logical operation — fused residual, fused
-// residual+norm², fused triple dot, fused lincomb+axpy — and (b) present
-// the compiler with raw, restrict-qualified row pointers so the inner
-// loops vectorize without runtime alias checks or per-element index
-// arithmetic.
+// residual+norm², fused triple dot, fused lincomb+axpy — (b) present the
+// compiler with raw, restrict-qualified row pointers so the inner loops
+// vectorize without runtime alias checks or per-element index
+// arithmetic, and (c) visit only ocean cells: every sweep runs over a
+// per-row list of contiguous ocean runs (a land-span plan, DESIGN.md
+// §14) instead of loading and testing the land mask per cell.
 //
-// SINGLE EXECUTION CORE. Every public kernel — scalar fp64, scalar fp32,
-// and batched — is a thin wrapper over ONE templated core function
-// `core::X<T, B>`:
-//   * T is the storage scalar (float or double; nothing else links).
-//     Element arithmetic runs at storage precision — fp32 storage exists
-//     to halve bytes per point, and widening every operand would forfeit
-//     half the vector lanes — but every REDUCTION accumulates in double
-//     regardless of T: a float accumulator over a 0.1-degree block
-//     (~10^5 points) loses ~5 digits to cancellation, which is exactly
-//     the failure mode the mixed-precision refinement loop must be able
-//     to measure, not suffer.
-//   * B is the compile-time member width. B >= 1 fixes the width at
-//     compile time (the runtime `nb` argument is ignored); B == 0 means
-//     dynamic width taken from `nb`. The B = 1 instantiations collapse
-//     the member loop and generate exactly the scalar kernels' code —
-//     the scalar API is the B = 1 specialization of the batched core,
-//     bit for bit. Batched entry points dispatch nb == 1 to the B = 1
-//     instantiation so a width-1 batch runs the scalar code path.
+// ONE KERNEL FAMILY. There is one entry point per operation, generic in
+// the member width `nb` and templated on the storage scalar T:
+//   * T is float or double (nothing else links). Element arithmetic runs
+//     at storage precision — fp32 storage exists to halve bytes per
+//     point, and widening every operand would forfeit half the vector
+//     lanes — but every REDUCTION accumulates in double regardless of T:
+//     a float accumulator over a 0.1-degree block (~10^5 points) loses
+//     ~5 digits to cancellation, which is exactly the failure mode the
+//     mixed-precision refinement loop must be able to measure, not
+//     suffer.
+//   * nb is the batch width. Each kernel dispatches nb == 1 to a width-1
+//     instantiation whose member loop collapses to the scalar loop (a
+//     DistField is a width-1 plane), and every other width to the
+//     dynamic-width instantiation.
 //
 // Batched fields are member-fastest interleaved SoA planes: member m of
 // interior cell (i, j) lives at base[j*stride + i*nb + m]; nb = 1
@@ -42,28 +40,41 @@
 //     row-major array; `*_stride` is the padded row pitch in elements
 //     (already widened by nb for batched planes). A padded field's
 //     interior pointer is `base + h*pitch + h*nb`.
+//   * Spans for row j are spans[row_offset[j] .. row_offset[j+1]); every
+//     listed cell is ocean, every gap is land (solver::BlockSpans in
+//     span_plan.hpp builds them from the land mask).
 //   * Distinct array arguments must not alias (they are restrict-
 //     qualified); rows of one padded array never overlap because the
 //     pitch exceeds the interior width.
-//   * For T = double, floating-point evaluation order is IDENTICAL to
-//     the naive scalar loops these kernels replace (same per-element
-//     expression order, same row-major reduction order), so results are
-//     bit-for-bit equal to the pre-kernel implementation and
-//     deterministic across runs. The float instantiation keeps the same
-//     order at float precision (and double reduction accumulators), so
-//     it too is deterministic and matches a naive fp32 scalar loop. For
-//     every member m the batched expression and reduction order are
-//     IDENTICAL to the scalar kernels, so member m of any batched
-//     result equals the scalar kernel run on member m's plane exactly.
+//   * Per-cell expression order and the row-major reduction order over
+//     ocean cells are IDENTICAL to the naive masked scalar loops, so
+//     results are deterministic across runs and member m of any batched
+//     result equals the width-1 kernel run on member m's plane exactly.
+//     The masked reference family (kernels_masked.hpp) computes the
+//     same bits; tests and the MINIPOP_BOUNDS_CHECK audit hold the two
+//     together.
 //   * Reductions write/continue per-member accumulators in a caller
 //     array (sums[m]); update kernels take per-member coefficients and
 //     an optional `active` mask of nb bytes — members with
 //     active[m] == 0 are not written (their planes stay frozen), which
 //     implements per-member convergence masking in the batched solvers.
 //     A null `active` means all members are active.
-//   * No bounds checks: callers guarantee shapes. (Bounds checking in the
-//     object wrappers is governed by MINIPOP_BOUNDS_CHECK; the kernels
-//     never had any.)
+//   * No bounds checks: callers guarantee shapes.
+//
+// Semantics per kernel class (DESIGN.md §14 has the full argument):
+//   * Stencil sweeps and vector updates SKIP land cells: land values of
+//     the output are left untouched. Under the solver invariant that
+//     land cells of every iterate hold +0.0 (established by the
+//     gap-zeroing kernels below, preserved because every coupling toward
+//     land is exactly +0.0) the skipped writes would have deposited the
+//     value already there — except that an update with a negative
+//     coefficient could write -0.0 at land where the skip keeps +0.0,
+//     a sign no ocean cell or masked reduction can see.
+//   * Reductions iterate ocean cells only; a masked loop adds +0.0 per
+//     land cell, which never changes an IEEE accumulator.
+//   * Gap-zeroing kernels (mask_zero, diag_apply, masked_copy) write 0 in
+//     the gaps, so they establish the land-zero invariant the skipping
+//     kernels rely on.
 #pragma once
 
 #include <cstddef>
@@ -97,736 +108,148 @@ using Stencil9 = Stencil9T<double>;
 using Stencil9f = Stencil9T<float>;
 
 /// One run of contiguous ocean cells inside a block row: interior cells
-/// [i0, i0 + len). Span lists are precomputed from the land mask once
-/// per operator (solver::BlockSpans in span_plan.hpp) and drive the
-/// *_span kernels below, whose inner loops are mask-free and unit-stride.
+/// [i0, i0 + len).
 struct Span {
   int i0 = 0;
   int len = 0;
 };
 
 // ---------------------------------------------------------------------
-// The unified execution core. Width semantics: effective member count
-// w = (B > 0 ? B : nb). All scalar and batched public kernels below are
-// wrappers over these; only the four (T, B) combinations
-// (double|float) x (1|0) are instantiated.
+// Span sweeps. Instantiated for T = float and double in kernels.cpp.
 // ---------------------------------------------------------------------
-namespace core {
 
-/// y = A x for all w members. 9*w flops/point.
-template <typename T, int B>
-void apply9(const Stencil9T<T>& c, int nb, int nx, int ny, const T* x,
-            std::ptrdiff_t xs, T* y, std::ptrdiff_t ys);
+/// y_m = A x_m at ocean cells. x must have valid halo rows/columns
+/// around the interior. 9 flops/point/member by the paper's counting
+/// convention.
+template <typename T>
+void apply9(const Stencil9T<T>& c, const int* row_offset, const Span* spans,
+            int nb, int ny, const T* x, std::ptrdiff_t xs, T* y,
+            std::ptrdiff_t ys);
 
-/// Fused residual r = b - A x in ONE sweep. 10*w flops/point.
-template <typename T, int B>
-void residual9(const Stencil9T<T>& c, int nb, int nx, int ny, const T* b,
+/// Fused residual r_m = b_m - A x_m in ONE sweep. 10 flops/point/member.
+template <typename T>
+void residual9(const Stencil9T<T>& c, const int* row_offset,
+               const Span* spans, int nb, int ny, const T* b,
                std::ptrdiff_t bs, const T* x, std::ptrdiff_t xs, T* r,
                std::ptrdiff_t rs);
 
-/// Fused residual + per-member masked norm²: r = b - A x and
-/// sums[m] += sum_{mask} r_m². Accumulation CONTINUES from the caller's
-/// sums[] (threaded across a rank's blocks). 12*w flops/point.
-template <typename T, int B>
-void residual_norm2_9(const Stencil9T<T>& c, const unsigned char* mask,
-                      std::ptrdiff_t ms, int nb, int nx, int ny, const T* b,
+/// Fused residual + norm²: r_m = b_m - A x_m and sums[m] += sum r_m², all
+/// in ONE sweep — the solvers' convergence check at zero extra field
+/// passes. Accumulation CONTINUES from the caller's sums[] (one running
+/// accumulator per member across a rank's blocks), so the result equals
+/// residual9 followed by dot over the same cells bit for bit.
+template <typename T>
+void residual_norm2_9(const Stencil9T<T>& c, const int* row_offset,
+                      const Span* spans, int nb, int ny, const T* b,
                       std::ptrdiff_t bs, const T* x, std::ptrdiff_t xs,
                       T* r, std::ptrdiff_t rs, double* sums);
 
-/// Per-member masked dots: sums[m] += sum_{mask} a_m * b_m.
-template <typename T, int B>
-void dot(const unsigned char* mask, std::ptrdiff_t ms, int nb, int nx,
-         int ny, const T* a, std::ptrdiff_t as, const T* b,
-         std::ptrdiff_t bs, double* sums);
+/// sums[m] += sum a_m * b_m, row-major, continuing from sums[] — callers
+/// thread one running accumulator through all local blocks (starting
+/// each block at zero and adding partials would perturb the last bits).
+/// Operands are widened to double BEFORE the multiply, so for T = float
+/// the product itself is exact and only storage rounding remains.
+template <typename T>
+void dot(const int* row_offset, const Span* spans, int nb, int ny,
+         const T* a, std::ptrdiff_t as, const T* b, std::ptrdiff_t bs,
+         double* sums);
 
-/// Per-member fused ChronGear dots, grouped for ONE vector allreduce:
-///   out[m]       += <r_m, rp_m>   (rho)
-///   out[w + m]   += <z_m, rp_m>   (delta)
-///   out[2w + m]  += <r_m, r_m>    (norm, only if with_norm)
-/// At w = 1 the layout coincides with the scalar out[3].
-template <typename T, int B>
-void dot3(const unsigned char* mask, std::ptrdiff_t ms, int nb, int nx,
-          int ny, const T* r, std::ptrdiff_t rs, const T* rp,
-          std::ptrdiff_t ps, const T* z, std::ptrdiff_t zs, bool with_norm,
-          double* out);
+/// Fused ChronGear dots, grouped for ONE vector allreduce:
+///   out[m]        += <r_m, rp_m>   (rho)
+///   out[nb + m]   += <z_m, rp_m>   (delta)
+///   out[2nb + m]  += <r_m, r_m>    (norm, only if with_norm)
+/// Each accumulator's add order matches the equivalent dot call.
+template <typename T>
+void dot3(const int* row_offset, const Span* spans, int nb, int ny,
+          const T* r, std::ptrdiff_t rs, const T* rp, std::ptrdiff_t ps,
+          const T* z, std::ptrdiff_t zs, bool with_norm, double* out);
 
-/// Per-member masked sums: sums[m] += sum_{mask} a_m (integrity layer's
-/// ABFT checksum sweep). w flops/point.
-template <typename T, int B>
-void masked_sum(const unsigned char* mask, std::ptrdiff_t ms, int nb,
-                int nx, int ny, const T* a, std::ptrdiff_t as,
-                double* sums);
+/// sums[m] += sum a_m (the integrity layer's ABFT checksum sweep).
+template <typename T>
+void sum(const int* row_offset, const Span* spans, int nb, int ny,
+         const T* a, std::ptrdiff_t as, double* sums);
 
-/// Per-member dots against ONE shared double plane (width 1, e.g. the
-/// ABFT column-sum field): sums[m] += sum_{mask} c * a_m. 2*w
-/// flops/point.
-template <typename T, int B>
-void dot_shared(const unsigned char* mask, std::ptrdiff_t ms, int nb,
-                int nx, int ny, const double* c, std::ptrdiff_t cs,
-                const T* a, std::ptrdiff_t as, double* sums);
+/// sums[m] += sum c * a_m against ONE shared double plane with its own
+/// pitch (the ABFT audit pairs the operator's unpadded column-sum field
+/// with a padded solver field).
+template <typename T>
+void dot_shared(const int* row_offset, const Span* spans, int nb, int ny,
+                const double* c, std::ptrdiff_t cs, const T* a,
+                std::ptrdiff_t as, double* sums);
 
-/// y_m = a[m]*x_m + b[m]*y_m for each active m.
-template <typename T, int B>
-void lincomb(int nb, int nx, int ny, const T* a, const T* x,
-             std::ptrdiff_t xs, const T* b, T* y, std::ptrdiff_t ys,
-             const unsigned char* active);
+/// y_m = a[m]*x_m + b[m]*y_m for each active m. Covers the solvers'
+/// axpy (b = 1), xpby (a = 1), and the general P-CSI update.
+template <typename T>
+void lincomb(const int* row_offset, const Span* spans, int nb, int ny,
+             const T* a, const T* x, std::ptrdiff_t xs, const T* b, T* y,
+             std::ptrdiff_t ys, const unsigned char* active);
 
 /// y_m += a[m]*x_m for each active m.
-template <typename T, int B>
-void axpy(int nb, int nx, int ny, const T* a, const T* x,
-          std::ptrdiff_t xs, T* y, std::ptrdiff_t ys,
-          const unsigned char* active);
+template <typename T>
+void axpy(const int* row_offset, const Span* spans, int nb, int ny,
+          const T* a, const T* x, std::ptrdiff_t xs, T* y,
+          std::ptrdiff_t ys, const unsigned char* active);
 
-/// Fused update pair: y_m = a[m]*x_m + b[m]*y_m then z_m += c[m]*y_m.
-template <typename T, int B>
-void lincomb_axpy(int nb, int nx, int ny, const T* a, const T* x,
-                  std::ptrdiff_t xs, const T* b, T* y, std::ptrdiff_t ys,
-                  const T* c, T* z, std::ptrdiff_t zs,
-                  const unsigned char* active);
+/// Fused update pair (P-CSI steps 7-8; ChronGear steps 13-16 as two
+/// calls): y_m = a[m]*x_m + b[m]*y_m then z_m += c[m]*y_m, in ONE sweep.
+template <typename T>
+void lincomb_axpy(const int* row_offset, const Span* spans, int nb, int ny,
+                  const T* a, const T* x, std::ptrdiff_t xs, const T* b,
+                  T* y, std::ptrdiff_t ys, const T* c, T* z,
+                  std::ptrdiff_t zs, const unsigned char* active);
 
 /// x_m *= a[m] for each active m.
-template <typename T, int B>
-void scale(int nb, int nx, int ny, const T* a, T* x, std::ptrdiff_t xs,
-           const unsigned char* active);
+template <typename T>
+void scale(const int* row_offset, const Span* spans, int nb, int ny,
+           const T* a, T* x, std::ptrdiff_t xs, const unsigned char* active);
+
+// Gap-zeroing kernels need the row width `nx` to zero the trailing gap.
+
+/// x_m = 0 on land cells; ocean cells are not rewritten.
+template <typename T>
+void mask_zero(const int* row_offset, const Span* spans, int nb, int nx,
+               int ny, T* x, std::ptrdiff_t xs);
+
+/// out_m = inv * in_m at ocean, 0 on land (diagonal preconditioner,
+/// shared inverse-diagonal plane at storage precision).
+template <typename T>
+void diag_apply(const T* inv, std::ptrdiff_t is, const int* row_offset,
+                const Span* spans, int nb, int nx, int ny, const T* in,
+                std::ptrdiff_t ins, T* out, std::ptrdiff_t outs);
+
+/// out_m = in_m at ocean, 0 on land (identity preconditioner).
+template <typename T>
+void masked_copy(const int* row_offset, const Span* spans, int nb, int nx,
+                 int ny, const T* in, std::ptrdiff_t ins, T* out,
+                 std::ptrdiff_t outs);
+
+// ---------------------------------------------------------------------
+// Mask-free whole-plane kernels.
+// ---------------------------------------------------------------------
 
 /// y = x, all members (row-wise memcpy over the widened rows).
-template <typename T, int B>
+template <typename T>
 void copy(int nb, int nx, int ny, const T* x, std::ptrdiff_t xs, T* y,
           std::ptrdiff_t ys);
 
 /// x = v, all members.
-template <typename T, int B>
+template <typename T>
 void fill(int nb, int nx, int ny, T v, T* x, std::ptrdiff_t xs);
-
-/// x = 0 on land (mask == 0) cells, all members.
-template <typename T, int B>
-void mask_zero(const unsigned char* mask, std::ptrdiff_t ms, int nb,
-               int nx, int ny, T* x, std::ptrdiff_t xs);
-
-/// out_m = inv * in_m (diagonal preconditioner, shared inverse-diagonal
-/// plane at storage precision). w flops/point.
-template <typename T, int B>
-void diag_apply(const T* inv, std::ptrdiff_t is, int nb, int nx, int ny,
-                const T* in, std::ptrdiff_t ins, T* out,
-                std::ptrdiff_t outs);
-
-/// out_m = mask ? in_m : 0 (identity preconditioner).
-template <typename T, int B>
-void masked_copy(const unsigned char* mask, std::ptrdiff_t ms, int nb,
-                 int nx, int ny, const T* in, std::ptrdiff_t ins, T* out,
-                 std::ptrdiff_t outs);
-
-/// Mixed-width refinement update: y64_m += a[m] * (double) x32_m for
-/// each active m — the precision boundary of the refinement loop
-/// without materializing a promoted copy. 2*w flops/point.
-template <int B>
-void axpy_promoted(int nb, int nx, int ny, const double* a, const float* x,
-                   std::ptrdiff_t xs, double* y, std::ptrdiff_t ys,
-                   const unsigned char* active);
-
-}  // namespace core
-
-// ---------------------------------------------------------------------
-// Scalar API (the B = 1 specialization of the core). Signatures are
-// unchanged from the pre-unification kernels; results are bit-identical.
-// ---------------------------------------------------------------------
-
-/// y = A x over an nx*ny interior. x must have valid halo rows/columns
-/// around the interior (pitch xs); y is written interior-only.
-/// 9 flops/point by the paper's counting convention.
-template <typename T>
-void apply9(const Stencil9T<T>& c, int nx, int ny, const T* x,
-            std::ptrdiff_t xs, T* y, std::ptrdiff_t ys);
-
-/// Fused residual r = b - A x in ONE sweep (the seed code swept twice:
-/// apply, then subtract). 10 flops/point.
-template <typename T>
-void residual9(const Stencil9T<T>& c, int nx, int ny, const T* b,
-               std::ptrdiff_t bs, const T* x, std::ptrdiff_t xs, T* r,
-               std::ptrdiff_t rs);
-
-/// Fused residual + masked norm²: r = b - A x and return
-/// sum0 + sum_{mask} r², all in ONE sweep — the solvers' convergence
-/// check at zero extra field passes. Accumulation CONTINUES from `sum0`
-/// (one running scalar across a rank's blocks, like the seed loops), so
-/// the result matches masked_dot over the same cells bit-for-bit. The
-/// accumulator is double for every T (each r element is widened before
-/// squaring).
-template <typename T>
-double residual_norm2_9(const Stencil9T<T>& c, const unsigned char* mask,
-                        std::ptrdiff_t ms, int nx, int ny, const T* b,
-                        std::ptrdiff_t bs, const T* x, std::ptrdiff_t xs,
-                        T* r, std::ptrdiff_t rs, double sum0);
-
-/// Masked inner product sum0 + sum_{mask} a*b, row-major accumulation
-/// continuing from `sum0` — callers thread one running accumulator
-/// through all local blocks (FP association matters; starting each block
-/// at zero and adding partials would perturb the last bits). Operands
-/// are widened to double BEFORE the multiply, so for T = float the
-/// product itself is exact and only storage rounding remains.
-template <typename T>
-double masked_dot(const unsigned char* mask, std::ptrdiff_t ms, int nx,
-                  int ny, const T* a, std::ptrdiff_t as, const T* b,
-                  std::ptrdiff_t bs, double sum0);
-
-/// Fused masked dots of ChronGear steps 7-9 in ONE sweep:
-///   out[0] += <r, rp>, out[1] += <z, rp>, and if with_norm
-///   out[2] += <r, r>.
-/// Each accumulator is double (widen-then-multiply) and its add order
-/// matches the equivalent masked_dot call.
-template <typename T>
-void masked_dot3(const unsigned char* mask, std::ptrdiff_t ms, int nx,
-                 int ny, const T* r, std::ptrdiff_t rs, const T* rp,
-                 std::ptrdiff_t ps, const T* z, std::ptrdiff_t zs,
-                 bool with_norm, double out[3]);
-
-/// Masked sum sum0 + sum_{mask} a, accumulation continuing from `sum0`
-/// like masked_dot (one running accumulator across a rank's blocks).
-template <typename T>
-double masked_sum(const unsigned char* mask, std::ptrdiff_t ms, int nx,
-                  int ny, const T* a, std::ptrdiff_t as, double sum0);
-
-/// Masked dot against a shared double plane with its own pitch:
-/// sum0 + sum_{mask} c * a. The ABFT audit pairs the operator's
-/// unpadded column-sum field with a padded solver field.
-template <typename T>
-double dot_shared(const unsigned char* mask, std::ptrdiff_t ms, int nx,
-                  int ny, const double* c, std::ptrdiff_t cs, const T* a,
-                  std::ptrdiff_t as, double sum0);
-
-/// y = a*x + b*y.
-template <typename T>
-void lincomb(int nx, int ny, T a, const T* x, std::ptrdiff_t xs, T b, T* y,
-             std::ptrdiff_t ys);
-
-/// y += a*x.
-template <typename T>
-void axpy(int nx, int ny, T a, const T* x, std::ptrdiff_t xs, T* y,
-          std::ptrdiff_t ys);
-
-/// Fused vector update pair (P-CSI steps 7-8; ChronGear steps 13-16 as
-/// two calls): y = a*x + b*y followed by z += c*y, in ONE sweep.
-template <typename T>
-void lincomb_axpy(int nx, int ny, T a, const T* x, std::ptrdiff_t xs, T b,
-                  T* y, std::ptrdiff_t ys, T c, T* z, std::ptrdiff_t zs);
-
-/// x *= a.
-template <typename T>
-void scale(int nx, int ny, T a, T* x, std::ptrdiff_t xs);
-
-/// y = x (row-wise memcpy).
-template <typename T>
-void copy(int nx, int ny, const T* x, std::ptrdiff_t xs, T* y,
-          std::ptrdiff_t ys);
-
-/// x = v.
-template <typename T>
-void fill(int nx, int ny, T v, T* x, std::ptrdiff_t xs);
-
-/// x = 0 on land (mask == 0) cells.
-template <typename T>
-void mask_zero(const unsigned char* mask, std::ptrdiff_t ms, int nx, int ny,
-               T* x, std::ptrdiff_t xs);
 
 /// Precision converters: y (dst scalar) = x (src scalar), value-converted
 /// per element. Used to demote fp64 residuals into the fp32 inner solve
 /// and promote fp32 corrections back. Rows are contiguous spans of nx
 /// elements — batched planes convert by passing the widened row length
-/// nx*nb.
+/// nx*nb. Instantiated for <float, double> and <double, float>.
 template <typename D, typename S>
 void convert(int nx, int ny, const S* x, std::ptrdiff_t xs, D* y,
              std::ptrdiff_t ys);
 
-// ---------------------------------------------------------------------
-// Batched multi-RHS API (the dynamic-width face of the core, templated
-// on the storage scalar — fp32 batches halve the bytes per point just
-// like the scalar fp32 path). nb == 1 dispatches to the B = 1
-// instantiation, so a width-1 batch runs the scalar code path.
-// ---------------------------------------------------------------------
-
-/// y = A x for all nb members. 9*nb flops/point.
-template <typename T>
-void apply9_batch(const Stencil9T<T>& c, int nb, int nx, int ny, const T* x,
-                  std::ptrdiff_t xs, T* y, std::ptrdiff_t ys);
-
-/// r = b - A x for all nb members. 10*nb flops/point.
-template <typename T>
-void residual9_batch(const Stencil9T<T>& c, int nb, int nx, int ny,
-                     const T* b, std::ptrdiff_t bs, const T* x,
-                     std::ptrdiff_t xs, T* r, std::ptrdiff_t rs);
-
-/// Fused residual + per-member masked norm²: r = b - A x and
-/// sums[m] += sum_{mask} r_m² — accumulation CONTINUES from the caller's
-/// sums[] (threaded across a rank's blocks, like the scalar kernels).
-template <typename T>
-void residual_norm2_9_batch(const Stencil9T<T>& c, const unsigned char* mask,
-                            std::ptrdiff_t ms, int nb, int nx, int ny,
-                            const T* b, std::ptrdiff_t bs, const T* x,
-                            std::ptrdiff_t xs, T* r, std::ptrdiff_t rs,
-                            double* sums);
-
-/// Per-member masked dots: sums[m] += sum_{mask} a_m * b_m in one pass.
-template <typename T>
-void dot_batch(const unsigned char* mask, std::ptrdiff_t ms, int nb, int nx,
-               int ny, const T* a, std::ptrdiff_t as, const T* b,
-               std::ptrdiff_t bs, double* sums);
-
-/// Per-member fused ChronGear dots, grouped for ONE vector allreduce:
-///   out[m]        += <r_m, rp_m>        (rho)
-///   out[nb + m]   += <z_m, rp_m>        (delta)
-///   out[2nb + m]  += <r_m, r_m>         (norm, only if with_norm)
-template <typename T>
-void dot3_batch(const unsigned char* mask, std::ptrdiff_t ms, int nb,
-                int nx, int ny, const T* r, std::ptrdiff_t rs, const T* rp,
-                std::ptrdiff_t ps, const T* z, std::ptrdiff_t zs,
-                bool with_norm, double* out);
-
-/// Per-member masked sums: sums[m] += sum_{mask} a_m.
-template <typename T>
-void masked_sum_batch(const unsigned char* mask, std::ptrdiff_t ms, int nb,
-                      int nx, int ny, const T* a, std::ptrdiff_t as,
-                      double* sums);
-
-/// Per-member dots against one shared double plane:
-/// sums[m] += sum_{mask} c * a_m.
-template <typename T>
-void dot_shared_batch(const unsigned char* mask, std::ptrdiff_t ms, int nb,
-                      int nx, int ny, const double* c, std::ptrdiff_t cs,
-                      const T* a, std::ptrdiff_t as, double* sums);
-
-/// Per-member fused update pair: for each active m,
-/// y_m = a[m]*x_m + b[m]*y_m followed by z_m += c[m]*y_m.
-template <typename T>
-void lincomb_axpy_batch(int nb, int nx, int ny, const T* a, const T* x,
-                        std::ptrdiff_t xs, const T* b, T* y,
-                        std::ptrdiff_t ys, const T* c, T* z,
-                        std::ptrdiff_t zs, const unsigned char* active);
-
-/// y_m += a[m]*x_m for each active m.
-template <typename T>
-void axpy_batch(int nb, int nx, int ny, const T* a, const T* x,
-                std::ptrdiff_t xs, T* y, std::ptrdiff_t ys,
-                const unsigned char* active);
-
-/// x_m *= a[m] for each active m.
-template <typename T>
-void scale_batch(int nb, int nx, int ny, const T* a, T* x,
-                 std::ptrdiff_t xs, const unsigned char* active);
-
-/// y = x, all members (row-wise memcpy over the widened rows).
-template <typename T>
-void copy_batch(int nb, int nx, int ny, const T* x, std::ptrdiff_t xs, T* y,
-                std::ptrdiff_t ys);
-
-/// x = v, all members.
-template <typename T>
-void fill_batch(int nb, int nx, int ny, T v, T* x, std::ptrdiff_t xs);
-
-/// x = 0 on land cells, all members.
-template <typename T>
-void mask_zero_batch(const unsigned char* mask, std::ptrdiff_t ms, int nb,
-                     int nx, int ny, T* x, std::ptrdiff_t xs);
-
-/// out_m = inv * in_m (diagonal preconditioner, shared inverse-diagonal
-/// plane at storage precision). nb flops/point.
-template <typename T>
-void diag_apply_batch(const T* inv, std::ptrdiff_t is, int nb, int nx,
-                      int ny, const T* in, std::ptrdiff_t ins, T* out,
-                      std::ptrdiff_t outs);
-
-/// out_m = mask ? in_m : 0 (identity preconditioner).
-template <typename T>
-void masked_copy_batch(const unsigned char* mask, std::ptrdiff_t ms,
-                       int nb, int nx, int ny, const T* in,
-                       std::ptrdiff_t ins, T* out, std::ptrdiff_t outs);
-
-/// y64_m += a[m] * (double) x32_m for each active m — the batched
-/// refinement update across the precision boundary.
-void axpy_promoted_batch(int nb, int nx, int ny, const double* a,
-                         const float* x, std::ptrdiff_t xs, double* y,
-                         std::ptrdiff_t ys, const unsigned char* active);
-
-// ---------------------------------------------------------------------
-// Span API: land-skipping variants of the sweeps above, driven by a
-// per-row ocean-span list instead of the mask (DESIGN.md §14). Spans for
-// row j are spans[row_offset[j] .. row_offset[j+1]); every listed cell
-// is ocean, every gap is land. Semantics per kernel class:
-//   * Stencil sweeps (apply9/residual9/residual+norm²) and vector
-//     updates (lincomb/axpy/lincomb_axpy/scale) SKIP land cells: land
-//     values of the output are left untouched instead of rewritten.
-//     Under the solver invariant that land cells of every iterate hold
-//     +0.0 (established by mask_interior / the masked preconditioners,
-//     preserved because every coupling toward land is exactly +0.0),
-//     the skipped writes would have deposited the value already there —
-//     except that an update with a negative coefficient can write -0.0
-//     at land where the skip keeps +0.0. That sign never propagates:
-//     coastline couplings multiply it by +0.0 and every reduction is
-//     masked, so ocean cells and all reduced scalars stay bit-identical
-//     (see DESIGN.md §14 for the full argument).
-//   * Reductions (dot/dot3/sum/dot_shared, and the norm² part of
-//     residual_norm2_9_span) iterate ocean cells only. Bit-identical to
-//     the masked forms: the masked loops add a selected 0.0 per land
-//     cell, and an IEEE accumulator is invariant under adding +0.0 (a
-//     round-to-nearest sum can only produce -0.0 from two -0.0
-//     operands, which a +0.0-seeded accumulator never presents).
-//   * Pointwise mask-enforcing kernels (mask_zero/diag_apply/
-//     masked_copy) write 0 in the gaps exactly like their masked twins,
-//     so they stay UNCONDITIONALLY bit-identical and keep establishing
-//     the land-zero invariant the skip kernels rely on.
-// ---------------------------------------------------------------------
-
-template <typename T>
-void apply9_span(const Stencil9T<T>& c, const int* row_offset,
-                 const Span* spans, int ny, const T* x, std::ptrdiff_t xs,
-                 T* y, std::ptrdiff_t ys);
-
-template <typename T>
-void residual9_span(const Stencil9T<T>& c, const int* row_offset,
-                    const Span* spans, int ny, const T* b,
-                    std::ptrdiff_t bs, const T* x, std::ptrdiff_t xs, T* r,
-                    std::ptrdiff_t rs);
-
-template <typename T>
-double residual_norm2_9_span(const Stencil9T<T>& c, const int* row_offset,
-                             const Span* spans, int ny, const T* b,
-                             std::ptrdiff_t bs, const T* x,
-                             std::ptrdiff_t xs, T* r, std::ptrdiff_t rs,
-                             double sum0);
-
-template <typename T>
-double dot_span(const int* row_offset, const Span* spans, int ny,
-                const T* a, std::ptrdiff_t as, const T* b,
-                std::ptrdiff_t bs, double sum0);
-
-template <typename T>
-void dot3_span(const int* row_offset, const Span* spans, int ny, const T* r,
-               std::ptrdiff_t rs, const T* rp, std::ptrdiff_t ps,
-               const T* z, std::ptrdiff_t zs, bool with_norm,
-               double out[3]);
-
-template <typename T>
-double sum_span(const int* row_offset, const Span* spans, int ny,
-                const T* a, std::ptrdiff_t as, double sum0);
-
-template <typename T>
-double dot_shared_span(const int* row_offset, const Span* spans, int ny,
-                       const double* c, std::ptrdiff_t cs, const T* a,
-                       std::ptrdiff_t as, double sum0);
-
-template <typename T>
-void lincomb_span(const int* row_offset, const Span* spans, int ny, T a,
-                  const T* x, std::ptrdiff_t xs, T b, T* y,
-                  std::ptrdiff_t ys);
-
-template <typename T>
-void axpy_span(const int* row_offset, const Span* spans, int ny, T a,
-               const T* x, std::ptrdiff_t xs, T* y, std::ptrdiff_t ys);
-
-template <typename T>
-void lincomb_axpy_span(const int* row_offset, const Span* spans, int ny,
-                       T a, const T* x, std::ptrdiff_t xs, T b, T* y,
-                       std::ptrdiff_t ys, T c, T* z, std::ptrdiff_t zs);
-
-template <typename T>
-void scale_span(const int* row_offset, const Span* spans, int ny, T a,
-                T* x, std::ptrdiff_t xs);
-
-/// Gap-zeroing kernels need the row width `nx` to zero the trailing gap.
-template <typename T>
-void mask_zero_span(const int* row_offset, const Span* spans, int nx,
-                    int ny, T* x, std::ptrdiff_t xs);
-
-template <typename T>
-void diag_apply_span(const T* inv, std::ptrdiff_t is, const int* row_offset,
-                     const Span* spans, int nx, int ny, const T* in,
-                     std::ptrdiff_t ins, T* out, std::ptrdiff_t outs);
-
-template <typename T>
-void masked_copy_span(const int* row_offset, const Span* spans, int nx,
-                      int ny, const T* in, std::ptrdiff_t ins, T* out,
-                      std::ptrdiff_t outs);
-
-// Batched span forms (member-fastest interleaved planes, same contracts
-// as the *_batch kernels; `active` masks members of the update kernels).
-
-template <typename T>
-void apply9_span_batch(const Stencil9T<T>& c, const int* row_offset,
-                       const Span* spans, int nb, int ny, const T* x,
-                       std::ptrdiff_t xs, T* y, std::ptrdiff_t ys);
-
-template <typename T>
-void residual9_span_batch(const Stencil9T<T>& c, const int* row_offset,
-                          const Span* spans, int nb, int ny, const T* b,
-                          std::ptrdiff_t bs, const T* x, std::ptrdiff_t xs,
-                          T* r, std::ptrdiff_t rs);
-
-template <typename T>
-void residual_norm2_9_span_batch(const Stencil9T<T>& c,
-                                 const int* row_offset, const Span* spans,
-                                 int nb, int ny, const T* b,
-                                 std::ptrdiff_t bs, const T* x,
-                                 std::ptrdiff_t xs, T* r, std::ptrdiff_t rs,
-                                 double* sums);
-
-template <typename T>
-void dot_span_batch(const int* row_offset, const Span* spans, int nb,
-                    int ny, const T* a, std::ptrdiff_t as, const T* b,
-                    std::ptrdiff_t bs, double* sums);
-
-template <typename T>
-void dot3_span_batch(const int* row_offset, const Span* spans, int nb,
-                     int ny, const T* r, std::ptrdiff_t rs, const T* rp,
-                     std::ptrdiff_t ps, const T* z, std::ptrdiff_t zs,
-                     bool with_norm, double* out);
-
-template <typename T>
-void sum_span_batch(const int* row_offset, const Span* spans, int nb,
-                    int ny, const T* a, std::ptrdiff_t as, double* sums);
-
-template <typename T>
-void dot_shared_span_batch(const int* row_offset, const Span* spans,
-                           int nb, int ny, const double* c,
-                           std::ptrdiff_t cs, const T* a, std::ptrdiff_t as,
-                           double* sums);
-
-template <typename T>
-void lincomb_span_batch(const int* row_offset, const Span* spans, int nb,
-                        int ny, const T* a, const T* x, std::ptrdiff_t xs,
-                        const T* b, T* y, std::ptrdiff_t ys,
-                        const unsigned char* active);
-
-template <typename T>
-void axpy_span_batch(const int* row_offset, const Span* spans, int nb,
-                     int ny, const T* a, const T* x, std::ptrdiff_t xs,
-                     T* y, std::ptrdiff_t ys, const unsigned char* active);
-
-template <typename T>
-void lincomb_axpy_span_batch(const int* row_offset, const Span* spans,
-                             int nb, int ny, const T* a, const T* x,
-                             std::ptrdiff_t xs, const T* b, T* y,
-                             std::ptrdiff_t ys, const T* c, T* z,
-                             std::ptrdiff_t zs,
-                             const unsigned char* active);
-
-template <typename T>
-void scale_span_batch(const int* row_offset, const Span* spans, int nb,
-                      int ny, const T* a, T* x, std::ptrdiff_t xs,
-                      const unsigned char* active);
-
-template <typename T>
-void mask_zero_span_batch(const int* row_offset, const Span* spans, int nb,
-                          int nx, int ny, T* x, std::ptrdiff_t xs);
-
-template <typename T>
-void diag_apply_span_batch(const T* inv, std::ptrdiff_t is,
-                           const int* row_offset, const Span* spans,
-                           int nb, int nx, int ny, const T* in,
-                           std::ptrdiff_t ins, T* out, std::ptrdiff_t outs);
-
-template <typename T>
-void masked_copy_span_batch(const int* row_offset, const Span* spans,
-                            int nb, int nx, int ny, const T* in,
-                            std::ptrdiff_t ins, T* out,
-                            std::ptrdiff_t outs);
-
-#define MINIPOP_KERNELS_SPAN_EXTERN(T)                                     \
-  extern template void apply9_span<T>(const Stencil9T<T>&, const int*,     \
-                                      const Span*, int, const T*,          \
-                                      std::ptrdiff_t, T*, std::ptrdiff_t); \
-  extern template void residual9_span<T>(                                  \
-      const Stencil9T<T>&, const int*, const Span*, int, const T*,         \
-      std::ptrdiff_t, const T*, std::ptrdiff_t, T*, std::ptrdiff_t);       \
-  extern template double residual_norm2_9_span<T>(                         \
-      const Stencil9T<T>&, const int*, const Span*, int, const T*,         \
-      std::ptrdiff_t, const T*, std::ptrdiff_t, T*, std::ptrdiff_t,        \
-      double);                                                             \
-  extern template double dot_span<T>(const int*, const Span*, int,         \
-                                     const T*, std::ptrdiff_t, const T*,   \
-                                     std::ptrdiff_t, double);              \
-  extern template void dot3_span<T>(const int*, const Span*, int,          \
-                                    const T*, std::ptrdiff_t, const T*,    \
-                                    std::ptrdiff_t, const T*,              \
-                                    std::ptrdiff_t, bool, double[3]);      \
-  extern template double sum_span<T>(const int*, const Span*, int,         \
-                                     const T*, std::ptrdiff_t, double);    \
-  extern template double dot_shared_span<T>(                               \
-      const int*, const Span*, int, const double*, std::ptrdiff_t,         \
-      const T*, std::ptrdiff_t, double);                                   \
-  extern template void lincomb_span<T>(const int*, const Span*, int, T,    \
-                                       const T*, std::ptrdiff_t, T, T*,    \
-                                       std::ptrdiff_t);                    \
-  extern template void axpy_span<T>(const int*, const Span*, int, T,       \
-                                    const T*, std::ptrdiff_t, T*,          \
-                                    std::ptrdiff_t);                       \
-  extern template void lincomb_axpy_span<T>(                               \
-      const int*, const Span*, int, T, const T*, std::ptrdiff_t, T, T*,    \
-      std::ptrdiff_t, T, T*, std::ptrdiff_t);                              \
-  extern template void scale_span<T>(const int*, const Span*, int, T, T*,  \
-                                     std::ptrdiff_t);                      \
-  extern template void mask_zero_span<T>(const int*, const Span*, int,     \
-                                         int, T*, std::ptrdiff_t);         \
-  extern template void diag_apply_span<T>(                                 \
-      const T*, std::ptrdiff_t, const int*, const Span*, int, int,         \
-      const T*, std::ptrdiff_t, T*, std::ptrdiff_t);                       \
-  extern template void masked_copy_span<T>(const int*, const Span*, int,   \
-                                           int, const T*, std::ptrdiff_t,  \
-                                           T*, std::ptrdiff_t);            \
-  extern template void apply9_span_batch<T>(                               \
-      const Stencil9T<T>&, const int*, const Span*, int, int, const T*,    \
-      std::ptrdiff_t, T*, std::ptrdiff_t);                                 \
-  extern template void residual9_span_batch<T>(                            \
-      const Stencil9T<T>&, const int*, const Span*, int, int, const T*,    \
-      std::ptrdiff_t, const T*, std::ptrdiff_t, T*, std::ptrdiff_t);       \
-  extern template void residual_norm2_9_span_batch<T>(                     \
-      const Stencil9T<T>&, const int*, const Span*, int, int, const T*,    \
-      std::ptrdiff_t, const T*, std::ptrdiff_t, T*, std::ptrdiff_t,        \
-      double*);                                                            \
-  extern template void dot_span_batch<T>(const int*, const Span*, int,     \
-                                         int, const T*, std::ptrdiff_t,    \
-                                         const T*, std::ptrdiff_t,         \
-                                         double*);                         \
-  extern template void dot3_span_batch<T>(                                 \
-      const int*, const Span*, int, int, const T*, std::ptrdiff_t,         \
-      const T*, std::ptrdiff_t, const T*, std::ptrdiff_t, bool, double*);  \
-  extern template void sum_span_batch<T>(const int*, const Span*, int,     \
-                                         int, const T*, std::ptrdiff_t,    \
-                                         double*);                         \
-  extern template void dot_shared_span_batch<T>(                           \
-      const int*, const Span*, int, int, const double*, std::ptrdiff_t,    \
-      const T*, std::ptrdiff_t, double*);                                  \
-  extern template void lincomb_span_batch<T>(                              \
-      const int*, const Span*, int, int, const T*, const T*,               \
-      std::ptrdiff_t, const T*, T*, std::ptrdiff_t,                        \
-      const unsigned char*);                                               \
-  extern template void axpy_span_batch<T>(                                 \
-      const int*, const Span*, int, int, const T*, const T*,               \
-      std::ptrdiff_t, T*, std::ptrdiff_t, const unsigned char*);           \
-  extern template void lincomb_axpy_span_batch<T>(                         \
-      const int*, const Span*, int, int, const T*, const T*,               \
-      std::ptrdiff_t, const T*, T*, std::ptrdiff_t, const T*, T*,          \
-      std::ptrdiff_t, const unsigned char*);                               \
-  extern template void scale_span_batch<T>(const int*, const Span*, int,   \
-                                           int, const T*, T*,              \
-                                           std::ptrdiff_t,                 \
-                                           const unsigned char*);          \
-  extern template void mask_zero_span_batch<T>(const int*, const Span*,    \
-                                               int, int, int, T*,          \
-                                               std::ptrdiff_t);            \
-  extern template void diag_apply_span_batch<T>(                           \
-      const T*, std::ptrdiff_t, const int*, const Span*, int, int, int,    \
-      const T*, std::ptrdiff_t, T*, std::ptrdiff_t);                       \
-  extern template void masked_copy_span_batch<T>(                          \
-      const int*, const Span*, int, int, int, const T*, std::ptrdiff_t,    \
-      T*, std::ptrdiff_t);
-
-MINIPOP_KERNELS_SPAN_EXTERN(double)
-MINIPOP_KERNELS_SPAN_EXTERN(float)
-#undef MINIPOP_KERNELS_SPAN_EXTERN
-
-// The instantiations live in kernels.cpp; only float and double exist,
-// and only core widths B in {0, 1}.
-#define MINIPOP_KERNELS_EXTERN(T)                                          \
-  extern template void apply9<T>(const Stencil9T<T>&, int, int, const T*,  \
-                                 std::ptrdiff_t, T*, std::ptrdiff_t);      \
-  extern template void residual9<T>(const Stencil9T<T>&, int, int,         \
-                                    const T*, std::ptrdiff_t, const T*,    \
-                                    std::ptrdiff_t, T*, std::ptrdiff_t);   \
-  extern template double residual_norm2_9<T>(                              \
-      const Stencil9T<T>&, const unsigned char*, std::ptrdiff_t, int, int, \
-      const T*, std::ptrdiff_t, const T*, std::ptrdiff_t, T*,              \
-      std::ptrdiff_t, double);                                             \
-  extern template double masked_dot<T>(const unsigned char*,               \
-                                       std::ptrdiff_t, int, int, const T*, \
-                                       std::ptrdiff_t, const T*,           \
-                                       std::ptrdiff_t, double);            \
-  extern template void masked_dot3<T>(const unsigned char*, std::ptrdiff_t,\
-                                      int, int, const T*, std::ptrdiff_t,  \
-                                      const T*, std::ptrdiff_t, const T*,  \
-                                      std::ptrdiff_t, bool, double[3]);    \
-  extern template double masked_sum<T>(const unsigned char*,               \
-                                       std::ptrdiff_t, int, int, const T*, \
-                                       std::ptrdiff_t, double);            \
-  extern template double dot_shared<T>(const unsigned char*,               \
-                                       std::ptrdiff_t, int, int,           \
-                                       const double*, std::ptrdiff_t,      \
-                                       const T*, std::ptrdiff_t, double);  \
-  extern template void lincomb<T>(int, int, T, const T*, std::ptrdiff_t,   \
-                                  T, T*, std::ptrdiff_t);                  \
-  extern template void axpy<T>(int, int, T, const T*, std::ptrdiff_t, T*,  \
-                               std::ptrdiff_t);                            \
-  extern template void lincomb_axpy<T>(int, int, T, const T*,              \
-                                       std::ptrdiff_t, T, T*,              \
-                                       std::ptrdiff_t, T, T*,              \
-                                       std::ptrdiff_t);                    \
-  extern template void scale<T>(int, int, T, T*, std::ptrdiff_t);          \
-  extern template void copy<T>(int, int, const T*, std::ptrdiff_t, T*,     \
-                               std::ptrdiff_t);                            \
-  extern template void fill<T>(int, int, T, T*, std::ptrdiff_t);           \
-  extern template void mask_zero<T>(const unsigned char*, std::ptrdiff_t,  \
-                                    int, int, T*, std::ptrdiff_t);         \
-  extern template void apply9_batch<T>(const Stencil9T<T>&, int, int, int, \
-                                       const T*, std::ptrdiff_t, T*,       \
-                                       std::ptrdiff_t);                    \
-  extern template void residual9_batch<T>(const Stencil9T<T>&, int, int,   \
-                                          int, const T*, std::ptrdiff_t,   \
-                                          const T*, std::ptrdiff_t, T*,    \
-                                          std::ptrdiff_t);                 \
-  extern template void residual_norm2_9_batch<T>(                          \
-      const Stencil9T<T>&, const unsigned char*, std::ptrdiff_t, int, int, \
-      int, const T*, std::ptrdiff_t, const T*, std::ptrdiff_t, T*,         \
-      std::ptrdiff_t, double*);                                            \
-  extern template void dot_batch<T>(const unsigned char*, std::ptrdiff_t,  \
-                                    int, int, int, const T*,               \
-                                    std::ptrdiff_t, const T*,              \
-                                    std::ptrdiff_t, double*);              \
-  extern template void dot3_batch<T>(const unsigned char*, std::ptrdiff_t, \
-                                     int, int, int, const T*,              \
-                                     std::ptrdiff_t, const T*,             \
-                                     std::ptrdiff_t, const T*,             \
-                                     std::ptrdiff_t, bool, double*);       \
-  extern template void masked_sum_batch<T>(const unsigned char*,           \
-                                           std::ptrdiff_t, int, int, int,  \
-                                           const T*, std::ptrdiff_t,       \
-                                           double*);                       \
-  extern template void dot_shared_batch<T>(                                \
-      const unsigned char*, std::ptrdiff_t, int, int, int, const double*,  \
-      std::ptrdiff_t, const T*, std::ptrdiff_t, double*);                  \
-  extern template void lincomb_axpy_batch<T>(int, int, int, const T*,      \
-                                             const T*, std::ptrdiff_t,     \
-                                             const T*, T*, std::ptrdiff_t, \
-                                             const T*, T*, std::ptrdiff_t, \
-                                             const unsigned char*);        \
-  extern template void axpy_batch<T>(int, int, int, const T*, const T*,    \
-                                     std::ptrdiff_t, T*, std::ptrdiff_t,   \
-                                     const unsigned char*);                \
-  extern template void scale_batch<T>(int, int, int, const T*, T*,         \
-                                      std::ptrdiff_t,                      \
-                                      const unsigned char*);               \
-  extern template void copy_batch<T>(int, int, int, const T*,              \
-                                     std::ptrdiff_t, T*, std::ptrdiff_t);  \
-  extern template void fill_batch<T>(int, int, int, T, T*,                 \
-                                     std::ptrdiff_t);                      \
-  extern template void mask_zero_batch<T>(const unsigned char*,            \
-                                          std::ptrdiff_t, int, int, int,   \
-                                          T*, std::ptrdiff_t);             \
-  extern template void diag_apply_batch<T>(const T*, std::ptrdiff_t, int,  \
-                                           int, int, const T*,             \
-                                           std::ptrdiff_t, T*,             \
-                                           std::ptrdiff_t);                \
-  extern template void masked_copy_batch<T>(const unsigned char*,          \
-                                            std::ptrdiff_t, int, int, int, \
-                                            const T*, std::ptrdiff_t, T*,  \
-                                            std::ptrdiff_t);
-
-MINIPOP_KERNELS_EXTERN(double)
-MINIPOP_KERNELS_EXTERN(float)
-#undef MINIPOP_KERNELS_EXTERN
-
-extern template void convert<float, double>(int, int, const double*,
-                                            std::ptrdiff_t, float*,
-                                            std::ptrdiff_t);
-extern template void convert<double, float>(int, int, const float*,
-                                            std::ptrdiff_t, double*,
-                                            std::ptrdiff_t);
+/// Mixed-width refinement update: y64_m += a[m] * (double) x32_m for
+/// each active m — the precision boundary of the refinement loop
+/// without materializing a promoted copy. 2 flops/point/member.
+void axpy_promoted(int nb, int nx, int ny, const double* a, const float* x,
+                   std::ptrdiff_t xs, double* y, std::ptrdiff_t ys,
+                   const unsigned char* active);
 
 }  // namespace minipop::solver::kernels

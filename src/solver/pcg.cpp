@@ -60,7 +60,7 @@ SolveStats PcgSolver::solve(comm::Communicator& comm,
     }
 
     const double beta = rho / rho_old;
-    lincomb(comm, 1.0, z, beta, p);  // p = z + beta p
+    lincomb(comm, 1.0, z, beta, p, a.span_plan());  // p = z + beta p
 
     a.apply(comm, halo, p, q);
 

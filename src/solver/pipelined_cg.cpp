@@ -127,10 +127,10 @@ SolveStats PipelinedCgSolver::solve(comm::Communicator& comm,
       copy_interior(w, s);
       copy_interior(u, p);
     } else {
-      lincomb(comm, 1.0, nn, beta, z);  // z = n + beta z
-      lincomb(comm, 1.0, mm, beta, q);  // q = m + beta q
-      lincomb(comm, 1.0, w, beta, s);   // s = w + beta s
-      lincomb(comm, 1.0, u, beta, p);   // p = u + beta p
+      lincomb(comm, 1.0, nn, beta, z, a.span_plan());  // z = n + beta z
+      lincomb(comm, 1.0, mm, beta, q, a.span_plan());  // q = m + beta q
+      lincomb(comm, 1.0, w, beta, s, a.span_plan());   // s = w + beta s
+      lincomb(comm, 1.0, u, beta, p, a.span_plan());   // p = u + beta p
     }
     axpy(comm, alpha, p, x, a.span_plan());
     axpy(comm, -alpha, s, r, a.span_plan());

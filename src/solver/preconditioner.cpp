@@ -5,66 +5,68 @@
 
 namespace minipop::solver {
 
+namespace {
+
+// Both preconditioners are pointwise, so one body serves a DistField
+// (a width-1 plane) and a batch of any width and precision. The span
+// kernels write 0 in the land gaps, which keeps every preconditioned
+// vector +0.0 on land.
+
+/// out = in at ocean cells, 0 on land.
+template <class F>
+void copy_ocean(const DistOperator& op, const F& in, F& out) {
+  MINIPOP_REQUIRE(in.compatible_with(out), "identity precond field mismatch");
+  const SpanPlan& plan = op.span_plan();
+  for (int lb = 0; lb < in.num_local_blocks(); ++lb) {
+    const auto& info = in.info(lb);
+    kernels::masked_copy(plan[lb].row_offset(), plan[lb].spans(), in.nb(),
+                         info.nx, info.ny, in.interior(lb), in.stride(lb),
+                         out.interior(lb), out.stride(lb));
+  }
+}
+
+/// out = inv * in at ocean cells, 0 on land.
+template <class F, typename T>
+void scale_ocean(comm::Communicator& comm, const DistOperator& op,
+                 const std::vector<util::Array2D<T>>& inv_diag, const F& in,
+                 F& out) {
+  MINIPOP_REQUIRE(in.compatible_with(out), "diagonal precond field mismatch");
+  const SpanPlan& plan = op.span_plan();
+  const int nb = in.nb();
+  std::uint64_t points = 0;
+  for (int lb = 0; lb < in.num_local_blocks(); ++lb) {
+    const auto& info = in.info(lb);
+    const auto& inv = inv_diag[lb];
+    kernels::diag_apply(inv.data(), inv.nx(), plan[lb].row_offset(),
+                        plan[lb].spans(), nb, info.nx, info.ny,
+                        in.interior(lb), in.stride(lb), out.interior(lb),
+                        out.stride(lb));
+    points += static_cast<std::uint64_t>(info.nx) * info.ny;
+  }
+  // Paper convention: diagonal preconditioning is 1 op/point (T_p).
+  comm.costs().add_flops(points * nb);
+  comm.costs().add_points(
+      static_cast<std::uint64_t>(op.local_ocean_cells()) * nb, points * nb);
+}
+
+}  // namespace
+
 void IdentityPreconditioner::apply(comm::Communicator& /*comm*/,
                                    const comm::DistField& in,
                                    comm::DistField& out) {
-  MINIPOP_REQUIRE(in.compatible_with(out), "identity precond field mismatch");
-  const SpanPlan* plan = op_->span_plan();
-  for (int lb = 0; lb < in.num_local_blocks(); ++lb) {
-    const auto& info = in.info(lb);
-    const auto& mask = op_->block_mask(lb);
-    // Gap-zero kernel: writes in at ocean and 0 at land exactly like the
-    // masked copy, so the two paths are unconditionally bit-identical.
-    if (plan)
-      kernels::masked_copy_span((*plan)[lb].row_offset(),
-                                (*plan)[lb].spans(), info.nx, info.ny,
-                                in.interior(lb), in.stride(lb),
-                                out.interior(lb), out.stride(lb));
-    else
-      for (int j = 0; j < info.ny; ++j)
-        for (int i = 0; i < info.nx; ++i)
-          out.at(lb, i, j) = mask(i, j) ? in.at(lb, i, j) : 0.0;
-  }
+  copy_ocean(*op_, in, out);
 }
 
 void IdentityPreconditioner::apply_batch(comm::Communicator& /*comm*/,
                                          const comm::DistFieldBatch& in,
                                          comm::DistFieldBatch& out) {
-  MINIPOP_REQUIRE(in.compatible_with(out), "identity precond batch mismatch");
-  const SpanPlan* plan = op_->span_plan();
-  for (int lb = 0; lb < in.num_local_blocks(); ++lb) {
-    const auto& info = in.info(lb);
-    const auto& mask = op_->block_mask(lb);
-    if (plan)
-      kernels::masked_copy_span_batch(
-          (*plan)[lb].row_offset(), (*plan)[lb].spans(), in.nb(), info.nx,
-          info.ny, in.interior(lb), in.stride(lb), out.interior(lb),
-          out.stride(lb));
-    else
-      kernels::masked_copy_batch(mask.data(), mask.nx(), in.nb(), info.nx,
-                                 info.ny, in.interior(lb), in.stride(lb),
-                                 out.interior(lb), out.stride(lb));
-  }
+  copy_ocean(*op_, in, out);
 }
 
 void IdentityPreconditioner::apply_batch(comm::Communicator& /*comm*/,
                                          const comm::DistFieldBatch32& in,
                                          comm::DistFieldBatch32& out) {
-  MINIPOP_REQUIRE(in.compatible_with(out), "identity precond batch mismatch");
-  const SpanPlan* plan = op_->span_plan();
-  for (int lb = 0; lb < in.num_local_blocks(); ++lb) {
-    const auto& info = in.info(lb);
-    const auto& mask = op_->block_mask(lb);
-    if (plan)
-      kernels::masked_copy_span_batch(
-          (*plan)[lb].row_offset(), (*plan)[lb].spans(), in.nb(), info.nx,
-          info.ny, in.interior(lb), in.stride(lb), out.interior(lb),
-          out.stride(lb));
-    else
-      kernels::masked_copy_batch(mask.data(), mask.nx(), in.nb(), info.nx,
-                                 info.ny, in.interior(lb), in.stride(lb),
-                                 out.interior(lb), out.stride(lb));
-  }
+  copy_ocean(*op_, in, out);
 }
 
 DiagonalPreconditioner::DiagonalPreconditioner(const DistOperator& op)
@@ -89,32 +91,7 @@ DiagonalPreconditioner::DiagonalPreconditioner(const DistOperator& op)
 void DiagonalPreconditioner::apply(comm::Communicator& comm,
                                    const comm::DistField& in,
                                    comm::DistField& out) {
-  MINIPOP_REQUIRE(in.compatible_with(out), "diagonal precond field mismatch");
-  const SpanPlan* plan = op_->span_plan();
-  std::uint64_t points = 0, active = 0;
-  for (int lb = 0; lb < in.num_local_blocks(); ++lb) {
-    const auto& info = in.info(lb);
-    const auto& inv = inv_diag_[lb];
-    // Span path: inv*in over ocean, literal 0 in the gaps — the masked
-    // loop multiplies by the stored inv = 0.0 there, which is the same
-    // +0.0 because solver iterates are +0.0 on land.
-    if (plan)
-      kernels::diag_apply_span(inv.data(), inv.nx(),
-                               (*plan)[lb].row_offset(),
-                               (*plan)[lb].spans(), info.nx, info.ny,
-                               in.interior(lb), in.stride(lb),
-                               out.interior(lb), out.stride(lb));
-    else
-      for (int j = 0; j < info.ny; ++j)
-        for (int i = 0; i < info.nx; ++i)
-          out.at(lb, i, j) = inv(i, j) * in.at(lb, i, j);
-    points += static_cast<std::uint64_t>(info.nx) * info.ny;
-    active +=
-        static_cast<std::uint64_t>(op_->block_spans()[lb].active_points());
-  }
-  // Paper convention: diagonal preconditioning is 1 op/point (T_p).
-  comm.costs().add_flops(points);
-  comm.costs().add_points(active, points);
+  scale_ocean(comm, *op_, inv_diag_, in, out);
 }
 
 void DiagonalPreconditioner::ensure_inv_diag32() {
@@ -132,56 +109,14 @@ void DiagonalPreconditioner::ensure_inv_diag32() {
 void DiagonalPreconditioner::apply_batch(comm::Communicator& comm,
                                          const comm::DistFieldBatch& in,
                                          comm::DistFieldBatch& out) {
-  MINIPOP_REQUIRE(in.compatible_with(out), "diagonal precond batch mismatch");
-  const SpanPlan* plan = op_->span_plan();
-  const int nb = in.nb();
-  std::uint64_t points = 0, active = 0;
-  for (int lb = 0; lb < in.num_local_blocks(); ++lb) {
-    const auto& info = in.info(lb);
-    const auto& inv = inv_diag_[lb];
-    if (plan)
-      kernels::diag_apply_span_batch(
-          inv.data(), inv.nx(), (*plan)[lb].row_offset(),
-          (*plan)[lb].spans(), nb, info.nx, info.ny, in.interior(lb),
-          in.stride(lb), out.interior(lb), out.stride(lb));
-    else
-      kernels::diag_apply_batch(inv.data(), inv.nx(), nb, info.nx, info.ny,
-                                in.interior(lb), in.stride(lb),
-                                out.interior(lb), out.stride(lb));
-    points += static_cast<std::uint64_t>(info.nx) * info.ny;
-    active +=
-        static_cast<std::uint64_t>(op_->block_spans()[lb].active_points());
-  }
-  comm.costs().add_flops(points * nb);
-  comm.costs().add_points(active * nb, points * nb);
+  scale_ocean(comm, *op_, inv_diag_, in, out);
 }
 
 void DiagonalPreconditioner::apply_batch(comm::Communicator& comm,
                                          const comm::DistFieldBatch32& in,
                                          comm::DistFieldBatch32& out) {
-  MINIPOP_REQUIRE(in.compatible_with(out), "diagonal precond batch mismatch");
   ensure_inv_diag32();
-  const SpanPlan* plan = op_->span_plan();
-  const int nb = in.nb();
-  std::uint64_t points = 0, active = 0;
-  for (int lb = 0; lb < in.num_local_blocks(); ++lb) {
-    const auto& info = in.info(lb);
-    const auto& inv = inv_diag32_[lb];
-    if (plan)
-      kernels::diag_apply_span_batch(
-          inv.data(), inv.nx(), (*plan)[lb].row_offset(),
-          (*plan)[lb].spans(), nb, info.nx, info.ny, in.interior(lb),
-          in.stride(lb), out.interior(lb), out.stride(lb));
-    else
-      kernels::diag_apply_batch(inv.data(), inv.nx(), nb, info.nx, info.ny,
-                                in.interior(lb), in.stride(lb),
-                                out.interior(lb), out.stride(lb));
-    points += static_cast<std::uint64_t>(info.nx) * info.ny;
-    active +=
-        static_cast<std::uint64_t>(op_->block_spans()[lb].active_points());
-  }
-  comm.costs().add_flops(points * nb);
-  comm.costs().add_points(active * nb, points * nb);
+  scale_ocean(comm, *op_, inv_diag32_, in, out);
 }
 
 }  // namespace minipop::solver

@@ -1,18 +1,18 @@
 // Land-span execution plans (DESIGN.md §14).
 //
 // The block decomposition eliminates all-land *blocks*, but inside every
-// surviving block the fused kernels still sweep full rows and pay a
+// surviving block a dense sweep would still walk full rows and pay a
 // per-cell mask load + select — on POP-like bathymetries 30–50% of the
-// swept points are land, so a third of the hot-path bandwidth moves
+// swept points are land, so a third of the hot-path bandwidth would move
 // zeros. A BlockSpans compresses a block's ocean mask into, per row, a
-// compact list of contiguous ocean runs ("spans"); the *_span kernels in
-// kernels.hpp then iterate mask-free and unit-stride over those runs.
+// compact list of contiguous ocean runs ("spans"); every kernel in
+// kernels.hpp iterates mask-free and unit-stride over those runs.
 //
 // The plan is computed once per operator (and once per comm-avoid
-// extension depth) from exactly the mask the masked kernels read, so the
-// span sweeps visit precisely the cells whose masked contribution is
-// non-trivial today — the bitwise-identity argument lives with the span
-// kernel declarations in kernels.hpp.
+// extension depth) from the land mask, so the sweeps visit precisely the
+// cells whose masked contribution is non-trivial — the bitwise-identity
+// argument against the masked reference family lives with the kernel
+// declarations in kernels.hpp.
 #pragma once
 
 #include <cstddef>
@@ -27,7 +27,7 @@ namespace minipop::solver {
 /// row_offset table (row j's spans are spans()[row_offset()[j] ..
 /// row_offset()[j+1])). Rows with no ocean have zero spans; a full-ocean
 /// row degenerates to a single span of length nx, so dense blocks run
-/// the span kernels at dense-kernel speed.
+/// at dense-kernel speed.
 class BlockSpans {
  public:
   BlockSpans() = default;

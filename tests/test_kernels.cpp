@@ -1,7 +1,9 @@
 // Equivalence tests for the raw-pointer hot-path kernels
-// (src/solver/kernels.*) against naive reference loops, plus the fused
-// DistOperator/field_ops entry points built on them, plus a regression
-// pinning the solver iteration counts and residuals on the seed problem.
+// (src/solver/kernels.*) against naive reference loops — swept over an
+// all-ocean span plan (one full span per row) or the plan of a random
+// land mask — plus the fused DistOperator/field_ops entry points built
+// on them, plus a regression pinning the solver iteration counts and
+// residuals on the seed problem.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -17,6 +19,7 @@
 #include "src/solver/field_ops.hpp"
 #include "src/solver/kernels.hpp"
 #include "src/solver/lanczos.hpp"
+#include "src/solver/span_plan.hpp"
 #include "src/util/rng.hpp"
 
 namespace mc = minipop::comm;
@@ -66,6 +69,28 @@ std::vector<unsigned char> random_mask(int nx, int ny, mu::Xoshiro256& rng) {
   std::vector<unsigned char> m(static_cast<std::size_t>(nx) * ny);
   for (auto& b : m) b = rng.uniform(0, 1) < 0.8 ? 1 : 0;
   return m;
+}
+
+/// Span plan of an nx-pitch mask plane.
+ms::BlockSpans spans_of(const std::vector<unsigned char>& m, int nx,
+                        int ny) {
+  return ms::BlockSpans(m.data(), nx, nx, ny);
+}
+
+/// All-ocean plan: one full span per row, the dense sweep.
+ms::BlockSpans dense_spans(int nx, int ny) {
+  return spans_of(
+      std::vector<unsigned char>(static_cast<std::size_t>(nx) * ny, 1), nx,
+      ny);
+}
+
+/// Width-1 dot of two padded planes over `sp`, continuing from `sum`.
+template <class P>
+double span_dot(const ms::BlockSpans& sp, const P& a, const P& b,
+                double sum) {
+  mk::dot(sp.row_offset(), sp.spans(), 1, sp.ny(), a.interior(), a.pitch,
+          b.interior(), b.pitch, &sum);
+  return sum;
 }
 
 // Naive seed-style loops the kernels must reproduce. Plain 2D index
@@ -125,11 +150,17 @@ void axpy(double a, const Padded& x, Padded& y) {
 
 }  // namespace reference
 
-bool same_interior(const Padded& a, const Padded& b) {
+/// Bitwise equality of two interiors, at every cell or (with a mask)
+/// at ocean cells only.
+template <class P>
+bool same_interior(const P& a, const P& b,
+                   const std::vector<unsigned char>& mask = {}) {
   for (int j = 0; j < a.ny; ++j)
     for (int i = 0; i < a.nx; ++i)
-      if (std::memcmp(&a.interior()[j * a.pitch + i],
-                      &b.interior()[j * b.pitch + i], sizeof(double)) != 0)
+      if ((mask.empty() || mask[static_cast<std::size_t>(j) * a.nx + i]) &&
+          std::memcmp(&a.interior()[j * a.pitch + i],
+                      &b.interior()[j * b.pitch + i],
+                      sizeof(a.v[0])) != 0)
         return false;
   return true;
 }
@@ -153,8 +184,9 @@ TEST(Kernels, Apply9MatchesReferenceBitwise) {
     Coeffs c(tc.nx, tc.ny, rng);
     Padded x(tc.nx, tc.ny, tc.h, rng), y(tc.nx, tc.ny, tc.h, rng),
         yref(tc.nx, tc.ny, tc.h, rng);
-    mk::apply9(c.view(), tc.nx, tc.ny, x.interior(), x.pitch, y.interior(),
-               y.pitch);
+    const ms::BlockSpans full = dense_spans(tc.nx, tc.ny);
+    mk::apply9(c.view(), full.row_offset(), full.spans(), 1, tc.ny,
+               x.interior(), x.pitch, y.interior(), y.pitch);
     reference::apply9(c, x, yref);
     EXPECT_TRUE(same_interior(y, yref))
         << "nx=" << tc.nx << " ny=" << tc.ny << " h=" << tc.h;
@@ -167,8 +199,10 @@ TEST(Kernels, Residual9MatchesReferenceBitwise) {
     Coeffs c(tc.nx, tc.ny, rng);
     Padded b(tc.nx, tc.ny, tc.h, rng), x(tc.nx, tc.ny, tc.h, rng),
         r(tc.nx, tc.ny, tc.h, rng), rref(tc.nx, tc.ny, tc.h, rng);
-    mk::residual9(c.view(), tc.nx, tc.ny, b.interior(), b.pitch,
-                  x.interior(), x.pitch, r.interior(), r.pitch);
+    const ms::BlockSpans full = dense_spans(tc.nx, tc.ny);
+    mk::residual9(c.view(), full.row_offset(), full.spans(), 1, tc.ny,
+                  b.interior(), b.pitch, x.interior(), x.pitch,
+                  r.interior(), r.pitch);
     reference::residual9(c, b, x, rref);
     EXPECT_TRUE(same_interior(r, rref))
         << "nx=" << tc.nx << " ny=" << tc.ny << " h=" << tc.h;
@@ -183,13 +217,16 @@ TEST(Kernels, ResidualNorm2FusesResidualAndDot) {
     Padded b(tc.nx, tc.ny, tc.h, rng), x(tc.nx, tc.ny, tc.h, rng),
         r(tc.nx, tc.ny, tc.h, rng), rref(tc.nx, tc.ny, tc.h, rng);
     const double start = 3.25;  // continues an accumulator mid-stream
-    const double n2 = mk::residual_norm2_9(
-        c.view(), m.data(), tc.nx, tc.nx, tc.ny, b.interior(), b.pitch,
-        x.interior(), x.pitch, r.interior(), r.pitch, start);
+    const ms::BlockSpans sp = spans_of(m, tc.nx, tc.ny);
+    double n2 = start;
+    mk::residual_norm2_9(c.view(), sp.row_offset(), sp.spans(), 1, tc.ny,
+                         b.interior(), b.pitch, x.interior(), x.pitch,
+                         r.interior(), r.pitch, &n2);
     reference::residual9(c, b, x, rref);
     const double n2ref =
         reference::masked_dot(m, tc.nx, tc.ny, rref, rref, start);
-    EXPECT_TRUE(same_interior(r, rref));
+    // The span sweep writes ocean cells only.
+    EXPECT_TRUE(same_interior(r, rref, m));
     ASSERT_NE(n2ref, start);  // mask never kills every cell at 80% ocean
     EXPECT_NEAR(n2, n2ref, 1e-14 * std::abs(n2ref));
   }
@@ -201,9 +238,7 @@ TEST(Kernels, MaskedDotMatchesReference) {
     auto m = random_mask(tc.nx, tc.ny, rng);
     Padded a(tc.nx, tc.ny, tc.h, rng), b(tc.nx, tc.ny, tc.h, rng);
     const double start = -1.5;
-    const double got = mk::masked_dot(m.data(), tc.nx, tc.nx, tc.ny,
-                                      a.interior(), a.pitch, b.interior(),
-                                      b.pitch, start);
+    const double got = span_dot(spans_of(m, tc.nx, tc.ny), a, b, start);
     const double want = reference::masked_dot(m, tc.nx, tc.ny, a, b, start);
     EXPECT_NEAR(got, want, 1e-14 * std::max(1.0, std::abs(want)));
   }
@@ -216,21 +251,14 @@ TEST(Kernels, MaskedDot3MatchesThreeMaskedDots) {
       auto m = random_mask(tc.nx, tc.ny, rng);
       Padded r(tc.nx, tc.ny, tc.h, rng), rp(tc.nx, tc.ny, tc.h, rng),
           z(tc.nx, tc.ny, tc.h, rng);
+      const ms::BlockSpans sp = spans_of(m, tc.nx, tc.ny);
       double out[3] = {0.5, -0.25, 1.0};  // continues prior partial sums
-      const double d0 = mk::masked_dot(m.data(), tc.nx, tc.nx, tc.ny,
-                                       r.interior(), r.pitch, rp.interior(),
-                                       rp.pitch, out[0]);
-      const double d1 = mk::masked_dot(m.data(), tc.nx, tc.nx, tc.ny,
-                                       z.interior(), z.pitch, rp.interior(),
-                                       rp.pitch, out[1]);
-      const double d2 =
-          with_norm
-              ? mk::masked_dot(m.data(), tc.nx, tc.nx, tc.ny, r.interior(),
-                               r.pitch, r.interior(), r.pitch, out[2])
-              : out[2];
-      mk::masked_dot3(m.data(), tc.nx, tc.nx, tc.ny, r.interior(), r.pitch,
-                      rp.interior(), rp.pitch, z.interior(), z.pitch,
-                      with_norm, out);
+      const double d0 = span_dot(sp, r, rp, out[0]);
+      const double d1 = span_dot(sp, z, rp, out[1]);
+      const double d2 = with_norm ? span_dot(sp, r, r, out[2]) : out[2];
+      mk::dot3(sp.row_offset(), sp.spans(), 1, tc.ny, r.interior(), r.pitch,
+               rp.interior(), rp.pitch, z.interior(), z.pitch, with_norm,
+               out);
       // Fusing the sweeps must not change any accumulator's add order.
       EXPECT_TRUE(bitwise_equal(out[0], d0));
       EXPECT_TRUE(bitwise_equal(out[1], d1));
@@ -246,8 +274,10 @@ TEST(Kernels, LincombAxpyFusedMatchesUnfusedBitwise) {
         z(tc.nx, tc.ny, tc.h, rng);
     Padded yref = y, zref = z;
     const double a = 0.7, b = -1.3, cc = 0.31;
-    mk::lincomb_axpy(tc.nx, tc.ny, a, x.interior(), x.pitch, b,
-                     y.interior(), y.pitch, cc, z.interior(), z.pitch);
+    const ms::BlockSpans full = dense_spans(tc.nx, tc.ny);
+    mk::lincomb_axpy(full.row_offset(), full.spans(), 1, tc.ny, &a,
+                     x.interior(), x.pitch, &b, y.interior(), y.pitch, &cc,
+                     z.interior(), z.pitch, nullptr);
     reference::lincomb(a, x, b, yref);
     reference::axpy(cc, yref, zref);
     EXPECT_TRUE(same_interior(y, yref));
@@ -260,18 +290,22 @@ TEST(Kernels, LincombAndAxpyAndScaleMatchReference) {
     mu::Xoshiro256 rng(71 + tc.nx * 100 + tc.ny + tc.h);
     Padded x(tc.nx, tc.ny, tc.h, rng), y(tc.nx, tc.ny, tc.h, rng);
     Padded yref = y;
-    mk::lincomb(tc.nx, tc.ny, 1.25, x.interior(), x.pitch, -0.5,
-                y.interior(), y.pitch);
-    reference::lincomb(1.25, x, -0.5, yref);
+    const ms::BlockSpans full = dense_spans(tc.nx, tc.ny);
+    const int* ro = full.row_offset();
+    const double a = 1.25, b = -0.5, c = -2.0, d = 0.125;
+    mk::lincomb(ro, full.spans(), 1, tc.ny, &a, x.interior(), x.pitch, &b,
+                y.interior(), y.pitch, nullptr);
+    reference::lincomb(a, x, b, yref);
     EXPECT_TRUE(same_interior(y, yref));
 
-    mk::axpy(tc.nx, tc.ny, -2.0, x.interior(), x.pitch, y.interior(),
-             y.pitch);
-    reference::axpy(-2.0, x, yref);
+    mk::axpy(ro, full.spans(), 1, tc.ny, &c, x.interior(), x.pitch,
+             y.interior(), y.pitch, nullptr);
+    reference::axpy(c, x, yref);
     EXPECT_TRUE(same_interior(y, yref));
 
     Padded s = y, sref = y;
-    mk::scale(tc.nx, tc.ny, 0.125, s.interior(), s.pitch);
+    mk::scale(ro, full.spans(), 1, tc.ny, &d, s.interior(), s.pitch,
+              nullptr);
     for (int j = 0; j < tc.ny; ++j)
       for (int i = 0; i < tc.nx; ++i)
         sref.interior()[j * sref.pitch + i] *= 0.125;
@@ -284,7 +318,7 @@ TEST(Kernels, CopyFillMaskZeroTouchInteriorOnly) {
   const int nx = 13, ny = 7, h = 2;
   Padded x(nx, ny, h, rng), y(nx, ny, h, rng);
   const Padded y_before = y;
-  mk::copy(nx, ny, x.interior(), x.pitch, y.interior(), y.pitch);
+  mk::copy(1, nx, ny, x.interior(), x.pitch, y.interior(), y.pitch);
   EXPECT_TRUE(same_interior(y, x));
   // Halo ring untouched by the row-wise memcpy.
   for (std::size_t k = 0; k < y.v.size(); ++k) {
@@ -295,13 +329,15 @@ TEST(Kernels, CopyFillMaskZeroTouchInteriorOnly) {
     }
   }
 
-  mk::fill(nx, ny, 7.5, y.interior(), y.pitch);
+  mk::fill(1, nx, ny, 7.5, y.interior(), y.pitch);
   for (int j = 0; j < ny; ++j)
     for (int i = 0; i < nx; ++i)
       EXPECT_EQ(y.interior()[j * y.pitch + i], 7.5);
 
   auto m = random_mask(nx, ny, rng);
-  mk::mask_zero(m.data(), nx, nx, ny, y.interior(), y.pitch);
+  const ms::BlockSpans sp = spans_of(m, nx, ny);
+  mk::mask_zero(sp.row_offset(), sp.spans(), 1, nx, ny, y.interior(),
+                y.pitch);
   for (int j = 0; j < ny; ++j)
     for (int i = 0; i < nx; ++i)
       EXPECT_EQ(y.interior()[j * y.pitch + i],
@@ -401,15 +437,6 @@ void axpy(float a, const PaddedF& x, PaddedF& y) {
 
 }  // namespace reference32
 
-bool same_interior_f(const PaddedF& a, const PaddedF& b) {
-  for (int j = 0; j < a.ny; ++j)
-    for (int i = 0; i < a.nx; ++i)
-      if (std::memcmp(&a.interior()[j * a.pitch + i],
-                      &b.interior()[j * b.pitch + i], sizeof(float)) != 0)
-        return false;
-  return true;
-}
-
 TEST(KernelsFp32, Apply9AndResidual9MatchNaiveFp32Bitwise) {
   for (const auto& tc : kCases) {
     mu::Xoshiro256 rng(101 + tc.nx * 100 + tc.ny + tc.h);
@@ -417,18 +444,20 @@ TEST(KernelsFp32, Apply9AndResidual9MatchNaiveFp32Bitwise) {
     PaddedF b(tc.nx, tc.ny, tc.h, rng), x(tc.nx, tc.ny, tc.h, rng),
         y(tc.nx, tc.ny, tc.h, rng), yref(tc.nx, tc.ny, tc.h, rng),
         r(tc.nx, tc.ny, tc.h, rng), rref(tc.nx, tc.ny, tc.h, rng);
-    mk::apply9(c.view(), tc.nx, tc.ny, x.interior(), x.pitch, y.interior(),
-               y.pitch);
+    const ms::BlockSpans full = dense_spans(tc.nx, tc.ny);
+    mk::apply9(c.view(), full.row_offset(), full.spans(), 1, tc.ny,
+               x.interior(), x.pitch, y.interior(), y.pitch);
     for (int j = 0; j < tc.ny; ++j)
       for (int i = 0; i < tc.nx; ++i)
         yref.interior()[j * yref.pitch + i] = reference32::point9(c, x, i, j);
-    EXPECT_TRUE(same_interior_f(y, yref))
+    EXPECT_TRUE(same_interior(y, yref))
         << "nx=" << tc.nx << " ny=" << tc.ny << " h=" << tc.h;
 
-    mk::residual9(c.view(), tc.nx, tc.ny, b.interior(), b.pitch,
-                  x.interior(), x.pitch, r.interior(), r.pitch);
+    mk::residual9(c.view(), full.row_offset(), full.spans(), 1, tc.ny,
+                  b.interior(), b.pitch, x.interior(), x.pitch,
+                  r.interior(), r.pitch);
     reference32::residual9(c, b, x, rref);
-    EXPECT_TRUE(same_interior_f(r, rref))
+    EXPECT_TRUE(same_interior(r, rref))
         << "nx=" << tc.nx << " ny=" << tc.ny << " h=" << tc.h;
   }
 }
@@ -442,35 +471,30 @@ TEST(KernelsFp32, ReductionsAccumulateInDoubleExactly) {
         x(tc.nx, tc.ny, tc.h, rng), r(tc.nx, tc.ny, tc.h, rng),
         rref(tc.nx, tc.ny, tc.h, rng);
     const double start = 0.375;  // continues an accumulator mid-stream
+    const ms::BlockSpans sp = spans_of(m, tc.nx, tc.ny);
 
-    const double got = mk::masked_dot(m.data(), tc.nx, tc.nx, tc.ny,
-                                      a.interior(), a.pitch, b.interior(),
-                                      b.pitch, start);
+    const double got = span_dot(sp, a, b, start);
     EXPECT_TRUE(bitwise_equal(
         got, reference32::masked_dot(m, tc.nx, tc.ny, a, b, start)));
 
     // Fused residual + norm²: the residual elements are fp32, their
-    // squares accumulate in double.
-    const double n2 = mk::residual_norm2_9(
-        c.view(), m.data(), tc.nx, tc.nx, tc.ny, b.interior(), b.pitch,
-        x.interior(), x.pitch, r.interior(), r.pitch, start);
+    // squares accumulate in double. The span sweep writes ocean cells
+    // only.
+    double n2 = start;
+    mk::residual_norm2_9(c.view(), sp.row_offset(), sp.spans(), 1, tc.ny,
+                         b.interior(), b.pitch, x.interior(), x.pitch,
+                         r.interior(), r.pitch, &n2);
     reference32::residual9(c, b, x, rref);
-    EXPECT_TRUE(same_interior_f(r, rref));
+    EXPECT_TRUE(same_interior(r, rref, m));
     EXPECT_TRUE(bitwise_equal(
         n2, reference32::masked_dot(m, tc.nx, tc.ny, rref, rref, start)));
 
     double out[3] = {0.5, -0.25, 1.0};
-    const double d0 = mk::masked_dot(m.data(), tc.nx, tc.nx, tc.ny,
-                                     r.interior(), r.pitch, a.interior(),
-                                     a.pitch, out[0]);
-    const double d1 = mk::masked_dot(m.data(), tc.nx, tc.nx, tc.ny,
-                                     b.interior(), b.pitch, a.interior(),
-                                     a.pitch, out[1]);
-    const double d2 = mk::masked_dot(m.data(), tc.nx, tc.nx, tc.ny,
-                                     r.interior(), r.pitch, r.interior(),
-                                     r.pitch, out[2]);
-    mk::masked_dot3(m.data(), tc.nx, tc.nx, tc.ny, r.interior(), r.pitch,
-                    a.interior(), a.pitch, b.interior(), b.pitch, true, out);
+    const double d0 = span_dot(sp, r, a, out[0]);
+    const double d1 = span_dot(sp, b, a, out[1]);
+    const double d2 = span_dot(sp, r, r, out[2]);
+    mk::dot3(sp.row_offset(), sp.spans(), 1, tc.ny, r.interior(), r.pitch,
+             a.interior(), a.pitch, b.interior(), b.pitch, true, out);
     EXPECT_TRUE(bitwise_equal(out[0], d0));
     EXPECT_TRUE(bitwise_equal(out[1], d1));
     EXPECT_TRUE(bitwise_equal(out[2], d2));
@@ -484,22 +508,26 @@ TEST(KernelsFp32, VectorUpdatesMatchNaiveFp32Bitwise) {
         z(tc.nx, tc.ny, tc.h, rng);
     PaddedF yref = y, zref = z;
     const float a = 0.7f, b = -1.3f, cc = 0.31f;
-    mk::lincomb_axpy(tc.nx, tc.ny, a, x.interior(), x.pitch, b,
-                     y.interior(), y.pitch, cc, z.interior(), z.pitch);
+    const ms::BlockSpans full = dense_spans(tc.nx, tc.ny);
+    const int* ro = full.row_offset();
+    mk::lincomb_axpy(ro, full.spans(), 1, tc.ny, &a, x.interior(), x.pitch,
+                     &b, y.interior(), y.pitch, &cc, z.interior(), z.pitch,
+                     nullptr);
     reference32::lincomb(a, x, b, yref);
     reference32::axpy(cc, yref, zref);
-    EXPECT_TRUE(same_interior_f(y, yref));
-    EXPECT_TRUE(same_interior_f(z, zref));
+    EXPECT_TRUE(same_interior(y, yref));
+    EXPECT_TRUE(same_interior(z, zref));
 
-    mk::lincomb(tc.nx, tc.ny, 1.25f, x.interior(), x.pitch, -0.5f,
-                y.interior(), y.pitch);
-    reference32::lincomb(1.25f, x, -0.5f, yref);
-    EXPECT_TRUE(same_interior_f(y, yref));
+    const float a2 = 1.25f, b2 = -0.5f, c2 = -2.0f;
+    mk::lincomb(ro, full.spans(), 1, tc.ny, &a2, x.interior(), x.pitch, &b2,
+                y.interior(), y.pitch, nullptr);
+    reference32::lincomb(a2, x, b2, yref);
+    EXPECT_TRUE(same_interior(y, yref));
 
-    mk::axpy(tc.nx, tc.ny, -2.0f, x.interior(), x.pitch, y.interior(),
-             y.pitch);
-    reference32::axpy(-2.0f, x, yref);
-    EXPECT_TRUE(same_interior_f(y, yref));
+    mk::axpy(ro, full.spans(), 1, tc.ny, &c2, x.interior(), x.pitch,
+             y.interior(), y.pitch, nullptr);
+    reference32::axpy(c2, x, yref);
+    EXPECT_TRUE(same_interior(y, yref));
   }
 }
 
@@ -579,7 +607,14 @@ TEST(DistOperatorFused, ResidualNorm2EqualsResidualThenDot) {
 
   a.residual(comm, halo, b, x, r1);
   const double n_unfused = a.local_dot(comm, r1, r1);
-  const double n_fused = a.residual_local_norm2(comm, halo, b, x, r2);
+  // The fused sweep is batch-only: run it on width-1 batches.
+  mc::DistFieldBatch bb(*p.decomp, 0, 1), xb(*p.decomp, 0, 1),
+      rb(*p.decomp, 0, 1);
+  bb.load_member(0, b);
+  xb.load_member(0, x);
+  double n_fused = 0.0;
+  a.residual_local_norm2_batch(comm, halo, bb, xb, rb, &n_fused);
+  rb.store_member(0, r2);
   EXPECT_TRUE(bitwise_equal(n_fused, n_unfused));
   for (int lb = 0; lb < a.num_local_blocks(); ++lb) {
     const auto& info = r1.info(lb);
@@ -645,9 +680,9 @@ TEST(FieldOpsFused, LincombAxpyEqualsLincombThenAxpy) {
   load_random(*p.stencil, z1, rng);
   mc::DistField y2 = y1, z2 = z1;
 
-  ms::lincomb(comm, 0.9, x, -0.4, y1);
-  ms::axpy(comm, 1.7, y1, z1);
-  ms::lincomb_axpy(comm, 0.9, x, -0.4, y2, 1.7, z2);
+  ms::lincomb(comm, 0.9, x, -0.4, y1, a.span_plan());
+  ms::axpy(comm, 1.7, y1, z1, a.span_plan());
+  ms::lincomb_axpy(comm, 0.9, x, -0.4, y2, 1.7, z2, a.span_plan());
   for (int lb = 0; lb < a.num_local_blocks(); ++lb) {
     const auto& info = x.info(lb);
     for (int j = 0; j < info.ny; ++j)

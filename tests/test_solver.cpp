@@ -13,6 +13,7 @@
 #include "src/solver/field_ops.hpp"
 #include "src/solver/lanczos.hpp"
 #include "src/solver/pcg.hpp"
+#include "src/solver/pipelined_cg.hpp"
 #include "src/util/rng.hpp"
 
 namespace mc = minipop::comm;
@@ -200,6 +201,44 @@ TEST(Pcg, TwoReductionsPerIteration) {
   // first reduction; +1 for the initial ||b||.
   EXPECT_EQ(stats.costs.allreduces,
             2 * static_cast<std::uint64_t>(stats.iterations));
+}
+
+// Every sweep of the scalar CG loops lands in the ocean census: a
+// fixed-iteration solve reports swept_points = (interior cells) x (the
+// sweeps its loop performs) and active_points = (ocean cells) x the same
+// count. Diagonal preconditioner, check_frequency 10, 20 iterations
+// without convergence:
+//   pcg:    ||b||² + initial residual (2); per iteration preconditioner,
+//           r.z, p = z + beta p, matvec, p.q and two axpys (20 x 7); two
+//           check norms (2); the final ||r||² (1) — 145 sweeps.
+//   pipecg: ||b||² + r0, u0, w0 (4); the first iteration's fused dots,
+//           preconditioner and matvec (3) plus four axpys (4); then 19 x
+//           (3 + four lincombs + four axpys); the final ||r||² (1) — 221
+//           sweeps.
+TEST(SweepCensus, PcgAndPipelinedCgCountEverySweep) {
+  auto p = make_problem(20, 16, 10, 1);
+  std::uint64_t cells = 0;
+  for (int id : p.decomp->blocks_of_rank(0))
+    cells += static_cast<std::uint64_t>(p.decomp->block(id).nx) *
+             p.decomp->block(id).ny;
+  const auto ocean = static_cast<std::uint64_t>(
+      ms::DistOperator(*p.stencil, *p.decomp, 0).local_ocean_cells());
+  ASSERT_LT(ocean, cells);  // land inside the swept blocks
+
+  ms::SolverOptions opt;
+  opt.rel_tolerance = 1e-30;
+  opt.max_iterations = 20;
+  const auto expect_sweeps = [&](const ms::SolveStats& stats,
+                                 std::uint64_t sweeps) {
+    EXPECT_EQ(stats.iterations, 20);
+    EXPECT_EQ(stats.failure, ms::FailureKind::kMaxIters);
+    EXPECT_EQ(stats.costs.swept_points, cells * sweeps);
+    EXPECT_EQ(stats.costs.active_points, ocean * sweeps);
+  };
+  ms::PcgSolver pcg(opt);
+  expect_sweeps(solve_serial(p, pcg).second, 145);
+  ms::PipelinedCgSolver pipecg(opt);
+  expect_sweeps(solve_serial(p, pipecg).second, 221);
 }
 
 TEST(Pcsi, ConvergesWithLanczosBounds) {
@@ -454,14 +493,16 @@ TEST(FieldOps, LincombAxpyScale) {
   mu::MaskArray mask(8, 8, 1);
   mg::Decomposition d(8, 8, false, mask, 8, 8, 1);
   mc::SerialComm comm;
+  // All-ocean plan: one full span per row.
+  const ms::SpanPlan plan{ms::BlockSpans(mask.data(), mask.nx(), 8, 8)};
   mc::DistField x(d, 0), y(d, 0);
   ms::fill_interior(x, 2.0);
   ms::fill_interior(y, 3.0);
-  ms::lincomb(comm, 2.0, x, -1.0, y);  // y = 2*2 - 3 = 1
+  ms::lincomb(comm, 2.0, x, -1.0, y, plan);  // y = 2*2 - 3 = 1
   EXPECT_DOUBLE_EQ(y.at(0, 4, 4), 1.0);
-  ms::axpy(comm, 3.0, x, y);  // y = 1 + 6 = 7
+  ms::axpy(comm, 3.0, x, y, plan);  // y = 1 + 6 = 7
   EXPECT_DOUBLE_EQ(y.at(0, 0, 0), 7.0);
-  ms::scale(comm, 0.5, y);
+  ms::scale(comm, 0.5, y, plan);
   EXPECT_DOUBLE_EQ(y.at(0, 7, 7), 3.5);
   ms::copy_interior(x, y);
   EXPECT_DOUBLE_EQ(y.at(0, 3, 3), 2.0);
