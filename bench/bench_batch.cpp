@@ -17,9 +17,15 @@
 //   ./build/bench/bench_batch [output.json]
 //   ./build/bench/bench_batch --smoke   # CI: B=4 on 4 ranks, asserts
 //                                       # efficiency > 1 and identity
+//
+// A second table runs one batched solve through the composed decorator
+// stack (resilience x overlap) against the plain batch of the same
+// systems; the composition must be free: bitwise-identical members and
+// the same halo payload.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -87,11 +93,10 @@ solver::SolverConfig pcsi_config() {
   return cfg;
 }
 
-/// The fully composed stack: mixed precision x resilience x overlap,
-/// all riding the same batched core (DESIGN.md §11).
+/// The fully composed stack: resilience x overlap, both riding the same
+/// batched core (DESIGN.md §11).
 solver::SolverConfig composed_config() {
   solver::SolverConfig cfg = pcsi_config();
-  cfg.options.precision = solver::Precision::kMixed;
   cfg.resilient = true;
   cfg.options.overlap = true;
   return cfg;
@@ -222,11 +227,10 @@ Row run_case(const Case& c, int nranks, int batch, int repeats) {
 }
 
 /// One batched solve through the composed decorator stack versus one
-/// plain fp64 batched solve of the same systems. The headline number is
-/// the halo payload ratio: the mixed path moves most of its halo
-/// traffic as fp32 planes, so bytes-per-member land near half the fp64
-/// batch's (the fp64 outer refinement sweeps keep it above exactly
-/// 0.5x).
+/// plain fp64 batched solve of the same systems. Resilience and overlap
+/// must not change a single bit of any member, nor the halo payload
+/// (the decorator adds one agreement allreduce, no point-to-point
+/// traffic).
 struct ComposedRow {
   int nranks = 0;
   int batch = 0;
@@ -234,15 +238,9 @@ struct ComposedRow {
   double composed_seconds = 0;  ///< best-of-repeats, composed solve
   bool converged = true;        ///< all members, composed stack
   double max_residual = 0;      ///< worst member relative residual
-  int refine_sweeps = 0;        ///< mixed outer sweeps of the composed run
+  bool identity_ok = true;      ///< composed bits == fp64 bits, all members
+  /// Rank 0's halo payload of each solve.
   std::uint64_t p2p_bytes_fp64 = 0, p2p_bytes_composed = 0;
-
-  double bytes_ratio() const {
-    return p2p_bytes_fp64 == 0
-               ? 0.0
-               : static_cast<double>(p2p_bytes_composed) /
-                     static_cast<double>(p2p_bytes_fp64);
-  }
 };
 
 ComposedRow run_composed(const Case& c, int nranks, int batch,
@@ -255,6 +253,11 @@ ComposedRow run_composed(const Case& c, int nranks, int batch,
   std::vector<util::Field> rhs;
   for (int m = 0; m < batch; ++m)
     rhs.push_back(c.random_rhs(5000 + static_cast<std::uint64_t>(m)));
+  std::vector<util::Field> x_fp64(batch), x_comp(batch);
+  for (int m = 0; m < batch; ++m) {
+    x_fp64[m] = util::Field(c.grid->nx(), c.grid->ny(), 0.0);
+    x_comp[m] = util::Field(c.grid->nx(), c.grid->ny(), 0.0);
+  }
 
   auto body = [&](comm::Communicator& comm) {
     const int r = comm.rank();
@@ -285,6 +288,9 @@ ComposedRow run_composed(const Case& c, int nranks, int batch,
       const double t_fp64 =
           std::chrono::duration<double>(clock::now() - t0).count();
       const auto fp64_costs = comm.costs().since(snap);
+      // Every rank gathers its own blocks (disjoint interiors).
+      if (rep == 0)
+        for (int m = 0; m < batch; ++m) x[m].store_global(x_fp64[m]);
 
       for (auto& f : x) f.fill(0.0);
       (void)comm.allreduce_sum(0.0);
@@ -294,12 +300,13 @@ ComposedRow run_composed(const Case& c, int nranks, int batch,
       const double t_comp =
           std::chrono::duration<double>(clock::now() - t1).count();
       const auto comp_costs = comm.costs().since(snap);
+      if (rep == 0)
+        for (int m = 0; m < batch; ++m) x[m].store_global(x_comp[m]);
 
       if (r == 0) {
         if (rep == 0) {
           row.p2p_bytes_fp64 = fp64_costs.p2p_bytes;
           row.p2p_bytes_composed = comp_costs.p2p_bytes;
-          row.refine_sweeps = stats.refine_sweeps;
           for (const auto& ms : stats.members) {
             row.converged = row.converged && ms.converged;
             row.max_residual =
@@ -321,6 +328,11 @@ ComposedRow run_composed(const Case& c, int nranks, int batch,
     comm::ThreadTeam team(nranks);
     team.run(body);
   }
+
+  for (int m = 0; m < batch; ++m)
+    if (std::memcmp(x_comp[m].data(), x_fp64[m].data(),
+                    x_fp64[m].size() * sizeof(double)) != 0)
+      row.identity_ok = false;
   return row;
 }
 
@@ -358,16 +370,17 @@ void write_json(const std::string& path, const std::vector<Row>& rows,
     std::snprintf(
         buf, sizeof(buf),
         "    {\"nranks\": %d, \"batch\": %d, \"config\": "
-        "\"pcsi+mixed+resilient+overlap\", "
+        "\"pcsi+resilient+overlap\", "
         "\"fp64_seconds\": %.6e, \"composed_seconds\": %.6e, "
         "\"converged\": %s, \"max_residual\": %.3e, "
-        "\"refine_sweeps\": %d, \"p2p_bytes_fp64\": %llu, "
-        "\"p2p_bytes_composed\": %llu, \"bytes_ratio\": %.3f}%s\n",
+        "\"identity_ok\": %s, \"p2p_bytes_fp64\": %llu, "
+        "\"p2p_bytes_composed\": %llu}%s\n",
         w.nranks, w.batch, w.fp64_seconds, w.composed_seconds,
-        w.converged ? "true" : "false", w.max_residual, w.refine_sweeps,
+        w.converged ? "true" : "false", w.max_residual,
+        w.identity_ok ? "true" : "false",
         static_cast<unsigned long long>(w.p2p_bytes_fp64),
         static_cast<unsigned long long>(w.p2p_bytes_composed),
-        w.bytes_ratio(), k + 1 < composed.size() ? "," : "");
+        k + 1 < composed.size() ? "," : "");
     os << buf;
   }
   os << "  ]\n}\n";
@@ -411,21 +424,22 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Composed stack: mixed x resilient x overlap on the batched core,
-  // against the plain fp64 batch. fp32 halos at width B cut the p2p
-  // payload roughly in half.
+  // Composed stack: resilient x overlap on the batched core, against
+  // the plain fp64 batch of the same systems.
   const int composed_batch = smoke ? 4 : 8;
   std::vector<ComposedRow> composed;
-  std::printf("\n%6s %6s %12s %12s %9s %9s %9s %9s\n", "nranks", "B",
-              "fp64_s", "composed_s", "bytes", "sweeps", "max_res",
-              "conv");
+  std::printf("\n%6s %6s %12s %12s %12s %12s %9s %7s %9s\n", "nranks", "B",
+              "fp64_s", "composed_s", "bytes_fp64", "bytes_comp",
+              "max_res", "bits", "conv");
   for (const int nranks : rank_counts) {
     Case c(48, 40, 12, 10, nranks);
     composed.push_back(run_composed(c, nranks, composed_batch, repeats));
     const ComposedRow& w = composed.back();
-    std::printf("%6d %6d %12.3e %12.3e %8.2fx %9d %9.1e %9s\n", w.nranks,
-                w.batch, w.fp64_seconds, w.composed_seconds,
-                w.bytes_ratio(), w.refine_sweeps, w.max_residual,
+    std::printf("%6d %6d %12.3e %12.3e %12llu %12llu %9.1e %7s %9s\n",
+                w.nranks, w.batch, w.fp64_seconds, w.composed_seconds,
+                static_cast<unsigned long long>(w.p2p_bytes_fp64),
+                static_cast<unsigned long long>(w.p2p_bytes_composed),
+                w.max_residual, w.identity_ok ? "ok" : "DIFFER",
                 w.converged ? "ok" : "DIVERGED");
   }
 
@@ -453,13 +467,18 @@ int main(int argc, char** argv) {
                   w.nranks, w.batch, w.max_residual);
       ok = false;
     }
-    // fp32 halo planes are half the payload of fp64 ones; the fp64
-    // outer refinement keeps the ratio above exactly 0.5.
-    if (w.nranks > 1 &&
-        (w.bytes_ratio() <= 0.0 || w.bytes_ratio() >= 0.85)) {
-      std::printf("FAIL: composed halo payload ratio %.3f not in "
-                  "(0, 0.85) (nranks=%d B=%d)\n",
-                  w.bytes_ratio(), w.nranks, w.batch);
+    if (!w.identity_ok) {
+      std::printf("FAIL: composed batched members differ from the plain "
+                  "fp64 batch (nranks=%d B=%d)\n",
+                  w.nranks, w.batch);
+      ok = false;
+    }
+    if (w.p2p_bytes_composed != w.p2p_bytes_fp64) {
+      std::printf("FAIL: composed halo payload %llu B != fp64 %llu B "
+                  "(nranks=%d B=%d)\n",
+                  static_cast<unsigned long long>(w.p2p_bytes_composed),
+                  static_cast<unsigned long long>(w.p2p_bytes_fp64),
+                  w.nranks, w.batch);
       ok = false;
     }
   }

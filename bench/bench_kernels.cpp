@@ -1,6 +1,7 @@
 // Kernel benchmark harness: times the hot-path kernels behind the
 // barotropic solvers (src/solver/kernels.*, at width 1 over the block's
-// land-span plan) against the seed's unfused Field-indexing loops, plus
+// land-span plan) against the seed's unfused Field-indexing loops, the
+// block-EVP preconditioner (one tile march and a full apply), plus
 // end-to-end ChronGear and P-CSI solves, on a representative masked
 // production block (the full 1-degree POP grid as one 320x384 tile).
 // Prints a table and writes BENCH_kernels.json — run it from the repo
@@ -11,6 +12,7 @@
 // Wall times characterize THIS machine; the scaling figures use the
 // machine profiles in src/perf instead.
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -18,6 +20,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "src/evp/block_evp_preconditioner.hpp"
 #include "src/solver/batched_solver.hpp"
 #include "src/solver/dist_operator.hpp"
 #include "src/solver/field_ops.hpp"
@@ -140,11 +143,6 @@ struct KernelResult {
   double seconds = 0;      ///< per call
   double bytes_per_point;  ///< logical traffic: 8 B per array element
                            ///< read or written, +1 B per mask byte.
-                           ///< fp32 rows keep the SAME 8 B convention, so
-                           ///< their "effective GB/s" is GB/s-EQUIVALENT:
-                           ///< directly comparable to the fp64 row, with
-                           ///< the halved physical traffic showing up as
-                           ///< a ratio > 1 against it.
   double points = 0;
   double mpoints_per_s() const { return points / seconds / 1e6; }
   double gb_per_s() const {
@@ -242,16 +240,17 @@ int main(int argc, char** argv) {
   const mk::Span* sp = op.span_plan()[0].spans();
   const auto& info = x.info(0);
   const double a1 = 1.0001, b1 = 0.9999, c1 = 1e-6;
-  const float a1f = 1.0001f, b1f = 0.9999f, c1f = 1e-6f;
   volatile double sink = 0;  // keeps reduction results live
 
   std::vector<KernelResult> results;
   auto add = [&](const std::string& name, double bytes_per_point,
-                 double seconds) {
-    results.push_back({name, seconds, bytes_per_point, points});
+                 double seconds, double pts = 0.0) {
+    results.push_back(
+        {name, seconds, bytes_per_point, pts > 0.0 ? pts : points});
     const auto& kr = results.back();
     std::printf("%-28s %8.3f ns/pt %9.1f Mpt/s %7.2f GB/s\n", name.c_str(),
-                seconds / points * 1e9, kr.mpoints_per_s(), kr.gb_per_s());
+                seconds / kr.points * 1e9, kr.mpoints_per_s(),
+                kr.gb_per_s());
   };
 
   // Stencil sweeps. Logical traffic: 9 coefficient arrays + the fields
@@ -323,69 +322,39 @@ int main(int argc, char** argv) {
                          x.stride(0), &b1, y.interior(0), y.stride(0), &c1,
                          z.interior(0), z.stride(0), nullptr);
       }));
-  // --- fp32 instantiations of the same kernels -------------------------
-  // Storage-precision float sweeps over identical data (demoted once).
-  // bytes_per_point stays at the fp64 convention (8 B per element), so
-  // the GB/s column is GB/s-equivalent and the fp32/fp64 row ratio IS
-  // the speedup the mixed-precision solver path buys per sweep.
-  comm::DistField32 x32(*c.decomp, 0), y32(*c.decomp, 0),
-      b32(*c.decomp, 0), r32(*c.decomp, 0), z32(*c.decomp, 0);
-  const auto demote = [](const comm::DistField& f, comm::DistField32& f32) {
-    for (int lb = 0; lb < f.num_local_blocks(); ++lb)
-      mk::convert(f.info(lb).nx, f.info(lb).ny, f.interior(lb), f.stride(lb),
-                  f32.interior(lb), f32.stride(lb));
-  };
-  demote(x, x32);
-  demote(b, b32);
-  demote(z, z32);
-  c.halo->exchange(comm, x32);
-  const auto st32 = [&] {
-    return mk::Stencil9f{
-        op.block_coeff32(0, grid::Dir::kCenter).data(),
-        op.block_coeff32(0, grid::Dir::kEast).data(),
-        op.block_coeff32(0, grid::Dir::kWest).data(),
-        op.block_coeff32(0, grid::Dir::kNorth).data(),
-        op.block_coeff32(0, grid::Dir::kSouth).data(),
-        op.block_coeff32(0, grid::Dir::kNorthEast).data(),
-        op.block_coeff32(0, grid::Dir::kNorthWest).data(),
-        op.block_coeff32(0, grid::Dir::kSouthEast).data(),
-        op.block_coeff32(0, grid::Dir::kSouthWest).data(),
-        op.block_coeff32(0, grid::Dir::kCenter).nx()};
-  }();
-  std::printf("\n");
-  add("apply9_fp32", 88, time_best([&] {
-        mk::apply9(st32, ro, sp, 1, info.ny, x32.interior(0),
-                   x32.stride(0), y32.interior(0), y32.stride(0));
-      }));
-  add("residual9_fp32", 96, time_best([&] {
-        mk::residual9(st32, ro, sp, 1, info.ny, b32.interior(0),
-                      b32.stride(0), x32.interior(0), x32.stride(0),
-                      r32.interior(0), r32.stride(0));
-      }));
-  add("residual_norm2_9_fp32", 97, time_best([&] {
-        double n2 = 0.0;
-        mk::residual_norm2_9(st32, ro, sp, 1, info.ny, b32.interior(0),
-                             b32.stride(0), x32.interior(0), x32.stride(0),
-                             r32.interior(0), r32.stride(0), &n2);
-        sink = n2;
-      }));
-  add("masked_dot_fp32", 17, time_best([&] {
-        double d = 0.0;
-        mk::dot(ro, sp, 1, info.ny, x32.interior(0), x32.stride(0),
-                b32.interior(0), b32.stride(0), &d);
-        sink = d;
-      }));
-  add("lincomb_fp32", 24, time_best([&] {
-        mk::lincomb(ro, sp, 1, info.ny, &a1f, x32.interior(0),
-                    x32.stride(0), &b1f, y32.interior(0), y32.stride(0),
-                    nullptr);
-      }));
-  add("lincomb_axpy_fp32", 40, time_best([&] {
-        mk::lincomb_axpy(ro, sp, 1, info.ny, &a1f, x32.interior(0),
-                         x32.stride(0), &b1f, y32.interior(0),
-                         y32.stride(0), &c1f, z32.interior(0),
-                         z32.stride(0), nullptr);
-      }));
+
+  // EVP marching sweep: the Eq. 4 recurrence on a deep-ocean 12x12 tile
+  // (the production tile size) of the regularized operator. The march
+  // is a serial dependent chain through the NE-pivot division, so it is
+  // bound by latency, not bytes. Traffic convention: 9 coefficients +
+  // y read + x write per marched point.
+  {
+    const util::Field reg_depth = evp::regularize_land_depth(c.depth, 0.02);
+    const grid::NinePointStencil reg_stencil(*c.grid, reg_depth, op.phi());
+    std::array<util::Field, grid::kNumDirs> coeff;
+    for (int d = 0; d < grid::kNumDirs; ++d)
+      coeff[d] = reg_stencil.coeff(static_cast<grid::Dir>(d));
+    const int tn = 12;
+    const evp::EvpTileSolver tile(coeff, 160, 190, tn, tn);
+    util::Field ty(tn, tn), tx(tn, tn, 0.0);
+    for (int j = 0; j < tn; ++j)
+      for (int i = 0; i < tn; ++i) ty(i, j) = ((i * 5 + j * 3) % 7) - 3.0;
+    add("evp_sweep", 88, time_best([&] { tile.march_sweep(ty, tx); }),
+        static_cast<double>(tn - 1) * (tn - 1));
+  }
+
+  // Full block-EVP preconditioner application (gather + two marches +
+  // LU guess correction + masked scatter per tile) with the default
+  // options — 12x12 production tiles — through the width-1 apply_batch
+  // the solvers call. Traffic convention: two marches of 11 elements
+  // per point.
+  {
+    evp::BlockEvpPreconditioner evp(op, *c.grid, c.depth);
+    comm::DistFieldBatch bb(*c.decomp, 0, 1), rb(*c.decomp, 0, 1);
+    bb.load_member(0, b);
+    add("evp_apply", 2 * 11 * 8,
+        time_best([&] { evp.apply_batch(comm, bb, rb); }));
+  }
 
   const double sweep_speedup = unfused / fused;
   const double path_speedup = check_unfused / check_fused;

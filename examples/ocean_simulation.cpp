@@ -6,7 +6,6 @@
 //
 //   ./ocean_simulation [--days=90] [--scale=0.12] [--nz=4]
 //                      [--solver=pcsi] [--precond=evp] [--ranks=1]
-//                      [--precision=fp64|fp32|mixed]
 //                      [--halo-depth=1..4|auto]
 //                      [--block-size=NX or NXxNY]
 //
@@ -15,12 +14,6 @@
 // squares). The header prints a decomposition summary: active/land
 // blocks, ocean fraction of the swept cells, and the per-rank
 // ocean-cell load imbalance the Hilbert assignment achieved.
-//
-// --precision selects the solver arithmetic: fp64 (default,
-// bit-identical legacy path), fp32 (whole solve in float — only viable
-// with a loose tolerance), or mixed (fp32 inner sweeps inside an fp64
-// iterative-refinement loop converging to the fp64 tolerance; the
-// "refine/step" column counts its outer sweeps).
 //
 // --halo-depth selects the communication-avoiding ghost-zone width
 // (DESIGN.md §13): depth k buys k P-CSI sweeps per halo exchange,
@@ -70,27 +63,19 @@ void run(comm::Communicator& comm, const model::ModelConfig& cfg,
   }
 
   util::Table t({"day", "mean T [C]", "mean SSH [m]", "KE [m^5/s^2]",
-                 "max |u| [m/s]", "solver iters/step", "refine/step",
-                 "solve fails"});
+                 "max |u| [m/s]", "solver iters/step", "solve fails"});
   util::Timer wall;
   long last_iters = 0;
-  long last_sweeps = 0;
   long last_steps = 0;
   double next_report = 0.0;
   while (model.time_days() < days) {
     model.step(comm);
     if (model.time_days() >= next_report) {
       const long iters = model.barotropic().total_iterations();
-      const long sweeps = model.barotropic().total_refine_sweeps();
       const long steps = model.barotropic().total_solves();
       const double iters_per_step =
           steps > last_steps
               ? static_cast<double>(iters - last_iters) / (steps - last_steps)
-              : 0.0;
-      const double sweeps_per_step =
-          steps > last_steps
-              ? static_cast<double>(sweeps - last_sweeps) /
-                    (steps - last_steps)
               : 0.0;
       if (root) {
         t.row()
@@ -100,7 +85,6 @@ void run(comm::Communicator& comm, const model::ModelConfig& cfg,
             .add(model.kinetic_energy(comm), 3)
             .add(model.max_speed(comm), 3)
             .add(iters_per_step, 1)
-            .add(sweeps_per_step, 1)
             .add(static_cast<double>(model.barotropic().solver_failures()),
                  0);
       } else {
@@ -111,7 +95,6 @@ void run(comm::Communicator& comm, const model::ModelConfig& cfg,
         model.max_speed(comm);
       }
       last_iters = iters;
-      last_sweeps = sweeps;
       last_steps = steps;
       next_report += std::max(1.0, days / 10.0);
     }
@@ -140,8 +123,7 @@ void run(comm::Communicator& comm, const model::ModelConfig& cfg,
 
 constexpr const char* kUsage =
     "[--days=90] [--scale=0.12] [--nz=4] [--solver=pcsi] [--precond=evp] "
-    "[--ranks=1] [--precision=fp64|fp32|mixed] [--halo-depth=1..4|auto] "
-    "[--block-size=NX or NXxNY]";
+    "[--ranks=1] [--halo-depth=1..4|auto] [--block-size=NX or NXxNY]";
 
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
@@ -164,15 +146,6 @@ int main(int argc, char** argv) {
         solver::solver_kind_from_string(cli.get("solver", "pcsi"));
     cfg.solver.preconditioner = solver::preconditioner_kind_from_string(
         cli.get("precond", "evp"));
-    cfg.solver.options.precision =
-        solver::precision_from_string(cli.get("precision", "fp64"));
-    // Reduced-precision sweeps can stall at the fp32 accuracy floor when
-    // the tolerance is tighter than fp32 can deliver; arm the stagnation
-    // guard so the stall becomes a quick typed kStagnated (cured by the
-    // resilience layer's precision escalation) instead of a burned
-    // 20000-iteration budget per solve.
-    if (cfg.solver.options.precision != solver::Precision::kFp64)
-      cfg.solver.options.stagnation_window = 5;
     const std::string hd = cli.get("halo-depth", "1");
     int& depth = cfg.solver.options.halo_depth;
     depth = hd == "auto" ? solver::kHaloDepthAuto

@@ -121,9 +121,8 @@ class Communicator {
   /// Post a buffered ("eager") point-to-point send of raw bytes. The
   /// backends copy `data` at post time, so the returned request is
   /// always already complete and `data` may be reused immediately.
-  /// Point-to-point is byte-addressed (MPI_BYTE style) so halo messages
-  /// carry whatever element type the field stores — an fp32 halo is
-  /// half the wire bytes of an fp64 one with no comm-layer changes.
+  /// Point-to-point is byte-addressed (MPI_BYTE style); the typed
+  /// wrappers below view element spans as bytes.
   virtual Request isend_bytes(int dest, int tag,
                               std::span<const std::byte> data) = 0;
 
@@ -139,12 +138,6 @@ class Communicator {
     return isend_bytes(dest, tag, std::as_bytes(data));
   }
   Request irecv(int src, int tag, std::span<double> data) {
-    return irecv_bytes(src, tag, std::as_writable_bytes(data));
-  }
-  Request isend(int dest, int tag, std::span<const float> data) {
-    return isend_bytes(dest, tag, std::as_bytes(data));
-  }
-  Request irecv(int src, int tag, std::span<float> data) {
     return irecv_bytes(src, tag, std::as_writable_bytes(data));
   }
 

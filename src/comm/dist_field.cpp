@@ -65,6 +65,5 @@ void DistFieldT<T>::store_global(util::Field& global) const {
 }
 
 template class DistFieldT<double>;
-template class DistFieldT<float>;
 
 }  // namespace minipop::comm

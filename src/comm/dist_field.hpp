@@ -4,12 +4,8 @@
 //
 // Interior cell (i, j) of local block lb lives at data(lb)(i + h, j + h).
 //
-// The container is templated on the storage scalar: DistField (double)
-// is the model/solver state everywhere precision matters, DistField32
-// (float) is the half-traffic mirror the mixed-precision inner solves
-// run on. Global-domain load/store always speaks double — the global
-// Field is the fp64 source of truth; a float DistField converts at the
-// boundary.
+// The container is templated on the storage scalar; DistField (double)
+// is its only instantiation.
 #pragma once
 
 #include <unordered_map>
@@ -74,19 +70,13 @@ class DistFieldT {
   /// field.
   void store_global(util::Field& global) const;
 
-  /// Shape compatibility (same decomposition object, rank, halo) — the
-  /// element types may differ, so a float mirror can be checked against
-  /// its double source.
-  template <typename U>
-  bool compatible_with(const DistFieldT<U>& other) const {
+  /// Shape compatibility (same decomposition object, rank, halo).
+  bool compatible_with(const DistFieldT& other) const {
     return decomp_ == other.decomp_ && rank_ == other.rank_ &&
            halo_ == other.halo_;
   }
 
  private:
-  template <typename U>
-  friend class DistFieldT;
-
   const grid::Decomposition* decomp_;
   int rank_;
   int halo_;
@@ -96,9 +86,7 @@ class DistFieldT {
 };
 
 extern template class DistFieldT<double>;
-extern template class DistFieldT<float>;
 
 using DistField = DistFieldT<double>;
-using DistField32 = DistFieldT<float>;
 
 }  // namespace minipop::comm

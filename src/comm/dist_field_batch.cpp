@@ -121,6 +121,5 @@ void DistFieldBatchT<T>::copy_member_interior_from(
 }
 
 template class DistFieldBatchT<double>;
-template class DistFieldBatchT<float>;
 
 }  // namespace minipop::comm

@@ -10,11 +10,8 @@
 // halo row becomes ni * nb contiguous elements that pack into ONE
 // message per neighbor per exchange regardless of nb.
 //
-// Batches are templated on the storage scalar exactly like DistFieldT:
-// DistFieldBatch (double) carries the fp64 lockstep solves and
-// DistFieldBatch32 (float) carries the fp32 inner sweeps of the batched
-// mixed-precision path — aggregated fp32 halos move half the bytes of
-// their fp64 counterparts in the same message count.
+// Batches are templated on the storage scalar exactly like DistFieldT;
+// DistFieldBatch (double) is the only instantiation.
 #pragma once
 
 #include <unordered_map>
@@ -28,7 +25,6 @@ namespace minipop::comm {
 template <typename T>
 class DistFieldT;
 using DistField = DistFieldT<double>;
-using DistField32 = DistFieldT<float>;
 
 template <typename T>
 class DistFieldBatchT {
@@ -108,10 +104,8 @@ class DistFieldBatchT {
                                  int src_m);
 
   /// Shape compatibility: same decomposition object, rank, halo, and
-  /// batch width. Templated across element types so the mixed-precision
-  /// boundary (fp64 batch vs its fp32 mirror) can be validated too.
-  template <typename U>
-  bool compatible_with(const DistFieldBatchT<U>& other) const {
+  /// batch width.
+  bool compatible_with(const DistFieldBatchT& other) const {
     return decomp_ == &other.decomposition() && rank_ == other.rank() &&
            halo_ == other.halo() && nb_ == other.nb();
   }
@@ -127,9 +121,7 @@ class DistFieldBatchT {
 };
 
 using DistFieldBatch = DistFieldBatchT<double>;
-using DistFieldBatch32 = DistFieldBatchT<float>;
 
 extern template class DistFieldBatchT<double>;
-extern template class DistFieldBatchT<float>;
 
 }  // namespace minipop::comm

@@ -2,7 +2,7 @@
 // a scalar DistFieldT<T> (one member plane) or a DistFieldBatchT<T>
 // (nb member-interleaved planes) — so the halo exchanger, the distri-
 // buted operator, and the preconditioners speak ONE surface instead of
-// triplicating scalar/fp32/batch overloads.
+// duplicating scalar/batch overloads.
 //
 // The view erases the container difference behind the batch layout
 // contract: element (i, j, m) lives at
@@ -74,6 +74,5 @@ class FieldSetT {
 };
 
 using FieldSet = FieldSetT<double>;
-using FieldSet32 = FieldSetT<float>;
 
 }  // namespace minipop::comm

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <type_traits>
 #include <vector>
 
 #include "src/fault/fault_injector.hpp"
@@ -153,7 +152,7 @@ void zero_region_w(util::Array2D<T>& padded, int h, int w,
 // CRC32C of the payload bytes in its low four bytes (the rest zero).
 // Encoding the checksum as a T keeps the wire format element-typed —
 // receivers size buffers in elements — at the cost of four wasted bytes
-// per fp64 message.
+// per message.
 
 template <typename T>
 T encode_crc(std::uint32_t crc) {
@@ -253,14 +252,11 @@ HaloHandleT<T> HaloExchanger::begin_set(Communicator& comm,
       const int owner = decomp_->block(nid).owner;
       if (owner == my_rank) continue;
       pack_w<T>(fs.data(lb), h, w, send_region(d, b.nx, b.ny, h), buf);
-      // The fault sites corrupt a single solve's fp64 halos (width 1):
-      // the fp32 mirror path is exercised under the fp64 refinement
-      // guard, and members of wider batches recover through per-member
-      // sub-batches of the resilient decorator rather than through
-      // injected wire corruption.
-      if constexpr (std::is_same_v<T, double>) {
-        if (w == 1) fault::hook_halo_payload(my_rank, buf.data(), buf.size());
-      }
+      // The fault sites corrupt a single solve's halos (width 1):
+      // members of wider batches recover through per-member sub-batches
+      // of the resilient decorator rather than through injected wire
+      // corruption.
+      if (w == 1) fault::hook_halo_payload(my_rank, buf.data(), buf.size());
       if (crc_enabled_) {
         // The CRC is taken AFTER hook_halo_payload: that site models
         // memory corruption at pack time, which a wire checksum cannot
@@ -366,9 +362,7 @@ void HaloExchanger::exchange_group(Communicator& comm,
       buf.clear();
       for (const FieldSetT<T>& fs : sets)
         pack_append_w<T>(fs.data(lb), h, w, src, buf);
-      if constexpr (std::is_same_v<T, double>) {
-        if (w == 1) fault::hook_halo_payload(my_rank, buf.data(), buf.size());
-      }
+      if (w == 1) fault::hook_halo_payload(my_rank, buf.data(), buf.size());
       if (crc_enabled_) {
         const std::size_t payload = buf.size();
         buf.push_back(encode_crc<T>(
@@ -498,7 +492,6 @@ std::uint64_t HaloExchanger::bytes_sent_per_exchange(
 }
 
 template class HaloHandleT<double>;
-template class HaloHandleT<float>;
 
 #define MINIPOP_HALO_INSTANTIATE(T)                                        \
   template void HaloExchanger::exchange_set<T>(Communicator&,              \
@@ -512,7 +505,6 @@ template class HaloHandleT<float>;
   template std::uint64_t HaloExchanger::bytes_sent_per_exchange<T>(        \
       const DistFieldBatchT<T>&) const;
 MINIPOP_HALO_INSTANTIATE(double)
-MINIPOP_HALO_INSTANTIATE(float)
 #undef MINIPOP_HALO_INSTANTIATE
 
 }  // namespace minipop::comm

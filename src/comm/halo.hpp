@@ -23,11 +23,7 @@
 // whose member-interleaved layout makes a region row ni * nb contiguous
 // elements — so one message per (block, neighbor) carries ALL members,
 // the same message count as a scalar exchange with nb x the payload.
-// The engine is also generic over the element type: an fp32 set packs
-// fp32 strips and moves HALF the wire bytes of an fp64 exchange through
-// the identical byte-addressed point-to-point path — the same tags, the
-// same message count, the same overlap structure. finish() counts one
-// exchange round refreshing nb member planes
+// finish() counts one exchange round refreshing nb member planes
 // (CostTracker::add_halo_exchange(nb)).
 #pragma once
 
@@ -111,14 +107,11 @@ class HaloHandleT {
 };
 
 extern template class HaloHandleT<double>;
-extern template class HaloHandleT<float>;
 
 using HaloHandle = HaloHandleT<double>;
-using HaloHandle32 = HaloHandleT<float>;
-/// The batch exchange rides the unified handle; kept as named aliases
+/// The batch exchange rides the unified handle; kept as a named alias
 /// for readability at batched call sites.
 using BatchHaloHandle = HaloHandleT<double>;
-using BatchHaloHandle32 = HaloHandleT<float>;
 
 class HaloExchanger {
  public:
@@ -136,7 +129,7 @@ class HaloExchanger {
   /// finish(); the owned interior may be read freely (but not written)
   /// in between. One message per (block, neighbor) carries all nb()
   /// members. The fault-injection halo payload hook arms only on
-  /// width-1 fp64 sets — fault sites target a single solve; members of
+  /// width-1 sets — fault sites target a single solve; members of
   /// wider batches recover through per-member sub-batches (DESIGN.md
   /// §10, §11).
   template <typename T>
@@ -151,7 +144,7 @@ class HaloExchanger {
   /// must share decomposition, rank, halo width and batch width; each
   /// set's rims are bitwise identical to what its own exchange_set()
   /// would deliver. With CRC enabled, one trailer covers the whole
-  /// concatenated payload; the fault payload hook arms on width-1 fp64
+  /// concatenated payload; the fault payload hook arms on width-1
   /// groups exactly like the single-set path. Blocking.
   template <typename T>
   void exchange_group(Communicator& comm,
@@ -177,8 +170,7 @@ class HaloExchanger {
   }
 
   /// Bytes this rank sends per exchange of `field` (for cost
-  /// reporting). Scales with sizeof(T) and the batch width: an fp32
-  /// field reports half the fp64 bytes; a batch reports nb x the
+  /// reporting). Scales with the batch width: a batch reports nb x the
   /// scalar bytes, carried in the same messages.
   template <typename T>
   std::uint64_t bytes_sent_per_exchange(const DistFieldT<T>& field) const;
@@ -217,7 +209,6 @@ class HaloExchanger {
   extern template std::uint64_t HaloExchanger::bytes_sent_per_exchange<T>( \
       const DistFieldBatchT<T>&) const;
 MINIPOP_HALO_EXTERN(double)
-MINIPOP_HALO_EXTERN(float)
 #undef MINIPOP_HALO_EXTERN
 
 }  // namespace minipop::comm

@@ -104,9 +104,8 @@ class ThreadTeam {
   friend class ThreadReduceRequest;
   friend class ThreadRecvRequest;
 
-  // Mailbox payloads are raw bytes: the team relays whatever element
-  // type the sender packed (fp64 state halos, fp32 mixed-precision
-  // halos) without reinterpretation; sizes are checked in bytes.
+  // Mailbox payloads are raw bytes: the team relays whatever the sender
+  // packed without reinterpretation; sizes are checked in bytes.
   struct Message {
     std::vector<std::byte> data;
   };

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <type_traits>
 
 #include "src/util/error.hpp"
 
@@ -59,11 +58,9 @@ BlockEvpPreconditioner::BlockEvpPreconditioner(
   evp_opt.simplified = options.simplified;
   evp_opt.validate_accuracy = options.tile_accuracy;
 
-  reg_coeff_.reserve(ids.size());
   for (int lb = 0; lb < static_cast<int>(ids.size()); ++lb) {
     const auto& b = decomp.block(ids[lb]);
-    // Copy the regularized coefficients of this block (kept around so
-    // the fp32 tile set can be built lazily later).
+    // Copy the regularized coefficients of this block.
     std::array<util::Field, grid::kNumDirs> coeff;
     for (int d = 0; d < grid::kNumDirs; ++d) {
       coeff[d] = util::Field(b.nx, b.ny);
@@ -100,48 +97,6 @@ BlockEvpPreconditioner::BlockEvpPreconditioner(
     for (const auto& [ti0, tnx] : split(b.nx, options.max_tile))
       for (const auto& [tj0, tny] : split(b.ny, options.max_tile))
         add_tile(ti0, tj0, tnx, tny);
-    reg_coeff_.push_back(std::move(coeff));
-  }
-}
-
-void BlockEvpPreconditioner::build_tiles32() {
-  EvpOptions evp_opt;
-  evp_opt.simplified = options_.simplified;
-  // The fp64 self-check already ran per fp32 tile candidate at
-  // construction below; what gates fp32 use is the fp32 self-check.
-  evp_opt.validate_accuracy = options_.tile_accuracy;
-  const int max_tile32 =
-      options_.max_tile32 > 0 ? options_.max_tile32 : options_.max_tile;
-
-  for (int lb = 0; lb < static_cast<int>(reg_coeff_.size()); ++lb) {
-    const auto& coeff = reg_coeff_[lb];
-    const std::function<void(int, int, int, int)> add_tile =
-        [&](int ti0, int tj0, int tnx, int tny) {
-          try {
-            Tile t;
-            t.local_block = lb;
-            t.solver = std::make_unique<EvpTileSolver>(coeff, ti0, tj0,
-                                                       tnx, tny, evp_opt);
-            t.solver->enable_fp32(options_.tile_accuracy32);
-            setup_flops_ += t.solver->setup_flops();
-            tiles32_.push_back(std::move(t));
-          } catch (const util::Error&) {
-            if (tnx <= 2 && tny <= 2) throw;
-            ++subdivided_tiles32_;
-            if (tnx >= tny) {
-              add_tile(ti0, tj0, tnx / 2, tny);
-              add_tile(ti0 + tnx / 2, tj0, tnx - tnx / 2, tny);
-            } else {
-              add_tile(ti0, tj0, tnx, tny / 2);
-              add_tile(ti0, tj0 + tny / 2, tnx, tny - tny / 2);
-            }
-          }
-        };
-    const int bnx = coeff[0].nx();
-    const int bny = coeff[0].ny();
-    for (const auto& [ti0, tnx] : split(bnx, max_tile32))
-      for (const auto& [tj0, tny] : split(bny, max_tile32))
-        add_tile(ti0, tj0, tnx, tny);
   }
 }
 
@@ -156,53 +111,49 @@ int BlockEvpPreconditioner::simplified_tiles() const {
 // never touches `comm` beyond cost accounting and reads no halo points.
 // The overlapped solvers rely on this to run it while reductions are in
 // flight (split-phase engine); keep it that way.
-template <typename T, typename In, typename Out>
+template <typename In, typename Out>
 void BlockEvpPreconditioner::apply_tiles(comm::Communicator& comm,
-                                         const std::vector<Tile>& tiles,
                                          const In& in, Out& out,
                                          int nb) const {
   std::uint64_t flops = 0;
-  util::Array2D<T> y, x;
-  for (const auto& t : tiles) {
+  util::Field y, x;
+  for (const auto& t : tiles_) {
     const auto& s = *t.solver;
     if (y.nx() != s.nx() || y.ny() != s.ny()) {
-      y = util::Array2D<T>(s.nx(), s.ny());
-      x = util::Array2D<T>(s.nx(), s.ny());
+      y = util::Field(s.nx(), s.ny());
+      x = util::Field(s.nx(), s.ny());
     }
     // Row-pointer gather/scatter: this runs per tile per iteration, so
     // skip the per-element block lookup of at().
-    const T* in_p = in.interior(t.local_block) +
-                    static_cast<std::ptrdiff_t>(s.i0()) * nb;
+    const double* in_p = in.interior(t.local_block) +
+                         static_cast<std::ptrdiff_t>(s.i0()) * nb;
     const std::ptrdiff_t in_s = in.stride(t.local_block);
-    T* out_p = out.interior(t.local_block) +
-               static_cast<std::ptrdiff_t>(s.i0()) * nb;
+    double* out_p = out.interior(t.local_block) +
+                    static_cast<std::ptrdiff_t>(s.i0()) * nb;
     const std::ptrdiff_t out_s = out.stride(t.local_block);
     const auto& mask = op_->block_mask(t.local_block);
     for (int m = 0; m < nb; ++m) {
       // Contiguous rows at nb == 1 (the common single-solve case) keep
       // the copies vectorizable; the values moved are the same.
       for (int j = 0; j < s.ny(); ++j) {
-        const T* row = in_p + (s.j0() + j) * in_s + m;
+        const double* row = in_p + (s.j0() + j) * in_s + m;
         if (nb == 1)
           for (int i = 0; i < s.nx(); ++i) y(i, j) = row[i];
         else
           for (int i = 0; i < s.nx(); ++i)
             y(i, j) = row[static_cast<std::ptrdiff_t>(i) * nb];
       }
-      if constexpr (std::is_same_v<T, double>)
-        s.solve(y, x);
-      else
-        s.solve32(y, x);
+      s.solve(y, x);
       for (int j = 0; j < s.ny(); ++j) {
-        T* row = out_p + (s.j0() + j) * out_s + m;
+        double* row = out_p + (s.j0() + j) * out_s + m;
         const unsigned char* mrow =
             mask.data() + (s.j0() + j) * mask.nx() + s.i0();
         if (nb == 1)
-          for (int i = 0; i < s.nx(); ++i) row[i] = mrow[i] ? x(i, j) : T(0);
+          for (int i = 0; i < s.nx(); ++i) row[i] = mrow[i] ? x(i, j) : 0.0;
         else
           for (int i = 0; i < s.nx(); ++i)
             row[static_cast<std::ptrdiff_t>(i) * nb] =
-                mrow[i] ? x(i, j) : T(0);
+                mrow[i] ? x(i, j) : 0.0;
       }
     }
     flops += s.solve_flops() * static_cast<std::uint64_t>(nb);
@@ -214,22 +165,14 @@ void BlockEvpPreconditioner::apply(comm::Communicator& comm,
                                    const comm::DistField& in,
                                    comm::DistField& out) {
   MINIPOP_REQUIRE(in.compatible_with(out), "block-EVP field mismatch");
-  apply_tiles<double>(comm, tiles_, in, out, 1);
+  apply_tiles(comm, in, out, 1);
 }
 
 void BlockEvpPreconditioner::apply_batch(comm::Communicator& comm,
                                          const comm::DistFieldBatch& in,
                                          comm::DistFieldBatch& out) {
   MINIPOP_REQUIRE(in.compatible_with(out), "block-EVP batch mismatch");
-  apply_tiles<double>(comm, tiles_, in, out, in.nb());
-}
-
-void BlockEvpPreconditioner::apply_batch(comm::Communicator& comm,
-                                         const comm::DistFieldBatch32& in,
-                                         comm::DistFieldBatch32& out) {
-  MINIPOP_REQUIRE(in.compatible_with(out), "block-EVP batch mismatch");
-  if (tiles32_.empty()) build_tiles32();
-  apply_tiles<float>(comm, tiles32_, in, out, in.nb());
+  apply_tiles(comm, in, out, in.nb());
 }
 
 }  // namespace minipop::evp

@@ -45,16 +45,6 @@ struct BlockEvpOptions {
   /// Krylov methods that are sensitive to non-SPD preconditioners
   /// (e.g. pipelined CG) need this tightened to ~1e-8.
   double tile_accuracy = 1e-4;
-  /// Maximum tile side of the fp32 mirror tiles. Marching amplifies
-  /// round-off from eps of the working type, so fp32 tiles must be much
-  /// smaller than fp64 ones: 12x12 turns eps32 into O(1) error, 6x6
-  /// stays preconditioner-grade. 0 inherits max_tile (NOT recommended).
-  int max_tile32 = 6;
-  /// Required relative accuracy of the fp32 tile self-check; fp32 tiles
-  /// failing it subdivide, like the fp64 path. Looser than
-  /// tile_accuracy: the fp32 tiles only precondition fp32 inner sweeps
-  /// whose own accuracy floor is ~1e-7.
-  double tile_accuracy32 = 5e-3;
 };
 
 /// Depth field with land (<= 0) replaced by epsilon_fraction * max depth.
@@ -80,22 +70,12 @@ class BlockEvpPreconditioner final : public solver::Preconditioner {
   void apply_batch(comm::Communicator& comm, const comm::DistFieldBatch& in,
                    comm::DistFieldBatch& out) override;
 
-  /// fp32 batched apply. The fp32 tile set is built lazily on first use
-  /// (from the same regularized coefficients, with the smaller
-  /// max_tile32 and its own self-check/subdivision), so fp64-only runs
-  /// pay nothing.
-  void apply_batch(comm::Communicator& comm,
-                   const comm::DistFieldBatch32& in,
-                   comm::DistFieldBatch32& out) override;
-
   std::string name() const override {
     return options_.simplified ? "block-evp" : "block-evp-full";
   }
 
   const BlockEvpOptions& options() const { return options_; }
   int num_tiles() const { return static_cast<int>(tiles_.size()); }
-  /// fp32 mirror tiles (0 until the first fp32 apply builds them).
-  int num_tiles32() const { return static_cast<int>(tiles32_.size()); }
   /// Tiles that failed the marching accuracy self-check and were split
   /// (strong local anisotropy); purely informational.
   int subdivided_tiles() const { return subdivided_tiles_; }
@@ -113,27 +93,20 @@ class BlockEvpPreconditioner final : public solver::Preconditioner {
     std::unique_ptr<EvpTileSolver> solver;
   };
 
-  void build_tiles32();
-
   /// Shared tile loop of every apply, over planes with `nb` members per
   /// cell (nb = 1 for a DistField): for each tile and member, gather the
   /// tile's right-hand side (member stride nb), solve, and scatter the
   /// masked solution — each member's operations in the same order as a
   /// lone apply. Block-local and communication-free.
-  template <typename T, typename In, typename Out>
-  void apply_tiles(comm::Communicator& comm, const std::vector<Tile>& tiles,
-                   const In& in, Out& out, int nb) const;
+  template <typename In, typename Out>
+  void apply_tiles(comm::Communicator& comm, const In& in, Out& out,
+                   int nb) const;
 
   const solver::DistOperator* op_;
   BlockEvpOptions options_;
   std::vector<Tile> tiles_;
   std::uint64_t setup_flops_ = 0;
   int subdivided_tiles_ = 0;
-  /// Regularized per-block coefficients, kept for the lazy fp32 tile
-  /// build (the fp64 tiles consumed them at construction).
-  std::vector<std::array<util::Field, grid::kNumDirs>> reg_coeff_;
-  std::vector<Tile> tiles32_;
-  int subdivided_tiles32_ = 0;
 };
 
 }  // namespace minipop::evp

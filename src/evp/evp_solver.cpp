@@ -241,163 +241,6 @@ void EvpTileSolver::solve(const util::Field& y, util::Field& x) const {
   march(y, x);
 }
 
-void EvpTileSolver::enable_fp32(double validate_accuracy) {
-  if (fp32_) return;
-  for (int d = 0; d < grid::kNumDirs; ++d) {
-    const auto& c = coeff_[d];
-    coeff32_[d] = util::Array2D<float>(c.nx(), c.ny(), 0.0f);
-    for (int j = 0; j < c.ny(); ++j)
-      for (int i = 0; i < c.nx(); ++i)
-        coeff32_[d](i, j) = static_cast<float>(c(i, j));
-  }
-  // Reciprocal pivots, computed in double and rounded once. Cells whose
-  // equation the march never consumes keep 0 (never read).
-  const auto& cne = coeff_[D(Dir::kNorthEast)];
-  recip_ne32_ = util::Array2D<float>(cne.nx(), cne.ny(), 0.0f);
-  for (int j = 0; j + 1 < ny_; ++j)
-    for (int i = 0; i + 1 < nx_; ++i)
-      recip_ne32_(i + 1, j + 1) =
-          static_cast<float>(1.0 / cne(i + 1, j + 1));
-  fp32_ = true;
-
-  // Self-check against the *double* tile operator, so the measured error
-  // includes coefficient rounding, not just marching round-off.
-  util::Field x_ref(nx_, ny_), y(nx_, ny_);
-  for (int j = 0; j < ny_; ++j)
-    for (int i = 0; i < nx_; ++i)
-      x_ref(i, j) = ((i * 7 + j * 13) % 11 - 5) / 5.0;
-  apply_operator(x_ref, y);
-  util::Array2D<float> y32(nx_, ny_), x32(nx_, ny_);
-  for (int j = 0; j < ny_; ++j)
-    for (int i = 0; i < nx_; ++i) y32(i, j) = static_cast<float>(y(i, j));
-  solve32(y32, x32);
-  double err = 0.0, scale = 0.0;
-  for (int j = 0; j < ny_; ++j)
-    for (int i = 0; i < nx_; ++i) {
-      err = std::max(err,
-                     std::abs(static_cast<double>(x32(i, j)) - x_ref(i, j)));
-      scale = std::max(scale, std::abs(x_ref(i, j)));
-    }
-  measured_accuracy32_ = scale > 0 ? err / scale : 0.0;
-  if (validate_accuracy > 0) {
-    MINIPOP_REQUIRE(measured_accuracy32_ <= validate_accuracy,
-                    "EVP tile " << nx_ << "x" << ny_
-                                << " is numerically unstable in fp32 (error "
-                                << measured_accuracy32_
-                                << "); use smaller fp32 tiles");
-  }
-}
-
-void EvpTileSolver::march32(const util::Array2D<float>& y,
-                            util::Array2D<float>& x) const {
-  MINIPOP_REQUIRE(fp32_, "march32 before enable_fp32");
-  const auto& cc = coeff32_[D(Dir::kCenter)];
-  const auto& ce = coeff32_[D(Dir::kEast)];
-  const auto& cw = coeff32_[D(Dir::kWest)];
-  const auto& cn = coeff32_[D(Dir::kNorth)];
-  const auto& cs = coeff32_[D(Dir::kSouth)];
-  const auto& cnw = coeff32_[D(Dir::kNorthWest)];
-  const auto& cse = coeff32_[D(Dir::kSouthEast)];
-  const auto& csw = coeff32_[D(Dir::kSouthWest)];
-  const auto& rne = recip_ne32_;
-
-  auto X = [&](int a, int b) -> float {
-    return (a >= 0 && a < nx_ && b >= 0 && b < ny_) ? x(a, b) : 0.0f;
-  };
-  // The fp32 march has no bit-reproducibility contract (its accuracy is
-  // gated by the enable_fp32 self-check), so unlike march() it is free
-  // to re-associate the sum: the terms reading the row being marched —
-  // cnw * x(a-2, b) and cn * x(a-1, b) — go LAST, so the serial
-  // recurrence chain is mul + add + sub + mul instead of threading
-  // through half the addition tree. march() cannot do this: reordering
-  // would change fp64 results bit-wise.
-  auto step_checked = [&](int a, int b) {
-    const int ea = a - 1;
-    const int eb = b - 1;
-    const int I = ea + 1;
-    const int J = eb + 1;
-    const float sum =
-        cc(I, J) * X(ea, eb) + ce(I, J) * X(ea + 1, eb) +
-        cw(I, J) * X(ea - 1, eb) + cs(I, J) * X(ea, eb - 1) +
-        cse(I, J) * X(ea + 1, eb - 1) + csw(I, J) * X(ea - 1, eb - 1) +
-        cnw(I, J) * X(ea - 1, eb + 1) + cn(I, J) * X(ea, eb + 1);
-    x(a, b) = (y(ea, eb) - sum) * rne(I, J);
-  };
-
-  // Same boundary peel + row-pointer hoist as march().
-  const std::ptrdiff_t cp = cc.nx();
-  for (int b = 1; b < ny_; ++b) {
-    if (b == 1 || nx_ == 1) {  // 1-wide tiles have no interior column
-      for (int a = 1; a < nx_; ++a) step_checked(a, b);
-      continue;
-    }
-    step_checked(1, b);
-    const std::ptrdiff_t J = b;
-    const float* ccJ = cc.data() + J * cp;
-    const float* ceJ = ce.data() + J * cp;
-    const float* cwJ = cw.data() + J * cp;
-    const float* cnJ = cn.data() + J * cp;
-    const float* csJ = cs.data() + J * cp;
-    const float* rneJ = rne.data() + J * cp;
-    const float* cnwJ = cnw.data() + J * cp;
-    const float* cseJ = cse.data() + J * cp;
-    const float* cswJ = csw.data() + J * cp;
-    const float* yb = y.data() + static_cast<std::ptrdiff_t>(b - 1) * nx_;
-    float* xb = x.data() + static_cast<std::ptrdiff_t>(b) * nx_;
-    const float* xb1 = xb - nx_;
-    const float* xb2 = xb - 2 * nx_;
-    for (int a = 2; a < nx_; ++a) {
-      const int ea = a - 1;
-      const float sum =
-          ccJ[a] * xb1[ea] + ceJ[a] * xb1[ea + 1] + cwJ[a] * xb1[ea - 1] +
-          csJ[a] * xb2[ea] + cseJ[a] * xb2[ea + 1] + cswJ[a] * xb2[ea - 1] +
-          cnwJ[a] * xb[ea - 1] + cnJ[a] * xb[ea];
-      xb[a] = (yb[ea] - sum) * rneJ[a];
-    }
-  }
-}
-
-void EvpTileSolver::residual_at_f32(const util::Array2D<float>& x,
-                                    const util::Array2D<float>& y,
-                                    std::vector<double>& f) const {
-  f.resize(k_);
-  auto X = [&](int a, int b) -> double {
-    return (a >= 0 && a < nx_ && b >= 0 && b < ny_)
-               ? static_cast<double>(x(a, b))
-               : 0.0;
-  };
-  // O(nx + ny) cells only; accumulate in double for the LU correction.
-  auto row_residual = [&](int a, int b) -> double {
-    double acc = -static_cast<double>(y(a, b));
-    for (int d = 0; d < grid::kNumDirs; ++d) {
-      const auto [di, dj] = grid::kDirOffset[d];
-      acc += static_cast<double>(coeff32_[d](a + 1, b + 1)) * X(a + di, b + dj);
-    }
-    return acc;
-  };
-  for (int a = 0; a < nx_; ++a) f[a] = row_residual(a, ny_ - 1);
-  for (int b = 0; b + 1 < ny_; ++b) f[nx_ + b] = row_residual(nx_ - 1, b);
-}
-
-void EvpTileSolver::solve32(const util::Array2D<float>& y,
-                            util::Array2D<float>& x) const {
-  MINIPOP_REQUIRE(fp32_, "solve32 before enable_fp32");
-  MINIPOP_REQUIRE(y.nx() == nx_ && y.ny() == ny_, "tile rhs shape mismatch");
-  if (x.nx() != nx_ || x.ny() != ny_) x = util::Array2D<float>(nx_, ny_);
-
-  x.fill(0.0f);
-  march32(y, x);
-  residual_at_f32(x, y, f_);
-  w_lu_->solve_into(f_.data(), g_.data());
-  for (int m = 0; m < k_; ++m) {
-    if (m < nx_)
-      x(m, 0) = static_cast<float>(-g_[m]);
-    else
-      x(0, m - nx_ + 1) = static_cast<float>(-g_[m]);
-  }
-  march32(y, x);
-}
-
 std::uint64_t EvpTileSolver::solve_flops() const {
   const std::uint64_t pts = static_cast<std::uint64_t>(nx_) * ny_;
   // Paper counting: two marches + the k x k correction solve, i.e.

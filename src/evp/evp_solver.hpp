@@ -80,15 +80,10 @@ class EvpTileSolver {
 
   /// One marching sweep (the Eq. 4 recurrence) with the current guess
   /// cells of x as input — the hot kernel inside solve(), exposed for
-  /// kernel benchmarks (bench_precision) and stability studies. x must
+  /// kernel benchmarks (bench_kernels) and stability studies. x must
   /// be nx x ny with the south row / west column holding the guess.
   void march_sweep(const util::Field& y, util::Field& x) const {
     march(y, x);
-  }
-  /// fp32 marching sweep (requires enable_fp32; checked in march32).
-  void march_sweep32(const util::Array2D<float>& y,
-                     util::Array2D<float>& x) const {
-    march32(y, x);
   }
 
   /// Flops of one solve in the paper's counting (22 per point full,
@@ -106,37 +101,10 @@ class EvpTileSolver {
   /// paper's 1e-8-at-12x12 round-off figure is observable here).
   double measured_accuracy() const { return measured_accuracy_; }
 
-  // -------------------------------------------------------------------
-  // fp32 mirror. Marching amplifies round-off from eps of the working
-  // type, so fp32 tiles must be markedly smaller than fp64 ones (the
-  // 1e-8-at-12x12 figure becomes O(1) garbage in fp32); callers pick a
-  // smaller max tile and validate. The fp32 march replaces the NE-pivot
-  // division — the latency-bound op on the march's dependent chain —
-  // with a multiply by a precomputed reciprocal.
-
-  /// Build the float coefficient copy + reciprocal NE pivots and
-  /// self-check the fp32 solve against the double operator. Throws if
-  /// the measured relative error exceeds validate_accuracy (> 0).
-  void enable_fp32(double validate_accuracy);
-  bool fp32_enabled() const { return fp32_; }
-  /// Relative error of the fp32 self-check solve (vs. the exact double
-  /// tile operator, so it includes coefficient rounding).
-  double measured_accuracy32() const { return measured_accuracy32_; }
-
-  /// fp32 solve B x = y (requires enable_fp32). The guess correction
-  /// still runs through the double influence-matrix LU — it is O(k)
-  /// work, and the slightly mismatched W (built from unrounded
-  /// coefficients) is absorbed by the self-checked second march.
-  void solve32(const util::Array2D<float>& y, util::Array2D<float>& x) const;
-
  private:
   void march(const util::Field& y, util::Field& x) const;
   void residual_at_f(const util::Field& x, const util::Field& y,
                      std::vector<double>& f) const;
-  void march32(const util::Array2D<float>& y, util::Array2D<float>& x) const;
-  void residual_at_f32(const util::Array2D<float>& x,
-                       const util::Array2D<float>& y,
-                       std::vector<double>& f) const;
 
   int i0_, j0_, nx_, ny_, k_;
   bool simplified_;
@@ -145,17 +113,11 @@ class EvpTileSolver {
   std::array<util::Field, grid::kNumDirs> coeff_;
   std::unique_ptr<linalg::LuFactorization> w_lu_;
   /// Scratch for the guess correction (residuals F and correction g) —
-  /// solve()/solve32() run thousands of times per preconditioner sweep
-  /// and must not allocate.
+  /// solve() runs thousands of times per preconditioner sweep and must
+  /// not allocate.
   mutable std::vector<double> f_, g_;
   std::uint64_t setup_flops_ = 0;
   double measured_accuracy_ = 0.0;
-  bool fp32_ = false;
-  /// Float mirror of coeff_ (same padding), plus the reciprocal of the
-  /// NE pivot the march multiplies by instead of dividing.
-  std::array<util::Array2D<float>, grid::kNumDirs> coeff32_;
-  util::Array2D<float> recip_ne32_;
-  double measured_accuracy32_ = 0.0;
 };
 
 }  // namespace minipop::evp

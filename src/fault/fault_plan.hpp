@@ -63,7 +63,7 @@ struct FaultRule {
   /// stencil sweeps for kSolverVector, packed sends for kHaloPayload,
   /// posted messages for kMailbox, collective posts for kRankStall,
   /// solver-entry reads of the bounds for kEigenBounds, CRC-protected
-  /// sends for kHaloBitFlip, fp64 operator sweeps for kCoeffBitFlip,
+  /// sends for kHaloBitFlip, operator sweeps for kCoeffBitFlip,
   /// and reduction contributions for kReductionCorrupt.
   long trigger_event = -1;
 

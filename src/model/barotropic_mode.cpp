@@ -193,7 +193,6 @@ void BarotropicMode::step_finish(comm::Communicator& comm,
 
   ++total_solves_;
   total_iterations_ += stats.iterations;
-  total_refine_sweeps_ += stats.refine_sweeps;
   if (!stats.converged) {
     // A non-converged free-surface solve must never pass silently: eta
     // is about to feed the velocity correction and the tracer fields.

@@ -46,10 +46,10 @@ class BarotropicMode {
   /// elliptic RHS assembly, leaving rhs() ready and eta()'s halo fresh
   /// (the solve may attest HaloFreshness::kFresh); the caller then
   /// solves (K + phi area) eta = rhs — possibly batched across several
-  /// members' systems, with the full decorator stack (mixed precision,
-  /// per-member resilience, overlap) riding along — and hands the
-  /// stats to step_finish() for the failure/refinement accounting and
-  /// the velocity correction.
+  /// members' systems, with the full decorator stack (per-member
+  /// resilience, overlap) riding along — and hands the stats to
+  /// step_finish() for the failure accounting and the velocity
+  /// correction.
   /// step() == step_begin() + solver.solve() + step_finish(), bit for
   /// bit.
   void step_begin(comm::Communicator& comm, double yearday);
@@ -74,9 +74,6 @@ class BarotropicMode {
   /// Cumulative elliptic-solver iterations / solves since construction.
   long total_iterations() const { return total_iterations_; }
   long total_solves() const { return total_solves_; }
-  /// Cumulative mixed-precision refinement sweeps (0 unless the solver
-  /// runs with options.precision == kMixed).
-  long total_refine_sweeps() const { return total_refine_sweeps_; }
   /// Solves that ended unconverged (each is warned about on rank 0).
   long solver_failures() const { return solver_failures_; }
   /// FailureKind of the most recent unconverged solve (kNone if none).
@@ -101,7 +98,6 @@ class BarotropicMode {
 
   long total_iterations_ = 0;
   long total_solves_ = 0;
-  long total_refine_sweeps_ = 0;
   long solver_failures_ = 0;
   solver::FailureKind last_failure_ = solver::FailureKind::kNone;
 };

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "src/solver/field_ops.hpp"
-#include "src/solver/integrity.hpp"
 #include "src/solver/preconditioner.hpp"
 #include "src/util/error.hpp"
 #include "src/util/log.hpp"
@@ -14,16 +13,6 @@
 namespace minipop::solver {
 
 namespace {
-
-/// Interior of member m := 0 (freezes the member through the inner
-/// solve's zero-RHS early-out; see solve_mixed).
-void zero_member(comm::DistFieldBatch32& x, int m) {
-  for (int lb = 0; lb < x.num_local_blocks(); ++lb) {
-    const auto& info = x.info(lb);
-    for (int j = 0; j < info.ny; ++j)
-      for (int i = 0; i < info.nx; ++i) x.at(lb, i, j, m) = 0.0f;
-  }
-}
 
 void zero_nonfinite(comm::DistFieldBatch& v) {
   const int nb = v.nb();
@@ -39,252 +28,6 @@ void zero_nonfinite(comm::DistFieldBatch& v) {
 }
 
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// BatchedMixedPrecisionSolver
-
-BatchedMixedPrecisionSolver::BatchedMixedPrecisionSolver(
-    std::unique_ptr<BatchedSolver> fp64_twin, const SolverOptions& options)
-    : twin_(std::move(fp64_twin)), opt_(options) {
-  MINIPOP_REQUIRE(twin_ != nullptr, "batched mixed precision needs a solver");
-  pcsi_ = dynamic_cast<BatchedPcsiSolver*>(twin_.get());
-  cg_ = dynamic_cast<BatchedChronGearSolver*>(twin_.get());
-  MINIPOP_REQUIRE(pcsi_ != nullptr || cg_ != nullptr,
-                  "batched mixed precision wraps batched pcsi or chrongear, "
-                  "got '" << twin_->name() << "'");
-}
-
-std::string BatchedMixedPrecisionSolver::name() const {
-  return std::string(to_string(opt_.precision)) + "(" + twin_->name() + ")";
-}
-
-BatchSolveStats BatchedMixedPrecisionSolver::solve(
-    comm::Communicator& comm, const comm::HaloExchanger& halo,
-    const DistOperator& a, Preconditioner& m, const comm::DistFieldBatch& b,
-    comm::DistFieldBatch& x, comm::HaloFreshness x_fresh) {
-  if (forced_fp64_ || opt_.precision == Precision::kFp64)
-    return twin_->solve(comm, halo, a, m, b, x, x_fresh);
-  if (opt_.precision == Precision::kFp32)
-    return solve_fp32(comm, halo, a, m, b, x);
-  return solve_mixed(comm, halo, a, m, b, x, x_fresh);
-}
-
-BatchSolveStats BatchedMixedPrecisionSolver::solve(
-    comm::Communicator& comm, const comm::HaloExchanger& halo,
-    const DistOperator& a, Preconditioner& m,
-    const comm::DistFieldBatch32& b, comm::DistFieldBatch32& x,
-    comm::HaloFreshness x_fresh) {
-  return twin_->solve(comm, halo, a, m, b, x, x_fresh);
-}
-
-std::unique_ptr<BatchedSolver> BatchedMixedPrecisionSolver::make_inner()
-    const {
-  SolverOptions inner = opt_;
-  inner.rel_tolerance = opt_.refine_inner_tolerance;
-  inner.max_iterations = opt_.refine_max_inner_iterations;
-  inner.record_residuals = false;
-  if (pcsi_)
-    return std::make_unique<BatchedPcsiSolver>(pcsi_->bounds(), inner);
-  return std::make_unique<BatchedChronGearSolver>(inner);
-}
-
-BatchSolveStats BatchedMixedPrecisionSolver::solve_fp32(
-    comm::Communicator& comm, const comm::HaloExchanger& halo,
-    const DistOperator& a, Preconditioner& m, const comm::DistFieldBatch& b,
-    comm::DistFieldBatch& x) {
-  comm::DistFieldBatch32 b32(a.decomposition(), a.rank(), b.nb(), b.halo());
-  comm::DistFieldBatch32 x32(a.decomposition(), a.rank(), x.nb(), x.halo());
-  demote(b, b32);
-  demote(x, x32);  // halos stale; the first residual refreshes them
-  BatchSolveStats stats = twin_->solve(comm, halo, a, m, b32, x32);
-  promote(x32, x);
-  return stats;
-}
-
-BatchSolveStats BatchedMixedPrecisionSolver::solve_mixed(
-    comm::Communicator& comm, const comm::HaloExchanger& halo,
-    const DistOperator& a, Preconditioner& m, const comm::DistFieldBatch& b,
-    comm::DistFieldBatch& x, comm::HaloFreshness x_fresh) {
-  const auto snapshot = comm.costs().counters();
-  const int nb = b.nb();
-  const bool ov = opt_.overlap;
-  BatchSolveStats out;
-  out.members.resize(nb);
-
-  comm::DistFieldBatch r(a.decomposition(), a.rank(), nb, x.halo());
-  comm::DistFieldBatch32 r32(a.decomposition(), a.rank(), nb, x.halo());
-  comm::DistFieldBatch32 d32(a.decomposition(), a.rank(), nb, x.halo());
-
-  // True fp64 member norms and thresholds (the refinement guards).
-  std::vector<double> b_norm2(nb, 0.0);
-  a.local_dot_batch(comm, b, b, b_norm2.data());
-  std::vector<int> bad_idx;
-  std::vector<unsigned char> bad_slot(nb, 0);
-  if (allreduce_sum_guarded(comm, opt_.integrity,
-                            std::span<double>(b_norm2.data(), nb),
-                            &bad_idx))
-    for (int i : bad_idx) bad_slot[i] = 1;
-
-  std::vector<double> threshold2(nb);
-  std::vector<ConvergenceGuard> guards;
-  guards.reserve(nb);
-  std::vector<unsigned char> active(nb, 1);
-  int n_active = nb;
-  for (int mm = 0; mm < nb; ++mm) {
-    guards.emplace_back(opt_);
-    threshold2[mm] = opt_.rel_tolerance * opt_.rel_tolerance * b_norm2[mm];
-    if (bad_slot[mm]) {
-      // Untrustworthy ||b||² ⇒ untrustworthy threshold: fail the member
-      // before it refines (as the batched core's init does).
-      out.members[mm].failure = FailureKind::kCorruptReduction;
-      active[mm] = 0;
-      --n_active;
-      continue;
-    }
-    if (b_norm2[mm] == 0.0) {
-      // Zero right-hand side: x_m = 0, converged.
-      for (int lb = 0; lb < x.num_local_blocks(); ++lb) {
-        const auto& info = x.info(lb);
-        for (int j = 0; j < info.ny; ++j)
-          for (int i = 0; i < info.nx; ++i) x.at(lb, i, j, mm) = 0.0;
-      }
-      out.members[mm].converged = true;
-      active[mm] = 0;
-      --n_active;
-    }
-  }
-  if (n_active == 0) {
-    out.costs = comm.costs().since(snapshot);
-    return out;
-  }
-
-  std::vector<double> sums(nb);
-  std::vector<double> ones(nb, 1.0);
-  std::vector<unsigned char> accept_s(nb);
-  std::vector<FailureKind> audit(nb);
-  std::vector<int> member_id(nb);
-  for (int mm = 0; mm < nb; ++mm) member_id[mm] = mm;
-  BatchIntegrityAuditor auditor(opt_);
-  comm::HaloFreshness fresh = x_fresh;
-
-  for (int sweep = 0;; ++sweep) {
-    // fp64 residual and per-member convergence check, one vector
-    // allreduce per sweep. The batch stays full width here — outer
-    // sweeps are few, and frozen members cost nothing in the inner
-    // solve (their zeroed residual freezes them at its first check).
-    if (ov)
-      a.residual_local_norm2_overlapped_batch(comm, halo, b, x, r,
-                                              sums.data(), fresh);
-    else
-      a.residual_local_norm2_batch(comm, halo, b, x, r, sums.data(), fresh);
-    fresh = comm::HaloFreshness::kStale;
-    bad_idx.clear();
-    bool red_bad = false;
-    if (ov) {
-      // Hide the check reduction behind the (local) demotion of r; the
-      // demoted copy is only wasted on the final, converged sweep.
-      GuardedReduction req;
-      req.post(comm, opt_.integrity, std::span<double>(sums.data(), nb));
-      demote(r, r32);
-      red_bad = req.wait(&bad_idx);
-    } else {
-      red_bad = allreduce_sum_guarded(comm, opt_.integrity,
-                                      std::span<double>(sums.data(), nb),
-                                      &bad_idx);
-    }
-    if (red_bad) {
-      for (int i : bad_idx) {
-        if (!active[i]) continue;
-        out.members[i].failure = FailureKind::kCorruptReduction;
-        active[i] = 0;
-        --n_active;
-      }
-      if (n_active == 0) break;
-    }
-
-    accept_s.assign(nb, 0);
-    audit.assign(nb, FailureKind::kNone);
-    for (int mm = 0; mm < nb; ++mm)
-      if (active[mm] && sums[mm] <= threshold2[mm]) accept_s[mm] = 1;
-    if (opt_.integrity.any_solver_check()) {
-      // The refinement loop's r IS the true fp64 residual (r_is_true),
-      // so only the ABFT operator audit applies — refinement is already
-      // self-auditing against recurrence drift by construction, and the
-      // outer check bounds whatever the fp32 inner solves did. Slot ==
-      // member here (the outer batch never compacts).
-      auditor.at_check(comm, halo, a, b, r, x, b_norm2.data(),
-                       member_id.data(), active.data(), nb, nullptr,
-                       /*r_is_true=*/true, accept_s.data(),
-                       /*any_accept=*/false, audit.data());
-    }
-
-    for (int mm = 0; mm < nb; ++mm) {
-      if (!active[mm]) continue;
-      const double rel = std::sqrt(sums[mm] / b_norm2[mm]);
-      out.members[mm].relative_residual = rel;
-      if (opt_.record_residuals)
-        out.members[mm].residual_history.emplace_back(
-            out.members[mm].iterations, rel);
-      if (audit[mm] != FailureKind::kNone) {
-        out.members[mm].failure = audit[mm];
-        active[mm] = 0;
-        --n_active;
-        continue;
-      }
-      if (accept_s[mm]) {
-        out.members[mm].converged = true;
-        active[mm] = 0;
-        --n_active;
-        continue;
-      }
-      FailureKind f = guards[mm].check(rel);
-      if (f == FailureKind::kNone && sweep >= opt_.refine_max_sweeps)
-        f = FailureKind::kMaxIters;
-      if (f != FailureKind::kNone) {
-        out.members[mm].failure = f;
-        active[mm] = 0;
-        --n_active;
-      }
-    }
-    if (n_active == 0) break;
-
-    // Batched fp32 inner solve of A d = r from zero, to a loose
-    // tolerance relative to each member's ||r|| — each sweep shrinks the
-    // fp64 residual by about that factor, so fp64 tolerance is reached
-    // in a handful of sweeps. Members already frozen by the outer loop
-    // get their residual plane zeroed: the inner solve's zero-RHS
-    // early-out freezes them instantly (d_m = 0).
-    if (!ov) demote(r, r32);
-    for (int mm = 0; mm < nb; ++mm)
-      if (!active[mm]) zero_member(r32, mm);
-    d32.fill(0.0f);
-    const std::unique_ptr<BatchedSolver> inner = make_inner();
-    const BatchSolveStats istats =
-        inner->solve(comm, halo, a, m, r32, d32);
-    out.iterations += istats.iterations;
-    out.retirements += istats.retirements;
-    ++out.refine_sweeps;
-    for (int mm = 0; mm < nb; ++mm) {
-      if (!active[mm]) continue;
-      out.members[mm].iterations += istats.members[mm].iterations;
-      const FailureKind fi = istats.members[mm].failure;
-      // A NaN/breakdown inside the inner solve fails the member before
-      // its correction is applied; other inner failures (max_iters at a
-      // loose tolerance) still improve x.
-      if (fi == FailureKind::kNanDetected ||
-          fi == FailureKind::kBreakdown) {
-        out.members[mm].failure = fi;
-        active[mm] = 0;
-        --n_active;
-      }
-    }
-    axpy_promoted(comm, ones.data(), d32, x, active.data(), n_active);
-    if (n_active == 0) break;
-  }
-
-  out.costs = comm.costs().since(snapshot);
-  return out;
-}
 
 // ---------------------------------------------------------------------------
 // BatchedResilientSolver
@@ -326,15 +69,9 @@ BatchSolveStats BatchedResilientSolver::solve(comm::Communicator& comm,
   const int nb = b.nb();
   checkpoint(x);
 
-  // A previous solve's precision escalation does not outlive it: each
-  // solve gets a fresh shot at the fast fp32/mixed path.
-  auto* mixed =
-      dynamic_cast<BatchedMixedPrecisionSolver*>(chain_.front().solver.get());
-  if (mixed) mixed->set_forced_fp64(false);
   // The P-CSI whose bounds the re-estimation rung replaces, if any.
   BatchedPcsiSolver* pcsi =
       dynamic_cast<BatchedPcsiSolver*>(chain_.front().solver.get());
-  if (!pcsi && mixed) pcsi = mixed->pcsi();
 
   BatchSolveStats out;
   out.members.resize(nb);
@@ -413,7 +150,6 @@ BatchSolveStats BatchedResilientSolver::solve(comm::Communicator& comm,
 
     out.iterations += stats.iterations;
     out.retirements += stats.retirements;
-    out.refine_sweeps += stats.refine_sweeps;
 
     // Settle converged members (their planes are final); collect the
     // failed ones and the worst agreed failure, which drives the chain.
@@ -452,22 +188,13 @@ BatchSolveStats BatchedResilientSolver::solve(comm::Communicator& comm,
     ev.iterations = stats.iterations;
     ev.members = static_cast<int>(failed_slots.size());
 
-    enum class Act {
-      kRepair, kEscalate, kReestimate, kRestart, kFallback, kGiveUp
-    };
+    enum class Act { kRepair, kReestimate, kRestart, kFallback, kGiveUp };
     Act act = Act::kGiveUp;
     if (worst == FailureKind::kCorruptOperator && !operator_repaired) {
       // A corrupted operator is repaired in place, once per solve: no
       // other rung can cure bad coefficients (every retry would re-run
       // the same wrong operator).
       act = Act::kRepair;
-    } else if (stage == 0 && mixed && !mixed->forced_fp64() &&
-               mixed->precision() != Precision::kFp64 &&
-               !needs_resync(worst)) {
-      // Cheapest thing to rule out: reduced-precision arithmetic. Not
-      // for comm-layer failures (timeouts, corrupt payloads) —
-      // precision cannot fix a lost or mangled message.
-      act = Act::kEscalate;
     } else if (stage == 0 && pcsi && policy_.reestimate_bounds &&
                !bounds_reestimated &&
                (worst == FailureKind::kDiverged ||
@@ -536,10 +263,6 @@ BatchSolveStats BatchedResilientSolver::solve(comm::Communicator& comm,
         ev.action = "repair_operator";
         a.repair_coefficients();
         operator_repaired = true;
-        break;
-      case Act::kEscalate:
-        ev.action = "escalate_precision";
-        mixed->set_forced_fp64(true);
         break;
       case Act::kReestimate:
         ev.action = "reestimate_bounds";

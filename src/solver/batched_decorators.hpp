@@ -2,24 +2,15 @@
 // them the same way for every batch width (a single solve is a width-1
 // batch):
 //
-//   BatchedMixedPrecisionSolver — fp32/mixed arithmetic over batched
-//     lockstep sweeps. kFp32 demotes the whole batch and runs the
-//     core's fp32 storage path; kMixed runs an fp64 outer refinement
-//     loop whose per-sweep correction is ONE batched fp32 inner solve
-//     (members that have reached the fp64 tolerance get their residual
-//     plane zeroed, so the inner solve's zero-RHS early-out freezes
-//     them instantly and the batch stops paying for them after the
-//     next retirement compaction).
-//
 //   BatchedResilientSolver — detect → recover → fall back with
 //     per-member recovery: each attempt ends with one B-element kMax
 //     agreement allreduce of the members' failure codes; members that
 //     converged are final, and ONLY the failed members are gathered
 //     into a narrow recovery sub-batch that walks the chain (repair a
-//     corrupted operator → escalate precision → re-estimate the P-CSI
-//     bounds → checkpoint restart → fallback solvers, ending at
-//     diagonal-preconditioned PCG). One diverging member therefore
-//     never freezes or restarts the healthy rest of the batch.
+//     corrupted operator → re-estimate the P-CSI bounds → checkpoint
+//     restart → fallback solvers, ending at diagonal-preconditioned
+//     PCG). One diverging member therefore never freezes or restarts
+//     the healthy rest of the batch.
 //
 //   SequentialBatchedSolver — owns a solver without a lockstep batched
 //     core (PCG, pipelined CG) and runs it member by member, so those
@@ -37,82 +28,6 @@
 
 namespace minipop::solver {
 
-/// Mixed-precision decorator: fp32 inner sweeps under an fp64 guard.
-/// Per SolverOptions::precision:
-///   kFp64  — delegate to the wrapped solver untouched (bit-identical).
-///   kFp32  — the whole solve in float: fp32 fields, fp32 stencil
-///            coefficients, half-size halo messages. Reductions still
-///            accumulate in double, so the convergence check measures
-///            the true fp32 residual; round-off floors the relative
-///            residual near 1e-7 (a tighter tolerance stalls there and
-///            the stagnation guard reports kStagnated).
-///   kMixed — iterative refinement: an fp64 outer loop computes the true
-///            residual r = b - A x and checks it against the caller's
-///            fp64 tolerance; each sweep demotes r, solves A d = r in
-///            fp32 to a loose inner tolerance, and applies x += d in
-///            fp64 (axpy_promoted). One reduction per outer sweep.
-/// `fp64_twin` must be a BatchedPcsiSolver or BatchedChronGearSolver; it
-/// defines the lockstep iteration run at every precision and is the
-/// target BatchedResilientSolver escalates to (set_forced_fp64).
-class BatchedMixedPrecisionSolver final : public BatchedSolver {
- public:
-  BatchedMixedPrecisionSolver(std::unique_ptr<BatchedSolver> fp64_twin,
-                              const SolverOptions& options);
-
-  BatchSolveStats solve(
-      comm::Communicator& comm, const comm::HaloExchanger& halo,
-      const DistOperator& a, Preconditioner& m,
-      const comm::DistFieldBatch& b, comm::DistFieldBatch& x,
-      comm::HaloFreshness x_fresh = comm::HaloFreshness::kStale) override;
-
-  /// fp32 storage entry point: delegate straight to the twin's fp32
-  /// core (the decorator's own job — choosing the arithmetic — is
-  /// already decided by the caller here).
-  BatchSolveStats solve(
-      comm::Communicator& comm, const comm::HaloExchanger& halo,
-      const DistOperator& a, Preconditioner& m,
-      const comm::DistFieldBatch32& b, comm::DistFieldBatch32& x,
-      comm::HaloFreshness x_fresh = comm::HaloFreshness::kStale) override;
-
-  /// e.g. "mixed(batched_pcsi)"; the precision prefix names the
-  /// configured mode even while escalation forces fp64.
-  std::string name() const override;
-
-  Precision precision() const { return opt_.precision; }
-  /// Escalation switch (BatchedResilientSolver): true routes solves
-  /// through the fp64 twin until reset.
-  void set_forced_fp64(bool forced) { forced_fp64_ = forced; }
-  bool forced_fp64() const { return forced_fp64_; }
-
-  BatchedSolver& fp64_twin() { return *twin_; }
-  /// The wrapped batched P-CSI, or nullptr for a ChronGear twin (bounds
-  /// re-estimation reaches through this; the fp32/mixed paths read the
-  /// twin's bounds at solve time, so set_bounds needs no mirroring).
-  BatchedPcsiSolver* pcsi() { return pcsi_; }
-
- private:
-  BatchSolveStats solve_fp32(comm::Communicator& comm,
-                             const comm::HaloExchanger& halo,
-                             const DistOperator& a, Preconditioner& m,
-                             const comm::DistFieldBatch& b,
-                             comm::DistFieldBatch& x);
-  BatchSolveStats solve_mixed(comm::Communicator& comm,
-                              const comm::HaloExchanger& halo,
-                              const DistOperator& a, Preconditioner& m,
-                              const comm::DistFieldBatch& b,
-                              comm::DistFieldBatch& x,
-                              comm::HaloFreshness x_fresh);
-  /// Fresh inner core for one refinement solve, configured with the
-  /// refine_* knobs and the twin's CURRENT eigenvalue bounds.
-  std::unique_ptr<BatchedSolver> make_inner() const;
-
-  std::unique_ptr<BatchedSolver> twin_;
-  BatchedPcsiSolver* pcsi_ = nullptr;     ///< view into twin_, if P-CSI
-  BatchedChronGearSolver* cg_ = nullptr;  ///< view into twin_, if ChronGear
-  SolverOptions opt_;
-  bool forced_fp64_ = false;
-};
-
 struct RecoveryPolicy {
   /// Checkpoint restarts of the primary solver before falling back.
   int max_restarts = 2;
@@ -128,8 +43,7 @@ struct RecoveryPolicy {
 struct RecoveryEvent {
   FailureKind failure;  ///< worst failure the attempt's members reported
   std::string solver;   ///< solver that failed
-  /// repair_operator | escalate_precision | reestimate_bounds | restart |
-  /// fallback | give_up
+  /// repair_operator | reestimate_bounds | restart | fallback | give_up
   std::string action;
   int attempt;          ///< 0-based attempt ordinal within the solve
   int iterations;       ///< iterations spent in the failed attempt

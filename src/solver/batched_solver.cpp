@@ -4,7 +4,6 @@
 #include <cmath>
 #include <memory>
 #include <span>
-#include <type_traits>
 
 #include "src/fault/fault_injector.hpp"
 #include "src/solver/comm_avoid.hpp"
@@ -117,8 +116,7 @@ void lincomb_axpy_active(comm::Communicator& comm, const T* a,
 /// (stats, ||b||², thresholds, guards) is indexed by the member's
 /// original position in the caller's batch and survives retirement;
 /// per-SLOT state (member_of, active) tracks the current, possibly
-/// compacted, batch. Thresholds and reduced scalars are double at every
-/// storage precision (the fp32 kernels accumulate reductions in fp64).
+/// compacted, batch.
 struct BatchControl {
   BatchSolveStats out;
   std::vector<double> b_norm2;          // by original member
@@ -355,21 +353,6 @@ void finish(BatchControl& ctl, comm::Communicator& comm,
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// BatchedSolver default fp32 path
-
-BatchSolveStats BatchedSolver::solve(comm::Communicator& /*comm*/,
-                                     const comm::HaloExchanger& /*halo*/,
-                                     const DistOperator& /*a*/,
-                                     Preconditioner& /*m*/,
-                                     const comm::DistFieldBatch32& /*b*/,
-                                     comm::DistFieldBatch32& /*x*/,
-                                     comm::HaloFreshness /*x_fresh*/) {
-  MINIPOP_REQUIRE(false,
-                  "batched solver '" << name() << "' has no fp32 path");
-  return {};
-}
-
-// ---------------------------------------------------------------------------
 // Batched P-CSI
 
 BatchedPcsiSolver::BatchedPcsiSolver(EigenBounds bounds,
@@ -397,16 +380,6 @@ BatchSolveStats BatchedPcsiSolver::solve(comm::Communicator& comm,
   return solve_t<double>(comm, halo, a, m, b, x, x_fresh);
 }
 
-BatchSolveStats BatchedPcsiSolver::solve(comm::Communicator& comm,
-                                         const comm::HaloExchanger& halo,
-                                         const DistOperator& a,
-                                         Preconditioner& m,
-                                         const comm::DistFieldBatch32& b,
-                                         comm::DistFieldBatch32& x,
-                                         comm::HaloFreshness x_fresh) {
-  return solve_t<float>(comm, halo, a, m, b, x, x_fresh);
-}
-
 template <typename T>
 BatchSolveStats BatchedPcsiSolver::solve_t(comm::Communicator& comm,
                                            const comm::HaloExchanger& halo,
@@ -431,12 +404,9 @@ BatchSolveStats BatchedPcsiSolver::solve_t(comm::Communicator& comm,
     return ctl.out;
   }
 
-  // Chebyshev constants are member-independent: one shared recurrence,
-  // computed in double at every storage precision (the fp32 mirror
-  // rounds each coefficient once per fill).
+  // Chebyshev constants are member-independent: one shared recurrence.
   EigenBounds eb = bounds_;
-  if constexpr (std::is_same_v<T, double>)
-    fault::hook_eigen_bounds(a.rank(), &eb.nu, &eb.mu);
+  fault::hook_eigen_bounds(a.rank(), &eb.nu, &eb.mu);
   const double alpha = 2.0 / (eb.mu - eb.nu);
   const double beta = (eb.mu + eb.nu) / (eb.mu - eb.nu);
   const double gamma = beta / alpha;
@@ -520,17 +490,15 @@ BatchSolveStats BatchedPcsiSolver::solve_t(comm::Communicator& comm,
       for (int s = 0; s < ctl.cur_nb; ++s)
         if (ctl.active[s] && sums[s] <= ctl.threshold2[ctl.member_of[s]])
           accept_s[s] = 1;
-      if constexpr (std::is_same_v<T, double>) {
-        // P-CSI's r IS the true residual, so only the ABFT operator
-        // audit applies — run it before any accepting check freezes a
-        // member as converged.
-        if (opt_.integrity.any_solver_check())
-          auditor.at_check(comm, halo, a, *bw, r, *xw, ctl.b_norm2.data(),
-                           ctl.member_of.data(), ctl.active.data(),
-                           ctl.cur_nb, nullptr, /*r_is_true=*/true,
-                           accept_s.data(), /*any_accept=*/false,
-                           audit.data());
-      }
+      // P-CSI's r IS the true residual, so only the ABFT operator audit
+      // applies — run it before any accepting check freezes a member as
+      // converged.
+      if (opt_.integrity.any_solver_check())
+        auditor.at_check(comm, halo, a, *bw, r, *xw, ctl.b_norm2.data(),
+                         ctl.member_of.data(), ctl.active.data(),
+                         ctl.cur_nb, nullptr, /*r_is_true=*/true,
+                         accept_s.data(), /*any_accept=*/false,
+                         audit.data());
       apply_check(ctl, k, sums.data(), accept_s, audit);
       if (ctl.n_active == 0) break;
       if (should_retire(opt_, ctl)) {
@@ -584,8 +552,7 @@ BatchSolveStats BatchedPcsiSolver::solve_comm_avoid_t(
   }
 
   EigenBounds eb = bounds_;
-  if constexpr (std::is_same_v<T, double>)
-    fault::hook_eigen_bounds(a.rank(), &eb.nu, &eb.mu);
+  fault::hook_eigen_bounds(a.rank(), &eb.nu, &eb.mu);
   const double alpha = 2.0 / (eb.mu - eb.nu);
   const double beta = (eb.mu + eb.nu) / (eb.mu - eb.nu);
   const double gamma = beta / alpha;
@@ -689,14 +656,12 @@ BatchSolveStats BatchedPcsiSolver::solve_comm_avoid_t(
       for (int s = 0; s < ctl.cur_nb; ++s)
         if (ctl.active[s] && sums[s] <= ctl.threshold2[ctl.member_of[s]])
           accept_s[s] = 1;
-      if constexpr (std::is_same_v<T, double>) {
-        if (opt_.integrity.any_solver_check())
-          auditor.at_check(comm, halo, a, *bw, r, *xw, ctl.b_norm2.data(),
-                           ctl.member_of.data(), ctl.active.data(),
-                           ctl.cur_nb, nullptr, /*r_is_true=*/true,
-                           accept_s.data(), /*any_accept=*/false,
-                           audit.data());
-      }
+      if (opt_.integrity.any_solver_check())
+        auditor.at_check(comm, halo, a, *bw, r, *xw, ctl.b_norm2.data(),
+                         ctl.member_of.data(), ctl.active.data(),
+                         ctl.cur_nb, nullptr, /*r_is_true=*/true,
+                         accept_s.data(), /*any_accept=*/false,
+                         audit.data());
       apply_check(ctl, k_last, sums.data(), accept_s, audit);
       if (ctl.n_active == 0) break;
       if (should_retire(opt_, ctl)) {
@@ -725,16 +690,6 @@ BatchSolveStats BatchedChronGearSolver::solve(comm::Communicator& comm,
                                               comm::DistFieldBatch& x,
                                               comm::HaloFreshness x_fresh) {
   return solve_t<double>(comm, halo, a, m, b, x, x_fresh);
-}
-
-BatchSolveStats BatchedChronGearSolver::solve(comm::Communicator& comm,
-                                              const comm::HaloExchanger& halo,
-                                              const DistOperator& a,
-                                              Preconditioner& m,
-                                              const comm::DistFieldBatch32& b,
-                                              comm::DistFieldBatch32& x,
-                                              comm::HaloFreshness x_fresh) {
-  return solve_t<float>(comm, halo, a, m, b, x, x_fresh);
 }
 
 template <typename T>
@@ -770,8 +725,7 @@ BatchSolveStats BatchedChronGearSolver::solve_t(
     a.residual_batch(comm, halo, *bw, *xw, r, x_fresh);
 
   // Per-member recurrence scalars, indexed by ORIGINAL member id so
-  // they survive retirement compactions. Double at every storage
-  // precision (the dot reductions arrive as doubles).
+  // they survive retirement compactions.
   std::vector<double> rho_old(nb0, 1.0);
   std::vector<double> sigma_old(nb0, 0.0);
 
@@ -829,17 +783,15 @@ BatchSolveStats BatchedChronGearSolver::solve_t(
           any_accept = true;
         }
       }
-      if constexpr (std::is_same_v<T, double>) {
-        // ChronGear's r is a recurrence: audit both the operator (ABFT)
-        // and recurrence-vs-true-residual drift — always before an
-        // accepting check turns a recurrence claim into "converged".
-        if (opt_.integrity.any_solver_check())
-          auditor.at_check(comm, halo, a, *bw, r, *xw, ctl.b_norm2.data(),
-                           ctl.member_of.data(), ctl.active.data(),
-                           ctl.cur_nb, red.data() + 2 * ctl.cur_nb,
-                           /*r_is_true=*/false, accept_s.data(), any_accept,
-                           audit.data());
-      }
+      // ChronGear's r is a recurrence: audit both the operator (ABFT) and
+      // recurrence-vs-true-residual drift — always before an accepting
+      // check turns a recurrence claim into "converged".
+      if (opt_.integrity.any_solver_check())
+        auditor.at_check(comm, halo, a, *bw, r, *xw, ctl.b_norm2.data(),
+                         ctl.member_of.data(), ctl.active.data(),
+                         ctl.cur_nb, red.data() + 2 * ctl.cur_nb,
+                         /*r_is_true=*/false, accept_s.data(), any_accept,
+                         audit.data());
       apply_check(ctl, k, red.data() + 2 * ctl.cur_nb, accept_s, audit);
       if (ctl.n_active == 0) break;
     }
@@ -944,7 +896,6 @@ SolveStats solve_one(BatchedSolver& solver, comm::Communicator& comm,
   out.converged = ms.converged;
   out.relative_residual = ms.relative_residual;
   out.failure = ms.failure;
-  out.refine_sweeps = bs.refine_sweeps;
   out.costs = bs.costs;
   out.residual_history = std::move(ms.residual_history);
   return out;

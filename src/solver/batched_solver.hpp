@@ -62,8 +62,7 @@ struct BatchMemberStats {
   FailureKind failure = FailureKind::kNone;
   /// (iteration, relative residual) at each of this member's
   /// convergence checks, when SolverOptions::record_residuals is set.
-  /// After a recovery it holds the final attempt's checks; in mixed
-  /// precision, the fp64 outer-loop checks.
+  /// After a recovery it holds the final attempt's checks.
   std::vector<std::pair<int, double>> residual_history;
 };
 
@@ -76,8 +75,9 @@ struct BatchSolveStats {
   int iterations = 0;
   /// Number of retirement compactions performed.
   int retirements = 0;
-  /// Mixed-precision refinement sweeps (batched fp32 inner solves);
-  /// 0 for plain fp64/fp32 batched solves.
+  /// Always 0: the solvers run in fp64 only and have no refinement
+  /// sweeps. Kept so the golden-pin and bench_e2e records keep their
+  /// column.
   int refine_sweeps = 0;
   /// Per-rank communication/computation deltas during the whole batch
   /// solve (shared across members — halos and reductions are joint).
@@ -87,7 +87,7 @@ struct BatchSolveStats {
 /// Interface of the batched solvers and their decorators. A guard
 /// failure (divergence/stagnation/NaN) freezes THAT member and the
 /// batch keeps iterating the others. The fault-injection halo payload
-/// and solver-vector hooks arm on width-1 fp64 batches only (single
+/// and solver-vector hooks arm on width-1 batches only (single
 /// solves); wider batches recover member by member (DESIGN.md §10).
 class BatchedSolver {
  public:
@@ -101,18 +101,6 @@ class BatchedSolver {
       const DistOperator& a, Preconditioner& m,
       const comm::DistFieldBatch& b, comm::DistFieldBatch& x,
       comm::HaloFreshness x_fresh = comm::HaloFreshness::kStale) = 0;
-
-  /// fp32 storage mirror of solve(): same lockstep loop on fp32 batches
-  /// and the fp32 coefficient mirror (half the bytes per point and per
-  /// aggregated halo message; reductions still accumulate in double).
-  /// This is the inner engine of the batched mixed-precision decorator.
-  /// The default errors so a solver without an fp32 batched path fails
-  /// loudly rather than silently up-converting.
-  virtual BatchSolveStats solve(
-      comm::Communicator& comm, const comm::HaloExchanger& halo,
-      const DistOperator& a, Preconditioner& m,
-      const comm::DistFieldBatch32& b, comm::DistFieldBatch32& x,
-      comm::HaloFreshness x_fresh = comm::HaloFreshness::kStale);
 
   virtual std::string name() const = 0;
 };
@@ -132,15 +120,8 @@ class BatchedPcsiSolver final : public BatchedSolver {
       const comm::DistFieldBatch& b, comm::DistFieldBatch& x,
       comm::HaloFreshness x_fresh = comm::HaloFreshness::kStale) override;
 
-  BatchSolveStats solve(
-      comm::Communicator& comm, const comm::HaloExchanger& halo,
-      const DistOperator& a, Preconditioner& m,
-      const comm::DistFieldBatch32& b, comm::DistFieldBatch32& x,
-      comm::HaloFreshness x_fresh = comm::HaloFreshness::kStale) override;
-
   std::string name() const override { return "pcsi"; }
 
-  const EigenBounds& bounds() const { return bounds_; }
   /// Replace the Chebyshev interval (BatchedResilientSolver's Lanczos
   /// re-estimation reaches through this).
   void set_bounds(EigenBounds bounds);
@@ -170,8 +151,7 @@ class BatchedPcsiSolver final : public BatchedSolver {
   EigenBounds bounds_;
   SolverOptions opt_;
   /// Cached ghost-zone engine, rebuilt when the operator or resolved
-  /// depth changes (shared by the fp64 and fp32 batched paths; the fp32
-  /// coefficient mirrors live inside the engine).
+  /// depth changes.
   std::unique_ptr<CommAvoidEngine> ca_engine_;
   const DistOperator* ca_engine_op_ = nullptr;
 };
@@ -187,12 +167,6 @@ class BatchedChronGearSolver final : public BatchedSolver {
       comm::Communicator& comm, const comm::HaloExchanger& halo,
       const DistOperator& a, Preconditioner& m,
       const comm::DistFieldBatch& b, comm::DistFieldBatch& x,
-      comm::HaloFreshness x_fresh = comm::HaloFreshness::kStale) override;
-
-  BatchSolveStats solve(
-      comm::Communicator& comm, const comm::HaloExchanger& halo,
-      const DistOperator& a, Preconditioner& m,
-      const comm::DistFieldBatch32& b, comm::DistFieldBatch32& x,
       comm::HaloFreshness x_fresh = comm::HaloFreshness::kStale) override;
 
   std::string name() const override { return "chrongear"; }

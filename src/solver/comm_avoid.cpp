@@ -1,7 +1,5 @@
 #include "src/solver/comm_avoid.hpp"
 
-#include <type_traits>
-
 #include "src/solver/kernels.hpp"
 #include "src/util/error.hpp"
 
@@ -135,27 +133,6 @@ CommAvoidEngine::CommAvoidEngine(const DistOperator& op, int width)
           static_cast<std::uint64_t>(per_e[e].active_points());
 }
 
-void CommAvoidEngine::ensure_planes32() const {
-  if (!planes32_.empty()) return;
-  planes32_.reserve(planes_.size());
-  for (const BlockPlanes& p : planes_) {
-    BlockPlanes32 q;
-    for (int d = 0; d < grid::kNumDirs; ++d) {
-      util::Array2D<float> c(p.coeff[d].nx(), p.coeff[d].ny());
-      for (int j = 0; j < c.ny(); ++j)
-        for (int i = 0; i < c.nx(); ++i)
-          c(i, j) = static_cast<float>(p.coeff[d](i, j));
-      q.coeff[d] = std::move(c);
-    }
-    q.inv_diag =
-        util::Array2D<float>(p.inv_diag.nx(), p.inv_diag.ny());
-    for (int j = 0; j < q.inv_diag.ny(); ++j)
-      for (int i = 0; i < q.inv_diag.nx(); ++i)
-        q.inv_diag(i, j) = static_cast<float>(p.inv_diag(i, j));
-    planes32_.push_back(std::move(q));
-  }
-}
-
 void CommAvoidEngine::count(comm::Communicator& comm, int e, int nb,
                             std::uint64_t per_point) const {
   if (per_point == 0) return;
@@ -178,7 +155,6 @@ void CommAvoidEngine::precond_batch(comm::Communicator& comm,
                                     int e) const {
   MINIPOP_REQUIRE(e >= 0 && e <= width_ && e <= r.halo(),
                   "precond extension " << e);
-  if constexpr (std::is_same_v<T, float>) ensure_planes32();
   const int nb = r.nb();
   for (int lb = 0; lb < r.num_local_blocks(); ++lb) {
     const auto& info = r.info(lb);
@@ -186,12 +162,7 @@ void CommAvoidEngine::precond_batch(comm::Communicator& comm,
     const int nye = info.ny + 2 * e;
     const BlockSpans& sp = ext_spans_[lb][e];
     if (kind == CaPrecond::kDiagonal) {
-      const auto& inv = [&]() -> const auto& {
-        if constexpr (std::is_same_v<T, float>)
-          return planes32_[lb].inv_diag;
-        else
-          return planes_[lb].inv_diag;
-      }();
+      const util::Field& inv = planes_[lb].inv_diag;
       kernels::diag_apply(plane_at(inv, width_, e), inv.nx(),
                           sp.row_offset(), sp.spans(), nb, nxe, nye,
                           field_at(r, lb, e), r.stride(lb),
@@ -236,16 +207,10 @@ void CommAvoidEngine::residual_batch(comm::Communicator& comm,
                                      int e) const {
   MINIPOP_REQUIRE(e >= 0 && e <= width_ && e + 1 <= x.halo(),
                   "residual extension " << e);
-  if constexpr (std::is_same_v<T, float>) ensure_planes32();
   const int nb = b.nb();
   for (int lb = 0; lb < b.num_local_blocks(); ++lb) {
     const auto& info = b.info(lb);
-    const auto c9 = [&] {
-      if constexpr (std::is_same_v<T, float>)
-        return stencil_at(planes32_[lb].coeff, width_, e);
-      else
-        return stencil_at(planes_[lb].coeff, width_, e);
-    }();
+    const auto c9 = stencil_at(planes_[lb].coeff, width_, e);
     const BlockSpans& sp = ext_spans_[lb][e];
     kernels::residual9(c9, sp.row_offset(), sp.spans(), nb, info.ny + 2 * e,
                        field_at(b, lb, e), b.stride(lb), field_at(x, lb, e),
@@ -267,7 +232,6 @@ void CommAvoidEngine::residual_batch(comm::Communicator& comm,
       const comm::DistFieldBatchT<T>&, comm::DistFieldBatchT<T>&, int)     \
       const;
 MINIPOP_COMM_AVOID_INSTANTIATE(double)
-MINIPOP_COMM_AVOID_INSTANTIATE(float)
 #undef MINIPOP_COMM_AVOID_INSTANTIATE
 
 }  // namespace minipop::solver

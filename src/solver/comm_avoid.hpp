@@ -19,8 +19,7 @@
 //     from (periodic-x wrap, zeros outside the domain), so a ghost
 //     cell's coefficients equal the owner's interior coefficients bit
 //     for bit, and the inverse diagonal repeats the preconditioner's
-//     exact expression (mask ? 1.0/diag : 0.0; fp32 mirrors demote the
-//     double values exactly like the baseline mirrors);
+//     exact expression (mask ? 1.0/diag : 0.0);
 //   * the sweeps reuse the UNCHANGED kernels (residual9, lincomb_axpy,
 //     diag_apply, masked_copy) on offset pointers — per-element
 //     expression order is position-independent, so a ghost point's
@@ -29,8 +28,8 @@
 //     zero and the exchange zero-fills the rims, so out-of-domain ghost
 //     arithmetic only ever adds +/-0 and cannot perturb any sum.
 // Hence k grouped sweeps leave every interior cell BITWISE EQUAL to k
-// single-exchange sweeps — pinned by tests across serial/multi-rank,
-// scalar/batched, fp64/fp32.
+// single-exchange sweeps — pinned by tests across serial/multi-rank
+// and scalar/batched.
 //
 // Cost accounting: every entry point adds its executed flops (extended
 // points included) to CostCounters::flops and the (extended - interior)
@@ -102,17 +101,6 @@ class CommAvoidEngine {
     std::array<util::Field, grid::kNumDirs> coeff;
     util::Field inv_diag;
   };
-  struct BlockPlanes32 {
-    std::array<util::Array2D<float>, grid::kNumDirs> coeff;
-    util::Array2D<float> inv_diag;
-  };
-
-  /// fp32 mirror of the extended planes, demoted value-by-value from
-  /// the double planes on first fp32 sweep (same rule as the operator's
-  /// and preconditioner's mirrors). mutable + lazy is safe: each rank
-  /// owns its engine.
-  void ensure_planes32() const;
-
   /// Record an extended sweep's flops: `per_point` flops on the
   /// (nx+2e) x (ny+2e) extension of every local block, `nb` members;
   /// the share beyond the interior also lands in redundant_flops.
@@ -123,7 +111,6 @@ class CommAvoidEngine {
   const grid::Decomposition* decomp_;
   int width_;
   std::vector<BlockPlanes> planes_;
-  mutable std::vector<BlockPlanes32> planes32_;
 
   /// Land-span plans of every extended sweep region (DESIGN.md §14):
   /// ext_spans_[lb][e] covers the (nx+2e) x (ny+2e) extension-e window
@@ -148,7 +135,6 @@ class CommAvoidEngine {
       const comm::DistFieldBatchT<T>&, comm::DistFieldBatchT<T>&, int)     \
       const;
 MINIPOP_COMM_AVOID_EXTERN(double)
-MINIPOP_COMM_AVOID_EXTERN(float)
 #undef MINIPOP_COMM_AVOID_EXTERN
 
 }  // namespace minipop::solver

@@ -1,7 +1,6 @@
 #include "src/solver/dist_operator.hpp"
 
 #include <cstring>
-#include <type_traits>
 #include <vector>
 
 #include "src/fault/fault_injector.hpp"
@@ -81,8 +80,8 @@ int rim_rects(int nx, int ny, SubRect out[4]) {
 }
 
 /// Offer each block interior of a sweep's freshly written output to the
-/// installed FaultInjector. Armed on width-1 fp64 operands — a DistField
-/// or a single solve's batch; a member of a wider batch that diverges
+/// installed FaultInjector. Armed on width-1 operands — a DistField or a
+/// single solve's batch; a member of a wider batch that diverges
 /// recovers through the per-member sub-batches of the resilient
 /// decorator (DESIGN.md §11). Compiles to nothing when MINIPOP_FAULTS is
 /// off.
@@ -90,13 +89,11 @@ template <typename F>
 void offer_interiors(int rank, F& v,
                      const std::vector<util::MaskArray>& masks) {
 #if MINIPOP_FAULTS
-  if constexpr (std::is_same_v<typename F::value_type, double>) {
-    if (v.nb() != 1) return;
-    for (int lb = 0; lb < v.num_local_blocks(); ++lb) {
-      const auto& info = v.info(lb);
-      fault::hook_solver_vector(rank, v.interior(lb), v.stride(lb), info.nx,
-                                info.ny, masks[lb].data(), masks[lb].nx());
-    }
+  if (v.nb() != 1) return;
+  for (int lb = 0; lb < v.num_local_blocks(); ++lb) {
+    const auto& info = v.info(lb);
+    fault::hook_solver_vector(rank, v.interior(lb), v.stride(lb), info.nx,
+                              info.ny, masks[lb].data(), masks[lb].nx());
   }
 #else
   (void)rank;
@@ -234,9 +231,6 @@ void DistOperator::repair_coefficients() const {
     }
   }
   build_column_sums();
-  // The fp32 mirror may have been built from corrupted values; drop it
-  // so the next fp32 sweep rebuilds from the repaired planes.
-  block_coeff32_.clear();
 }
 
 void DistOperator::offer_coeff_fault_sites() const {
@@ -248,42 +242,6 @@ void DistOperator::offer_coeff_fault_sites() const {
     fault::hook_coeff_bitflip(rank_, planes, block_coeff_[lb][0].size());
   }
 #endif
-}
-
-void DistOperator::ensure_coeff32() const {
-  if (!block_coeff32_.empty() || block_coeff_.empty()) return;
-  block_coeff32_.reserve(block_coeff_.size());
-  for (const auto& c : block_coeff_) {
-    std::array<util::Array2D<float>, grid::kNumDirs> mirror;
-    for (int d = 0; d < grid::kNumDirs; ++d) {
-      const util::Field& src = c[d];
-      mirror[d] = util::Array2D<float>(src.nx(), src.ny());
-      float* dst = mirror[d].data();
-      const double* s = src.data();
-      for (std::size_t k = 0; k < src.size(); ++k)
-        dst[k] = static_cast<float>(s[k]);
-    }
-    block_coeff32_.push_back(std::move(mirror));
-  }
-}
-
-template <>
-const std::vector<std::array<util::Array2D<double>, grid::kNumDirs>>&
-DistOperator::coeffs<double>() const {
-  return block_coeff_;
-}
-
-template <>
-const std::vector<std::array<util::Array2D<float>, grid::kNumDirs>>&
-DistOperator::coeffs<float>() const {
-  ensure_coeff32();
-  return block_coeff32_;
-}
-
-const util::Array2D<float>& DistOperator::block_coeff32(int lb,
-                                                        grid::Dir d) const {
-  ensure_coeff32();
-  return block_coeff32_[lb][static_cast<int>(d)];
 }
 
 void DistOperator::count(comm::Communicator& comm, std::uint64_t per_point,
@@ -324,13 +282,12 @@ void DistOperator::apply_impl(comm::Communicator& comm,
                               const comm::HaloExchanger& halo, F& x, F& y,
                               comm::HaloFreshness fresh,
                               bool overlap) const {
-  using T = typename F::value_type;
   MINIPOP_REQUIRE(x.compatible_with(y), "x/y field mismatch");
   MINIPOP_REQUIRE(&x.decomposition() == decomp_ && x.rank() == rank_,
                   "field does not match operator decomposition");
   MINIPOP_REQUIRE(&x != &y, "apply requires distinct x and y");
-  if constexpr (std::is_same_v<T, double>) offer_coeff_fault_sites();
-  const auto& coeff = coeffs<T>();
+  offer_coeff_fault_sites();
+  const auto& coeff = block_coeff_;
   const int nb = x.nb();
   sweep_regions(comm, halo, x, fresh, overlap,
                 [&](int lb, const SubRect& q, const BlockSpans& sp) {
@@ -342,6 +299,7 @@ void DistOperator::apply_impl(comm::Communicator& comm,
                                   y.stride(lb));
                 });
 #if MINIPOP_BOUNDS_CHECK
+  using T = typename F::value_type;
   for (int lb = 0; lb < num_local_blocks(); ++lb) {
     const auto& b = x.info(lb);
     const std::ptrdiff_t ss = static_cast<std::ptrdiff_t>(b.nx) * nb;
@@ -364,14 +322,13 @@ void DistOperator::residual_impl(comm::Communicator& comm,
                                  const F& b, F& x, F& r,
                                  comm::HaloFreshness fresh,
                                  bool overlap) const {
-  using T = typename F::value_type;
   MINIPOP_REQUIRE(b.compatible_with(x) && b.compatible_with(r),
                   "b/x/r field mismatch");
   MINIPOP_REQUIRE(&x.decomposition() == decomp_ && x.rank() == rank_,
                   "field does not match operator decomposition");
   MINIPOP_REQUIRE(&b != &r && &x != &r, "residual requires distinct r");
-  if constexpr (std::is_same_v<T, double>) offer_coeff_fault_sites();
-  const auto& coeff = coeffs<T>();
+  offer_coeff_fault_sites();
+  const auto& coeff = block_coeff_;
   const int nb = x.nb();
   sweep_regions(comm, halo, x, fresh, overlap,
                 [&](int lb, const SubRect& q, const BlockSpans& sp) {
@@ -384,6 +341,7 @@ void DistOperator::residual_impl(comm::Communicator& comm,
                       r.stride(lb));
                 });
 #if MINIPOP_BOUNDS_CHECK
+  using T = typename F::value_type;
   for (int lb = 0; lb < num_local_blocks(); ++lb) {
     const auto& info = r.info(lb);
     const std::ptrdiff_t ss = static_cast<std::ptrdiff_t>(info.nx) * nb;
@@ -531,7 +489,7 @@ void DistOperator::abft_local_sums_batch(comm::Communicator& comm,
 
 // ---------------------------------------------------------------------------
 // Batched multi-RHS sweeps, templated on the storage scalar. Coefficient
-// fault sites arm on every fp64 sweep (shared planes), caught by the ABFT
+// fault sites arm on every sweep (shared planes), caught by the ABFT
 // audit.
 
 template <typename T>
@@ -564,10 +522,10 @@ void DistOperator::residual_local_norm2_batch(
   MINIPOP_REQUIRE(&x.decomposition() == decomp_ && x.rank() == rank_,
                   "batch does not match operator decomposition");
   MINIPOP_REQUIRE(&b != &r && &x != &r, "residual requires distinct r");
-  if constexpr (std::is_same_v<T, double>) offer_coeff_fault_sites();
+  offer_coeff_fault_sites();
   if (fresh == comm::HaloFreshness::kStale) halo.exchange(comm, x);
 
-  const auto& coeff = coeffs<T>();
+  const auto& coeff = block_coeff_;
   const int nb = x.nb();
   for (int m = 0; m < nb; ++m) sums[m] = 0.0;
   for (int lb = 0; lb < num_local_blocks(); ++lb) {
@@ -695,7 +653,6 @@ void DistOperator::mask_interior_batch(comm::DistFieldBatchT<T>& x) const {
   template void DistOperator::mask_interior_batch<T>(                        \
       comm::DistFieldBatchT<T>&) const;
 MINIPOP_DIST_OPERATOR_BATCH_INSTANTIATE(double)
-MINIPOP_DIST_OPERATOR_BATCH_INSTANTIATE(float)
 #undef MINIPOP_DIST_OPERATOR_BATCH_INSTANTIATE
 
 }  // namespace minipop::solver

@@ -79,8 +79,7 @@ class DistOperator {
 
   /// Restore the coefficient planes from the construction-time stencil
   /// (which recovery trusts: it lives in the model's read-only setup,
-  /// not in solver working state), rebuild the column sums, and drop
-  /// the fp32 mirror so it rebuilds from the repaired values. Recovery
+  /// not in solver working state) and rebuild the column sums. Recovery
   /// calls this on a kCorruptOperator verdict before restarting from a
   /// checkpoint; a no-op on healthy coefficients (same values copied).
   void repair_coefficients() const;
@@ -139,21 +138,16 @@ class DistOperator {
                     const comm::DistField& b) const;
 
   // -------------------------------------------------------------------
-  // Batched multi-RHS sweeps, templated on the storage scalar:
-  // DistFieldBatch (double) carries the fp64 lockstep solves,
-  // DistFieldBatch32 (float) the fp32 inner sweeps of the batched
-  // mixed-precision path — half the halo bytes in the same aggregated
-  // messages. Over an nb-member interleaved batch, ONE aggregated halo
-  // exchange and one coefficient pass serve all members, flop counts
-  // scale by nb, and member m of every result is bit-identical to the
-  // width-1 sweep on member m's plane (kernels.hpp contract). Reductions fill per-member
-  // fp64 arrays the caller combines in ONE vector allreduce. The
-  // solver-vector fault hooks arm on width-1 fp64 batches only (a
-  // single solve); a member of a wider batch that diverges recovers
-  // through the per-member sub-batch path of the resilient decorator
-  // (DESIGN.md §11). Coefficient fault sites arm on every fp64 sweep
-  // (shared planes). The fp32 batches run on a lazily-built float copy
-  // of the coefficients; their reductions still return double.
+  // Batched multi-RHS sweeps over an nb-member interleaved batch: ONE
+  // aggregated halo exchange and one coefficient pass serve all
+  // members, flop counts scale by nb, and member m of every result is
+  // bit-identical to the width-1 sweep on member m's plane (kernels.hpp
+  // contract). Reductions fill per-member arrays the caller combines in
+  // ONE vector allreduce. The solver-vector fault hooks arm on width-1
+  // batches only (a single solve); a member of a wider batch that
+  // diverges recovers through the per-member sub-batch path of the
+  // resilient decorator (DESIGN.md §11). Coefficient fault sites arm on
+  // every sweep (shared planes).
 
   /// y = A x, all members. sums-free; 9*nb flops/point.
   template <typename T>
@@ -171,8 +165,7 @@ class DistOperator {
       comm::HaloFreshness fresh = comm::HaloFreshness::kStale) const;
 
   /// Fused r = b - A x AND local masked ||r_m||² for every member:
-  /// sums[0..nb) is OVERWRITTEN with the local sums (always fp64, also
-  /// on the fp32 batch — the kernels accumulate in double).
+  /// sums[0..nb) is OVERWRITTEN with the local sums.
   template <typename T>
   void residual_local_norm2_batch(
       comm::Communicator& comm, const comm::HaloExchanger& halo,
@@ -234,10 +227,6 @@ class DistOperator {
   template <typename T>
   void mask_interior_batch(comm::DistFieldBatchT<T>& x) const;
 
-  /// fp32 coefficient field of direction d for local block lb (the
-  /// mirror the fp32 batch sweeps run on; built on first use).
-  const util::Array2D<float>& block_coeff32(int lb, grid::Dir d) const;
-
   /// Operator diagonal of local block lb (interior coordinates).
   const util::Field& block_diagonal(int lb) const {
     return block_coeff_[lb][static_cast<int>(grid::Dir::kCenter)];
@@ -281,8 +270,8 @@ class DistOperator {
   void count(comm::Communicator& comm, std::uint64_t per_point,
              int nb) const;
 
-  /// Fault-injection point: offer the fp64 coefficient planes to the
-  /// installed FaultInjector (kCoeffBitFlip) at the entry of every fp64
+  /// Fault-injection point: offer the coefficient planes to the
+  /// installed FaultInjector (kCoeffBitFlip) at the entry of every
   /// sweep — scalar and batched, since both read the same planes. The
   /// corrupted sweep output rides into the iterates; the ABFT audit
   /// must catch it. Compiles to nothing when MINIPOP_FAULTS is off.
@@ -291,13 +280,6 @@ class DistOperator {
   /// Rebuild column_sum_ from the current block_coeff_ (construction
   /// and repair).
   void build_column_sums() const;
-
-  /// Coefficient storage for scalar T: the double original or the
-  /// lazily-built float mirror.
-  template <typename T>
-  const std::vector<std::array<util::Array2D<T>, grid::kNumDirs>>& coeffs()
-      const;
-  void ensure_coeff32() const;
 
   /// Span plans over the full block interiors plus the interior/rim
   /// decomposition the overlapped sweeps use: span_interior_[lb] covers
@@ -324,11 +306,6 @@ class DistOperator {
   /// ABFT column sums c = A·1 per block (see abft_local_sums_batch);
   /// rebuilt by repair_coefficients().
   mutable std::vector<util::Field> column_sum_;
-  /// fp32 mirror of block_coeff_, built on first fp32 sweep. mutable +
-  /// lazily built is safe: each rank owns its DistOperator, so no two
-  /// threads share one.
-  mutable std::vector<std::array<util::Array2D<float>, grid::kNumDirs>>
-      block_coeff32_;
 };
 
 #define MINIPOP_DIST_OPERATOR_BATCH_EXTERN(T)                                \
@@ -367,7 +344,6 @@ class DistOperator {
   extern template void DistOperator::mask_interior_batch<T>(                 \
       comm::DistFieldBatchT<T>&) const;
 MINIPOP_DIST_OPERATOR_BATCH_EXTERN(double)
-MINIPOP_DIST_OPERATOR_BATCH_EXTERN(float)
 #undef MINIPOP_DIST_OPERATOR_BATCH_EXTERN
 
 }  // namespace minipop::solver

@@ -86,54 +86,6 @@ void fill_interior(comm::DistField& x, double v) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Batched precision boundary
-
-namespace {
-template <typename T>
-std::uint64_t batch_interior_points(const comm::DistFieldBatchT<T>& f) {
-  std::uint64_t n = 0;
-  for (int lb = 0; lb < f.num_local_blocks(); ++lb) {
-    const auto& b = f.info(lb);
-    n += static_cast<std::uint64_t>(b.nx) * b.ny;
-  }
-  return n;
-}
-}  // namespace
-
-void demote(const comm::DistFieldBatch& x, comm::DistFieldBatch32& y) {
-  MINIPOP_REQUIRE(x.compatible_with(y), "batch demote field mismatch");
-  for (int lb = 0; lb < x.num_local_blocks(); ++lb) {
-    const auto& info = x.info(lb);
-    // Interior rows are nb-widened contiguous spans; convert() takes the
-    // widened row length directly (see kernels.hpp).
-    kernels::convert(info.nx * x.nb(), info.ny, x.interior(lb), x.stride(lb),
-                     y.interior(lb), y.stride(lb));
-  }
-}
-
-void promote(const comm::DistFieldBatch32& x, comm::DistFieldBatch& y) {
-  MINIPOP_REQUIRE(x.compatible_with(y), "batch promote field mismatch");
-  for (int lb = 0; lb < x.num_local_blocks(); ++lb) {
-    const auto& info = x.info(lb);
-    kernels::convert(info.nx * x.nb(), info.ny, x.interior(lb), x.stride(lb),
-                     y.interior(lb), y.stride(lb));
-  }
-}
-
-void axpy_promoted(comm::Communicator& comm, const double* a,
-                   const comm::DistFieldBatch32& x, comm::DistFieldBatch& y,
-                   const unsigned char* active, int n_act) {
-  MINIPOP_REQUIRE(x.compatible_with(y), "batch axpy_promoted field mismatch");
-  for (int lb = 0; lb < x.num_local_blocks(); ++lb) {
-    const auto& info = x.info(lb);
-    kernels::axpy_promoted(x.nb(), info.nx, info.ny, a, x.interior(lb),
-                           x.stride(lb), y.interior(lb), y.stride(lb),
-                           active);
-  }
-  comm.costs().add_flops(2 * batch_interior_points(x) * n_act);
-}
-
 void copy_interior(const comm::DistFieldBatch& x, comm::DistFieldBatch& y) {
   MINIPOP_REQUIRE(x.compatible_with(y), "batch copy field mismatch");
   for (int lb = 0; lb < x.num_local_blocks(); ++lb) {

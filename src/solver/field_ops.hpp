@@ -40,24 +40,6 @@ void copy_interior(const comm::DistField& x, comm::DistField& y);
 /// x = v everywhere in the interiors.
 void fill_interior(comm::DistField& x, double v);
 
-// Precision boundary of the mixed-precision refinement loop (interiors
-// only; halos are refreshed by the next exchange), over the nb-widened
-// interior rows of every member.
-
-/// y32_m = (float) x64_m, all members.
-void demote(const comm::DistFieldBatch& x, comm::DistFieldBatch32& y);
-
-/// y64_m = (double) x32_m, all members.
-void promote(const comm::DistFieldBatch32& x, comm::DistFieldBatch& y);
-
-/// y64_m += a[m] * x32_m for active members, widening each fp32
-/// element to double before the multiply — the refinement update
-/// x += d without materializing a promoted copy of d. Flops counted for
-/// the n_act active lanes.
-void axpy_promoted(comm::Communicator& comm, const double* a,
-                   const comm::DistFieldBatch32& x, comm::DistFieldBatch& y,
-                   const unsigned char* active, int n_act);
-
 /// y = x over all members' interiors.
 void copy_interior(const comm::DistFieldBatch& x, comm::DistFieldBatch& y);
 

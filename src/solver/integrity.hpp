@@ -17,37 +17,17 @@
 
 namespace minipop::solver {
 
-/// Split-phase sum-allreduce with optional duplication guard, for the
-/// overlapped solvers' in-flight reductions. post() arms the
-/// reduction-corruption fault hook on the local contribution and posts
-/// either `values` directly (guard off) or a [v|v] doubled buffer
-/// (guard on; the hook corrupts only the primary half — duplicated
-/// state is what the guard exists to cross-check). wait() completes
-/// the reduction; with the guard on it compares the two reduced halves
-/// bitwise, copies the primary half back into the caller's span,
-/// counts one integrity check, and returns true on any mismatch
-/// (appending mismatched slot indices to *bad). A mismatch verdict is
-/// identical on every rank — all ranks compare the same reduced
-/// buffer — so recovery needs no resync, just a typed
-/// kCorruptReduction failure.
-class GuardedReduction {
- public:
-  /// `values` must stay alive until wait(); one post per wait.
-  void post(comm::Communicator& comm, const IntegrityOptions& integrity,
-            std::span<double> values);
-  bool wait(std::vector<int>* bad = nullptr);
-
- private:
-  comm::Communicator* comm_ = nullptr;
-  std::span<double> values_;
-  bool guarded_ = false;
-  // dup_ must be declared before req_: an abandoned Request's destructor
-  // makes one completion attempt that can still deliver into the buffer.
-  std::vector<double> dup_;
-  comm::Request req_;
-};
-
-/// Blocking guarded sum-allreduce of `values` in place: post + wait.
+/// Sum-allreduce of `values` in place with an optional duplication
+/// guard. Arms the reduction-corruption fault hook on the local
+/// contribution and reduces either `values` directly (guard off) or a
+/// [v|v] doubled buffer (guard on; the hook corrupts only the primary
+/// half — duplicated state is what the guard exists to cross-check).
+/// With the guard on it compares the two reduced halves bitwise,
+/// copies the primary half back into `values`, counts one integrity
+/// check, and returns true on any mismatch (appending mismatched slot
+/// indices to *bad). A mismatch verdict is identical on every rank —
+/// all ranks compare the same reduced buffer — so recovery needs no
+/// resync, just a typed kCorruptReduction failure.
 bool allreduce_sum_guarded(comm::Communicator& comm,
                            const IntegrityOptions& integrity,
                            std::span<double> values,
@@ -71,17 +51,14 @@ bool abft_mismatch(const IntegrityOptions& integrity, double sum_b,
 bool drift_mismatch(const IntegrityOptions& integrity, double rel_true,
                     double rel_recurrence);
 
-/// Per-solve audit driver of the fp64 batched cores (and the
-/// mixed-precision outer loop): owns the audit cadence (every
-/// abft_interval / true_residual_interval convergence checks, plus the
-/// accepting check for the drift audit) and leaves the solve state
-/// untouched — audits only read b/r/x (the true-residual sweep
+/// Per-solve audit driver of the batched cores: owns the audit cadence
+/// (every abft_interval / true_residual_interval convergence checks,
+/// plus the accepting check for the drift audit) and leaves the solve
+/// state untouched — audits only read b/r/x (the true-residual sweep
 /// refreshes x's halo, which no core's subsequent arithmetic reads).
 /// One ABFT sweep and/or one true-residual sweep covers every lane of
-/// the current batch, verdicts applied per member. fp64 batches only —
-/// the fp32 batch path is guarded by the fp64 outer loop of the mixed
-/// solver instead (DESIGN.md §12). Constructed once per solve;
-/// at_check() is collective.
+/// the current batch, verdicts applied per member (DESIGN.md §12).
+/// Constructed once per solve; at_check() is collective.
 class BatchIntegrityAuditor {
  public:
   explicit BatchIntegrityAuditor(const SolverOptions& options)
@@ -91,11 +68,9 @@ class BatchIntegrityAuditor {
   /// verdict (kNone, kCorruptOperator, kSilentDrift, or
   /// kCorruptReduction when an audit's own guarded reduction
   /// mismatches) into fail[s] for each of the cur_nb slots. Slot
-  /// bookkeeping arrives as raw arrays so both the batched cores
-  /// (compacting slots, member_of indirection) and the batched mixed
-  /// outer loop (identity mapping) can share the driver:
-  /// `b_norm2_by_member` is indexed by member_of[s]; `active[s]` skips
-  /// frozen lanes; `r_norm2[s]` is each slot's reduced recurrence norm
+  /// bookkeeping arrives as raw arrays (compacting slots, member_of
+  /// indirection): `b_norm2_by_member` is indexed by member_of[s];
+  /// `active[s]` skips frozen lanes; `r_norm2[s]` is each slot's reduced recurrence norm
   /// (ignored when r_is_true). The drift audit SWEEPS when any slot is
   /// accepting or the cadence is due, but its verdict only applies to
   /// slots that are themselves accepting or cadence-due. Collective.

@@ -56,22 +56,6 @@ inline bool needs_resync(FailureKind k) {
   return k >= FailureKind::kCommTimeout;
 }
 
-/// Arithmetic of the solver's field sweeps and halos.
-enum class Precision {
-  kFp64 = 0,  ///< everything double (the bit-identical legacy path)
-  kFp32 = 1,  ///< whole solve in float; floors at rel residual ~1e-7
-  kMixed = 2, ///< fp32 inner sweeps inside an fp64 refinement outer loop
-};
-
-inline const char* to_string(Precision p) {
-  switch (p) {
-    case Precision::kFp64: return "fp64";
-    case Precision::kFp32: return "fp32";
-    case Precision::kMixed: return "mixed";
-  }
-  return "?";
-}
-
 /// Runtime knobs of the silent-data-corruption defense layer (DESIGN
 /// §12). Everything defaults to OFF; with every knob off the solvers
 /// are bitwise identical to a build without the layer and record zero
@@ -96,7 +80,7 @@ struct IntegrityOptions {
   /// Relative tolerance of the ABFT identity (scaled by the checksum
   /// magnitude and sqrt(N·||b||²) to stay meaningful near convergence).
   double abft_tolerance = 1e-8;
-  /// Recompute the true fp64 residual b - Ax every
+  /// Recompute the true residual b - Ax every
   /// `true_residual_interval` convergence checks and compare it to the
   /// recurrence residual (0 = off). Only ChronGear's recurrence can
   /// drift; P-CSI checks the true residual already. Also audits the
@@ -171,22 +155,6 @@ struct SolverOptions {
   /// progress for the stagnation guard.
   double stagnation_decrease = 1e-3;
 
-  // --- mixed-precision path (BatchedMixedPrecisionSolver) ---
-
-  /// Arithmetic of the inner sweeps. kFp64 leaves every solver
-  /// untouched; kFp32/kMixed route the solve through the fp32 mirror
-  /// sweeps (half the bytes per point and per halo message).
-  Precision precision = Precision::kFp64;
-  /// Mixed mode: relative tolerance of each fp32 inner solve (against
-  /// its own right-hand side, the current fp64 residual). Must sit above
-  /// the fp32 accuracy floor (~1e-7) or every sweep runs to stagnation.
-  double refine_inner_tolerance = 1e-5;
-  /// Mixed mode: iteration cap per fp32 inner solve.
-  int refine_max_inner_iterations = 1000;
-  /// Mixed mode: cap on refinement sweeps (outer corrections) before the
-  /// solve reports failure.
-  int refine_max_sweeps = 50;
-
   // --- batched multi-RHS path (BatchedSolver) ---
 
   /// Retirement threshold of the batched solvers: when, at a convergence
@@ -211,8 +179,9 @@ struct SolveStats {
   double relative_residual = 0.0;
   /// Why the solve stopped, when converged is false (kNone otherwise).
   FailureKind failure = FailureKind::kNone;
-  /// Mixed-precision refinement sweeps (fp32 inner solves); 0 for plain
-  /// fp64/fp32 solves.
+  /// Always 0: the solvers run in fp64 only and have no refinement
+  /// sweeps. Kept so the golden-pin and bench_e2e records keep their
+  /// column.
   int refine_sweeps = 0;
   /// Per-rank communication/computation deltas recorded during the solve.
   comm::CostCounters costs;

@@ -10,10 +10,7 @@
 // whole bitwise-identity story.
 //
 // Reductions accumulate scalar, row-major, per member, continuing from
-// the caller's running sums. Accumulators are double for both storage
-// scalars; reduction operands are widened BEFORE multiplying so fp32
-// products enter the accumulator exactly. For T = double the widening
-// casts are no-ops.
+// the caller's running sums in double.
 #include "src/solver/kernels.hpp"
 
 #include <cstring>
@@ -38,34 +35,6 @@ inline void row_fill(T v, T* MINIPOP_RESTRICT x, int nx, int nb) {
   const std::ptrdiff_t row =
       static_cast<std::ptrdiff_t>(nx) * eff_width<B>(nb);
   for (std::ptrdiff_t i = 0; i < row; ++i) x[i] = v;
-}
-
-template <int B>
-inline void row_axpy_promoted(const double* MINIPOP_RESTRICT a,
-                              const float* MINIPOP_RESTRICT x,
-                              double* MINIPOP_RESTRICT y,
-                              const unsigned char* MINIPOP_RESTRICT active,
-                              int nx, int nb) {
-  if constexpr (B == 1) {
-    if (active && !active[0]) return;
-    const double av = a[0];
-    for (int i = 0; i < nx; ++i) y[i] += av * static_cast<double>(x[i]);
-  } else {
-    const int w = eff_width<B>(nb);
-    for (int i = 0; i < nx; ++i) {
-      const std::ptrdiff_t ib = static_cast<std::ptrdiff_t>(i) * w;
-      for (int m = 0; m < w; ++m) {
-        if (active && !active[m]) continue;
-        y[ib + m] += a[m] * static_cast<double>(x[ib + m]);
-      }
-    }
-  }
-}
-
-template <typename D, typename S>
-inline void row_convert(const S* MINIPOP_RESTRICT x, D* MINIPOP_RESTRICT y,
-                        int nx) {
-  for (int i = 0; i < nx; ++i) y[i] = static_cast<D>(x[i]);
 }
 
 // Mask-free reduction row helpers for the span kernels: every cell they
@@ -474,15 +443,6 @@ void masked_copy(const int* ro, const Span* sp, int nb, int nx, int ny,
   }
 }
 
-
-template <int B>
-void axpy_promoted(int nb, int nx, int ny, const double* a, const float* x,
-                   std::ptrdiff_t xs, double* y, std::ptrdiff_t ys,
-                   const unsigned char* active) {
-  for (int j = 0; j < ny; ++j)
-    row_axpy_promoted<B>(a, x + j * xs, y + j * ys, active, nx, nb);
-}
-
 }  // namespace spancore
 }  // namespace
 
@@ -649,20 +609,6 @@ void fill(int nb, int nx, int ny, T v, T* x, std::ptrdiff_t xs) {
   for (int j = 0; j < ny; ++j) row_fill<T, 0>(v, x + j * xs, nx, nb);
 }
 
-template <typename D, typename S>
-void convert(int nx, int ny, const S* x, std::ptrdiff_t xs, D* y,
-             std::ptrdiff_t ys) {
-  for (int j = 0; j < ny; ++j) row_convert(x + j * xs, y + j * ys, nx);
-}
-
-void axpy_promoted(int nb, int nx, int ny, const double* a, const float* x,
-                   std::ptrdiff_t xs, double* y, std::ptrdiff_t ys,
-                   const unsigned char* active) {
-  if (nb == 1)
-    return spancore::axpy_promoted<1>(1, nx, ny, a, x, xs, y, ys, active);
-  spancore::axpy_promoted<0>(nb, nx, ny, a, x, xs, y, ys, active);
-}
-
 #define MINIPOP_KERNELS_INSTANTIATE(T)                                     \
   template void apply9<T>(const Stencil9T<T>&, const int*, const Span*,    \
                           int, int, const T*, std::ptrdiff_t, T*,          \
@@ -709,12 +655,6 @@ void axpy_promoted(int nb, int nx, int ny, const double* a, const float* x,
   template void fill<T>(int, int, int, T, T*, std::ptrdiff_t);
 
 MINIPOP_KERNELS_INSTANTIATE(double)
-MINIPOP_KERNELS_INSTANTIATE(float)
 #undef MINIPOP_KERNELS_INSTANTIATE
-
-template void convert<float, double>(int, int, const double*,
-                                     std::ptrdiff_t, float*, std::ptrdiff_t);
-template void convert<double, float>(int, int, const float*, std::ptrdiff_t,
-                                     double*, std::ptrdiff_t);
 
 }  // namespace minipop::solver::kernels

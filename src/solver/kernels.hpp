@@ -14,14 +14,8 @@
 //
 // ONE KERNEL FAMILY. There is one entry point per operation, generic in
 // the member width `nb` and templated on the storage scalar T:
-//   * T is float or double (nothing else links). Element arithmetic runs
-//     at storage precision — fp32 storage exists to halve bytes per
-//     point, and widening every operand would forfeit half the vector
-//     lanes — but every REDUCTION accumulates in double regardless of T:
-//     a float accumulator over a 0.1-degree block (~10^5 points) loses
-//     ~5 digits to cancellation, which is exactly the failure mode the
-//     mixed-precision refinement loop must be able to measure, not
-//     suffer.
+//   * T is double (nothing else links); every REDUCTION accumulates in
+//     double.
 //   * nb is the batch width. Each kernel dispatches nb == 1 to a width-1
 //     instantiation whose member loop collapses to the scalar loop (a
 //     DistField is a width-1 plane), and every other width to the
@@ -105,7 +99,6 @@ struct Stencil9T {
 };
 
 using Stencil9 = Stencil9T<double>;
-using Stencil9f = Stencil9T<float>;
 
 /// One run of contiguous ocean cells inside a block row: interior cells
 /// [i0, i0 + len).
@@ -115,7 +108,7 @@ struct Span {
 };
 
 // ---------------------------------------------------------------------
-// Span sweeps. Instantiated for T = float and double in kernels.cpp.
+// Span sweeps. Instantiated for T = double in kernels.cpp.
 // ---------------------------------------------------------------------
 
 /// y_m = A x_m at ocean cells. x must have valid halo rows/columns
@@ -147,8 +140,6 @@ void residual_norm2_9(const Stencil9T<T>& c, const int* row_offset,
 /// sums[m] += sum a_m * b_m, row-major, continuing from sums[] — callers
 /// thread one running accumulator through all local blocks (starting
 /// each block at zero and adding partials would perturb the last bits).
-/// Operands are widened to double BEFORE the multiply, so for T = float
-/// the product itself is exact and only storage rounding remains.
 template <typename T>
 void dot(const int* row_offset, const Span* spans, int nb, int ny,
          const T* a, std::ptrdiff_t as, const T* b, std::ptrdiff_t bs,
@@ -211,7 +202,7 @@ void mask_zero(const int* row_offset, const Span* spans, int nb, int nx,
                int ny, T* x, std::ptrdiff_t xs);
 
 /// out_m = inv * in_m at ocean, 0 on land (diagonal preconditioner,
-/// shared inverse-diagonal plane at storage precision).
+/// shared inverse-diagonal plane).
 template <typename T>
 void diag_apply(const T* inv, std::ptrdiff_t is, const int* row_offset,
                 const Span* spans, int nb, int nx, int ny, const T* in,
@@ -235,21 +226,5 @@ void copy(int nb, int nx, int ny, const T* x, std::ptrdiff_t xs, T* y,
 /// x = v, all members.
 template <typename T>
 void fill(int nb, int nx, int ny, T v, T* x, std::ptrdiff_t xs);
-
-/// Precision converters: y (dst scalar) = x (src scalar), value-converted
-/// per element. Used to demote fp64 residuals into the fp32 inner solve
-/// and promote fp32 corrections back. Rows are contiguous spans of nx
-/// elements — batched planes convert by passing the widened row length
-/// nx*nb. Instantiated for <float, double> and <double, float>.
-template <typename D, typename S>
-void convert(int nx, int ny, const S* x, std::ptrdiff_t xs, D* y,
-             std::ptrdiff_t ys);
-
-/// Mixed-width refinement update: y64_m += a[m] * (double) x32_m for
-/// each active m — the precision boundary of the refinement loop
-/// without materializing a promoted copy. 2 flops/point/member.
-void axpy_promoted(int nb, int nx, int ny, const double* a, const float* x,
-                   std::ptrdiff_t xs, double* y, std::ptrdiff_t ys,
-                   const unsigned char* active);
 
 }  // namespace minipop::solver::kernels

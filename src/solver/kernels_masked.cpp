@@ -7,8 +7,6 @@
 // Masked reductions use a select (`mask ? term : 0.0`) instead of a
 // branch: adding +0.0 cannot change the accumulator, so the select is
 // bitwise equivalent to the branchy form while staying if-convertible.
-// Reduction accumulators are double for both storage scalars; operands
-// are widened BEFORE multiplying.
 #include "src/solver/kernels_masked.hpp"
 
 #include "src/solver/kernel_rows.hpp"
@@ -550,7 +548,6 @@ void masked_copy(const unsigned char* mask, std::ptrdiff_t ms, int nb,
                                std::ptrdiff_t);
 
 MINIPOP_KERNELS_MASKED_INSTANTIATE(double)
-MINIPOP_KERNELS_MASKED_INSTANTIATE(float)
 #undef MINIPOP_KERNELS_MASKED_INSTANTIATE
 
 }  // namespace minipop::solver::kernels::masked

@@ -21,7 +21,7 @@
 // the width-1 instantiation. Stencil sweeps and vector updates write
 // every interior cell (land included); masked reductions add +0.0 at
 // land; mask_zero / diag_apply / masked_copy write 0 at land exactly
-// like their span counterparts. Instantiated for float and double.
+// like their span counterparts. Instantiated for double.
 #pragma once
 
 #include <cstddef>

@@ -8,7 +8,7 @@ namespace minipop::solver {
 namespace {
 
 // Both preconditioners are pointwise, so one body serves a DistField
-// (a width-1 plane) and a batch of any width and precision. The span
+// (a width-1 plane) and a batch of any width. The span
 // kernels write 0 in the land gaps, which keeps every preconditioned
 // vector +0.0 on land.
 
@@ -26,9 +26,9 @@ void copy_ocean(const DistOperator& op, const F& in, F& out) {
 }
 
 /// out = inv * in at ocean cells, 0 on land.
-template <class F, typename T>
+template <class F>
 void scale_ocean(comm::Communicator& comm, const DistOperator& op,
-                 const std::vector<util::Array2D<T>>& inv_diag, const F& in,
+                 const std::vector<util::Field>& inv_diag, const F& in,
                  F& out) {
   MINIPOP_REQUIRE(in.compatible_with(out), "diagonal precond field mismatch");
   const SpanPlan& plan = op.span_plan();
@@ -63,12 +63,6 @@ void IdentityPreconditioner::apply_batch(comm::Communicator& /*comm*/,
   copy_ocean(*op_, in, out);
 }
 
-void IdentityPreconditioner::apply_batch(comm::Communicator& /*comm*/,
-                                         const comm::DistFieldBatch32& in,
-                                         comm::DistFieldBatch32& out) {
-  copy_ocean(*op_, in, out);
-}
-
 DiagonalPreconditioner::DiagonalPreconditioner(const DistOperator& op)
     : op_(&op) {
   inv_diag_.reserve(op.num_local_blocks());
@@ -94,29 +88,10 @@ void DiagonalPreconditioner::apply(comm::Communicator& comm,
   scale_ocean(comm, *op_, inv_diag_, in, out);
 }
 
-void DiagonalPreconditioner::ensure_inv_diag32() {
-  if (!inv_diag32_.empty()) return;
-  inv_diag32_.reserve(inv_diag_.size());
-  for (const auto& inv : inv_diag_) {
-    util::Array2D<float> inv32(inv.nx(), inv.ny());
-    for (int j = 0; j < inv.ny(); ++j)
-      for (int i = 0; i < inv.nx(); ++i)
-        inv32(i, j) = static_cast<float>(inv(i, j));
-    inv_diag32_.push_back(std::move(inv32));
-  }
-}
-
 void DiagonalPreconditioner::apply_batch(comm::Communicator& comm,
                                          const comm::DistFieldBatch& in,
                                          comm::DistFieldBatch& out) {
   scale_ocean(comm, *op_, inv_diag_, in, out);
-}
-
-void DiagonalPreconditioner::apply_batch(comm::Communicator& comm,
-                                         const comm::DistFieldBatch32& in,
-                                         comm::DistFieldBatch32& out) {
-  ensure_inv_diag32();
-  scale_ocean(comm, *op_, inv_diag32_, in, out);
 }
 
 }  // namespace minipop::solver

@@ -32,12 +32,6 @@ class Preconditioner {
                            const comm::DistFieldBatch& in,
                            comm::DistFieldBatch& out) = 0;
 
-  /// fp32 batched apply — the preconditioner step of the fp32 and mixed
-  /// inner solves, from a lazily-built float copy of the setup data.
-  virtual void apply_batch(comm::Communicator& comm,
-                           const comm::DistFieldBatch32& in,
-                           comm::DistFieldBatch32& out) = 0;
-
   virtual std::string name() const = 0;
 };
 
@@ -49,9 +43,6 @@ class IdentityPreconditioner final : public Preconditioner {
              comm::DistField& out) override;
   void apply_batch(comm::Communicator& comm, const comm::DistFieldBatch& in,
                    comm::DistFieldBatch& out) override;
-  void apply_batch(comm::Communicator& comm,
-                   const comm::DistFieldBatch32& in,
-                   comm::DistFieldBatch32& out) override;
   std::string name() const override { return "identity"; }
 
  private:
@@ -66,19 +57,11 @@ class DiagonalPreconditioner final : public Preconditioner {
              comm::DistField& out) override;
   void apply_batch(comm::Communicator& comm, const comm::DistFieldBatch& in,
                    comm::DistFieldBatch& out) override;
-  void apply_batch(comm::Communicator& comm,
-                   const comm::DistFieldBatch32& in,
-                   comm::DistFieldBatch32& out) override;
   std::string name() const override { return "diagonal"; }
 
  private:
-  void ensure_inv_diag32();
-
   const DistOperator* op_;
   std::vector<util::Field> inv_diag_;  ///< masked inverse diagonal per block
-  /// float mirror of inv_diag_, built on first fp32 apply (each inverse
-  /// is rounded from the double one, not recomputed in float).
-  std::vector<util::Array2D<float>> inv_diag32_;
 };
 
 }  // namespace minipop::solver

@@ -27,13 +27,6 @@ PreconditionerKind preconditioner_kind_from_string(const std::string& s) {
                     "' (identity|diagonal|evp)");
 }
 
-Precision precision_from_string(const std::string& s) {
-  if (s == "fp64" || s == "double") return Precision::kFp64;
-  if (s == "fp32" || s == "float") return Precision::kFp32;
-  if (s == "mixed") return Precision::kMixed;
-  throw util::Error("unknown precision '" + s + "' (fp64|fp32|mixed)");
-}
-
 std::string to_string(SolverKind k) {
   switch (k) {
     case SolverKind::kPcg: return "pcg";
@@ -136,15 +129,9 @@ BarotropicSolver::BarotropicSolver(comm::Communicator& comm,
     lanczos_ = estimate_eigenvalue_bounds(comm, halo, op_, *precond_,
                                           config_.lanczos);
 
-  if (config_.options.precision != Precision::kFp64)
-    MINIPOP_REQUIRE(has_batched_path(),
-                    "precision " << to_string(config_.options.precision)
-                                 << " needs pcsi or chrongear (got "
-                                 << to_string(config_.solver) << ")");
-
   // The solver stack: the lockstep core for P-CSI and ChronGear, the
   // member-by-member adapter for PCG and pipelined CG; then the
-  // mixed-precision and resilience decorators.
+  // resilience decorator.
   switch (config_.solver) {
     case SolverKind::kPcsi:
       stack_ = std::make_unique<BatchedPcsiSolver>(lanczos_->bounds,
@@ -161,13 +148,6 @@ BarotropicSolver::BarotropicSolver(comm::Communicator& comm,
       stack_ = std::make_unique<SequentialBatchedSolver>(
           std::make_unique<PipelinedCgSolver>(config_.options));
       break;
-  }
-
-  if (config_.options.precision != Precision::kFp64) {
-    auto mixed = std::make_unique<BatchedMixedPrecisionSolver>(
-        std::move(stack_), config_.options);
-    mixed_ = mixed.get();
-    stack_ = std::move(mixed);
   }
 
   if (config_.resilient) {
@@ -228,10 +208,6 @@ std::string BarotropicSolver::description() const {
   std::string d = to_string(config_.solver);
   d += "+";
   d += to_string(config_.preconditioner);
-  if (config_.options.precision != Precision::kFp64) {
-    d += "+";
-    d += to_string(config_.options.precision);
-  }
   // config_.options.halo_depth holds the RESOLVED depth (auto and
   // unsupported requests were settled at construction).
   if (config_.options.halo_depth > 1)

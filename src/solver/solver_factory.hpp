@@ -6,8 +6,8 @@
 //
 // There is one solver stack (DESIGN.md §11): the batched core for P-CSI
 // and ChronGear (or SequentialBatchedSolver around PCG / pipelined CG),
-// under the mixed-precision and resilience decorators. A single solve
-// runs it as a width-1 batch.
+// under the resilience decorator. A single solve runs it as a width-1
+// batch.
 #pragma once
 
 #include <memory>
@@ -27,7 +27,6 @@ enum class PreconditionerKind { kIdentity, kDiagonal, kBlockEvp };
 
 SolverKind solver_kind_from_string(const std::string& s);
 PreconditionerKind preconditioner_kind_from_string(const std::string& s);
-Precision precision_from_string(const std::string& s);
 std::string to_string(SolverKind k);
 std::string to_string(PreconditionerKind k);
 
@@ -38,9 +37,8 @@ struct SolverConfig {
   evp::BlockEvpOptions evp;
   LanczosOptions lanczos;
   /// Route solves through the BatchedResilientSolver decorator
-  /// (operator repair, precision escalation, P-CSI bounds
-  /// re-estimation, checkpoint restarts, fallback chain down to
-  /// diagonal-preconditioned PCG). Fault-free iterates are bitwise
+  /// (operator repair, P-CSI bounds re-estimation, checkpoint
+  /// restarts, fallback chain down to diagonal-preconditioned PCG). Fault-free iterates are bitwise
   /// identical with or without it; the decorator adds one agreement
   /// reduction per solve.
   bool resilient = true;
@@ -68,8 +66,7 @@ class BarotropicSolver {
                    comm::HaloFreshness x_fresh = comm::HaloFreshness::kStale);
 
   /// Solve the B independent systems A x_i = b_i as one batch of the
-  /// same stack. P-CSI and ChronGear (at any precision) interleave the
-  /// members into a DistFieldBatch and advance them in lockstep: ~B×
+  /// same stack. P-CSI and ChronGear interleave the members into a DistFieldBatch and advance them in lockstep: ~B×
   /// fewer halo messages and allreduces, per-member results
   /// bit-identical to B single solves. PCG and pipelined CG have no
   /// lockstep core and solve member by member (see has_batched_path()).
@@ -80,8 +77,8 @@ class BarotropicSolver {
       comm::HaloFreshness x_fresh = comm::HaloFreshness::kStale);
 
   /// True when this configuration runs the fused lockstep batched core
-  /// (P-CSI or ChronGear at any precision). False means solve_batch()
-  /// still works but solves member by member.
+  /// (P-CSI or ChronGear). False means solve_batch() still works but
+  /// solves member by member.
   bool has_batched_path() const {
     return config_.solver == SolverKind::kPcsi ||
            config_.solver == SolverKind::kChronGear;
@@ -92,9 +89,6 @@ class BarotropicSolver {
   const SolverConfig& config() const { return config_; }
   /// Lanczos estimation details; only set for P-CSI.
   const std::optional<LanczosResult>& lanczos() const { return lanczos_; }
-  /// The mixed-precision decorator, or nullptr when options.precision is
-  /// kFp64 (only P-CSI and ChronGear have an fp32 inner path).
-  BatchedMixedPrecisionSolver* mixed() { return mixed_; }
   /// The resilience decorator, or nullptr when config.resilient is off.
   BatchedResilientSolver* resilient() { return resilient_; }
   /// The assembled solver stack (never null).
@@ -108,8 +102,7 @@ class BarotropicSolver {
   DistOperator op_;
   std::unique_ptr<Preconditioner> precond_;
   std::unique_ptr<BatchedSolver> stack_;
-  BatchedMixedPrecisionSolver* mixed_ = nullptr;  ///< view into stack_
-  BatchedResilientSolver* resilient_ = nullptr;   ///< view into stack_
+  BatchedResilientSolver* resilient_ = nullptr;  ///< view into stack_
   std::optional<LanczosResult> lanczos_;
 };
 

@@ -135,10 +135,6 @@ std::vector<MonthlySeries> run_ensemble(
         s.converged = ms.converged;
         s.relative_residual = ms.relative_residual;
         s.failure = ms.failure;
-        // Refinement sweeps are lockstep across the batch: every still-
-        // active member participates in each batched inner solve, so
-        // the batch-wide count is each member's sweep count too.
-        s.refine_sweeps = batch_stats.refine_sweeps;
         // Communication costs are joint across the batch and stay in
         // batch_stats.costs; per-member costs have no meaning here.
         models[t]->step_finish(comm, s);

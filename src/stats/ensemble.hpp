@@ -32,12 +32,12 @@ struct EnsembleConfig {
   /// batching composes members ACROSS models on one rank, while
   /// nranks > 1 splits one model across ranks — combining the two would
   /// need per-rank model groups, which nothing here needs yet. The
-  /// batched stack carries the full decorator chain (mixed precision,
-  /// resilience with per-member recovery, overlap), so any SolverConfig
-  /// composes with batch > 1. Fp64 batched members are bitwise
-  /// identical to batch == 1 members: P-CSI/ChronGear batched solves
-  /// are bit-exact per member and the resilience decorator is
-  /// bitwise-neutral in fault-free runs.
+  /// batched stack carries the full decorator chain (resilience with
+  /// per-member recovery, overlap), so any SolverConfig composes with
+  /// batch > 1. Batched members are bitwise identical to batch == 1
+  /// members: P-CSI/ChronGear batched solves are bit-exact per member
+  /// and the resilience decorator is bitwise-neutral in fault-free
+  /// runs.
   int batch = 1;
 };
 

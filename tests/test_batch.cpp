@@ -30,7 +30,8 @@ namespace mu = minipop::util;
 namespace {
 
 /// Bowl bathymetry with an island and a coast-to-island wall pierced by
-/// a one-cell strait (same masked topology as the precision tests).
+/// a one-cell strait (same masked topology as the stall-detection test
+/// in test_resilience.cpp).
 struct Problem {
   std::unique_ptr<mg::CurvilinearGrid> grid;
   mu::Field depth;

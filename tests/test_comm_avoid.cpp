@@ -4,8 +4,7 @@
 // The load-bearing assertion is BITWISE identity: a depth-k solve must
 // produce, member for member and iteration for iteration, exactly the
 // bits of k-times-as-many depth-1 exchanges — across serial and 4-rank
-// teams, scalar and batched (B=4), fp64/fp32/mixed precision, and every
-// supported depth. Around it: counter audits (halo rounds and messages
+// teams, scalar and batched (B=4), and every supported depth. Around it: counter audits (halo rounds and messages
 // ~k× down, redundant ghost flops accounted), grouped-exchange
 // equivalence, deep-rim exchange truth vs the global pattern, the
 // narrow-block width clamp, Hilbert determinism, and the depth
@@ -87,14 +86,12 @@ struct SolveOutcome {
 /// One single solve at the given depth, on `nranks` ranks; returns the
 /// gathered solution and rank-0 stats.
 SolveOutcome run_scalar(const CaProblem& p, int nranks,
-                        ms::Precision precision,
                         ms::PreconditionerKind precond, int halo_depth,
                         double rel_tol) {
   ms::SolverConfig cfg;
   cfg.solver = ms::SolverKind::kPcsi;
   cfg.preconditioner = precond;
   cfg.options.rel_tolerance = rel_tol;
-  cfg.options.precision = precision;
   cfg.options.record_residuals = true;
   cfg.options.halo_depth = halo_depth;
   cfg.resilient = false;
@@ -143,7 +140,6 @@ void expect_same_bits(const mu::Field& a, const mu::Field& b,
 struct IdentityCase {
   const char* label;
   int nranks;
-  ms::Precision precision;
   ms::PreconditionerKind precond;
   int depth;
   double rel_tol;
@@ -158,9 +154,9 @@ TEST_P(CommAvoidIdentityTest, DepthKSolveIsBitwiseDepth1) {
   ASSERT_GE(p.decomp->max_halo_width(), 4);
 
   const SolveOutcome base =
-      run_scalar(p, c.nranks, c.precision, c.precond, 1, c.rel_tol);
+      run_scalar(p, c.nranks, c.precond, 1, c.rel_tol);
   const SolveOutcome ca =
-      run_scalar(p, c.nranks, c.precision, c.precond, c.depth, c.rel_tol);
+      run_scalar(p, c.nranks, c.precond, c.depth, c.rel_tol);
 
   EXPECT_EQ(ca.iterations, base.iterations);
   EXPECT_EQ(ca.relative_residual, base.relative_residual);
@@ -177,28 +173,18 @@ TEST_P(CommAvoidIdentityTest, DepthKSolveIsBitwiseDepth1) {
 INSTANTIATE_TEST_SUITE_P(
     Matrix, CommAvoidIdentityTest,
     ::testing::Values(
-        IdentityCase{"serial_fp64_d2", 1, ms::Precision::kFp64,
-                     ms::PreconditionerKind::kDiagonal, 2, 1e-10},
-        IdentityCase{"serial_fp64_d4", 1, ms::Precision::kFp64,
-                     ms::PreconditionerKind::kDiagonal, 4, 1e-10},
-        IdentityCase{"ranks4_fp64_d2", 4, ms::Precision::kFp64,
-                     ms::PreconditionerKind::kDiagonal, 2, 1e-10},
-        IdentityCase{"ranks4_fp64_d3", 4, ms::Precision::kFp64,
-                     ms::PreconditionerKind::kDiagonal, 3, 1e-10},
-        IdentityCase{"ranks4_fp64_d4", 4, ms::Precision::kFp64,
-                     ms::PreconditionerKind::kDiagonal, 4, 1e-10},
-        IdentityCase{"ranks4_identity_d3", 4, ms::Precision::kFp64,
-                     ms::PreconditionerKind::kIdentity, 3, 1e-8},
-        IdentityCase{"serial_fp32_d2", 1, ms::Precision::kFp32,
-                     ms::PreconditionerKind::kDiagonal, 2, 1e-5},
-        IdentityCase{"ranks4_fp32_d2", 4, ms::Precision::kFp32,
-                     ms::PreconditionerKind::kDiagonal, 2, 1e-5},
-        IdentityCase{"ranks4_fp32_d4", 4, ms::Precision::kFp32,
-                     ms::PreconditionerKind::kDiagonal, 4, 1e-5},
-        IdentityCase{"ranks4_mixed_d2", 4, ms::Precision::kMixed,
-                     ms::PreconditionerKind::kDiagonal, 2, 1e-10},
-        IdentityCase{"ranks4_mixed_d3", 4, ms::Precision::kMixed,
-                     ms::PreconditionerKind::kDiagonal, 3, 1e-10}),
+        IdentityCase{"serial_fp64_d2", 1, ms::PreconditionerKind::kDiagonal,
+                     2, 1e-10},
+        IdentityCase{"serial_fp64_d4", 1, ms::PreconditionerKind::kDiagonal,
+                     4, 1e-10},
+        IdentityCase{"ranks4_fp64_d2", 4, ms::PreconditionerKind::kDiagonal,
+                     2, 1e-10},
+        IdentityCase{"ranks4_fp64_d3", 4, ms::PreconditionerKind::kDiagonal,
+                     3, 1e-10},
+        IdentityCase{"ranks4_fp64_d4", 4, ms::PreconditionerKind::kDiagonal,
+                     4, 1e-10},
+        IdentityCase{"ranks4_identity_d3", 4,
+                     ms::PreconditionerKind::kIdentity, 3, 1e-8}),
     [](const auto& info) { return std::string(info.param.label); });
 
 // --- batched bitwise identity --------------------------------------------
@@ -211,13 +197,11 @@ struct BatchOutcome {
 };
 
 BatchOutcome run_batched(const CaProblem& p, int nranks, int nb,
-                         ms::Precision precision, int halo_depth,
-                         double rel_tol) {
+                         int halo_depth, double rel_tol) {
   ms::SolverConfig cfg;
   cfg.solver = ms::SolverKind::kPcsi;
   cfg.preconditioner = ms::PreconditionerKind::kDiagonal;
   cfg.options.rel_tolerance = rel_tol;
-  cfg.options.precision = precision;
   cfg.options.halo_depth = halo_depth;
   cfg.resilient = false;
   cfg.lanczos.rel_tolerance = 0.02;
@@ -265,10 +249,8 @@ TEST(CommAvoidBatched, DepthKBatchIsBitwiseDepth1Fp64) {
   CaProblem p;
   for (int depth : {2, 4}) {
     SCOPED_TRACE("depth " + std::to_string(depth));
-    const BatchOutcome base =
-        run_batched(p, 4, 4, ms::Precision::kFp64, 1, 1e-10);
-    const BatchOutcome ca =
-        run_batched(p, 4, 4, ms::Precision::kFp64, depth, 1e-10);
+    const BatchOutcome base = run_batched(p, 4, 4, 1, 1e-10);
+    const BatchOutcome ca = run_batched(p, 4, 4, depth, 1e-10);
     for (int m = 0; m < 4; ++m) {
       SCOPED_TRACE("member " + std::to_string(m));
       EXPECT_EQ(ca.iters[m], base.iters[m]);
@@ -278,25 +260,10 @@ TEST(CommAvoidBatched, DepthKBatchIsBitwiseDepth1Fp64) {
   }
 }
 
-TEST(CommAvoidBatched, DepthKBatchIsBitwiseDepth1Fp32) {
-  CaProblem p;
-  const BatchOutcome base =
-      run_batched(p, 4, 4, ms::Precision::kFp32, 1, 1e-5);
-  const BatchOutcome ca =
-      run_batched(p, 4, 4, ms::Precision::kFp32, 2, 1e-5);
-  for (int m = 0; m < 4; ++m) {
-    SCOPED_TRACE("member " + std::to_string(m));
-    EXPECT_EQ(ca.iters[m], base.iters[m]);
-    EXPECT_EQ(ca.rel[m], base.rel[m]);
-    expect_same_bits(ca.xs[m], base.xs[m], p.stencil->mask());
-  }
-}
-
 TEST(CommAvoidBatched, SingleMemberBatchMatchesScalar) {
   CaProblem p;
   const SolveOutcome scalar =
-      run_scalar(p, 4, ms::Precision::kFp64,
-                 ms::PreconditionerKind::kDiagonal, 3, 1e-10);
+      run_scalar(p, 4, ms::PreconditionerKind::kDiagonal, 3, 1e-10);
   // B = 1 batch with the same RHS seed the scalar helper uses.
   ms::SolverConfig cfg;
   cfg.solver = ms::SolverKind::kPcsi;
@@ -334,15 +301,12 @@ TEST(CommAvoidBatched, SingleMemberBatchMatchesScalar) {
 /// count at every depth).
 TEST(CommAvoidCosts, HaloRoundsAndMessagesDropByAboutK) {
   CaProblem p;
-  const SolveOutcome d1 = run_scalar(p, 4, ms::Precision::kFp64,
-                                     ms::PreconditionerKind::kDiagonal, 1,
-                                     1e-10);
-  const SolveOutcome d2 = run_scalar(p, 4, ms::Precision::kFp64,
-                                     ms::PreconditionerKind::kDiagonal, 2,
-                                     1e-10);
-  const SolveOutcome d4 = run_scalar(p, 4, ms::Precision::kFp64,
-                                     ms::PreconditionerKind::kDiagonal, 4,
-                                     1e-10);
+  const SolveOutcome d1 = run_scalar(p, 4, ms::PreconditionerKind::kDiagonal,
+                                     1, 1e-10);
+  const SolveOutcome d2 = run_scalar(p, 4, ms::PreconditionerKind::kDiagonal,
+                                     2, 1e-10);
+  const SolveOutcome d4 = run_scalar(p, 4, ms::PreconditionerKind::kDiagonal,
+                                     4, 1e-10);
   ASSERT_EQ(d2.iterations, d1.iterations);
   ASSERT_EQ(d4.iterations, d1.iterations);
   ASSERT_GE(d1.iterations, 40) << "problem too easy to audit rounds";

@@ -10,10 +10,10 @@
 //   allreduces           equal      (vector reductions, not B scalar ones)
 //   allreduce_doubles    B x scalar (width-B payloads)
 //
-// The audit runs on the composed decorator stacks too (mixed precision,
-// resilience, overlap), which is what pins down that the decorators
-// batch their own communication (agreement reductions, refinement
-// norms) instead of falling back to member-by-member traffic.
+// The audit runs on the composed decorator stacks too (resilience,
+// overlap), which is what pins down that the decorators batch their own
+// communication (agreement reductions) instead of falling back to
+// member-by-member traffic.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -75,7 +75,7 @@ struct ParityProblem {
 struct ParityCase {
   const char* label;
   ms::SolverKind solver;
-  ms::Precision precision;
+  ms::PreconditionerKind preconditioner;
   bool resilient;
   bool overlap;
 };
@@ -91,9 +91,8 @@ TEST_P(CostParityTest, BatchedCountsAreExactlyBTimesScalar) {
 
   ms::SolverConfig cfg;
   cfg.solver = pc.solver;
-  cfg.preconditioner = ms::PreconditionerKind::kDiagonal;
+  cfg.preconditioner = pc.preconditioner;
   cfg.options.rel_tolerance = 1e-10;
-  cfg.options.precision = pc.precision;
   cfg.resilient = pc.resilient;
   cfg.options.overlap = pc.overlap;
   cfg.lanczos.rel_tolerance = 0.02;
@@ -164,17 +163,15 @@ INSTANTIATE_TEST_SUITE_P(
     Configs, CostParityTest,
     ::testing::Values(
         ParityCase{"pcsi_fp64", ms::SolverKind::kPcsi,
-                   ms::Precision::kFp64, false, false},
+                   ms::PreconditionerKind::kDiagonal, false, false},
         ParityCase{"chrongear_fp64", ms::SolverKind::kChronGear,
-                   ms::Precision::kFp64, false, false},
+                   ms::PreconditionerKind::kDiagonal, false, false},
         ParityCase{"pcsi_fp64_resilient", ms::SolverKind::kPcsi,
-                   ms::Precision::kFp64, true, false},
-        ParityCase{"pcsi_mixed", ms::SolverKind::kPcsi,
-                   ms::Precision::kMixed, false, false},
+                   ms::PreconditionerKind::kDiagonal, true, false},
         ParityCase{"pcsi_composed", ms::SolverKind::kPcsi,
-                   ms::Precision::kMixed, true, true},
+                   ms::PreconditionerKind::kDiagonal, true, true},
         ParityCase{"chrongear_composed", ms::SolverKind::kChronGear,
-                   ms::Precision::kMixed, true, true}),
+                   ms::PreconditionerKind::kDiagonal, true, true}),
     [](const auto& info) { return std::string(info.param.label); });
 
 }  // namespace

@@ -182,19 +182,13 @@ SolveRun run_with(const Problem& p, int nranks, const SolverFactory& make,
   return out;
 }
 
-/// Single-solve stack: pcsi|cg core, wrapped in the mixed decorator
-/// when opt.precision says so; run as a width-1 batch by run_with.
+/// Single-solve stack: a pcsi|cg core, run as a width-1 batch by
+/// run_with.
 SolverFactory make_kind(const std::string& kind, const ms::SolverOptions& opt,
                         ms::EigenBounds bounds = {1.0, 2.0}) {
   return [kind, opt, bounds](int) -> std::unique_ptr<ms::BatchedSolver> {
-    std::unique_ptr<ms::BatchedSolver> core;
-    if (kind == "cg")
-      core = std::make_unique<ms::BatchedChronGearSolver>(opt);
-    else
-      core = std::make_unique<ms::BatchedPcsiSolver>(bounds, opt);
-    if (opt.precision == ms::Precision::kFp64) return core;
-    return std::make_unique<ms::BatchedMixedPrecisionSolver>(std::move(core),
-                                                             opt);
+    if (kind == "cg") return std::make_unique<ms::BatchedChronGearSolver>(opt);
+    return std::make_unique<ms::BatchedPcsiSolver>(bounds, opt);
   };
 }
 
@@ -213,18 +207,13 @@ SolverFactory resilient(const SolverFactory& inner,
 
 using BatchedFactory = std::function<std::unique_ptr<ms::BatchedSolver>()>;
 
-BatchedFactory make_batched(const std::string& kind, bool mixed,
-                            ms::SolverOptions opt, ms::EigenBounds bounds) {
-  if (mixed) opt.precision = ms::Precision::kMixed;
-  return [kind, mixed, opt, bounds]() -> std::unique_ptr<ms::BatchedSolver> {
-    std::unique_ptr<ms::BatchedSolver> core;
+BatchedFactory make_batched(const std::string& kind,
+                            const ms::SolverOptions& opt,
+                            ms::EigenBounds bounds) {
+  return [kind, opt, bounds]() -> std::unique_ptr<ms::BatchedSolver> {
     if (kind == "pcsi")
-      core = std::make_unique<ms::BatchedPcsiSolver>(bounds, opt);
-    else
-      core = std::make_unique<ms::BatchedChronGearSolver>(opt);
-    if (!mixed) return core;
-    return std::make_unique<ms::BatchedMixedPrecisionSolver>(std::move(core),
-                                                             opt);
+      return std::make_unique<ms::BatchedPcsiSolver>(bounds, opt);
+    return std::make_unique<ms::BatchedChronGearSolver>(opt);
   };
 }
 
@@ -506,27 +495,6 @@ TEST(IntegrityOn, CleanScalarSolveIsBitwiseIdenticalAndCounted) {
   }
 }
 
-TEST(IntegrityOn, CleanMixedSolveIsBitwiseIdenticalAndCounted) {
-  Problem p = make_problem(32, 24, 8, 1);
-  const ms::EigenBounds bounds = lanczos_bounds_serial(p);
-  ms::SolverOptions off;
-  off.rel_tolerance = 1e-10;
-  off.precision = ms::Precision::kMixed;
-  off.record_residuals = true;
-  const ms::SolverOptions on = with_integrity(off);
-  for (const std::string& kind : {std::string("cg"), std::string("pcsi")}) {
-    SCOPED_TRACE(kind);
-    SolveRun base = run_with(p, 1, make_kind(kind, off, bounds));
-    SolveRun audited = run_with(p, 1, make_kind(kind, on, bounds));
-    ASSERT_TRUE(base.stats.converged);
-    ASSERT_TRUE(audited.stats.converged);
-    expect_stats_bitwise(audited.stats, base.stats);
-    expect_fields_bitwise(audited.x, base.x);
-    EXPECT_GT(audited.stats.costs.integrity_checks, 0u);
-    EXPECT_EQ(audited.stats.costs.integrity_failures, 0u);
-  }
-}
-
 TEST(IntegrityOn, HaloCrcCleanExchangesAreBitwiseIdenticalAndCounted) {
   Problem p = make_problem(32, 24, 8, 4);
   ms::SolverOptions opt;
@@ -553,29 +521,25 @@ TEST(IntegrityOn, CleanBatchedSolveIsBitwiseIdenticalAndCounted) {
   off.rel_tolerance = 1e-10;
   const ms::SolverOptions on = with_integrity(off);
   for (const std::string& kind : {std::string("pcsi"), std::string("cg")}) {
-    for (const bool mixed : {false, true}) {
-      SCOPED_TRACE(kind + (mixed ? "+mixed" : "+fp64"));
-      BatchRun base = run_batch(p, 1, rhs, make_batched(kind, mixed, off,
-                                                        bounds));
-      BatchRun audited = run_batch(p, 1, rhs, make_batched(kind, mixed, on,
-                                                           bounds));
-      ASSERT_EQ(base.stats.members.size(), rhs.size());
-      ASSERT_EQ(audited.stats.members.size(), rhs.size());
-      for (std::size_t m = 0; m < rhs.size(); ++m) {
-        ASSERT_TRUE(base.stats.members[m].converged) << "member " << m;
-        EXPECT_TRUE(audited.stats.members[m].converged) << "member " << m;
-        EXPECT_EQ(audited.stats.members[m].iterations,
-                  base.stats.members[m].iterations)
-            << "member " << m;
-        EXPECT_EQ(audited.stats.members[m].relative_residual,
-                  base.stats.members[m].relative_residual)
-            << "member " << m;
-        expect_fields_bitwise(audited.x[m], base.x[m]);
-      }
-      EXPECT_GT(audited.stats.costs.integrity_checks, 0u);
-      EXPECT_EQ(audited.stats.costs.integrity_failures, 0u);
-      EXPECT_EQ(base.stats.costs.integrity_checks, 0u);
+    SCOPED_TRACE(kind);
+    BatchRun base = run_batch(p, 1, rhs, make_batched(kind, off, bounds));
+    BatchRun audited = run_batch(p, 1, rhs, make_batched(kind, on, bounds));
+    ASSERT_EQ(base.stats.members.size(), rhs.size());
+    ASSERT_EQ(audited.stats.members.size(), rhs.size());
+    for (std::size_t m = 0; m < rhs.size(); ++m) {
+      ASSERT_TRUE(base.stats.members[m].converged) << "member " << m;
+      EXPECT_TRUE(audited.stats.members[m].converged) << "member " << m;
+      EXPECT_EQ(audited.stats.members[m].iterations,
+                base.stats.members[m].iterations)
+          << "member " << m;
+      EXPECT_EQ(audited.stats.members[m].relative_residual,
+                base.stats.members[m].relative_residual)
+          << "member " << m;
+      expect_fields_bitwise(audited.x[m], base.x[m]);
     }
+    EXPECT_GT(audited.stats.costs.integrity_checks, 0u);
+    EXPECT_EQ(audited.stats.costs.integrity_failures, 0u);
+    EXPECT_EQ(base.stats.costs.integrity_checks, 0u);
   }
 }
 
@@ -640,19 +604,16 @@ TEST(SdcCampaign, ReductionCorruptTypedAcrossScalarConfigs) {
   Problem p = make_problem(32, 24, 8, 1);
   const ms::EigenBounds bounds = lanczos_bounds_serial(p);
   for (const std::string& kind : {std::string("cg"), std::string("pcsi")}) {
-    for (const bool mixed : {false, true}) {
-      SCOPED_TRACE(kind + (mixed ? "+mixed" : "+fp64"));
-      ms::SolverOptions opt;
-      opt.rel_tolerance = 1e-10;
-      if (mixed) opt.precision = ms::Precision::kMixed;
-      opt.integrity.guarded_reductions = true;
-      mf::FaultScope scope(one_rule(mf::FaultSite::kReductionCorrupt, 0));
-      SolveRun run = run_with(p, 1, make_kind(kind, opt, bounds));
-      EXPECT_EQ(scope.injector().fire_count(), 1);
-      EXPECT_FALSE(run.stats.converged);
-      EXPECT_EQ(run.stats.failure, ms::FailureKind::kCorruptReduction);
-      EXPECT_GE(run.stats.costs.integrity_failures, 1u);
-    }
+    SCOPED_TRACE(kind);
+    ms::SolverOptions opt;
+    opt.rel_tolerance = 1e-10;
+    opt.integrity.guarded_reductions = true;
+    mf::FaultScope scope(one_rule(mf::FaultSite::kReductionCorrupt, 0));
+    SolveRun run = run_with(p, 1, make_kind(kind, opt, bounds));
+    EXPECT_EQ(scope.injector().fire_count(), 1);
+    EXPECT_FALSE(run.stats.converged);
+    EXPECT_EQ(run.stats.failure, ms::FailureKind::kCorruptReduction);
+    EXPECT_GE(run.stats.costs.integrity_failures, 1u);
   }
 }
 
@@ -660,23 +621,19 @@ TEST(SdcCampaign, CoeffBitFlipTypedAcrossScalarConfigs) {
   Problem p = make_problem(32, 24, 8, 1);
   const ms::EigenBounds bounds = lanczos_bounds_serial(p);
   for (const std::string& kind : {std::string("cg"), std::string("pcsi")}) {
-    for (const bool mixed : {false, true}) {
-      SCOPED_TRACE(kind + (mixed ? "+mixed" : "+fp64"));
-      ms::SolverOptions opt;
-      opt.rel_tolerance = 1e-10;
-      if (mixed) opt.precision = ms::Precision::kMixed;
-      opt.integrity.abft_interval = 1;
-      // Exponent-bit flip of one stored stencil coefficient: the next
-      // ABFT audit sees a checksum gap orders of magnitude above the
-      // tolerance scale. Event ordinals count fp64 operator sweeps.
-      mf::FaultScope scope(
-          one_rule(mf::FaultSite::kCoeffBitFlip, mixed ? 1 : 2, 62));
-      SolveRun run = run_with(p, 1, make_kind(kind, opt, bounds));
-      EXPECT_EQ(scope.injector().fire_count(), 1);
-      EXPECT_FALSE(run.stats.converged);
-      EXPECT_EQ(run.stats.failure, ms::FailureKind::kCorruptOperator);
-      EXPECT_GE(run.stats.costs.integrity_failures, 1u);
-    }
+    SCOPED_TRACE(kind);
+    ms::SolverOptions opt;
+    opt.rel_tolerance = 1e-10;
+    opt.integrity.abft_interval = 1;
+    // Exponent-bit flip of one stored stencil coefficient: the next
+    // ABFT audit sees a checksum gap orders of magnitude above the
+    // tolerance scale. Event ordinals count operator sweeps.
+    mf::FaultScope scope(one_rule(mf::FaultSite::kCoeffBitFlip, 2, 62));
+    SolveRun run = run_with(p, 1, make_kind(kind, opt, bounds));
+    EXPECT_EQ(scope.injector().fire_count(), 1);
+    EXPECT_FALSE(run.stats.converged);
+    EXPECT_EQ(run.stats.failure, ms::FailureKind::kCorruptOperator);
+    EXPECT_GE(run.stats.costs.integrity_failures, 1u);
   }
 }
 
@@ -725,30 +682,27 @@ TEST(SdcCampaign, ReductionCorruptTypedAcrossBatchedConfigs) {
   Problem p = make_problem(32, 24, 8, 1);
   const ms::EigenBounds bounds = lanczos_bounds_serial(p);
   for (const std::string& kind : {std::string("pcsi"), std::string("cg")}) {
-    for (const bool mixed : {false, true}) {
-      for (const int nb : {1, 4}) {
-        SCOPED_TRACE(kind + (mixed ? "+mixed" : "+fp64") + " B=" +
-                     std::to_string(nb));
-        const std::vector<mu::Field> rhs = make_rhs(p, nb);
-        ms::SolverOptions opt;
-        opt.rel_tolerance = 1e-10;
-        opt.integrity.guarded_reductions = true;
-        BatchRun clean =
-            run_batch(p, 1, rhs, make_batched(kind, mixed, opt, bounds));
-        for (const auto& m : clean.stats.members)
-          ASSERT_TRUE(m.converged);
-        // Event 0 is the guarded ||b||² setup reduce: the corrupted
-        // slot's member must be frozen kCorruptReduction at entry.
-        mf::FaultScope scope(one_rule(mf::FaultSite::kReductionCorrupt, 0));
-        BatchRun run =
-            run_batch(p, 1, rhs, make_batched(kind, mixed, opt, bounds));
-        EXPECT_EQ(scope.injector().fire_count(), 1);
-        EXPECT_GE(count_member_failures(run.stats,
-                                        ms::FailureKind::kCorruptReduction),
-                  1);
-        expect_no_silent_wrong_batch(run, clean);
-        EXPECT_GE(run.stats.costs.integrity_failures, 1u);
-      }
+    for (const int nb : {1, 4}) {
+      SCOPED_TRACE(kind + " B=" + std::to_string(nb));
+      const std::vector<mu::Field> rhs = make_rhs(p, nb);
+      ms::SolverOptions opt;
+      opt.rel_tolerance = 1e-10;
+      opt.integrity.guarded_reductions = true;
+      BatchRun clean =
+          run_batch(p, 1, rhs, make_batched(kind, opt, bounds));
+      for (const auto& m : clean.stats.members)
+        ASSERT_TRUE(m.converged);
+      // Event 0 is the guarded ||b||² setup reduce: the corrupted
+      // slot's member must be frozen kCorruptReduction at entry.
+      mf::FaultScope scope(one_rule(mf::FaultSite::kReductionCorrupt, 0));
+      BatchRun run =
+          run_batch(p, 1, rhs, make_batched(kind, opt, bounds));
+      EXPECT_EQ(scope.injector().fire_count(), 1);
+      EXPECT_GE(count_member_failures(run.stats,
+                                      ms::FailureKind::kCorruptReduction),
+                1);
+      expect_no_silent_wrong_batch(run, clean);
+      EXPECT_GE(run.stats.costs.integrity_failures, 1u);
     }
   }
 }
@@ -757,31 +711,27 @@ TEST(SdcCampaign, CoeffBitFlipTypedAcrossBatchedConfigs) {
   Problem p = make_problem(32, 24, 8, 1);
   const ms::EigenBounds bounds = lanczos_bounds_serial(p);
   for (const std::string& kind : {std::string("pcsi"), std::string("cg")}) {
-    for (const bool mixed : {false, true}) {
-      for (const int nb : {1, 4}) {
-        SCOPED_TRACE(kind + (mixed ? "+mixed" : "+fp64") + " B=" +
-                     std::to_string(nb));
-        const std::vector<mu::Field> rhs = make_rhs(p, nb);
-        ms::SolverOptions opt;
-        opt.rel_tolerance = 1e-10;
-        opt.integrity.abft_interval = 1;
-        BatchRun clean =
-            run_batch(p, 1, rhs, make_batched(kind, mixed, opt, bounds));
-        for (const auto& m : clean.stats.members)
-          ASSERT_TRUE(m.converged);
-        mf::FaultScope scope(
-            one_rule(mf::FaultSite::kCoeffBitFlip, mixed ? 1 : 2, 62));
-        BatchRun run =
-            run_batch(p, 1, rhs, make_batched(kind, mixed, opt, bounds));
-        EXPECT_EQ(scope.injector().fire_count(), 1);
-        // The operator is shared: every still-active member fails the
-        // ABFT identity at the first audit after the flip.
-        EXPECT_GE(count_member_failures(run.stats,
-                                        ms::FailureKind::kCorruptOperator),
-                  1);
-        expect_no_silent_wrong_batch(run, clean);
-        EXPECT_GE(run.stats.costs.integrity_failures, 1u);
-      }
+    for (const int nb : {1, 4}) {
+      SCOPED_TRACE(kind + " B=" + std::to_string(nb));
+      const std::vector<mu::Field> rhs = make_rhs(p, nb);
+      ms::SolverOptions opt;
+      opt.rel_tolerance = 1e-10;
+      opt.integrity.abft_interval = 1;
+      BatchRun clean =
+          run_batch(p, 1, rhs, make_batched(kind, opt, bounds));
+      for (const auto& m : clean.stats.members)
+        ASSERT_TRUE(m.converged);
+      mf::FaultScope scope(one_rule(mf::FaultSite::kCoeffBitFlip, 2, 62));
+      BatchRun run =
+          run_batch(p, 1, rhs, make_batched(kind, opt, bounds));
+      EXPECT_EQ(scope.injector().fire_count(), 1);
+      // The operator is shared: every still-active member fails the
+      // ABFT identity at the first audit after the flip.
+      EXPECT_GE(count_member_failures(run.stats,
+                                      ms::FailureKind::kCorruptOperator),
+                1);
+      expect_no_silent_wrong_batch(run, clean);
+      EXPECT_GE(run.stats.costs.integrity_failures, 1u);
     }
   }
 }
@@ -790,37 +740,34 @@ TEST(SdcCampaign, HaloBitFlipBehindCrcRecoveredAcrossBatchedConfigs) {
   Problem p = make_problem(32, 24, 8, 4);
   const ms::EigenBounds bounds = lanczos_bounds_serial(p);
   for (const std::string& kind : {std::string("pcsi"), std::string("cg")}) {
-    for (const bool mixed : {false, true}) {
-      for (const int nb : {1, 4}) {
-        SCOPED_TRACE(kind + (mixed ? "+mixed" : "+fp64") + " B=" +
-                     std::to_string(nb));
-        const std::vector<mu::Field> rhs = make_rhs(p, nb);
-        ms::SolverOptions opt;
-        opt.rel_tolerance = 1e-10;
-        BatchRun clean = run_batch(p, 4, rhs,
-                                   make_batched(kind, mixed, opt, bounds),
-                                   0.0, /*halo_crc=*/true);
-        for (const auto& m : clean.stats.members)
-          ASSERT_TRUE(m.converged);
-        // Low mantissa bit of a wire payload, flipped AFTER the CRC was
-        // computed: numerically negligible, invisible to every residual
-        // check — only the CRC can see it. Detection raises
-        // CorruptPayloadError; the resilient decorator resyncs the team
-        // and restarts from the entry checkpoint.
-        mf::FaultScope scope(
-            one_rule(mf::FaultSite::kHaloBitFlip, 4, 0, /*rank=*/1));
-        BatchRun run = run_batch(p, 4, rhs,
-                                 resilient_batched(make_batched(
-                                     kind, mixed, opt, bounds)),
+    for (const int nb : {1, 4}) {
+      SCOPED_TRACE(kind + " B=" + std::to_string(nb));
+      const std::vector<mu::Field> rhs = make_rhs(p, nb);
+      ms::SolverOptions opt;
+      opt.rel_tolerance = 1e-10;
+      BatchRun clean = run_batch(p, 4, rhs,
+                                 make_batched(kind, opt, bounds),
                                  0.0, /*halo_crc=*/true);
-        EXPECT_EQ(scope.injector().fire_count(), 1);
-        ASSERT_GE(run.events.size(), 1u);
-        EXPECT_EQ(run.events[0].failure, ms::FailureKind::kCorruptPayload);
-        ASSERT_EQ(run.stats.members.size(), rhs.size());
-        for (std::size_t m = 0; m < rhs.size(); ++m) {
-          EXPECT_TRUE(run.stats.members[m].converged) << "member " << m;
-          expect_fields_bitwise(run.x[m], clean.x[m]);
-        }
+      for (const auto& m : clean.stats.members)
+        ASSERT_TRUE(m.converged);
+      // Low mantissa bit of a wire payload, flipped AFTER the CRC was
+      // computed: numerically negligible, invisible to every residual
+      // check — only the CRC can see it. Detection raises
+      // CorruptPayloadError; the resilient decorator resyncs the team
+      // and restarts from the entry checkpoint.
+      mf::FaultScope scope(
+          one_rule(mf::FaultSite::kHaloBitFlip, 4, 0, /*rank=*/1));
+      BatchRun run = run_batch(p, 4, rhs,
+                               resilient_batched(
+                                   make_batched(kind, opt, bounds)),
+                               0.0, /*halo_crc=*/true);
+      EXPECT_EQ(scope.injector().fire_count(), 1);
+      ASSERT_GE(run.events.size(), 1u);
+      EXPECT_EQ(run.events[0].failure, ms::FailureKind::kCorruptPayload);
+      ASSERT_EQ(run.stats.members.size(), rhs.size());
+      for (std::size_t m = 0; m < rhs.size(); ++m) {
+        EXPECT_TRUE(run.stats.members[m].converged) << "member " << m;
+        expect_fields_bitwise(run.x[m], clean.x[m]);
       }
     }
   }
@@ -854,13 +801,12 @@ TEST(SdcRecovery, BatchedCorruptOperatorRepairedThenReplaysCleanSolve) {
   ms::SolverOptions opt;
   opt.rel_tolerance = 1e-10;
   opt.integrity.abft_interval = 1;
-  BatchRun clean =
-      run_batch(p, 1, rhs, make_batched("cg", false, opt, bounds));
+  BatchRun clean = run_batch(p, 1, rhs, make_batched("cg", opt, bounds));
   for (const auto& m : clean.stats.members) ASSERT_TRUE(m.converged);
 
   mf::FaultScope scope(one_rule(mf::FaultSite::kCoeffBitFlip, 2, 62));
-  BatchRun dec = run_batch(
-      p, 1, rhs, resilient_batched(make_batched("cg", false, opt, bounds)));
+  BatchRun dec =
+      run_batch(p, 1, rhs, resilient_batched(make_batched("cg", opt, bounds)));
   EXPECT_EQ(scope.injector().fire_count(), 1);
   ASSERT_GE(dec.events.size(), 1u);
   EXPECT_EQ(dec.events[0].failure, ms::FailureKind::kCorruptOperator);

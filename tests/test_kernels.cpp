@@ -345,216 +345,6 @@ TEST(Kernels, CopyFillMaskZeroTouchInteriorOnly) {
 }
 
 // ---------------------------------------------------------------------
-// Float instantiation: same evaluation order at float precision, with
-// every reduction accumulating in double (widen-then-multiply). Both are
-// contractual, so the comparisons against naive fp32 scalar loops are
-// exact — bitwise for the fields, bitwise for the double accumulators —
-// not ULP-bounded.
-
-struct PaddedF {
-  int nx = 0, ny = 0, h = 0;
-  std::ptrdiff_t pitch = 0;
-  std::vector<float> v;
-
-  PaddedF(int nx_, int ny_, int h_, mu::Xoshiro256& rng)
-      : nx(nx_), ny(ny_), h(h_), pitch(nx_ + 2 * h_) {
-    v.resize(static_cast<std::size_t>(pitch) * (ny + 2 * h));
-    for (auto& x : v) x = static_cast<float>(rng.uniform(-1, 1));
-  }
-  float* interior() {
-    return v.data() + static_cast<std::ptrdiff_t>(h) * pitch + h;
-  }
-  const float* interior() const {
-    return v.data() + static_cast<std::ptrdiff_t>(h) * pitch + h;
-  }
-};
-
-struct CoeffsF {
-  int nx = 0, ny = 0;
-  std::vector<float> c[9];
-
-  CoeffsF(int nx_, int ny_, mu::Xoshiro256& rng) : nx(nx_), ny(ny_) {
-    for (auto& d : c) {
-      d.resize(static_cast<std::size_t>(nx) * ny);
-      for (auto& x : d) x = static_cast<float>(rng.uniform(-1, 1));
-    }
-  }
-  mk::Stencil9f view() const {
-    return mk::Stencil9f{c[0].data(), c[1].data(), c[2].data(), c[3].data(),
-                         c[4].data(), c[5].data(), c[6].data(), c[7].data(),
-                         c[8].data(), nx};
-  }
-};
-
-namespace reference32 {
-
-float point9(const CoeffsF& c, const PaddedF& x, int i, int j) {
-  const std::ptrdiff_t p = x.pitch;
-  const float* xd = x.interior();
-  const std::size_t k = static_cast<std::size_t>(j) * c.nx + i;
-  return c.c[0][k] * xd[j * p + i] + c.c[1][k] * xd[j * p + i + 1] +
-         c.c[2][k] * xd[j * p + i - 1] + c.c[3][k] * xd[(j + 1) * p + i] +
-         c.c[4][k] * xd[(j - 1) * p + i] +
-         c.c[5][k] * xd[(j + 1) * p + i + 1] +
-         c.c[6][k] * xd[(j + 1) * p + i - 1] +
-         c.c[7][k] * xd[(j - 1) * p + i + 1] +
-         c.c[8][k] * xd[(j - 1) * p + i - 1];
-}
-
-void residual9(const CoeffsF& c, const PaddedF& b, const PaddedF& x,
-               PaddedF& r) {
-  for (int j = 0; j < c.ny; ++j)
-    for (int i = 0; i < c.nx; ++i)
-      r.interior()[j * r.pitch + i] =
-          b.interior()[j * b.pitch + i] - point9(c, x, i, j);
-}
-
-/// Double accumulator, operands widened BEFORE the multiply — the
-/// reduction contract of every float kernel.
-double masked_dot(const std::vector<unsigned char>& m, int nx, int ny,
-                  const PaddedF& a, const PaddedF& b, double sum = 0.0) {
-  for (int j = 0; j < ny; ++j)
-    for (int i = 0; i < nx; ++i)
-      if (m[static_cast<std::size_t>(j) * nx + i])
-        sum += static_cast<double>(a.interior()[j * a.pitch + i]) *
-               static_cast<double>(b.interior()[j * b.pitch + i]);
-  return sum;
-}
-
-void lincomb(float a, const PaddedF& x, float b, PaddedF& y) {
-  for (int j = 0; j < y.ny; ++j)
-    for (int i = 0; i < y.nx; ++i) {
-      float& yv = y.interior()[j * y.pitch + i];
-      yv = a * x.interior()[j * x.pitch + i] + b * yv;
-    }
-}
-
-void axpy(float a, const PaddedF& x, PaddedF& y) {
-  for (int j = 0; j < y.ny; ++j)
-    for (int i = 0; i < y.nx; ++i)
-      y.interior()[j * y.pitch + i] += a * x.interior()[j * x.pitch + i];
-}
-
-}  // namespace reference32
-
-TEST(KernelsFp32, Apply9AndResidual9MatchNaiveFp32Bitwise) {
-  for (const auto& tc : kCases) {
-    mu::Xoshiro256 rng(101 + tc.nx * 100 + tc.ny + tc.h);
-    CoeffsF c(tc.nx, tc.ny, rng);
-    PaddedF b(tc.nx, tc.ny, tc.h, rng), x(tc.nx, tc.ny, tc.h, rng),
-        y(tc.nx, tc.ny, tc.h, rng), yref(tc.nx, tc.ny, tc.h, rng),
-        r(tc.nx, tc.ny, tc.h, rng), rref(tc.nx, tc.ny, tc.h, rng);
-    const ms::BlockSpans full = dense_spans(tc.nx, tc.ny);
-    mk::apply9(c.view(), full.row_offset(), full.spans(), 1, tc.ny,
-               x.interior(), x.pitch, y.interior(), y.pitch);
-    for (int j = 0; j < tc.ny; ++j)
-      for (int i = 0; i < tc.nx; ++i)
-        yref.interior()[j * yref.pitch + i] = reference32::point9(c, x, i, j);
-    EXPECT_TRUE(same_interior(y, yref))
-        << "nx=" << tc.nx << " ny=" << tc.ny << " h=" << tc.h;
-
-    mk::residual9(c.view(), full.row_offset(), full.spans(), 1, tc.ny,
-                  b.interior(), b.pitch, x.interior(), x.pitch,
-                  r.interior(), r.pitch);
-    reference32::residual9(c, b, x, rref);
-    EXPECT_TRUE(same_interior(r, rref))
-        << "nx=" << tc.nx << " ny=" << tc.ny << " h=" << tc.h;
-  }
-}
-
-TEST(KernelsFp32, ReductionsAccumulateInDoubleExactly) {
-  for (const auto& tc : kCases) {
-    mu::Xoshiro256 rng(113 + tc.nx * 100 + tc.ny + tc.h);
-    CoeffsF c(tc.nx, tc.ny, rng);
-    auto m = random_mask(tc.nx, tc.ny, rng);
-    PaddedF a(tc.nx, tc.ny, tc.h, rng), b(tc.nx, tc.ny, tc.h, rng),
-        x(tc.nx, tc.ny, tc.h, rng), r(tc.nx, tc.ny, tc.h, rng),
-        rref(tc.nx, tc.ny, tc.h, rng);
-    const double start = 0.375;  // continues an accumulator mid-stream
-    const ms::BlockSpans sp = spans_of(m, tc.nx, tc.ny);
-
-    const double got = span_dot(sp, a, b, start);
-    EXPECT_TRUE(bitwise_equal(
-        got, reference32::masked_dot(m, tc.nx, tc.ny, a, b, start)));
-
-    // Fused residual + norm²: the residual elements are fp32, their
-    // squares accumulate in double. The span sweep writes ocean cells
-    // only.
-    double n2 = start;
-    mk::residual_norm2_9(c.view(), sp.row_offset(), sp.spans(), 1, tc.ny,
-                         b.interior(), b.pitch, x.interior(), x.pitch,
-                         r.interior(), r.pitch, &n2);
-    reference32::residual9(c, b, x, rref);
-    EXPECT_TRUE(same_interior(r, rref, m));
-    EXPECT_TRUE(bitwise_equal(
-        n2, reference32::masked_dot(m, tc.nx, tc.ny, rref, rref, start)));
-
-    double out[3] = {0.5, -0.25, 1.0};
-    const double d0 = span_dot(sp, r, a, out[0]);
-    const double d1 = span_dot(sp, b, a, out[1]);
-    const double d2 = span_dot(sp, r, r, out[2]);
-    mk::dot3(sp.row_offset(), sp.spans(), 1, tc.ny, r.interior(), r.pitch,
-             a.interior(), a.pitch, b.interior(), b.pitch, true, out);
-    EXPECT_TRUE(bitwise_equal(out[0], d0));
-    EXPECT_TRUE(bitwise_equal(out[1], d1));
-    EXPECT_TRUE(bitwise_equal(out[2], d2));
-  }
-}
-
-TEST(KernelsFp32, VectorUpdatesMatchNaiveFp32Bitwise) {
-  for (const auto& tc : kCases) {
-    mu::Xoshiro256 rng(127 + tc.nx * 100 + tc.ny + tc.h);
-    PaddedF x(tc.nx, tc.ny, tc.h, rng), y(tc.nx, tc.ny, tc.h, rng),
-        z(tc.nx, tc.ny, tc.h, rng);
-    PaddedF yref = y, zref = z;
-    const float a = 0.7f, b = -1.3f, cc = 0.31f;
-    const ms::BlockSpans full = dense_spans(tc.nx, tc.ny);
-    const int* ro = full.row_offset();
-    mk::lincomb_axpy(ro, full.spans(), 1, tc.ny, &a, x.interior(), x.pitch,
-                     &b, y.interior(), y.pitch, &cc, z.interior(), z.pitch,
-                     nullptr);
-    reference32::lincomb(a, x, b, yref);
-    reference32::axpy(cc, yref, zref);
-    EXPECT_TRUE(same_interior(y, yref));
-    EXPECT_TRUE(same_interior(z, zref));
-
-    const float a2 = 1.25f, b2 = -0.5f, c2 = -2.0f;
-    mk::lincomb(ro, full.spans(), 1, tc.ny, &a2, x.interior(), x.pitch, &b2,
-                y.interior(), y.pitch, nullptr);
-    reference32::lincomb(a2, x, b2, yref);
-    EXPECT_TRUE(same_interior(y, yref));
-
-    mk::axpy(ro, full.spans(), 1, tc.ny, &c2, x.interior(), x.pitch,
-             y.interior(), y.pitch, nullptr);
-    reference32::axpy(c2, x, yref);
-    EXPECT_TRUE(same_interior(y, yref));
-  }
-}
-
-TEST(KernelsFp32, ConvertIsPerElementStaticCast) {
-  mu::Xoshiro256 rng(131);
-  const int nx = 13, ny = 7, h = 2;
-  Padded x64(nx, ny, h, rng);
-  PaddedF y32(nx, ny, h, rng);
-  mk::convert<float, double>(nx, ny, x64.interior(), x64.pitch,
-                             y32.interior(), y32.pitch);
-  for (int j = 0; j < ny; ++j)
-    for (int i = 0; i < nx; ++i)
-      EXPECT_EQ(y32.interior()[j * y32.pitch + i],
-                static_cast<float>(x64.interior()[j * x64.pitch + i]));
-
-  // Promoting back is exact (every float is a double), so demote-promote
-  // equals a single fp32 rounding.
-  Padded z64(nx, ny, h, rng);
-  mk::convert<double, float>(nx, ny, y32.interior(), y32.pitch,
-                             z64.interior(), z64.pitch);
-  for (int j = 0; j < ny; ++j)
-    for (int i = 0; i < nx; ++i)
-      EXPECT_EQ(z64.interior()[j * z64.pitch + i],
-                static_cast<double>(y32.interior()[j * y32.pitch + i]));
-}
-
-// ---------------------------------------------------------------------
 // DistOperator / field_ops level: the fused entry points must agree with
 // their unfused compositions bitwise on a real masked multi-block
 // decomposition (the association of the across-block accumulation is

@@ -1,5 +1,5 @@
 // Resilience-layer tests: the ConvergenceGuard failure taxonomy, the
-// solvers' typed failure returns (NaN, breakdown, zero RHS), the
+// solvers' typed failure returns (NaN, breakdown, zero RHS, stall), the
 // BatchedResilientSolver recovery chain on single (width-1) solves
 // (restart → re-estimate bounds → fall back → give up), ThreadComm
 // receive timeouts with the resync fence, and the deterministic fault
@@ -30,6 +30,7 @@
 #include "src/solver/lanczos.hpp"
 #include "src/solver/pcg.hpp"
 #include "src/solver/pipelined_cg.hpp"
+#include "src/solver/solver_factory.hpp"
 #include "src/util/rng.hpp"
 
 namespace mc = minipop::comm;
@@ -329,6 +330,72 @@ TEST(Detection, NanRhsDetectedOnEveryRankOfATeam) {
     EXPECT_FALSE(f.stats.converged);
     EXPECT_EQ(f.stats.failure, ms::FailureKind::kNanDetected);
     EXPECT_LE(f.stats.iterations, opt.check_frequency);
+  }
+}
+
+namespace {
+
+/// Bowl bathymetry with an island and a coast-to-island wall pierced by
+/// a one-cell strait (22 x 18, 11 x 9 blocks, one rank) — the masked
+/// topologies POP's production grids throw at the solver.
+Problem make_island_strait_problem() {
+  constexpr int nx = 22, ny = 18;
+  Problem p;
+  mg::GridSpec spec;
+  spec.kind = mg::GridKind::kUniform;
+  spec.nx = nx;
+  spec.ny = ny;
+  spec.periodic_x = false;
+  spec.dx = 1.0e4;
+  spec.dy = 1.2e4;
+  p.grid = std::make_unique<mg::CurvilinearGrid>(spec);
+  p.depth = mg::bowl_bathymetry(*p.grid, 4000.0);
+  p.depth(11, 9) = 0.0;  // island
+  p.depth(12, 9) = 0.0;
+  for (int j = 0; j < 5; ++j) p.depth(6, j) = 0.0;  // wall from the coast…
+  p.depth(6, 2) = 120.0;                            // …pierced by a strait
+  p.stencil = std::make_unique<mg::NinePointStencil>(*p.grid, p.depth, 1e-6);
+  p.decomp = std::make_unique<mg::Decomposition>(nx, ny, false,
+                                                 p.stencil->mask(), 11, 9, 1);
+  mu::Xoshiro256 rng(3);
+  p.b_global = mu::Field(nx, ny, 0.0);
+  for (int j = 0; j < ny; ++j)
+    for (int i = 0; i < nx; ++i)
+      if (p.stencil->mask()(i, j)) p.b_global(i, j) = rng.uniform(-1, 1);
+  return p;
+}
+
+}  // namespace
+
+// A tolerance below what fp64 round-off can reach stalls P-CSI at its
+// accuracy floor; the ConvergenceGuard's stagnation window turns the
+// stall into a typed kStagnated failure instead of burning the whole
+// iteration budget. (P-CSI, not ChronGear: ChronGear's recurrence
+// residual keeps shrinking past the true residual's floor.)
+TEST(Detection, PcsiStallBelowFp64FloorIsTypedStagnated) {
+  Problem p = make_island_strait_problem();
+  mc::HaloExchanger halo(*p.decomp);
+  mc::SerialComm comm;
+  for (const auto precond : {ms::PreconditionerKind::kDiagonal,
+                             ms::PreconditionerKind::kBlockEvp}) {
+    SCOPED_TRACE(ms::to_string(precond));
+    ms::SolverConfig cfg;
+    cfg.solver = ms::SolverKind::kPcsi;
+    cfg.preconditioner = precond;
+    cfg.options.rel_tolerance = 1e-18;
+    cfg.options.stagnation_window = 3;
+    cfg.lanczos.rel_tolerance = 0.02;
+    cfg.resilient = false;
+    ms::BarotropicSolver solver(comm, halo, *p.grid, p.depth, *p.stencil,
+                                *p.decomp, cfg);
+    mc::DistField b(*p.decomp, 0), x(*p.decomp, 0);
+    b.load_global(p.b_global);
+    const ms::SolveStats stats = solver.solve(comm, b, x);
+    EXPECT_FALSE(stats.converged);
+    EXPECT_EQ(stats.failure, ms::FailureKind::kStagnated);
+    // It stalled at the fp64 floor, well inside the budget.
+    EXPECT_LT(stats.relative_residual, 1e-12);
+    EXPECT_LT(stats.iterations, 1000);
   }
 }
 

@@ -1,8 +1,8 @@
 // Land-span execution plans (DESIGN.md §14): structural properties of
 // BlockSpans on adversarial randomized masks, and the bitwise-identity
 // contract of the span kernels against the masked reference family
-// (kernels_masked.hpp) — width 1 and B=4 batches, fp64 and fp32, halo
-// depths 1 and 2, through the actual DistOperator / preconditioner /
+// (kernels_masked.hpp) — width 1 and B=4 batches, halo depths 1 and 2,
+// through the actual DistOperator / preconditioner /
 // field-ops plumbing — and golden pins of full solver runs (P-CSI,
 // ChronGear, and the depth-2 comm-avoiding schedule) recorded with the
 // masked kernels.
@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -189,8 +188,7 @@ TEST(SpanPlan, ClippedMatchesDirectWindowBuild) {
 
 // -------------------------------------------------------------------
 // Kernel-level bitwise identity on raw planes: span kernels vs the
-// masked reference family, fp64/fp32 x width 1/B=4, on the adversarial
-// masks.
+// masked reference family, width 1 and B=4, on the adversarial masks.
 // Reductions and gap-zero kernels must agree everywhere; pure-skip
 // updates must agree at ocean cells and leave land untouched.
 // -------------------------------------------------------------------
@@ -344,16 +342,10 @@ TEST(SpanPlan, KernelsBitwiseIdenticalFp64) {
                                  0.2 * static_cast<double>(seed - 10));
 }
 
-TEST(SpanPlan, KernelsBitwiseIdenticalFp32) {
-  for (std::uint64_t seed = 21; seed <= 23; ++seed)
-    kernel_identity_case<float>(seed,
-                                0.25 * static_cast<double>(seed - 20));
-}
-
 // -------------------------------------------------------------------
 // Operator-level identity: the operator's span sweeps vs the masked
-// reference family run over the same blocks, fp64 and fp32, width-1
-// fields and B=4 batches, field halos 1 and 2. Pure-skip outputs compare
+// reference family run over the same blocks, width-1 fields and B=4
+// batches, field halos 1 and 2. Pure-skip outputs compare
 // bitwise at ocean cells; gap-zero outputs and reduced scalars compare
 // bitwise outright.
 // -------------------------------------------------------------------
@@ -392,10 +384,7 @@ void expect_full_bitwise(const FieldT& a, const FieldT& b) {
 template <typename T>
 mk::Stencil9T<T> block_stencil(const ms::DistOperator& op, int lb) {
   const auto plane = [&](mg::Dir d) -> const T* {
-    if constexpr (std::is_same_v<T, float>)
-      return op.block_coeff32(lb, d).data();
-    else
-      return op.block_coeff(lb, d).data();
+    return op.block_coeff(lb, d).data();
   };
   return {plane(mg::Dir::kCenter),    plane(mg::Dir::kEast),
           plane(mg::Dir::kWest),      plane(mg::Dir::kNorth),
@@ -457,7 +446,7 @@ void masked_dot3(const ms::DistOperator& op, const F& r, const F& rp,
 }
 
 /// Diagonal preconditioner: inv = 1/diag at ocean (the preconditioner's
-/// own expression), 0 on land, stored at T precision.
+/// own expression), 0 on land.
 template <class F>
 void masked_diag(const ms::DistOperator& op, const F& in, F& out) {
   using T = typename F::value_type;
@@ -509,8 +498,8 @@ void operator_identity_case(int halo_width, std::uint64_t seed) {
   b.load_global(p.b_global);
   halo.exchange(comm, x);
 
-  // Single-field sweeps exist in fp64 only; fp32 runs as batches below.
-  if constexpr (std::is_same_v<T, double>) {
+  // --- single-field sweeps -----------------------------------------
+  {
     // apply (pure skip: ocean cells bit-equal)
     Field y_s(*p.decomp, 0, halo_width), y_m(*p.decomp, 0, halo_width);
     Field xs_copy = x;
@@ -678,12 +667,6 @@ TEST(SpanPlan, OperatorBitwiseIdenticalFp64Halo1) {
 }
 TEST(SpanPlan, OperatorBitwiseIdenticalFp64Halo2) {
   operator_identity_case<double>(2, 42);
-}
-TEST(SpanPlan, OperatorBitwiseIdenticalFp32Halo1) {
-  operator_identity_case<float>(1, 43);
-}
-TEST(SpanPlan, OperatorBitwiseIdenticalFp32Halo2) {
-  operator_identity_case<float>(2, 44);
 }
 
 // -------------------------------------------------------------------
