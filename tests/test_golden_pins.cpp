@@ -1,7 +1,8 @@
 // Golden pins of BarotropicSolver::solve: iteration counts, the final
-// relative residual (exact bits), the residual history and a CRC32C of
-// the solution bits, for every configuration the solver matrix sweeps
-// (solver x resilient x overlap, diagonal preconditioner), for every
+// relative residual (exact bits), the residual history, a CRC32C of
+// the solution bits and the integer cost counters of the solve and of
+// the solver's construction, for every configuration the solver matrix
+// sweeps (solver x resilient x overlap, diagonal preconditioner), for every
 // solver under block-EVP, and for pcsi+diagonal at halo depths 1 and 3
 // on 1 and 4 ranks.
 //
@@ -76,48 +77,107 @@ struct PinProblem {
 
 // Recorded from the scalar solver stack (see the file comment). The last
 // column (refine_sweeps) is always 0 since the solvers run in fp64 only.
+// The two brace rows under each pin are rank 0's integer cost counters
+// of the solve and of the BarotropicSolver construction, recorded while
+// the single-field DistField sweeps, field ops and preconditioner
+// applies still existed beside the batch ones.
 const Pin kPins[] = {
-    {"pcg/fp64", 70, 0x3db3c3f4d8252e99ull, 7, 0x148a4a77u, 0xe5267484u, 0},
-    {"pcg/fp64/overlap", 70, 0x3db3c3f4d8252e99ull, 7, 0x148a4a77u, 0xe5267484u, 0},
-    {"pcg/fp64/resilient", 70, 0x3db3c3f4d8252e99ull, 7, 0x148a4a77u, 0xe5267484u, 0},
-    {"pcg/fp64/resilient/overlap", 70, 0x3db3c3f4d8252e99ull, 7, 0x148a4a77u, 0xe5267484u, 0},
-    {"chrongear/fp64", 70, 0x3db37189e24d9ffbull, 7, 0x62561be2u, 0xf40867c2u, 0},
-    {"chrongear/fp64/overlap", 70, 0x3db37189e24d9ffbull, 7, 0x62561be2u, 0xf40867c2u, 0},
-    {"chrongear/fp64/resilient", 70, 0x3db37189e24d9ffbull, 7, 0x62561be2u, 0xf40867c2u, 0},
-    {"chrongear/fp64/resilient/overlap", 70, 0x3db37189e24d9ffbull, 7, 0x62561be2u, 0xf40867c2u, 0},
-    {"pcsi/fp64", 110, 0x3dcb4b4a853eb258ull, 11, 0xeb1890ceu, 0x9bbb4dd2u, 0},
-    {"pcsi/fp64/overlap", 110, 0x3dcb4b4a853eb258ull, 11, 0xeb1890ceu, 0x9bbb4dd2u, 0},
-    {"pcsi/fp64/resilient", 110, 0x3dcb4b4a853eb258ull, 11, 0xeb1890ceu, 0x9bbb4dd2u, 0},
-    {"pcsi/fp64/resilient/overlap", 110, 0x3dcb4b4a853eb258ull, 11, 0xeb1890ceu, 0x9bbb4dd2u, 0},
-    {"pipecg/fp64", 70, 0x3dbc5cdb7d29211cull, 7, 0x54dcb66du, 0x231febcau, 0},
-    {"pipecg/fp64/overlap", 70, 0x3dbc5cdb7d29211cull, 7, 0x54dcb66du, 0x231febcau, 0},
-    {"pipecg/fp64/resilient", 70, 0x3dbc5cdb7d29211cull, 7, 0x54dcb66du, 0x231febcau, 0},
-    {"pipecg/fp64/resilient/overlap", 70, 0x3dbc5cdb7d29211cull, 7, 0x54dcb66du, 0x231febcau, 0},
-    {"pcg/block-evp/fp64", 40, 0x3d5679b15ef08e57ull, 4, 0xadf6ff20u, 0x482f3280u, 0},
-    {"chrongear/block-evp/fp64", 40, 0x3d5679b1409828b2ull, 4, 0x4160401du, 0x604343feu, 0},
-    {"pcsi/block-evp/fp64", 50, 0x3db1c1019d3c7afdull, 5, 0xe00c392fu, 0x24ef86a1u, 0},
-    {"pipecg/block-evp/fp64", 40, 0x3d575cdca62874deull, 4, 0xe252d8dau, 0x0e14c3d2u, 0},
-    {"pcsi/diagonal/ranks1/depth1", 120, 0x3db8f2ad995cbfc6ull, 12, 0xbb1fa80fu, 0x0d8fb549u, 0},
-    {"pcsi/diagonal/ranks1/depth3", 120, 0x3db8f2ad995cbfc6ull, 12, 0xbb1fa80fu, 0x0d8fb549u, 0},
-    {"pcsi/diagonal/ranks4/depth1", 120, 0x3db8f2ae01154be0ull, 12, 0x7dad33b4u, 0x5c6f4dfau, 0},
-    {"pcsi/diagonal/ranks4/depth3", 120, 0x3db8f2ae01154be0ull, 12, 0x7dad33b4u, 0x5c6f4dfau, 0},
+    {"pcg/fp64", 70, 0x3db3c3f4d8252e99ull, 7, 0x148a4a77u, 0xe5267484u, 0,
+     {355068, 0, 0, 0, 70, 70, 140, 147, 0, 89908, 124488, 0, 0},
+     {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+    {"pcg/fp64/overlap", 70, 0x3db3c3f4d8252e99ull, 7, 0x148a4a77u, 0xe5267484u, 0,
+     {355068, 0, 0, 0, 70, 70, 140, 147, 0, 89908, 124488, 0, 0},
+     {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+    {"pcg/fp64/resilient", 70, 0x3db3c3f4d8252e99ull, 7, 0x148a4a77u, 0xe5267484u, 0,
+     {355068, 0, 0, 0, 70, 70, 141, 148, 0, 89908, 124488, 0, 0},
+     {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+    {"pcg/fp64/resilient/overlap", 70, 0x3db3c3f4d8252e99ull, 7, 0x148a4a77u, 0xe5267484u, 0,
+     {355068, 0, 0, 0, 70, 70, 141, 148, 0, 89908, 124488, 0, 0},
+     {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+    {"chrongear/fp64", 70, 0x3db37189e24d9ffbull, 7, 0x62561be2u, 0xf40867c2u, 0,
+     {392616, 0, 0, 0, 71, 71, 71, 148, 0, 63700, 88200, 0, 0},
+     {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+    {"chrongear/fp64/overlap", 70, 0x3db37189e24d9ffbull, 7, 0x62561be2u, 0xf40867c2u, 0,
+     {392616, 0, 0, 0, 71, 71, 71, 148, 0, 63700, 88200, 0, 0},
+     {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+    {"chrongear/fp64/resilient", 70, 0x3db37189e24d9ffbull, 7, 0x62561be2u, 0xf40867c2u, 0,
+     {392616, 0, 0, 0, 71, 71, 72, 149, 0, 63700, 88200, 0, 0},
+     {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+    {"chrongear/fp64/resilient/overlap", 70, 0x3db37189e24d9ffbull, 7, 0x62561be2u, 0xf40867c2u, 0,
+     {392616, 0, 0, 0, 71, 71, 72, 149, 0, 63700, 88200, 0, 0},
+     {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+    {"pcsi/fp64", 110, 0x3dcb4b4a853eb258ull, 11, 0xeb1890ceu, 0x9bbb4dd2u, 0,
+     {427896, 0, 0, 0, 112, 112, 12, 12, 0, 61152, 84672, 0, 0},
+     {85932, 0, 0, 0, 17, 17, 35, 35, 0, 24934, 34524, 0, 0}},
+    {"pcsi/fp64/overlap", 110, 0x3dcb4b4a853eb258ull, 11, 0xeb1890ceu, 0x9bbb4dd2u, 0,
+     {427896, 0, 0, 0, 112, 112, 12, 12, 0, 63154, 87444, 0, 0},
+     {85932, 0, 0, 0, 17, 17, 35, 35, 0, 24934, 34524, 0, 0}},
+    {"pcsi/fp64/resilient", 110, 0x3dcb4b4a853eb258ull, 11, 0xeb1890ceu, 0x9bbb4dd2u, 0,
+     {427896, 0, 0, 0, 112, 112, 13, 13, 0, 61152, 84672, 0, 0},
+     {85932, 0, 0, 0, 17, 17, 35, 35, 0, 24934, 34524, 0, 0}},
+    {"pcsi/fp64/resilient/overlap", 110, 0x3dcb4b4a853eb258ull, 11, 0xeb1890ceu, 0x9bbb4dd2u, 0,
+     {427896, 0, 0, 0, 112, 112, 13, 13, 0, 63154, 87444, 0, 0},
+     {85932, 0, 0, 0, 17, 17, 35, 35, 0, 24934, 34524, 0, 0}},
+    {"pipecg/fp64", 70, 0x3dbc5cdb7d29211cull, 7, 0x54dcb66du, 0x231febcau, 0,
+     {539784, 0, 0, 0, 75, 75, 71, 148, 0, 139412, 193032, 0, 0},
+     {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+    {"pipecg/fp64/overlap", 70, 0x3dbc5cdb7d29211cull, 7, 0x54dcb66du, 0x231febcau, 0,
+     {542304, 0, 0, 0, 76, 76, 71, 148, 0, 139776, 193536, 0, 0},
+     {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+    {"pipecg/fp64/resilient", 70, 0x3dbc5cdb7d29211cull, 7, 0x54dcb66du, 0x231febcau, 0,
+     {539784, 0, 0, 0, 75, 75, 72, 149, 0, 139412, 193032, 0, 0},
+     {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+    {"pipecg/fp64/resilient/overlap", 70, 0x3dbc5cdb7d29211cull, 7, 0x54dcb66du, 0x231febcau, 0,
+     {542304, 0, 0, 0, 76, 76, 72, 149, 0, 139776, 193536, 0, 0},
+     {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+    {"pcg/block-evp/fp64", 40, 0x3d5679b15ef08e57ull, 4, 0xadf6ff20u, 0x482f3280u, 0,
+     {409716, 0, 0, 0, 40, 40, 81, 85, 0, 43862, 60732, 0, 0},
+     {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+    {"chrongear/block-evp/fp64", 40, 0x3d5679b1409828b2ull, 4, 0x4160401du, 0x604343feu, 0,
+     {432144, 0, 0, 0, 41, 41, 42, 86, 0, 29120, 40320, 0, 0},
+     {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+    {"pcsi/block-evp/fp64", 50, 0x3db1c1019d3c7afdull, 5, 0xe00c392fu, 0x24ef86a1u, 0,
+     {462456, 0, 0, 0, 52, 52, 7, 7, 0, 19110, 26460, 0, 0},
+     {97452, 0, 0, 0, 9, 9, 19, 19, 0, 11466, 15876, 0, 0}},
+    {"pipecg/block-evp/fp64", 40, 0x3d575cdca62874deull, 4, 0xe252d8dau, 0x0e14c3d2u, 0,
+     {518976, 0, 0, 0, 43, 43, 42, 86, 0, 71344, 98784, 0, 0},
+     {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+    {"pcsi/diagonal/ranks1/depth1", 120, 0x3db8f2ad995cbfc6ull, 12, 0xbb1fa80fu, 0x0d8fb549u, 0,
+     {888000, 0, 0, 0, 122, 122, 14, 14, 0, 133956, 175680, 0, 0},
+     {221280, 0, 0, 0, 23, 23, 47, 47, 0, 67710, 88800, 0, 0}},
+    {"pcsi/diagonal/ranks1/depth3", 120, 0x3db8f2ad995cbfc6ull, 12, 0xbb1fa80fu, 0x0d8fb549u, 0,
+     {1348800, 460800, 0, 0, 51, 147, 14, 14, 0, 186708, 300096, 0, 0},
+     {221280, 0, 0, 0, 23, 23, 47, 47, 0, 67710, 88800, 0, 0}},
+    {"pcsi/diagonal/ranks4/depth1", 120, 0x3db8f2ae01154be0ull, 12, 0x7dad33b4u, 0x5c6f4dfau, 0,
+     {222000, 0, 366, 46848, 122, 122, 14, 14, 380, 33672, 43920, 0, 0},
+     {55320, 0, 69, 8832, 23, 23, 47, 47, 116, 17020, 22200, 0, 0}},
+    {"pcsi/diagonal/ranks4/depth3", 120, 0x3db8f2ae01154be0ull, 12, 0x7dad33b4u, 0x5c6f4dfau, 0,
+     {337200, 115200, 153, 88200, 51, 147, 14, 14, 167, 46776, 75024, 0, 0},
+     {55320, 0, 69, 8832, 23, 23, 47, 47, 116, 17020, 22200, 0, 0}},
 };
 
 /// Solve once on `nranks` ranks through BarotropicSolver::solve and
-/// reduce the outcome to a pin (rank 0's stats, gathered solution).
+/// reduce the outcome to a pin (rank 0's stats, gathered solution, and
+/// rank 0's counters over the BarotropicSolver construction).
 Pin measure(const char* label, const PinProblem& p, int nranks,
             const ms::SolverConfig& cfg, std::uint64_t rhs_seed) {
   const mu::Field rhs = p.random_rhs(rhs_seed);
   mu::Field x_global(p.grid->nx(), p.grid->ny(), 0.0);
   ms::SolveStats stats;
+  mc::CostCounters setup;
   auto body = [&](mc::Communicator& comm) {
+    const mc::CostCounters c0 = comm.costs().counters();
     ms::BarotropicSolver solver(comm, *p.halo, *p.grid, p.depth, *p.stencil,
                                 *p.decomp, cfg);
+    const mc::CostCounters built = comm.costs().since(c0);
     mc::DistField b(*p.decomp, comm.rank()), x(*p.decomp, comm.rank());
     b.load_global(rhs);
     const ms::SolveStats s = solver.solve(comm, b, x);
     x.store_global(x_global);
-    if (comm.rank() == 0) stats = s;
+    if (comm.rank() == 0) {
+      stats = s;
+      setup = built;
+    }
   };
   if (nranks == 1) {
     mc::SerialComm comm;
@@ -127,7 +187,7 @@ Pin measure(const char* label, const PinProblem& p, int nranks,
     team.run(body);
   }
   EXPECT_TRUE(stats.converged) << label;
-  return make_pin(label, stats, x_global);
+  return make_pin(label, stats, x_global, setup);
 }
 
 void check(const Pin& got) { check_pin(got, kPins); }

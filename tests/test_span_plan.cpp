@@ -112,7 +112,8 @@ Problem make_problem(int nx, int ny, int block, int nranks,
   return p;
 }
 
-ms::EigenBounds lanczos_bounds_serial(const Problem& p) {
+ms::EigenBounds lanczos_bounds_serial(const Problem& p,
+                                      mc::CostCounters* costs = nullptr) {
   mg::Decomposition d1(p.stencil->nx(), p.stencil->ny(),
                        p.stencil->periodic_x(), p.stencil->mask(),
                        p.stencil->nx(), p.stencil->ny(), 1);
@@ -122,7 +123,10 @@ ms::EigenBounds lanczos_bounds_serial(const Problem& p) {
   ms::DiagonalPreconditioner m(a);
   ms::LanczosOptions lopt;
   lopt.rel_tolerance = 0.02;
-  return ms::estimate_eigenvalue_bounds(comm, halo, a, m, lopt).bounds;
+  const ms::EigenBounds bounds =
+      ms::estimate_eigenvalue_bounds(comm, halo, a, m, lopt).bounds;
+  if (costs != nullptr) *costs = comm.costs().counters();
+  return bounds;
 }
 
 }  // namespace
@@ -723,24 +727,35 @@ SolveOut run_once(const Problem& p, int nranks, const std::string& kind,
 
 // Golden pins of the four feature-mask solves below, recorded with the
 // masked kernels (span execution off) — the path span execution
-// replaced. Format: tests/golden_pin.hpp.
+// replaced. Format: tests/golden_pin.hpp. The counter rows (the solve's,
+// then the serial Lanczos estimate's) were added later, from the span
+// path.
 const minipop::test::Pin kFeatureMaskPins[] = {
-    {"pcsi/ranks1/depth1", 310, 0x3dcdc2dd32234721ull, 31, 0x45dab237u, 0x091a0a3cu, 0},
-    {"pcsi/ranks4/depth1", 310, 0x3dcdc2dd32234723ull, 31, 0x99f81aa3u, 0x091a0a3cu, 0},
-    {"pcsi/ranks1/depth2", 310, 0x3dcdc2dd32234721ull, 31, 0x45dab237u, 0x091a0a3cu, 0},
-    {"chrongear/ranks1/depth1", 110, 0x3dd736d03bdf727cull, 11, 0xef16de32u, 0xd50b6f56u, 0},
+    {"pcsi/ranks1/depth1", 310, 0x3dcdc2dd32234721ull, 31, 0x45dab237u, 0x091a0a3cu, 0,
+     {3127080, 0, 0, 0, 312, 312, 32, 32, 0, 355680, 617760, 0, 0},
+     {119460, 0, 0, 0, 9, 9, 19, 19, 0, 27740, 48180, 0, 0}},
+    {"pcsi/ranks4/depth1", 310, 0x3dcdc2dd32234723ull, 31, 0x99f81aa3u, 0x091a0a3cu, 0,
+     {852840, 0, 3120, 199680, 312, 312, 32, 32, 3152, 97344, 168480, 0, 0},
+     {119460, 0, 0, 0, 9, 9, 19, 19, 0, 27740, 48180, 0, 0}},
+    {"pcsi/ranks1/depth2", 310, 0x3dcdc2dd32234721ull, 31, 0x45dab237u, 0x091a0a3cu, 0,
+     {5343580, 2216500, 0, 0, 158, 468, 32, 32, 0, 657465, 1273720, 0, 0},
+     {119460, 0, 0, 0, 9, 9, 19, 19, 0, 27740, 48180, 0, 0}},
+    {"chrongear/ranks1/depth1", 110, 0x3dd736d03bdf727cull, 11, 0xef16de32u, 0xd50b6f56u, 0,
+     {1614360, 0, 0, 0, 111, 111, 111, 232, 0, 209000, 363000, 0, 0},
+     {119460, 0, 0, 0, 9, 9, 19, 19, 0, 27740, 48180, 0, 0}},
 };
 
 void solver_identity_case(int nranks, const std::string& kind,
                           int halo_depth) {
   Problem p = make_problem(30, 22, 6, nranks, 77);
-  const ms::EigenBounds bounds = lanczos_bounds_serial(p);
+  mc::CostCounters setup;
+  const ms::EigenBounds bounds = lanczos_bounds_serial(p, &setup);
   const SolveOut s = run_once(p, nranks, kind, halo_depth, bounds);
   EXPECT_TRUE(s.stats.converged);
   const std::string label = kind + "/ranks" + std::to_string(nranks) +
                             "/depth" + std::to_string(halo_depth);
   minipop::test::check_pin(
-      minipop::test::make_pin(label.c_str(), s.stats, s.x),
+      minipop::test::make_pin(label.c_str(), s.stats, s.x, setup),
       kFeatureMaskPins);
 }
 
