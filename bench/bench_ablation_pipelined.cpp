@@ -9,7 +9,8 @@
 // versus ChronGear's sum. The model shows why the paper chose the
 // Chebyshev route for POP: once reductions cost more than a matvec,
 // overlap can at best hide the smaller of the two, while P-CSI's rarer
-// checks remove ~90% of the reduction bill outright.
+// checks remove ~90% of the reduction bill outright. Pipelined CG is
+// modeled only: there is no live pipelined solver to measure.
 //
 // Part 2 (measured): ChronGear+EVP and P-CSI+EVP run blocking and
 // overlapped (SolverOptions::overlap) on a 4-rank ThreadTeam; the

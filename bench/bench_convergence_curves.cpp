@@ -1,13 +1,11 @@
 // Extension bench: convergence curves (relative residual vs iteration)
-// for the four paper configurations plus pipelined CG, on a live scaled
-// 1-degree problem. Not a paper figure, but the behaviour behind
+// for the four paper configurations, on a live scaled 1-degree problem. Not a paper figure, but the behaviour behind
 // Fig. 6's averages: CG-family curves dive monotonically; the Chebyshev
 // (P-CSI) curve contracts at the fixed asymptotic rate set by the
 // eigenvalue interval.
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "src/solver/pipelined_cg.hpp"
 
 using namespace minipop;
 
@@ -27,18 +25,13 @@ int main(int argc, char** argv) {
 
   comm::SerialComm comm;
   for (const std::string name :
-       {"chrongear+diag", "chrongear+evp", "pcsi+diag", "pcsi+evp",
-        "pipecg+diag"}) {
+       {"chrongear+diag", "chrongear+evp", "pcsi+diag", "pcsi+evp"}) {
     solver::SolverConfig cfg;
     cfg.options.rel_tolerance = 1e-12;
     cfg.options.record_residuals = true;
     cfg.lanczos.rel_tolerance = 0.15;
-    if (name.rfind("pcsi", 0) == 0)
-      cfg.solver = solver::SolverKind::kPcsi;
-    else if (name.rfind("pipecg", 0) == 0)
-      cfg.solver = solver::SolverKind::kPipelinedCg;
-    else
-      cfg.solver = solver::SolverKind::kChronGear;
+    cfg.solver = name.rfind("pcsi", 0) == 0 ? solver::SolverKind::kPcsi
+                                             : solver::SolverKind::kChronGear;
     cfg.preconditioner = name.find("evp") != std::string::npos
                              ? solver::PreconditionerKind::kBlockEvp
                              : solver::PreconditionerKind::kDiagonal;
@@ -75,8 +68,7 @@ int main(int argc, char** argv) {
   }
   t.print(std::cout);
   std::cout << "\nShape check: EVP curves terminate in roughly a third "
-               "of the iterations;\nchrongear and pipecg trace the same "
-               "Krylov curve; pcsi contracts linearly at\nthe Chebyshev "
-               "rate.\n";
+               "of the iterations;\npcsi contracts linearly at the "
+               "Chebyshev rate.\n";
   return 0;
 }

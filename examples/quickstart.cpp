@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
     cli.reject_unread();
   } catch (const util::Error& e) {
     return cli.usage_error(
-        e, "[--solver=pcsi|chrongear|pcg|pipecg] "
+        e, "[--solver=pcsi|chrongear|pcg] "
            "[--precond=evp|diagonal|identity] [--nx=N] [--ny=N] "
            "[--tol=1e-13]");
   }

@@ -40,10 +40,7 @@ struct BlockEvpOptions {
   /// Land depth replacement as a fraction of the deepest ocean cell.
   double land_epsilon = 0.02;
   /// Required relative accuracy of each tile's marching solve; tiles
-  /// failing the self-check subdivide until they meet it. Marching
-  /// round-off is also an asymmetry of the effective preconditioner:
-  /// Krylov methods that are sensitive to non-SPD preconditioners
-  /// (e.g. pipelined CG) need this tightened to ~1e-8.
+  /// failing the self-check subdivide until they meet it.
   double tile_accuracy = 1e-4;
 };
 

@@ -13,9 +13,8 @@
 //     the healthy rest of the batch.
 //
 //   SequentialBatchedSolver — owns a solver without a lockstep batched
-//     core (PCG, pipelined CG) and runs it member by member, so those
-//     solvers enter the same decorated stack — just without the
-//     fused-lane amortization.
+//     core (PCG) and runs it member by member, so it enters the same
+//     decorated stack — just without the fused-lane amortization.
 #pragma once
 
 #include <deque>
@@ -102,7 +101,7 @@ class BatchedResilientSolver final : public BatchedSolver {
   std::deque<comm::DistFieldBatch> ring_;  ///< [0] = newest entry snapshot
 };
 
-/// A solver without a lockstep batched core (PCG, pipelined CG) as a
+/// A solver without a lockstep batched core (PCG) as a
 /// BatchedSolver: members are solved one at a time through scratch
 /// planes. Owns the wrapped solver.
 class SequentialBatchedSolver final : public BatchedSolver {

@@ -229,7 +229,7 @@ class ConvergenceGuard {
 };
 
 /// Interface of the single-system solvers without a lockstep batched
-/// core (PCG, pipelined CG). They enter the solver stack through
+/// core (PCG). They enter the solver stack through
 /// SequentialBatchedSolver; diagonal-preconditioned PCG is also the
 /// last rung of the resilience fallback chain.
 class IterativeSolver {

@@ -4,7 +4,6 @@
 
 #include "src/perf/cost_equations.hpp"
 #include "src/solver/pcg.hpp"
-#include "src/solver/pipelined_cg.hpp"
 #include "src/util/error.hpp"
 #include "src/util/log.hpp"
 
@@ -14,8 +13,7 @@ SolverKind solver_kind_from_string(const std::string& s) {
   if (s == "pcg") return SolverKind::kPcg;
   if (s == "chrongear" || s == "cg") return SolverKind::kChronGear;
   if (s == "pcsi" || s == "csi") return SolverKind::kPcsi;
-  if (s == "pipecg" || s == "pipelined") return SolverKind::kPipelinedCg;
-  throw util::Error("unknown solver '" + s + "' (pcg|chrongear|pcsi|pipecg)");
+  throw util::Error("unknown solver '" + s + "' (pcg|chrongear|pcsi)");
 }
 
 PreconditionerKind preconditioner_kind_from_string(const std::string& s) {
@@ -32,7 +30,6 @@ std::string to_string(SolverKind k) {
     case SolverKind::kPcg: return "pcg";
     case SolverKind::kChronGear: return "chrongear";
     case SolverKind::kPcsi: return "pcsi";
-    case SolverKind::kPipelinedCg: return "pipecg";
   }
   return "?";
 }
@@ -104,14 +101,6 @@ BarotropicSolver::BarotropicSolver(comm::Communicator& comm,
       }
     }
   }
-  // Pipelined CG amplifies any asymmetry of the preconditioner, and EVP
-  // marching round-off IS such an asymmetry: require much more accurate
-  // (hence more subdivided) tiles for that pairing.
-  if (config_.solver == SolverKind::kPipelinedCg &&
-      config_.preconditioner == PreconditionerKind::kBlockEvp) {
-    config_.evp.tile_accuracy =
-        std::min(config_.evp.tile_accuracy, 1e-8);
-  }
   switch (config_.preconditioner) {
     case PreconditionerKind::kIdentity:
       precond_ = std::make_unique<IdentityPreconditioner>(op_);
@@ -130,8 +119,7 @@ BarotropicSolver::BarotropicSolver(comm::Communicator& comm,
                                           config_.lanczos);
 
   // The solver stack: the lockstep core for P-CSI and ChronGear, the
-  // member-by-member adapter for PCG and pipelined CG; then the
-  // resilience decorator.
+  // member-by-member adapter for PCG; then the resilience decorator.
   switch (config_.solver) {
     case SolverKind::kPcsi:
       stack_ = std::make_unique<BatchedPcsiSolver>(lanczos_->bounds,
@@ -144,10 +132,6 @@ BarotropicSolver::BarotropicSolver(comm::Communicator& comm,
       stack_ = std::make_unique<SequentialBatchedSolver>(
           std::make_unique<PcgSolver>(config_.options));
       break;
-    case SolverKind::kPipelinedCg:
-      stack_ = std::make_unique<SequentialBatchedSolver>(
-          std::make_unique<PipelinedCgSolver>(config_.options));
-      break;
   }
 
   if (config_.resilient) {
@@ -157,8 +141,7 @@ BarotropicSolver::BarotropicSolver(comm::Communicator& comm,
     // Fallback chain toward ever-simpler methods, ending at the
     // configuration least likely to share the primary's failure mode:
     // PCG with a freshly built diagonal preconditioner.
-    if (config_.solver == SolverKind::kPcsi ||
-        config_.solver == SolverKind::kPipelinedCg)
+    if (config_.solver == SolverKind::kPcsi)
       resilient->add_fallback(
           std::make_unique<BatchedChronGearSolver>(config_.options));
     if (config_.solver != SolverKind::kPcg)

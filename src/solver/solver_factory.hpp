@@ -1,12 +1,12 @@
 // High-level facade mirroring POP's solvers module: pick a solver
-// (pcg / chrongear / pcsi / pipecg) and a preconditioner (identity /
+// (pcg / chrongear / pcsi) and a preconditioner (identity /
 // diagonal / block-evp), and get a ready-to-call barotropic solver.
 // P-CSI's eigenvalue interval is estimated with Lanczos at construction
 // (collective), exactly as POP does at initialization.
 //
 // There is one solver stack (DESIGN.md §11): the batched core for P-CSI
-// and ChronGear (or SequentialBatchedSolver around PCG / pipelined CG),
-// under the resilience decorator. A single solve runs it as a width-1
+// and ChronGear (or SequentialBatchedSolver around PCG), under the
+// resilience decorator. A single solve runs it as a width-1
 // batch.
 #pragma once
 
@@ -22,7 +22,7 @@
 
 namespace minipop::solver {
 
-enum class SolverKind { kPcg, kChronGear, kPcsi, kPipelinedCg };
+enum class SolverKind { kPcg, kChronGear, kPcsi };
 enum class PreconditionerKind { kIdentity, kDiagonal, kBlockEvp };
 
 SolverKind solver_kind_from_string(const std::string& s);
@@ -68,8 +68,8 @@ class BarotropicSolver {
   /// Solve the B independent systems A x_i = b_i as one batch of the
   /// same stack. P-CSI and ChronGear interleave the members into a DistFieldBatch and advance them in lockstep: ~B×
   /// fewer halo messages and allreduces, per-member results
-  /// bit-identical to B single solves. PCG and pipelined CG have no
-  /// lockstep core and solve member by member (see has_batched_path()).
+  /// bit-identical to B single solves. PCG has no lockstep core and
+  /// solves member by member (see has_batched_path()).
   BatchSolveStats solve_batch(
       comm::Communicator& comm,
       std::span<const comm::DistField* const> bs,

@@ -1,6 +1,5 @@
-// Tests for the extension features: pipelined CG (Ghysels-Vanroose, the
-// paper's ref [16] alternative), residual-history recording, and model
-// checkpoint/restart.
+// Tests for the extension features: residual-history recording and
+// model checkpoint/restart.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,7 +13,6 @@
 #include "src/linalg/dense.hpp"
 #include "src/model/ocean_model.hpp"
 #include "src/solver/batched_solver.hpp"
-#include "src/solver/pipelined_cg.hpp"
 #include "src/solver/solver_factory.hpp"
 #include "src/util/rng.hpp"
 
@@ -60,66 +58,6 @@ SmallProblem make_problem() {
 }
 
 }  // namespace
-
-TEST(PipelinedCg, MatchesChronGearSolutionAndIterations) {
-  auto p = make_problem();
-  mc::SerialComm comm;
-  mc::HaloExchanger halo(*p.decomp);
-  ms::DistOperator a(*p.stencil, *p.decomp, 0);
-  ms::DiagonalPreconditioner m(a);
-  ms::SolverOptions opt;
-  opt.rel_tolerance = 1e-11;
-
-  mc::DistField b(*p.decomp, 0), x1(*p.decomp, 0), x2(*p.decomp, 0);
-  b.load_global(p.b_global);
-
-  ms::BatchedChronGearSolver cg(opt);
-  auto s1 = ms::solve_one(cg, comm, halo, a, m, b, x1);
-  ms::PipelinedCgSolver pipe(opt);
-  auto s2 = pipe.solve(comm, halo, a, m, b, x2);
-
-  ASSERT_TRUE(s1.converged);
-  ASSERT_TRUE(s2.converged);
-  // Same Krylov method, same iteration count up to check granularity.
-  EXPECT_NEAR(s1.iterations, s2.iterations, opt.check_frequency);
-  mu::Field g1(20, 16, 0.0), g2(20, 16, 0.0);
-  x1.store_global(g1);
-  x2.store_global(g2);
-  for (int j = 0; j < 16; ++j)
-    for (int i = 0; i < 20; ++i) EXPECT_NEAR(g1(i, j), g2(i, j), 1e-6);
-}
-
-TEST(PipelinedCg, OneFusedReductionPerIteration) {
-  auto p = make_problem();
-  mc::SerialComm comm;
-  mc::HaloExchanger halo(*p.decomp);
-  ms::DistOperator a(*p.stencil, *p.decomp, 0);
-  ms::DiagonalPreconditioner m(a);
-  ms::SolverOptions opt;
-  opt.rel_tolerance = 1e-10;
-  ms::PipelinedCgSolver pipe(opt);
-  mc::DistField b(*p.decomp, 0), x(*p.decomp, 0);
-  b.load_global(p.b_global);
-  auto stats = pipe.solve(comm, halo, a, m, b, x);
-  ASSERT_TRUE(stats.converged);
-  // iterations + the initial ||b|| reduction.
-  EXPECT_EQ(stats.costs.allreduces,
-            static_cast<std::uint64_t>(stats.iterations) + 1);
-  // One matvec (A m) per completed iteration; the converging iteration
-  // breaks before its matvec; plus the two startup applies (r0, w0) and
-  // two extra applies per periodic residual replacement (every 25
-  // completed iterations).
-  const std::uint64_t replacements = (stats.iterations - 1) / 25;
-  EXPECT_EQ(stats.costs.halo_exchanges,
-            static_cast<std::uint64_t>(stats.iterations) + 1 +
-                2 * replacements);
-}
-
-TEST(PipelinedCg, AvailableThroughFactory) {
-  EXPECT_EQ(ms::solver_kind_from_string("pipecg"),
-            ms::SolverKind::kPipelinedCg);
-  EXPECT_EQ(ms::to_string(ms::SolverKind::kPipelinedCg), "pipecg");
-}
 
 TEST(ResidualHistory, RecordedAtCheckpointsAndDecreasing) {
   auto p = make_problem();

@@ -118,18 +118,6 @@ const Pin kPins[] = {
     {"pcsi/fp64/resilient/overlap", 110, 0x3dcb4b4a853eb258ull, 11, 0xeb1890ceu, 0x9bbb4dd2u, 0,
      {427896, 0, 0, 0, 112, 112, 13, 13, 0, 63154, 87444, 0, 0},
      {85932, 0, 0, 0, 17, 17, 35, 35, 0, 24934, 34524, 0, 0}},
-    {"pipecg/fp64", 70, 0x3dbc5cdb7d29211cull, 7, 0x54dcb66du, 0x231febcau, 0,
-     {539784, 0, 0, 0, 75, 75, 71, 148, 0, 139412, 193032, 0, 0},
-     {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
-    {"pipecg/fp64/overlap", 70, 0x3dbc5cdb7d29211cull, 7, 0x54dcb66du, 0x231febcau, 0,
-     {542304, 0, 0, 0, 76, 76, 71, 148, 0, 139776, 193536, 0, 0},
-     {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
-    {"pipecg/fp64/resilient", 70, 0x3dbc5cdb7d29211cull, 7, 0x54dcb66du, 0x231febcau, 0,
-     {539784, 0, 0, 0, 75, 75, 72, 149, 0, 139412, 193032, 0, 0},
-     {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
-    {"pipecg/fp64/resilient/overlap", 70, 0x3dbc5cdb7d29211cull, 7, 0x54dcb66du, 0x231febcau, 0,
-     {542304, 0, 0, 0, 76, 76, 72, 149, 0, 139776, 193536, 0, 0},
-     {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
     {"pcg/block-evp/fp64", 40, 0x3d5679b15ef08e57ull, 4, 0xadf6ff20u, 0x482f3280u, 0,
      {409716, 0, 0, 0, 40, 40, 81, 85, 0, 43862, 60732, 0, 0},
      {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
@@ -139,9 +127,6 @@ const Pin kPins[] = {
     {"pcsi/block-evp/fp64", 50, 0x3db1c1019d3c7afdull, 5, 0xe00c392fu, 0x24ef86a1u, 0,
      {462456, 0, 0, 0, 52, 52, 7, 7, 0, 19110, 26460, 0, 0},
      {97452, 0, 0, 0, 9, 9, 19, 19, 0, 11466, 15876, 0, 0}},
-    {"pipecg/block-evp/fp64", 40, 0x3d575cdca62874deull, 4, 0xe252d8dau, 0x0e14c3d2u, 0,
-     {518976, 0, 0, 0, 43, 43, 42, 86, 0, 71344, 98784, 0, 0},
-     {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
     {"pcsi/diagonal/ranks1/depth1", 120, 0x3db8f2ad995cbfc6ull, 12, 0xbb1fa80fu, 0x0d8fb549u, 0,
      {888000, 0, 0, 0, 122, 122, 14, 14, 0, 133956, 175680, 0, 0},
      {221280, 0, 0, 0, 23, 23, 47, 47, 0, 67710, 88800, 0, 0}},
@@ -198,7 +183,7 @@ TEST(GoldenPins, SolverMatrixConfigurations) {
   const PinProblem p(18, 14, 9, 7, 9, 7, 1);
   const ms::SolverKind solvers[] = {
       ms::SolverKind::kPcg, ms::SolverKind::kChronGear,
-      ms::SolverKind::kPcsi, ms::SolverKind::kPipelinedCg};
+      ms::SolverKind::kPcsi};
   std::vector<std::string> labels;
   labels.reserve(16);
   for (ms::SolverKind kind : solvers)
@@ -225,7 +210,7 @@ TEST(GoldenPins, BlockEvpConfigurations) {
   const PinProblem p(18, 14, 9, 7, 9, 7, 1);
   const ms::SolverKind solvers[] = {
       ms::SolverKind::kPcg, ms::SolverKind::kChronGear,
-      ms::SolverKind::kPcsi, ms::SolverKind::kPipelinedCg};
+      ms::SolverKind::kPcsi};
   std::vector<std::string> labels;
   labels.reserve(4);
   for (ms::SolverKind kind : solvers) {

@@ -20,7 +20,6 @@
 #include "src/perf/pop_timing_model.hpp"
 #include "src/solver/batched_decorators.hpp"
 #include "src/solver/lanczos.hpp"
-#include "src/solver/pipelined_cg.hpp"
 #include "src/util/rng.hpp"
 
 namespace mc = minipop::comm;
@@ -139,11 +138,8 @@ Run run_solver(const Problem& p, int nranks, const ms::SolverOptions& opt,
     std::unique_ptr<ms::BatchedSolver> s;
     if (kind == "cg")
       s = std::make_unique<ms::BatchedChronGearSolver>(opt);
-    else if (kind == "pcsi")
-      s = std::make_unique<ms::BatchedPcsiSolver>(bounds, opt);
     else
-      s = std::make_unique<ms::SequentialBatchedSolver>(
-          std::make_unique<ms::PipelinedCgSolver>(opt));
+      s = std::make_unique<ms::BatchedPcsiSolver>(bounds, opt);
     mc::DistField b(*p.decomp, comm.rank()), x(*p.decomp, comm.rank());
     b.load_global(p.b_global);
     stats[comm.rank()] = ms::solve_one(*s, comm, halo, a, *m, b, x);
@@ -488,21 +484,6 @@ TEST(OverlapSolvers, PcsiBitwiseIdenticalSerialAndMultiRank) {
       for (int r = 0; r < nranks; ++r)
         EXPECT_EQ(blocking.iters[r], overlapped.iters[r]);
     }
-  }
-}
-
-TEST(OverlapSolvers, PipelinedCgBitwiseIdentical) {
-  for (int nranks : {1, 4}) {
-    auto p = make_problem(24, 16, 6, nranks);
-    ms::SolverOptions opt;
-    opt.rel_tolerance = 1e-11;
-    opt.record_residuals = true;
-    auto blocking = run_solver(p, nranks, opt, "pipecg", false);
-    opt.overlap = true;
-    auto overlapped = run_solver(p, nranks, opt, "pipecg", false);
-    ASSERT_TRUE(blocking.stats.converged);
-    expect_stats_bitwise(blocking.stats, overlapped.stats);
-    expect_fields_bitwise(blocking.x, overlapped.x);
   }
 }
 

@@ -29,7 +29,6 @@
 #include "src/solver/batched_decorators.hpp"
 #include "src/solver/lanczos.hpp"
 #include "src/solver/pcg.hpp"
-#include "src/solver/pipelined_cg.hpp"
 #include "src/solver/solver_factory.hpp"
 #include "src/util/rng.hpp"
 
@@ -172,14 +171,11 @@ SolverFactory make_kind(const std::string& kind, const ms::SolverOptions& opt,
     if (kind == "pcg")
       return std::make_unique<ms::SequentialBatchedSolver>(
           std::make_unique<ms::PcgSolver>(opt));
-    if (kind == "pipecg")
-      return std::make_unique<ms::SequentialBatchedSolver>(
-          std::make_unique<ms::PipelinedCgSolver>(opt));
     return std::make_unique<ms::BatchedPcsiSolver>(bounds, opt);
   };
 }
 
-const std::vector<std::string> kAllKinds = {"cg", "pcg", "pcsi", "pipecg"};
+const std::vector<std::string> kAllKinds = {"cg", "pcg", "pcsi"};
 
 }  // namespace
 

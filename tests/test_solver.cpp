@@ -13,7 +13,6 @@
 #include "src/solver/field_ops.hpp"
 #include "src/solver/lanczos.hpp"
 #include "src/solver/pcg.hpp"
-#include "src/solver/pipelined_cg.hpp"
 #include "src/util/rng.hpp"
 
 namespace mc = minipop::comm;
@@ -203,19 +202,14 @@ TEST(Pcg, TwoReductionsPerIteration) {
             2 * static_cast<std::uint64_t>(stats.iterations));
 }
 
-// Every sweep of the scalar CG loops lands in the ocean census: a
+// Every sweep of the PCG loop lands in the ocean census: a
 // fixed-iteration solve reports swept_points = (interior cells) x (the
 // sweeps its loop performs) and active_points = (ocean cells) x the same
 // count. Diagonal preconditioner, check_frequency 10, 20 iterations
-// without convergence:
-//   pcg:    ||b||² + initial residual (2); per iteration preconditioner,
-//           r.z, p = z + beta p, matvec, p.q and two axpys (20 x 7); two
-//           check norms (2); the final ||r||² (1) — 145 sweeps.
-//   pipecg: ||b||² + r0, u0, w0 (4); the first iteration's fused dots,
-//           preconditioner and matvec (3) plus four axpys (4); then 19 x
-//           (3 + four lincombs + four axpys); the final ||r||² (1) — 221
-//           sweeps.
-TEST(SweepCensus, PcgAndPipelinedCgCountEverySweep) {
+// without convergence: ||b||² + initial residual (2); per iteration
+// preconditioner, r.z, p = z + beta p, matvec, p.q and two axpys
+// (20 x 7); two check norms (2); the final ||r||² (1) — 145 sweeps.
+TEST(SweepCensus, PcgCountsEverySweep) {
   auto p = make_problem(20, 16, 10, 1);
   std::uint64_t cells = 0;
   for (int id : p.decomp->blocks_of_rank(0))
@@ -237,8 +231,6 @@ TEST(SweepCensus, PcgAndPipelinedCgCountEverySweep) {
   };
   ms::PcgSolver pcg(opt);
   expect_sweeps(solve_serial(p, pcg).second, 145);
-  ms::PipelinedCgSolver pipecg(opt);
-  expect_sweeps(solve_serial(p, pipecg).second, 221);
 }
 
 TEST(Pcsi, ConvergesWithLanczosBounds) {

@@ -1,8 +1,7 @@
 // Full SolverConfig composition matrix over the unified execution core
 // (DESIGN.md §11): every solver x resilient x overlap combination
 // composes with batching (P-CSI and ChronGear run the lockstep batched
-// stack; PCG and pipelined CG solve correctly member by member through
-// solve_batch). No combination may silently fall back or diverge.
+// stack; PCG solves correctly member by member through solve_batch). No combination may silently fall back or diverge.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -74,7 +73,7 @@ TEST(SolverMatrix, EveryConfigComposesOrRejectsLoudly) {
 
   const ms::SolverKind solvers[] = {
       ms::SolverKind::kPcg, ms::SolverKind::kChronGear,
-      ms::SolverKind::kPcsi, ms::SolverKind::kPipelinedCg};
+      ms::SolverKind::kPcsi};
 
   for (ms::SolverKind kind : solvers) {
     for (int resilient = 0; resilient < 2; ++resilient) {
