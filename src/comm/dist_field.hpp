@@ -1,92 +1,38 @@
-// Rank-local storage for a distributed 2D field: the blocks this rank
-// owns, each padded with a halo of configurable width (POP keeps two
-// halo layers; see paper §2.2).
+// A distributed 2D field: the blocks this rank owns, each padded with a
+// halo of configurable width (POP keeps two halo layers; see paper §2.2).
 //
-// Interior cell (i, j) of local block lb lives at data(lb)(i + h, j + h).
-//
-// The container is templated on the storage scalar; DistField (double)
-// is its only instantiation.
+// A DistField IS the width-1 DistFieldBatch. At nb = 1 the member-
+// interleaved batch plane is exactly the classic padded plane — interior
+// cell (i, j) of local block lb lives at data(lb)(i + h, j + h) — so the
+// halo engine, the operator sweeps, the preconditioners and the solver
+// stack take a DistField as it is. The subclass adds no data, only the
+// single-field constructor, 3-index access and global load/store.
 #pragma once
 
-#include <unordered_map>
-#include <vector>
-
-#include "src/grid/decomposition.hpp"
+#include "src/comm/dist_field_batch.hpp"
 #include "src/util/array2d.hpp"
 
 namespace minipop::comm {
 
-template <typename T>
-class DistFieldT {
+class DistField : public DistFieldBatch {
  public:
-  using value_type = T;
-  /// Default POP halo width.
-  static constexpr int kDefaultHalo = 2;
-
-  DistFieldT(const grid::Decomposition& decomp, int rank,
-             int halo = kDefaultHalo);
-
-  const grid::Decomposition& decomposition() const { return *decomp_; }
-  int rank() const { return rank_; }
-  int halo() const { return halo_; }
-  /// Members per cell: a DistField is the width-1 case of the batch
-  /// layout, so width-generic sweeps accept it as it is.
-  int nb() const { return 1; }
-  int num_local_blocks() const { return static_cast<int>(data_.size()); }
-
-  const grid::BlockInfo& info(int lb) const;
-  util::Array2D<T>& data(int lb) { return data_[lb]; }
-  const util::Array2D<T>& data(int lb) const { return data_[lb]; }
+  DistField(const grid::Decomposition& decomp, int rank,
+            int halo = kDefaultHalo)
+      : DistFieldBatch(decomp, rank, 1, halo) {}
 
   /// Interior access (i, j in block-local interior coordinates).
-  T& at(int lb, int i, int j) { return data_[lb](i + halo_, j + halo_); }
-  T at(int lb, int i, int j) const {
-    return data_[lb](i + halo_, j + halo_);
+  double& at(int lb, int i, int j) {
+    return data(lb)(i + halo(), j + halo());
+  }
+  double at(int lb, int i, int j) const {
+    return data(lb)(i + halo(), j + halo());
   }
 
-  /// Raw pointer to interior cell (0, 0) of local block lb; rows are
-  /// `stride(lb)` elements apart. This is the kernel-layer entry point.
-  T* interior(int lb) {
-    util::Array2D<T>& f = data_[lb];
-    return f.data() + static_cast<std::ptrdiff_t>(halo_) * f.nx() + halo_;
-  }
-  const T* interior(int lb) const {
-    const util::Array2D<T>& f = data_[lb];
-    return f.data() + static_cast<std::ptrdiff_t>(halo_) * f.nx() + halo_;
-  }
-  /// Padded row pitch of local block lb, in elements.
-  std::ptrdiff_t stride(int lb) const { return data_[lb].nx(); }
-
-  /// Local index of a globally-identified block, or -1 if not owned.
-  int local_index(int global_block_id) const;
-
-  void fill(T v);
-
-  /// Copy interiors from a full-domain (double) field, converting to T
-  /// (halos untouched).
+  /// Copy interiors from a full-domain field (halos untouched).
   void load_global(const util::Field& global);
 
-  /// Write interiors of the owned blocks into a full-domain (double)
-  /// field.
+  /// Write interiors of the owned blocks into a full-domain field.
   void store_global(util::Field& global) const;
-
-  /// Shape compatibility (same decomposition object, rank, halo).
-  bool compatible_with(const DistFieldT& other) const {
-    return decomp_ == other.decomp_ && rank_ == other.rank_ &&
-           halo_ == other.halo_;
-  }
-
- private:
-  const grid::Decomposition* decomp_;
-  int rank_;
-  int halo_;
-  std::vector<int> block_ids_;  ///< global id of each local block
-  std::vector<util::Array2D<T>> data_;
-  std::unordered_map<int, int> local_of_global_;
 };
-
-extern template class DistFieldT<double>;
-
-using DistField = DistFieldT<double>;
 
 }  // namespace minipop::comm

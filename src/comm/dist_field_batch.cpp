@@ -1,8 +1,5 @@
 #include "src/comm/dist_field_batch.hpp"
 
-#include <cstring>
-
-#include "src/comm/dist_field.hpp"
 #include "src/util/error.hpp"
 
 namespace minipop::comm {
@@ -14,8 +11,8 @@ DistFieldBatchT<T>::DistFieldBatchT(const grid::Decomposition& decomp,
   MINIPOP_REQUIRE(halo >= 1, "halo=" << halo);
   MINIPOP_REQUIRE(nb >= 1, "nb=" << nb);
   MINIPOP_REQUIRE(rank >= 0 && rank < decomp.nranks(), "rank=" << rank);
-  // Same global width check as the scalar field: all active blocks bound
-  // the usable halo, not just locally owned ones.
+  // Every active block bounds the usable width, not just locally owned
+  // ones: the exchange reads full-width rims of all neighbours.
   decomp.validate_halo(halo);
   block_ids_ = decomp.blocks_of_rank(rank);
   data_.reserve(block_ids_.size());
@@ -43,7 +40,7 @@ void DistFieldBatchT<T>::fill(T v) {
 }
 
 template <typename T>
-bool DistFieldBatchT<T>::member_compatible(const DistFieldT<T>& f) const {
+bool DistFieldBatchT<T>::member_compatible(const DistFieldBatchT& f) const {
   if (f.halo() != halo_ ||
       f.num_local_blocks() != num_local_blocks())
     return false;
@@ -58,39 +55,12 @@ bool DistFieldBatchT<T>::member_compatible(const DistFieldT<T>& f) const {
 }
 
 template <typename T>
-void DistFieldBatchT<T>::load_member(int m, const DistFieldT<T>& f) {
-  MINIPOP_REQUIRE(m >= 0 && m < nb_, "member " << m << " of " << nb_);
-  MINIPOP_REQUIRE(member_compatible(f), "incompatible member field");
-  for (int lb = 0; lb < num_local_blocks(); ++lb) {
-    util::Array2D<T>& dst = data_[lb];
-    const util::Array2D<T>& src = f.data(lb);
-    for (int j = 0; j < src.ny(); ++j)
-      for (int i = 0; i < src.nx(); ++i) dst(i * nb_ + m, j) = src(i, j);
-  }
-}
-
-template <typename T>
-void DistFieldBatchT<T>::store_member(int m, DistFieldT<T>& f) const {
-  MINIPOP_REQUIRE(m >= 0 && m < nb_, "member " << m << " of " << nb_);
-  MINIPOP_REQUIRE(member_compatible(f), "incompatible member field");
-  for (int lb = 0; lb < num_local_blocks(); ++lb) {
-    const util::Array2D<T>& src = data_[lb];
-    util::Array2D<T>& dst = f.data(lb);
-    for (int j = 0; j < dst.ny(); ++j)
-      for (int i = 0; i < dst.nx(); ++i) dst(i, j) = src(i * nb_ + m, j);
-  }
-}
-
-template <typename T>
-void DistFieldBatchT<T>::copy_member_from(int m,
-                                          const DistFieldBatchT<T>& src,
+void DistFieldBatchT<T>::copy_member_from(int m, const DistFieldBatchT& src,
                                           int src_m) {
   MINIPOP_REQUIRE(m >= 0 && m < nb_, "member " << m << " of " << nb_);
   MINIPOP_REQUIRE(src_m >= 0 && src_m < src.nb_,
                   "member " << src_m << " of " << src.nb_);
-  MINIPOP_REQUIRE(decomp_ == src.decomp_ && rank_ == src.rank_ &&
-                      halo_ == src.halo_,
-                  "incompatible source batch");
+  MINIPOP_REQUIRE(member_compatible(src), "incompatible source batch");
   for (int lb = 0; lb < num_local_blocks(); ++lb) {
     util::Array2D<T>& dst = data_[lb];
     const util::Array2D<T>& sp = src.data_[lb];

@@ -1,5 +1,6 @@
 // Rank-local storage for a batch of B distributed 2D fields that share
-// one grid/decomposition — the multi-RHS counterpart of DistField.
+// one grid/decomposition. This is the one field container: a DistField
+// (dist_field.hpp) is the width-1 batch.
 //
 // Layout is member-fastest interleaved structure-of-arrays: per local
 // block the padded plane is an Array2D<T> of logical shape
@@ -8,10 +9,11 @@
 // are adjacent in memory, so a batched kernel loads each 9-point
 // coefficient once per cell and reuses it across all nb members, and a
 // halo row becomes ni * nb contiguous elements that pack into ONE
-// message per neighbor per exchange regardless of nb.
+// message per neighbor per exchange regardless of nb. At nb = 1 the
+// plane is the classic padded plane of one field.
 //
-// Batches are templated on the storage scalar exactly like DistFieldT;
-// DistFieldBatch (double) is the only instantiation.
+// Batches are templated on the storage scalar; DistFieldBatch (double)
+// is the only instantiation.
 #pragma once
 
 #include <unordered_map>
@@ -23,14 +25,10 @@
 namespace minipop::comm {
 
 template <typename T>
-class DistFieldT;
-using DistField = DistFieldT<double>;
-
-template <typename T>
 class DistFieldBatchT {
  public:
   using value_type = T;
-  /// Default POP halo width (matches DistField::kDefaultHalo).
+  /// Default POP halo width.
   static constexpr int kDefaultHalo = 2;
 
   DistFieldBatchT(const grid::Decomposition& decomp, int rank, int nb,
@@ -78,23 +76,27 @@ class DistFieldBatchT {
   void fill(T v);
 
   /// True when `f` describes the same block set with the same halo, so
-  /// its plane can be loaded into / stored out of a member slot. The
-  /// check is structural (block ids, origins, shapes), not pointer
-  /// identity, so fields built on different-but-identical Decomposition
-  /// objects (one per ensemble member) interoperate.
-  bool member_compatible(const DistFieldT<T>& f) const;
+  /// member planes can be copied between the two. The check is
+  /// structural (block ids, origins, shapes), not pointer identity, so
+  /// fields built on different-but-identical Decomposition objects (one
+  /// per ensemble member) interoperate.
+  bool member_compatible(const DistFieldBatchT& f) const;
 
-  /// Copy the FULL padded plane (interior + halos) of `f` into member
-  /// slot m, so halo freshness carries over into the batch.
-  void load_member(int m, const DistFieldT<T>& f);
+  /// Copy the FULL padded plane (interior + halos) of `src`'s member
+  /// `src_m` into this batch's member `m`, so halo freshness carries
+  /// over. `src` must be member_compatible. Used to gather fields into
+  /// a batch, by convergence-retirement compaction and by the
+  /// per-member recovery sub-batches of the resilient decorator.
+  void copy_member_from(int m, const DistFieldBatchT& src, int src_m);
 
-  /// Copy member slot m's full padded plane back into `f`.
-  void store_member(int m, DistFieldT<T>& f) const;
-
-  /// Copy the full padded plane of `src`'s member `src_m` into this
-  /// batch's member `m` (used by convergence-retirement compaction and
-  /// by the per-member recovery sub-batches of the resilient decorator).
-  void copy_member_from(int m, const DistFieldBatchT<T>& src, int src_m);
+  /// Load the one plane of a width-1 `f` (a DistField) into member m.
+  void load_member(int m, const DistFieldBatchT& f) {
+    copy_member_from(m, f, 0);
+  }
+  /// Store member m into the one plane of a width-1 `f`.
+  void store_member(int m, DistFieldBatchT& f) const {
+    f.copy_member_from(0, *this, m);
+  }
 
   /// Interior-only variant of copy_member_from that tolerates a
   /// different halo width (the comm-avoiding solvers migrate members

@@ -83,8 +83,7 @@ int message_tag(int epoch, int src_block_id, Dir d) {
 // Pack/unpack move whole region rows at once: region coordinates have i
 // fast, so row j of a width-w region is `ni * w` contiguous elements in
 // the padded array (cell column i of a w-member plane starts at element
-// i * w; w == 1 is the classic scalar plane, where these helpers
-// degenerate to the original scalar byte-for-byte path). Full-width N/S
+// i * w; w == 1 is the plane of a single field). Full-width N/S
 // strips (the big messages) move as `nj` memcpys of `ni * w` elements
 // each; E/W strips degenerate to short rows, same code path.
 
@@ -126,7 +125,7 @@ void unpack_w(util::Array2D<T>& padded, int h, int w, const HaloRegion& r,
 }
 
 /// pack_w that appends to `out` instead of replacing it — the group
-/// exchange concatenates several sets' rims into one message.
+/// exchange concatenates several fields' rims into one message.
 template <typename T>
 void pack_append_w(const util::Array2D<T>& padded, int h, int w,
                    const HaloRegion& r, std::vector<T>& out) {
@@ -185,7 +184,7 @@ HaloHandleT<T>::~HaloHandleT() {
 template <typename T>
 void HaloHandleT<T>::finish() {
   if (!active()) return;
-  const int w = fs_.nb();
+  const int w = field_->nb();
   // Complete in post order — the same receive order as the blocking
   // exchange, so the unpacked halos are bitwise identical to it.
   for (PendingRecv& p : recvs_) {
@@ -208,11 +207,11 @@ void HaloHandleT<T>::finish() {
             "corruption detected)");
       }
     }
-    unpack_w<T>(fs_.data(p.lb), fs_.halo(), w, p.dst, payload);
+    unpack_w<T>(field_->data(p.lb), field_->halo(), w, p.dst, payload);
   }
   comm_->costs().add_halo_exchange(w);
   recvs_.clear();
-  fs_ = FieldSetT<T>();
+  field_ = nullptr;
   comm_ = nullptr;
 }
 
@@ -220,38 +219,31 @@ HaloExchanger::HaloExchanger(const grid::Decomposition& decomp)
     : decomp_(&decomp) {}
 
 template <typename T>
-void HaloExchanger::exchange_set(Communicator& comm,
-                                 const FieldSetT<T>& fs) const {
-  begin_set<T>(comm, fs).finish();
-}
-
-template <typename T>
-HaloHandleT<T> HaloExchanger::begin_set(Communicator& comm,
-                                        const FieldSetT<T>& fs) const {
-  MINIPOP_REQUIRE(fs.valid(), "halo exchange of an empty FieldSet");
-  MINIPOP_REQUIRE(&fs.decomposition() == decomp_,
+HaloHandleT<T> HaloExchanger::begin(Communicator& comm,
+                                    DistFieldBatchT<T>& f) const {
+  MINIPOP_REQUIRE(&f.decomposition() == decomp_,
                   "field belongs to a different decomposition");
-  const int h = fs.halo();
-  const int w = fs.nb();
-  const int my_rank = fs.rank();
+  const int h = f.halo();
+  const int w = f.nb();
+  const int my_rank = f.rank();
   const int epoch = comm.next_tag_epoch();
   std::vector<T> buf;
 
   HaloHandleT<T> handle;
   handle.comm_ = &comm;
-  handle.fs_ = fs;
+  handle.field_ = &f;
   handle.crc_ = crc_enabled_;
 
   // Phase 1: post all remote sends (eager, complete at post time) —
   // ONE message per (block, direction) carrying all w members.
-  for (int lb = 0; lb < fs.num_local_blocks(); ++lb) {
-    const auto& b = fs.info(lb);
+  for (int lb = 0; lb < f.num_local_blocks(); ++lb) {
+    const auto& b = f.info(lb);
     for (Dir d : kExchangeDirs) {
       const int nid = decomp_->neighbor(b.id, d);
       if (nid < 0) continue;
       const int owner = decomp_->block(nid).owner;
       if (owner == my_rank) continue;
-      pack_w<T>(fs.data(lb), h, w, send_region(d, b.nx, b.ny, h), buf);
+      pack_w<T>(f.data(lb), h, w, send_region(d, b.nx, b.ny, h), buf);
       // The fault sites corrupt a single solve's halos (width 1):
       // members of wider batches recover through per-member sub-batches
       // of the resilient decorator rather than through injected wire
@@ -276,8 +268,8 @@ HaloHandleT<T> HaloExchanger::begin_set(Communicator& comm,
 
   // Phase 2: post all remote receives (same traversal order as the
   // blocking receive loop, so finish() unpacks in that order).
-  for (int lb = 0; lb < fs.num_local_blocks(); ++lb) {
-    const auto& b = fs.info(lb);
+  for (int lb = 0; lb < f.num_local_blocks(); ++lb) {
+    const auto& b = f.info(lb);
     for (Dir d : kExchangeDirs) {
       const int nid = decomp_->neighbor(b.id, d);
       if (nid < 0) continue;
@@ -298,22 +290,22 @@ HaloHandleT<T> HaloExchanger::begin_set(Communicator& comm,
   }
 
   // Phase 3: local copies and zero fills (no communication).
-  for (int lb = 0; lb < fs.num_local_blocks(); ++lb) {
-    const auto& b = fs.info(lb);
+  for (int lb = 0; lb < f.num_local_blocks(); ++lb) {
+    const auto& b = f.info(lb);
     for (Dir d : kExchangeDirs) {
       const int nid = decomp_->neighbor(b.id, d);
       const HaloRegion dst = halo_region(d, b.nx, b.ny, h);
       if (nid < 0) {
-        zero_region_w<T>(fs.data(lb), h, w, dst);
+        zero_region_w<T>(f.data(lb), h, w, dst);
         continue;
       }
       const auto& nbk = decomp_->block(nid);
       if (nbk.owner != my_rank) continue;  // remote: posted in phase 2
-      const int nlb = fs.local_index(nid);
+      const int nlb = f.local_index(nid);
       MINIPOP_ASSERT(nlb >= 0);
-      pack_w<T>(fs.data(nlb), h, w,
+      pack_w<T>(f.data(nlb), h, w,
                 send_region(opposite(d), nbk.nx, nbk.ny, h), buf);
-      unpack_w<T>(fs.data(lb), h, w, dst, buf);
+      unpack_w<T>(f.data(lb), h, w, dst, buf);
     }
   }
 
@@ -321,23 +313,22 @@ HaloHandleT<T> HaloExchanger::begin_set(Communicator& comm,
 }
 
 template <typename T>
-void HaloExchanger::exchange_group(Communicator& comm,
-                                   std::span<const FieldSetT<T>> sets) const {
-  MINIPOP_REQUIRE(!sets.empty(), "halo exchange of an empty group");
-  const FieldSetT<T>& fs0 = sets.front();
-  MINIPOP_REQUIRE(fs0.valid(), "halo exchange of an empty FieldSet");
-  MINIPOP_REQUIRE(&fs0.decomposition() == decomp_,
+void HaloExchanger::exchange_group(
+    Communicator& comm, std::span<DistFieldBatchT<T>* const> fields) const {
+  MINIPOP_REQUIRE(!fields.empty(), "halo exchange of an empty group");
+  const DistFieldBatchT<T>& f0 = *fields.front();
+  MINIPOP_REQUIRE(&f0.decomposition() == decomp_,
                   "field belongs to a different decomposition");
-  for (const FieldSetT<T>& fs : sets) {
-    MINIPOP_REQUIRE(fs.valid() && &fs.decomposition() == decomp_ &&
-                        fs.rank() == fs0.rank() && fs.halo() == fs0.halo() &&
-                        fs.nb() == fs0.nb(),
+  for (const DistFieldBatchT<T>* f : fields) {
+    MINIPOP_REQUIRE(&f->decomposition() == decomp_ &&
+                        f->rank() == f0.rank() &&
+                        f->halo() == f0.halo() && f->nb() == f0.nb(),
                     "group members must share decomposition, rank, halo "
                     "width and batch width");
   }
-  const int h = fs0.halo();
-  const int w = fs0.nb();
-  const int my_rank = fs0.rank();
+  const int h = f0.halo();
+  const int w = f0.nb();
+  const int my_rank = f0.rank();
   const int epoch = comm.next_tag_epoch();
   std::vector<T> buf;
 
@@ -350,9 +341,9 @@ void HaloExchanger::exchange_group(Communicator& comm,
   std::vector<GroupRecv> recvs;
 
   // Phase 1: one eager send per (block, direction) concatenating every
-  // set's rim back to back (set order = caller order).
-  for (int lb = 0; lb < fs0.num_local_blocks(); ++lb) {
-    const auto& b = fs0.info(lb);
+  // field's rim back to back (field order = caller order).
+  for (int lb = 0; lb < f0.num_local_blocks(); ++lb) {
+    const auto& b = f0.info(lb);
     for (Dir d : kExchangeDirs) {
       const int nid = decomp_->neighbor(b.id, d);
       if (nid < 0) continue;
@@ -360,8 +351,8 @@ void HaloExchanger::exchange_group(Communicator& comm,
       if (owner == my_rank) continue;
       const HaloRegion src = send_region(d, b.nx, b.ny, h);
       buf.clear();
-      for (const FieldSetT<T>& fs : sets)
-        pack_append_w<T>(fs.data(lb), h, w, src, buf);
+      for (const DistFieldBatchT<T>* f : fields)
+        pack_append_w<T>(f->data(lb), h, w, src, buf);
       if (w == 1) fault::hook_halo_payload(my_rank, buf.data(), buf.size());
       if (crc_enabled_) {
         const std::size_t payload = buf.size();
@@ -376,9 +367,9 @@ void HaloExchanger::exchange_group(Communicator& comm,
     }
   }
 
-  // Phase 2: one receive per (block, direction), sized for all sets.
-  for (int lb = 0; lb < fs0.num_local_blocks(); ++lb) {
-    const auto& b = fs0.info(lb);
+  // Phase 2: one receive per (block, direction), sized for all fields.
+  for (int lb = 0; lb < f0.num_local_blocks(); ++lb) {
+    const auto& b = f0.info(lb);
     for (Dir d : kExchangeDirs) {
       const int nid = decomp_->neighbor(b.id, d);
       if (nid < 0) continue;
@@ -387,7 +378,7 @@ void HaloExchanger::exchange_group(Communicator& comm,
       const HaloRegion dst = halo_region(d, b.nx, b.ny, h);
       GroupRecv p;
       p.buf.resize(static_cast<std::size_t>(dst.ni) * w * dst.nj *
-                       sets.size() +
+                       fields.size() +
                    (crc_enabled_ ? 1 : 0));
       p.lb = lb;
       p.dst = dst;
@@ -399,30 +390,30 @@ void HaloExchanger::exchange_group(Communicator& comm,
     }
   }
 
-  // Phase 3: local copies and zero fills, per set.
-  for (int lb = 0; lb < fs0.num_local_blocks(); ++lb) {
-    const auto& b = fs0.info(lb);
+  // Phase 3: local copies and zero fills, per field.
+  for (int lb = 0; lb < f0.num_local_blocks(); ++lb) {
+    const auto& b = f0.info(lb);
     for (Dir d : kExchangeDirs) {
       const int nid = decomp_->neighbor(b.id, d);
       const HaloRegion dst = halo_region(d, b.nx, b.ny, h);
       if (nid < 0) {
-        for (const FieldSetT<T>& fs : sets)
-          zero_region_w<T>(fs.data(lb), h, w, dst);
+        for (DistFieldBatchT<T>* f : fields)
+          zero_region_w<T>(f->data(lb), h, w, dst);
         continue;
       }
       const auto& nbk = decomp_->block(nid);
       if (nbk.owner != my_rank) continue;
-      const int nlb = fs0.local_index(nid);
+      const int nlb = f0.local_index(nid);
       MINIPOP_ASSERT(nlb >= 0);
       const HaloRegion src = send_region(opposite(d), nbk.nx, nbk.ny, h);
-      for (const FieldSetT<T>& fs : sets) {
-        pack_w<T>(fs.data(nlb), h, w, src, buf);
-        unpack_w<T>(fs.data(lb), h, w, dst, buf);
+      for (DistFieldBatchT<T>* f : fields) {
+        pack_w<T>(f->data(nlb), h, w, src, buf);
+        unpack_w<T>(f->data(lb), h, w, dst, buf);
       }
     }
   }
 
-  // Wait in post order and unpack each set's segment.
+  // Wait in post order and unpack each field's segment.
   for (GroupRecv& p : recvs) {
     p.request.wait();
     std::span<const T> payload(p.buf);
@@ -441,33 +432,13 @@ void HaloExchanger::exchange_group(Communicator& comm,
     }
     const std::size_t seg =
         static_cast<std::size_t>(p.dst.ni) * w * p.dst.nj;
-    for (std::size_t s = 0; s < sets.size(); ++s)
-      unpack_w<T>(sets[s].data(p.lb), h, w, p.dst,
+    for (std::size_t s = 0; s < fields.size(); ++s)
+      unpack_w<T>(fields[s]->data(p.lb), h, w, p.dst,
                   payload.subspan(s * seg, seg));
   }
-  // One round, refreshing all sets' planes: halo latency is paid once
+  // One round, refreshing all fields' planes: halo latency is paid once
   // for the whole group — the counter the comm-avoiding audits watch.
-  comm.costs().add_halo_exchange(w * static_cast<int>(sets.size()));
-}
-
-template <typename T>
-std::uint64_t HaloExchanger::bytes_sent_per_exchange(
-    const DistFieldT<T>& field) const {
-  const int h = field.halo();
-  const int my_rank = field.rank();
-  std::uint64_t bytes = 0;
-  for (int lb = 0; lb < field.num_local_blocks(); ++lb) {
-    const auto& b = field.info(lb);
-    for (Dir d : kExchangeDirs) {
-      const int nid = decomp_->neighbor(b.id, d);
-      if (nid < 0) continue;
-      if (decomp_->block(nid).owner == my_rank) continue;
-      const HaloRegion r = send_region(d, b.nx, b.ny, h);
-      bytes += static_cast<std::uint64_t>(r.ni) * r.nj * sizeof(T);
-      if (crc_enabled_) bytes += sizeof(T);  // CRC trailer element
-    }
-  }
-  return bytes;
+  comm.costs().add_halo_exchange(w * static_cast<int>(fields.size()));
 }
 
 template <typename T>
@@ -494,14 +465,10 @@ std::uint64_t HaloExchanger::bytes_sent_per_exchange(
 template class HaloHandleT<double>;
 
 #define MINIPOP_HALO_INSTANTIATE(T)                                        \
-  template void HaloExchanger::exchange_set<T>(Communicator&,              \
-                                               const FieldSetT<T>&) const; \
   template void HaloExchanger::exchange_group<T>(                          \
-      Communicator&, std::span<const FieldSetT<T>>) const;                 \
-  template HaloHandleT<T> HaloExchanger::begin_set<T>(                     \
-      Communicator&, const FieldSetT<T>&) const;                           \
-  template std::uint64_t HaloExchanger::bytes_sent_per_exchange<T>(        \
-      const DistFieldT<T>&) const;                                         \
+      Communicator&, std::span<DistFieldBatchT<T>* const>) const;          \
+  template HaloHandleT<T> HaloExchanger::begin<T>(                         \
+      Communicator&, DistFieldBatchT<T>&) const;                           \
   template std::uint64_t HaloExchanger::bytes_sent_per_exchange<T>(        \
       const DistFieldBatchT<T>&) const;
 MINIPOP_HALO_INSTANTIATE(double)

@@ -18,22 +18,20 @@
 // from the communicator, so up to Communicator::kTagEpochWindow
 // exchanges can be outstanding at once without their messages colliding.
 //
-// There is ONE exchange engine, written against the FieldSet view: a
-// scalar field is a width-1 set, an nb-member batch a width-nb set
-// whose member-interleaved layout makes a region row ni * nb contiguous
-// elements — so one message per (block, neighbor) carries ALL members,
-// the same message count as a scalar exchange with nb x the payload.
-// finish() counts one exchange round refreshing nb member planes
-// (CostTracker::add_halo_exchange(nb)).
+// There is ONE exchange engine, over batches: a DistField is the
+// width-1 batch, and an nb-member batch's member-interleaved layout makes
+// a region row ni * nb contiguous elements — so one message per (block,
+// neighbor) carries ALL members, the same message count as a single
+// field with nb x the payload. finish() counts one exchange round
+// refreshing nb member planes (CostTracker::add_halo_exchange(nb)).
 #pragma once
 
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "src/comm/communicator.hpp"
-#include "src/comm/dist_field.hpp"
 #include "src/comm/dist_field_batch.hpp"
-#include "src/comm/field_set.hpp"
 
 namespace minipop::comm {
 
@@ -57,25 +55,29 @@ struct HaloRegion {
 };
 }  // namespace detail
 
-/// One in-flight split-phase halo exchange of a FieldSet (scalar field
-/// or batch). Owns the posted receive requests and their landing
-/// buffers; finish() completes them in post order (matching the
-/// blocking exchange) and unpacks into the set's halo. The backing
-/// container and communicator must outlive the handle. finish() must be
-/// called exactly once per begin(); the destructor finishes a
-/// still-active handle as a safety net (swallowing errors, since it may
-/// run while unwinding a poisoned team).
+/// One in-flight split-phase halo exchange of a batch (a DistField is
+/// the width-1 batch). Owns the posted receive requests and their
+/// landing buffers; finish() completes them in post order (matching the
+/// blocking exchange) and unpacks into the batch's halo. The batch and
+/// communicator must outlive the handle. finish() must be called
+/// exactly once per begin(); the destructor finishes a still-active
+/// handle as a safety net (swallowing errors, since it may run while
+/// unwinding a poisoned team). A moved-from handle is inactive.
 template <typename T>
 class HaloHandleT {
  public:
   HaloHandleT() = default;
-  HaloHandleT(HaloHandleT&&) noexcept = default;
-  HaloHandleT& operator=(HaloHandleT&&) noexcept = default;
+  HaloHandleT(HaloHandleT&& o) noexcept
+      : comm_(std::exchange(o.comm_, nullptr)),
+        field_(std::exchange(o.field_, nullptr)),
+        recvs_(std::move(o.recvs_)),
+        crc_(o.crc_) {}
+  HaloHandleT& operator=(HaloHandleT&&) = delete;
   HaloHandleT(const HaloHandleT&) = delete;
   HaloHandleT& operator=(const HaloHandleT&) = delete;
   ~HaloHandleT();
 
-  bool active() const { return fs_.valid(); }
+  bool active() const { return field_ != nullptr; }
 
   /// Wait for all receives, unpack the halo, and count the exchange
   /// (one round refreshing nb member planes). No-op on an inactive
@@ -99,7 +101,7 @@ class HaloHandleT {
   };
 
   Communicator* comm_ = nullptr;
-  FieldSetT<T> fs_;
+  DistFieldBatchT<T>* field_ = nullptr;
   std::vector<PendingRecv> recvs_;
   /// Copied from the exchanger at begin(): each pending buffer carries a
   /// one-element CRC32C trailer to verify before unpacking.
@@ -109,71 +111,47 @@ class HaloHandleT {
 extern template class HaloHandleT<double>;
 
 using HaloHandle = HaloHandleT<double>;
-/// The batch exchange rides the unified handle; kept as a named alias
-/// for readability at batched call sites.
-using BatchHaloHandle = HaloHandleT<double>;
 
 class HaloExchanger {
  public:
   explicit HaloExchanger(const grid::Decomposition& decomp);
 
-  /// Update all halos of `fs` (owned by the calling rank). Collective:
-  /// every rank of the communicator must call with its own set.
-  /// Equivalent to begin_set() immediately followed by finish().
-  template <typename T>
-  void exchange_set(Communicator& comm, const FieldSetT<T>& fs) const;
-
-  /// Split-phase over a FieldSet: pack and post all sends/receives, do
-  /// the local copies and zero fills, and return the in-flight handle.
-  /// The halo cells of the set are in an unspecified state until
-  /// finish(); the owned interior may be read freely (but not written)
-  /// in between. One message per (block, neighbor) carries all nb()
-  /// members. The fault-injection halo payload hook arms only on
-  /// width-1 sets — fault sites target a single solve; members of
-  /// wider batches recover through per-member sub-batches (DESIGN.md
-  /// §10, §11).
-  template <typename T>
-  HaloHandleT<T> begin_set(Communicator& comm,
-                           const FieldSetT<T>& fs) const;
-
-  /// Aggregated deep-halo exchange of several same-shape sets (the
-  /// communication-avoiding solvers' once-per-group refresh of
-  /// {x, dx, r}): ONE message per (block, neighbor) concatenates the
-  /// per-set rims back to back, so a group of N sets costs the same
-  /// message count — and one exchange round — as a single set. All sets
-  /// must share decomposition, rank, halo width and batch width; each
-  /// set's rims are bitwise identical to what its own exchange_set()
-  /// would deliver. With CRC enabled, one trailer covers the whole
-  /// concatenated payload; the fault payload hook arms on width-1
-  /// groups exactly like the single-set path. Blocking.
-  template <typename T>
-  void exchange_group(Communicator& comm,
-                      std::span<const FieldSetT<T>> sets) const;
-
-  /// Convenience wrappers forwarding to the FieldSet engine.
-  template <typename T>
-  void exchange(Communicator& comm, DistFieldT<T>& field) const {
-    exchange_set<T>(comm, FieldSetT<T>(field));
-  }
-  template <typename T>
-  HaloHandleT<T> begin(Communicator& comm, DistFieldT<T>& field) const {
-    return begin_set<T>(comm, FieldSetT<T>(field));
-  }
+  /// Update all halos of `field` (owned by the calling rank).
+  /// Collective: every rank of the communicator must call with its own
+  /// field. Equivalent to begin() immediately followed by finish().
   template <typename T>
   void exchange(Communicator& comm, DistFieldBatchT<T>& field) const {
-    exchange_set<T>(comm, FieldSetT<T>(field));
+    begin<T>(comm, field).finish();
   }
+
+  /// Split-phase: pack and post all sends/receives, do the local copies
+  /// and zero fills, and return the in-flight handle. The halo cells of
+  /// the field are in an unspecified state until finish(); the owned
+  /// interior may be read freely (but not written) in between. One
+  /// message per (block, neighbor) carries all nb() members. The
+  /// fault-injection halo payload hook arms only on width-1 fields —
+  /// fault sites target a single solve; members of wider batches
+  /// recover through per-member sub-batches (DESIGN.md §10, §11).
   template <typename T>
-  HaloHandleT<T> begin(Communicator& comm,
-                       DistFieldBatchT<T>& field) const {
-    return begin_set<T>(comm, FieldSetT<T>(field));
-  }
+  HaloHandleT<T> begin(Communicator& comm, DistFieldBatchT<T>& field) const;
+
+  /// Aggregated deep-halo exchange of several same-shape batches (the
+  /// communication-avoiding solvers' once-per-group refresh of
+  /// {x, dx, r}): ONE message per (block, neighbor) concatenates the
+  /// per-field rims back to back, so a group of N fields costs the same
+  /// message count — and one exchange round — as a single field. All
+  /// fields must share decomposition, rank, halo width and batch width;
+  /// each field's rims are bitwise identical to what its own exchange()
+  /// would deliver. With CRC enabled, one trailer covers the whole
+  /// concatenated payload; the fault payload hook arms on width-1
+  /// groups exactly like the single-field path. Blocking.
+  template <typename T>
+  void exchange_group(Communicator& comm,
+                      std::span<DistFieldBatchT<T>* const> fields) const;
 
   /// Bytes this rank sends per exchange of `field` (for cost
   /// reporting). Scales with the batch width: a batch reports nb x the
-  /// scalar bytes, carried in the same messages.
-  template <typename T>
-  std::uint64_t bytes_sent_per_exchange(const DistFieldT<T>& field) const;
+  /// bytes of one field, carried in the same messages.
   template <typename T>
   std::uint64_t bytes_sent_per_exchange(
       const DistFieldBatchT<T>& field) const;
@@ -198,14 +176,10 @@ class HaloExchanger {
 };
 
 #define MINIPOP_HALO_EXTERN(T)                                             \
-  extern template void HaloExchanger::exchange_set<T>(                     \
-      Communicator&, const FieldSetT<T>&) const;                           \
   extern template void HaloExchanger::exchange_group<T>(                   \
-      Communicator&, std::span<const FieldSetT<T>>) const;                 \
-  extern template HaloHandleT<T> HaloExchanger::begin_set<T>(              \
-      Communicator&, const FieldSetT<T>&) const;                           \
-  extern template std::uint64_t HaloExchanger::bytes_sent_per_exchange<T>( \
-      const DistFieldT<T>&) const;                                         \
+      Communicator&, std::span<DistFieldBatchT<T>* const>) const;          \
+  extern template HaloHandleT<T> HaloExchanger::begin<T>(                  \
+      Communicator&, DistFieldBatchT<T>&) const;                           \
   extern template std::uint64_t HaloExchanger::bytes_sent_per_exchange<T>( \
       const DistFieldBatchT<T>&) const;
 MINIPOP_HALO_EXTERN(double)

@@ -111,10 +111,11 @@ int BlockEvpPreconditioner::simplified_tiles() const {
 // never touches `comm` beyond cost accounting and reads no halo points.
 // The overlapped solvers rely on this to run it while reductions are in
 // flight (split-phase engine); keep it that way.
-template <typename In, typename Out>
-void BlockEvpPreconditioner::apply_tiles(comm::Communicator& comm,
-                                         const In& in, Out& out,
-                                         int nb) const {
+void BlockEvpPreconditioner::apply_batch(comm::Communicator& comm,
+                                         const comm::DistFieldBatch& in,
+                                         comm::DistFieldBatch& out) {
+  MINIPOP_REQUIRE(in.compatible_with(out), "block-EVP batch mismatch");
+  const int nb = in.nb();
   std::uint64_t flops = 0;
   util::Field y, x;
   for (const auto& t : tiles_) {
@@ -159,20 +160,6 @@ void BlockEvpPreconditioner::apply_tiles(comm::Communicator& comm,
     flops += s.solve_flops() * static_cast<std::uint64_t>(nb);
   }
   comm.costs().add_flops(flops);
-}
-
-void BlockEvpPreconditioner::apply(comm::Communicator& comm,
-                                   const comm::DistField& in,
-                                   comm::DistField& out) {
-  MINIPOP_REQUIRE(in.compatible_with(out), "block-EVP field mismatch");
-  apply_tiles(comm, in, out, 1);
-}
-
-void BlockEvpPreconditioner::apply_batch(comm::Communicator& comm,
-                                         const comm::DistFieldBatch& in,
-                                         comm::DistFieldBatch& out) {
-  MINIPOP_REQUIRE(in.compatible_with(out), "block-EVP batch mismatch");
-  apply_tiles(comm, in, out, in.nb());
 }
 
 }  // namespace minipop::evp

@@ -58,12 +58,10 @@ class BlockEvpPreconditioner final : public solver::Preconditioner {
                          const util::Field& depth,
                          const BlockEvpOptions& options = {});
 
-  void apply(comm::Communicator& comm, const comm::DistField& in,
-             comm::DistField& out) override;
-
-  /// Batched apply: each tile is gathered straight from the batch
-  /// planes (member stride nb), solved and scattered back member by
-  /// member, in the same per-member operation order as apply().
+  /// Each tile is gathered straight from the batch planes (member
+  /// stride nb), solved and scattered back member by member, each
+  /// member's operations in the same order as a width-1 apply. Block-
+  /// local and communication-free.
   void apply_batch(comm::Communicator& comm, const comm::DistFieldBatch& in,
                    comm::DistFieldBatch& out) override;
 
@@ -89,15 +87,6 @@ class BlockEvpPreconditioner final : public solver::Preconditioner {
     int local_block;
     std::unique_ptr<EvpTileSolver> solver;
   };
-
-  /// Shared tile loop of every apply, over planes with `nb` members per
-  /// cell (nb = 1 for a DistField): for each tile and member, gather the
-  /// tile's right-hand side (member stride nb), solve, and scatter the
-  /// masked solution — each member's operations in the same order as a
-  /// lone apply. Block-local and communication-free.
-  template <typename In, typename Out>
-  void apply_tiles(comm::Communicator& comm, const In& in, Out& out,
-                   int nb) const;
 
   const solver::DistOperator* op_;
   BlockEvpOptions options_;

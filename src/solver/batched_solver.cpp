@@ -7,6 +7,7 @@
 
 #include "src/fault/fault_injector.hpp"
 #include "src/solver/comm_avoid.hpp"
+#include "src/solver/field_ops.hpp"
 #include "src/solver/integrity.hpp"
 #include "src/solver/kernels.hpp"
 #include "src/util/error.hpp"
@@ -14,103 +15,6 @@
 namespace minipop::solver {
 
 namespace {
-
-/// Interior cell count of one member plane (BlockInfo dims are cells,
-/// not the nb-widened storage columns).
-template <typename T>
-std::uint64_t interior_points(const comm::DistFieldBatchT<T>& f) {
-  std::uint64_t n = 0;
-  for (int lb = 0; lb < f.num_local_blocks(); ++lb) {
-    const auto& b = f.info(lb);
-    n += static_cast<std::uint64_t>(b.nx) * b.ny;
-  }
-  return n;
-}
-
-/// y = x over all members' interiors (batched copy_interior).
-template <typename T>
-void copy_all(const comm::DistFieldBatchT<T>& x, comm::DistFieldBatchT<T>& y) {
-  MINIPOP_REQUIRE(x.compatible_with(y), "batch copy field mismatch");
-  for (int lb = 0; lb < x.num_local_blocks(); ++lb) {
-    const auto& info = x.info(lb);
-    kernels::copy(x.nb(), info.nx, info.ny, x.interior(lb), x.stride(lb),
-                  y.interior(lb), y.stride(lb));
-  }
-}
-
-/// Interior of member m := v (batched counterpart of fill_interior for
-/// one member plane; only used on zero-RHS members, so no fused kernel).
-template <typename T>
-void fill_member(comm::DistFieldBatchT<T>& x, int m, double v) {
-  const T vt = static_cast<T>(v);
-  for (int lb = 0; lb < x.num_local_blocks(); ++lb) {
-    const auto& info = x.info(lb);
-    for (int j = 0; j < info.ny; ++j)
-      for (int i = 0; i < info.nx; ++i) x.at(lb, i, j, m) = vt;
-  }
-}
-
-/// Cost of a member-masked update over the plan: `per_point` flops on
-/// every interior point of the n_act active lanes (a frozen member's
-/// solve has, logically, already returned), and the plan's ocean census
-/// against the swept interior.
-template <typename T>
-void count_active(comm::Communicator& comm, std::uint64_t per_point,
-                  const comm::DistFieldBatchT<T>& x, int n_act,
-                  const SpanPlan& plan) {
-  std::uint64_t active = 0;
-  for (const auto& bs : plan)
-    active += static_cast<std::uint64_t>(bs.active_points());
-  const std::uint64_t swept = interior_points(x) * n_act;
-  comm.costs().add_flops(per_point * swept);
-  comm.costs().add_points(active * n_act, swept);
-}
-
-/// x_m *= a[m] for active members.
-template <typename T>
-void scale_active(comm::Communicator& comm, const T* a,
-                  comm::DistFieldBatchT<T>& x,
-                  const std::vector<unsigned char>& active, int n_act,
-                  const SpanPlan& plan) {
-  for (int lb = 0; lb < x.num_local_blocks(); ++lb)
-    kernels::scale(plan[lb].row_offset(), plan[lb].spans(), x.nb(),
-                   x.info(lb).ny, a, x.interior(lb), x.stride(lb),
-                   active.data());
-  count_active(comm, 1, x, n_act, plan);
-}
-
-/// y_m += a[m] * x_m for active members.
-template <typename T>
-void axpy_active(comm::Communicator& comm, const T* a,
-                 const comm::DistFieldBatchT<T>& x,
-                 comm::DistFieldBatchT<T>& y,
-                 const std::vector<unsigned char>& active, int n_act,
-                 const SpanPlan& plan) {
-  MINIPOP_REQUIRE(x.compatible_with(y), "batch axpy field mismatch");
-  for (int lb = 0; lb < x.num_local_blocks(); ++lb)
-    kernels::axpy(plan[lb].row_offset(), plan[lb].spans(), x.nb(),
-                  x.info(lb).ny, a, x.interior(lb), x.stride(lb),
-                  y.interior(lb), y.stride(lb), active.data());
-  count_active(comm, 2, x, n_act, plan);
-}
-
-/// Fused y_m = a[m] x_m + b[m] y_m; z_m += c[m] y_m for active members.
-template <typename T>
-void lincomb_axpy_active(comm::Communicator& comm, const T* a,
-                         const comm::DistFieldBatchT<T>& x, const T* b,
-                         comm::DistFieldBatchT<T>& y, const T* c,
-                         comm::DistFieldBatchT<T>& z,
-                         const std::vector<unsigned char>& active,
-                         int n_act, const SpanPlan& plan) {
-  MINIPOP_REQUIRE(x.compatible_with(y) && x.compatible_with(z),
-                  "batch lincomb_axpy field mismatch");
-  for (int lb = 0; lb < x.num_local_blocks(); ++lb)
-    kernels::lincomb_axpy(plan[lb].row_offset(), plan[lb].spans(), x.nb(),
-                          x.info(lb).ny, a, x.interior(lb), x.stride(lb), b,
-                          y.interior(lb), y.stride(lb), c, z.interior(lb),
-                          z.stride(lb), active.data());
-  count_active(comm, 4, x, n_act, plan);
-}
 
 /// Slot bookkeeping shared by the batched solvers. Per-MEMBER state
 /// (stats, ||b||², thresholds, guards) is indexed by the member's
@@ -435,13 +339,11 @@ BatchSolveStats BatchedPcsiSolver::solve_t(comm::Communicator& comm,
   else
     a.residual_batch(comm, halo, *bw, *xw, r, x_fresh);
   m.apply_batch(comm, r, rp);
-  copy_all(rp, dx);
+  copy_interior(rp, dx);
   std::fill(ca.begin(), ca.end(), static_cast<T>(1.0 / gamma));
-  scale_active(comm, ca.data(), dx, ctl.active, ctl.n_active,
-               a.span_plan());
+  scale(comm, ca.data(), dx, a.span_plan(), ctl.active.data());
   std::fill(ca.begin(), ca.end(), static_cast<T>(1.0));
-  axpy_active(comm, ca.data(), dx, *xw, ctl.active, ctl.n_active,
-              a.span_plan());
+  axpy(comm, ca.data(), dx, *xw, a.span_plan(), ctl.active.data());
   if (ov)
     a.residual_overlapped_batch(comm, halo, *bw, *xw, r);
   else
@@ -459,8 +361,8 @@ BatchSolveStats BatchedPcsiSolver::solve_t(comm::Communicator& comm,
     std::fill(cb.begin(), cb.begin() + ctl.cur_nb,
               static_cast<T>(gamma * omega - 1.0));
     std::fill(cc.begin(), cc.begin() + ctl.cur_nb, static_cast<T>(1.0));
-    lincomb_axpy_active(comm, ca.data(), rp, cb.data(), dx, cc.data(), *xw,
-                        ctl.active, ctl.n_active, a.span_plan());
+    lincomb_axpy(comm, ca.data(), rp, cb.data(), dx, cc.data(), *xw,
+                 a.span_plan(), ctl.active.data());
 
     if (k % opt_.check_frequency == 0) {
       // One fused residual+norm sweep, one CURRENT-WIDTH vector
@@ -593,13 +495,11 @@ BatchSolveStats BatchedPcsiSolver::solve_comm_avoid_t(
   // zero-RHS members' solutions stay exactly at the early-out's fill(0).
   a.residual_batch(comm, halo, *bw, *xw, r);
   m.apply_batch(comm, r, rp);
-  copy_all(rp, dx);
+  copy_interior(rp, dx);
   std::fill(ca.begin(), ca.end(), static_cast<T>(1.0 / gamma));
-  scale_active(comm, ca.data(), dx, ctl.active, ctl.n_active,
-               a.span_plan());
+  scale(comm, ca.data(), dx, a.span_plan(), ctl.active.data());
   std::fill(ca.begin(), ca.end(), static_cast<T>(1.0));
-  axpy_active(comm, ca.data(), dx, *xw, ctl.active, ctl.n_active,
-              a.span_plan());
+  axpy(comm, ca.data(), dx, *xw, a.span_plan(), ctl.active.data());
   a.residual_batch(comm, halo, *bw, *xw, r);
 
   int k = 1;
@@ -612,11 +512,8 @@ BatchSolveStats BatchedPcsiSolver::solve_comm_avoid_t(
     const int g = std::min({depth, to_check, remaining});
 
     // Rebuilt every group: retirement compaction migrates the fields.
-    const comm::FieldSetT<T> group_sets[3] = {
-        comm::FieldSetT<T>(*xw), comm::FieldSetT<T>(dx),
-        comm::FieldSetT<T>(r)};
-    halo.exchange_group<T>(
-        comm, std::span<const comm::FieldSetT<T>>(group_sets, 3));
+    comm::DistFieldBatchT<T>* const group[3] = {xw, &dx, &r};
+    halo.exchange_group<T>(comm, group);
 
     for (int j = 1; j <= g; ++j, ++k) {
       ctl.out.iterations = k;
@@ -830,10 +727,10 @@ BatchSolveStats BatchedChronGearSolver::solve_t(
     // and the iterate update that consumes it share one pass each);
     // frozen lanes masked out so their x and r planes stay exactly at
     // freeze state.
-    lincomb_axpy_active(comm, ca.data(), rp, cb.data(), s_dir, cc.data(),
-                        *xw, ctl.active, ctl.n_active, a.span_plan());
-    lincomb_axpy_active(comm, ca.data(), z, cb.data(), p_dir, cneg.data(),
-                        r, ctl.active, ctl.n_active, a.span_plan());
+    lincomb_axpy(comm, ca.data(), rp, cb.data(), s_dir, cc.data(), *xw,
+                 a.span_plan(), ctl.active.data());
+    lincomb_axpy(comm, ca.data(), z, cb.data(), p_dir, cneg.data(), r,
+                 a.span_plan(), ctl.active.data());
 
     if (check && should_retire(opt_, ctl)) {
       compact(ctl, comm, a, x, bw, b_own, xw, x_own, r,
@@ -849,47 +746,15 @@ BatchSolveStats BatchedChronGearSolver::solve_t(
 // ---------------------------------------------------------------------------
 // Width-1 entry point
 
-namespace {
-
-/// Lends a field's block planes to a width-1 batch for one scope: at
-/// nb = 1 a batch plane has exactly a DistField block's layout, so the
-/// planes move in and back (also when the solve throws) instead of
-/// being copied, and a single solve holds one copy of x, not two.
-class LentPlanes {
- public:
-  LentPlanes(comm::DistField& f, comm::DistFieldBatch& batch)
-      : f_(f), batch_(batch) {
-    for (int lb = 0; lb < f_.num_local_blocks(); ++lb)
-      batch_.data(lb) = std::move(f_.data(lb));
-  }
-  ~LentPlanes() {
-    for (int lb = 0; lb < f_.num_local_blocks(); ++lb)
-      f_.data(lb) = std::move(batch_.data(lb));
-  }
-  LentPlanes(const LentPlanes&) = delete;
-  LentPlanes& operator=(const LentPlanes&) = delete;
-
- private:
-  comm::DistField& f_;
-  comm::DistFieldBatch& batch_;
-};
-
-}  // namespace
-
 SolveStats solve_one(BatchedSolver& solver, comm::Communicator& comm,
                      const comm::HaloExchanger& halo, const DistOperator& a,
                      Preconditioner& m, const comm::DistField& b,
                      comm::DistField& x, comm::HaloFreshness x_fresh) {
-  comm::DistFieldBatch bb(a.decomposition(), a.rank(), 1, b.halo());
-  comm::DistFieldBatch xb(a.decomposition(), a.rank(), 1, x.halo());
-  MINIPOP_REQUIRE(bb.member_compatible(b) && xb.member_compatible(x),
-                  "solve_one: b/x do not match the operator's blocks");
-  bb.load_member(0, b);
-  BatchSolveStats bs;
-  {
-    const LentPlanes lent(x, xb);
-    bs = solver.solve(comm, halo, a, m, bb, xb, x_fresh);
-  }
+  MINIPOP_REQUIRE(&b.decomposition() == &a.decomposition() &&
+                      &x.decomposition() == &a.decomposition() && &b != &x,
+                  "solve_one: b and x must be distinct fields on the "
+                  "operator's decomposition");
+  BatchSolveStats bs = solver.solve(comm, halo, a, m, b, x, x_fresh);
   BatchMemberStats& ms = bs.members[0];
   SolveStats out;
   out.iterations = ms.iterations;

@@ -37,7 +37,7 @@
 #include <utility>
 #include <vector>
 
-#include "src/comm/dist_field_batch.hpp"
+#include "src/comm/dist_field.hpp"
 #include "src/solver/iterative_solver.hpp"
 
 namespace minipop::solver {
@@ -183,11 +183,11 @@ class BatchedChronGearSolver final : public BatchedSolver {
   SolverOptions opt_;
 };
 
-/// Solve the single system A x = b through `solver` as a width-1 batch:
-/// b is copied into a one-member batch and x's planes are lent to one
-/// for the solve (full padded planes, so halo freshness carries over).
-/// This is BarotropicSolver::solve and the entry point for one-off
-/// solves.
+/// Solve the single system A x = b through `solver`: a DistField is the
+/// width-1 batch, so b and x pass to the stack as they are (x's halo
+/// freshness carries over). They must be distinct fields on the
+/// operator's Decomposition object. This is BarotropicSolver::solve and the entry
+/// point for one-off solves.
 SolveStats solve_one(BatchedSolver& solver, comm::Communicator& comm,
                      const comm::HaloExchanger& halo, const DistOperator& a,
                      Preconditioner& m, const comm::DistField& b,

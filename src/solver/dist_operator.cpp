@@ -47,8 +47,8 @@ kernels::Stencil9T<T> shift(const kernels::Stencil9T<T>& s, int i0, int j0) {
 }
 
 /// Field pointer advanced to member 0 of cell (i0, j0) of a sub-rect:
-/// the member-interleaved layout widens cell columns by nb (1 for a
-/// DistField), the stencil coefficients stay width 1.
+/// the member-interleaved layout widens cell columns by nb, the stencil
+/// coefficients stay width 1.
 template <typename T>
 T* at(T* base, std::ptrdiff_t stride, int nb, const SubRect& r) {
   return base + static_cast<std::ptrdiff_t>(r.j0) * stride +
@@ -80,13 +80,12 @@ int rim_rects(int nx, int ny, SubRect out[4]) {
 }
 
 /// Offer each block interior of a sweep's freshly written output to the
-/// installed FaultInjector. Armed on width-1 operands — a DistField or a
-/// single solve's batch; a member of a wider batch that diverges
-/// recovers through the per-member sub-batches of the resilient
-/// decorator (DESIGN.md §11). Compiles to nothing when MINIPOP_FAULTS is
-/// off.
-template <typename F>
-void offer_interiors(int rank, F& v,
+/// installed FaultInjector. Armed on width-1 batches (a single solve); a
+/// member of a wider batch that diverges recovers through the
+/// per-member sub-batches of the resilient decorator (DESIGN.md §11).
+/// Compiles to nothing when MINIPOP_FAULTS is off.
+template <typename T>
+void offer_interiors(int rank, comm::DistFieldBatchT<T>& v,
                      const std::vector<util::MaskArray>& masks) {
 #if MINIPOP_FAULTS
   if (v.nb() != 1) return;
@@ -252,9 +251,10 @@ void DistOperator::count(comm::Communicator& comm, std::uint64_t per_point,
       static_cast<std::uint64_t>(local_ocean_cells_) * nb, swept);
 }
 
-template <class F, class Sweep>
+template <typename T, class Sweep>
 void DistOperator::sweep_regions(comm::Communicator& comm,
-                                 const comm::HaloExchanger& halo, F& x,
+                                 const comm::HaloExchanger& halo,
+                                 comm::DistFieldBatchT<T>& x,
                                  comm::HaloFreshness fresh, bool overlap,
                                  const Sweep& sweep) const {
   if (!overlap || fresh == comm::HaloFreshness::kFresh) {
@@ -277,9 +277,11 @@ void DistOperator::sweep_regions(comm::Communicator& comm,
   }
 }
 
-template <class F>
+template <typename T>
 void DistOperator::apply_impl(comm::Communicator& comm,
-                              const comm::HaloExchanger& halo, F& x, F& y,
+                              const comm::HaloExchanger& halo,
+                              comm::DistFieldBatchT<T>& x,
+                              comm::DistFieldBatchT<T>& y,
                               comm::HaloFreshness fresh,
                               bool overlap) const {
   MINIPOP_REQUIRE(x.compatible_with(y), "x/y field mismatch");
@@ -299,7 +301,6 @@ void DistOperator::apply_impl(comm::Communicator& comm,
                                   y.stride(lb));
                 });
 #if MINIPOP_BOUNDS_CHECK
-  using T = typename F::value_type;
   for (int lb = 0; lb < num_local_blocks(); ++lb) {
     const auto& b = x.info(lb);
     const std::ptrdiff_t ss = static_cast<std::ptrdiff_t>(b.nx) * nb;
@@ -316,10 +317,12 @@ void DistOperator::apply_impl(comm::Communicator& comm,
   offer_interiors(rank_, y, block_mask_);
 }
 
-template <class F>
+template <typename T>
 void DistOperator::residual_impl(comm::Communicator& comm,
                                  const comm::HaloExchanger& halo,
-                                 const F& b, F& x, F& r,
+                                 const comm::DistFieldBatchT<T>& b,
+                                 comm::DistFieldBatchT<T>& x,
+                                 comm::DistFieldBatchT<T>& r,
                                  comm::HaloFreshness fresh,
                                  bool overlap) const {
   MINIPOP_REQUIRE(b.compatible_with(x) && b.compatible_with(r),
@@ -341,7 +344,6 @@ void DistOperator::residual_impl(comm::Communicator& comm,
                       r.stride(lb));
                 });
 #if MINIPOP_BOUNDS_CHECK
-  using T = typename F::value_type;
   for (int lb = 0; lb < num_local_blocks(); ++lb) {
     const auto& info = r.info(lb);
     const std::ptrdiff_t ss = static_cast<std::ptrdiff_t>(info.nx) * nb;
@@ -357,112 +359,6 @@ void DistOperator::residual_impl(comm::Communicator& comm,
   // Matvec (9 ops/point) + subtraction (1 op/point), as before fusion.
   count(comm, 10, nb);
   offer_interiors(rank_, r, block_mask_);
-}
-
-template <class F>
-void DistOperator::dot_impl(comm::Communicator& comm, const F& a,
-                            const F& b, double* sums) const {
-  MINIPOP_REQUIRE(a.compatible_with(b), "a/b field mismatch");
-  const int nb = a.nb();
-  for (int m = 0; m < nb; ++m) sums[m] = 0.0;
-  for (int lb = 0; lb < num_local_blocks(); ++lb) {
-    const auto& info = a.info(lb);
-#if MINIPOP_BOUNDS_CHECK
-    std::vector<double> ref(sums, sums + nb);
-    kernels::masked::dot(block_mask_[lb].data(), block_mask_[lb].nx(), nb,
-                         info.nx, info.ny, a.interior(lb), a.stride(lb),
-                         b.interior(lb), b.stride(lb), ref.data());
-#endif
-    kernels::dot(span_full_[lb].row_offset(), span_full_[lb].spans(), nb,
-                 info.ny, a.interior(lb), a.stride(lb), b.interior(lb),
-                 b.stride(lb), sums);
-#if MINIPOP_BOUNDS_CHECK
-    audit_span_sums(sums, ref.data(), nb);
-#endif
-  }
-  // Paper convention: inner product is 2 ops/point (multiply + masked add).
-  count(comm, 2, nb);
-}
-
-template <class F>
-void DistOperator::dot3_impl(comm::Communicator& comm, const F& r,
-                             const F& rp, const F& z, bool with_norm,
-                             double* out) const {
-  MINIPOP_REQUIRE(r.compatible_with(rp) && r.compatible_with(z),
-                  "r/rp/z field mismatch");
-  const int nb = r.nb();
-  for (int m = 0; m < 3 * nb; ++m) out[m] = 0.0;
-  for (int lb = 0; lb < num_local_blocks(); ++lb) {
-    const auto& info = r.info(lb);
-#if MINIPOP_BOUNDS_CHECK
-    std::vector<double> ref(out, out + 3 * nb);
-    kernels::masked::dot3(block_mask_[lb].data(), block_mask_[lb].nx(), nb,
-                          info.nx, info.ny, r.interior(lb), r.stride(lb),
-                          rp.interior(lb), rp.stride(lb), z.interior(lb),
-                          z.stride(lb), with_norm, ref.data());
-#endif
-    kernels::dot3(span_full_[lb].row_offset(), span_full_[lb].spans(), nb,
-                  info.ny, r.interior(lb), r.stride(lb), rp.interior(lb),
-                  rp.stride(lb), z.interior(lb), z.stride(lb), with_norm,
-                  out);
-#if MINIPOP_BOUNDS_CHECK
-    audit_span_sums(out, ref.data(), 3 * nb);
-#endif
-  }
-  count(comm, with_norm ? 6 : 4, nb);
-}
-
-void DistOperator::apply(comm::Communicator& comm,
-                         const comm::HaloExchanger& halo,
-                         comm::DistField& x, comm::DistField& y,
-                         comm::HaloFreshness fresh) const {
-  apply_impl(comm, halo, x, y, fresh, false);
-}
-
-void DistOperator::residual(comm::Communicator& comm,
-                            const comm::HaloExchanger& halo,
-                            const comm::DistField& b, comm::DistField& x,
-                            comm::DistField& r,
-                            comm::HaloFreshness fresh) const {
-  residual_impl(comm, halo, b, x, r, fresh, false);
-}
-
-void DistOperator::apply_overlapped(comm::Communicator& comm,
-                                    const comm::HaloExchanger& halo,
-                                    comm::DistField& x, comm::DistField& y,
-                                    comm::HaloFreshness fresh) const {
-  apply_impl(comm, halo, x, y, fresh, true);
-}
-
-void DistOperator::residual_overlapped(comm::Communicator& comm,
-                                       const comm::HaloExchanger& halo,
-                                       const comm::DistField& b,
-                                       comm::DistField& x,
-                                       comm::DistField& r,
-                                       comm::HaloFreshness fresh) const {
-  residual_impl(comm, halo, b, x, r, fresh, true);
-}
-
-double DistOperator::local_dot(comm::Communicator& comm,
-                               const comm::DistField& a,
-                               const comm::DistField& b) const {
-  double sum;
-  dot_impl(comm, a, b, &sum);
-  return sum;
-}
-
-void DistOperator::local_dot3(comm::Communicator& comm,
-                              const comm::DistField& r,
-                              const comm::DistField& rp,
-                              const comm::DistField& z, bool with_norm,
-                              double out[3]) const {
-  dot3_impl(comm, r, rp, z, with_norm, out);
-}
-
-double DistOperator::global_dot(comm::Communicator& comm,
-                                const comm::DistField& a,
-                                const comm::DistField& b) const {
-  return comm.allreduce_sum(local_dot(comm, a, b));
 }
 
 void DistOperator::abft_local_sums_batch(comm::Communicator& comm,
@@ -488,9 +384,9 @@ void DistOperator::abft_local_sums_batch(comm::Communicator& comm,
 }
 
 // ---------------------------------------------------------------------------
-// Batched multi-RHS sweeps, templated on the storage scalar. Coefficient
-// fault sites arm on every sweep (shared planes), caught by the ABFT
-// audit.
+// Sweeps over batches (a DistField is the width-1 batch), templated on
+// the storage scalar. Coefficient fault sites arm on every sweep (shared
+// planes), caught by the ABFT audit.
 
 template <typename T>
 void DistOperator::apply_batch(comm::Communicator& comm,
@@ -596,7 +492,26 @@ void DistOperator::local_dot_batch(comm::Communicator& comm,
                                    const comm::DistFieldBatchT<T>& a,
                                    const comm::DistFieldBatchT<T>& b,
                                    double* sums) const {
-  dot_impl(comm, a, b, sums);
+  MINIPOP_REQUIRE(a.compatible_with(b), "a/b field mismatch");
+  const int nb = a.nb();
+  for (int m = 0; m < nb; ++m) sums[m] = 0.0;
+  for (int lb = 0; lb < num_local_blocks(); ++lb) {
+    const auto& info = a.info(lb);
+#if MINIPOP_BOUNDS_CHECK
+    std::vector<double> ref(sums, sums + nb);
+    kernels::masked::dot(block_mask_[lb].data(), block_mask_[lb].nx(), nb,
+                         info.nx, info.ny, a.interior(lb), a.stride(lb),
+                         b.interior(lb), b.stride(lb), ref.data());
+#endif
+    kernels::dot(span_full_[lb].row_offset(), span_full_[lb].spans(), nb,
+                 info.ny, a.interior(lb), a.stride(lb), b.interior(lb),
+                 b.stride(lb), sums);
+#if MINIPOP_BOUNDS_CHECK
+    audit_span_sums(sums, ref.data(), nb);
+#endif
+  }
+  // Paper convention: inner product is 2 ops/point (multiply + masked add).
+  count(comm, 2, nb);
 }
 
 template <typename T>
@@ -605,7 +520,28 @@ void DistOperator::local_dot3_batch(comm::Communicator& comm,
                                     const comm::DistFieldBatchT<T>& rp,
                                     const comm::DistFieldBatchT<T>& z,
                                     bool with_norm, double* out) const {
-  dot3_impl(comm, r, rp, z, with_norm, out);
+  MINIPOP_REQUIRE(r.compatible_with(rp) && r.compatible_with(z),
+                  "r/rp/z field mismatch");
+  const int nb = r.nb();
+  for (int m = 0; m < 3 * nb; ++m) out[m] = 0.0;
+  for (int lb = 0; lb < num_local_blocks(); ++lb) {
+    const auto& info = r.info(lb);
+#if MINIPOP_BOUNDS_CHECK
+    std::vector<double> ref(out, out + 3 * nb);
+    kernels::masked::dot3(block_mask_[lb].data(), block_mask_[lb].nx(), nb,
+                          info.nx, info.ny, r.interior(lb), r.stride(lb),
+                          rp.interior(lb), rp.stride(lb), z.interior(lb),
+                          z.stride(lb), with_norm, ref.data());
+#endif
+    kernels::dot3(span_full_[lb].row_offset(), span_full_[lb].spans(), nb,
+                  info.ny, r.interior(lb), r.stride(lb), rp.interior(lb),
+                  rp.stride(lb), z.interior(lb), z.stride(lb), with_norm,
+                  out);
+#if MINIPOP_BOUNDS_CHECK
+    audit_span_sums(out, ref.data(), 3 * nb);
+#endif
+  }
+  count(comm, with_norm ? 6 : 4, nb);
 }
 
 template <typename T>
@@ -616,6 +552,22 @@ void DistOperator::mask_interior_batch(comm::DistFieldBatchT<T>& x) const {
                        x.nb(), info.nx, info.ny, x.interior(lb),
                        x.stride(lb));
   }
+}
+
+void DistOperator::residual(comm::Communicator& comm,
+                            const comm::HaloExchanger& halo,
+                            const comm::DistField& b, comm::DistField& x,
+                            comm::DistField& r,
+                            comm::HaloFreshness fresh) const {
+  residual_batch<double>(comm, halo, b, x, r, fresh);
+}
+
+double DistOperator::local_dot(comm::Communicator& comm,
+                               const comm::DistField& a,
+                               const comm::DistField& b) const {
+  double sum;
+  local_dot_batch<double>(comm, a, b, &sum);
+  return sum;
 }
 
 #define MINIPOP_DIST_OPERATOR_BATCH_INSTANTIATE(T)                           \

@@ -84,70 +84,19 @@ class DistOperator {
   /// checkpoint; a no-op on healthy coefficients (same values copied).
   void repair_coefficients() const;
 
-  // Single-field sweeps. A DistField is a width-1 plane: these run the
-  // same bodies as the batch sweeps below at nb = 1.
-
-  /// y = A x over block interiors. Refreshes x's halo first (one
-  /// boundary update) unless the caller attests kFresh, so callers never
-  /// manage halos themselves.
-  void apply(comm::Communicator& comm, const comm::HaloExchanger& halo,
-             comm::DistField& x, comm::DistField& y,
-             comm::HaloFreshness fresh = comm::HaloFreshness::kStale) const;
-
-  /// r = b - A x (same halo refresh of x), fused into one sweep.
-  void residual(comm::Communicator& comm, const comm::HaloExchanger& halo,
-                const comm::DistField& b, comm::DistField& x,
-                comm::DistField& r,
-                comm::HaloFreshness fresh = comm::HaloFreshness::kStale) const;
-
-  // Split-phase variants: halo.begin() -> sweep the halo-independent
-  // interior of each block -> halo.finish() -> sweep the 1-wide boundary
-  // rim whose stencil reads the halo. Per-cell outputs are bitwise
-  // identical to the blocking sweeps (the 9-point stencil writes each
-  // cell independently). With kFresh they skip the exchange and degrade
-  // to the plain sweeps.
-
-  /// y = A x with the halo exchange of x hidden behind the interior
-  /// sweep.
-  void apply_overlapped(
-      comm::Communicator& comm, const comm::HaloExchanger& halo,
-      comm::DistField& x, comm::DistField& y,
-      comm::HaloFreshness fresh = comm::HaloFreshness::kStale) const;
-
-  /// r = b - A x with the halo exchange of x hidden behind the interior
-  /// sweep.
-  void residual_overlapped(
-      comm::Communicator& comm, const comm::HaloExchanger& halo,
-      const comm::DistField& b, comm::DistField& x, comm::DistField& r,
-      comm::HaloFreshness fresh = comm::HaloFreshness::kStale) const;
-
-  /// Local (this rank's) masked inner product over block interiors;
-  /// combine across ranks with an allreduce.
-  double local_dot(comm::Communicator& comm, const comm::DistField& a,
-                   const comm::DistField& b) const;
-
-  /// Fused local dots of the CG-type iterations in one sweep:
-  /// out[0] = <r, rp>, out[1] = <z, rp>, out[2] = <r, r> (only if
-  /// with_norm; else out[2] = 0). Bit-identical to three local_dot calls.
-  void local_dot3(comm::Communicator& comm, const comm::DistField& r,
-                  const comm::DistField& rp, const comm::DistField& z,
-                  bool with_norm, double out[3]) const;
-
-  /// Convenience: global masked dot (one reduction).
-  double global_dot(comm::Communicator& comm, const comm::DistField& a,
-                    const comm::DistField& b) const;
-
   // -------------------------------------------------------------------
-  // Batched multi-RHS sweeps over an nb-member interleaved batch: ONE
-  // aggregated halo exchange and one coefficient pass serve all
-  // members, flop counts scale by nb, and member m of every result is
-  // bit-identical to the width-1 sweep on member m's plane (kernels.hpp
-  // contract). Reductions fill per-member arrays the caller combines in
-  // ONE vector allreduce. The solver-vector fault hooks arm on width-1
-  // batches only (a single solve); a member of a wider batch that
-  // diverges recovers through the per-member sub-batch path of the
-  // resilient decorator (DESIGN.md §11). Coefficient fault sites arm on
-  // every sweep (shared planes).
+  // Sweeps over an nb-member interleaved batch; a DistField is the
+  // width-1 batch. ONE aggregated halo exchange and one coefficient pass
+  // serve all members, flop counts scale by nb, and member m of every
+  // result is bit-identical to the width-1 sweep on member m's plane
+  // (kernels.hpp contract). Each sweep refreshes x's halo first (one
+  // boundary update) unless the caller attests kFresh, so callers never
+  // manage halos themselves. Reductions fill per-member arrays the
+  // caller combines in ONE vector allreduce. The solver-vector fault
+  // hooks arm on width-1 batches only (a single solve); a member of a
+  // wider batch that diverges recovers through the per-member sub-batch
+  // path of the resilient decorator (DESIGN.md §11). Coefficient fault
+  // sites arm on every sweep (shared planes).
 
   /// y = A x, all members. sums-free; 9*nb flops/point.
   template <typename T>
@@ -173,12 +122,14 @@ class DistOperator {
       comm::DistFieldBatchT<T>& r, double* sums,
       comm::HaloFreshness fresh = comm::HaloFreshness::kStale) const;
 
-  // Overlapped batch variants: the interior/rim split over the
-  // aggregated batch exchange — halo.begin() on the batch, interior
-  // member sweeps while all B rims are on the wire, finish(), rim
-  // sweeps. Per-cell outputs bitwise match the blocking batch sweeps;
-  // the overlapped batch norm² accumulates via residual + dot, whose
-  // order is contractually bit-identical to the fused batch kernel.
+  // Split-phase variants: halo.begin() -> sweep the halo-independent
+  // interior of each block while all rims are on the wire ->
+  // halo.finish() -> sweep the 1-wide boundary rim whose stencil reads
+  // the halo. Per-cell outputs bitwise match the blocking sweeps (the
+  // 9-point stencil writes each cell independently); the overlapped
+  // norm² accumulates via residual + dot, whose order is contractually
+  // bit-identical to the fused kernel. With kFresh they skip the
+  // exchange and degrade to the blocking sweeps.
 
   /// y = A x, all members, exchange hidden behind the interior sweep.
   template <typename T>
@@ -227,6 +178,21 @@ class DistOperator {
   template <typename T>
   void mask_interior_batch(comm::DistFieldBatchT<T>& x) const;
 
+  // Single-field forms of two sweeps, kept for callers that check one
+  // field (the end-to-end benchmark's residual check): residual_batch
+  // and local_dot_batch at width 1.
+
+  /// r = b - A x.
+  void residual(comm::Communicator& comm, const comm::HaloExchanger& halo,
+                const comm::DistField& b, comm::DistField& x,
+                comm::DistField& r,
+                comm::HaloFreshness fresh = comm::HaloFreshness::kStale) const;
+
+  /// Local (this rank's) masked inner product over block interiors;
+  /// combine across ranks with an allreduce.
+  double local_dot(comm::Communicator& comm, const comm::DistField& a,
+                   const comm::DistField& b) const;
+
   /// Operator diagonal of local block lb (interior coordinates).
   const util::Field& block_diagonal(int lb) const {
     return block_coeff_[lb][static_cast<int>(grid::Dir::kCenter)];
@@ -238,32 +204,29 @@ class DistOperator {
   const util::MaskArray& block_mask(int lb) const { return block_mask_[lb]; }
 
  private:
-  // Sweep bodies behind both entry-point families. F is DistField or
-  // DistFieldBatchT<T>; `overlap` selects the split-phase exchange.
-  template <class F>
+  // Sweep bodies behind the blocking and split-phase entry points;
+  // `overlap` selects the split-phase exchange.
+  template <typename T>
   void apply_impl(comm::Communicator& comm, const comm::HaloExchanger& halo,
-                  F& x, F& y, comm::HaloFreshness fresh, bool overlap) const;
-  template <class F>
+                  comm::DistFieldBatchT<T>& x, comm::DistFieldBatchT<T>& y,
+                  comm::HaloFreshness fresh, bool overlap) const;
+  template <typename T>
   void residual_impl(comm::Communicator& comm,
-                     const comm::HaloExchanger& halo, const F& b, F& x,
-                     F& r, comm::HaloFreshness fresh, bool overlap) const;
-  template <class F>
-  void dot_impl(comm::Communicator& comm, const F& a, const F& b,
-                double* sums) const;
-  template <class F>
-  void dot3_impl(comm::Communicator& comm, const F& r, const F& rp,
-                 const F& z, bool with_norm, double* out) const;
+                     const comm::HaloExchanger& halo,
+                     const comm::DistFieldBatchT<T>& b,
+                     comm::DistFieldBatchT<T>& x, comm::DistFieldBatchT<T>& r,
+                     comm::HaloFreshness fresh, bool overlap) const;
 
   /// Refresh x's halo and run sweep(lb, rect, spans) over every local
   /// block interior: blocking (exchange, then whole blocks) or, with
   /// overlap and a stale halo, split-phase (begin, halo-independent
   /// interiors, finish, rims). `spans` is the plan of `rect`, re-based
   /// to its origin.
-  template <class F, class Sweep>
+  template <typename T, class Sweep>
   void sweep_regions(comm::Communicator& comm,
-                     const comm::HaloExchanger& halo, F& x,
-                     comm::HaloFreshness fresh, bool overlap,
-                     const Sweep& sweep) const;
+                     const comm::HaloExchanger& halo,
+                     comm::DistFieldBatchT<T>& x, comm::HaloFreshness fresh,
+                     bool overlap, const Sweep& sweep) const;
 
   /// Record one sweep over every local interior for nb members:
   /// `per_point` flops per cell and member, and the ocean/swept census.
@@ -272,7 +235,7 @@ class DistOperator {
 
   /// Fault-injection point: offer the coefficient planes to the
   /// installed FaultInjector (kCoeffBitFlip) at the entry of every
-  /// sweep — scalar and batched, since both read the same planes. The
+  /// sweep, at every batch width, since all read the same planes. The
   /// corrupted sweep output rides into the iterates; the ABFT audit
   /// must catch it. Compiles to nothing when MINIPOP_FAULTS is off.
   void offer_coeff_fault_sites() const;

@@ -6,92 +6,96 @@
 namespace minipop::solver {
 
 namespace {
-std::uint64_t interior_points(const comm::DistField& f) {
-  std::uint64_t n = 0;
-  for (int lb = 0; lb < f.num_local_blocks(); ++lb) {
-    const auto& b = f.info(lb);
-    n += static_cast<std::uint64_t>(b.nx) * b.ny;
-  }
-  return n;
-}
-
-// Cost of a field-wide update: flops over every interior point, and the
-// plan's ocean census against the swept interior.
+// Cost of an update over the plan: flops on every interior point of
+// each updated member (a frozen member's solve has, logically, already
+// returned), and the plan's ocean census against the swept interior.
 void count_update(comm::Communicator& comm, std::uint64_t flops_per_point,
-                  const comm::DistField& x, const SpanPlan& plan) {
-  const std::uint64_t points = interior_points(x);
-  std::uint64_t active = 0;
+                  const comm::DistFieldBatch& x, const SpanPlan& plan,
+                  const unsigned char* active) {
+  std::uint64_t lanes = 0;
+  for (int m = 0; m < x.nb(); ++m)
+    if (!active || active[m]) ++lanes;
+  std::uint64_t points = 0;
+  for (int lb = 0; lb < x.num_local_blocks(); ++lb) {
+    const auto& b = x.info(lb);
+    points += static_cast<std::uint64_t>(b.nx) * b.ny;
+  }
+  std::uint64_t ocean = 0;
   for (const auto& bs : plan)
-    active += static_cast<std::uint64_t>(bs.active_points());
-  comm.costs().add_flops(flops_per_point * points);
-  comm.costs().add_points(active, points);
+    ocean += static_cast<std::uint64_t>(bs.active_points());
+  comm.costs().add_flops(flops_per_point * points * lanes);
+  comm.costs().add_points(ocean * lanes, points * lanes);
 }
 }  // namespace
 
-void lincomb(comm::Communicator& comm, double a, const comm::DistField& x,
-             double b, comm::DistField& y, const SpanPlan& plan) {
+void lincomb(comm::Communicator& comm, const double* a,
+             const comm::DistFieldBatch& x, const double* b,
+             comm::DistFieldBatch& y, const SpanPlan& plan,
+             const unsigned char* active) {
   MINIPOP_REQUIRE(x.compatible_with(y), "lincomb field mismatch");
   for (int lb = 0; lb < x.num_local_blocks(); ++lb)
-    kernels::lincomb(plan[lb].row_offset(), plan[lb].spans(), 1,
-                     x.info(lb).ny, &a, x.interior(lb), x.stride(lb), &b,
-                     y.interior(lb), y.stride(lb), nullptr);
-  count_update(comm, 2, x, plan);
+    kernels::lincomb(plan[lb].row_offset(), plan[lb].spans(), x.nb(),
+                     x.info(lb).ny, a, x.interior(lb), x.stride(lb), b,
+                     y.interior(lb), y.stride(lb), active);
+  count_update(comm, 2, x, plan, active);
 }
 
-void axpy(comm::Communicator& comm, double a, const comm::DistField& x,
-          comm::DistField& y, const SpanPlan& plan) {
+void axpy(comm::Communicator& comm, const double* a,
+          const comm::DistFieldBatch& x, comm::DistFieldBatch& y,
+          const SpanPlan& plan, const unsigned char* active) {
   MINIPOP_REQUIRE(x.compatible_with(y), "axpy field mismatch");
   for (int lb = 0; lb < x.num_local_blocks(); ++lb)
-    kernels::axpy(plan[lb].row_offset(), plan[lb].spans(), 1, x.info(lb).ny,
-                  &a, x.interior(lb), x.stride(lb), y.interior(lb),
-                  y.stride(lb), nullptr);
-  count_update(comm, 2, x, plan);
+    kernels::axpy(plan[lb].row_offset(), plan[lb].spans(), x.nb(),
+                  x.info(lb).ny, a, x.interior(lb), x.stride(lb),
+                  y.interior(lb), y.stride(lb), active);
+  count_update(comm, 2, x, plan, active);
 }
 
-void lincomb_axpy(comm::Communicator& comm, double a,
-                  const comm::DistField& x, double b, comm::DistField& y,
-                  double c, comm::DistField& z, const SpanPlan& plan) {
+void lincomb_axpy(comm::Communicator& comm, const double* a,
+                  const comm::DistFieldBatch& x, const double* b,
+                  comm::DistFieldBatch& y, const double* c,
+                  comm::DistFieldBatch& z, const SpanPlan& plan,
+                  const unsigned char* active) {
   MINIPOP_REQUIRE(x.compatible_with(y) && x.compatible_with(z),
                   "lincomb_axpy field mismatch");
   for (int lb = 0; lb < x.num_local_blocks(); ++lb)
-    kernels::lincomb_axpy(plan[lb].row_offset(), plan[lb].spans(), 1,
-                          x.info(lb).ny, &a, x.interior(lb), x.stride(lb),
-                          &b, y.interior(lb), y.stride(lb), &c,
-                          z.interior(lb), z.stride(lb), nullptr);
+    kernels::lincomb_axpy(plan[lb].row_offset(), plan[lb].spans(), x.nb(),
+                          x.info(lb).ny, a, x.interior(lb), x.stride(lb), b,
+                          y.interior(lb), y.stride(lb), c, z.interior(lb),
+                          z.stride(lb), active);
   // Same count as the lincomb + axpy it fuses: 2 + 2 ops/point.
-  count_update(comm, 4, x, plan);
+  count_update(comm, 4, x, plan, active);
 }
 
-void scale(comm::Communicator& comm, double a, comm::DistField& x,
-           const SpanPlan& plan) {
+void scale(comm::Communicator& comm, const double* a, comm::DistFieldBatch& x,
+           const SpanPlan& plan, const unsigned char* active) {
   for (int lb = 0; lb < x.num_local_blocks(); ++lb)
-    kernels::scale(plan[lb].row_offset(), plan[lb].spans(), 1, x.info(lb).ny,
-                   &a, x.interior(lb), x.stride(lb), nullptr);
-  count_update(comm, 1, x, plan);
-}
-
-void copy_interior(const comm::DistField& x, comm::DistField& y) {
-  MINIPOP_REQUIRE(x.compatible_with(y), "copy field mismatch");
-  for (int lb = 0; lb < x.num_local_blocks(); ++lb) {
-    const auto& info = x.info(lb);
-    kernels::copy(1, info.nx, info.ny, x.interior(lb), x.stride(lb),
-                  y.interior(lb), y.stride(lb));
-  }
-}
-
-void fill_interior(comm::DistField& x, double v) {
-  for (int lb = 0; lb < x.num_local_blocks(); ++lb) {
-    const auto& info = x.info(lb);
-    kernels::fill(1, info.nx, info.ny, v, x.interior(lb), x.stride(lb));
-  }
+    kernels::scale(plan[lb].row_offset(), plan[lb].spans(), x.nb(),
+                   x.info(lb).ny, a, x.interior(lb), x.stride(lb), active);
+  count_update(comm, 1, x, plan, active);
 }
 
 void copy_interior(const comm::DistFieldBatch& x, comm::DistFieldBatch& y) {
-  MINIPOP_REQUIRE(x.compatible_with(y), "batch copy field mismatch");
+  MINIPOP_REQUIRE(x.compatible_with(y), "copy field mismatch");
   for (int lb = 0; lb < x.num_local_blocks(); ++lb) {
     const auto& info = x.info(lb);
     kernels::copy(x.nb(), info.nx, info.ny, x.interior(lb), x.stride(lb),
                   y.interior(lb), y.stride(lb));
+  }
+}
+
+void fill_interior(comm::DistFieldBatch& x, double v) {
+  for (int lb = 0; lb < x.num_local_blocks(); ++lb) {
+    const auto& info = x.info(lb);
+    kernels::fill(x.nb(), info.nx, info.ny, v, x.interior(lb), x.stride(lb));
+  }
+}
+
+void fill_member(comm::DistFieldBatch& x, int m, double v) {
+  for (int lb = 0; lb < x.num_local_blocks(); ++lb) {
+    const auto& info = x.info(lb);
+    for (int j = 0; j < info.ny; ++j)
+      for (int i = 0; i < info.nx; ++i) x.at(lb, i, j, m) = v;
   }
 }
 

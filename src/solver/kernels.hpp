@@ -18,7 +18,7 @@
 //     double.
 //   * nb is the batch width. Each kernel dispatches nb == 1 to a width-1
 //     instantiation whose member loop collapses to the scalar loop (a
-//     DistField is a width-1 plane), and every other width to the
+//     DistField is the width-1 batch), and every other width to the
 //     dynamic-width instantiation.
 //
 // Batched fields are member-fastest interleaved SoA planes: member m of

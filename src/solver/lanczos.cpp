@@ -59,21 +59,25 @@ LanczosResult estimate_eigenvalue_bounds(comm::Communicator& comm,
   double beta = std::sqrt(comm.allreduce_sum(a.local_dot(comm, w, zw)));
   MINIPOP_REQUIRE(beta > 0.0, "Lanczos start vector has zero M-norm "
                               "(empty ocean?)");
+  const double inv_beta = 1.0 / beta;
   copy_interior(w, q);
-  scale(comm, 1.0 / beta, q, a.span_plan());
+  scale(comm, &inv_beta, q, a.span_plan());
   copy_interior(zw, zq);
-  scale(comm, 1.0 / beta, zq, a.span_plan());
+  scale(comm, &inv_beta, zq, a.span_plan());
   fill_interior(q_prev, 0.0);
   double beta_prev = 0.0;
 
   double last_min = 0.0, last_max = 0.0;
   for (int step = 1; step <= options.max_steps; ++step) {
     // w = A zq - beta_prev * q_prev.
-    a.apply(comm, halo, zq, w);
-    if (beta_prev != 0.0) axpy(comm, -beta_prev, q_prev, w, a.span_plan());
+    a.apply_batch(comm, halo, zq, w);
+    const double neg_beta_prev = -beta_prev;
+    if (beta_prev != 0.0)
+      axpy(comm, &neg_beta_prev, q_prev, w, a.span_plan());
 
     const double alpha = comm.allreduce_sum(a.local_dot(comm, zq, w));
-    axpy(comm, -alpha, q, w, a.span_plan());
+    const double neg_alpha = -alpha;
+    axpy(comm, &neg_alpha, q, w, a.span_plan());
 
     m.apply(comm, w, zw);
     double beta2 = comm.allreduce_sum(a.local_dot(comm, w, zw));
@@ -112,11 +116,12 @@ LanczosResult estimate_eigenvalue_bounds(comm::Communicator& comm,
     if (step == options.max_steps) break;
 
     result.tridiagonal.e.push_back(beta_new);
+    const double inv_beta_new = 1.0 / beta_new;
     copy_interior(q, q_prev);
     copy_interior(w, q);
-    scale(comm, 1.0 / beta_new, q, a.span_plan());
+    scale(comm, &inv_beta_new, q, a.span_plan());
     copy_interior(zw, zq);
-    scale(comm, 1.0 / beta_new, zq, a.span_plan());
+    scale(comm, &inv_beta_new, zq, a.span_plan());
     beta_prev = beta_new;
   }
 

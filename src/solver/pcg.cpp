@@ -20,7 +20,7 @@ SolveStats PcgSolver::solve(comm::Communicator& comm,
   comm::DistField p(a.decomposition(), a.rank(), x.halo());
   comm::DistField q(a.decomposition(), a.rank(), x.halo());
 
-  const double b_norm2 = a.global_dot(comm, b, b);
+  const double b_norm2 = comm.allreduce_sum(a.local_dot(comm, b, b));
   if (b_norm2 == 0.0) {
     fill_interior(x, 0.0);
     stats.converged = true;
@@ -59,10 +59,11 @@ SolveStats PcgSolver::solve(comm::Communicator& comm,
       if (stats.failure != FailureKind::kNone) break;
     }
 
+    const double one = 1.0;
     const double beta = rho / rho_old;
-    lincomb(comm, 1.0, z, beta, p, a.span_plan());  // p = z + beta p
+    lincomb(comm, &one, z, &beta, p, a.span_plan());  // p = z + beta p
 
-    a.apply(comm, halo, p, q);
+    a.apply_batch(comm, halo, p, q);
 
     // Reduction 2: sigma = p.q.
     const double sigma = comm.allreduce_sum(a.local_dot(comm, p, q));
@@ -75,8 +76,9 @@ SolveStats PcgSolver::solve(comm::Communicator& comm,
       break;
     }
     const double alpha = rho / sigma;
-    axpy(comm, alpha, p, x, a.span_plan());
-    axpy(comm, -alpha, q, r, a.span_plan());
+    const double neg_alpha = -alpha;
+    axpy(comm, &alpha, p, x, a.span_plan());
+    axpy(comm, &neg_alpha, q, r, a.span_plan());
     rho_old = rho;
   }
 
@@ -84,7 +86,7 @@ SolveStats PcgSolver::solve(comm::Communicator& comm,
     if (stats.failure == FailureKind::kNone)
       stats.failure = FailureKind::kMaxIters;
     stats.relative_residual =
-        std::sqrt(a.global_dot(comm, r, r) / b_norm2);
+        std::sqrt(comm.allreduce_sum(a.local_dot(comm, r, r)) / b_norm2);
   }
   stats.costs = comm.costs().since(snapshot);
   return stats;

@@ -7,14 +7,13 @@ namespace minipop::solver {
 
 namespace {
 
-// Both preconditioners are pointwise, so one body serves a DistField
-// (a width-1 plane) and a batch of any width. The span
-// kernels write 0 in the land gaps, which keeps every preconditioned
-// vector +0.0 on land.
+// Both preconditioners are pointwise over a batch of any width. The
+// span kernels write 0 in the land gaps, which keeps every
+// preconditioned vector +0.0 on land.
 
 /// out = in at ocean cells, 0 on land.
-template <class F>
-void copy_ocean(const DistOperator& op, const F& in, F& out) {
+void copy_ocean(const DistOperator& op, const comm::DistFieldBatch& in,
+                comm::DistFieldBatch& out) {
   MINIPOP_REQUIRE(in.compatible_with(out), "identity precond field mismatch");
   const SpanPlan& plan = op.span_plan();
   for (int lb = 0; lb < in.num_local_blocks(); ++lb) {
@@ -26,10 +25,9 @@ void copy_ocean(const DistOperator& op, const F& in, F& out) {
 }
 
 /// out = inv * in at ocean cells, 0 on land.
-template <class F>
 void scale_ocean(comm::Communicator& comm, const DistOperator& op,
-                 const std::vector<util::Field>& inv_diag, const F& in,
-                 F& out) {
+                 const std::vector<util::Field>& inv_diag,
+                 const comm::DistFieldBatch& in, comm::DistFieldBatch& out) {
   MINIPOP_REQUIRE(in.compatible_with(out), "diagonal precond field mismatch");
   const SpanPlan& plan = op.span_plan();
   const int nb = in.nb();
@@ -50,12 +48,6 @@ void scale_ocean(comm::Communicator& comm, const DistOperator& op,
 }
 
 }  // namespace
-
-void IdentityPreconditioner::apply(comm::Communicator& /*comm*/,
-                                   const comm::DistField& in,
-                                   comm::DistField& out) {
-  copy_ocean(*op_, in, out);
-}
 
 void IdentityPreconditioner::apply_batch(comm::Communicator& /*comm*/,
                                          const comm::DistFieldBatch& in,
@@ -80,12 +72,6 @@ DiagonalPreconditioner::DiagonalPreconditioner(const DistOperator& op)
       }
     inv_diag_.push_back(std::move(inv));
   }
-}
-
-void DiagonalPreconditioner::apply(comm::Communicator& comm,
-                                   const comm::DistField& in,
-                                   comm::DistField& out) {
-  scale_ocean(comm, *op_, inv_diag_, in, out);
 }
 
 void DiagonalPreconditioner::apply_batch(comm::Communicator& comm,

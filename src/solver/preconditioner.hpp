@@ -22,15 +22,18 @@ class Preconditioner {
  public:
   virtual ~Preconditioner() = default;
 
-  /// out = M^{-1} in over block interiors (land cells map to zero).
-  virtual void apply(comm::Communicator& comm, const comm::DistField& in,
-                     comm::DistField& out) = 0;
-
-  /// Batched multi-RHS apply: out_m = M^{-1} in_m for every member,
-  /// per member bit-identical to apply() on that member's plane.
+  /// out_m = M^{-1} in_m over block interiors for every member (land
+  /// cells map to zero), per member bit-identical to the width-1 apply
+  /// on that member's plane.
   virtual void apply_batch(comm::Communicator& comm,
                            const comm::DistFieldBatch& in,
                            comm::DistFieldBatch& out) = 0;
+
+  /// out = M^{-1} in for a single field: apply_batch at width 1.
+  void apply(comm::Communicator& comm, const comm::DistField& in,
+             comm::DistField& out) {
+    apply_batch(comm, in, out);
+  }
 
   virtual std::string name() const = 0;
 };
@@ -39,8 +42,6 @@ class Preconditioner {
 class IdentityPreconditioner final : public Preconditioner {
  public:
   explicit IdentityPreconditioner(const DistOperator& op) : op_(&op) {}
-  void apply(comm::Communicator& comm, const comm::DistField& in,
-             comm::DistField& out) override;
   void apply_batch(comm::Communicator& comm, const comm::DistFieldBatch& in,
                    comm::DistFieldBatch& out) override;
   std::string name() const override { return "identity"; }
@@ -53,8 +54,6 @@ class IdentityPreconditioner final : public Preconditioner {
 class DiagonalPreconditioner final : public Preconditioner {
  public:
   explicit DiagonalPreconditioner(const DistOperator& op);
-  void apply(comm::Communicator& comm, const comm::DistField& in,
-             comm::DistField& out) override;
   void apply_batch(comm::Communicator& comm, const comm::DistFieldBatch& in,
                    comm::DistFieldBatch& out) override;
   std::string name() const override { return "diagonal"; }

@@ -250,7 +250,7 @@ TEST(BatchDots, MatchScalarDotsBitwise) {
     a.local_dot3_batch(comm, ba, bb, bz, with_norm, out.data());
     for (int m = 0; m < nb; ++m) {
       double ref[3];
-      a.local_dot3(comm, ra[m], rb[m], rz[m], with_norm, ref);
+      a.local_dot3_batch(comm, ra[m], rb[m], rz[m], with_norm, ref);
       EXPECT_EQ(out[m], ref[0]) << "rho, member " << m;
       EXPECT_EQ(out[nb + m], ref[1]) << "delta, member " << m;
       EXPECT_EQ(out[2 * nb + m], ref[2])

@@ -366,10 +366,8 @@ TEST(ExchangeGroup, MatchesSingleExchangesBitwiseWithOneThirdMessages) {
     single_costs[r] = comm.costs().since(snap);
 
     snap = comm.costs().counters();
-    const mc::FieldSet sets[3] = {mc::FieldSet(b1), mc::FieldSet(b2),
-                                  mc::FieldSet(b3)};
-    hx.exchange_group<double>(
-        comm, std::span<const mc::FieldSet>(sets, 3));
+    mc::DistFieldBatch* const group[3] = {&b1, &b2, &b3};
+    hx.exchange_group<double>(comm, group);
     group_costs[r] = comm.costs().since(snap);
 
     // Every plane, halos included, bitwise equal to its own exchange.

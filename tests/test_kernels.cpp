@@ -426,7 +426,7 @@ TEST(DistOperatorFused, LocalDot3EqualsThreeLocalDots) {
 
   for (bool with_norm : {false, true}) {
     double out[3];
-    a.local_dot3(comm, r, rp, z, with_norm, out);
+    a.local_dot3_batch(comm, r, rp, z, with_norm, out);
     EXPECT_TRUE(bitwise_equal(out[0], a.local_dot(comm, r, rp)));
     EXPECT_TRUE(bitwise_equal(out[1], a.local_dot(comm, z, rp)));
     if (with_norm)
@@ -470,9 +470,10 @@ TEST(FieldOpsFused, LincombAxpyEqualsLincombThenAxpy) {
   load_random(*p.stencil, z1, rng);
   mc::DistField y2 = y1, z2 = z1;
 
-  ms::lincomb(comm, 0.9, x, -0.4, y1, a.span_plan());
-  ms::axpy(comm, 1.7, y1, z1, a.span_plan());
-  ms::lincomb_axpy(comm, 0.9, x, -0.4, y2, 1.7, z2, a.span_plan());
+  const double ca = 0.9, cb = -0.4, cc = 1.7;
+  ms::lincomb(comm, &ca, x, &cb, y1, a.span_plan());
+  ms::axpy(comm, &cc, y1, z1, a.span_plan());
+  ms::lincomb_axpy(comm, &ca, x, &cb, y2, &cc, z2, a.span_plan());
   for (int lb = 0; lb < a.num_local_blocks(); ++lb) {
     const auto& info = x.info(lb);
     for (int j = 0; j < info.ny; ++j)

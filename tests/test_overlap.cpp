@@ -418,28 +418,21 @@ TEST(OverlapOperator, SweepsBitwiseIdenticalIncludingThinBlocks) {
       x.load_global(global);
       b.load_global(p.b_global);
 
-      a.apply(comm, halo, x, y1);
-      a.apply_overlapped(comm, halo, x, y2);
-      a.residual(comm, halo, b, x, r1);
-      a.residual_overlapped(comm, halo, b, x, r2);
+      a.apply_batch(comm, halo, x, y1);
+      a.apply_overlapped_batch(comm, halo, x, y2);
+      a.residual_batch(comm, halo, b, x, r1);
+      a.residual_overlapped_batch(comm, halo, b, x, r2);
       for (int lb = 0; lb < x.num_local_blocks(); ++lb) {
         expect_fields_bitwise(y1.data(lb), y2.data(lb));
         expect_fields_bitwise(r1.data(lb), r2.data(lb));
       }
 
-      // The fused norm² sweeps are batch-only: compare them on width-1
-      // batches of the same fields.
-      mc::DistFieldBatch xb(*p.decomp, comm.rank(), 1),
-          bb(*p.decomp, comm.rank(), 1), rb1(*p.decomp, comm.rank(), 1),
-          rb2(*p.decomp, comm.rank(), 1);
-      xb.load_member(0, x);
-      bb.load_member(0, b);
       double n1 = 0.0, n2 = 0.0;
-      a.residual_local_norm2_batch(comm, halo, bb, xb, rb1, &n1);
-      a.residual_local_norm2_overlapped_batch(comm, halo, bb, xb, rb2, &n2);
+      a.residual_local_norm2_batch(comm, halo, b, x, r1, &n1);
+      a.residual_local_norm2_overlapped_batch(comm, halo, b, x, r2, &n2);
       EXPECT_EQ(n1, n2);
       for (int lb = 0; lb < x.num_local_blocks(); ++lb)
-        expect_fields_bitwise(rb1.data(lb), rb2.data(lb));
+        expect_fields_bitwise(r1.data(lb), r2.data(lb));
     });
   }
 }

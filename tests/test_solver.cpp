@@ -490,11 +490,12 @@ TEST(FieldOps, LincombAxpyScale) {
   mc::DistField x(d, 0), y(d, 0);
   ms::fill_interior(x, 2.0);
   ms::fill_interior(y, 3.0);
-  ms::lincomb(comm, 2.0, x, -1.0, y, plan);  // y = 2*2 - 3 = 1
+  const double two = 2.0, minus_one = -1.0, three = 3.0, half = 0.5;
+  ms::lincomb(comm, &two, x, &minus_one, y, plan);  // y = 2*2 - 3 = 1
   EXPECT_DOUBLE_EQ(y.at(0, 4, 4), 1.0);
-  ms::axpy(comm, 3.0, x, y, plan);  // y = 1 + 6 = 7
+  ms::axpy(comm, &three, x, y, plan);  // y = 1 + 6 = 7
   EXPECT_DOUBLE_EQ(y.at(0, 0, 0), 7.0);
-  ms::scale(comm, 0.5, y, plan);
+  ms::scale(comm, &half, y, plan);
   EXPECT_DOUBLE_EQ(y.at(0, 7, 7), 3.5);
   ms::copy_interior(x, y);
   EXPECT_DOUBLE_EQ(y.at(0, 3, 3), 2.0);

@@ -383,7 +383,7 @@ void expect_full_bitwise(const FieldT& a, const FieldT& b) {
 
 // The masked reference family swept over every local block of an
 // operator — the oracle of the operator-level checks. F is a DistField
-// or a batch (a DistField is a width-1 plane); halos must be fresh.
+// or a batch (a DistField is the width-1 batch); halos must be fresh.
 
 template <typename T>
 mk::Stencil9T<T> block_stencil(const ms::DistOperator& op, int lb) {
@@ -491,7 +491,7 @@ void operator_identity_case(int halo_width, std::uint64_t seed) {
   const ms::SpanPlan& plan = op.span_plan();
   ASSERT_EQ(static_cast<int>(plan.size()), op.num_local_blocks());
 
-  using Field = mc::DistFieldT<T>;
+  using Field = mc::DistField;
   Field x(*p.decomp, 0, halo_width), b(*p.decomp, 0, halo_width);
   mu::Field xg(nx, ny, 0.0);
   mu::Xoshiro256 rng(seed + 99);
@@ -502,12 +502,12 @@ void operator_identity_case(int halo_width, std::uint64_t seed) {
   b.load_global(p.b_global);
   halo.exchange(comm, x);
 
-  // --- single-field sweeps -----------------------------------------
+  // --- single-field (width-1) sweeps --------------------------------
   {
     // apply (pure skip: ocean cells bit-equal)
     Field y_s(*p.decomp, 0, halo_width), y_m(*p.decomp, 0, halo_width);
     Field xs_copy = x;
-    op.apply(comm, halo, xs_copy, y_s);
+    op.apply_batch(comm, halo, xs_copy, y_s);
     masked_apply(op, x, y_m);
     expect_ocean_bitwise(m, y_s, y_m);
 
@@ -529,7 +529,7 @@ void operator_identity_case(int halo_width, std::uint64_t seed) {
     masked_dot(op, r_m, y_m, &d_m);
     EXPECT_EQ(op.local_dot(comm, r_s, y_s), d_m);
     double d3_s[3], d3_m[3];
-    op.local_dot3(comm, r_s, y_s, b, true, d3_s);
+    op.local_dot3_batch(comm, r_s, y_s, b, true, d3_s);
     masked_dot3(op, r_m, y_m, b, d3_m);
     for (int k = 0; k < 3; ++k) EXPECT_EQ(d3_s[k], d3_m[k]);
 
@@ -552,19 +552,19 @@ void operator_identity_case(int halo_width, std::uint64_t seed) {
       for (int lb = 0; lb < op.num_local_blocks(); ++lb)
         fn(lb, u_m.info(lb).nx, u_m.info(lb).ny);
     };
-    ms::lincomb(comm, c1, y_s, c2, u_s, plan);
+    ms::lincomb(comm, &c1, y_s, &c2, u_s, plan);
     each_block([&](int lb, int bx, int by) {
       mk::masked::lincomb(1, bx, by, &c1, y_m.interior(lb), y_m.stride(lb),
                           &c2, u_m.interior(lb), u_m.stride(lb), nullptr);
     });
     expect_ocean_bitwise(m, u_s, u_m);
-    ms::axpy(comm, c3, y_s, u_s, plan);
+    ms::axpy(comm, &c3, y_s, u_s, plan);
     each_block([&](int lb, int bx, int by) {
       mk::masked::axpy(1, bx, by, &c3, y_m.interior(lb), y_m.stride(lb),
                        u_m.interior(lb), u_m.stride(lb), nullptr);
     });
     expect_ocean_bitwise(m, u_s, u_m);
-    ms::lincomb_axpy(comm, c4, y_s, c5, u_s, c6, z_s, plan);
+    ms::lincomb_axpy(comm, &c4, y_s, &c5, u_s, &c6, z_s, plan);
     each_block([&](int lb, int bx, int by) {
       mk::masked::lincomb_axpy(1, bx, by, &c4, y_m.interior(lb),
                                y_m.stride(lb), &c5, u_m.interior(lb),
@@ -573,7 +573,7 @@ void operator_identity_case(int halo_width, std::uint64_t seed) {
     });
     expect_ocean_bitwise(m, u_s, u_m);
     expect_ocean_bitwise(m, z_s, z_m);
-    ms::scale(comm, c7, u_s, plan);
+    ms::scale(comm, &c7, u_s, plan);
     each_block([&](int lb, int bx, int by) {
       mk::masked::scale(1, bx, by, &c7, u_m.interior(lb), u_m.stride(lb),
                         nullptr);
