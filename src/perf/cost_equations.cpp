@@ -30,6 +30,14 @@ double compute_ops_per_point(Config c) {
   return solver_ops + precond_ops;
 }
 
+namespace {
+/// Latency of one boundary update: 4 neighbor messages. A single rank
+/// sends nothing — its exchanges are local copies — so it pays none.
+double exchange_latency(const MachineProfile& m, int p) {
+  return p > 1 ? 4.0 * m.alpha_p2p : 0.0;
+}
+}  // namespace
+
 double reductions_per_iteration(Config c, int check_frequency) {
   MINIPOP_REQUIRE(check_frequency >= 1,
                   "check_frequency=" << check_frequency);
@@ -60,13 +68,14 @@ IterationCosts iteration_costs(const MachineProfile& m, Config c,
   // (width-2 halo), 8 bytes per point (paper §2.2). Rims move dense —
   // land bytes included — so this term does not scale with land.
   const double halo_bytes = 8.0 * n_linear / std::sqrt(p) * 8.0;
-  out.halo = 4.0 * m.alpha_p2p + halo_bytes * m.beta;
+  out.halo = exchange_latency(m, p) + halo_bytes * m.beta;
 
-  // Global reduction: local masking + binomial tree of log2(p) hops.
-  // The masked partial sum reads ocean cells only under spans.
+  // Global reduction: local masking + binomial tree of log2(p) hops
+  // (none on one rank). The masked partial sum reads ocean cells only
+  // under spans.
   const double reductions = reductions_per_iteration(c, check_frequency);
-  const double tree = std::log2(std::max(2.0, static_cast<double>(p))) *
-                      m.alpha_reduce(p);
+  const double tree =
+      p > 1 ? std::log2(static_cast<double>(p)) * m.alpha_reduce(p) : 0.0;
   out.reduction =
       reductions *
       (kMaskOpsPerPoint * pts_per_rank * ocean_fraction * m.theta + tree);
@@ -115,7 +124,7 @@ IterationCosts comm_avoid_iteration_costs(const MachineProfile& m, Config c,
   // k; the payload carries width-k rims of the THREE iteration fields
   // {x, dx, r} (vs the baseline's one width-2 rim of x per iteration).
   const double group_bytes = 3.0 * 4.0 * k * s * 8.0;
-  out.halo = (4.0 * m.alpha_p2p + group_bytes * m.beta) / k;
+  out.halo = (exchange_latency(m, p) + group_bytes * m.beta) / k;
   return out;
 }
 

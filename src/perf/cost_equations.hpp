@@ -41,7 +41,9 @@ struct IterationCosts {
 
 /// Cost of ONE solver iteration on `p` ranks for a grid of `points`
 /// total cells (paper's N^2). Halo: 4 messages of (8 sqrt(points) /
-/// sqrt(p)) points each iteration (halo width 2, Eq. in §2.2).
+/// sqrt(p)) points each iteration (halo width 2, Eq. in §2.2). On one
+/// rank nothing is sent, so message and reduction-tree latency are
+/// charged only when p > 1.
 IterationCosts iteration_costs(const MachineProfile& m, Config c,
                                long points, int p, int check_frequency);
 

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <string>
 #include <vector>
@@ -563,6 +564,26 @@ TEST(DepthAutotuner, LatencyBoundPicksDeepRimsComputeBoundPicksOne) {
   EXPECT_EQ(mp::choose_halo_depth(lat, mp::Config::kCgDiag, 3600L * 2400,
                                   16384, 10),
             1);
+}
+
+TEST(DepthAutotuner, SingleRankPicksDepthOne) {
+  // One rank sends nothing: its exchanges are local copies and its
+  // reductions have no tree, so deeper rims save no latency and add
+  // redundant flops. ocean_simulation's default grid (38x46, 77% ocean)
+  // once resolved auto to depth 2 on one rank, which ran ~1.4x slower
+  // than depth 1 for the same iterations.
+  const mp::MachineProfile m = mp::yellowstone_profile();
+  for (const long points : {38L * 46, 64L * 77, 3600L * 2400})
+    for (const double ocean : {0.767, 1.0})
+      EXPECT_EQ(mp::choose_halo_depth(m, mp::Config::kPcsiDiag, points, 1,
+                                      10, 4, ocean),
+                1)
+          << points << " points, ocean fraction " << ocean;
+  const double n = 38.0 * 46.0;
+  const auto c =
+      mp::iteration_costs(m, mp::Config::kPcsiDiag, 38L * 46, 1, 10);
+  EXPECT_DOUBLE_EQ(c.halo, 64.0 * std::sqrt(n) * m.beta);
+  EXPECT_DOUBLE_EQ(c.reduction, 0.1 * mp::kMaskOpsPerPoint * n * m.theta);
 }
 
 TEST(DepthAutotuner, DepthRespectsMaxBound) {
