@@ -12,8 +12,10 @@
 using namespace minipop;
 
 int main(int argc, char** argv) {
-  util::Cli cli(argc, argv);
-  auto c = bench::make_live_case("1deg", cli.get_double("scale", 0.2), 12);
+  const util::Cli cli(argc, argv);
+  const double scale = cli.get_double("scale", 0.2);
+  bench::reject_unread_options(cli, "[--scale=0.2]");
+  auto c = bench::make_live_case("1deg", scale, 12);
 
   bench::print_header("Ablation: check frequency",
                       "live P-CSI iterations & reductions vs check "

@@ -41,7 +41,9 @@ double tile_error(int n) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::Cli cli(argc, argv);
+  const util::Cli cli(argc, argv);
+  const double scale = cli.get_double("scale", 0.2);
+  bench::reject_unread_options(cli, "[--scale=0.2]");
 
   bench::print_header("Ablation: EVP tile size",
                       "marching round-off vs tile size (paper Sec. 4.3: "
@@ -58,7 +60,7 @@ int main(int argc, char** argv) {
   bench::print_header("Ablation: EVP tile size",
                       "preconditioner strength: ChronGear iterations vs "
                       "max tile (live 1deg-scaled grid)");
-  auto c = bench::make_live_case("1deg", cli.get_double("scale", 0.2), 12);
+  auto c = bench::make_live_case("1deg", scale, 12);
   util::Table t2({"max tile", "chrongear iterations"});
   // Diagonal baseline.
   {

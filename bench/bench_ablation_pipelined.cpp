@@ -157,9 +157,9 @@ bool write_json(const std::string& path, int nx, int ny, int nranks,
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::Cli cli(argc, argv);
   const std::string json_path =
-      cli.positional().empty() ? "BENCH_overlap.json" : cli.positional()[0];
+      bench::parse_bench_args(argc, argv, "BENCH_overlap.json", false)
+          .json_path;
   auto grid = perf::pop_0p1deg_case();
   auto machine = perf::yellowstone_profile();
   perf::PopTimingModel model(machine, grid,

@@ -97,6 +97,14 @@ void print_header(const std::string& experiment, const std::string& what) {
             << "==============================================================\n";
 }
 
+void reject_unread_options(const util::Cli& cli, const std::string& usage) {
+  try {
+    cli.reject_unread();
+  } catch (const util::Error& e) {
+    std::exit(cli.usage_error(e, usage));
+  }
+}
+
 BenchArgs parse_bench_args(int argc, char** argv,
                            const std::string& default_json, bool has_smoke) {
   const util::Cli cli(argc, argv);

@@ -62,6 +62,12 @@ solver::SolverConfig config_for(perf::Config c, double rel_tolerance,
 /// Standard bench banner.
 void print_header(const std::string& experiment, const std::string& what);
 
+/// Ends the option parsing of a figure/ablation bench; call it after the
+/// last lookup. An option the bench never looked up (a misspelled flag
+/// would otherwise run silently with the defaults) prints the error and
+/// "usage: <program> <usage>" to stderr and exits with status 2.
+void reject_unread_options(const util::Cli& cli, const std::string& usage);
+
 /// Command line of the benches with their own main():
 /// `[--smoke] [output.json]`.
 struct BenchArgs {

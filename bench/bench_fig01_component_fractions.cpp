@@ -9,7 +9,8 @@
 using namespace minipop;
 
 int main(int argc, char** argv) {
-  util::Cli cli(argc, argv);
+  const util::Cli cli(argc, argv);
+  bench::reject_unread_options(cli, "(no options)");
   auto grid = perf::pop_0p1deg_case();
   perf::PopTimingModel model(perf::yellowstone_profile(), grid,
                              perf::paper_iteration_model(grid));
@@ -34,6 +35,5 @@ int main(int argc, char** argv) {
   std::cout << "\nShape check: the barotropic share grows monotonically "
                "with cores while the\nbaroclinic share falls — the "
                "communication bottleneck of paper Sec. 2.\n";
-  (void)cli;
   return 0;
 }

@@ -10,7 +10,8 @@
 using namespace minipop;
 
 int main(int argc, char** argv) {
-  util::Cli cli(argc, argv);
+  const util::Cli cli(argc, argv);
+  bench::reject_unread_options(cli, "(no options)");
   auto grid = perf::pop_0p1deg_case();
   perf::PopTimingModel model(perf::yellowstone_profile(), grid,
                              perf::paper_iteration_model(grid));
@@ -29,6 +30,5 @@ int main(int argc, char** argv) {
   std::cout << "\nShape check: reduction has an interior minimum near "
                "~1,200 cores and dominates\nbeyond a couple thousand "
                "cores (paper Sec. 2.2).\n";
-  (void)cli;
   return 0;
 }

@@ -14,8 +14,9 @@
 using namespace minipop;
 
 int main(int argc, char** argv) {
-  util::Cli cli(argc, argv);
+  const util::Cli cli(argc, argv);
   const int n = cli.get_int("block", 4);  // block edge; domain is 3x3 blocks
+  bench::reject_unread_options(cli, "[--block=4]");
   const int nx = 3 * n;
 
   grid::GridSpec spec;

@@ -14,8 +14,9 @@
 using namespace minipop;
 
 int main(int argc, char** argv) {
-  util::Cli cli(argc, argv);
+  const util::Cli cli(argc, argv);
   const int n = cli.get_int("n", 8);
+  bench::reject_unread_options(cli, "[--n=8]");
 
   grid::GridSpec spec;
   spec.kind = grid::GridKind::kUniform;

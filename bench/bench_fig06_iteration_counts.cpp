@@ -15,11 +15,13 @@
 using namespace minipop;
 
 int main(int argc, char** argv) {
-  util::Cli cli(argc, argv);
+  const util::Cli cli(argc, argv);
   const double scale1 = cli.get_double("scale1", 0.25);
   const double scale01 = cli.get_double("scale01", 0.05);
   const double tol = cli.get_double("tol", 1e-12);
   const int block = cli.get_int("block", 12);
+  bench::reject_unread_options(
+      cli, "[--scale1=0.25] [--scale01=0.05] [--tol=1e-12] [--block=12]");
 
   bench::print_header("Figure 6",
                       "average solver iterations (live solves on scaled "

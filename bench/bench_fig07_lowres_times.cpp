@@ -9,7 +9,8 @@
 using namespace minipop;
 
 int main(int argc, char** argv) {
-  util::Cli cli(argc, argv);
+  const util::Cli cli(argc, argv);
+  bench::reject_unread_options(cli, "(no options)");
   auto grid = perf::pop_1deg_case();
   perf::PopTimingModel model(perf::yellowstone_profile(), grid,
                              perf::paper_iteration_model(grid));
@@ -34,6 +35,5 @@ int main(int argc, char** argv) {
   std::cout << "\nAt 768 cores: chrongear+diag " << cg << " s vs pcsi+evp "
             << pe << " s -> speedup " << cg / pe
             << "x (paper: 0.58 -> 0.37, 1.6x).\n";
-  (void)cli;
   return 0;
 }

@@ -10,7 +10,8 @@
 using namespace minipop;
 
 int main(int argc, char** argv) {
-  util::Cli cli(argc, argv);
+  const util::Cli cli(argc, argv);
+  bench::reject_unread_options(cli, "(no options)");
   auto grid = perf::pop_0p1deg_case();
   perf::PopTimingModel model(perf::yellowstone_profile(), grid,
                              perf::paper_iteration_model(grid));
@@ -55,6 +56,5 @@ int main(int argc, char** argv) {
             << " -> "
             << model.simulated_years_per_day(perf::Config::kPcsiEvp, 16875)
             << " SYPD (paper 6.2 -> 10.5).\n";
-  (void)cli;
   return 0;
 }

@@ -8,7 +8,8 @@
 using namespace minipop;
 
 int main(int argc, char** argv) {
-  util::Cli cli(argc, argv);
+  const util::Cli cli(argc, argv);
+  bench::reject_unread_options(cli, "(no options)");
   auto grid = perf::pop_0p1deg_case();
   perf::PopTimingModel model(perf::yellowstone_profile(), grid,
                              perf::paper_iteration_model(grid));
@@ -32,6 +33,5 @@ int main(int argc, char** argv) {
   t.print(std::cout);
   std::cout << "\nShape check: compare with Figure 1 — the solver share "
                "no longer explodes at\nhigh core counts.\n";
-  (void)cli;
   return 0;
 }

@@ -10,7 +10,8 @@
 using namespace minipop;
 
 int main(int argc, char** argv) {
-  util::Cli cli(argc, argv);
+  const util::Cli cli(argc, argv);
+  bench::reject_unread_options(cli, "(no options)");
   auto grid = perf::pop_0p1deg_case();
   perf::PopTimingModel model(perf::yellowstone_profile(), grid,
                              perf::paper_iteration_model(grid));
@@ -46,6 +47,5 @@ int main(int argc, char** argv) {
                "magnitude below ChronGear's;\nreduction decreases below "
                "~1,200 cores then grows (paper Sec. 5.2); EVP halves the\n"
                "boundary totals via fewer iterations.\n";
-  (void)cli;
   return 0;
 }

@@ -8,7 +8,8 @@
 using namespace minipop;
 
 int main(int argc, char** argv) {
-  util::Cli cli(argc, argv);
+  const util::Cli cli(argc, argv);
+  bench::reject_unread_options(cli, "(no options)");
   auto grid = perf::pop_0p1deg_case();
   perf::PopTimingModel model(perf::edison_profile(), grid,
                              perf::paper_iteration_model(grid));
@@ -47,6 +48,5 @@ int main(int argc, char** argv) {
                         .total()
             << "x (paper 5.6x). Performance characteristics mirror "
                "Yellowstone (paper Sec. 5.3).\n";
-  (void)cli;
   return 0;
 }

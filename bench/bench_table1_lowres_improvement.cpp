@@ -9,7 +9,8 @@
 using namespace minipop;
 
 int main(int argc, char** argv) {
-  util::Cli cli(argc, argv);
+  const util::Cli cli(argc, argv);
+  bench::reject_unread_options(cli, "(no options)");
   auto grid = perf::pop_1deg_case();
   perf::PopTimingModel model(perf::yellowstone_profile(), grid,
                              perf::paper_iteration_model(grid));
@@ -37,6 +38,5 @@ int main(int argc, char** argv) {
   t.print(std::cout);
   std::cout << "\nShape check: improvements grow with core count; pcsi+evp "
                "can be slightly\nnegative at 48 cores (paper: -2.4%).\n";
-  (void)cli;
   return 0;
 }
