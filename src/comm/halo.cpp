@@ -184,7 +184,8 @@ HaloHandleT<T>::~HaloHandleT() {
 template <typename T>
 void HaloHandleT<T>::finish() {
   if (!active()) return;
-  const int w = field_->nb();
+  const int h = fields_.front()->halo();
+  const int w = fields_.front()->nb();
   // Complete in post order — the same receive order as the blocking
   // exchange, so the unpacked halos are bitwise identical to it.
   for (PendingRecv& p : recvs_) {
@@ -207,11 +208,18 @@ void HaloHandleT<T>::finish() {
             "corruption detected)");
       }
     }
-    unpack_w<T>(field_->data(p.lb), field_->halo(), w, p.dst, payload);
+    // Each field's rim is one segment of the message, in caller order.
+    const std::size_t seg = static_cast<std::size_t>(p.dst.ni) * w * p.dst.nj;
+    for (std::size_t s = 0; s < fields_.size(); ++s)
+      unpack_w<T>(fields_[s]->data(p.lb), h, w, p.dst,
+                  payload.subspan(s * seg, seg));
   }
-  comm_->costs().add_halo_exchange(w);
+  // One round, refreshing every field's planes: halo latency is paid
+  // once for the whole group — the counter the comm-avoiding audits
+  // watch.
+  comm_->costs().add_halo_exchange(w * static_cast<int>(fields_.size()));
   recvs_.clear();
-  field_ = nullptr;
+  fields_.clear();
   comm_ = nullptr;
 }
 
@@ -219,31 +227,44 @@ HaloExchanger::HaloExchanger(const grid::Decomposition& decomp)
     : decomp_(&decomp) {}
 
 template <typename T>
-HaloHandleT<T> HaloExchanger::begin(Communicator& comm,
-                                    DistFieldBatchT<T>& f) const {
-  MINIPOP_REQUIRE(&f.decomposition() == decomp_,
+HaloHandleT<T> HaloExchanger::begin_group(
+    Communicator& comm, std::span<DistFieldBatchT<T>* const> fields) const {
+  MINIPOP_REQUIRE(!fields.empty(), "halo exchange of an empty group");
+  const DistFieldBatchT<T>& f0 = *fields.front();
+  MINIPOP_REQUIRE(&f0.decomposition() == decomp_,
                   "field belongs to a different decomposition");
-  const int h = f.halo();
-  const int w = f.nb();
-  const int my_rank = f.rank();
+  for (const DistFieldBatchT<T>* f : fields) {
+    MINIPOP_REQUIRE(&f->decomposition() == decomp_ &&
+                        f->rank() == f0.rank() &&
+                        f->halo() == f0.halo() && f->nb() == f0.nb(),
+                    "group members must share decomposition, rank, halo "
+                    "width and batch width");
+  }
+  const int h = f0.halo();
+  const int w = f0.nb();
+  const int my_rank = f0.rank();
   const int epoch = comm.next_tag_epoch();
   std::vector<T> buf;
 
   HaloHandleT<T> handle;
   handle.comm_ = &comm;
-  handle.field_ = &f;
+  handle.fields_.assign(fields.begin(), fields.end());
   handle.crc_ = crc_enabled_;
 
   // Phase 1: post all remote sends (eager, complete at post time) —
-  // ONE message per (block, direction) carrying all w members.
-  for (int lb = 0; lb < f.num_local_blocks(); ++lb) {
-    const auto& b = f.info(lb);
+  // ONE message per (block, direction) carrying all w members of every
+  // field, the fields' rims back to back in caller order.
+  for (int lb = 0; lb < f0.num_local_blocks(); ++lb) {
+    const auto& b = f0.info(lb);
     for (Dir d : kExchangeDirs) {
       const int nid = decomp_->neighbor(b.id, d);
       if (nid < 0) continue;
       const int owner = decomp_->block(nid).owner;
       if (owner == my_rank) continue;
-      pack_w<T>(f.data(lb), h, w, send_region(d, b.nx, b.ny, h), buf);
+      const HaloRegion src = send_region(d, b.nx, b.ny, h);
+      buf.clear();
+      for (const DistFieldBatchT<T>* f : fields)
+        pack_append_w<T>(f->data(lb), h, w, src, buf);
       // The fault sites corrupt a single solve's halos (width 1):
       // members of wider batches recover through per-member sub-batches
       // of the resilient decorator rather than through injected wire
@@ -266,10 +287,10 @@ HaloHandleT<T> HaloExchanger::begin(Communicator& comm,
     }
   }
 
-  // Phase 2: post all remote receives (same traversal order as the
-  // blocking receive loop, so finish() unpacks in that order).
-  for (int lb = 0; lb < f.num_local_blocks(); ++lb) {
-    const auto& b = f.info(lb);
+  // Phase 2: post all remote receives, each sized for every field (same
+  // traversal order as the sends, so finish() unpacks in that order).
+  for (int lb = 0; lb < f0.num_local_blocks(); ++lb) {
+    const auto& b = f0.info(lb);
     for (Dir d : kExchangeDirs) {
       const int nid = decomp_->neighbor(b.id, d);
       if (nid < 0) continue;
@@ -277,7 +298,8 @@ HaloHandleT<T> HaloExchanger::begin(Communicator& comm,
       if (nbk.owner == my_rank) continue;
       const HaloRegion dst = halo_region(d, b.nx, b.ny, h);
       typename HaloHandleT<T>::PendingRecv p;
-      p.buf.resize(static_cast<std::size_t>(dst.ni) * w * dst.nj +
+      p.buf.resize(static_cast<std::size_t>(dst.ni) * w * dst.nj *
+                       fields.size() +
                    (crc_enabled_ ? 1 : 0));
       p.lb = lb;
       p.dst = dst;
@@ -289,108 +311,7 @@ HaloHandleT<T> HaloExchanger::begin(Communicator& comm,
     }
   }
 
-  // Phase 3: local copies and zero fills (no communication).
-  for (int lb = 0; lb < f.num_local_blocks(); ++lb) {
-    const auto& b = f.info(lb);
-    for (Dir d : kExchangeDirs) {
-      const int nid = decomp_->neighbor(b.id, d);
-      const HaloRegion dst = halo_region(d, b.nx, b.ny, h);
-      if (nid < 0) {
-        zero_region_w<T>(f.data(lb), h, w, dst);
-        continue;
-      }
-      const auto& nbk = decomp_->block(nid);
-      if (nbk.owner != my_rank) continue;  // remote: posted in phase 2
-      const int nlb = f.local_index(nid);
-      MINIPOP_ASSERT(nlb >= 0);
-      pack_w<T>(f.data(nlb), h, w,
-                send_region(opposite(d), nbk.nx, nbk.ny, h), buf);
-      unpack_w<T>(f.data(lb), h, w, dst, buf);
-    }
-  }
-
-  return handle;
-}
-
-template <typename T>
-void HaloExchanger::exchange_group(
-    Communicator& comm, std::span<DistFieldBatchT<T>* const> fields) const {
-  MINIPOP_REQUIRE(!fields.empty(), "halo exchange of an empty group");
-  const DistFieldBatchT<T>& f0 = *fields.front();
-  MINIPOP_REQUIRE(&f0.decomposition() == decomp_,
-                  "field belongs to a different decomposition");
-  for (const DistFieldBatchT<T>* f : fields) {
-    MINIPOP_REQUIRE(&f->decomposition() == decomp_ &&
-                        f->rank() == f0.rank() &&
-                        f->halo() == f0.halo() && f->nb() == f0.nb(),
-                    "group members must share decomposition, rank, halo "
-                    "width and batch width");
-  }
-  const int h = f0.halo();
-  const int w = f0.nb();
-  const int my_rank = f0.rank();
-  const int epoch = comm.next_tag_epoch();
-  std::vector<T> buf;
-
-  struct GroupRecv {
-    std::vector<T> buf;  // before request: see PendingRecv's ordering note
-    int lb = 0;
-    HaloRegion dst{};
-    Request request;
-  };
-  std::vector<GroupRecv> recvs;
-
-  // Phase 1: one eager send per (block, direction) concatenating every
-  // field's rim back to back (field order = caller order).
-  for (int lb = 0; lb < f0.num_local_blocks(); ++lb) {
-    const auto& b = f0.info(lb);
-    for (Dir d : kExchangeDirs) {
-      const int nid = decomp_->neighbor(b.id, d);
-      if (nid < 0) continue;
-      const int owner = decomp_->block(nid).owner;
-      if (owner == my_rank) continue;
-      const HaloRegion src = send_region(d, b.nx, b.ny, h);
-      buf.clear();
-      for (const DistFieldBatchT<T>* f : fields)
-        pack_append_w<T>(f->data(lb), h, w, src, buf);
-      if (w == 1) fault::hook_halo_payload(my_rank, buf.data(), buf.size());
-      if (crc_enabled_) {
-        const std::size_t payload = buf.size();
-        buf.push_back(encode_crc<T>(
-            util::crc32c(buf.data(), payload * sizeof(T))));
-        fault::hook_halo_bitflip(
-            my_rank, reinterpret_cast<unsigned char*>(buf.data()),
-            payload * sizeof(T));
-      }
-      comm.isend(owner, message_tag(epoch, b.id, d),
-                 std::span<const T>(buf));
-    }
-  }
-
-  // Phase 2: one receive per (block, direction), sized for all fields.
-  for (int lb = 0; lb < f0.num_local_blocks(); ++lb) {
-    const auto& b = f0.info(lb);
-    for (Dir d : kExchangeDirs) {
-      const int nid = decomp_->neighbor(b.id, d);
-      if (nid < 0) continue;
-      const auto& nbk = decomp_->block(nid);
-      if (nbk.owner == my_rank) continue;
-      const HaloRegion dst = halo_region(d, b.nx, b.ny, h);
-      GroupRecv p;
-      p.buf.resize(static_cast<std::size_t>(dst.ni) * w * dst.nj *
-                       fields.size() +
-                   (crc_enabled_ ? 1 : 0));
-      p.lb = lb;
-      p.dst = dst;
-      recvs.push_back(std::move(p));
-      GroupRecv& posted = recvs.back();
-      posted.request =
-          comm.irecv(nbk.owner, message_tag(epoch, nid, opposite(d)),
-                     std::span<T>(posted.buf));
-    }
-  }
-
-  // Phase 3: local copies and zero fills, per field.
+  // Phase 3: local copies and zero fills, per field (no communication).
   for (int lb = 0; lb < f0.num_local_blocks(); ++lb) {
     const auto& b = f0.info(lb);
     for (Dir d : kExchangeDirs) {
@@ -402,7 +323,7 @@ void HaloExchanger::exchange_group(
         continue;
       }
       const auto& nbk = decomp_->block(nid);
-      if (nbk.owner != my_rank) continue;
+      if (nbk.owner != my_rank) continue;  // remote: posted in phase 2
       const int nlb = f0.local_index(nid);
       MINIPOP_ASSERT(nlb >= 0);
       const HaloRegion src = send_region(opposite(d), nbk.nx, nbk.ny, h);
@@ -413,32 +334,7 @@ void HaloExchanger::exchange_group(
     }
   }
 
-  // Wait in post order and unpack each field's segment.
-  for (GroupRecv& p : recvs) {
-    p.request.wait();
-    std::span<const T> payload(p.buf);
-    if (crc_enabled_) {
-      payload = payload.first(payload.size() - 1);
-      const std::uint32_t want = decode_crc<T>(p.buf.back());
-      const std::uint32_t got =
-          util::crc32c(payload.data(), payload.size_bytes());
-      comm.costs().add_integrity_check(got != want);
-      if (got != want) {
-        comm.declare_desync();
-        throw CorruptPayloadError(
-            "halo payload failed CRC32C verification (silent wire "
-            "corruption detected)");
-      }
-    }
-    const std::size_t seg =
-        static_cast<std::size_t>(p.dst.ni) * w * p.dst.nj;
-    for (std::size_t s = 0; s < fields.size(); ++s)
-      unpack_w<T>(fields[s]->data(p.lb), h, w, p.dst,
-                  payload.subspan(s * seg, seg));
-  }
-  // One round, refreshing all fields' planes: halo latency is paid once
-  // for the whole group — the counter the comm-avoiding audits watch.
-  comm.costs().add_halo_exchange(w * static_cast<int>(fields.size()));
+  return handle;
 }
 
 template <typename T>
@@ -465,10 +361,8 @@ std::uint64_t HaloExchanger::bytes_sent_per_exchange(
 template class HaloHandleT<double>;
 
 #define MINIPOP_HALO_INSTANTIATE(T)                                        \
-  template void HaloExchanger::exchange_group<T>(                          \
+  template HaloHandleT<T> HaloExchanger::begin_group<T>(                   \
       Communicator&, std::span<DistFieldBatchT<T>* const>) const;          \
-  template HaloHandleT<T> HaloExchanger::begin<T>(                         \
-      Communicator&, DistFieldBatchT<T>&) const;                           \
   template std::uint64_t HaloExchanger::bytes_sent_per_exchange<T>(        \
       const DistFieldBatchT<T>&) const;
 MINIPOP_HALO_INSTANTIATE(double)

@@ -55,11 +55,11 @@ struct HaloRegion {
 };
 }  // namespace detail
 
-/// One in-flight split-phase halo exchange of a batch (a DistField is
-/// the width-1 batch). Owns the posted receive requests and their
-/// landing buffers; finish() completes them in post order (matching the
-/// blocking exchange) and unpacks into the batch's halo. The batch and
-/// communicator must outlive the handle. finish() must be called
+/// One in-flight split-phase halo exchange of one batch or a group of
+/// same-shape batches (a DistField is the width-1 batch). Owns the
+/// posted receive requests and their landing buffers; finish() completes
+/// them in post order (matching the blocking exchange) and unpacks into
+/// the halos. The batches and communicator must outlive the handle. finish() must be called
 /// exactly once per begin(); the destructor finishes a still-active
 /// handle as a safety net (swallowing errors, since it may run while
 /// unwinding a poisoned team). A moved-from handle is inactive.
@@ -69,7 +69,7 @@ class HaloHandleT {
   HaloHandleT() = default;
   HaloHandleT(HaloHandleT&& o) noexcept
       : comm_(std::exchange(o.comm_, nullptr)),
-        field_(std::exchange(o.field_, nullptr)),
+        fields_(std::exchange(o.fields_, {})),
         recvs_(std::move(o.recvs_)),
         crc_(o.crc_) {}
   HaloHandleT& operator=(HaloHandleT&&) = delete;
@@ -77,11 +77,11 @@ class HaloHandleT {
   HaloHandleT& operator=(const HaloHandleT&) = delete;
   ~HaloHandleT();
 
-  bool active() const { return field_ != nullptr; }
+  bool active() const { return !fields_.empty(); }
 
-  /// Wait for all receives, unpack the halo, and count the exchange
-  /// (one round refreshing nb member planes). No-op on an inactive
-  /// handle.
+  /// Wait for all receives, unpack the halos, and count the exchange
+  /// (one round refreshing nb member planes per field). No-op on an
+  /// inactive handle.
   void finish();
 
  private:
@@ -101,7 +101,7 @@ class HaloHandleT {
   };
 
   Communicator* comm_ = nullptr;
-  DistFieldBatchT<T>* field_ = nullptr;
+  std::vector<DistFieldBatchT<T>*> fields_;  ///< caller order
   std::vector<PendingRecv> recvs_;
   /// Copied from the exchanger at begin(): each pending buffer carries a
   /// one-element CRC32C trailer to verify before unpacking.
@@ -133,7 +133,10 @@ class HaloExchanger {
   /// fault sites target a single solve; members of wider batches
   /// recover through per-member sub-batches (DESIGN.md §10, §11).
   template <typename T>
-  HaloHandleT<T> begin(Communicator& comm, DistFieldBatchT<T>& field) const;
+  HaloHandleT<T> begin(Communicator& comm, DistFieldBatchT<T>& field) const {
+    DistFieldBatchT<T>* const one[1] = {&field};
+    return begin_group<T>(comm, one);
+  }
 
   /// Aggregated deep-halo exchange of several same-shape batches (the
   /// communication-avoiding solvers' once-per-group refresh of
@@ -147,7 +150,9 @@ class HaloExchanger {
   /// groups exactly like the single-field path. Blocking.
   template <typename T>
   void exchange_group(Communicator& comm,
-                      std::span<DistFieldBatchT<T>* const> fields) const;
+                      std::span<DistFieldBatchT<T>* const> fields) const {
+    begin_group<T>(comm, fields).finish();
+  }
 
   /// Bytes this rank sends per exchange of `field` (for cost
   /// reporting). Scales with the batch width: a batch reports nb x the
@@ -171,15 +176,20 @@ class HaloExchanger {
   bool crc() const { return crc_enabled_; }
 
  private:
+  /// The one engine behind begin() and exchange_group(): split-phase
+  /// exchange of every field of the group, one message per (block,
+  /// neighbor) for all of them.
+  template <typename T>
+  HaloHandleT<T> begin_group(Communicator& comm,
+                             std::span<DistFieldBatchT<T>* const> fields) const;
+
   const grid::Decomposition* decomp_;
   bool crc_enabled_ = false;
 };
 
 #define MINIPOP_HALO_EXTERN(T)                                             \
-  extern template void HaloExchanger::exchange_group<T>(                   \
+  extern template HaloHandleT<T> HaloExchanger::begin_group<T>(            \
       Communicator&, std::span<DistFieldBatchT<T>* const>) const;          \
-  extern template HaloHandleT<T> HaloExchanger::begin<T>(                  \
-      Communicator&, DistFieldBatchT<T>&) const;                           \
   extern template std::uint64_t HaloExchanger::bytes_sent_per_exchange<T>( \
       const DistFieldBatchT<T>&) const;
 MINIPOP_HALO_EXTERN(double)
