@@ -1,8 +1,8 @@
 // Extension bench: convergence curves (relative residual vs iteration)
-// for the four paper configurations, on a live scaled 1-degree problem. Not a paper figure, but the behaviour behind
-// Fig. 6's averages: CG-family curves dive monotonically; the Chebyshev
-// (P-CSI) curve contracts at the fixed asymptotic rate set by the
-// eigenvalue interval.
+// for the four paper configurations, on a live scaled 1-degree problem.
+// Not a paper figure, but the behaviour behind Fig. 6's averages:
+// CG-family curves dive monotonically; the Chebyshev (P-CSI) curve
+// contracts at the fixed asymptotic rate set by the eigenvalue interval.
 #include <iostream>
 
 #include "bench_common.hpp"

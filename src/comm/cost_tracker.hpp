@@ -19,8 +19,9 @@ struct CostCounters {
   std::uint64_t p2p_bytes = 0;
   std::uint64_t halo_exchanges = 0;  ///< full-field halo update rounds
   /// Field planes refreshed across all halo rounds: a DistField
-  /// exchange adds 1, an aggregated nb-member batch exchange adds nb (it moves nb
-  /// planes' worth of bytes in the same message count as one plane).
+  /// exchange adds 1, an aggregated nb-member batch exchange adds nb (it
+  /// moves nb planes' worth of bytes in the same message count as one
+  /// plane).
   /// halo_member_updates / halo_exchanges is the mean aggregation factor.
   std::uint64_t halo_member_updates = 0;
   std::uint64_t allreduces = 0;      ///< global reduction rounds

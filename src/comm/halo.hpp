@@ -59,10 +59,11 @@ struct HaloRegion {
 /// same-shape batches (a DistField is the width-1 batch). Owns the
 /// posted receive requests and their landing buffers; finish() completes
 /// them in post order (matching the blocking exchange) and unpacks into
-/// the halos. The batches and communicator must outlive the handle. finish() must be called
-/// exactly once per begin(); the destructor finishes a still-active
-/// handle as a safety net (swallowing errors, since it may run while
-/// unwinding a poisoned team). A moved-from handle is inactive.
+/// the halos. The batches and communicator must outlive the handle.
+/// finish() must be called exactly once per begin(); the destructor
+/// finishes a still-active handle as a safety net (swallowing errors,
+/// since it may run while unwinding a poisoned team). A moved-from
+/// handle is inactive.
 template <typename T>
 class HaloHandleT {
  public:

@@ -186,8 +186,8 @@ class BatchedChronGearSolver final : public BatchedSolver {
 /// Solve the single system A x = b through `solver`: a DistField is the
 /// width-1 batch, so b and x pass to the stack as they are (x's halo
 /// freshness carries over). They must be distinct fields on the
-/// operator's Decomposition object. This is BarotropicSolver::solve and the entry
-/// point for one-off solves.
+/// operator's Decomposition object. This is BarotropicSolver::solve and
+/// the entry point for one-off solves.
 SolveStats solve_one(BatchedSolver& solver, comm::Communicator& comm,
                      const comm::HaloExchanger& halo, const DistOperator& a,
                      Preconditioner& m, const comm::DistField& b,

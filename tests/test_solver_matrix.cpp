@@ -1,7 +1,8 @@
 // Full SolverConfig composition matrix over the unified execution core
 // (DESIGN.md §11): every solver x resilient x overlap combination
 // composes with batching (P-CSI and ChronGear run the lockstep batched
-// stack; PCG solves correctly member by member through solve_batch). No combination may silently fall back or diverge.
+// stack; PCG solves correctly member by member through solve_batch).
+// No combination may silently fall back or diverge.
 #include <gtest/gtest.h>
 
 #include <memory>
