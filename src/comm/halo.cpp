@@ -1,6 +1,7 @@
 #include "src/comm/halo.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <vector>
 
@@ -10,10 +11,55 @@
 
 namespace minipop::comm {
 
+namespace detail {
+
+/// Rectangular region in block-interior coordinates: [i0, i0+ni) x
+/// [j0, j0+nj) (indices may be negative or >= block size for halo
+/// regions).
+struct HaloRegion {
+  int i0, j0, ni, nj;
+};
+
+/// One region of one local block.
+struct HaloStrip {
+  int lb;
+  HaloRegion r;
+};
+
+/// The strips exchanged with one peer rank, both lists in the
+/// receiver's (local block, direction) order. `*_cells` counts one
+/// field's elements at batch width 1.
+struct HaloPeerPlan {
+  int rank = -1;
+  std::vector<HaloStrip> send;  ///< interior strips this rank packs
+  std::vector<HaloStrip> recv;  ///< halo regions the peer's message fills
+  std::size_t send_cells = 0;
+  std::size_t recv_cells = 0;
+};
+
+/// A direct on-rank copy: interior strip `src` of one local block into
+/// halo region `dst` of another (or the same, across a periodic seam).
+struct HaloCopy {
+  HaloStrip src;
+  HaloStrip dst;
+};
+
+struct HaloPlan {
+  std::vector<HaloStrip> zeros;     ///< halos with no neighbor block
+  std::vector<HaloCopy> copies;     ///< neighbors owned by this rank
+  std::vector<HaloPeerPlan> peers;  ///< ascending peer rank
+};
+
+}  // namespace detail
+
 namespace {
 
-using grid::Dir;
+using detail::HaloPeerPlan;
+using detail::HaloPlan;
 using detail::HaloRegion;
+using detail::HaloStrip;
+
+using grid::Dir;
 
 Dir opposite(Dir d) {
   switch (d) {
@@ -69,23 +115,80 @@ HaloRegion halo_region(Dir d, int bnx, int bny, int h) {
   return {};
 }
 
-/// Per-exchange message tag: the epoch selects a disjoint tag sub-space
-/// so concurrently outstanding exchanges cannot match each other's
-/// messages; within an epoch the (source block, direction) pair is
-/// unique per exchange.
-int message_tag(int epoch, int src_block_id, Dir d) {
-  const int local = src_block_id * 9 + static_cast<int>(d);
-  MINIPOP_REQUIRE(local < Communicator::kTagEpochStride,
-                  "tag overflow for block " << src_block_id);
-  return epoch * Communicator::kTagEpochStride + local;
+/// A strip fills a halo region cell for cell only when the shapes agree
+/// (E/W neighbours share a block row, N/S neighbours a block column).
+void require_same_shape(const HaloRegion& src, const HaloRegion& dst) {
+  MINIPOP_REQUIRE(src.ni == dst.ni && src.nj == dst.nj,
+                  "halo strip " << src.ni << "x" << src.nj
+                                << " cannot fill region " << dst.ni << "x"
+                                << dst.nj);
 }
 
-// Pack/unpack move whole region rows at once: region coordinates have i
+/// Resolve every neighbor, owner and local-index lookup of one rank's
+/// exchange at halo width h. The send list to peer p walks p's blocks in
+/// p's local order — exactly how p builds its receive list from this
+/// rank — so both ends agree on the wire order without communicating.
+HaloPlan build_plan(const grid::Decomposition& d, int rank, int h) {
+  std::vector<int> local_of(d.num_active_blocks(), -1);
+  const std::vector<int>& mine = d.blocks_of_rank(rank);
+  for (std::size_t lb = 0; lb < mine.size(); ++lb)
+    local_of[mine[lb]] = static_cast<int>(lb);
+
+  std::vector<HaloPeerPlan> peers(d.nranks());
+  HaloPlan plan;
+  for (std::size_t lb = 0; lb < mine.size(); ++lb) {
+    const auto& b = d.block(mine[lb]);
+    for (Dir dir : kExchangeDirs) {
+      const HaloStrip dst{static_cast<int>(lb),
+                          halo_region(dir, b.nx, b.ny, h)};
+      const int nid = d.neighbor(b.id, dir);
+      if (nid < 0) {
+        plan.zeros.push_back(dst);
+        continue;
+      }
+      const auto& nbk = d.block(nid);
+      if (nbk.owner == rank) {
+        const HaloStrip src{local_of[nid],
+                            send_region(opposite(dir), nbk.nx, nbk.ny, h)};
+        require_same_shape(src.r, dst.r);
+        plan.copies.push_back({src, dst});
+      } else {
+        peers[nbk.owner].recv.push_back(dst);
+        peers[nbk.owner].recv_cells +=
+            static_cast<std::size_t>(dst.r.ni) * dst.r.nj;
+      }
+    }
+  }
+  for (int p = 0; p < d.nranks(); ++p) {
+    if (p == rank) continue;
+    for (int id : d.blocks_of_rank(p)) {
+      for (Dir dir : kExchangeDirs) {
+        const int nid = d.neighbor(id, dir);
+        if (nid < 0 || d.block(nid).owner != rank) continue;
+        const auto& b = d.block(id);
+        const auto& nbk = d.block(nid);
+        const HaloStrip src{local_of[nid],
+                            send_region(opposite(dir), nbk.nx, nbk.ny, h)};
+        require_same_shape(src.r, halo_region(dir, b.nx, b.ny, h));
+        peers[p].send.push_back(src);
+        peers[p].send_cells += static_cast<std::size_t>(src.r.ni) * src.r.nj;
+      }
+    }
+  }
+  for (int p = 0; p < d.nranks(); ++p) {
+    if (peers[p].send.empty() && peers[p].recv.empty()) continue;
+    peers[p].rank = p;
+    plan.peers.push_back(std::move(peers[p]));
+  }
+  return plan;
+}
+
+// Strips move whole region rows at once: region coordinates have i
 // fast, so row j of a width-w region is `ni * w` contiguous elements in
 // the padded array (cell column i of a w-member plane starts at element
-// i * w; w == 1 is the plane of a single field). Full-width N/S
-// strips (the big messages) move as `nj` memcpys of `ni * w` elements
-// each; E/W strips degenerate to short rows, same code path.
+// i * w; w == 1 is the plane of a single field). Full-width N/S strips
+// move as `nj` memcpys of `ni * w` elements each; E/W strips degenerate
+// to short rows, same code path.
 
 /// First element of region row j inside the padded array.
 template <typename T>
@@ -103,38 +206,34 @@ const T* region_row_w(const util::Array2D<T>& padded, int h, int w,
          static_cast<std::ptrdiff_t>(r.i0 + h) * w;
 }
 
+/// Copy region `r` of `padded` to `out`; returns the end of the copy.
 template <typename T>
-void pack_w(const util::Array2D<T>& padded, int h, int w,
-            const HaloRegion& r, std::vector<T>& out) {
+T* pack_w(const util::Array2D<T>& padded, int h, int w, const HaloRegion& r,
+          T* out) {
   const std::size_t row = static_cast<std::size_t>(r.ni) * w;
-  out.resize(row * r.nj);
-  for (int j = 0; j < r.nj; ++j)
-    std::memcpy(out.data() + static_cast<std::size_t>(j) * row,
-                region_row_w(padded, h, w, r, j), row * sizeof(T));
+  for (int j = 0; j < r.nj; ++j, out += row)
+    std::memcpy(out, region_row_w(padded, h, w, r, j), row * sizeof(T));
+  return out;
+}
+
+/// Fill region `r` of `padded` from `in`; returns the end of the read.
+template <typename T>
+const T* unpack_w(util::Array2D<T>& padded, int h, int w,
+                  const HaloRegion& r, const T* in) {
+  const std::size_t row = static_cast<std::size_t>(r.ni) * w;
+  for (int j = 0; j < r.nj; ++j, in += row)
+    std::memcpy(region_row_w(padded, h, w, r, j), in, row * sizeof(T));
+  return in;
 }
 
 template <typename T>
-void unpack_w(util::Array2D<T>& padded, int h, int w, const HaloRegion& r,
-              std::span<const T> in) {
-  const std::size_t row = static_cast<std::size_t>(r.ni) * w;
-  MINIPOP_REQUIRE(in.size() == row * r.nj, "halo unpack size mismatch");
-  for (int j = 0; j < r.nj; ++j)
-    std::memcpy(region_row_w(padded, h, w, r, j),
-                in.data() + static_cast<std::size_t>(j) * row,
-                row * sizeof(T));
-}
-
-/// pack_w that appends to `out` instead of replacing it — the group
-/// exchange concatenates several fields' rims into one message.
-template <typename T>
-void pack_append_w(const util::Array2D<T>& padded, int h, int w,
-                   const HaloRegion& r, std::vector<T>& out) {
-  const std::size_t row = static_cast<std::size_t>(r.ni) * w;
-  const std::size_t base = out.size();
-  out.resize(base + row * r.nj);
-  for (int j = 0; j < r.nj; ++j)
-    std::memcpy(out.data() + base + static_cast<std::size_t>(j) * row,
-                region_row_w(padded, h, w, r, j), row * sizeof(T));
+void copy_w(util::Array2D<T>& padded_dst, const HaloRegion& dst,
+            const util::Array2D<T>& padded_src, const HaloRegion& src, int h,
+            int w) {
+  const std::size_t row = static_cast<std::size_t>(dst.ni) * w;
+  for (int j = 0; j < dst.nj; ++j)
+    std::memcpy(region_row_w(padded_dst, h, w, dst, j),
+                region_row_w(padded_src, h, w, src, j), row * sizeof(T));
 }
 
 template <typename T>
@@ -147,7 +246,7 @@ void zero_region_w(util::Array2D<T>& padded, int h, int w,
   }
 }
 
-// CRC trailer: one extra element of T per remote message, carrying the
+// CRC trailer: one extra element of T per peer message, carrying the
 // CRC32C of the payload bytes in its low four bytes (the rest zero).
 // Encoding the checksum as a T keeps the wire format element-typed —
 // receivers size buffers in elements — at the cost of four wasted bytes
@@ -208,11 +307,11 @@ void HaloHandleT<T>::finish() {
             "corruption detected)");
       }
     }
-    // Each field's rim is one segment of the message, in caller order.
-    const std::size_t seg = static_cast<std::size_t>(p.dst.ni) * w * p.dst.nj;
-    for (std::size_t s = 0; s < fields_.size(); ++s)
-      unpack_w<T>(fields_[s]->data(p.lb), h, w, p.dst,
-                  payload.subspan(s * seg, seg));
+    // Strip by strip in wire order, each strip's rims in caller order.
+    const T* in = payload.data();
+    for (const HaloStrip& s : p.peer->recv)
+      for (DistFieldBatchT<T>* f : fields_)
+        in = unpack_w<T>(f->data(s.lb), h, w, s.r, in);
   }
   // One round, refreshing every field's planes: halo latency is paid
   // once for the whole group — the counter the comm-avoiding audits
@@ -224,7 +323,28 @@ void HaloHandleT<T>::finish() {
 }
 
 HaloExchanger::HaloExchanger(const grid::Decomposition& decomp)
-    : decomp_(&decomp) {}
+    : decomp_(&decomp),
+      max_halo_(decomp.max_halo_width()),
+      slots_(static_cast<std::size_t>(decomp.nranks()) * (max_halo_ + 1)) {}
+
+HaloExchanger::~HaloExchanger() = default;
+
+const HaloPlan& HaloExchanger::plan(int rank, int halo) const {
+  MINIPOP_REQUIRE(rank >= 0 && rank < decomp_->nranks() && halo >= 1 &&
+                      halo <= max_halo_,
+                  "no halo plan for rank " << rank << ", halo " << halo);
+  std::atomic<const HaloPlan*>& slot =
+      slots_[static_cast<std::size_t>(rank) * (max_halo_ + 1) + halo];
+  if (const HaloPlan* built = slot.load(std::memory_order_acquire))
+    return *built;
+  std::lock_guard<std::mutex> lock(plans_mu_);
+  if (const HaloPlan* built = slot.load(std::memory_order_relaxed))
+    return *built;
+  plans_.push_back(
+      std::make_unique<const HaloPlan>(build_plan(*decomp_, rank, halo)));
+  slot.store(plans_.back().get(), std::memory_order_release);
+  return *plans_.back();
+}
 
 template <typename T>
 HaloHandleT<T> HaloExchanger::begin_group(
@@ -243,96 +363,72 @@ HaloHandleT<T> HaloExchanger::begin_group(
   const int h = f0.halo();
   const int w = f0.nb();
   const int my_rank = f0.rank();
+  const HaloPlan& plan = this->plan(my_rank, h);
   const int epoch = comm.next_tag_epoch();
-  std::vector<T> buf;
+  // Within an epoch the source rank is unique per (source, dest) pair.
+  const int tag = epoch * Communicator::kTagEpochStride + my_rank;
+  // Elements per strip cell: w members of every field.
+  const std::size_t scale = static_cast<std::size_t>(w) * fields.size();
+  const std::size_t trailer = crc_enabled_ ? 1 : 0;
 
   HaloHandleT<T> handle;
   handle.comm_ = &comm;
   handle.fields_.assign(fields.begin(), fields.end());
   handle.crc_ = crc_enabled_;
 
-  // Phase 1: post all remote sends (eager, complete at post time) —
-  // ONE message per (block, direction) carrying all w members of every
-  // field, the fields' rims back to back in caller order.
-  for (int lb = 0; lb < f0.num_local_blocks(); ++lb) {
-    const auto& b = f0.info(lb);
-    for (Dir d : kExchangeDirs) {
-      const int nid = decomp_->neighbor(b.id, d);
-      if (nid < 0) continue;
-      const int owner = decomp_->block(nid).owner;
-      if (owner == my_rank) continue;
-      const HaloRegion src = send_region(d, b.nx, b.ny, h);
-      buf.clear();
+  // Phase 1: one eager send per peer (complete at post time), strip by
+  // strip in the receiver's order, every field's rim back to back.
+  std::vector<T> buf;
+  for (const HaloPeerPlan& peer : plan.peers) {
+    if (peer.send.empty()) continue;
+    const std::size_t payload = peer.send_cells * scale;
+    buf.resize(payload + trailer);
+    T* out = buf.data();
+    for (const HaloStrip& s : peer.send)
       for (const DistFieldBatchT<T>* f : fields)
-        pack_append_w<T>(f->data(lb), h, w, src, buf);
-      // The fault sites corrupt a single solve's halos (width 1):
-      // members of wider batches recover through per-member sub-batches
-      // of the resilient decorator rather than through injected wire
-      // corruption.
-      if (w == 1) fault::hook_halo_payload(my_rank, buf.data(), buf.size());
-      if (crc_enabled_) {
-        // The CRC is taken AFTER hook_halo_payload: that site models
-        // memory corruption at pack time, which a wire checksum cannot
-        // (and should not) catch. hook_halo_bitflip then fires on the
-        // checksummed bytes — wire corruption the verifier must detect.
-        const std::size_t payload = buf.size();
-        buf.push_back(encode_crc<T>(
-            util::crc32c(buf.data(), payload * sizeof(T))));
-        fault::hook_halo_bitflip(
-            my_rank, reinterpret_cast<unsigned char*>(buf.data()),
-            payload * sizeof(T));
-      }
-      comm.isend(owner, message_tag(epoch, b.id, d),
-                 std::span<const T>(buf));
+        out = pack_w<T>(f->data(s.lb), h, w, s.r, out);
+    // The fault sites corrupt a single solve's halos (width 1): members
+    // of wider batches recover through per-member sub-batches of the
+    // resilient decorator rather than through injected wire corruption.
+    if (w == 1) fault::hook_halo_payload(my_rank, buf.data(), payload);
+    if (crc_enabled_) {
+      // The CRC is taken AFTER hook_halo_payload: that site models
+      // memory corruption at pack time, which a wire checksum cannot
+      // (and should not) catch. hook_halo_bitflip then fires on the
+      // checksummed bytes — wire corruption the verifier must detect.
+      buf.back() =
+          encode_crc<T>(util::crc32c(buf.data(), payload * sizeof(T)));
+      fault::hook_halo_bitflip(my_rank,
+                               reinterpret_cast<unsigned char*>(buf.data()),
+                               payload * sizeof(T));
     }
+    comm.isend(peer.rank, tag, std::span<const T>(buf));
   }
 
-  // Phase 2: post all remote receives, each sized for every field (same
-  // traversal order as the sends, so finish() unpacks in that order).
-  for (int lb = 0; lb < f0.num_local_blocks(); ++lb) {
-    const auto& b = f0.info(lb);
-    for (Dir d : kExchangeDirs) {
-      const int nid = decomp_->neighbor(b.id, d);
-      if (nid < 0) continue;
-      const auto& nbk = decomp_->block(nid);
-      if (nbk.owner == my_rank) continue;
-      const HaloRegion dst = halo_region(d, b.nx, b.ny, h);
-      typename HaloHandleT<T>::PendingRecv p;
-      p.buf.resize(static_cast<std::size_t>(dst.ni) * w * dst.nj *
-                       fields.size() +
-                   (crc_enabled_ ? 1 : 0));
-      p.lb = lb;
-      p.dst = dst;
-      handle.recvs_.push_back(std::move(p));
-      typename HaloHandleT<T>::PendingRecv& posted = handle.recvs_.back();
-      posted.request =
-          comm.irecv(nbk.owner, message_tag(epoch, nid, opposite(d)),
-                     std::span<T>(posted.buf));
-    }
+  // Phase 2: one receive per peer, in ascending peer order — the order
+  // finish() unpacks in. Each handle owns its landing buffers, so
+  // several exchanges can be in flight at once.
+  handle.recvs_.reserve(plan.peers.size());
+  for (const HaloPeerPlan& peer : plan.peers) {
+    if (peer.recv.empty()) continue;
+    typename HaloHandleT<T>::PendingRecv& posted =
+        handle.recvs_.emplace_back();
+    posted.buf.resize(peer.recv_cells * scale + trailer);
+    posted.peer = &peer;
+    posted.request =
+        comm.irecv(peer.rank, epoch * Communicator::kTagEpochStride +
+                                  peer.rank,
+                   std::span<T>(posted.buf));
   }
 
-  // Phase 3: local copies and zero fills, per field (no communication).
-  for (int lb = 0; lb < f0.num_local_blocks(); ++lb) {
-    const auto& b = f0.info(lb);
-    for (Dir d : kExchangeDirs) {
-      const int nid = decomp_->neighbor(b.id, d);
-      const HaloRegion dst = halo_region(d, b.nx, b.ny, h);
-      if (nid < 0) {
-        for (DistFieldBatchT<T>* f : fields)
-          zero_region_w<T>(f->data(lb), h, w, dst);
-        continue;
-      }
-      const auto& nbk = decomp_->block(nid);
-      if (nbk.owner != my_rank) continue;  // remote: posted in phase 2
-      const int nlb = f0.local_index(nid);
-      MINIPOP_ASSERT(nlb >= 0);
-      const HaloRegion src = send_region(opposite(d), nbk.nx, nbk.ny, h);
-      for (DistFieldBatchT<T>* f : fields) {
-        pack_w<T>(f->data(nlb), h, w, src, buf);
-        unpack_w<T>(f->data(lb), h, w, dst, buf);
-      }
-    }
-  }
+  // Phase 3: zero fills and direct on-rank copies (no communication).
+  for (const HaloStrip& z : plan.zeros)
+    for (DistFieldBatchT<T>* f : fields)
+      zero_region_w<T>(f->data(z.lb), h, w, z.r);
+  for (const detail::HaloCopy& c : plan.copies)
+    for (DistFieldBatchT<T>* f : fields)
+      copy_w<T>(f->data(c.dst.lb), c.dst.r, f->data(c.src.lb), c.src.r, h,
+                w);
 
   return handle;
 }
@@ -340,20 +436,11 @@ HaloHandleT<T> HaloExchanger::begin_group(
 template <typename T>
 std::uint64_t HaloExchanger::bytes_sent_per_exchange(
     const DistFieldBatchT<T>& field) const {
-  const int h = field.halo();
-  const int my_rank = field.rank();
   std::uint64_t bytes = 0;
-  for (int lb = 0; lb < field.num_local_blocks(); ++lb) {
-    const auto& b = field.info(lb);
-    for (Dir d : kExchangeDirs) {
-      const int nid = decomp_->neighbor(b.id, d);
-      if (nid < 0) continue;
-      if (decomp_->block(nid).owner == my_rank) continue;
-      const HaloRegion r = send_region(d, b.nx, b.ny, h);
-      bytes += static_cast<std::uint64_t>(r.ni) * field.nb() * r.nj *
-               sizeof(T);
-      if (crc_enabled_) bytes += sizeof(T);  // CRC trailer element
-    }
+  for (const HaloPeerPlan& peer : plan(field.rank(), field.halo()).peers) {
+    if (peer.send.empty()) continue;
+    bytes += peer.send_cells * field.nb() * sizeof(T);
+    if (crc_enabled_) bytes += sizeof(T);  // CRC trailer element
   }
   return bytes;
 }

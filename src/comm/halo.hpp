@@ -2,30 +2,44 @@
 // "update_halo" step of Algorithms 1 and 2.
 //
 // Each block exchanges with its eight neighbors: four edge strips of
-// width `halo` and four halo x halo corner patches. Neighbors owned by
-// the same rank are copied directly; remote neighbors go through the
-// communicator's buffered point-to-point. Missing neighbors (domain edge
-// or land-eliminated blocks) zero-fill the halo, which is consistent
-// because the stencil carries identically zero coefficients across
-// coastlines.
+// width `halo` and four halo x halo corner patches. Missing neighbors
+// (domain edge or land-eliminated blocks) zero-fill the halo, which is
+// consistent because the stencil carries identically zero coefficients
+// across coastlines.
 //
-// The exchange is split-phase: begin() packs the strips, posts all sends
-// and receives, and performs the local copies/zero fills, returning a
-// HaloHandle that owns the in-flight state; finish() waits for the
-// receives and unpacks. Computation that does not read the halo (the
-// interior of the 9-point sweep) can run between the two. The blocking
-// exchange() is begin() + finish(). Each begin() draws a fresh tag epoch
-// from the communicator, so up to Communicator::kTagEpochWindow
-// exchanges can be outstanding at once without their messages colliding.
+// The exchanger resolves the decomposition once per (rank, halo width)
+// into a HaloPlan: the zero fills, a direct block-to-block row copy for
+// every neighbor owned by the same rank, and for each peer rank one send
+// list and one receive list of strips. Both ends order a list the same
+// way — the receiver's (local block, direction) order, which each side
+// derives from the global decomposition — so an exchange sends ONE
+// message per (rank, peer rank) pair, carrying every block's strips for
+// every field of the group, as POP's halo update packs one buffer per
+// neighbouring process and the paper's cost model (§2.2) assumes. Batch
+// width and group size only scale buffer sizes, so they stay out of the
+// plan key.
+//
+// The exchange is split-phase: begin() packs and posts one send and one
+// receive per peer rank and performs the local copies and zero fills,
+// returning a HaloHandle that owns the in-flight state; finish() waits
+// for the receives and unpacks. Computation that does not read the halo
+// (the interior of the 9-point sweep) can run between the two. The
+// blocking exchange() is begin() + finish(). Each begin() draws a fresh
+// tag epoch from the communicator and tags its messages (epoch, source
+// rank), so up to Communicator::kTagEpochWindow exchanges can be
+// outstanding at once without their messages colliding.
 //
 // There is ONE exchange engine, over batches: a DistField is the
 // width-1 batch, and an nb-member batch's member-interleaved layout makes
-// a region row ni * nb contiguous elements — so one message per (block,
-// neighbor) carries ALL members, the same message count as a single
-// field with nb x the payload. finish() counts one exchange round
-// refreshing nb member planes (CostTracker::add_halo_exchange(nb)).
+// a region row ni * nb contiguous elements — so the same messages carry
+// ALL members, the same message count as a single field with nb x the
+// payload. finish() counts one exchange round refreshing nb member
+// planes (CostTracker::add_halo_exchange(nb)).
 #pragma once
 
+#include <atomic>
+#include <memory>
+#include <mutex>
 #include <span>
 #include <utility>
 #include <vector>
@@ -47,19 +61,16 @@ class HaloExchanger;
 enum class HaloFreshness { kStale, kFresh };
 
 namespace detail {
-/// Rectangular region in block-interior coordinates: [i0, i0+ni) x
-/// [j0, j0+nj) (indices may be negative or >= block size for halo
-/// regions).
-struct HaloRegion {
-  int i0, j0, ni, nj;
-};
+struct HaloPlan;      // one (rank, halo width)'s resolved exchange
+struct HaloPeerPlan;  // the strips exchanged with one peer rank
 }  // namespace detail
 
 /// One in-flight split-phase halo exchange of one batch or a group of
 /// same-shape batches (a DistField is the width-1 batch). Owns the
-/// posted receive requests and their landing buffers; finish() completes
-/// them in post order (matching the blocking exchange) and unpacks into
-/// the halos. The batches and communicator must outlive the handle.
+/// posted receive requests — one per peer rank — and their landing
+/// buffers; finish() completes them in post order (matching the blocking
+/// exchange) and unpacks into the halos. The batches, the communicator
+/// and the exchanger (which owns the plan) must outlive the handle.
 /// finish() must be called exactly once per begin(); the destructor
 /// finishes a still-active handle as a safety net (swallowing errors,
 /// since it may run while unwinding a poisoned team). A moved-from
@@ -96,16 +107,15 @@ class HaloHandleT {
     // alive. With the opposite order, unwinding a timed-out exchange
     // writes into freed memory.
     std::vector<T> buf;
-    int lb = 0;
-    detail::HaloRegion dst{};
+    const detail::HaloPeerPlan* peer = nullptr;  ///< strips, wire order
     Request request;
   };
 
   Communicator* comm_ = nullptr;
   std::vector<DistFieldBatchT<T>*> fields_;  ///< caller order
   std::vector<PendingRecv> recvs_;
-  /// Copied from the exchanger at begin(): each pending buffer carries a
-  /// one-element CRC32C trailer to verify before unpacking.
+  /// Copied from the exchanger at begin(): each pending message carries
+  /// a one-element CRC32C trailer to verify before unpacking.
   bool crc_ = false;
 };
 
@@ -116,6 +126,9 @@ using HaloHandle = HaloHandleT<double>;
 class HaloExchanger {
  public:
   explicit HaloExchanger(const grid::Decomposition& decomp);
+  ~HaloExchanger();
+  HaloExchanger(const HaloExchanger&) = delete;
+  HaloExchanger& operator=(const HaloExchanger&) = delete;
 
   /// Update all halos of `field` (owned by the calling rank).
   /// Collective: every rank of the communicator must call with its own
@@ -129,7 +142,7 @@ class HaloExchanger {
   /// and zero fills, and return the in-flight handle. The halo cells of
   /// the field are in an unspecified state until finish(); the owned
   /// interior may be read freely (but not written) in between. One
-  /// message per (block, neighbor) carries all nb() members. The
+  /// message per peer rank carries all nb() members. The
   /// fault-injection halo payload hook arms only on width-1 fields —
   /// fault sites target a single solve; members of wider batches
   /// recover through per-member sub-batches (DESIGN.md §10, §11).
@@ -141,9 +154,9 @@ class HaloExchanger {
 
   /// Aggregated deep-halo exchange of several same-shape batches (the
   /// communication-avoiding solvers' once-per-group refresh of
-  /// {x, dx, r}): ONE message per (block, neighbor) concatenates the
-  /// per-field rims back to back, so a group of N fields costs the same
-  /// message count — and one exchange round — as a single field. All
+  /// {x, dx, r}): ONE message per peer rank carries, strip by strip,
+  /// every field's rim back to back, so a group of N fields costs the
+  /// same message count — and one exchange round — as a single field. All
   /// fields must share decomposition, rank, halo width and batch width;
   /// each field's rims are bitwise identical to what its own exchange()
   /// would deliver. With CRC enabled, one trailer covers the whole
@@ -156,13 +169,15 @@ class HaloExchanger {
   }
 
   /// Bytes this rank sends per exchange of `field` (for cost
-  /// reporting). Scales with the batch width: a batch reports nb x the
-  /// bytes of one field, carried in the same messages.
+  /// reporting), read off the plan: every peer message's strips plus,
+  /// with CRC on, its one trailer element. Scales with the batch width:
+  /// a batch reports nb x the payload of one field, carried in the same
+  /// messages.
   template <typename T>
   std::uint64_t bytes_sent_per_exchange(
       const DistFieldBatchT<T>& field) const;
 
-  /// Enable CRC32C protection of every remote halo message: the sender
+  /// Enable CRC32C protection of every peer halo message: the sender
   /// appends a one-element trailer carrying the CRC of the payload
   /// bytes, and finish() verifies it before unpacking. A mismatch
   /// declares the team desynchronized and throws CorruptPayloadError
@@ -178,14 +193,25 @@ class HaloExchanger {
 
  private:
   /// The one engine behind begin() and exchange_group(): split-phase
-  /// exchange of every field of the group, one message per (block,
-  /// neighbor) for all of them.
+  /// exchange of every field of the group, one message per peer rank
+  /// for all of them.
   template <typename T>
   HaloHandleT<T> begin_group(Communicator& comm,
                              std::span<DistFieldBatchT<T>* const> fields) const;
 
+  /// The plan of (rank, halo), built on first use. Ranks of a ThreadTeam
+  /// share one exchanger: a built plan is published through its atomic
+  /// slot and read lock-free; building takes plans_mu_, which is never
+  /// held across communication.
+  const detail::HaloPlan& plan(int rank, int halo) const;
+
   const grid::Decomposition* decomp_;
   bool crc_enabled_ = false;
+  int max_halo_;  ///< widest halo the decomposition admits
+  /// Slot rank * (max_halo_ + 1) + halo; null until built.
+  mutable std::vector<std::atomic<const detail::HaloPlan*>> slots_;
+  mutable std::mutex plans_mu_;
+  mutable std::vector<std::unique_ptr<const detail::HaloPlan>> plans_;
 };
 
 #define MINIPOP_HALO_EXTERN(T)                                             \
