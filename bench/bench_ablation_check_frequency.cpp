@@ -12,9 +12,9 @@
 using namespace minipop;
 
 int main(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
-  const double scale = cli.get_double("scale", 0.2);
-  bench::reject_unread_options(cli, "[--scale=0.2]");
+  const bench::BenchOptions opts(argc, argv, "[--scale=0.2]");
+  const double scale = opts.get_double("scale", 0.2);
+  opts.finish();
   auto c = bench::make_live_case("1deg", scale, 12);
 
   bench::print_header("Ablation: check frequency",

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <iostream>
+#include <utility>
 
 #include "src/model/ocean_model.hpp"
 #include "src/util/error.hpp"
@@ -97,12 +98,38 @@ void print_header(const std::string& experiment, const std::string& what) {
             << "==============================================================\n";
 }
 
-void reject_unread_options(const util::Cli& cli, const std::string& usage) {
+namespace {
+
+/// Runs one step of option parsing; a util::Error prints the usage line
+/// and exits 2.
+template <typename Step>
+auto or_usage_exit(const util::Cli& cli, const std::string& usage,
+                   Step step) {
   try {
-    cli.reject_unread();
+    return step();
   } catch (const util::Error& e) {
     std::exit(cli.usage_error(e, usage));
   }
+}
+
+}  // namespace
+
+BenchOptions::BenchOptions(int argc, char** argv, std::string usage)
+    : cli_(argc, argv), usage_(std::move(usage)) {}
+
+int BenchOptions::get_int(const std::string& name, int fallback) const {
+  return or_usage_exit(cli_, usage_,
+                       [&] { return cli_.get_int(name, fallback); });
+}
+
+double BenchOptions::get_double(const std::string& name,
+                                double fallback) const {
+  return or_usage_exit(cli_, usage_,
+                       [&] { return cli_.get_double(name, fallback); });
+}
+
+void BenchOptions::finish() const {
+  or_usage_exit(cli_, usage_, [&] { cli_.reject_unread(); });
 }
 
 BenchArgs parse_bench_args(int argc, char** argv,

@@ -62,11 +62,25 @@ solver::SolverConfig config_for(perf::Config c, double rel_tolerance,
 /// Standard bench banner.
 void print_header(const std::string& experiment, const std::string& what);
 
-/// Ends the option parsing of a figure/ablation bench; call it after the
-/// last lookup. An option the bench never looked up (a misspelled flag
-/// would otherwise run silently with the defaults) prints the error and
+/// Command line of a figure/ablation bench: `--name=value` options read
+/// through the typed lookups below, then finish(). A malformed value, or
+/// an option the bench never looked up (a misspelled flag would
+/// otherwise run silently with the defaults), prints the error and
 /// "usage: <program> <usage>" to stderr and exits with status 2.
-void reject_unread_options(const util::Cli& cli, const std::string& usage);
+class BenchOptions {
+ public:
+  BenchOptions(int argc, char** argv, std::string usage);
+
+  int get_int(const std::string& name, int fallback) const;
+  double get_double(const std::string& name, double fallback) const;
+
+  /// Ends the option parsing; call it after the last lookup.
+  void finish() const;
+
+ private:
+  util::Cli cli_;
+  std::string usage_;
+};
 
 /// Command line of the benches with their own main():
 /// `[--smoke] [output.json]`.

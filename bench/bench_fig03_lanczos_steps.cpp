@@ -14,10 +14,10 @@
 using namespace minipop;
 
 int main(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
-  const double scale = cli.get_double("scale", 0.25);
-  const int max_steps = cli.get_int("max-steps", 16);
-  bench::reject_unread_options(cli, "[--scale=0.25] [--max-steps=16]");
+  const bench::BenchOptions opts(argc, argv, "[--scale=0.25] [--max-steps=16]");
+  const double scale = opts.get_double("scale", 0.25);
+  const int max_steps = opts.get_int("max-steps", 16);
+  opts.finish();
   auto c = bench::make_live_case("1deg", scale, 12);
 
   bench::print_header(

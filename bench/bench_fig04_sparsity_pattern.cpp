@@ -14,9 +14,9 @@
 using namespace minipop;
 
 int main(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
-  const int n = cli.get_int("block", 4);  // block edge; domain is 3x3 blocks
-  bench::reject_unread_options(cli, "[--block=4]");
+  const bench::BenchOptions opts(argc, argv, "[--block=4]");
+  const int n = opts.get_int("block", 4);  // block edge; domain is 3x3 blocks
+  opts.finish();
   const int nx = 3 * n;
 
   grid::GridSpec spec;

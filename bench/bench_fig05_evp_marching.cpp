@@ -14,9 +14,9 @@
 using namespace minipop;
 
 int main(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
-  const int n = cli.get_int("n", 8);
-  bench::reject_unread_options(cli, "[--n=8]");
+  const bench::BenchOptions opts(argc, argv, "[--n=8]");
+  const int n = opts.get_int("n", 8);
+  opts.finish();
 
   grid::GridSpec spec;
   spec.kind = grid::GridKind::kUniform;

@@ -15,13 +15,14 @@
 using namespace minipop;
 
 int main(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
-  const double scale1 = cli.get_double("scale1", 0.25);
-  const double scale01 = cli.get_double("scale01", 0.05);
-  const double tol = cli.get_double("tol", 1e-12);
-  const int block = cli.get_int("block", 12);
-  bench::reject_unread_options(
-      cli, "[--scale1=0.25] [--scale01=0.05] [--tol=1e-12] [--block=12]");
+  const bench::BenchOptions opts(
+      argc, argv,
+      "[--scale1=0.25] [--scale01=0.05] [--tol=1e-12] [--block=12]");
+  const double scale1 = opts.get_double("scale1", 0.25);
+  const double scale01 = opts.get_double("scale01", 0.05);
+  const double tol = opts.get_double("tol", 1e-12);
+  const int block = opts.get_int("block", 12);
+  opts.finish();
 
   bench::print_header("Figure 6",
                       "average solver iterations (live solves on scaled "

@@ -8,8 +8,7 @@
 using namespace minipop;
 
 int main(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
-  bench::reject_unread_options(cli, "(no options)");
+  bench::BenchOptions(argc, argv, "(no options)").finish();
   auto grid = perf::pop_0p1deg_case();
   perf::PopTimingModel model(perf::edison_profile(), grid,
                              perf::paper_iteration_model(grid));

@@ -21,13 +21,13 @@
 using namespace minipop;
 
 int main(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
-  const double scale = cli.get_double("scale", 0.08);
-  const int months = cli.get_int("months", 4);
-  const int members = cli.get_int("members", 12);
-  const int nz = cli.get_int("nz", 3);
-  bench::reject_unread_options(
-      cli, "[--scale=0.08] [--months=4] [--members=12] [--nz=3]");
+  const bench::BenchOptions opts(
+      argc, argv, "[--scale=0.08] [--months=4] [--members=12] [--nz=3]");
+  const double scale = opts.get_double("scale", 0.08);
+  const int months = opts.get_int("months", 4);
+  const int members = opts.get_int("members", 12);
+  const int nz = opts.get_int("nz", 3);
+  opts.finish();
 
   stats::EnsembleConfig ens_cfg;
   ens_cfg.model.grid = grid::pop_1deg_spec(scale);
