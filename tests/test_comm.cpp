@@ -2,10 +2,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "src/comm/dist_field.hpp"
+#include "src/comm/dist_field_batch.hpp"
 #include "src/comm/halo.hpp"
 #include "src/comm/serial_comm.hpp"
 #include "src/comm/thread_comm.hpp"
@@ -212,10 +215,11 @@ namespace {
 /// Global test pattern with unique values.
 double pattern(int i, int j) { return 1 + i + 1000.0 * j; }
 
-/// Validate every halo cell of every local block of `field` against the
-/// global pattern (0 where the halo leaves the domain or enters an
-/// eliminated block).
-void check_halos(const mg::Decomposition& d, const mc::DistField& field) {
+/// Validate every halo cell of member m of every local block of `field`
+/// against the global pattern plus `shift` (0 where the halo leaves the
+/// domain or enters an eliminated block).
+void check_halos(const mg::Decomposition& d, const mc::DistFieldBatch& field,
+                 int m = 0, double shift = 0.0) {
   const int h = field.halo();
   for (int lb = 0; lb < field.num_local_blocks(); ++lb) {
     const auto& b = field.info(lb);
@@ -233,12 +237,13 @@ void check_halos(const mg::Decomposition& d, const mc::DistField& field) {
           if (gi >= 0 && gi < d.nx_global()) {
             const int nbi = gi / d.block_nx();
             const int nbj = gj / d.block_ny();
-            if (d.block_id_at(nbi, nbj) >= 0) expected = pattern(gi, gj);
+            if (d.block_id_at(nbi, nbj) >= 0)
+              expected = pattern(gi, gj) + shift;
           }
         }
-        ASSERT_DOUBLE_EQ(field.at(lb, i, j), expected)
+        ASSERT_EQ(field.at(lb, i, j, m), expected)
             << "block (" << b.bi << "," << b.bj << ") halo cell (" << i
-            << "," << j << ")";
+            << "," << j << ") member " << m;
       }
     }
   }
@@ -360,19 +365,138 @@ TEST(Halo, EliminatedLandBlockZeroFills) {
   run_halo_case(12, 12, false, 4, 4, 4, 2, &mask);
 }
 
+namespace {
+
+constexpr mg::Dir kNeighbourDirs[] = {
+    mg::Dir::kEast,      mg::Dir::kWest,      mg::Dir::kNorth,
+    mg::Dir::kSouth,     mg::Dir::kNorthEast, mg::Dir::kNorthWest,
+    mg::Dir::kSouthEast, mg::Dir::kSouthWest};
+
+/// Ranks other than `rank` that own a neighbour of one of its blocks.
+std::set<int> neighbour_ranks(const mg::Decomposition& d, int rank) {
+  std::set<int> out;
+  for (int id : d.blocks_of_rank(rank))
+    for (mg::Dir dir : kNeighbourDirs) {
+      const int nid = d.neighbor(id, dir);
+      if (nid >= 0 && d.block(nid).owner != rank)
+        out.insert(d.block(nid).owner);
+    }
+  return out;
+}
+
+/// Halo payload bytes `rank` sends per exchange of one field: the rim of
+/// each of its blocks toward each neighbour owned elsewhere.
+std::uint64_t payload_bytes(const mg::Decomposition& d, int rank, int h) {
+  std::uint64_t cells = 0;
+  for (int id : d.blocks_of_rank(rank)) {
+    const auto& b = d.block(id);
+    for (mg::Dir dir : kNeighbourDirs) {
+      const int nid = d.neighbor(id, dir);
+      if (nid < 0 || d.block(nid).owner == rank) continue;
+      const auto [di, dj] = mg::kDirOffset[static_cast<int>(dir)];
+      cells += static_cast<std::uint64_t>(di == 0 ? b.nx : h) *
+               (dj == 0 ? b.ny : h);
+    }
+  }
+  return cells * sizeof(double);
+}
+
+/// Writes member m of every interior cell of `field` as the global
+/// pattern plus shift(m), over halos holding garbage.
+template <typename Shift>
+void load_pattern(mc::DistFieldBatch& field, Shift shift) {
+  field.fill(-7.0);
+  for (int lb = 0; lb < field.num_local_blocks(); ++lb) {
+    const auto& b = field.info(lb);
+    for (int m = 0; m < field.nb(); ++m)
+      for (int j = 0; j < b.ny; ++j)
+        for (int i = 0; i < b.nx; ++i)
+          field.at(lb, i, j, m) = pattern(b.i0 + i, b.j0 + j) + shift(m);
+  }
+}
+
+}  // namespace
+
+// One message per peer rank: on a 4-rank decomposition with several
+// blocks per rank, each exchange sends exactly one message to every
+// neighbour rank, and the bytes — each message's strips plus, with CRC
+// on, its one trailer — are what bytes_sent_per_exchange reads off the
+// plan.
 TEST(Halo, BytesSentAccounting) {
-  mu::MaskArray mask(8, 8, 1);
-  mg::Decomposition d(8, 8, false, mask, 4, 4, 2);
+  constexpr int kRanks = 4;
+  constexpr int kExchanges = 3;
+  constexpr int kHalo = 2;
+  mu::MaskArray mask(24, 16, 1);
+  mg::Decomposition d(24, 16, true, mask, 4, 4, kRanks);
+  std::vector<std::uint64_t> plain(kRanks);
+  for (bool crc : {false, true}) {
+    SCOPED_TRACE(crc ? "crc on" : "crc off");
+    mc::HaloExchanger hx(d);
+    hx.set_crc(crc);
+    mc::ThreadTeam team(kRanks);
+    std::vector<std::uint64_t> predicted(kRanks);
+    team.run([&](mc::Communicator& comm) {
+      mc::DistField f(d, comm.rank(), kHalo);
+      predicted[comm.rank()] = hx.bytes_sent_per_exchange(f);
+      for (int k = 0; k < kExchanges; ++k) hx.exchange(comm, f);
+    });
+    for (int r = 0; r < kRanks; ++r) {
+      SCOPED_TRACE("rank " + std::to_string(r));
+      ASSERT_GE(d.blocks_of_rank(r).size(), 2u);
+      const std::uint64_t peers = neighbour_ranks(d, r).size();
+      ASSERT_GE(peers, 2u);
+      const std::uint64_t trailers = crc ? peers * sizeof(double) : 0;
+      EXPECT_EQ(predicted[r], payload_bytes(d, r, kHalo) + trailers);
+      if (crc) {
+        EXPECT_EQ(predicted[r], plain[r] + trailers);
+      }
+      plain[r] = predicted[r];
+      const mc::CostCounters& c = team.costs(r);
+      EXPECT_EQ(c.p2p_bytes, kExchanges * predicted[r]);
+      EXPECT_EQ(c.p2p_messages, kExchanges * peers);
+      EXPECT_EQ(c.requests, kExchanges * peers);
+      EXPECT_EQ(c.halo_exchanges, static_cast<std::uint64_t>(kExchanges));
+      EXPECT_EQ(c.integrity_checks, crc ? kExchanges * peers : 0u);
+    }
+  }
+}
+
+// One exchanger shared by every rank of a team serves every halo width
+// and batch width, through exchange() and exchange_group(): the plans it
+// builds on first use per (rank, width) deliver halos bitwise equal to
+// the global truth, member by member and field by field.
+TEST(Halo, SharedExchangerServesEveryWidthAndBatchWidth) {
+  constexpr int kRanks = 4;
+  mu::MaskArray mask(24, 16, 1);
+  for (int j = 4; j < 8; ++j)
+    for (int i = 8; i < 12; ++i) mask(i, j) = 0;  // one all-land block
+  mg::Decomposition d(24, 16, true, mask, 4, 4, kRanks);
+  ASSERT_EQ(d.num_land_blocks(), 1);
   mc::HaloExchanger hx(d);
-  mc::ThreadTeam team(2);
-  std::vector<std::uint64_t> predicted(2);
+  mc::ThreadTeam team(kRanks);
   team.run([&](mc::Communicator& comm) {
-    mc::DistField f(d, comm.rank(), 2);
-    predicted[comm.rank()] = hx.bytes_sent_per_exchange(f);
-    hx.exchange(comm, f);
+    for (int h : {1, 2}) {
+      for (int nb : {1, 8}) {
+        SCOPED_TRACE("halo " + std::to_string(h) + ", nb " +
+                     std::to_string(nb));
+        const auto shift = [](int k) {
+          return [k](int m) { return 1e5 * m + 1e7 * k; };
+        };
+        mc::DistFieldBatch one(d, comm.rank(), nb, h);
+        load_pattern(one, shift(0));
+        hx.exchange(comm, one);
+        mc::DistFieldBatch a(d, comm.rank(), nb, h);
+        mc::DistFieldBatch b(d, comm.rank(), nb, h);
+        load_pattern(a, shift(1));
+        load_pattern(b, shift(2));
+        mc::DistFieldBatch* const group[2] = {&a, &b};
+        hx.exchange_group<double>(comm, group);
+        for (int m = 0; m < nb; ++m) {
+          check_halos(d, one, m, shift(0)(m));
+          check_halos(d, a, m, shift(1)(m));
+          check_halos(d, b, m, shift(2)(m));
+        }
+      }
+    }
   });
-  EXPECT_EQ(team.costs(0).p2p_bytes, predicted[0]);
-  EXPECT_EQ(team.costs(1).p2p_bytes, predicted[1]);
-  EXPECT_GT(predicted[0], 0u);
-  EXPECT_EQ(team.costs(0).halo_exchanges, 1u);
 }
