@@ -325,7 +325,7 @@ void HaloHandleT<T>::finish() {
 HaloExchanger::HaloExchanger(const grid::Decomposition& decomp)
     : decomp_(&decomp),
       max_halo_(decomp.max_halo_width()),
-      slots_(static_cast<std::size_t>(decomp.nranks()) * (max_halo_ + 1)) {}
+      plans_(static_cast<std::size_t>(decomp.nranks()) * (max_halo_ + 1)) {}
 
 HaloExchanger::~HaloExchanger() = default;
 
@@ -333,17 +333,12 @@ const HaloPlan& HaloExchanger::plan(int rank, int halo) const {
   MINIPOP_REQUIRE(rank >= 0 && rank < decomp_->nranks() && halo >= 1 &&
                       halo <= max_halo_,
                   "no halo plan for rank " << rank << ", halo " << halo);
-  std::atomic<const HaloPlan*>& slot =
-      slots_[static_cast<std::size_t>(rank) * (max_halo_ + 1) + halo];
-  if (const HaloPlan* built = slot.load(std::memory_order_acquire))
-    return *built;
   std::lock_guard<std::mutex> lock(plans_mu_);
-  if (const HaloPlan* built = slot.load(std::memory_order_relaxed))
-    return *built;
-  plans_.push_back(
-      std::make_unique<const HaloPlan>(build_plan(*decomp_, rank, halo)));
-  slot.store(plans_.back().get(), std::memory_order_release);
-  return *plans_.back();
+  std::unique_ptr<const HaloPlan>& slot =
+      plans_[static_cast<std::size_t>(rank) * (max_halo_ + 1) + halo];
+  if (!slot)
+    slot = std::make_unique<const HaloPlan>(build_plan(*decomp_, rank, halo));
+  return *slot;
 }
 
 template <typename T>

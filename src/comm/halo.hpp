@@ -37,7 +37,6 @@
 // planes (CostTracker::add_halo_exchange(nb)).
 #pragma once
 
-#include <atomic>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -199,18 +198,16 @@ class HaloExchanger {
   HaloHandleT<T> begin_group(Communicator& comm,
                              std::span<DistFieldBatchT<T>* const> fields) const;
 
-  /// The plan of (rank, halo), built on first use. Ranks of a ThreadTeam
-  /// share one exchanger: a built plan is published through its atomic
-  /// slot and read lock-free; building takes plans_mu_, which is never
-  /// held across communication.
+  /// The plan of (rank, halo), built on first use. The ranks of a
+  /// ThreadTeam may share one exchanger, so the lookup holds plans_mu_;
+  /// it is never held across communication. A built plan never moves.
   const detail::HaloPlan& plan(int rank, int halo) const;
 
   const grid::Decomposition* decomp_;
   bool crc_enabled_ = false;
   int max_halo_;  ///< widest halo the decomposition admits
-  /// Slot rank * (max_halo_ + 1) + halo; null until built.
-  mutable std::vector<std::atomic<const detail::HaloPlan*>> slots_;
   mutable std::mutex plans_mu_;
+  /// Slot rank * (max_halo_ + 1) + halo; null until built.
   mutable std::vector<std::unique_ptr<const detail::HaloPlan>> plans_;
 };
 
