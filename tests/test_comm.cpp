@@ -461,6 +461,21 @@ TEST(Halo, BytesSentAccounting) {
   }
 }
 
+// Plans are built on first use under the exchanger's lock: threads that
+// look up the same (rank, width) at once all read the one plan.
+TEST(Halo, ConcurrentFirstPlanLookupsAgree) {
+  mu::MaskArray mask(24, 16, 1);
+  mg::Decomposition d(24, 16, true, mask, 4, 4, 4);
+  mc::HaloExchanger hx(d);
+  const mc::DistField f(d, 0, 2);
+  std::vector<std::uint64_t> bytes(4);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t)
+    threads.emplace_back([&, t] { bytes[t] = hx.bytes_sent_per_exchange(f); });
+  for (std::thread& t : threads) t.join();
+  for (std::uint64_t b : bytes) EXPECT_EQ(b, payload_bytes(d, 0, 2));
+}
+
 // One exchanger shared by every rank of a team serves every halo width
 // and batch width, through exchange() and exchange_group(): the plans it
 // builds on first use per (rank, width) deliver halos bitwise equal to
