@@ -55,7 +55,6 @@
 #include "src/perf/machine.hpp"
 #include "src/solver/batched_decorators.hpp"
 #include "src/solver/lanczos.hpp"
-#include "src/solver/pcg.hpp"
 #include "src/util/rng.hpp"
 
 namespace mc = minipop::comm;
@@ -205,8 +204,7 @@ SolverFactory decorated(const std::string& kind, ms::EigenBounds bounds) {
     if (kind != "cg")
       rs->add_fallback(
           std::make_unique<ms::BatchedChronGearSolver>(solve_options()));
-    rs->add_fallback(std::make_unique<ms::SequentialBatchedSolver>(
-                         std::make_unique<ms::PcgSolver>(solve_options())),
+    rs->add_fallback(std::make_unique<ms::BatchedPcgSolver>(solve_options()),
                      /*use_diagonal_precond=*/true);
     return rs;
   };
@@ -227,8 +225,7 @@ SolverFactory decorated_integrity(const std::string& kind,
         make_primary(kind, bounds, opt));
     if (kind != "cg")
       rs->add_fallback(std::make_unique<ms::BatchedChronGearSolver>(opt));
-    rs->add_fallback(std::make_unique<ms::SequentialBatchedSolver>(
-                         std::make_unique<ms::PcgSolver>(opt)),
+    rs->add_fallback(std::make_unique<ms::BatchedPcgSolver>(opt),
                      /*use_diagonal_precond=*/true);
     return rs;
   };

@@ -305,44 +305,4 @@ BatchSolveStats BatchedResilientSolver::solve(comm::Communicator& comm,
   }
 }
 
-// ---------------------------------------------------------------------------
-// SequentialBatchedSolver
-
-SequentialBatchedSolver::SequentialBatchedSolver(
-    std::unique_ptr<IterativeSolver> scalar)
-    : scalar_(std::move(scalar)) {
-  MINIPOP_REQUIRE(scalar_ != nullptr, "sequential batch needs a solver");
-}
-
-BatchSolveStats SequentialBatchedSolver::solve(comm::Communicator& comm,
-                                               const comm::HaloExchanger& halo,
-                                               const DistOperator& a,
-                                               Preconditioner& m,
-                                               const comm::DistFieldBatch& b,
-                                               comm::DistFieldBatch& x,
-                                               comm::HaloFreshness x_fresh) {
-  MINIPOP_REQUIRE(b.compatible_with(x), "sequential batch: b/x mismatch");
-  const auto snapshot = comm.costs().counters();
-  const int nb = b.nb();
-  BatchSolveStats out;
-  out.members.resize(nb);
-  comm::DistField b_m(b.decomposition(), b.rank(), b.halo());
-  comm::DistField x_m(x.decomposition(), x.rank(), x.halo());
-  for (int mm = 0; mm < nb; ++mm) {
-    b.store_member(mm, b_m);
-    x.store_member(mm, x_m);
-    const SolveStats s =
-        scalar_->solve(comm, halo, a, m, b_m, x_m, x_fresh);
-    x.load_member(mm, x_m);
-    out.members[mm].iterations = s.iterations;
-    out.members[mm].converged = s.converged;
-    out.members[mm].relative_residual = s.relative_residual;
-    out.members[mm].failure = s.failure;
-    out.members[mm].residual_history = s.residual_history;
-    out.iterations = std::max(out.iterations, s.iterations);
-  }
-  out.costs = comm.costs().since(snapshot);
-  return out;
-}
-
 }  // namespace minipop::solver

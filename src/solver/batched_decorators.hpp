@@ -1,6 +1,6 @@
-// Decorators over the batched execution core. BarotropicSolver stacks
-// them the same way for every batch width (a single solve is a width-1
-// batch):
+// The resilience decorator over the batched execution core.
+// BarotropicSolver stacks it the same way for every solver kind and
+// batch width (a single solve is a width-1 batch):
 //
 //   BatchedResilientSolver — detect → recover → fall back with
 //     per-member recovery: each attempt ends with one B-element kMax
@@ -11,10 +11,6 @@
 //     restart → fallback solvers, ending at diagonal-preconditioned
 //     PCG). One diverging member therefore never freezes or restarts
 //     the healthy rest of the batch.
-//
-//   SequentialBatchedSolver — owns a solver without a lockstep batched
-//     core (PCG) and runs it member by member, so it enters the same
-//     decorated stack — just without the fused-lane amortization.
 #pragma once
 
 #include <deque>
@@ -99,26 +95,6 @@ class BatchedResilientSolver final : public BatchedSolver {
   RecoveryPolicy policy_;
   std::vector<RecoveryEvent> events_;
   std::deque<comm::DistFieldBatch> ring_;  ///< [0] = newest entry snapshot
-};
-
-/// A solver without a lockstep batched core (PCG) as a
-/// BatchedSolver: members are solved one at a time through scratch
-/// planes. Owns the wrapped solver.
-class SequentialBatchedSolver final : public BatchedSolver {
- public:
-  explicit SequentialBatchedSolver(std::unique_ptr<IterativeSolver> scalar);
-
-  BatchSolveStats solve(
-      comm::Communicator& comm, const comm::HaloExchanger& halo,
-      const DistOperator& a, Preconditioner& m,
-      const comm::DistFieldBatch& b, comm::DistFieldBatch& x,
-      comm::HaloFreshness x_fresh = comm::HaloFreshness::kStale) override;
-
-  /// The wrapped solver's name (e.g. "pcg").
-  std::string name() const override { return scalar_->name(); }
-
- private:
-  std::unique_ptr<IterativeSolver> scalar_;
 };
 
 }  // namespace minipop::solver

@@ -22,6 +22,11 @@ namespace {
 /// per-SLOT state (member_of, active) tracks the current, possibly
 /// compacted, batch.
 struct BatchControl {
+  explicit BatchControl(const SolverOptions& options)
+      : opt(options), auditor(options) {}
+
+  const SolverOptions& opt;
+  BatchIntegrityAuditor auditor;  // one per solve: owns the audit cadence
   BatchSolveStats out;
   std::vector<double> b_norm2;          // by original member
   std::vector<double> threshold2;       // by original member
@@ -34,7 +39,10 @@ struct BatchControl {
   std::vector<unsigned char> active;    // slot -> still iterating
   int n_active = 0;
   int cur_nb = 0;
-  bool record = false;  // SolverOptions::record_residuals
+  // Per-check scratch, by slot.
+  std::vector<int> bad;                 // guarded-reduction mismatches
+  std::vector<unsigned char> accept;    // checked norm meets tolerance
+  std::vector<FailureKind> audit;       // integrity-audit verdicts
 
   void freeze(int s, bool converged, double rel, FailureKind failure) {
     BatchMemberStats& ms = out.members[member_of[s]];
@@ -55,7 +63,7 @@ BatchControl init_control(const SolverOptions& opt, comm::Communicator& comm,
                           const comm::DistFieldBatchT<T>& b,
                           comm::DistFieldBatchT<T>& x) {
   const int nb = b.nb();
-  BatchControl ctl;
+  BatchControl ctl(opt);
   ctl.out.members.resize(nb);
   ctl.b_norm2.assign(nb, 0.0);
   ctl.threshold2.assign(nb, 0.0);
@@ -65,7 +73,6 @@ BatchControl init_control(const SolverOptions& opt, comm::Communicator& comm,
   ctl.active.assign(nb, 1);
   ctl.n_active = nb;
   ctl.cur_nb = nb;
-  ctl.record = opt.record_residuals;
 
   a.local_dot_batch(comm, b, b, ctl.b_norm2.data());
   std::vector<int> bad;
@@ -136,27 +143,66 @@ void flush_member(comm::DistFieldBatchT<T>& x_caller, int m,
     x_caller.copy_member_interior_from(m, xw, s);
 }
 
-/// Per-member verdicts of the convergence check at iteration k, for
-/// every still-active slot: record the checked relative residual, then
-/// an integrity-audit failure freezes the member, an accepting norm
-/// converges it, and otherwise its guard may fail it. `norm2[s]` is
-/// slot s's reduced ||r||². A guard freeze needs no pending stamp: the
-/// checked norm is the member's final residual.
-void apply_check(BatchControl& ctl, int k, const double* norm2,
-                 const std::vector<unsigned char>& accept_s,
-                 const std::vector<FailureKind>& audit) {
+/// The per-iteration vector allreduce of the cores: `sums` holds groups
+/// of cur_nb per-slot partial sums and is reduced in place through the
+/// optional duplication guard. A mismatched element poisons its slot's
+/// scalars, so that member freezes kCorruptReduction; its residual is
+/// stamped later from its r plane, which reduction corruption does not
+/// touch.
+void reduce_guarded(BatchControl& ctl, comm::Communicator& comm,
+                    std::span<double> sums) {
+  ctl.bad.clear();
+  if (!allreduce_sum_guarded(comm, ctl.opt.integrity, sums, &ctl.bad))
+    return;
+  for (int i : ctl.bad) {
+    const int s = i % ctl.cur_nb;
+    if (!ctl.active[s]) continue;
+    ctl.needs_stamp[ctl.member_of[s]] = 1;
+    ctl.freeze(s, false, 0.0, FailureKind::kCorruptReduction);
+  }
+}
+
+/// The convergence check at iteration k, for every still-active slot;
+/// `norm2[s]` is slot s's reduced ||r||². The integrity audits due at
+/// this check run before any accepting norm freezes a member as
+/// converged; the recurrence-vs-true-residual drift audit applies only
+/// when r is a recurrence (`r_is_true` false: ChronGear and PCG; P-CSI's
+/// r is b - Ax). Then each member records its relative residual, and an
+/// audit failure freezes it, an accepting norm converges it, or else its
+/// guard may fail it. A guard freeze needs no pending stamp: the checked
+/// norm is the member's final residual.
+void check_members(BatchControl& ctl, comm::Communicator& comm,
+                   const comm::HaloExchanger& halo, const DistOperator& a,
+                   const comm::DistFieldBatch& b,
+                   const comm::DistFieldBatch& r, comm::DistFieldBatch& x,
+                   int k, const double* norm2, bool r_is_true) {
+  ctl.accept.assign(ctl.cur_nb, 0);
+  ctl.audit.assign(ctl.cur_nb, FailureKind::kNone);
+  bool any_accept = false;
+  for (int s = 0; s < ctl.cur_nb; ++s) {
+    if (ctl.active[s] && norm2[s] <= ctl.threshold2[ctl.member_of[s]]) {
+      ctl.accept[s] = 1;
+      any_accept = true;
+    }
+  }
+  if (ctl.opt.integrity.any_solver_check())
+    ctl.auditor.at_check(comm, halo, a, b, r, x, ctl.b_norm2.data(),
+                         ctl.member_of.data(), ctl.active.data(), ctl.cur_nb,
+                         norm2, r_is_true, ctl.accept.data(), any_accept,
+                         ctl.audit.data());
+
   for (int s = 0; s < ctl.cur_nb; ++s) {
     if (!ctl.active[s]) continue;
     const int mm = ctl.member_of[s];
     const double rel = std::sqrt(norm2[s] / ctl.b_norm2[mm]);
-    if (ctl.record)
+    if (ctl.opt.record_residuals)
       ctl.out.members[mm].residual_history.emplace_back(k, rel);
-    if (audit[s] != FailureKind::kNone) {
+    if (ctl.audit[s] != FailureKind::kNone) {
       ctl.needs_stamp[mm] = 1;
-      ctl.freeze(s, false, 0.0, audit[s]);
+      ctl.freeze(s, false, 0.0, ctl.audit[s]);
       continue;
     }
-    if (accept_s[s]) {
+    if (ctl.accept[s]) {
       ctl.freeze(s, true, rel, FailureKind::kNone);
       continue;
     }
@@ -165,11 +211,10 @@ void apply_check(BatchControl& ctl, int k, const double* norm2,
   }
 }
 
-bool should_retire(const SolverOptions& opt, const BatchControl& ctl) {
-  return opt.batch_retire_fraction > 0.0 && ctl.n_active > 0 &&
-         ctl.n_active < ctl.cur_nb &&
-         static_cast<double>(ctl.n_active) <=
-             opt.batch_retire_fraction * ctl.cur_nb;
+bool should_retire(const BatchControl& ctl) {
+  const double f = ctl.opt.batch_retire_fraction;
+  return f > 0.0 && ctl.n_active > 0 && ctl.n_active < ctl.cur_nb &&
+         static_cast<double>(ctl.n_active) <= f * ctl.cur_nb;
 }
 
 /// Retirement compaction: flush every slot's solution plane back to the
@@ -327,10 +372,6 @@ BatchSolveStats BatchedPcsiSolver::solve_t(comm::Communicator& comm,
 
   std::vector<T> ca(nb0), cb(nb0), cc(nb0);
   std::vector<double> sums(nb0);
-  std::vector<int> bad_idx;
-  std::vector<unsigned char> accept_s(nb0);
-  std::vector<FailureKind> audit(nb0);
-  BatchIntegrityAuditor auditor(opt_);
 
   // Initial step (Algorithm 2, step 2), gated so zero-RHS members'
   // solutions stay exactly at the early-out's fill(0).
@@ -373,37 +414,12 @@ BatchSolveStats BatchedPcsiSolver::solve_t(comm::Communicator& comm,
                                                 sums.data());
       else
         a.residual_local_norm2_batch(comm, halo, *bw, *xw, r, sums.data());
-      bad_idx.clear();
-      if (allreduce_sum_guarded(comm, opt_.integrity,
-                                std::span<double>(sums.data(), ctl.cur_nb),
-                                &bad_idx)) {
-        // A mismatched slot's norm is untrustworthy: freeze that member
-        // with a typed failure and stamp its residual from its (valid)
-        // r plane at the next stamp point.
-        for (int i : bad_idx) {
-          if (!ctl.active[i]) continue;
-          ctl.needs_stamp[ctl.member_of[i]] = 1;
-          ctl.freeze(i, false, 0.0, FailureKind::kCorruptReduction);
-        }
-        if (ctl.n_active == 0) break;
-      }
-      accept_s.assign(ctl.cur_nb, 0);
-      audit.assign(ctl.cur_nb, FailureKind::kNone);
-      for (int s = 0; s < ctl.cur_nb; ++s)
-        if (ctl.active[s] && sums[s] <= ctl.threshold2[ctl.member_of[s]])
-          accept_s[s] = 1;
-      // P-CSI's r IS the true residual, so only the ABFT operator audit
-      // applies — run it before any accepting check freezes a member as
-      // converged.
-      if (opt_.integrity.any_solver_check())
-        auditor.at_check(comm, halo, a, *bw, r, *xw, ctl.b_norm2.data(),
-                         ctl.member_of.data(), ctl.active.data(),
-                         ctl.cur_nb, nullptr, /*r_is_true=*/true,
-                         accept_s.data(), /*any_accept=*/false,
-                         audit.data());
-      apply_check(ctl, k, sums.data(), accept_s, audit);
+      reduce_guarded(ctl, comm, std::span<double>(sums.data(), ctl.cur_nb));
       if (ctl.n_active == 0) break;
-      if (should_retire(opt_, ctl)) {
+      check_members(ctl, comm, halo, a, *bw, r, *xw, k, sums.data(),
+                    /*r_is_true=*/true);
+      if (ctl.n_active == 0) break;
+      if (should_retire(ctl)) {
         compact(ctl, comm, a, x, bw, b_own, xw, x_own, r, {&r, &dx}, {&rp},
                 sums, x.halo());
       }
@@ -481,10 +497,6 @@ BatchSolveStats BatchedPcsiSolver::solve_comm_avoid_t(
 
   std::vector<T> ca(nb0), cb(nb0), cc(nb0);
   std::vector<double> sums(nb0);
-  std::vector<int> bad_idx;
-  std::vector<unsigned char> accept_s(nb0);
-  std::vector<FailureKind> audit(nb0);
-  BatchIntegrityAuditor auditor(opt_);
 
   // b's deep ghosts feed every extended residual sweep and b never
   // changes: ONE exchange per solve (compaction's full-plane member
@@ -537,31 +549,12 @@ BatchSolveStats BatchedPcsiSolver::solve_comm_avoid_t(
       // r's interior IS the lockstep residual; one vector allreduce of
       // the per-member masked norms, as in the depth-1 check.
       a.local_dot_batch(comm, r, r, sums.data());
-      bad_idx.clear();
-      if (allreduce_sum_guarded(comm, opt_.integrity,
-                                std::span<double>(sums.data(), ctl.cur_nb),
-                                &bad_idx)) {
-        for (int i : bad_idx) {
-          if (!ctl.active[i]) continue;
-          ctl.needs_stamp[ctl.member_of[i]] = 1;
-          ctl.freeze(i, false, 0.0, FailureKind::kCorruptReduction);
-        }
-        if (ctl.n_active == 0) break;
-      }
-      accept_s.assign(ctl.cur_nb, 0);
-      audit.assign(ctl.cur_nb, FailureKind::kNone);
-      for (int s = 0; s < ctl.cur_nb; ++s)
-        if (ctl.active[s] && sums[s] <= ctl.threshold2[ctl.member_of[s]])
-          accept_s[s] = 1;
-      if (opt_.integrity.any_solver_check())
-        auditor.at_check(comm, halo, a, *bw, r, *xw, ctl.b_norm2.data(),
-                         ctl.member_of.data(), ctl.active.data(),
-                         ctl.cur_nb, nullptr, /*r_is_true=*/true,
-                         accept_s.data(), /*any_accept=*/false,
-                         audit.data());
-      apply_check(ctl, k_last, sums.data(), accept_s, audit);
+      reduce_guarded(ctl, comm, std::span<double>(sums.data(), ctl.cur_nb));
       if (ctl.n_active == 0) break;
-      if (should_retire(opt_, ctl)) {
+      check_members(ctl, comm, halo, a, *bw, r, *xw, k_last, sums.data(),
+                    /*r_is_true=*/true);
+      if (ctl.n_active == 0) break;
+      if (should_retire(ctl)) {
         compact(ctl, comm, a, x, bw, b_own, xw, x_own, r, {&r, &dx}, {&rp},
                 sums, hw);
       }
@@ -629,10 +622,6 @@ BatchSolveStats BatchedChronGearSolver::solve_t(
   std::vector<T> ca(nb0), cb(nb0), cc(nb0), cneg(nb0);
   std::vector<double> sums(nb0);
   std::vector<double> red(3 * static_cast<std::size_t>(nb0));
-  std::vector<int> bad_idx;
-  std::vector<unsigned char> accept_s(nb0);
-  std::vector<FailureKind> audit(nb0);
-  BatchIntegrityAuditor auditor(opt_);
 
   for (int k = 1; k <= opt_.max_iterations; ++k) {
     ctl.out.iterations = k;
@@ -650,46 +639,15 @@ BatchSolveStats BatchedChronGearSolver::solve_t(
     // makes each member's scalars bit-equal at every batch width.
     const bool check = (k % opt_.check_frequency == 0);
     a.local_dot3_batch(comm, r, rp, z, check, red.data());
-    bad_idx.clear();
-    if (allreduce_sum_guarded(
-            comm, opt_.integrity,
-            std::span<double>(red.data(),
-                              static_cast<std::size_t>(check ? 3 : 2) *
-                                  ctl.cur_nb),
-            &bad_idx)) {
-      // A mismatched slot poisons that member's rho/delta/norm: freeze
-      // it with a typed failure (residual stamped later from its frozen
-      // r plane, which reduction corruption does not touch).
-      for (int i : bad_idx) {
-        const int s = i % ctl.cur_nb;
-        if (!ctl.active[s]) continue;
-        ctl.needs_stamp[ctl.member_of[s]] = 1;
-        ctl.freeze(s, false, 0.0, FailureKind::kCorruptReduction);
-      }
-      if (ctl.n_active == 0) break;
-    }
+    reduce_guarded(ctl, comm,
+                   std::span<double>(red.data(),
+                                     static_cast<std::size_t>(check ? 3 : 2) *
+                                         ctl.cur_nb));
+    if (ctl.n_active == 0) break;
 
     if (check) {
-      accept_s.assign(ctl.cur_nb, 0);
-      audit.assign(ctl.cur_nb, FailureKind::kNone);
-      bool any_accept = false;
-      for (int s = 0; s < ctl.cur_nb; ++s) {
-        if (!ctl.active[s]) continue;
-        if (red[2 * ctl.cur_nb + s] <= ctl.threshold2[ctl.member_of[s]]) {
-          accept_s[s] = 1;
-          any_accept = true;
-        }
-      }
-      // ChronGear's r is a recurrence: audit both the operator (ABFT) and
-      // recurrence-vs-true-residual drift — always before an accepting
-      // check turns a recurrence claim into "converged".
-      if (opt_.integrity.any_solver_check())
-        auditor.at_check(comm, halo, a, *bw, r, *xw, ctl.b_norm2.data(),
-                         ctl.member_of.data(), ctl.active.data(),
-                         ctl.cur_nb, red.data() + 2 * ctl.cur_nb,
-                         /*r_is_true=*/false, accept_s.data(), any_accept,
-                         audit.data());
-      apply_check(ctl, k, red.data() + 2 * ctl.cur_nb, accept_s, audit);
+      check_members(ctl, comm, halo, a, *bw, r, *xw, k,
+                    red.data() + 2 * ctl.cur_nb, /*r_is_true=*/false);
       if (ctl.n_active == 0) break;
     }
 
@@ -732,9 +690,121 @@ BatchSolveStats BatchedChronGearSolver::solve_t(
     lincomb_axpy(comm, ca.data(), z, cb.data(), p_dir, cneg.data(), r,
                  a.span_plan(), ctl.active.data());
 
-    if (check && should_retire(opt_, ctl)) {
+    if (check && should_retire(ctl)) {
       compact(ctl, comm, a, x, bw, b_own, xw, x_own, r,
               {&r, &s_dir, &p_dir}, {&rp, &z}, sums, x.halo());
+    }
+  }
+
+  finish(ctl, comm, a, x, xw, r, sums);
+  ctl.out.costs = comm.costs().since(snapshot);
+  return ctl.out;
+}
+
+// ---------------------------------------------------------------------------
+// Batched PCG
+
+BatchedPcgSolver::BatchedPcgSolver(const SolverOptions& options)
+    : opt_(options) {}
+
+BatchSolveStats BatchedPcgSolver::solve(comm::Communicator& comm,
+                                        const comm::HaloExchanger& halo,
+                                        const DistOperator& a,
+                                        Preconditioner& m,
+                                        const comm::DistFieldBatch& b,
+                                        comm::DistFieldBatch& x,
+                                        comm::HaloFreshness x_fresh) {
+  MINIPOP_REQUIRE(b.compatible_with(x), "batched pcg: b/x mismatch");
+  const auto snapshot = comm.costs().counters();
+  const int nb0 = b.nb();
+
+  BatchControl ctl = init_control(opt_, comm, a, b, x);
+  if (ctl.n_active == 0) {
+    ctl.out.costs = comm.costs().since(snapshot);
+    return ctl.out;
+  }
+
+  const comm::DistFieldBatch* bw = &b;
+  comm::DistFieldBatch* xw = &x;
+  std::unique_ptr<comm::DistFieldBatch> b_own, x_own;
+  comm::DistFieldBatch r(a.decomposition(), a.rank(), nb0, x.halo());
+  comm::DistFieldBatch z(a.decomposition(), a.rank(), nb0, x.halo());
+  comm::DistFieldBatch q(a.decomposition(), a.rank(), nb0, x.halo());
+  // p starts at zero — the constructor zero-fills.
+  comm::DistFieldBatch p(a.decomposition(), a.rank(), nb0, x.halo());
+
+  a.residual_batch(comm, halo, *bw, *xw, r, x_fresh);
+
+  // Per-member rho, indexed by ORIGINAL member id so it survives
+  // retirement compactions.
+  std::vector<double> rho_old(nb0, 1.0);
+  std::vector<double> one(nb0, 1.0), beta(nb0), alpha(nb0), neg_alpha(nb0);
+  std::vector<double> sums(nb0);
+  std::vector<double> red(2 * static_cast<std::size_t>(nb0));
+
+  for (int k = 1; k <= opt_.max_iterations; ++k) {
+    ctl.out.iterations = k;
+    for (int s = 0; s < ctl.cur_nb; ++s)
+      if (ctl.active[s]) ctl.out.members[ctl.member_of[s]].iterations = k;
+    const int n = ctl.cur_nb;
+
+    m.apply_batch(comm, r, z);
+
+    // Reduction 1: rho = r·z, with ||r||² riding along at checks.
+    const bool check = (k % opt_.check_frequency == 0);
+    a.local_dot_batch(comm, r, z, red.data());
+    if (check) a.local_dot_batch(comm, r, r, red.data() + n);
+    reduce_guarded(ctl, comm,
+                   std::span<double>(red.data(),
+                                     static_cast<std::size_t>(check ? 2 : 1) *
+                                         n));
+    if (ctl.n_active == 0) break;
+    if (check) {
+      check_members(ctl, comm, halo, a, *bw, r, *xw, k, red.data() + n,
+                    /*r_is_true=*/false);
+      if (ctl.n_active == 0) break;
+    }
+
+    // p = z + beta p, frozen lanes masked out here and below so their x
+    // and r planes stay exactly at freeze state.
+    for (int s = 0; s < n; ++s)
+      if (ctl.active[s]) beta[s] = red[s] / rho_old[ctl.member_of[s]];
+    lincomb(comm, one.data(), z, beta.data(), p, a.span_plan(),
+            ctl.active.data());
+
+    a.apply_batch(comm, halo, p, q);
+
+    // Reduction 2: sigma = p·q; rho/sigma pathologies freeze the member.
+    a.local_dot_batch(comm, p, q, sums.data());
+    reduce_guarded(ctl, comm, std::span<double>(sums.data(), n));
+    for (int s = 0; s < n; ++s) {
+      if (!ctl.active[s]) continue;
+      const int mm = ctl.member_of[s];
+      const double rho = red[s];
+      const double sigma = sums[s];
+      if (!ConvergenceGuard::finite(rho) ||
+          !ConvergenceGuard::finite(sigma)) {
+        ctl.needs_stamp[mm] = 1;
+        ctl.freeze(s, false, 0.0, FailureKind::kNanDetected);
+        continue;
+      }
+      if (sigma == 0.0) {
+        ctl.needs_stamp[mm] = 1;
+        ctl.freeze(s, false, 0.0, FailureKind::kBreakdown);
+        continue;
+      }
+      alpha[s] = rho / sigma;
+      neg_alpha[s] = -alpha[s];
+      rho_old[mm] = rho;
+    }
+    if (ctl.n_active == 0) break;
+
+    axpy(comm, alpha.data(), p, *xw, a.span_plan(), ctl.active.data());
+    axpy(comm, neg_alpha.data(), q, r, a.span_plan(), ctl.active.data());
+
+    if (check && should_retire(ctl)) {
+      compact(ctl, comm, a, x, bw, b_own, xw, x_own, r, {&r, &p}, {&z, &q},
+              sums, x.halo());
     }
   }
 

@@ -28,17 +28,23 @@
 // narrower batch. Retirement never changes any member's arithmetic,
 // only the lane count. See DESIGN.md §10 for the policy discussion.
 //
-// SolverOptions::overlap is honored: the split-phase batched sweeps
-// hide the aggregated halo exchange behind the interior stencil update
-// (bitwise identical to the blocking path).
+// Three lockstep cores share this machinery: P-CSI, ChronGear and PCG.
+// SolverOptions::overlap is honored by P-CSI and ChronGear: the
+// split-phase batched sweeps hide the aggregated halo exchange behind
+// the interior stencil update (bitwise identical to the blocking path).
+// PCG's sweeps stay blocking.
 #pragma once
 
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "src/comm/dist_field.hpp"
+#include "src/comm/halo.hpp"
+#include "src/solver/dist_operator.hpp"
 #include "src/solver/iterative_solver.hpp"
+#include "src/solver/preconditioner.hpp"
 
 namespace minipop::solver {
 
@@ -180,6 +186,27 @@ class BatchedChronGearSolver final : public BatchedSolver {
                           comm::DistFieldBatchT<T>& x,
                           comm::HaloFreshness x_fresh);
 
+  SolverOptions opt_;
+};
+
+/// Lockstep batched textbook PCG, the historical POP solver that
+/// ChronGear improves on. Per-member rho, and two vector allreduces per
+/// iteration: {r·z, plus ||r||² at checks} and p·q. Its sweeps stay
+/// unfused, blocking and depth-1: SolverOptions::overlap and halo_depth
+/// are ignored.
+class BatchedPcgSolver final : public BatchedSolver {
+ public:
+  explicit BatchedPcgSolver(const SolverOptions& options = {});
+
+  BatchSolveStats solve(
+      comm::Communicator& comm, const comm::HaloExchanger& halo,
+      const DistOperator& a, Preconditioner& m,
+      const comm::DistFieldBatch& b, comm::DistFieldBatch& x,
+      comm::HaloFreshness x_fresh = comm::HaloFreshness::kStale) override;
+
+  std::string name() const override { return "pcg"; }
+
+ private:
   SolverOptions opt_;
 };
 

@@ -1,15 +1,13 @@
-// Common interface, options and statistics for the barotropic solvers.
+// Options, statistics, failure taxonomy and convergence guard shared by
+// the barotropic solvers. Their one interface is BatchedSolver
+// (batched_solver.hpp); a single solve is a width-1 batch.
 #pragma once
 
 #include <cmath>
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/comm/communicator.hpp"
-#include "src/comm/dist_field.hpp"
-#include "src/comm/halo.hpp"
-#include "src/solver/dist_operator.hpp"
-#include "src/solver/preconditioner.hpp"
 
 namespace minipop::solver {
 
@@ -82,11 +80,11 @@ struct IntegrityOptions {
   double abft_tolerance = 1e-8;
   /// Recompute the true residual b - Ax every
   /// `true_residual_interval` convergence checks and compare it to the
-  /// recurrence residual (0 = off). Only ChronGear's recurrence can
-  /// drift; P-CSI checks the true residual already. Also audits the
-  /// accepting convergence check, which is what turns "converged" from
-  /// a recurrence claim into a verified statement. One residual sweep
-  /// (with halo exchange) + one allreduce per audit.
+  /// recurrence residual (0 = off). Only the recurrences of ChronGear
+  /// and PCG can drift; P-CSI checks the true residual already. Also
+  /// audits the accepting convergence check, which is what turns
+  /// "converged" from a recurrence claim into a verified statement. One
+  /// residual sweep (with halo exchange) + one allreduce per audit.
   int true_residual_interval = 0;
   /// Allowed relative gap |rel_true - rel_recurrence| before the audit
   /// types the solve kSilentDrift.
@@ -226,27 +224,6 @@ class ConvergenceGuard {
   double first_ = -1.0;
   double best_ = -1.0;
   int stalled_ = 0;
-};
-
-/// Interface of the single-system solvers without a lockstep batched
-/// core (PCG). They enter the solver stack through
-/// SequentialBatchedSolver; diagonal-preconditioned PCG is also the
-/// last rung of the resilience fallback chain.
-class IterativeSolver {
- public:
-  virtual ~IterativeSolver() = default;
-
-  /// Solve A x = b starting from the x passed in (often the previous time
-  /// step's solution in POP). x is updated in place; collective across the
-  /// communicator. `x_fresh` attests that x's halo was just refreshed, so
-  /// the initial residual needs no boundary update (see HaloFreshness).
-  virtual SolveStats solve(
-      comm::Communicator& comm, const comm::HaloExchanger& halo,
-      const DistOperator& a, Preconditioner& m, const comm::DistField& b,
-      comm::DistField& x,
-      comm::HaloFreshness x_fresh = comm::HaloFreshness::kStale) = 0;
-
-  virtual std::string name() const = 0;
 };
 
 }  // namespace minipop::solver

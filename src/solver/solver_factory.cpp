@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/perf/cost_equations.hpp"
-#include "src/solver/pcg.hpp"
 #include "src/util/error.hpp"
 #include "src/util/log.hpp"
 
@@ -118,8 +117,8 @@ BarotropicSolver::BarotropicSolver(comm::Communicator& comm,
     lanczos_ = estimate_eigenvalue_bounds(comm, halo, op_, *precond_,
                                           config_.lanczos);
 
-  // The solver stack: the lockstep core for P-CSI and ChronGear, the
-  // member-by-member adapter for PCG; then the resilience decorator.
+  // The solver stack: the solver's lockstep core, then the resilience
+  // decorator.
   switch (config_.solver) {
     case SolverKind::kPcsi:
       stack_ = std::make_unique<BatchedPcsiSolver>(lanczos_->bounds,
@@ -129,8 +128,7 @@ BarotropicSolver::BarotropicSolver(comm::Communicator& comm,
       stack_ = std::make_unique<BatchedChronGearSolver>(config_.options);
       break;
     case SolverKind::kPcg:
-      stack_ = std::make_unique<SequentialBatchedSolver>(
-          std::make_unique<PcgSolver>(config_.options));
+      stack_ = std::make_unique<BatchedPcgSolver>(config_.options);
       break;
   }
 
@@ -146,8 +144,7 @@ BarotropicSolver::BarotropicSolver(comm::Communicator& comm,
           std::make_unique<BatchedChronGearSolver>(config_.options));
     if (config_.solver != SolverKind::kPcg)
       resilient->add_fallback(
-          std::make_unique<SequentialBatchedSolver>(
-              std::make_unique<PcgSolver>(config_.options)),
+          std::make_unique<BatchedPcgSolver>(config_.options),
           /*use_diagonal_precond=*/true);
     resilient_ = resilient.get();
     stack_ = std::move(resilient);

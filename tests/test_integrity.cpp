@@ -182,12 +182,13 @@ SolveRun run_with(const Problem& p, int nranks, const SolverFactory& make,
   return out;
 }
 
-/// Single-solve stack: a pcsi|cg core, run as a width-1 batch by
+/// Single-solve stack: a pcsi|cg|pcg core, run as a width-1 batch by
 /// run_with.
 SolverFactory make_kind(const std::string& kind, const ms::SolverOptions& opt,
                         ms::EigenBounds bounds = {1.0, 2.0}) {
   return [kind, opt, bounds](int) -> std::unique_ptr<ms::BatchedSolver> {
     if (kind == "cg") return std::make_unique<ms::BatchedChronGearSolver>(opt);
+    if (kind == "pcg") return std::make_unique<ms::BatchedPcgSolver>(opt);
     return std::make_unique<ms::BatchedPcsiSolver>(bounds, opt);
   };
 }
@@ -213,6 +214,7 @@ BatchedFactory make_batched(const std::string& kind,
   return [kind, opt, bounds]() -> std::unique_ptr<ms::BatchedSolver> {
     if (kind == "pcsi")
       return std::make_unique<ms::BatchedPcsiSolver>(bounds, opt);
+    if (kind == "pcg") return std::make_unique<ms::BatchedPcgSolver>(opt);
     return std::make_unique<ms::BatchedChronGearSolver>(opt);
   };
 }
@@ -463,7 +465,8 @@ TEST(IntegrityOff, DefaultOptionsRecordZeroIntegrityCounters) {
   Problem p = make_problem(24, 20, 8, 1);
   ms::SolverOptions opt;
   opt.rel_tolerance = 1e-10;
-  for (const std::string& kind : {std::string("cg"), std::string("pcsi")}) {
+  for (const std::string& kind : {std::string("cg"), std::string("pcsi"),
+                                  std::string("pcg")}) {
     SCOPED_TRACE(kind);
     SolveRun r = run_with(p, 1, make_kind(kind, opt));
     ASSERT_TRUE(r.stats.converged);
@@ -477,7 +480,8 @@ TEST(IntegrityOn, CleanScalarSolveIsBitwiseIdenticalAndCounted) {
   off.rel_tolerance = 1e-10;
   off.record_residuals = true;
   const ms::SolverOptions on = with_integrity(off);
-  for (const std::string& kind : {std::string("cg"), std::string("pcsi")}) {
+  for (const std::string& kind : {std::string("cg"), std::string("pcsi"),
+                                  std::string("pcg")}) {
     for (const int nranks : {1, 4}) {
       SCOPED_TRACE(kind + " nranks=" + std::to_string(nranks));
       Problem p = make_problem(32, 24, 8, nranks);
@@ -520,7 +524,8 @@ TEST(IntegrityOn, CleanBatchedSolveIsBitwiseIdenticalAndCounted) {
   ms::SolverOptions off;
   off.rel_tolerance = 1e-10;
   const ms::SolverOptions on = with_integrity(off);
-  for (const std::string& kind : {std::string("pcsi"), std::string("cg")}) {
+  for (const std::string& kind : {std::string("pcsi"), std::string("cg"),
+                                  std::string("pcg")}) {
     SCOPED_TRACE(kind);
     BatchRun base = run_batch(p, 1, rhs, make_batched(kind, off, bounds));
     BatchRun audited = run_batch(p, 1, rhs, make_batched(kind, on, bounds));
@@ -603,7 +608,8 @@ TEST(GuardedReductionTest, InjectedContributionCorruptionIsDetected) {
 TEST(SdcCampaign, ReductionCorruptTypedAcrossScalarConfigs) {
   Problem p = make_problem(32, 24, 8, 1);
   const ms::EigenBounds bounds = lanczos_bounds_serial(p);
-  for (const std::string& kind : {std::string("cg"), std::string("pcsi")}) {
+  for (const std::string& kind : {std::string("cg"), std::string("pcsi"),
+                                  std::string("pcg")}) {
     SCOPED_TRACE(kind);
     ms::SolverOptions opt;
     opt.rel_tolerance = 1e-10;
@@ -620,7 +626,8 @@ TEST(SdcCampaign, ReductionCorruptTypedAcrossScalarConfigs) {
 TEST(SdcCampaign, CoeffBitFlipTypedAcrossScalarConfigs) {
   Problem p = make_problem(32, 24, 8, 1);
   const ms::EigenBounds bounds = lanczos_bounds_serial(p);
-  for (const std::string& kind : {std::string("cg"), std::string("pcsi")}) {
+  for (const std::string& kind : {std::string("cg"), std::string("pcsi"),
+                                  std::string("pcg")}) {
     SCOPED_TRACE(kind);
     ms::SolverOptions opt;
     opt.rel_tolerance = 1e-10;
@@ -681,7 +688,8 @@ TEST(SdcCampaign, RecurrenceDriftFromCorruptVectorTypedAndRecovered) {
 TEST(SdcCampaign, ReductionCorruptTypedAcrossBatchedConfigs) {
   Problem p = make_problem(32, 24, 8, 1);
   const ms::EigenBounds bounds = lanczos_bounds_serial(p);
-  for (const std::string& kind : {std::string("pcsi"), std::string("cg")}) {
+  for (const std::string& kind : {std::string("pcsi"), std::string("cg"),
+                                  std::string("pcg")}) {
     for (const int nb : {1, 4}) {
       SCOPED_TRACE(kind + " B=" + std::to_string(nb));
       const std::vector<mu::Field> rhs = make_rhs(p, nb);
@@ -710,7 +718,8 @@ TEST(SdcCampaign, ReductionCorruptTypedAcrossBatchedConfigs) {
 TEST(SdcCampaign, CoeffBitFlipTypedAcrossBatchedConfigs) {
   Problem p = make_problem(32, 24, 8, 1);
   const ms::EigenBounds bounds = lanczos_bounds_serial(p);
-  for (const std::string& kind : {std::string("pcsi"), std::string("cg")}) {
+  for (const std::string& kind : {std::string("pcsi"), std::string("cg"),
+                                  std::string("pcg")}) {
     for (const int nb : {1, 4}) {
       SCOPED_TRACE(kind + " B=" + std::to_string(nb));
       const std::vector<mu::Field> rhs = make_rhs(p, nb);
@@ -736,10 +745,39 @@ TEST(SdcCampaign, CoeffBitFlipTypedAcrossBatchedConfigs) {
   }
 }
 
+// The solver-vector site arms on width-1 batches (single solves) only,
+// for every core: a member of a wider batch recovers through the
+// resilient decorator's per-member sub-batches instead.
+TEST(SdcCampaign, SolverVectorSiteArmsOnWidthOneBatchesOnly) {
+  Problem p = make_problem(32, 24, 8, 1);
+  const ms::EigenBounds bounds = lanczos_bounds_serial(p);
+  ms::SolverOptions opt;
+  opt.rel_tolerance = 1e-10;
+  // No retirement: a batch compacted down to one survivor is width 1.
+  opt.batch_retire_fraction = 0.0;
+  for (const std::string& kind : {std::string("pcsi"), std::string("cg"),
+                                  std::string("pcg")}) {
+    for (const int nb : {1, 4}) {
+      SCOPED_TRACE(kind + " B=" + std::to_string(nb));
+      mf::FaultScope scope{mf::FaultPlan{}};  // counts offers, fires none
+      BatchRun run =
+          run_batch(p, 1, make_rhs(p, nb), make_batched(kind, opt, bounds));
+      for (const auto& m : run.stats.members) EXPECT_TRUE(m.converged);
+      const long offered =
+          scope.injector().events(mf::FaultSite::kSolverVector, 0);
+      if (nb == 1)
+        EXPECT_GT(offered, 0);
+      else
+        EXPECT_EQ(offered, 0);
+    }
+  }
+}
+
 TEST(SdcCampaign, HaloBitFlipBehindCrcRecoveredAcrossBatchedConfigs) {
   Problem p = make_problem(32, 24, 8, 4);
   const ms::EigenBounds bounds = lanczos_bounds_serial(p);
-  for (const std::string& kind : {std::string("pcsi"), std::string("cg")}) {
+  for (const std::string& kind : {std::string("pcsi"), std::string("cg"),
+                                  std::string("pcg")}) {
     for (const int nb : {1, 4}) {
       SCOPED_TRACE(kind + " B=" + std::to_string(nb));
       const std::vector<mu::Field> rhs = make_rhs(p, nb);

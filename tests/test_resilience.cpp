@@ -28,7 +28,6 @@
 #include "src/grid/stencil.hpp"
 #include "src/solver/batched_decorators.hpp"
 #include "src/solver/lanczos.hpp"
-#include "src/solver/pcg.hpp"
 #include "src/solver/solver_factory.hpp"
 #include "src/util/rng.hpp"
 
@@ -168,9 +167,7 @@ SolverFactory make_kind(const std::string& kind, const ms::SolverOptions& opt,
   return [kind, opt, bounds](int) -> std::unique_ptr<ms::BatchedSolver> {
     if (kind == "cg")
       return std::make_unique<ms::BatchedChronGearSolver>(opt);
-    if (kind == "pcg")
-      return std::make_unique<ms::SequentialBatchedSolver>(
-          std::make_unique<ms::PcgSolver>(opt));
+    if (kind == "pcg") return std::make_unique<ms::BatchedPcgSolver>(opt);
     return std::make_unique<ms::BatchedPcsiSolver>(bounds, opt);
   };
 }

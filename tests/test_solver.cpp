@@ -12,7 +12,6 @@
 #include "src/solver/batched_solver.hpp"
 #include "src/solver/field_ops.hpp"
 #include "src/solver/lanczos.hpp"
-#include "src/solver/pcg.hpp"
 #include "src/util/rng.hpp"
 
 namespace mc = minipop::comm;
@@ -68,26 +67,11 @@ Problem make_problem(int nx, int ny, int block, int nranks,
   return p;
 }
 
-/// One solve of A x = b: PCG directly, the lockstep cores as a width-1
-/// batch.
-ms::SolveStats run(ms::IterativeSolver& s, mc::Communicator& comm,
-                   const mc::HaloExchanger& halo, const ms::DistOperator& a,
-                   ms::Preconditioner& m, const mc::DistField& b,
-                   mc::DistField& x) {
-  return s.solve(comm, halo, a, m, b, x);
-}
-ms::SolveStats run(ms::BatchedSolver& s, mc::Communicator& comm,
-                   const mc::HaloExchanger& halo, const ms::DistOperator& a,
-                   ms::Preconditioner& m, const mc::DistField& b,
-                   mc::DistField& x) {
-  return ms::solve_one(s, comm, halo, a, m, b, x);
-}
-
-/// Run a solver serially on rank 0 of a 1-rank decomposition; return the
-/// gathered solution and the stats.
-template <typename Solver>
+/// Run a solver serially, as a width-1 batch, on rank 0 of a 1-rank
+/// decomposition; return the gathered solution and the stats.
 std::pair<mu::Field, ms::SolveStats> solve_serial(
-    const Problem& p, Solver& solver, bool diagonal_precond = true) {
+    const Problem& p, ms::BatchedSolver& solver,
+    bool diagonal_precond = true) {
   mc::SerialComm comm;
   mc::HaloExchanger halo(*p.decomp);
   ms::DistOperator a(*p.stencil, *p.decomp, 0);
@@ -98,7 +82,7 @@ std::pair<mu::Field, ms::SolveStats> solve_serial(
     m = std::make_unique<ms::IdentityPreconditioner>(a);
   mc::DistField b(*p.decomp, 0), x(*p.decomp, 0);
   b.load_global(p.b_global);
-  auto stats = run(solver, comm, halo, a, *m, b, x);
+  auto stats = ms::solve_one(solver, comm, halo, a, *m, b, x);
   mu::Field out(p.decomp->nx_global(), p.decomp->ny_global(), 0.0);
   x.store_global(out);
   return {out, stats};
@@ -143,7 +127,7 @@ TEST(Pcg, MatchesDenseSolution) {
   auto p = make_problem(14, 12, 14, 1);
   ms::SolverOptions opt;
   opt.rel_tolerance = 1e-12;
-  ms::PcgSolver solver(opt);
+  ms::BatchedPcgSolver solver(opt);
   auto [x, stats] = solve_serial(p, solver);
   EXPECT_TRUE(stats.converged);
   EXPECT_LT(max_abs_err(x, p.x_ref), 1e-8 * std::max(1.0, max_abs(p.x_ref)));
@@ -165,7 +149,7 @@ TEST(ChronGear, IterationCountTracksPcg) {
   auto p = make_problem(20, 16, 20, 1);
   ms::SolverOptions opt;
   opt.rel_tolerance = 1e-10;
-  ms::PcgSolver pcg(opt);
+  ms::BatchedPcgSolver pcg(opt);
   ms::BatchedChronGearSolver cg(opt);
   auto [x1, s1] = solve_serial(p, pcg);
   auto [x2, s2] = solve_serial(p, cg);
@@ -193,11 +177,31 @@ TEST(Pcg, TwoReductionsPerIteration) {
   auto p = make_problem(20, 16, 20, 1);
   ms::SolverOptions opt;
   opt.rel_tolerance = 1e-10;
-  ms::PcgSolver solver(opt);
+  ms::BatchedPcgSolver solver(opt);
   auto [x, stats] = solve_serial(p, solver);
   ASSERT_TRUE(stats.converged);
   // 2 per full iteration; the final (converged) iteration stops after the
   // first reduction; +1 for the initial ||b||.
+  EXPECT_EQ(stats.costs.allreduces,
+            2 * static_cast<std::uint64_t>(stats.iterations));
+}
+
+// A guard failure freezes the solve on the norm its check reduced: the
+// reported residual is bitwise the last checked one, and no trailing
+// ||r||² sweep and allreduce follow (2 per iteration, the last one
+// stopping after its first; +1 for ||b||²).
+TEST(Pcg, GuardFailureReportsTheCheckedNorm) {
+  auto p = make_problem(20, 16, 20, 1);
+  ms::SolverOptions opt;
+  opt.rel_tolerance = 1e-10;
+  opt.record_residuals = true;
+  opt.stagnation_window = 1;
+  opt.stagnation_decrease = 0.999;  // a 1000x gain per check, or fail
+  ms::BatchedPcgSolver solver(opt);
+  auto [x, stats] = solve_serial(p, solver);
+  ASSERT_EQ(stats.failure, ms::FailureKind::kStagnated);
+  ASSERT_FALSE(stats.residual_history.empty());
+  EXPECT_EQ(stats.relative_residual, stats.residual_history.back().second);
   EXPECT_EQ(stats.costs.allreduces,
             2 * static_cast<std::uint64_t>(stats.iterations));
 }
@@ -229,7 +233,7 @@ TEST(SweepCensus, PcgCountsEverySweep) {
     EXPECT_EQ(stats.costs.swept_points, cells * sweeps);
     EXPECT_EQ(stats.costs.active_points, ocean * sweeps);
   };
-  ms::PcgSolver pcg(opt);
+  ms::BatchedPcgSolver pcg(opt);
   expect_sweeps(solve_serial(p, pcg).second, 145);
 }
 
@@ -314,10 +318,10 @@ TEST(Solvers, WarmStartConvergesFaster) {
   ms::DiagonalPreconditioner m(a);
   mc::DistField b(*p.decomp, 0), x(*p.decomp, 0);
   b.load_global(p.b_global);
-  auto cold = run(solver, comm, halo, a, m, b, x);
+  auto cold = ms::solve_one(solver, comm, halo, a, m, b, x);
   // x now holds the solution; re-solving from it must converge at the
   // first check.
-  auto warm = run(solver, comm, halo, a, m, b, x);
+  auto warm = ms::solve_one(solver, comm, halo, a, m, b, x);
   ASSERT_TRUE(cold.converged);
   ASSERT_TRUE(warm.converged);
   EXPECT_LE(warm.iterations, opt.check_frequency);
@@ -340,7 +344,7 @@ TEST(Solvers, MultiRankMatchesSerial) {
     mc::DistField b(d1, 0), x(d1, 0);
     b.load_global(p.b_global);
     ms::BatchedChronGearSolver solver(opt);
-    auto stats = run(solver, comm, halo, a, m, b, x);
+    auto stats = ms::solve_one(solver, comm, halo, a, m, b, x);
     ASSERT_TRUE(stats.converged);
     x.store_global(x_serial);
   }
@@ -355,7 +359,7 @@ TEST(Solvers, MultiRankMatchesSerial) {
     mc::DistField b(*p.decomp, comm.rank()), x(*p.decomp, comm.rank());
     b.load_global(p.b_global);
     ms::BatchedChronGearSolver solver(opt);
-    auto stats = run(solver, comm, halo, a, m, b, x);
+    auto stats = ms::solve_one(solver, comm, halo, a, m, b, x);
     EXPECT_TRUE(stats.converged);
     iters[comm.rank()] = stats.iterations;
     x.store_global(x_parallel);  // disjoint interiors; no race
@@ -384,7 +388,7 @@ TEST(Pcsi, MultiRankMatchesSerialWithSameIterations) {
     mc::DistField b(d1, 0), x(d1, 0);
     b.load_global(p.b_global);
     ms::BatchedPcsiSolver solver(bounds, opt);
-    auto stats = run(solver, comm, halo, a, m, b, x);
+    auto stats = ms::solve_one(solver, comm, halo, a, m, b, x);
     ASSERT_TRUE(stats.converged);
     serial_iters = stats.iterations;
     x.store_global(x_serial);
@@ -399,7 +403,7 @@ TEST(Pcsi, MultiRankMatchesSerialWithSameIterations) {
     mc::DistField b(*p.decomp, comm.rank()), x(*p.decomp, comm.rank());
     b.load_global(p.b_global);
     ms::BatchedPcsiSolver solver(bounds, opt);
-    auto stats = run(solver, comm, halo, a, m, b, x);
+    auto stats = ms::solve_one(solver, comm, halo, a, m, b, x);
     EXPECT_TRUE(stats.converged);
     // P-CSI iterations are scalar-recurrence-driven: identical across
     // decompositions (no inner products in the iteration itself).

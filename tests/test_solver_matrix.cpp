@@ -1,8 +1,8 @@
 // Full SolverConfig composition matrix over the unified execution core
 // (DESIGN.md §11): every solver x resilient x overlap combination
-// composes with batching (P-CSI and ChronGear run the lockstep batched
-// stack; PCG solves correctly member by member through solve_batch).
-// No combination may silently fall back or diverge.
+// composes with batching — each solver runs its lockstep batched core
+// under every decoration. No combination may silently fall back or
+// diverge.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -61,10 +61,6 @@ struct MatrixProblem {
   }
 };
 
-bool lockstep_kind(ms::SolverKind k) {
-  return k == ms::SolverKind::kPcsi || k == ms::SolverKind::kChronGear;
-}
-
 TEST(SolverMatrix, EveryConfigComposesOrRejectsLoudly) {
   MatrixProblem p;
   mc::SerialComm comm;
@@ -92,9 +88,6 @@ TEST(SolverMatrix, EveryConfigComposesOrRejectsLoudly) {
 
         ms::BarotropicSolver solver(comm, *p.halo, *p.grid, p.depth,
                                     *p.stencil, *p.decomp, cfg);
-        // Lockstep solvers keep the fused batched core under EVERY
-        // decoration — composing must never cost the aggregation.
-        EXPECT_EQ(solver.has_batched_path(), lockstep_kind(kind));
         EXPECT_FALSE(solver.batched().name().empty());
 
         // B=1: the degenerate batch must converge like a single solve.
