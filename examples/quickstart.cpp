@@ -10,6 +10,7 @@
 // nine-point stencil -> block decomposition -> BarotropicSolver. An
 // unknown option or a malformed value exits with status 2 and a usage
 // line.
+#include <cstdint>
 #include <iostream>
 
 #include "src/comm/serial_comm.hpp"
@@ -105,16 +106,23 @@ int main(int argc, char** argv) {
                                     base);
   comm::DistField x2(decomp, 0);
   auto base_stats = baseline.solve(comm, b, x2);
+  const std::uint64_t ours = stats.costs.allreduces;
+  const std::uint64_t theirs = base_stats.costs.allreduces;
   std::cout << "\nbaseline " << baseline.description() << ": "
-            << base_stats.iterations << " iterations, "
-            << base_stats.costs.allreduces << " reductions\n"
-            << "=> " << solver.description() << " used "
-            << (base_stats.costs.allreduces == 0
-                    ? 0.0
-                    : 100.0 * (1.0 - static_cast<double>(
-                                         stats.costs.allreduces) /
-                                         base_stats.costs.allreduces))
-            << "% fewer global reductions — the property that makes it "
-               "scale (paper Sec. 3).\n";
+            << base_stats.iterations << " iterations, " << theirs
+            << " reductions\n"
+            << "=> " << solver.description() << " used " << ours
+            << " global reductions, ";
+  if (ours < theirs)
+    std::cout << theirs - ours << " fewer than the baseline's " << theirs
+              << " ("
+              << 100.0 * (1.0 - static_cast<double>(ours) / theirs)
+              << "% fewer) — the property that makes it scale (paper "
+                 "Sec. 3).\n";
+  else if (ours > theirs)
+    std::cout << ours - theirs << " more than the baseline's " << theirs
+              << ".\n";
+  else
+    std::cout << "as many as the baseline.\n";
   return stats.converged ? 0 : 1;
 }

@@ -191,77 +191,68 @@ HaloPlan build_plan(const grid::Decomposition& d, int rank, int h) {
 // to short rows, same code path.
 
 /// First element of region row j inside the padded array.
-template <typename T>
-T* region_row_w(util::Array2D<T>& padded, int h, int w,
-                const HaloRegion& r, int j) {
+double* region_row_w(util::Array2D<double>& padded, int h, int w,
+                     const HaloRegion& r, int j) {
   return padded.data() +
          static_cast<std::ptrdiff_t>(r.j0 + j + h) * padded.nx() +
          static_cast<std::ptrdiff_t>(r.i0 + h) * w;
 }
-template <typename T>
-const T* region_row_w(const util::Array2D<T>& padded, int h, int w,
-                      const HaloRegion& r, int j) {
+const double* region_row_w(const util::Array2D<double>& padded, int h,
+                           int w, const HaloRegion& r, int j) {
   return padded.data() +
          static_cast<std::ptrdiff_t>(r.j0 + j + h) * padded.nx() +
          static_cast<std::ptrdiff_t>(r.i0 + h) * w;
 }
 
 /// Copy region `r` of `padded` to `out`; returns the end of the copy.
-template <typename T>
-T* pack_w(const util::Array2D<T>& padded, int h, int w, const HaloRegion& r,
-          T* out) {
+double* pack_w(const util::Array2D<double>& padded, int h, int w,
+               const HaloRegion& r, double* out) {
   const std::size_t row = static_cast<std::size_t>(r.ni) * w;
   for (int j = 0; j < r.nj; ++j, out += row)
-    std::memcpy(out, region_row_w(padded, h, w, r, j), row * sizeof(T));
+    std::memcpy(out, region_row_w(padded, h, w, r, j), row * sizeof(double));
   return out;
 }
 
 /// Fill region `r` of `padded` from `in`; returns the end of the read.
-template <typename T>
-const T* unpack_w(util::Array2D<T>& padded, int h, int w,
-                  const HaloRegion& r, const T* in) {
+const double* unpack_w(util::Array2D<double>& padded, int h, int w,
+                       const HaloRegion& r, const double* in) {
   const std::size_t row = static_cast<std::size_t>(r.ni) * w;
   for (int j = 0; j < r.nj; ++j, in += row)
-    std::memcpy(region_row_w(padded, h, w, r, j), in, row * sizeof(T));
+    std::memcpy(region_row_w(padded, h, w, r, j), in, row * sizeof(double));
   return in;
 }
 
-template <typename T>
-void copy_w(util::Array2D<T>& padded_dst, const HaloRegion& dst,
-            const util::Array2D<T>& padded_src, const HaloRegion& src, int h,
-            int w) {
+void copy_w(util::Array2D<double>& padded_dst, const HaloRegion& dst,
+            const util::Array2D<double>& padded_src, const HaloRegion& src,
+            int h, int w) {
   const std::size_t row = static_cast<std::size_t>(dst.ni) * w;
   for (int j = 0; j < dst.nj; ++j)
     std::memcpy(region_row_w(padded_dst, h, w, dst, j),
-                region_row_w(padded_src, h, w, src, j), row * sizeof(T));
+                region_row_w(padded_src, h, w, src, j), row * sizeof(double));
 }
 
-template <typename T>
-void zero_region_w(util::Array2D<T>& padded, int h, int w,
+void zero_region_w(util::Array2D<double>& padded, int h, int w,
                    const HaloRegion& r) {
   const std::size_t row = static_cast<std::size_t>(r.ni) * w;
   for (int j = 0; j < r.nj; ++j) {
-    T* p = region_row_w(padded, h, w, r, j);
-    std::fill(p, p + row, T(0));
+    double* p = region_row_w(padded, h, w, r, j);
+    std::fill(p, p + row, 0.0);
   }
 }
 
-// CRC trailer: one extra element of T per peer message, carrying the
-// CRC32C of the payload bytes in its low four bytes (the rest zero).
-// Encoding the checksum as a T keeps the wire format element-typed —
+// CRC trailer: one extra double per peer message, carrying the CRC32C
+// of the payload bytes in its low four bytes (the rest zero). Encoding
+// the checksum as a double keeps the wire format element-typed —
 // receivers size buffers in elements — at the cost of four wasted bytes
 // per message.
 
-template <typename T>
-T encode_crc(std::uint32_t crc) {
-  static_assert(sizeof(T) >= sizeof(std::uint32_t));
-  T out{};
+double encode_crc(std::uint32_t crc) {
+  double out{};
   std::memcpy(&out, &crc, sizeof(crc));
   return out;
 }
 
-template <typename T>
-std::uint32_t decode_crc(const T& trailer) {
+std::uint32_t decode_crc(double trailer) {
   std::uint32_t crc;
   std::memcpy(&crc, &trailer, sizeof(crc));
   return crc;
@@ -269,8 +260,7 @@ std::uint32_t decode_crc(const T& trailer) {
 
 }  // namespace
 
-template <typename T>
-HaloHandleT<T>::~HaloHandleT() {
+HaloHandle::~HaloHandle() {
   if (!active()) return;
   try {
     finish();
@@ -280,8 +270,7 @@ HaloHandleT<T>::~HaloHandleT() {
   }
 }
 
-template <typename T>
-void HaloHandleT<T>::finish() {
+void HaloHandle::finish() {
   if (!active()) return;
   const int h = fields_.front()->halo();
   const int w = fields_.front()->nb();
@@ -289,12 +278,12 @@ void HaloHandleT<T>::finish() {
   // exchange, so the unpacked halos are bitwise identical to it.
   for (PendingRecv& p : recvs_) {
     p.request.wait();
-    std::span<const T> payload(p.buf);
+    std::span<const double> payload(p.buf);
     if (crc_) {
       // Strip and verify the one-element CRC trailer before the payload
       // touches field memory.
       payload = payload.first(payload.size() - 1);
-      const std::uint32_t want = decode_crc<T>(p.buf.back());
+      const std::uint32_t want = decode_crc(p.buf.back());
       const std::uint32_t got =
           util::crc32c(payload.data(), payload.size_bytes());
       comm_->costs().add_integrity_check(got != want);
@@ -308,10 +297,10 @@ void HaloHandleT<T>::finish() {
       }
     }
     // Strip by strip in wire order, each strip's rims in caller order.
-    const T* in = payload.data();
+    const double* in = payload.data();
     for (const HaloStrip& s : p.peer->recv)
-      for (DistFieldBatchT<T>* f : fields_)
-        in = unpack_w<T>(f->data(s.lb), h, w, s.r, in);
+      for (DistFieldBatch* f : fields_)
+        in = unpack_w(f->data(s.lb), h, w, s.r, in);
   }
   // One round, refreshing every field's planes: halo latency is paid
   // once for the whole group — the counter the comm-avoiding audits
@@ -341,14 +330,13 @@ const HaloPlan& HaloExchanger::plan(int rank, int halo) const {
   return *slot;
 }
 
-template <typename T>
-HaloHandleT<T> HaloExchanger::begin_group(
-    Communicator& comm, std::span<DistFieldBatchT<T>* const> fields) const {
+HaloHandle HaloExchanger::begin_group(
+    Communicator& comm, std::span<DistFieldBatch* const> fields) const {
   MINIPOP_REQUIRE(!fields.empty(), "halo exchange of an empty group");
-  const DistFieldBatchT<T>& f0 = *fields.front();
+  const DistFieldBatch& f0 = *fields.front();
   MINIPOP_REQUIRE(&f0.decomposition() == decomp_,
                   "field belongs to a different decomposition");
-  for (const DistFieldBatchT<T>* f : fields) {
+  for (const DistFieldBatch* f : fields) {
     MINIPOP_REQUIRE(&f->decomposition() == decomp_ &&
                         f->rank() == f0.rank() &&
                         f->halo() == f0.halo() && f->nb() == f0.nb(),
@@ -366,24 +354,26 @@ HaloHandleT<T> HaloExchanger::begin_group(
   const std::size_t scale = static_cast<std::size_t>(w) * fields.size();
   const std::size_t trailer = crc_enabled_ ? 1 : 0;
 
-  HaloHandleT<T> handle;
+  HaloHandle handle;
   handle.comm_ = &comm;
   handle.fields_.assign(fields.begin(), fields.end());
   handle.crc_ = crc_enabled_;
 
   // Phase 1: one eager send per peer (complete at post time), strip by
   // strip in the receiver's order, every field's rim back to back.
-  std::vector<T> buf;
+  std::vector<double> buf;
   for (const HaloPeerPlan& peer : plan.peers) {
     if (peer.send.empty()) continue;
     const std::size_t payload = peer.send_cells * scale;
     buf.resize(payload + trailer);
-    T* out = buf.data();
+    double* out = buf.data();
     for (const HaloStrip& s : peer.send)
-      for (const DistFieldBatchT<T>* f : fields)
-        out = pack_w<T>(f->data(s.lb), h, w, s.r, out);
-    // The fault sites corrupt a single solve's halos (width 1): members
-    // of wider batches recover through per-member sub-batches of the
+      for (const DistFieldBatch* f : fields)
+        out = pack_w(f->data(s.lb), h, w, s.r, out);
+    // The payload site arms on one-member working batches (width 1): a
+    // single solve, or a batch that retirement has compacted down to
+    // one survivor — the hook addresses one scalar plane. Members of
+    // wider batches recover through per-member sub-batches of the
     // resilient decorator rather than through injected wire corruption.
     if (w == 1) fault::hook_halo_payload(my_rank, buf.data(), payload);
     if (crc_enabled_) {
@@ -392,12 +382,12 @@ HaloHandleT<T> HaloExchanger::begin_group(
       // (and should not) catch. hook_halo_bitflip then fires on the
       // checksummed bytes — wire corruption the verifier must detect.
       buf.back() =
-          encode_crc<T>(util::crc32c(buf.data(), payload * sizeof(T)));
+          encode_crc(util::crc32c(buf.data(), payload * sizeof(double)));
       fault::hook_halo_bitflip(my_rank,
                                reinterpret_cast<unsigned char*>(buf.data()),
-                               payload * sizeof(T));
+                               payload * sizeof(double));
     }
-    comm.isend(peer.rank, tag, std::span<const T>(buf));
+    comm.isend(peer.rank, tag, std::span<const double>(buf));
   }
 
   // Phase 2: one receive per peer, in ascending peer order — the order
@@ -406,48 +396,35 @@ HaloHandleT<T> HaloExchanger::begin_group(
   handle.recvs_.reserve(plan.peers.size());
   for (const HaloPeerPlan& peer : plan.peers) {
     if (peer.recv.empty()) continue;
-    typename HaloHandleT<T>::PendingRecv& posted =
-        handle.recvs_.emplace_back();
+    HaloHandle::PendingRecv& posted = handle.recvs_.emplace_back();
     posted.buf.resize(peer.recv_cells * scale + trailer);
     posted.peer = &peer;
     posted.request =
         comm.irecv(peer.rank, epoch * Communicator::kTagEpochStride +
                                   peer.rank,
-                   std::span<T>(posted.buf));
+                   std::span<double>(posted.buf));
   }
 
   // Phase 3: zero fills and direct on-rank copies (no communication).
   for (const HaloStrip& z : plan.zeros)
-    for (DistFieldBatchT<T>* f : fields)
-      zero_region_w<T>(f->data(z.lb), h, w, z.r);
+    for (DistFieldBatch* f : fields)
+      zero_region_w(f->data(z.lb), h, w, z.r);
   for (const detail::HaloCopy& c : plan.copies)
-    for (DistFieldBatchT<T>* f : fields)
-      copy_w<T>(f->data(c.dst.lb), c.dst.r, f->data(c.src.lb), c.src.r, h,
-                w);
+    for (DistFieldBatch* f : fields)
+      copy_w(f->data(c.dst.lb), c.dst.r, f->data(c.src.lb), c.src.r, h, w);
 
   return handle;
 }
 
-template <typename T>
 std::uint64_t HaloExchanger::bytes_sent_per_exchange(
-    const DistFieldBatchT<T>& field) const {
+    const DistFieldBatch& field) const {
   std::uint64_t bytes = 0;
   for (const HaloPeerPlan& peer : plan(field.rank(), field.halo()).peers) {
     if (peer.send.empty()) continue;
-    bytes += peer.send_cells * field.nb() * sizeof(T);
-    if (crc_enabled_) bytes += sizeof(T);  // CRC trailer element
+    bytes += peer.send_cells * field.nb() * sizeof(double);
+    if (crc_enabled_) bytes += sizeof(double);  // CRC trailer element
   }
   return bytes;
 }
-
-template class HaloHandleT<double>;
-
-#define MINIPOP_HALO_INSTANTIATE(T)                                        \
-  template HaloHandleT<T> HaloExchanger::begin_group<T>(                   \
-      Communicator&, std::span<DistFieldBatchT<T>* const>) const;          \
-  template std::uint64_t HaloExchanger::bytes_sent_per_exchange<T>(        \
-      const DistFieldBatchT<T>&) const;
-MINIPOP_HALO_INSTANTIATE(double)
-#undef MINIPOP_HALO_INSTANTIATE
 
 }  // namespace minipop::comm

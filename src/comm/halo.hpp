@@ -74,19 +74,18 @@ struct HaloPeerPlan;  // the strips exchanged with one peer rank
 /// finishes a still-active handle as a safety net (swallowing errors,
 /// since it may run while unwinding a poisoned team). A moved-from
 /// handle is inactive.
-template <typename T>
-class HaloHandleT {
+class HaloHandle {
  public:
-  HaloHandleT() = default;
-  HaloHandleT(HaloHandleT&& o) noexcept
+  HaloHandle() = default;
+  HaloHandle(HaloHandle&& o) noexcept
       : comm_(std::exchange(o.comm_, nullptr)),
         fields_(std::exchange(o.fields_, {})),
         recvs_(std::move(o.recvs_)),
         crc_(o.crc_) {}
-  HaloHandleT& operator=(HaloHandleT&&) = delete;
-  HaloHandleT(const HaloHandleT&) = delete;
-  HaloHandleT& operator=(const HaloHandleT&) = delete;
-  ~HaloHandleT();
+  HaloHandle& operator=(HaloHandle&&) = delete;
+  HaloHandle(const HaloHandle&) = delete;
+  HaloHandle& operator=(const HaloHandle&) = delete;
+  ~HaloHandle();
 
   bool active() const { return !fields_.empty(); }
 
@@ -105,22 +104,18 @@ class HaloHandleT {
     // die (reverse declaration order) while the buffer it targets is
     // alive. With the opposite order, unwinding a timed-out exchange
     // writes into freed memory.
-    std::vector<T> buf;
+    std::vector<double> buf;
     const detail::HaloPeerPlan* peer = nullptr;  ///< strips, wire order
     Request request;
   };
 
   Communicator* comm_ = nullptr;
-  std::vector<DistFieldBatchT<T>*> fields_;  ///< caller order
+  std::vector<DistFieldBatch*> fields_;  ///< caller order
   std::vector<PendingRecv> recvs_;
   /// Copied from the exchanger at begin(): each pending message carries
   /// a one-element CRC32C trailer to verify before unpacking.
   bool crc_ = false;
 };
-
-extern template class HaloHandleT<double>;
-
-using HaloHandle = HaloHandleT<double>;
 
 class HaloExchanger {
  public:
@@ -132,9 +127,8 @@ class HaloExchanger {
   /// Update all halos of `field` (owned by the calling rank).
   /// Collective: every rank of the communicator must call with its own
   /// field. Equivalent to begin() immediately followed by finish().
-  template <typename T>
-  void exchange(Communicator& comm, DistFieldBatchT<T>& field) const {
-    begin<T>(comm, field).finish();
+  void exchange(Communicator& comm, DistFieldBatch& field) const {
+    begin(comm, field).finish();
   }
 
   /// Split-phase: pack and post all sends/receives, do the local copies
@@ -142,13 +136,13 @@ class HaloExchanger {
   /// the field are in an unspecified state until finish(); the owned
   /// interior may be read freely (but not written) in between. One
   /// message per peer rank carries all nb() members. The
-  /// fault-injection halo payload hook arms only on width-1 fields —
-  /// fault sites target a single solve; members of wider batches
-  /// recover through per-member sub-batches (DESIGN.md §10, §11).
-  template <typename T>
-  HaloHandleT<T> begin(Communicator& comm, DistFieldBatchT<T>& field) const {
-    DistFieldBatchT<T>* const one[1] = {&field};
-    return begin_group<T>(comm, one);
+  /// fault-injection halo payload hook arms only on width-1 fields — a
+  /// single solve, or a batch that retirement has compacted down to one
+  /// survivor; members of wider batches recover through per-member
+  /// sub-batches (DESIGN.md §10, §11).
+  HaloHandle begin(Communicator& comm, DistFieldBatch& field) const {
+    DistFieldBatch* const one[1] = {&field};
+    return begin_group(comm, one);
   }
 
   /// Aggregated deep-halo exchange of several same-shape batches (the
@@ -161,10 +155,9 @@ class HaloExchanger {
   /// would deliver. With CRC enabled, one trailer covers the whole
   /// concatenated payload; the fault payload hook arms on width-1
   /// groups exactly like the single-field path. Blocking.
-  template <typename T>
   void exchange_group(Communicator& comm,
-                      std::span<DistFieldBatchT<T>* const> fields) const {
-    begin_group<T>(comm, fields).finish();
+                      std::span<DistFieldBatch* const> fields) const {
+    begin_group(comm, fields).finish();
   }
 
   /// Bytes this rank sends per exchange of `field` (for cost
@@ -172,9 +165,7 @@ class HaloExchanger {
   /// with CRC on, its one trailer element. Scales with the batch width:
   /// a batch reports nb x the payload of one field, carried in the same
   /// messages.
-  template <typename T>
-  std::uint64_t bytes_sent_per_exchange(
-      const DistFieldBatchT<T>& field) const;
+  std::uint64_t bytes_sent_per_exchange(const DistFieldBatch& field) const;
 
   /// Enable CRC32C protection of every peer halo message: the sender
   /// appends a one-element trailer carrying the CRC of the payload
@@ -194,9 +185,8 @@ class HaloExchanger {
   /// The one engine behind begin() and exchange_group(): split-phase
   /// exchange of every field of the group, one message per peer rank
   /// for all of them.
-  template <typename T>
-  HaloHandleT<T> begin_group(Communicator& comm,
-                             std::span<DistFieldBatchT<T>* const> fields) const;
+  HaloHandle begin_group(Communicator& comm,
+                         std::span<DistFieldBatch* const> fields) const;
 
   /// The plan of (rank, halo), built on first use. The ranks of a
   /// ThreadTeam may share one exchanger, so the lookup holds plans_mu_;
@@ -210,13 +200,5 @@ class HaloExchanger {
   /// Slot rank * (max_halo_ + 1) + halo; null until built.
   mutable std::vector<std::unique_ptr<const detail::HaloPlan>> plans_;
 };
-
-#define MINIPOP_HALO_EXTERN(T)                                             \
-  extern template HaloHandleT<T> HaloExchanger::begin_group<T>(            \
-      Communicator&, std::span<DistFieldBatchT<T>* const>) const;          \
-  extern template std::uint64_t HaloExchanger::bytes_sent_per_exchange<T>( \
-      const DistFieldBatchT<T>&) const;
-MINIPOP_HALO_EXTERN(double)
-#undef MINIPOP_HALO_EXTERN
 
 }  // namespace minipop::comm

@@ -57,11 +57,9 @@ struct BatchControl {
 /// ||b_m||² for every member with ONE vector allreduce; zero-RHS members
 /// resolve immediately (x_m = 0, converged). Returns the initialized
 /// control block.
-template <typename T>
 BatchControl init_control(const SolverOptions& opt, comm::Communicator& comm,
-                          const DistOperator& a,
-                          const comm::DistFieldBatchT<T>& b,
-                          comm::DistFieldBatchT<T>& x) {
+                          const DistOperator& a, const comm::DistFieldBatch& b,
+                          comm::DistFieldBatch& x) {
   const int nb = b.nb();
   BatchControl ctl(opt);
   ctl.out.members.resize(nb);
@@ -109,9 +107,8 @@ BatchControl init_control(const SolverOptions& opt, comm::Communicator& comm,
 /// extra vector allreduce; bit-equal per member at every batch width
 /// because the dot kernel keeps the width-1 accumulation order per
 /// member and vector allreduces combine element-wise.
-template <typename T>
 void stamp_pending(BatchControl& ctl, comm::Communicator& comm,
-                   const DistOperator& a, const comm::DistFieldBatchT<T>& r,
+                   const DistOperator& a, const comm::DistFieldBatch& r,
                    std::vector<double>& sums) {
   bool any = false;
   for (int s = 0; s < ctl.cur_nb && !any; ++s)
@@ -134,9 +131,8 @@ void stamp_pending(BatchControl& ctl, comm::Communicator& comm,
 /// full-plane copy (halo freshness carries over), differing widths copy
 /// the interior (the caller's halos are stale either way after a
 /// comm-avoiding solve).
-template <typename T>
-void flush_member(comm::DistFieldBatchT<T>& x_caller, int m,
-                  const comm::DistFieldBatchT<T>& xw, int s) {
+void flush_member(comm::DistFieldBatch& x_caller, int m,
+                  const comm::DistFieldBatch& xw, int s) {
   if (x_caller.halo() == xw.halo())
     x_caller.copy_member_from(m, xw, s);
   else
@@ -222,16 +218,15 @@ bool should_retire(const BatchControl& ctl) {
 /// carried fields) into freshly allocated width-n_active batches and
 /// reallocate the per-iteration scratch fields. Pure data movement —
 /// no member's arithmetic changes, only the lane count.
-template <typename T>
 void compact(BatchControl& ctl, comm::Communicator& comm,
-             const DistOperator& a, comm::DistFieldBatchT<T>& x_caller,
-             const comm::DistFieldBatchT<T>*& bw,
-             std::unique_ptr<comm::DistFieldBatchT<T>>& b_own,
-             comm::DistFieldBatchT<T>*& xw,
-             std::unique_ptr<comm::DistFieldBatchT<T>>& x_own,
-             comm::DistFieldBatchT<T>& r,
-             const std::vector<comm::DistFieldBatchT<T>*>& carried,
-             const std::vector<comm::DistFieldBatchT<T>*>& scratch,
+             const DistOperator& a, comm::DistFieldBatch& x_caller,
+             const comm::DistFieldBatch*& bw,
+             std::unique_ptr<comm::DistFieldBatch>& b_own,
+             comm::DistFieldBatch*& xw,
+             std::unique_ptr<comm::DistFieldBatch>& x_own,
+             comm::DistFieldBatch& r,
+             const std::vector<comm::DistFieldBatch*>& carried,
+             const std::vector<comm::DistFieldBatch*>& scratch,
              std::vector<double>& sums, int work_halo) {
   // Frozen failures lose their r planes below; stamp them first.
   stamp_pending(ctl, comm, a, r, sums);
@@ -249,10 +244,10 @@ void compact(BatchControl& ctl, comm::Communicator& comm,
   const int rank = x_caller.rank();
   const int halo = work_halo;
 
-  auto nb_own = std::make_unique<comm::DistFieldBatchT<T>>(decomp, rank,
-                                                           n_new, halo);
-  auto nx_own = std::make_unique<comm::DistFieldBatchT<T>>(decomp, rank,
-                                                           n_new, halo);
+  auto nb_own =
+      std::make_unique<comm::DistFieldBatch>(decomp, rank, n_new, halo);
+  auto nx_own =
+      std::make_unique<comm::DistFieldBatch>(decomp, rank, n_new, halo);
   for (int t = 0; t < n_new; ++t) {
     nb_own->copy_member_from(t, *bw, keep[t]);
     nx_own->copy_member_from(t, *xw, keep[t]);
@@ -262,13 +257,13 @@ void compact(BatchControl& ctl, comm::Communicator& comm,
   bw = b_own.get();
   xw = x_own.get();
 
-  for (comm::DistFieldBatchT<T>* f : carried) {
-    comm::DistFieldBatchT<T> nf(decomp, rank, n_new, halo);
+  for (comm::DistFieldBatch* f : carried) {
+    comm::DistFieldBatch nf(decomp, rank, n_new, halo);
     for (int t = 0; t < n_new; ++t) nf.copy_member_from(t, *f, keep[t]);
     *f = std::move(nf);
   }
-  for (comm::DistFieldBatchT<T>* f : scratch)
-    *f = comm::DistFieldBatchT<T>(decomp, rank, n_new, halo);
+  for (comm::DistFieldBatch* f : scratch)
+    *f = comm::DistFieldBatch(decomp, rank, n_new, halo);
 
   std::vector<int> member_of(n_new);
   for (int t = 0; t < n_new; ++t) member_of[t] = ctl.member_of[keep[t]];
@@ -282,10 +277,9 @@ void compact(BatchControl& ctl, comm::Communicator& comm,
 /// iteration budget (kMaxIters), pending residual stamps are resolved,
 /// and — if retirement migrated the batch — the compacted solution
 /// planes flush back to the caller.
-template <typename T>
 void finish(BatchControl& ctl, comm::Communicator& comm,
-            const DistOperator& a, comm::DistFieldBatchT<T>& x_caller,
-            comm::DistFieldBatchT<T>* xw, const comm::DistFieldBatchT<T>& r,
+            const DistOperator& a, comm::DistFieldBatch& x_caller,
+            comm::DistFieldBatch* xw, const comm::DistFieldBatch& r,
             std::vector<double>& sums) {
   for (int s = 0; s < ctl.cur_nb; ++s) {
     if (!ctl.active[s]) continue;
@@ -326,23 +320,12 @@ BatchSolveStats BatchedPcsiSolver::solve(comm::Communicator& comm,
                                          const comm::DistFieldBatch& b,
                                          comm::DistFieldBatch& x,
                                          comm::HaloFreshness x_fresh) {
-  return solve_t<double>(comm, halo, a, m, b, x, x_fresh);
-}
-
-template <typename T>
-BatchSolveStats BatchedPcsiSolver::solve_t(comm::Communicator& comm,
-                                           const comm::HaloExchanger& halo,
-                                           const DistOperator& a,
-                                           Preconditioner& m,
-                                           const comm::DistFieldBatchT<T>& b,
-                                           comm::DistFieldBatchT<T>& x,
-                                           comm::HaloFreshness x_fresh) {
   MINIPOP_REQUIRE(b.compatible_with(x), "batched pcsi: b/x mismatch");
   if (opt_.halo_depth > 1 &&
       (m.name() == "diagonal" || m.name() == "identity") &&
       std::min(std::max(opt_.halo_depth, 1),
                a.decomposition().max_halo_width()) > 1)
-    return solve_comm_avoid_t<T>(comm, halo, a, m, b, x);
+    return solve_comm_avoid(comm, halo, a, m, b, x);
   const auto snapshot = comm.costs().counters();
   const int nb0 = b.nb();
   const bool ov = opt_.overlap;
@@ -363,14 +346,14 @@ BatchSolveStats BatchedPcsiSolver::solve_t(comm::Communicator& comm,
 
   // Until the first retirement the solve runs directly on the caller's
   // planes; compaction migrates into the owned narrow batches.
-  const comm::DistFieldBatchT<T>* bw = &b;
-  comm::DistFieldBatchT<T>* xw = &x;
-  std::unique_ptr<comm::DistFieldBatchT<T>> b_own, x_own;
-  comm::DistFieldBatchT<T> r(a.decomposition(), a.rank(), nb0, x.halo());
-  comm::DistFieldBatchT<T> rp(a.decomposition(), a.rank(), nb0, x.halo());
-  comm::DistFieldBatchT<T> dx(a.decomposition(), a.rank(), nb0, x.halo());
+  const comm::DistFieldBatch* bw = &b;
+  comm::DistFieldBatch* xw = &x;
+  std::unique_ptr<comm::DistFieldBatch> b_own, x_own;
+  comm::DistFieldBatch r(a.decomposition(), a.rank(), nb0, x.halo());
+  comm::DistFieldBatch rp(a.decomposition(), a.rank(), nb0, x.halo());
+  comm::DistFieldBatch dx(a.decomposition(), a.rank(), nb0, x.halo());
 
-  std::vector<T> ca(nb0), cb(nb0), cc(nb0);
+  std::vector<double> ca(nb0), cb(nb0), cc(nb0);
   std::vector<double> sums(nb0);
 
   // Initial step (Algorithm 2, step 2), gated so zero-RHS members'
@@ -381,9 +364,9 @@ BatchSolveStats BatchedPcsiSolver::solve_t(comm::Communicator& comm,
     a.residual_batch(comm, halo, *bw, *xw, r, x_fresh);
   m.apply_batch(comm, r, rp);
   copy_interior(rp, dx);
-  std::fill(ca.begin(), ca.end(), static_cast<T>(1.0 / gamma));
+  std::fill(ca.begin(), ca.end(), 1.0 / gamma);
   scale(comm, ca.data(), dx, a.span_plan(), ctl.active.data());
-  std::fill(ca.begin(), ca.end(), static_cast<T>(1.0));
+  std::fill(ca.begin(), ca.end(), 1.0);
   axpy(comm, ca.data(), dx, *xw, a.span_plan(), ctl.active.data());
   if (ov)
     a.residual_overlapped_batch(comm, halo, *bw, *xw, r);
@@ -398,10 +381,9 @@ BatchSolveStats BatchedPcsiSolver::solve_t(comm::Communicator& comm,
     omega = 1.0 / (gamma - omega / (4.0 * alpha * alpha));
 
     m.apply_batch(comm, r, rp);
-    std::fill(ca.begin(), ca.begin() + ctl.cur_nb, static_cast<T>(omega));
-    std::fill(cb.begin(), cb.begin() + ctl.cur_nb,
-              static_cast<T>(gamma * omega - 1.0));
-    std::fill(cc.begin(), cc.begin() + ctl.cur_nb, static_cast<T>(1.0));
+    std::fill(ca.begin(), ca.begin() + ctl.cur_nb, omega);
+    std::fill(cb.begin(), cb.begin() + ctl.cur_nb, gamma * omega - 1.0);
+    std::fill(cc.begin(), cc.begin() + ctl.cur_nb, 1.0);
     lincomb_axpy(comm, ca.data(), rp, cb.data(), dx, cc.data(), *xw,
                  a.span_plan(), ctl.active.data());
 
@@ -445,11 +427,10 @@ BatchSolveStats BatchedPcsiSolver::solve_t(comm::Communicator& comm,
 // replays the neighbouring owners' operations on identical operands;
 // the check norm separates the fused residual+norm sweep into
 // residual + dot, which the kernel contract pins to the same bits).
-template <typename T>
-BatchSolveStats BatchedPcsiSolver::solve_comm_avoid_t(
+BatchSolveStats BatchedPcsiSolver::solve_comm_avoid(
     comm::Communicator& comm, const comm::HaloExchanger& halo,
-    const DistOperator& a, Preconditioner& m,
-    const comm::DistFieldBatchT<T>& b, comm::DistFieldBatchT<T>& x) {
+    const DistOperator& a, Preconditioner& m, const comm::DistFieldBatch& b,
+    comm::DistFieldBatch& x) {
   const auto snapshot = comm.costs().counters();
   const int nb0 = b.nb();
 
@@ -481,21 +462,21 @@ BatchSolveStats BatchedPcsiSolver::solve_comm_avoid_t(
   // the extended sweeps needs a ghost region at least `depth` wide.
   // (Copied AFTER init_control so zero-RHS members' fill(0) carries in.)
   const int hw = std::max(x.halo(), depth);
-  auto b_own = std::make_unique<comm::DistFieldBatchT<T>>(
-      a.decomposition(), a.rank(), nb0, hw);
-  auto x_own = std::make_unique<comm::DistFieldBatchT<T>>(
-      a.decomposition(), a.rank(), nb0, hw);
+  auto b_own = std::make_unique<comm::DistFieldBatch>(a.decomposition(),
+                                                      a.rank(), nb0, hw);
+  auto x_own = std::make_unique<comm::DistFieldBatch>(a.decomposition(),
+                                                      a.rank(), nb0, hw);
   for (int mb = 0; mb < nb0; ++mb) {
     b_own->copy_member_interior_from(mb, b, mb);
     x_own->copy_member_interior_from(mb, x, mb);
   }
-  const comm::DistFieldBatchT<T>* bw = b_own.get();
-  comm::DistFieldBatchT<T>* xw = x_own.get();
-  comm::DistFieldBatchT<T> r(a.decomposition(), a.rank(), nb0, hw);
-  comm::DistFieldBatchT<T> rp(a.decomposition(), a.rank(), nb0, hw);
-  comm::DistFieldBatchT<T> dx(a.decomposition(), a.rank(), nb0, hw);
+  const comm::DistFieldBatch* bw = b_own.get();
+  comm::DistFieldBatch* xw = x_own.get();
+  comm::DistFieldBatch r(a.decomposition(), a.rank(), nb0, hw);
+  comm::DistFieldBatch rp(a.decomposition(), a.rank(), nb0, hw);
+  comm::DistFieldBatch dx(a.decomposition(), a.rank(), nb0, hw);
 
-  std::vector<T> ca(nb0), cb(nb0), cc(nb0);
+  std::vector<double> ca(nb0), cb(nb0), cc(nb0);
   std::vector<double> sums(nb0);
 
   // b's deep ghosts feed every extended residual sweep and b never
@@ -508,9 +489,9 @@ BatchSolveStats BatchedPcsiSolver::solve_comm_avoid_t(
   a.residual_batch(comm, halo, *bw, *xw, r);
   m.apply_batch(comm, r, rp);
   copy_interior(rp, dx);
-  std::fill(ca.begin(), ca.end(), static_cast<T>(1.0 / gamma));
+  std::fill(ca.begin(), ca.end(), 1.0 / gamma);
   scale(comm, ca.data(), dx, a.span_plan(), ctl.active.data());
-  std::fill(ca.begin(), ca.end(), static_cast<T>(1.0));
+  std::fill(ca.begin(), ca.end(), 1.0);
   axpy(comm, ca.data(), dx, *xw, a.span_plan(), ctl.active.data());
   a.residual_batch(comm, halo, *bw, *xw, r);
 
@@ -524,8 +505,8 @@ BatchSolveStats BatchedPcsiSolver::solve_comm_avoid_t(
     const int g = std::min({depth, to_check, remaining});
 
     // Rebuilt every group: retirement compaction migrates the fields.
-    comm::DistFieldBatchT<T>* const group[3] = {xw, &dx, &r};
-    halo.exchange_group<T>(comm, group);
+    comm::DistFieldBatch* const group[3] = {xw, &dx, &r};
+    halo.exchange_group(comm, group);
 
     for (int j = 1; j <= g; ++j, ++k) {
       ctl.out.iterations = k;
@@ -535,10 +516,9 @@ BatchSolveStats BatchedPcsiSolver::solve_comm_avoid_t(
       omega = 1.0 / (gamma - omega / (4.0 * alpha * alpha));
       const int ept = g - j + 1;  // precond/update extension
       eng.precond_batch(comm, kind, r, rp, ept);
-      std::fill(ca.begin(), ca.begin() + ctl.cur_nb, static_cast<T>(omega));
-      std::fill(cb.begin(), cb.begin() + ctl.cur_nb,
-                static_cast<T>(gamma * omega - 1.0));
-      std::fill(cc.begin(), cc.begin() + ctl.cur_nb, static_cast<T>(1.0));
+      std::fill(ca.begin(), ca.begin() + ctl.cur_nb, omega);
+      std::fill(cb.begin(), cb.begin() + ctl.cur_nb, gamma * omega - 1.0);
+      std::fill(cc.begin(), cc.begin() + ctl.cur_nb, 1.0);
       eng.update_batch(comm, ca.data(), rp, cb.data(), dx, cc.data(), *xw,
                        ctl.active.data(), ctl.n_active, ept);
       eng.residual_batch(comm, *bw, *xw, r, ept - 1);
@@ -579,15 +559,6 @@ BatchSolveStats BatchedChronGearSolver::solve(comm::Communicator& comm,
                                               const comm::DistFieldBatch& b,
                                               comm::DistFieldBatch& x,
                                               comm::HaloFreshness x_fresh) {
-  return solve_t<double>(comm, halo, a, m, b, x, x_fresh);
-}
-
-template <typename T>
-BatchSolveStats BatchedChronGearSolver::solve_t(
-    comm::Communicator& comm, const comm::HaloExchanger& halo,
-    const DistOperator& a, Preconditioner& m,
-    const comm::DistFieldBatchT<T>& b, comm::DistFieldBatchT<T>& x,
-    comm::HaloFreshness x_fresh) {
   MINIPOP_REQUIRE(b.compatible_with(x), "batched chron_gear: b/x mismatch");
   const auto snapshot = comm.costs().counters();
   const int nb0 = b.nb();
@@ -599,15 +570,15 @@ BatchSolveStats BatchedChronGearSolver::solve_t(
     return ctl.out;
   }
 
-  const comm::DistFieldBatchT<T>* bw = &b;
-  comm::DistFieldBatchT<T>* xw = &x;
-  std::unique_ptr<comm::DistFieldBatchT<T>> b_own, x_own;
-  comm::DistFieldBatchT<T> r(a.decomposition(), a.rank(), nb0, x.halo());
-  comm::DistFieldBatchT<T> rp(a.decomposition(), a.rank(), nb0, x.halo());
-  comm::DistFieldBatchT<T> z(a.decomposition(), a.rank(), nb0, x.halo());
+  const comm::DistFieldBatch* bw = &b;
+  comm::DistFieldBatch* xw = &x;
+  std::unique_ptr<comm::DistFieldBatch> b_own, x_own;
+  comm::DistFieldBatch r(a.decomposition(), a.rank(), nb0, x.halo());
+  comm::DistFieldBatch rp(a.decomposition(), a.rank(), nb0, x.halo());
+  comm::DistFieldBatch z(a.decomposition(), a.rank(), nb0, x.halo());
   // s and p start at zero — the constructors zero-fill.
-  comm::DistFieldBatchT<T> s_dir(a.decomposition(), a.rank(), nb0, x.halo());
-  comm::DistFieldBatchT<T> p_dir(a.decomposition(), a.rank(), nb0, x.halo());
+  comm::DistFieldBatch s_dir(a.decomposition(), a.rank(), nb0, x.halo());
+  comm::DistFieldBatch p_dir(a.decomposition(), a.rank(), nb0, x.halo());
 
   if (ov)
     a.residual_overlapped_batch(comm, halo, *bw, *xw, r, x_fresh);
@@ -619,7 +590,7 @@ BatchSolveStats BatchedChronGearSolver::solve_t(
   std::vector<double> rho_old(nb0, 1.0);
   std::vector<double> sigma_old(nb0, 0.0);
 
-  std::vector<T> ca(nb0), cb(nb0), cc(nb0), cneg(nb0);
+  std::vector<double> ca(nb0), cb(nb0), cc(nb0), cneg(nb0);
   std::vector<double> sums(nb0);
   std::vector<double> red(3 * static_cast<std::size_t>(nb0));
 
@@ -672,10 +643,10 @@ BatchSolveStats BatchedChronGearSolver::solve_t(
         continue;
       }
       const double alpha = rho / sigma;
-      ca[s] = static_cast<T>(1.0);
-      cb[s] = static_cast<T>(beta);
-      cc[s] = static_cast<T>(alpha);
-      cneg[s] = static_cast<T>(-alpha);
+      ca[s] = 1.0;
+      cb[s] = beta;
+      cc[s] = alpha;
+      cneg[s] = -alpha;
       rho_old[mm] = rho;
       sigma_old[mm] = sigma;
     }

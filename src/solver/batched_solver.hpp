@@ -93,8 +93,10 @@ struct BatchSolveStats {
 /// Interface of the batched solvers and their decorators. A guard
 /// failure (divergence/stagnation/NaN) freezes THAT member and the
 /// batch keeps iterating the others. The fault-injection halo payload
-/// and solver-vector hooks arm on width-1 batches only (single
-/// solves); wider batches recover member by member (DESIGN.md §10).
+/// and solver-vector hooks arm whenever the working batch is one member
+/// wide: a single solve, or a wider batch that retirement has compacted
+/// down to one survivor. Wider working batches recover member by member
+/// (DESIGN.md §10).
 class BatchedSolver {
  public:
   virtual ~BatchedSolver() = default;
@@ -133,26 +135,17 @@ class BatchedPcsiSolver final : public BatchedSolver {
   void set_bounds(EigenBounds bounds);
 
  private:
-  template <typename T>
-  BatchSolveStats solve_t(comm::Communicator& comm,
-                          const comm::HaloExchanger& halo,
-                          const DistOperator& a, Preconditioner& m,
-                          const comm::DistFieldBatchT<T>& b,
-                          comm::DistFieldBatchT<T>& x,
-                          comm::HaloFreshness x_fresh);
-
   /// Communication-avoiding batched loop (SolverOptions::halo_depth > 1
   /// with a pointwise preconditioner): ONE grouped deep exchange of
   /// {x, dx, r} per group of up to k lockstep iterations, on deep-halo
   /// working copies of the whole batch. Per-member iterates, freeze
   /// decisions and retirement compactions are bitwise identical to the
   /// depth-1 lockstep loop.
-  template <typename T>
-  BatchSolveStats solve_comm_avoid_t(comm::Communicator& comm,
-                                     const comm::HaloExchanger& halo,
-                                     const DistOperator& a, Preconditioner& m,
-                                     const comm::DistFieldBatchT<T>& b,
-                                     comm::DistFieldBatchT<T>& x);
+  BatchSolveStats solve_comm_avoid(comm::Communicator& comm,
+                                   const comm::HaloExchanger& halo,
+                                   const DistOperator& a, Preconditioner& m,
+                                   const comm::DistFieldBatch& b,
+                                   comm::DistFieldBatch& x);
 
   EigenBounds bounds_;
   SolverOptions opt_;
@@ -178,14 +171,6 @@ class BatchedChronGearSolver final : public BatchedSolver {
   std::string name() const override { return "chrongear"; }
 
  private:
-  template <typename T>
-  BatchSolveStats solve_t(comm::Communicator& comm,
-                          const comm::HaloExchanger& halo,
-                          const DistOperator& a, Preconditioner& m,
-                          const comm::DistFieldBatchT<T>& b,
-                          comm::DistFieldBatchT<T>& x,
-                          comm::HaloFreshness x_fresh);
-
   SolverOptions opt_;
 };
 

@@ -36,34 +36,31 @@ unsigned char mask_at(const util::MaskArray& m, int gi, int gj,
 }
 
 /// Pointer to the (-e, -e) corner of the extension-e region inside a
-/// width-w padded plane (row pitch = plane.nx()).
-template <typename T>
-const T* plane_at(const util::Array2D<T>& p, int w, int e) {
+/// width-w padded plane (row pitch = plane.nx()): a coefficient plane or
+/// the mask plane.
+const auto* plane_at(const auto& p, int w, int e) {
   return p.data() + static_cast<std::ptrdiff_t>(w - e) * p.nx() + (w - e);
 }
 
 /// Pointer to member 0 of the (-e, -e) corner cell of the extension-e
 /// region of local block lb (halo >= e; member-interleaved columns).
-template <typename T>
-const T* field_at(const comm::DistFieldBatchT<T>& f, int lb, int e) {
-  const util::Array2D<T>& a = f.data(lb);
+const double* field_at(const comm::DistFieldBatch& f, int lb, int e) {
+  const util::Field& a = f.data(lb);
   return a.data() +
          static_cast<std::ptrdiff_t>(f.halo() - e) * a.nx() +
          static_cast<std::ptrdiff_t>(f.halo() - e) * f.nb();
 }
-template <typename T>
-T* field_at(comm::DistFieldBatchT<T>& f, int lb, int e) {
-  util::Array2D<T>& a = f.data(lb);
+double* field_at(comm::DistFieldBatch& f, int lb, int e) {
+  util::Field& a = f.data(lb);
   return a.data() +
          static_cast<std::ptrdiff_t>(f.halo() - e) * a.nx() +
          static_cast<std::ptrdiff_t>(f.halo() - e) * f.nb();
 }
 
 /// Stencil view over the extended coefficient planes at extension e
-/// (order matches grid::Dir, the layout Stencil9T documents).
-template <typename T>
-kernels::Stencil9T<T> stencil_at(
-    const std::array<util::Array2D<T>, grid::kNumDirs>& c, int w, int e) {
+/// (order matches grid::Dir, the layout Stencil9 documents).
+kernels::Stencil9 stencil_at(
+    const std::array<util::Field, grid::kNumDirs>& c, int w, int e) {
   return {plane_at(c[0], w, e), plane_at(c[1], w, e), plane_at(c[2], w, e),
           plane_at(c[3], w, e), plane_at(c[4], w, e), plane_at(c[5], w, e),
           plane_at(c[6], w, e), plane_at(c[7], w, e), plane_at(c[8], w, e),
@@ -147,12 +144,10 @@ void CommAvoidEngine::count(comm::Communicator& comm, int e, int nb,
   comm.costs().add_points(ext_active_[e] * nb, ext * nb);
 }
 
-template <typename T>
 void CommAvoidEngine::precond_batch(comm::Communicator& comm,
                                     CaPrecond kind,
-                                    const comm::DistFieldBatchT<T>& r,
-                                    comm::DistFieldBatchT<T>& z,
-                                    int e) const {
+                                    const comm::DistFieldBatch& r,
+                                    comm::DistFieldBatch& z, int e) const {
   MINIPOP_REQUIRE(e >= 0 && e <= width_ && e <= r.halo(),
                   "precond extension " << e);
   const int nb = r.nb();
@@ -178,12 +173,10 @@ void CommAvoidEngine::precond_batch(comm::Communicator& comm,
   count(comm, e, nb, kind == CaPrecond::kDiagonal ? 1 : 0);
 }
 
-template <typename T>
-void CommAvoidEngine::update_batch(comm::Communicator& comm, const T* a,
-                                   const comm::DistFieldBatchT<T>& z,
-                                   const T* b,
-                                   comm::DistFieldBatchT<T>& dx,
-                                   const T* c, comm::DistFieldBatchT<T>& x,
+void CommAvoidEngine::update_batch(comm::Communicator& comm, const double* a,
+                                   const comm::DistFieldBatch& z,
+                                   const double* b, comm::DistFieldBatch& dx,
+                                   const double* c, comm::DistFieldBatch& x,
                                    const unsigned char* active, int n_act,
                                    int e) const {
   MINIPOP_REQUIRE(e >= 0 && e <= width_ && e <= z.halo(),
@@ -199,12 +192,10 @@ void CommAvoidEngine::update_batch(comm::Communicator& comm, const T* a,
   count(comm, e, n_act, 4);
 }
 
-template <typename T>
 void CommAvoidEngine::residual_batch(comm::Communicator& comm,
-                                     const comm::DistFieldBatchT<T>& b,
-                                     const comm::DistFieldBatchT<T>& x,
-                                     comm::DistFieldBatchT<T>& r,
-                                     int e) const {
+                                     const comm::DistFieldBatch& b,
+                                     const comm::DistFieldBatch& x,
+                                     comm::DistFieldBatch& r, int e) const {
   MINIPOP_REQUIRE(e >= 0 && e <= width_ && e + 1 <= x.halo(),
                   "residual extension " << e);
   const int nb = b.nb();
@@ -218,20 +209,5 @@ void CommAvoidEngine::residual_batch(comm::Communicator& comm,
   }
   count(comm, e, nb, 10);
 }
-
-#define MINIPOP_COMM_AVOID_INSTANTIATE(T)                                  \
-  template void CommAvoidEngine::precond_batch<T>(                         \
-      comm::Communicator&, CaPrecond, const comm::DistFieldBatchT<T>&,     \
-      comm::DistFieldBatchT<T>&, int) const;                               \
-  template void CommAvoidEngine::update_batch<T>(                          \
-      comm::Communicator&, const T*, const comm::DistFieldBatchT<T>&,      \
-      const T*, comm::DistFieldBatchT<T>&, const T*,                       \
-      comm::DistFieldBatchT<T>&, const unsigned char*, int, int) const;    \
-  template void CommAvoidEngine::residual_batch<T>(                        \
-      comm::Communicator&, const comm::DistFieldBatchT<T>&,                \
-      const comm::DistFieldBatchT<T>&, comm::DistFieldBatchT<T>&, int)     \
-      const;
-MINIPOP_COMM_AVOID_INSTANTIATE(double)
-#undef MINIPOP_COMM_AVOID_INSTANTIATE
 
 }  // namespace minipop::solver

@@ -67,30 +67,27 @@ class CommAvoidEngine {
   /// rim of width e (0 <= e <= width). Reads r at extension e, writes z
   /// at extension e. Flop convention matches the baseline
   /// preconditioners: diagonal 1/pt/member, identity 0.
-  template <typename T>
   void precond_batch(comm::Communicator& comm, CaPrecond kind,
-                     const comm::DistFieldBatchT<T>& r,
-                     comm::DistFieldBatchT<T>& z, int e) const;
+                     const comm::DistFieldBatch& r, comm::DistFieldBatch& z,
+                     int e) const;
 
   /// Fused P-CSI update pair on extension e with per-member
   /// coefficients (dx_m = a[m]*z_m + b[m]*dx_m; x_m += c[m]*dx_m — the
   /// baseline's lincomb_axpy, same kernel, same bits); members with
   /// active[m] == 0 stay frozen. 4 flops/pt counted for the n_act active
   /// lanes only — the batched solvers' convention.
-  template <typename T>
-  void update_batch(comm::Communicator& comm, const T* a,
-                    const comm::DistFieldBatchT<T>& z, const T* b,
-                    comm::DistFieldBatchT<T>& dx, const T* c,
-                    comm::DistFieldBatchT<T>& x,
-                    const unsigned char* active, int n_act, int e) const;
+  void update_batch(comm::Communicator& comm, const double* a,
+                    const comm::DistFieldBatch& z, const double* b,
+                    comm::DistFieldBatch& dx, const double* c,
+                    comm::DistFieldBatch& x, const unsigned char* active,
+                    int n_act, int e) const;
 
   /// r = b - A x on extension e, reading x one cell wider (extension
   /// e + 1 must not exceed the fields' halo). 10 flops/pt/member.
-  template <typename T>
   void residual_batch(comm::Communicator& comm,
-                      const comm::DistFieldBatchT<T>& b,
-                      const comm::DistFieldBatchT<T>& x,
-                      comm::DistFieldBatchT<T>& r, int e) const;
+                      const comm::DistFieldBatch& b,
+                      const comm::DistFieldBatch& x, comm::DistFieldBatch& r,
+                      int e) const;
 
  private:
   /// Extended planes of one local block, padded to `width_` on every
@@ -121,20 +118,5 @@ class CommAvoidEngine {
   /// indexed by e — the `active` half of count()'s add_points.
   std::vector<std::uint64_t> ext_active_;
 };
-
-#define MINIPOP_COMM_AVOID_EXTERN(T)                                       \
-  extern template void CommAvoidEngine::precond_batch<T>(                  \
-      comm::Communicator&, CaPrecond, const comm::DistFieldBatchT<T>&,     \
-      comm::DistFieldBatchT<T>&, int) const;                               \
-  extern template void CommAvoidEngine::update_batch<T>(                   \
-      comm::Communicator&, const T*, const comm::DistFieldBatchT<T>&,      \
-      const T*, comm::DistFieldBatchT<T>&, const T*,                       \
-      comm::DistFieldBatchT<T>&, const unsigned char*, int, int) const;    \
-  extern template void CommAvoidEngine::residual_batch<T>(                 \
-      comm::Communicator&, const comm::DistFieldBatchT<T>&,                \
-      const comm::DistFieldBatchT<T>&, comm::DistFieldBatchT<T>&, int)     \
-      const;
-MINIPOP_COMM_AVOID_EXTERN(double)
-#undef MINIPOP_COMM_AVOID_EXTERN
 
 }  // namespace minipop::solver

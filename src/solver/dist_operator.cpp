@@ -15,10 +15,9 @@ namespace minipop::solver {
 namespace {
 
 /// Raw-pointer view of one block's nine coefficient arrays.
-template <typename T>
-kernels::Stencil9T<T> stencil_view(
-    const std::array<util::Array2D<T>, grid::kNumDirs>& c) {
-  return kernels::Stencil9T<T>{
+kernels::Stencil9 stencil_view(
+    const std::array<util::Field, grid::kNumDirs>& c) {
+  return kernels::Stencil9{
       c[static_cast<int>(grid::Dir::kCenter)].data(),
       c[static_cast<int>(grid::Dir::kEast)].data(),
       c[static_cast<int>(grid::Dir::kWest)].data(),
@@ -37,20 +36,18 @@ struct SubRect {
 };
 
 /// Stencil view with all nine coefficient pointers advanced to (i0, j0).
-template <typename T>
-kernels::Stencil9T<T> shift(const kernels::Stencil9T<T>& s, int i0, int j0) {
+kernels::Stencil9 shift(const kernels::Stencil9& s, int i0, int j0) {
   const std::ptrdiff_t off = static_cast<std::ptrdiff_t>(j0) * s.stride + i0;
-  return kernels::Stencil9T<T>{s.c0 + off,  s.ce + off,  s.cw + off,
-                               s.cn + off,  s.cs + off,  s.cne + off,
-                               s.cnw + off, s.cse + off, s.csw + off,
-                               s.stride};
+  return kernels::Stencil9{s.c0 + off,  s.ce + off,  s.cw + off,
+                           s.cn + off,  s.cs + off,  s.cne + off,
+                           s.cnw + off, s.cse + off, s.csw + off,
+                           s.stride};
 }
 
 /// Field pointer advanced to member 0 of cell (i0, j0) of a sub-rect:
 /// the member-interleaved layout widens cell columns by nb, the stencil
-/// coefficients stay width 1.
-template <typename T>
-T* at(T* base, std::ptrdiff_t stride, int nb, const SubRect& r) {
+/// coefficients stay width 1. Works on const and mutable planes alike.
+auto* at(auto* base, std::ptrdiff_t stride, int nb, const SubRect& r) {
   return base + static_cast<std::ptrdiff_t>(r.j0) * stride +
          static_cast<std::ptrdiff_t>(r.i0) * nb;
 }
@@ -80,12 +77,14 @@ int rim_rects(int nx, int ny, SubRect out[4]) {
 }
 
 /// Offer each block interior of a sweep's freshly written output to the
-/// installed FaultInjector. Armed on width-1 batches (a single solve); a
-/// member of a wider batch that diverges recovers through the
-/// per-member sub-batches of the resilient decorator (DESIGN.md §11).
-/// Compiles to nothing when MINIPOP_FAULTS is off.
-template <typename T>
-void offer_interiors(int rank, comm::DistFieldBatchT<T>& v,
+/// installed FaultInjector. Armed whenever the working batch is one
+/// member wide — a single solve, or a wider batch that retirement has
+/// compacted down to one survivor — because the hook addresses one
+/// scalar plane. A member of a wider working batch that diverges
+/// recovers through the per-member sub-batches of the resilient
+/// decorator (DESIGN.md §11). Compiles to nothing when MINIPOP_FAULTS is
+/// off.
+void offer_interiors(int rank, comm::DistFieldBatch& v,
                      const std::vector<util::MaskArray>& masks) {
 #if MINIPOP_FAULTS
   if (v.nb() != 1) return;
@@ -106,19 +105,18 @@ void offer_interiors(int rank, comm::DistFieldBatchT<T>& v,
 /// reference kernel is re-run into scratch and the results must agree
 /// bitwise at every ocean cell (land cells are exactly the points the
 /// span path is entitled to skip).
-template <typename T>
 void audit_span_field(const util::MaskArray& mask, int nb, int nx, int ny,
-                      const T* span_out, std::ptrdiff_t stride,
-                      const T* ref, std::ptrdiff_t ref_stride) {
+                      const double* span_out, std::ptrdiff_t stride,
+                      const double* ref, std::ptrdiff_t ref_stride) {
   for (int j = 0; j < ny; ++j)
     for (int i = 0; i < nx; ++i) {
       if (!mask(i, j)) continue;
       for (int m = 0; m < nb; ++m) {
-        const T a =
+        const double a =
             span_out[j * stride + static_cast<std::ptrdiff_t>(i) * nb + m];
-        const T b =
+        const double b =
             ref[j * ref_stride + static_cast<std::ptrdiff_t>(i) * nb + m];
-        MINIPOP_REQUIRE(std::memcmp(&a, &b, sizeof(T)) == 0,
+        MINIPOP_REQUIRE(std::memcmp(&a, &b, sizeof(double)) == 0,
                         "span/masked sweep mismatch at (" << i << "," << j
                                                           << ") member "
                                                           << m);
@@ -251,10 +249,10 @@ void DistOperator::count(comm::Communicator& comm, std::uint64_t per_point,
       static_cast<std::uint64_t>(local_ocean_cells_) * nb, swept);
 }
 
-template <typename T, class Sweep>
+template <class Sweep>
 void DistOperator::sweep_regions(comm::Communicator& comm,
                                  const comm::HaloExchanger& halo,
-                                 comm::DistFieldBatchT<T>& x,
+                                 comm::DistFieldBatch& x,
                                  comm::HaloFreshness fresh, bool overlap,
                                  const Sweep& sweep) const {
   if (!overlap || fresh == comm::HaloFreshness::kFresh) {
@@ -277,13 +275,10 @@ void DistOperator::sweep_regions(comm::Communicator& comm,
   }
 }
 
-template <typename T>
 void DistOperator::apply_impl(comm::Communicator& comm,
                               const comm::HaloExchanger& halo,
-                              comm::DistFieldBatchT<T>& x,
-                              comm::DistFieldBatchT<T>& y,
-                              comm::HaloFreshness fresh,
-                              bool overlap) const {
+                              comm::DistFieldBatch& x, comm::DistFieldBatch& y,
+                              comm::HaloFreshness fresh, bool overlap) const {
   MINIPOP_REQUIRE(x.compatible_with(y), "x/y field mismatch");
   MINIPOP_REQUIRE(&x.decomposition() == decomp_ && x.rank() == rank_,
                   "field does not match operator decomposition");
@@ -304,7 +299,7 @@ void DistOperator::apply_impl(comm::Communicator& comm,
   for (int lb = 0; lb < num_local_blocks(); ++lb) {
     const auto& b = x.info(lb);
     const std::ptrdiff_t ss = static_cast<std::ptrdiff_t>(b.nx) * nb;
-    std::vector<T> scratch(static_cast<std::size_t>(ss) * b.ny);
+    std::vector<double> scratch(static_cast<std::size_t>(ss) * b.ny);
     kernels::masked::apply9(stencil_view(coeff[lb]), nb, b.nx, b.ny,
                             x.interior(lb), x.stride(lb), scratch.data(),
                             ss);
@@ -317,12 +312,11 @@ void DistOperator::apply_impl(comm::Communicator& comm,
   offer_interiors(rank_, y, block_mask_);
 }
 
-template <typename T>
 void DistOperator::residual_impl(comm::Communicator& comm,
                                  const comm::HaloExchanger& halo,
-                                 const comm::DistFieldBatchT<T>& b,
-                                 comm::DistFieldBatchT<T>& x,
-                                 comm::DistFieldBatchT<T>& r,
+                                 const comm::DistFieldBatch& b,
+                                 comm::DistFieldBatch& x,
+                                 comm::DistFieldBatch& r,
                                  comm::HaloFreshness fresh,
                                  bool overlap) const {
   MINIPOP_REQUIRE(b.compatible_with(x) && b.compatible_with(r),
@@ -347,7 +341,7 @@ void DistOperator::residual_impl(comm::Communicator& comm,
   for (int lb = 0; lb < num_local_blocks(); ++lb) {
     const auto& info = r.info(lb);
     const std::ptrdiff_t ss = static_cast<std::ptrdiff_t>(info.nx) * nb;
-    std::vector<T> scratch(static_cast<std::size_t>(ss) * info.ny);
+    std::vector<double> scratch(static_cast<std::size_t>(ss) * info.ny);
     kernels::masked::residual9(stencil_view(coeff[lb]), nb, info.nx,
                                info.ny, b.interior(lb), b.stride(lb),
                                x.interior(lb), x.stride(lb), scratch.data(),
@@ -384,35 +378,30 @@ void DistOperator::abft_local_sums_batch(comm::Communicator& comm,
 }
 
 // ---------------------------------------------------------------------------
-// Sweeps over batches (a DistField is the width-1 batch), templated on
-// the storage scalar. Coefficient fault sites arm on every sweep (shared
-// planes), caught by the ABFT audit.
+// Sweeps over batches (a DistField is the width-1 batch). Coefficient
+// fault sites arm on every sweep (shared planes), caught by the ABFT
+// audit.
 
-template <typename T>
 void DistOperator::apply_batch(comm::Communicator& comm,
                                const comm::HaloExchanger& halo,
-                               comm::DistFieldBatchT<T>& x,
-                               comm::DistFieldBatchT<T>& y,
+                               comm::DistFieldBatch& x, comm::DistFieldBatch& y,
                                comm::HaloFreshness fresh) const {
   apply_impl(comm, halo, x, y, fresh, false);
 }
 
-template <typename T>
 void DistOperator::residual_batch(comm::Communicator& comm,
                                   const comm::HaloExchanger& halo,
-                                  const comm::DistFieldBatchT<T>& b,
-                                  comm::DistFieldBatchT<T>& x,
-                                  comm::DistFieldBatchT<T>& r,
+                                  const comm::DistFieldBatch& b,
+                                  comm::DistFieldBatch& x,
+                                  comm::DistFieldBatch& r,
                                   comm::HaloFreshness fresh) const {
   residual_impl(comm, halo, b, x, r, fresh, false);
 }
 
-template <typename T>
 void DistOperator::residual_local_norm2_batch(
     comm::Communicator& comm, const comm::HaloExchanger& halo,
-    const comm::DistFieldBatchT<T>& b, comm::DistFieldBatchT<T>& x,
-    comm::DistFieldBatchT<T>& r, double* sums,
-    comm::HaloFreshness fresh) const {
+    const comm::DistFieldBatch& b, comm::DistFieldBatch& x,
+    comm::DistFieldBatch& r, double* sums, comm::HaloFreshness fresh) const {
   MINIPOP_REQUIRE(b.compatible_with(x) && b.compatible_with(r),
                   "b/x/r batch mismatch");
   MINIPOP_REQUIRE(&x.decomposition() == decomp_ && x.rank() == rank_,
@@ -435,7 +424,7 @@ void DistOperator::residual_local_norm2_batch(
         x.interior(lb), x.stride(lb), r.interior(lb), r.stride(lb), sums);
 #if MINIPOP_BOUNDS_CHECK
     const std::ptrdiff_t ss = static_cast<std::ptrdiff_t>(info.nx) * nb;
-    std::vector<T> scratch(static_cast<std::size_t>(ss) * info.ny);
+    std::vector<double> scratch(static_cast<std::size_t>(ss) * info.ny);
     kernels::masked::residual_norm2_9(
         stencil_view(coeff[lb]), block_mask_[lb].data(),
         block_mask_[lb].nx(), nb, info.nx, info.ny, b.interior(lb),
@@ -455,42 +444,37 @@ void DistOperator::residual_local_norm2_batch(
   offer_interiors(rank_, r, block_mask_);
 }
 
-template <typename T>
 void DistOperator::apply_overlapped_batch(comm::Communicator& comm,
                                           const comm::HaloExchanger& halo,
-                                          comm::DistFieldBatchT<T>& x,
-                                          comm::DistFieldBatchT<T>& y,
+                                          comm::DistFieldBatch& x,
+                                          comm::DistFieldBatch& y,
                                           comm::HaloFreshness fresh) const {
   apply_impl(comm, halo, x, y, fresh, true);
 }
 
-template <typename T>
 void DistOperator::residual_overlapped_batch(
     comm::Communicator& comm, const comm::HaloExchanger& halo,
-    const comm::DistFieldBatchT<T>& b, comm::DistFieldBatchT<T>& x,
-    comm::DistFieldBatchT<T>& r, comm::HaloFreshness fresh) const {
+    const comm::DistFieldBatch& b, comm::DistFieldBatch& x,
+    comm::DistFieldBatch& r, comm::HaloFreshness fresh) const {
   residual_impl(comm, halo, b, x, r, fresh, true);
 }
 
-template <typename T>
 void DistOperator::residual_local_norm2_overlapped_batch(
     comm::Communicator& comm, const comm::HaloExchanger& halo,
-    const comm::DistFieldBatchT<T>& b, comm::DistFieldBatchT<T>& x,
-    comm::DistFieldBatchT<T>& r, double* sums,
-    comm::HaloFreshness fresh) const {
+    const comm::DistFieldBatch& b, comm::DistFieldBatch& x,
+    comm::DistFieldBatch& r, double* sums, comm::HaloFreshness fresh) const {
   // The fused kernel threads whole-block accumulators, which an
   // interior/rim split would reorder. Instead overlap the residual sweep
   // and take the per-member norms in a second pass with the blocking
   // accumulation order ("residual_norm2_9 == residual9 + dot"). Flops
   // match the blocking path.
-  residual_overlapped_batch<T>(comm, halo, b, x, r, fresh);
-  local_dot_batch<T>(comm, r, r, sums);
+  residual_overlapped_batch(comm, halo, b, x, r, fresh);
+  local_dot_batch(comm, r, r, sums);
 }
 
-template <typename T>
 void DistOperator::local_dot_batch(comm::Communicator& comm,
-                                   const comm::DistFieldBatchT<T>& a,
-                                   const comm::DistFieldBatchT<T>& b,
+                                   const comm::DistFieldBatch& a,
+                                   const comm::DistFieldBatch& b,
                                    double* sums) const {
   MINIPOP_REQUIRE(a.compatible_with(b), "a/b field mismatch");
   const int nb = a.nb();
@@ -514,11 +498,10 @@ void DistOperator::local_dot_batch(comm::Communicator& comm,
   count(comm, 2, nb);
 }
 
-template <typename T>
 void DistOperator::local_dot3_batch(comm::Communicator& comm,
-                                    const comm::DistFieldBatchT<T>& r,
-                                    const comm::DistFieldBatchT<T>& rp,
-                                    const comm::DistFieldBatchT<T>& z,
+                                    const comm::DistFieldBatch& r,
+                                    const comm::DistFieldBatch& rp,
+                                    const comm::DistFieldBatch& z,
                                     bool with_norm, double* out) const {
   MINIPOP_REQUIRE(r.compatible_with(rp) && r.compatible_with(z),
                   "r/rp/z field mismatch");
@@ -544,8 +527,7 @@ void DistOperator::local_dot3_batch(comm::Communicator& comm,
   count(comm, with_norm ? 6 : 4, nb);
 }
 
-template <typename T>
-void DistOperator::mask_interior_batch(comm::DistFieldBatchT<T>& x) const {
+void DistOperator::mask_interior_batch(comm::DistFieldBatch& x) const {
   for (int lb = 0; lb < num_local_blocks(); ++lb) {
     const auto& info = x.info(lb);
     kernels::mask_zero(span_full_[lb].row_offset(), span_full_[lb].spans(),
@@ -559,52 +541,15 @@ void DistOperator::residual(comm::Communicator& comm,
                             const comm::DistField& b, comm::DistField& x,
                             comm::DistField& r,
                             comm::HaloFreshness fresh) const {
-  residual_batch<double>(comm, halo, b, x, r, fresh);
+  residual_batch(comm, halo, b, x, r, fresh);
 }
 
 double DistOperator::local_dot(comm::Communicator& comm,
                                const comm::DistField& a,
                                const comm::DistField& b) const {
   double sum;
-  local_dot_batch<double>(comm, a, b, &sum);
+  local_dot_batch(comm, a, b, &sum);
   return sum;
 }
-
-#define MINIPOP_DIST_OPERATOR_BATCH_INSTANTIATE(T)                           \
-  template void DistOperator::apply_batch<T>(                                \
-      comm::Communicator&, const comm::HaloExchanger&,                       \
-      comm::DistFieldBatchT<T>&, comm::DistFieldBatchT<T>&,                  \
-      comm::HaloFreshness) const;                                            \
-  template void DistOperator::residual_batch<T>(                             \
-      comm::Communicator&, const comm::HaloExchanger&,                       \
-      const comm::DistFieldBatchT<T>&, comm::DistFieldBatchT<T>&,            \
-      comm::DistFieldBatchT<T>&, comm::HaloFreshness) const;                 \
-  template void DistOperator::residual_local_norm2_batch<T>(                 \
-      comm::Communicator&, const comm::HaloExchanger&,                       \
-      const comm::DistFieldBatchT<T>&, comm::DistFieldBatchT<T>&,            \
-      comm::DistFieldBatchT<T>&, double*, comm::HaloFreshness) const;        \
-  template void DistOperator::apply_overlapped_batch<T>(                     \
-      comm::Communicator&, const comm::HaloExchanger&,                       \
-      comm::DistFieldBatchT<T>&, comm::DistFieldBatchT<T>&,                  \
-      comm::HaloFreshness) const;                                            \
-  template void DistOperator::residual_overlapped_batch<T>(                  \
-      comm::Communicator&, const comm::HaloExchanger&,                       \
-      const comm::DistFieldBatchT<T>&, comm::DistFieldBatchT<T>&,            \
-      comm::DistFieldBatchT<T>&, comm::HaloFreshness) const;                 \
-  template void DistOperator::residual_local_norm2_overlapped_batch<T>(      \
-      comm::Communicator&, const comm::HaloExchanger&,                       \
-      const comm::DistFieldBatchT<T>&, comm::DistFieldBatchT<T>&,            \
-      comm::DistFieldBatchT<T>&, double*, comm::HaloFreshness) const;        \
-  template void DistOperator::local_dot_batch<T>(                            \
-      comm::Communicator&, const comm::DistFieldBatchT<T>&,                  \
-      const comm::DistFieldBatchT<T>&, double*) const;                       \
-  template void DistOperator::local_dot3_batch<T>(                           \
-      comm::Communicator&, const comm::DistFieldBatchT<T>&,                  \
-      const comm::DistFieldBatchT<T>&, const comm::DistFieldBatchT<T>&,      \
-      bool, double*) const;                                                  \
-  template void DistOperator::mask_interior_batch<T>(                        \
-      comm::DistFieldBatchT<T>&) const;
-MINIPOP_DIST_OPERATOR_BATCH_INSTANTIATE(double)
-#undef MINIPOP_DIST_OPERATOR_BATCH_INSTANTIATE
 
 }  // namespace minipop::solver

@@ -93,33 +93,31 @@ class DistOperator {
   // boundary update) unless the caller attests kFresh, so callers never
   // manage halos themselves. Reductions fill per-member arrays the
   // caller combines in ONE vector allreduce. The solver-vector fault
-  // hooks arm on width-1 batches only (a single solve); a member of a
-  // wider batch that diverges recovers through the per-member sub-batch
-  // path of the resilient decorator (DESIGN.md §11). Coefficient fault
-  // sites arm on every sweep (shared planes).
+  // hooks arm on width-1 batches only: a single solve, or a batch that
+  // retirement has compacted down to one survivor. A member of a wider
+  // batch that diverges recovers through the per-member sub-batch path
+  // of the resilient decorator (DESIGN.md §11). Coefficient fault sites
+  // arm on every sweep (shared planes).
 
   /// y = A x, all members. sums-free; 9*nb flops/point.
-  template <typename T>
   void apply_batch(
       comm::Communicator& comm, const comm::HaloExchanger& halo,
-      comm::DistFieldBatchT<T>& x, comm::DistFieldBatchT<T>& y,
+      comm::DistFieldBatch& x, comm::DistFieldBatch& y,
       comm::HaloFreshness fresh = comm::HaloFreshness::kStale) const;
 
   /// r = b - A x, all members.
-  template <typename T>
   void residual_batch(
       comm::Communicator& comm, const comm::HaloExchanger& halo,
-      const comm::DistFieldBatchT<T>& b, comm::DistFieldBatchT<T>& x,
-      comm::DistFieldBatchT<T>& r,
+      const comm::DistFieldBatch& b, comm::DistFieldBatch& x,
+      comm::DistFieldBatch& r,
       comm::HaloFreshness fresh = comm::HaloFreshness::kStale) const;
 
   /// Fused r = b - A x AND local masked ||r_m||² for every member:
   /// sums[0..nb) is OVERWRITTEN with the local sums.
-  template <typename T>
   void residual_local_norm2_batch(
       comm::Communicator& comm, const comm::HaloExchanger& halo,
-      const comm::DistFieldBatchT<T>& b, comm::DistFieldBatchT<T>& x,
-      comm::DistFieldBatchT<T>& r, double* sums,
+      const comm::DistFieldBatch& b, comm::DistFieldBatch& x,
+      comm::DistFieldBatch& r, double* sums,
       comm::HaloFreshness fresh = comm::HaloFreshness::kStale) const;
 
   // Split-phase variants: halo.begin() -> sweep the halo-independent
@@ -132,51 +130,44 @@ class DistOperator {
   // exchange and degrade to the blocking sweeps.
 
   /// y = A x, all members, exchange hidden behind the interior sweep.
-  template <typename T>
   void apply_overlapped_batch(
       comm::Communicator& comm, const comm::HaloExchanger& halo,
-      comm::DistFieldBatchT<T>& x, comm::DistFieldBatchT<T>& y,
+      comm::DistFieldBatch& x, comm::DistFieldBatch& y,
       comm::HaloFreshness fresh = comm::HaloFreshness::kStale) const;
 
   /// r = b - A x, all members, exchange hidden behind the interior
   /// sweep.
-  template <typename T>
   void residual_overlapped_batch(
       comm::Communicator& comm, const comm::HaloExchanger& halo,
-      const comm::DistFieldBatchT<T>& b, comm::DistFieldBatchT<T>& x,
-      comm::DistFieldBatchT<T>& r,
+      const comm::DistFieldBatch& b, comm::DistFieldBatch& x,
+      comm::DistFieldBatch& r,
       comm::HaloFreshness fresh = comm::HaloFreshness::kStale) const;
 
   /// Overlapped r = b - A x plus local masked ||r_m||² per member;
   /// bit-identical to residual_local_norm2_batch (and to
   /// residual_batch + local_dot_batch). sums[0..nb) is OVERWRITTEN.
-  template <typename T>
   void residual_local_norm2_overlapped_batch(
       comm::Communicator& comm, const comm::HaloExchanger& halo,
-      const comm::DistFieldBatchT<T>& b, comm::DistFieldBatchT<T>& x,
-      comm::DistFieldBatchT<T>& r, double* sums,
+      const comm::DistFieldBatch& b, comm::DistFieldBatch& x,
+      comm::DistFieldBatch& r, double* sums,
       comm::HaloFreshness fresh = comm::HaloFreshness::kStale) const;
 
   /// Local masked per-member dots: sums[0..nb) is OVERWRITTEN.
-  template <typename T>
   void local_dot_batch(comm::Communicator& comm,
-                       const comm::DistFieldBatchT<T>& a,
-                       const comm::DistFieldBatchT<T>& b,
-                       double* sums) const;
+                       const comm::DistFieldBatch& a,
+                       const comm::DistFieldBatch& b, double* sums) const;
 
   /// Fused per-member ChronGear dots, grouped for one vector allreduce:
   /// out[0..nb) = <r, rp>, out[nb..2nb) = <z, rp>, out[2nb..3nb) =
   /// <r, r> (zeros unless with_norm). out[0..3nb) is OVERWRITTEN.
-  template <typename T>
   void local_dot3_batch(comm::Communicator& comm,
-                        const comm::DistFieldBatchT<T>& r,
-                        const comm::DistFieldBatchT<T>& rp,
-                        const comm::DistFieldBatchT<T>& z, bool with_norm,
+                        const comm::DistFieldBatch& r,
+                        const comm::DistFieldBatch& rp,
+                        const comm::DistFieldBatch& z, bool with_norm,
                         double* out) const;
 
   /// Zero out land cells of all members' interiors.
-  template <typename T>
-  void mask_interior_batch(comm::DistFieldBatchT<T>& x) const;
+  void mask_interior_batch(comm::DistFieldBatch& x) const;
 
   // Single-field forms of two sweeps, kept for callers that check one
   // field (the end-to-end benchmark's residual check): residual_batch
@@ -206,26 +197,24 @@ class DistOperator {
  private:
   // Sweep bodies behind the blocking and split-phase entry points;
   // `overlap` selects the split-phase exchange.
-  template <typename T>
   void apply_impl(comm::Communicator& comm, const comm::HaloExchanger& halo,
-                  comm::DistFieldBatchT<T>& x, comm::DistFieldBatchT<T>& y,
+                  comm::DistFieldBatch& x, comm::DistFieldBatch& y,
                   comm::HaloFreshness fresh, bool overlap) const;
-  template <typename T>
   void residual_impl(comm::Communicator& comm,
                      const comm::HaloExchanger& halo,
-                     const comm::DistFieldBatchT<T>& b,
-                     comm::DistFieldBatchT<T>& x, comm::DistFieldBatchT<T>& r,
-                     comm::HaloFreshness fresh, bool overlap) const;
+                     const comm::DistFieldBatch& b, comm::DistFieldBatch& x,
+                     comm::DistFieldBatch& r, comm::HaloFreshness fresh,
+                     bool overlap) const;
 
   /// Refresh x's halo and run sweep(lb, rect, spans) over every local
   /// block interior: blocking (exchange, then whole blocks) or, with
   /// overlap and a stale halo, split-phase (begin, halo-independent
   /// interiors, finish, rims). `spans` is the plan of `rect`, re-based
   /// to its origin.
-  template <typename T, class Sweep>
+  template <class Sweep>
   void sweep_regions(comm::Communicator& comm,
                      const comm::HaloExchanger& halo,
-                     comm::DistFieldBatchT<T>& x, comm::HaloFreshness fresh,
+                     comm::DistFieldBatch& x, comm::HaloFreshness fresh,
                      bool overlap, const Sweep& sweep) const;
 
   /// Record one sweep over every local interior for nb members:
@@ -270,43 +259,5 @@ class DistOperator {
   /// rebuilt by repair_coefficients().
   mutable std::vector<util::Field> column_sum_;
 };
-
-#define MINIPOP_DIST_OPERATOR_BATCH_EXTERN(T)                                \
-  extern template void DistOperator::apply_batch<T>(                         \
-      comm::Communicator&, const comm::HaloExchanger&,                       \
-      comm::DistFieldBatchT<T>&, comm::DistFieldBatchT<T>&,                  \
-      comm::HaloFreshness) const;                                            \
-  extern template void DistOperator::residual_batch<T>(                      \
-      comm::Communicator&, const comm::HaloExchanger&,                       \
-      const comm::DistFieldBatchT<T>&, comm::DistFieldBatchT<T>&,            \
-      comm::DistFieldBatchT<T>&, comm::HaloFreshness) const;                 \
-  extern template void DistOperator::residual_local_norm2_batch<T>(          \
-      comm::Communicator&, const comm::HaloExchanger&,                       \
-      const comm::DistFieldBatchT<T>&, comm::DistFieldBatchT<T>&,            \
-      comm::DistFieldBatchT<T>&, double*, comm::HaloFreshness) const;        \
-  extern template void DistOperator::apply_overlapped_batch<T>(              \
-      comm::Communicator&, const comm::HaloExchanger&,                       \
-      comm::DistFieldBatchT<T>&, comm::DistFieldBatchT<T>&,                  \
-      comm::HaloFreshness) const;                                            \
-  extern template void DistOperator::residual_overlapped_batch<T>(           \
-      comm::Communicator&, const comm::HaloExchanger&,                       \
-      const comm::DistFieldBatchT<T>&, comm::DistFieldBatchT<T>&,            \
-      comm::DistFieldBatchT<T>&, comm::HaloFreshness) const;                 \
-  extern template void                                                       \
-  DistOperator::residual_local_norm2_overlapped_batch<T>(                    \
-      comm::Communicator&, const comm::HaloExchanger&,                       \
-      const comm::DistFieldBatchT<T>&, comm::DistFieldBatchT<T>&,            \
-      comm::DistFieldBatchT<T>&, double*, comm::HaloFreshness) const;        \
-  extern template void DistOperator::local_dot_batch<T>(                     \
-      comm::Communicator&, const comm::DistFieldBatchT<T>&,                  \
-      const comm::DistFieldBatchT<T>&, double*) const;                       \
-  extern template void DistOperator::local_dot3_batch<T>(                    \
-      comm::Communicator&, const comm::DistFieldBatchT<T>&,                  \
-      const comm::DistFieldBatchT<T>&, const comm::DistFieldBatchT<T>&,      \
-      bool, double*) const;                                                  \
-  extern template void DistOperator::mask_interior_batch<T>(                 \
-      comm::DistFieldBatchT<T>&) const;
-MINIPOP_DIST_OPERATOR_BATCH_EXTERN(double)
-#undef MINIPOP_DIST_OPERATOR_BATCH_EXTERN
 
 }  // namespace minipop::solver

@@ -10,8 +10,8 @@
 // on local pointer variables — with locals the stencil loops stay
 // scalar.
 //
-// Each helper is templated `<typename T, int B>` (see kernels.hpp for
-// the width semantics). The nine-point expression keeps the exact term
+// Each helper is templated on the member width `<int B>` (see kernels.hpp
+// for the width semantics). The nine-point expression keeps the exact term
 // order of the original scalar code (center, E, W, N, S, NE, NW, SE,
 // SW); the nine coefficients of a cell are hoisted into scalars once and
 // reused across the member loop. At B = 1 the member loop collapses
@@ -52,8 +52,9 @@
 /// Hoists the nine coefficients of cell i into scalars; the member loop
 /// then re-reads only field lanes.
 #define MINIPOP_LOAD9(i)                                                 \
-  const T w0 = c0[i], we = ce[i], ww = cw[i], wn = cn[i], ws = cs[i],    \
-          wne = cne[i], wnw = cnw[i], wse = cse[i], wsw = csw[i]
+  const double w0 = c0[i], we = ce[i], ww = cw[i], wn = cn[i],         \
+               ws = cs[i], wne = cne[i], wnw = cnw[i], wse = cse[i],     \
+               wsw = csw[i]
 
 namespace minipop::solver::kernels::detail {
 
@@ -73,20 +74,20 @@ inline int eff_width(int nb) {
 // coefficients in locals (registers) exactly as before; `active` is
 // resolved once per row (it cannot change mid-row).
 
-template <typename T, int B>
-inline void row_apply9(const T* MINIPOP_RESTRICT c0,
-                       const T* MINIPOP_RESTRICT ce,
-                       const T* MINIPOP_RESTRICT cw,
-                       const T* MINIPOP_RESTRICT cn,
-                       const T* MINIPOP_RESTRICT cs,
-                       const T* MINIPOP_RESTRICT cne,
-                       const T* MINIPOP_RESTRICT cnw,
-                       const T* MINIPOP_RESTRICT cse,
-                       const T* MINIPOP_RESTRICT csw,
-                       const T* MINIPOP_RESTRICT xm,
-                       const T* MINIPOP_RESTRICT x0,
-                       const T* MINIPOP_RESTRICT xp,
-                       T* MINIPOP_RESTRICT y, int nx, int nb) {
+template <int B>
+inline void row_apply9(const double* MINIPOP_RESTRICT c0,
+                       const double* MINIPOP_RESTRICT ce,
+                       const double* MINIPOP_RESTRICT cw,
+                       const double* MINIPOP_RESTRICT cn,
+                       const double* MINIPOP_RESTRICT cs,
+                       const double* MINIPOP_RESTRICT cne,
+                       const double* MINIPOP_RESTRICT cnw,
+                       const double* MINIPOP_RESTRICT cse,
+                       const double* MINIPOP_RESTRICT csw,
+                       const double* MINIPOP_RESTRICT xm,
+                       const double* MINIPOP_RESTRICT x0,
+                       const double* MINIPOP_RESTRICT xp,
+                       double* MINIPOP_RESTRICT y, int nx, int nb) {
   if constexpr (B == 1) {
     for (int i = 0; i < nx; ++i) y[i] = MINIPOP_POINT9(i);
   } else {
@@ -99,21 +100,21 @@ inline void row_apply9(const T* MINIPOP_RESTRICT c0,
   }
 }
 
-template <typename T, int B>
-inline void row_residual9(const T* MINIPOP_RESTRICT c0,
-                          const T* MINIPOP_RESTRICT ce,
-                          const T* MINIPOP_RESTRICT cw,
-                          const T* MINIPOP_RESTRICT cn,
-                          const T* MINIPOP_RESTRICT cs,
-                          const T* MINIPOP_RESTRICT cne,
-                          const T* MINIPOP_RESTRICT cnw,
-                          const T* MINIPOP_RESTRICT cse,
-                          const T* MINIPOP_RESTRICT csw,
-                          const T* MINIPOP_RESTRICT b,
-                          const T* MINIPOP_RESTRICT xm,
-                          const T* MINIPOP_RESTRICT x0,
-                          const T* MINIPOP_RESTRICT xp,
-                          T* MINIPOP_RESTRICT r, int nx, int nb) {
+template <int B>
+inline void row_residual9(const double* MINIPOP_RESTRICT c0,
+                          const double* MINIPOP_RESTRICT ce,
+                          const double* MINIPOP_RESTRICT cw,
+                          const double* MINIPOP_RESTRICT cn,
+                          const double* MINIPOP_RESTRICT cs,
+                          const double* MINIPOP_RESTRICT cne,
+                          const double* MINIPOP_RESTRICT cnw,
+                          const double* MINIPOP_RESTRICT cse,
+                          const double* MINIPOP_RESTRICT csw,
+                          const double* MINIPOP_RESTRICT b,
+                          const double* MINIPOP_RESTRICT xm,
+                          const double* MINIPOP_RESTRICT x0,
+                          const double* MINIPOP_RESTRICT xp,
+                          double* MINIPOP_RESTRICT r, int nx, int nb) {
   if constexpr (B == 1) {
     for (int i = 0; i < nx; ++i) r[i] = b[i] - MINIPOP_POINT9(i);
   } else {
@@ -127,15 +128,16 @@ inline void row_residual9(const T* MINIPOP_RESTRICT c0,
   }
 }
 
-template <typename T, int B>
-inline void row_lincomb(const T* MINIPOP_RESTRICT a,
-                        const T* MINIPOP_RESTRICT x,
-                        const T* MINIPOP_RESTRICT b, T* MINIPOP_RESTRICT y,
-                        const unsigned char* MINIPOP_RESTRICT active,
-                        int nx, int nb) {
+template <int B>
+inline void row_lincomb(const double* MINIPOP_RESTRICT a,
+                        const double* MINIPOP_RESTRICT x,
+                        const double* MINIPOP_RESTRICT b,
+                        double* MINIPOP_RESTRICT y,
+                        const unsigned char* MINIPOP_RESTRICT active, int nx,
+                        int nb) {
   if constexpr (B == 1) {
     if (active && !active[0]) return;
-    const T av = a[0], bv = b[0];
+    const double av = a[0], bv = b[0];
     for (int i = 0; i < nx; ++i) y[i] = av * x[i] + bv * y[i];
   } else {
     const int w = eff_width<B>(nb);
@@ -149,14 +151,15 @@ inline void row_lincomb(const T* MINIPOP_RESTRICT a,
   }
 }
 
-template <typename T, int B>
-inline void row_axpy(const T* MINIPOP_RESTRICT a,
-                     const T* MINIPOP_RESTRICT x, T* MINIPOP_RESTRICT y,
+template <int B>
+inline void row_axpy(const double* MINIPOP_RESTRICT a,
+                     const double* MINIPOP_RESTRICT x,
+                     double* MINIPOP_RESTRICT y,
                      const unsigned char* MINIPOP_RESTRICT active, int nx,
                      int nb) {
   if constexpr (B == 1) {
     if (active && !active[0]) return;
-    const T av = a[0];
+    const double av = a[0];
     for (int i = 0; i < nx; ++i) y[i] += av * x[i];
   } else {
     const int w = eff_width<B>(nb);
@@ -170,20 +173,20 @@ inline void row_axpy(const T* MINIPOP_RESTRICT a,
   }
 }
 
-template <typename T, int B>
-inline void row_lincomb_axpy(const T* MINIPOP_RESTRICT a,
-                             const T* MINIPOP_RESTRICT x,
-                             const T* MINIPOP_RESTRICT b,
-                             T* MINIPOP_RESTRICT y,
-                             const T* MINIPOP_RESTRICT c,
-                             T* MINIPOP_RESTRICT z,
+template <int B>
+inline void row_lincomb_axpy(const double* MINIPOP_RESTRICT a,
+                             const double* MINIPOP_RESTRICT x,
+                             const double* MINIPOP_RESTRICT b,
+                             double* MINIPOP_RESTRICT y,
+                             const double* MINIPOP_RESTRICT c,
+                             double* MINIPOP_RESTRICT z,
                              const unsigned char* MINIPOP_RESTRICT active,
                              int nx, int nb) {
   if constexpr (B == 1) {
     if (active && !active[0]) return;
-    const T av = a[0], bv = b[0], cv = c[0];
+    const double av = a[0], bv = b[0], cv = c[0];
     for (int i = 0; i < nx; ++i) {
-      const T v = av * x[i] + bv * y[i];
+      const double v = av * x[i] + bv * y[i];
       y[i] = v;
       z[i] += cv * v;
     }
@@ -193,7 +196,7 @@ inline void row_lincomb_axpy(const T* MINIPOP_RESTRICT a,
       const std::ptrdiff_t ib = static_cast<std::ptrdiff_t>(i) * w;
       for (int m = 0; m < w; ++m) {
         if (active && !active[m]) continue;
-        const T v = a[m] * x[ib + m] + b[m] * y[ib + m];
+        const double v = a[m] * x[ib + m] + b[m] * y[ib + m];
         y[ib + m] = v;
         z[ib + m] += c[m] * v;
       }
@@ -201,13 +204,14 @@ inline void row_lincomb_axpy(const T* MINIPOP_RESTRICT a,
   }
 }
 
-template <typename T, int B>
-inline void row_scale(const T* MINIPOP_RESTRICT a, T* MINIPOP_RESTRICT x,
+template <int B>
+inline void row_scale(const double* MINIPOP_RESTRICT a,
+                      double* MINIPOP_RESTRICT x,
                       const unsigned char* MINIPOP_RESTRICT active, int nx,
                       int nb) {
   if constexpr (B == 1) {
     if (active && !active[0]) return;
-    const T av = a[0];
+    const double av = a[0];
     for (int i = 0; i < nx; ++i) x[i] *= av;
   } else {
     const int w = eff_width<B>(nb);
@@ -221,14 +225,14 @@ inline void row_scale(const T* MINIPOP_RESTRICT a, T* MINIPOP_RESTRICT x,
   }
 }
 
-template <typename T, int B>
-inline void row_diag_apply(const T* MINIPOP_RESTRICT vr,
-                           const T* MINIPOP_RESTRICT ir,
-                           T* MINIPOP_RESTRICT orr, int nx, int nb) {
+template <int B>
+inline void row_diag_apply(const double* MINIPOP_RESTRICT vr,
+                           const double* MINIPOP_RESTRICT ir,
+                           double* MINIPOP_RESTRICT orr, int nx, int nb) {
   const int w = eff_width<B>(nb);
   for (int i = 0; i < nx; ++i) {
     const std::ptrdiff_t ib = static_cast<std::ptrdiff_t>(i) * w;
-    const T v = vr[i];
+    const double v = vr[i];
     for (int m = 0; m < w; ++m) orr[ib + m] = v * ir[ib + m];
   }
 }

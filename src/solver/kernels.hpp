@@ -12,14 +12,11 @@
 // per-row list of contiguous ocean runs (a land-span plan, DESIGN.md
 // §14) instead of loading and testing the land mask per cell.
 //
-// ONE KERNEL FAMILY. There is one entry point per operation, generic in
-// the member width `nb` and templated on the storage scalar T:
-//   * T is double (nothing else links); every REDUCTION accumulates in
-//     double.
-//   * nb is the batch width. Each kernel dispatches nb == 1 to a width-1
-//     instantiation whose member loop collapses to the scalar loop (a
-//     DistField is the width-1 batch), and every other width to the
-//     dynamic-width instantiation.
+// ONE KERNEL FAMILY. There is one fp64 entry point per operation,
+// generic in the member width `nb`, the batch width. Each kernel
+// dispatches nb == 1 to a width-1 instantiation whose member loop
+// collapses to the scalar loop (a DistField is the width-1 batch), and
+// every other width to the dynamic-width instantiation.
 //
 // Batched fields are member-fastest interleaved SoA planes: member m of
 // interior cell (i, j) lives at base[j*stride + i*nb + m]; nb = 1
@@ -84,21 +81,18 @@ namespace minipop::solver::kernels {
 /// Base pointers of one block's nine coefficient arrays (unpadded,
 /// bnx-pitch, row-major — the layout DistOperator stores). Order follows
 /// grid::Dir. `stride` is the coefficient row pitch (= block nx).
-template <typename T>
-struct Stencil9T {
-  const T* c0;   ///< center
-  const T* ce;   ///< east
-  const T* cw;   ///< west
-  const T* cn;   ///< north
-  const T* cs;   ///< south
-  const T* cne;  ///< north-east
-  const T* cnw;  ///< north-west
-  const T* cse;  ///< south-east
-  const T* csw;  ///< south-west
+struct Stencil9 {
+  const double* c0;   ///< center
+  const double* ce;   ///< east
+  const double* cw;   ///< west
+  const double* cn;   ///< north
+  const double* cs;   ///< south
+  const double* cne;  ///< north-east
+  const double* cnw;  ///< north-west
+  const double* cse;  ///< south-east
+  const double* csw;  ///< south-west
   std::ptrdiff_t stride;
 };
-
-using Stencil9 = Stencil9T<double>;
 
 /// One run of contiguous ocean cells inside a block row: interior cells
 /// [i0, i0 + len).
@@ -108,22 +102,20 @@ struct Span {
 };
 
 // ---------------------------------------------------------------------
-// Span sweeps. Instantiated for T = double in kernels.cpp.
+// Span sweeps.
 // ---------------------------------------------------------------------
 
 /// y_m = A x_m at ocean cells. x must have valid halo rows/columns
 /// around the interior. 9 flops/point/member by the paper's counting
 /// convention.
-template <typename T>
-void apply9(const Stencil9T<T>& c, const int* row_offset, const Span* spans,
-            int nb, int ny, const T* x, std::ptrdiff_t xs, T* y,
+void apply9(const Stencil9& c, const int* row_offset, const Span* spans,
+            int nb, int ny, const double* x, std::ptrdiff_t xs, double* y,
             std::ptrdiff_t ys);
 
 /// Fused residual r_m = b_m - A x_m in ONE sweep. 10 flops/point/member.
-template <typename T>
-void residual9(const Stencil9T<T>& c, const int* row_offset,
-               const Span* spans, int nb, int ny, const T* b,
-               std::ptrdiff_t bs, const T* x, std::ptrdiff_t xs, T* r,
+void residual9(const Stencil9& c, const int* row_offset,
+               const Span* spans, int nb, int ny, const double* b,
+               std::ptrdiff_t bs, const double* x, std::ptrdiff_t xs, double* r,
                std::ptrdiff_t rs);
 
 /// Fused residual + norm²: r_m = b_m - A x_m and sums[m] += sum r_m², all
@@ -131,18 +123,16 @@ void residual9(const Stencil9T<T>& c, const int* row_offset,
 /// passes. Accumulation CONTINUES from the caller's sums[] (one running
 /// accumulator per member across a rank's blocks), so the result equals
 /// residual9 followed by dot over the same cells bit for bit.
-template <typename T>
-void residual_norm2_9(const Stencil9T<T>& c, const int* row_offset,
-                      const Span* spans, int nb, int ny, const T* b,
-                      std::ptrdiff_t bs, const T* x, std::ptrdiff_t xs,
-                      T* r, std::ptrdiff_t rs, double* sums);
+void residual_norm2_9(const Stencil9& c, const int* row_offset,
+                      const Span* spans, int nb, int ny, const double* b,
+                      std::ptrdiff_t bs, const double* x, std::ptrdiff_t xs,
+                      double* r, std::ptrdiff_t rs, double* sums);
 
 /// sums[m] += sum a_m * b_m, row-major, continuing from sums[] — callers
 /// thread one running accumulator through all local blocks (starting
 /// each block at zero and adding partials would perturb the last bits).
-template <typename T>
 void dot(const int* row_offset, const Span* spans, int nb, int ny,
-         const T* a, std::ptrdiff_t as, const T* b, std::ptrdiff_t bs,
+         const double* a, std::ptrdiff_t as, const double* b, std::ptrdiff_t bs,
          double* sums);
 
 /// Fused ChronGear dots, grouped for ONE vector allreduce:
@@ -150,68 +140,62 @@ void dot(const int* row_offset, const Span* spans, int nb, int ny,
 ///   out[nb + m]   += <z_m, rp_m>   (delta)
 ///   out[2nb + m]  += <r_m, r_m>    (norm, only if with_norm)
 /// Each accumulator's add order matches the equivalent dot call.
-template <typename T>
 void dot3(const int* row_offset, const Span* spans, int nb, int ny,
-          const T* r, std::ptrdiff_t rs, const T* rp, std::ptrdiff_t ps,
-          const T* z, std::ptrdiff_t zs, bool with_norm, double* out);
+          const double* r, std::ptrdiff_t rs, const double* rp,
+          std::ptrdiff_t ps, const double* z, std::ptrdiff_t zs, bool with_norm,
+          double* out);
 
 /// sums[m] += sum a_m (the integrity layer's ABFT checksum sweep).
-template <typename T>
 void sum(const int* row_offset, const Span* spans, int nb, int ny,
-         const T* a, std::ptrdiff_t as, double* sums);
+         const double* a, std::ptrdiff_t as, double* sums);
 
 /// sums[m] += sum c * a_m against ONE shared double plane with its own
 /// pitch (the ABFT audit pairs the operator's unpadded column-sum field
 /// with a padded solver field).
-template <typename T>
 void dot_shared(const int* row_offset, const Span* spans, int nb, int ny,
-                const double* c, std::ptrdiff_t cs, const T* a,
+                const double* c, std::ptrdiff_t cs, const double* a,
                 std::ptrdiff_t as, double* sums);
 
 /// y_m = a[m]*x_m + b[m]*y_m for each active m. Covers the solvers'
 /// axpy (b = 1), xpby (a = 1), and the general P-CSI update.
-template <typename T>
 void lincomb(const int* row_offset, const Span* spans, int nb, int ny,
-             const T* a, const T* x, std::ptrdiff_t xs, const T* b, T* y,
-             std::ptrdiff_t ys, const unsigned char* active);
+             const double* a, const double* x, std::ptrdiff_t xs,
+             const double* b, double* y, std::ptrdiff_t ys,
+             const unsigned char* active);
 
 /// y_m += a[m]*x_m for each active m.
-template <typename T>
 void axpy(const int* row_offset, const Span* spans, int nb, int ny,
-          const T* a, const T* x, std::ptrdiff_t xs, T* y,
+          const double* a, const double* x, std::ptrdiff_t xs, double* y,
           std::ptrdiff_t ys, const unsigned char* active);
 
 /// Fused update pair (P-CSI steps 7-8; ChronGear steps 13-16 as two
 /// calls): y_m = a[m]*x_m + b[m]*y_m then z_m += c[m]*y_m, in ONE sweep.
-template <typename T>
 void lincomb_axpy(const int* row_offset, const Span* spans, int nb, int ny,
-                  const T* a, const T* x, std::ptrdiff_t xs, const T* b,
-                  T* y, std::ptrdiff_t ys, const T* c, T* z,
-                  std::ptrdiff_t zs, const unsigned char* active);
+                  const double* a, const double* x, std::ptrdiff_t xs,
+                  const double* b, double* y, std::ptrdiff_t ys,
+                  const double* c, double* z, std::ptrdiff_t zs,
+                  const unsigned char* active);
 
 /// x_m *= a[m] for each active m.
-template <typename T>
 void scale(const int* row_offset, const Span* spans, int nb, int ny,
-           const T* a, T* x, std::ptrdiff_t xs, const unsigned char* active);
+           const double* a, double* x, std::ptrdiff_t xs,
+           const unsigned char* active);
 
 // Gap-zeroing kernels need the row width `nx` to zero the trailing gap.
 
 /// x_m = 0 on land cells; ocean cells are not rewritten.
-template <typename T>
 void mask_zero(const int* row_offset, const Span* spans, int nb, int nx,
-               int ny, T* x, std::ptrdiff_t xs);
+               int ny, double* x, std::ptrdiff_t xs);
 
 /// out_m = inv * in_m at ocean, 0 on land (diagonal preconditioner,
 /// shared inverse-diagonal plane).
-template <typename T>
-void diag_apply(const T* inv, std::ptrdiff_t is, const int* row_offset,
-                const Span* spans, int nb, int nx, int ny, const T* in,
-                std::ptrdiff_t ins, T* out, std::ptrdiff_t outs);
+void diag_apply(const double* inv, std::ptrdiff_t is, const int* row_offset,
+                const Span* spans, int nb, int nx, int ny, const double* in,
+                std::ptrdiff_t ins, double* out, std::ptrdiff_t outs);
 
 /// out_m = in_m at ocean, 0 on land (identity preconditioner).
-template <typename T>
 void masked_copy(const int* row_offset, const Span* spans, int nb, int nx,
-                 int ny, const T* in, std::ptrdiff_t ins, T* out,
+                 int ny, const double* in, std::ptrdiff_t ins, double* out,
                  std::ptrdiff_t outs);
 
 // ---------------------------------------------------------------------
@@ -219,12 +203,10 @@ void masked_copy(const int* row_offset, const Span* spans, int nb, int nx,
 // ---------------------------------------------------------------------
 
 /// y = x, all members (row-wise memcpy over the widened rows).
-template <typename T>
-void copy(int nb, int nx, int ny, const T* x, std::ptrdiff_t xs, T* y,
+void copy(int nb, int nx, int ny, const double* x, std::ptrdiff_t xs, double* y,
           std::ptrdiff_t ys);
 
 /// x = v, all members.
-template <typename T>
-void fill(int nb, int nx, int ny, T v, T* x, std::ptrdiff_t xs);
+void fill(int nb, int nx, int ny, double v, double* x, std::ptrdiff_t xs);
 
 }  // namespace minipop::solver::kernels

@@ -21,7 +21,7 @@
 // the width-1 instantiation. Stencil sweeps and vector updates write
 // every interior cell (land included); masked reductions add +0.0 at
 // land; mask_zero / diag_apply / masked_copy write 0 at land exactly
-// like their span counterparts. Instantiated for double.
+// like their span counterparts.
 #pragma once
 
 #include <cstddef>
@@ -31,87 +31,74 @@
 namespace minipop::solver::kernels::masked {
 
 /// y_m = A x_m over the whole nx*ny interior.
-template <typename T>
-void apply9(const Stencil9T<T>& c, int nb, int nx, int ny, const T* x,
-            std::ptrdiff_t xs, T* y, std::ptrdiff_t ys);
+void apply9(const Stencil9& c, int nb, int nx, int ny, const double* x,
+            std::ptrdiff_t xs, double* y, std::ptrdiff_t ys);
 
 /// r_m = b_m - A x_m over the whole interior.
-template <typename T>
-void residual9(const Stencil9T<T>& c, int nb, int nx, int ny, const T* b,
-               std::ptrdiff_t bs, const T* x, std::ptrdiff_t xs, T* r,
+void residual9(const Stencil9& c, int nb, int nx, int ny, const double* b,
+               std::ptrdiff_t bs, const double* x, std::ptrdiff_t xs, double* r,
                std::ptrdiff_t rs);
 
 /// r_m = b_m - A x_m everywhere and sums[m] += sum_{mask} r_m².
-template <typename T>
-void residual_norm2_9(const Stencil9T<T>& c, const unsigned char* mask,
-                      std::ptrdiff_t ms, int nb, int nx, int ny, const T* b,
-                      std::ptrdiff_t bs, const T* x, std::ptrdiff_t xs,
-                      T* r, std::ptrdiff_t rs, double* sums);
+void residual_norm2_9(const Stencil9& c, const unsigned char* mask,
+                      std::ptrdiff_t ms, int nb, int nx, int ny,
+                      const double* b, std::ptrdiff_t bs, const double* x,
+                      std::ptrdiff_t xs, double* r, std::ptrdiff_t rs,
+                      double* sums);
 
 /// sums[m] += sum_{mask} a_m * b_m.
-template <typename T>
 void dot(const unsigned char* mask, std::ptrdiff_t ms, int nb, int nx,
-         int ny, const T* a, std::ptrdiff_t as, const T* b,
+         int ny, const double* a, std::ptrdiff_t as, const double* b,
          std::ptrdiff_t bs, double* sums);
 
 /// Fused ChronGear dots in the grouped [rho][delta][norm] layout of
 /// kernels::dot3.
-template <typename T>
 void dot3(const unsigned char* mask, std::ptrdiff_t ms, int nb, int nx,
-          int ny, const T* r, std::ptrdiff_t rs, const T* rp,
-          std::ptrdiff_t ps, const T* z, std::ptrdiff_t zs, bool with_norm,
+          int ny, const double* r, std::ptrdiff_t rs, const double* rp,
+          std::ptrdiff_t ps, const double* z, std::ptrdiff_t zs, bool with_norm,
           double* out);
 
 /// sums[m] += sum_{mask} a_m.
-template <typename T>
 void sum(const unsigned char* mask, std::ptrdiff_t ms, int nb, int nx,
-         int ny, const T* a, std::ptrdiff_t as, double* sums);
+         int ny, const double* a, std::ptrdiff_t as, double* sums);
 
 /// sums[m] += sum_{mask} c * a_m against one shared double plane.
-template <typename T>
 void dot_shared(const unsigned char* mask, std::ptrdiff_t ms, int nb,
                 int nx, int ny, const double* c, std::ptrdiff_t cs,
-                const T* a, std::ptrdiff_t as, double* sums);
+                const double* a, std::ptrdiff_t as, double* sums);
 
 /// y_m = a[m]*x_m + b[m]*y_m for each active m, every interior cell.
-template <typename T>
-void lincomb(int nb, int nx, int ny, const T* a, const T* x,
-             std::ptrdiff_t xs, const T* b, T* y, std::ptrdiff_t ys,
+void lincomb(int nb, int nx, int ny, const double* a, const double* x,
+             std::ptrdiff_t xs, const double* b, double* y, std::ptrdiff_t ys,
              const unsigned char* active);
 
 /// y_m += a[m]*x_m for each active m, every interior cell.
-template <typename T>
-void axpy(int nb, int nx, int ny, const T* a, const T* x,
-          std::ptrdiff_t xs, T* y, std::ptrdiff_t ys,
+void axpy(int nb, int nx, int ny, const double* a, const double* x,
+          std::ptrdiff_t xs, double* y, std::ptrdiff_t ys,
           const unsigned char* active);
 
 /// y_m = a[m]*x_m + b[m]*y_m then z_m += c[m]*y_m, every interior cell.
-template <typename T>
-void lincomb_axpy(int nb, int nx, int ny, const T* a, const T* x,
-                  std::ptrdiff_t xs, const T* b, T* y, std::ptrdiff_t ys,
-                  const T* c, T* z, std::ptrdiff_t zs,
-                  const unsigned char* active);
+void lincomb_axpy(int nb, int nx, int ny, const double* a, const double* x,
+                  std::ptrdiff_t xs, const double* b, double* y,
+                  std::ptrdiff_t ys, const double* c, double* z,
+                  std::ptrdiff_t zs, const unsigned char* active);
 
 /// x_m *= a[m] for each active m, every interior cell.
-template <typename T>
-void scale(int nb, int nx, int ny, const T* a, T* x, std::ptrdiff_t xs,
-           const unsigned char* active);
+void scale(int nb, int nx, int ny, const double* a, double* x,
+           std::ptrdiff_t xs, const unsigned char* active);
 
 /// x_m = 0 on land (mask == 0) cells.
-template <typename T>
 void mask_zero(const unsigned char* mask, std::ptrdiff_t ms, int nb,
-               int nx, int ny, T* x, std::ptrdiff_t xs);
+               int nx, int ny, double* x, std::ptrdiff_t xs);
 
 /// out_m = inv * in_m everywhere (inv is 0 on land).
-template <typename T>
-void diag_apply(const T* inv, std::ptrdiff_t is, int nb, int nx, int ny,
-                const T* in, std::ptrdiff_t ins, T* out,
+void diag_apply(const double* inv, std::ptrdiff_t is, int nb, int nx, int ny,
+                const double* in, std::ptrdiff_t ins, double* out,
                 std::ptrdiff_t outs);
 
 /// out_m = mask ? in_m : 0.
-template <typename T>
-void masked_copy(const unsigned char* mask, std::ptrdiff_t ms, int nb,
-                 int nx, int ny, const T* in, std::ptrdiff_t ins, T* out,
+void masked_copy(const unsigned char* mask, std::ptrdiff_t ms, int nb, int nx,
+                 int ny, const double* in, std::ptrdiff_t ins, double* out,
                  std::ptrdiff_t outs);
 
 }  // namespace minipop::solver::kernels::masked

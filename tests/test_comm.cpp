@@ -505,7 +505,7 @@ TEST(Halo, SharedExchangerServesEveryWidthAndBatchWidth) {
         load_pattern(a, shift(1));
         load_pattern(b, shift(2));
         mc::DistFieldBatch* const group[2] = {&a, &b};
-        hx.exchange_group<double>(comm, group);
+        hx.exchange_group(comm, group);
         for (int m = 0; m < nb; ++m) {
           check_halos(d, one, m, shift(0)(m));
           check_halos(d, a, m, shift(1)(m));

@@ -368,7 +368,7 @@ TEST(ExchangeGroup, MatchesSingleExchangesBitwiseWithOneThirdMessages) {
 
     snap = comm.costs().counters();
     mc::DistFieldBatch* const group[3] = {&b1, &b2, &b3};
-    hx.exchange_group<double>(comm, group);
+    hx.exchange_group(comm, group);
     group_costs[r] = comm.costs().since(snap);
 
     // Every plane, halos included, bitwise equal to its own exchange.

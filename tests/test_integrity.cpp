@@ -745,9 +745,9 @@ TEST(SdcCampaign, CoeffBitFlipTypedAcrossBatchedConfigs) {
   }
 }
 
-// The solver-vector site arms on width-1 batches (single solves) only,
-// for every core: a member of a wider batch recovers through the
-// resilient decorator's per-member sub-batches instead.
+// The solver-vector site arms on width-1 working batches only, for
+// every core: a member of a wider batch recovers through the resilient
+// decorator's per-member sub-batches instead.
 TEST(SdcCampaign, SolverVectorSiteArmsOnWidthOneBatchesOnly) {
   Problem p = make_problem(32, 24, 8, 1);
   const ms::EigenBounds bounds = lanczos_bounds_serial(p);
@@ -771,6 +771,22 @@ TEST(SdcCampaign, SolverVectorSiteArmsOnWidthOneBatchesOnly) {
         EXPECT_EQ(offered, 0);
     }
   }
+}
+
+// Width 1 is the working batch, not the batch the caller handed in:
+// once retirement compacts a wider batch down to one survivor, that
+// survivor's sweeps write a scalar plane and the site arms on them.
+TEST(SdcCampaign, SolverVectorSiteArmsOnceABatchCompactsToOneSurvivor) {
+  Problem p = make_problem(32, 24, 8, 1);
+  const ms::EigenBounds bounds = lanczos_bounds_serial(p);
+  ms::SolverOptions opt;  // default batch_retire_fraction
+  opt.rel_tolerance = 1e-10;
+  mf::FaultScope scope{mf::FaultPlan{}};  // counts offers, fires none
+  BatchRun run =
+      run_batch(p, 1, make_rhs(p, 4), make_batched("pcsi", opt, bounds));
+  for (const auto& m : run.stats.members) EXPECT_TRUE(m.converged);
+  EXPECT_GE(run.stats.retirements, 1);
+  EXPECT_GT(scope.injector().events(mf::FaultSite::kSolverVector, 0), 0);
 }
 
 TEST(SdcCampaign, HaloBitFlipBehindCrcRecoveredAcrossBatchedConfigs) {

@@ -199,7 +199,6 @@ TEST(SpanPlan, ClippedMatchesDirectWindowBuild) {
 
 namespace {
 
-template <typename T>
 void kernel_identity_case(std::uint64_t seed, double p_ocean) {
   const int nx = 19, ny = 11, nb = 4;
   const mu::MaskArray m = feature_mask(nx, ny, seed, p_ocean);
@@ -210,24 +209,23 @@ void kernel_identity_case(std::uint64_t seed, double p_ocean) {
   mu::Xoshiro256 rng(seed * 31 + 7);
   const std::ptrdiff_t st = nx * nb;  // batched plane stride
   auto rand_plane = [&](bool land_zero) {
-    std::vector<T> v(static_cast<std::size_t>(nx) * ny * nb);
+    std::vector<double> v(static_cast<std::size_t>(nx) * ny * nb);
     for (int j = 0; j < ny; ++j)
       for (int i = 0; i < nx; ++i)
         for (int mm = 0; mm < nb; ++mm)
           v[j * st + i * nb + mm] =
-              (land_zero && !m(i, j)) ? T(0)
-                                      : static_cast<T>(rng.uniform(-1, 1));
+              (land_zero && !m(i, j)) ? 0.0 : rng.uniform(-1, 1);
     return v;
   };
 
   // --- reductions: dot, sum, dot_shared, dot3 -----------------------
-  const std::vector<T> a = rand_plane(false), b = rand_plane(false),
-                       z = rand_plane(false);
+  const std::vector<double> a = rand_plane(false), b = rand_plane(false),
+                            z = rand_plane(false);
   std::vector<double> cshared(static_cast<std::size_t>(nx) * ny);
   for (double& v : cshared) v = rng.uniform(-1, 1);
 
   {  // width-1 forms on densely packed member-0 planes
-    std::vector<T> a1(static_cast<std::size_t>(nx) * ny), b1(a1.size()),
+    std::vector<double> a1(static_cast<std::size_t>(nx) * ny), b1(a1.size()),
         z1(a1.size());
     for (int j = 0; j < ny; ++j)
       for (int i = 0; i < nx; ++i) {
@@ -277,27 +275,27 @@ void kernel_identity_case(std::uint64_t seed, double p_ocean) {
 
   // --- gap-zero kernels: identical planes everywhere ----------------
   {
-    std::vector<T> inv(static_cast<std::size_t>(nx) * ny, T(0));
+    std::vector<double> inv(static_cast<std::size_t>(nx) * ny, 0.0);
     for (int j = 0; j < ny; ++j)
       for (int i = 0; i < nx; ++i)
-        if (m(i, j)) inv[j * nx + i] = static_cast<T>(rng.uniform(1, 2));
-    const std::vector<T> in = rand_plane(false);
-    std::vector<T> ref(in.size(), T(7)), got(in.size(), T(7));
+        if (m(i, j)) inv[j * nx + i] = rng.uniform(1, 2);
+    const std::vector<double> in = rand_plane(false);
+    std::vector<double> ref(in.size(), 7.0), got(in.size(), 7.0);
     mk::masked::diag_apply(inv.data(), nx, nb, nx, ny, in.data(), st,
                            ref.data(), st);
     mk::diag_apply(inv.data(), nx, ro, sp, nb, nx, ny, in.data(), st,
                    got.data(), st);
     EXPECT_EQ(ref, got);
 
-    std::fill(ref.begin(), ref.end(), T(7));
-    std::fill(got.begin(), got.end(), T(7));
+    std::fill(ref.begin(), ref.end(), 7.0);
+    std::fill(got.begin(), got.end(), 7.0);
     mk::masked::masked_copy(m.data(), m.nx(), nb, nx, ny, in.data(), st,
                             ref.data(), st);
     mk::masked_copy(ro, sp, nb, nx, ny, in.data(), st, got.data(), st);
     EXPECT_EQ(ref, got);
 
-    std::vector<T> x_ref = rand_plane(false);
-    std::vector<T> x_got = x_ref;
+    std::vector<double> x_ref = rand_plane(false);
+    std::vector<double> x_got = x_ref;
     mk::masked::mask_zero(m.data(), m.nx(), nb, nx, ny, x_ref.data(), st);
     mk::mask_zero(ro, sp, nb, nx, ny, x_got.data(), st);
     EXPECT_EQ(x_ref, x_got);
@@ -306,17 +304,17 @@ void kernel_identity_case(std::uint64_t seed, double p_ocean) {
   // --- pure-skip updates: ocean cells bit-equal, land untouched -----
   {
     const std::vector<unsigned char> active(nb, 1);
-    std::vector<T> ca(nb), cb(nb), cc(nb);
+    std::vector<double> ca(nb), cb(nb), cc(nb);
     for (int mm = 0; mm < nb; ++mm) {
-      ca[mm] = static_cast<T>(rng.uniform(-2, 2));
-      cb[mm] = static_cast<T>(rng.uniform(-2, 2));
-      cc[mm] = static_cast<T>(rng.uniform(-2, 2));
+      ca[mm] = rng.uniform(-2, 2);
+      cb[mm] = rng.uniform(-2, 2);
+      cc[mm] = rng.uniform(-2, 2);
     }
-    const std::vector<T> x = rand_plane(false);
-    std::vector<T> y_ref = rand_plane(false);
-    std::vector<T> y_got = y_ref, z_ref = rand_plane(false);
-    std::vector<T> z_got = z_ref;
-    const std::vector<T> y0 = y_ref, z0 = z_ref;
+    const std::vector<double> x = rand_plane(false);
+    std::vector<double> y_ref = rand_plane(false);
+    std::vector<double> y_got = y_ref, z_ref = rand_plane(false);
+    std::vector<double> z_got = z_ref;
+    const std::vector<double> y0 = y_ref, z0 = z_ref;
     mk::masked::lincomb_axpy(nb, nx, ny, ca.data(), x.data(), st, cb.data(),
                              y_ref.data(), st, cc.data(), z_ref.data(), st,
                              active.data());
@@ -342,8 +340,7 @@ void kernel_identity_case(std::uint64_t seed, double p_ocean) {
 
 TEST(SpanPlan, KernelsBitwiseIdenticalFp64) {
   for (std::uint64_t seed = 11; seed <= 13; ++seed)
-    kernel_identity_case<double>(seed,
-                                 0.2 * static_cast<double>(seed - 10));
+    kernel_identity_case(seed, 0.2 * static_cast<double>(seed - 10));
 }
 
 // -------------------------------------------------------------------
@@ -385,9 +382,8 @@ void expect_full_bitwise(const FieldT& a, const FieldT& b) {
 // operator — the oracle of the operator-level checks. F is a DistField
 // or a batch (a DistField is the width-1 batch); halos must be fresh.
 
-template <typename T>
-mk::Stencil9T<T> block_stencil(const ms::DistOperator& op, int lb) {
-  const auto plane = [&](mg::Dir d) -> const T* {
+mk::Stencil9 block_stencil(const ms::DistOperator& op, int lb) {
+  const auto plane = [&](mg::Dir d) -> const double* {
     return op.block_coeff(lb, d).data();
   };
   return {plane(mg::Dir::kCenter),    plane(mg::Dir::kEast),
@@ -399,10 +395,9 @@ mk::Stencil9T<T> block_stencil(const ms::DistOperator& op, int lb) {
 
 template <class F>
 void masked_apply(const ms::DistOperator& op, const F& x, F& y) {
-  using T = typename F::value_type;
   for (int lb = 0; lb < op.num_local_blocks(); ++lb) {
     const auto& info = x.info(lb);
-    mk::masked::apply9(block_stencil<T>(op, lb), x.nb(), info.nx, info.ny,
+    mk::masked::apply9(block_stencil(op, lb), x.nb(), info.nx, info.ny,
                        x.interior(lb), x.stride(lb), y.interior(lb),
                        y.stride(lb));
   }
@@ -411,12 +406,11 @@ void masked_apply(const ms::DistOperator& op, const F& x, F& y) {
 template <class F>
 void masked_residual_norm2(const ms::DistOperator& op, const F& b,
                            const F& x, F& r, double* sums) {
-  using T = typename F::value_type;
   for (int mm = 0; mm < x.nb(); ++mm) sums[mm] = 0.0;
   for (int lb = 0; lb < op.num_local_blocks(); ++lb) {
     const auto& info = x.info(lb);
     const mu::MaskArray& m = op.block_mask(lb);
-    mk::masked::residual_norm2_9(block_stencil<T>(op, lb), m.data(), m.nx(),
+    mk::masked::residual_norm2_9(block_stencil(op, lb), m.data(), m.nx(),
                                  x.nb(), info.nx, info.ny, b.interior(lb),
                                  b.stride(lb), x.interior(lb), x.stride(lb),
                                  r.interior(lb), r.stride(lb), sums);
@@ -453,16 +447,13 @@ void masked_dot3(const ms::DistOperator& op, const F& r, const F& rp,
 /// own expression), 0 on land.
 template <class F>
 void masked_diag(const ms::DistOperator& op, const F& in, F& out) {
-  using T = typename F::value_type;
   for (int lb = 0; lb < op.num_local_blocks(); ++lb) {
     const auto& info = in.info(lb);
     const mu::MaskArray& m = op.block_mask(lb);
-    std::vector<T> inv(static_cast<std::size_t>(info.nx) * info.ny, T(0));
+    std::vector<double> inv(static_cast<std::size_t>(info.nx) * info.ny, 0.0);
     for (int j = 0; j < info.ny; ++j)
       for (int i = 0; i < info.nx; ++i)
-        if (m(i, j))
-          inv[j * info.nx + i] =
-              static_cast<T>(1.0 / op.block_diagonal(lb)(i, j));
+        if (m(i, j)) inv[j * info.nx + i] = 1.0 / op.block_diagonal(lb)(i, j);
     mk::masked::diag_apply(inv.data(), info.nx, in.nb(), info.nx, info.ny,
                            in.interior(lb), in.stride(lb), out.interior(lb),
                            out.stride(lb));
@@ -480,7 +471,6 @@ void masked_identity(const ms::DistOperator& op, const F& in, F& out) {
   }
 }
 
-template <typename T>
 void operator_identity_case(int halo_width, std::uint64_t seed) {
   const int nx = 26, ny = 18;
   Problem p = make_problem(nx, ny, 7, 1, seed);
@@ -593,7 +583,7 @@ void operator_identity_case(int halo_width, std::uint64_t seed) {
 
   // --- B = 4 batch sweeps -------------------------------------------
   const int nb = 4;
-  using Batch = mc::DistFieldBatchT<T>;
+  using Batch = mc::DistFieldBatch;
   Batch xb(*p.decomp, 0, nb, halo_width), bb(*p.decomp, 0, nb, halo_width);
   for (int mm = 0; mm < nb; ++mm) {
     mu::Field gx(nx, ny, 0.0), gb(nx, ny, 0.0);
@@ -667,10 +657,10 @@ void operator_identity_case(int halo_width, std::uint64_t seed) {
 }  // namespace
 
 TEST(SpanPlan, OperatorBitwiseIdenticalFp64Halo1) {
-  operator_identity_case<double>(1, 41);
+  operator_identity_case(1, 41);
 }
 TEST(SpanPlan, OperatorBitwiseIdenticalFp64Halo2) {
-  operator_identity_case<double>(2, 42);
+  operator_identity_case(2, 42);
 }
 
 // -------------------------------------------------------------------
