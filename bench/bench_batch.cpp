@@ -19,7 +19,7 @@
 //                                       # efficiency > 1 and identity
 //
 // A second table runs one batched solve through the composed decorator
-// stack (resilience x overlap) against the plain batch of the same
+// stack (core + resilience) against the plain batch of the same
 // systems; the composition must be free: bitwise-identical members and
 // the same halo payload.
 #include <algorithm>
@@ -93,12 +93,11 @@ solver::SolverConfig pcsi_config() {
   return cfg;
 }
 
-/// The fully composed stack: resilience x overlap, both riding the same
-/// batched core (DESIGN.md §11).
+/// The composed stack: the resilience decorator riding the batched core
+/// (DESIGN.md §11).
 solver::SolverConfig composed_config() {
   solver::SolverConfig cfg = pcsi_config();
   cfg.resilient = true;
-  cfg.options.overlap = true;
   return cfg;
 }
 
@@ -227,10 +226,9 @@ Row run_case(const Case& c, int nranks, int batch, int repeats) {
 }
 
 /// One batched solve through the composed decorator stack versus one
-/// plain fp64 batched solve of the same systems. Resilience and overlap
-/// must not change a single bit of any member, nor the halo payload
-/// (the decorator adds one agreement allreduce, no point-to-point
-/// traffic).
+/// plain fp64 batched solve of the same systems. Resilience must not
+/// change a single bit of any member, nor the halo payload (the
+/// decorator adds one agreement allreduce, no point-to-point traffic).
 struct ComposedRow {
   int nranks = 0;
   int batch = 0;
@@ -370,7 +368,7 @@ void write_json(const std::string& path, const std::vector<Row>& rows,
     std::snprintf(
         buf, sizeof(buf),
         "    {\"nranks\": %d, \"batch\": %d, \"config\": "
-        "\"pcsi+resilient+overlap\", "
+        "\"pcsi+resilient\", "
         "\"fp64_seconds\": %.6e, \"composed_seconds\": %.6e, "
         "\"converged\": %s, \"max_residual\": %.3e, "
         "\"identity_ok\": %s, \"p2p_bytes_fp64\": %llu, "
@@ -424,8 +422,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Composed stack: resilient x overlap on the batched core, against
-  // the plain fp64 batch of the same systems.
+  // Composed stack: resilience on the batched core, against the plain
+  // fp64 batch of the same systems.
   const int composed_batch = smoke ? 4 : 8;
   std::vector<ComposedRow> composed;
   std::printf("\n%6s %6s %12s %12s %12s %12s %9s %7s %9s\n", "nranks", "B",

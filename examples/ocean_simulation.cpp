@@ -27,7 +27,8 @@
 // halo rounds beside the messages rank 0 sent, so messages per round
 // show without a trace.
 //
-// An unknown option or a malformed value exits with status 2 and a
+// An unknown option, a malformed or out-of-range value, or more ranks
+// than the decomposition has ocean blocks exits with status 2 and a
 // usage line.
 #include <iomanip>
 #include <iostream>
@@ -35,6 +36,8 @@
 
 #include "src/comm/serial_comm.hpp"
 #include "src/comm/thread_comm.hpp"
+#include "src/grid/bathymetry.hpp"
+#include "src/grid/decomposition.hpp"
 #include "src/model/ocean_model.hpp"
 #include "src/util/cli.hpp"
 #include "src/util/error.hpp"
@@ -134,7 +137,7 @@ int main(int argc, char** argv) {
   double days = 0.0;
   try {
     cfg.grid = grid::pop_1deg_spec(cli.get_double("scale", 0.12));
-    cfg.nz = cli.get_int("nz", 4);
+    cfg.nz = cli.get_int("nz", 4, 1);
     // --block-size=NX or NXxNY (rectangular blocks); legacy --block=N
     // still works when the new flag is absent.
     const std::string bs =
@@ -145,6 +148,9 @@ int main(int argc, char** argv) {
                            ? 0
                            : util::parse_int("--block-size",
                                              bs.substr(xpos + 1));
+    if (cfg.block_size < 1 || (xpos != std::string::npos &&
+                               cfg.block_size_y < 1))
+      throw util::Error("--block-size=" + bs + " is not NX or NXxNY >= 1");
     cfg.solver.solver =
         solver::solver_kind_from_string(cli.get("solver", "pcsi"));
     cfg.solver.preconditioner = solver::preconditioner_kind_from_string(
@@ -158,9 +164,19 @@ int main(int argc, char** argv) {
       throw util::Error("--halo-depth=" + hd + " is not 1.." +
                         std::to_string(solver::kMaxHaloDepth) +
                         " or auto");
-    cfg.nranks = cli.get_int("ranks", 1);
-    days = cli.get_double("days", 90.0);
+    cfg.nranks = cli.get_int("ranks", 1, 1);
+    days = cli.get_positive("days", 90.0);
     cli.reject_unread();
+    // Every rank's model builds this decomposition. Building it here
+    // first rejects more ranks than active ocean blocks before the team
+    // starts one thread per rank.
+    const grid::CurvilinearGrid g(cfg.grid);
+    [[maybe_unused]] const grid::Decomposition decomp(
+        g.nx(), g.ny(), g.periodic_x(),
+        grid::ocean_mask(grid::synthetic_earth_bathymetry(g, cfg.bathymetry)),
+        cfg.block_size,
+        cfg.block_size_y > 0 ? cfg.block_size_y : cfg.block_size,
+        cfg.nranks);
   } catch (const util::Error& e) {
     return cli.usage_error(e, kUsage);
   }

@@ -8,8 +8,8 @@
 //
 // Walks through the whole public API: grid -> synthetic bathymetry ->
 // nine-point stencil -> block decomposition -> BarotropicSolver. An
-// unknown option or a malformed value exits with status 2 and a usage
-// line.
+// unknown option or a malformed or out-of-range value exits with status
+// 2 and a usage line.
 #include <cstdint>
 #include <iostream>
 
@@ -32,13 +32,13 @@ int main(int argc, char** argv) {
   grid::GridSpec spec = grid::pop_1deg_spec(0.25);
   solver::SolverConfig config;
   try {
-    spec.nx = cli.get_int("nx", spec.nx);
-    spec.ny = cli.get_int("ny", spec.ny);
+    spec.nx = cli.get_int("nx", spec.nx, 4);
+    spec.ny = cli.get_int("ny", spec.ny, 4);
     config.solver = solver::solver_kind_from_string(
         cli.get("solver", "pcsi"));
     config.preconditioner = solver::preconditioner_kind_from_string(
         cli.get("precond", "evp"));
-    config.options.rel_tolerance = cli.get_double("tol", 1e-13);
+    config.options.rel_tolerance = cli.get_positive("tol", 1e-13);
     cli.reject_unread();
   } catch (const util::Error& e) {
     return cli.usage_error(
@@ -99,8 +99,15 @@ int main(int argc, char** argv) {
             << ", halo updates: " << stats.costs.halo_exchanges
             << ", flops (paper count): " << stats.costs.flops << "\n";
 
-  // Compare against the production baseline.
+  // Compare against the production baseline, the default SolverConfig
+  // (ChronGear + diagonal), unless this run already is that baseline.
   solver::SolverConfig base;
+  if (config.solver == base.solver &&
+      config.preconditioner == base.preconditioner) {
+    std::cout << "\n=> " << solver.description()
+              << " is the production baseline.\n";
+    return stats.converged ? 0 : 1;
+  }
   base.options.rel_tolerance = config.options.rel_tolerance;
   solver::BarotropicSolver baseline(comm, halo, g, depth, stencil, decomp,
                                     base);

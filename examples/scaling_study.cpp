@@ -10,8 +10,8 @@
 //   ./scaling_study [--machine=yellowstone|edison] [--grid=0.1deg|1deg]
 //                   [--scale=0.05] [--live=1]
 //
-// An unknown option or a malformed value exits with status 2 and a
-// usage line.
+// An unknown option or a malformed or out-of-range value exits with
+// status 2 and a usage line.
 #include <iostream>
 
 #include "src/perf/pop_timing_model.hpp"
@@ -38,6 +38,9 @@ int main(int argc, char** argv) {
                         " is not yellowstone or edison");
     if (grid_name != "0.1deg" && grid_name != "1deg")
       throw util::Error("--grid=" + grid_name + " is not 0.1deg or 1deg");
+    if (!(scale > 0.0 && scale <= 1.0))
+      throw util::Error("--scale=" + cli.get("scale", "") +
+                        " is not in (0, 1]");
     cli.reject_unread();
   } catch (const util::Error& e) {
     return cli.usage_error(e,

@@ -9,8 +9,8 @@
 //                         [--solver=pcsi] [--precond=evp] [--tol=1e-13]
 //
 // Try --tol=1e-10 to watch a genuinely inconsistent configuration fail.
-// An unknown option or a malformed value exits with status 2 and a usage
-// line.
+// An unknown option or a malformed or out-of-range value exits with
+// status 2 and a usage line.
 #include <iostream>
 
 #include "src/comm/serial_comm.hpp"
@@ -35,16 +35,16 @@ int main(int argc, char** argv) {
   auto candidate_cfg = ens;
   try {
     ens.model.grid = grid::pop_1deg_spec(cli.get_double("scale", 0.08));
-    ens.model.nz = cli.get_int("nz", 3);
-    ens.members = cli.get_int("members", 10);
-    ens.months = cli.get_int("months", 3);
+    ens.model.nz = cli.get_int("nz", 3, 1);
+    ens.members = cli.get_int("members", 10, 2);
+    ens.months = cli.get_int("months", 3, 1);
     candidate_cfg = ens;
     candidate_cfg.model.solver.solver =
         solver::solver_kind_from_string(cli.get("solver", "pcsi"));
     candidate_cfg.model.solver.preconditioner =
         solver::preconditioner_kind_from_string(cli.get("precond", "evp"));
     candidate_cfg.model.solver.options.rel_tolerance =
-        cli.get_double("tol", 1e-13);
+        cli.get_positive("tol", 1e-13);
     cli.reject_unread();
   } catch (const util::Error& e) {
     return cli.usage_error(

@@ -1,5 +1,6 @@
 #include "src/comm/communicator.hpp"
 
+#include <chrono>
 #include <exception>
 
 namespace minipop::comm {
@@ -12,9 +13,7 @@ double seconds_between(std::chrono::steady_clock::time_point a,
 }  // namespace
 
 Request::Request(std::unique_ptr<RequestState> state, CostTracker* costs)
-    : state_(std::move(state)),
-      costs_(costs),
-      posted_(std::chrono::steady_clock::now()) {
+    : state_(std::move(state)), costs_(costs) {
   if (state_ != nullptr && costs_ != nullptr) costs_->add_request();
 }
 
@@ -27,7 +26,6 @@ Request& Request::operator=(Request&& o) noexcept {
     if (!done()) std::terminate();
     state_ = std::move(o.state_);
     costs_ = o.costs_;
-    posted_ = o.posted_;
   }
   return *this;
 }
@@ -45,11 +43,7 @@ Request::~Request() {
 }
 
 void Request::record_completion(double exposed_seconds) {
-  if (costs_ != nullptr) {
-    costs_->add_posted_seconds(
-        seconds_between(posted_, std::chrono::steady_clock::now()));
-    costs_->add_exposed_seconds(exposed_seconds);
-  }
+  if (costs_ != nullptr) costs_->add_exposed_seconds(exposed_seconds);
   state_.reset();
 }
 

@@ -12,12 +12,10 @@
 // posting returns a Request handle that is completed with test()/wait().
 // The blocking calls are thin wrappers (post + wait). Real-machine wall
 // times are *not* modeled here (we are on a workstation); the
-// CostTracker records message/reduction/flop counts — plus posted vs
-// exposed request time for the overlap engine — and src/perf converts
-// counts to modeled times.
+// CostTracker records message/reduction/flop counts — plus the time
+// blocked in wait() — and src/perf converts counts to modeled times.
 #pragma once
 
-#include <chrono>
 #include <cstddef>
 #include <memory>
 #include <span>
@@ -66,9 +64,8 @@ class RequestState {
 
 /// Lightweight handle to one in-flight split-phase operation (the
 /// MPI_Request analogue). Movable, not copyable. Completing through
-/// test()/wait() records the request's in-flight time as posted
-/// communication, and the time actually blocked inside wait() as exposed
-/// communication, in the owning communicator's CostTracker.
+/// wait() records the time blocked inside it as exposed communication
+/// in the owning communicator's CostTracker.
 ///
 /// A Request destroyed before completion is *abandoned*: the destructor
 /// makes one non-blocking completion attempt and then drops the state.
@@ -100,7 +97,6 @@ class Request {
 
   std::unique_ptr<RequestState> state_;
   CostTracker* costs_ = nullptr;
-  std::chrono::steady_clock::time_point posted_{};
 };
 
 class Communicator {
@@ -173,9 +169,10 @@ class Communicator {
   double allreduce_sum(double v);
   void allreduce_sum2(double* a, double* b);
 
-  /// Tag epochs: disjoint tag sub-spaces for concurrently outstanding
-  /// exchanges. Each call returns the next epoch in a cycling window of
-  /// kTagEpochWindow epochs; callers build tags as
+  /// Tag epochs: disjoint tag sub-spaces for consecutive exchanges, so
+  /// a fast rank's next exchange cannot match a slow peer's receives of
+  /// the current one. Each call returns the next epoch in a cycling
+  /// window of kTagEpochWindow epochs; callers build tags as
   /// `epoch * kTagEpochStride + local_tag` with local_tag <
   /// kTagEpochStride. Every rank must call this in the same collective
   /// order (exactly like posting collectives), which keeps the counters

@@ -19,8 +19,6 @@ CostCounters CostTracker::since(const CostCounters& snapshot) const {
   d.integrity_checks = c_.integrity_checks - snapshot.integrity_checks;
   d.integrity_failures =
       c_.integrity_failures - snapshot.integrity_failures;
-  d.posted_comm_seconds =
-      c_.posted_comm_seconds - snapshot.posted_comm_seconds;
   d.exposed_comm_seconds =
       c_.exposed_comm_seconds - snapshot.exposed_comm_seconds;
   return d;

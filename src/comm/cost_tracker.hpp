@@ -26,7 +26,7 @@ struct CostCounters {
   std::uint64_t halo_member_updates = 0;
   std::uint64_t allreduces = 0;      ///< global reduction rounds
   std::uint64_t allreduce_doubles = 0;
-  std::uint64_t requests = 0;  ///< split-phase ops that were in flight
+  std::uint64_t requests = 0;  ///< nonblocking ops that were in flight
 
   /// Land-aware sweep accounting (DESIGN.md §14): every kernel sweep
   /// records the ocean cells of the swept region (`active_points`) and
@@ -46,18 +46,9 @@ struct CostCounters {
   std::uint64_t integrity_checks = 0;
   std::uint64_t integrity_failures = 0;
 
-  /// Wall time requests spent in flight (post -> observed completion).
-  /// This is the communication the split-phase engine *could* hide.
-  double posted_comm_seconds = 0.0;
-  /// Wall time actually blocked inside Request::wait(). This is the
-  /// communication that was *exposed* — not hidden behind computation.
-  /// Always <= posted_comm_seconds (the blocked interval is a suffix of
-  /// the in-flight interval of each request).
+  /// Wall time blocked inside Request::wait(): the communication the
+  /// caller waited on.
   double exposed_comm_seconds = 0.0;
-
-  double hidden_comm_seconds() const {
-    return posted_comm_seconds - exposed_comm_seconds;
-  }
 
   CostCounters& operator+=(const CostCounters& o) {
     flops += o.flops;
@@ -73,7 +64,6 @@ struct CostCounters {
     swept_points += o.swept_points;
     integrity_checks += o.integrity_checks;
     integrity_failures += o.integrity_failures;
-    posted_comm_seconds += o.posted_comm_seconds;
     exposed_comm_seconds += o.exposed_comm_seconds;
     return *this;
   }
@@ -104,7 +94,6 @@ class CostTracker {
     ++c_.integrity_checks;
     if (failed) ++c_.integrity_failures;
   }
-  void add_posted_seconds(double s) { c_.posted_comm_seconds += s; }
   void add_exposed_seconds(double s) { c_.exposed_comm_seconds += s; }
 
   const CostCounters& counters() const { return c_; }

@@ -274,8 +274,8 @@ void HaloHandle::finish() {
   if (!active()) return;
   const int h = fields_.front()->halo();
   const int w = fields_.front()->nb();
-  // Complete in post order — the same receive order as the blocking
-  // exchange, so the unpacked halos are bitwise identical to it.
+  // Complete in post order (ascending peer rank), so every exchange
+  // unpacks in one fixed order.
   for (PendingRecv& p : recvs_) {
     p.request.wait();
     std::span<const double> payload(p.buf);
@@ -391,8 +391,7 @@ HaloHandle HaloExchanger::begin_group(
   }
 
   // Phase 2: one receive per peer, in ascending peer order — the order
-  // finish() unpacks in. Each handle owns its landing buffers, so
-  // several exchanges can be in flight at once.
+  // finish() unpacks in, into landing buffers the handle owns.
   handle.recvs_.reserve(plan.peers.size());
   for (const HaloPeerPlan& peer : plan.peers) {
     if (peer.recv.empty()) continue;

@@ -19,15 +19,13 @@
 // width and group size only scale buffer sizes, so they stay out of the
 // plan key.
 //
-// The exchange is split-phase: begin() packs and posts one send and one
-// receive per peer rank and performs the local copies and zero fills,
-// returning a HaloHandle that owns the in-flight state; finish() waits
-// for the receives and unpacks. Computation that does not read the halo
-// (the interior of the 9-point sweep) can run between the two. The
-// blocking exchange() is begin() + finish(). Each begin() draws a fresh
-// tag epoch from the communicator and tags its messages (epoch, source
-// rank), so up to Communicator::kTagEpochWindow exchanges can be
-// outstanding at once without their messages colliding.
+// An exchange is blocking. Inside, it posts one send and one receive
+// per peer rank and performs the local copies and zero fills, returning
+// a HaloHandle that owns the in-flight state; the handle's finish()
+// waits for the receives and unpacks. Each exchange draws a fresh tag
+// epoch from the communicator and tags its messages (epoch, source
+// rank), so the messages of consecutive exchanges never match each
+// other's receives.
 //
 // There is ONE exchange engine, over batches: a DistField is the
 // width-1 batch, and an nb-member batch's member-interleaved layout makes
@@ -64,16 +62,16 @@ struct HaloPlan;      // one (rank, halo width)'s resolved exchange
 struct HaloPeerPlan;  // the strips exchanged with one peer rank
 }  // namespace detail
 
-/// One in-flight split-phase halo exchange of one batch or a group of
-/// same-shape batches (a DistField is the width-1 batch). Owns the
-/// posted receive requests — one per peer rank — and their landing
-/// buffers; finish() completes them in post order (matching the blocking
-/// exchange) and unpacks into the halos. The batches, the communicator
-/// and the exchanger (which owns the plan) must outlive the handle.
-/// finish() must be called exactly once per begin(); the destructor
-/// finishes a still-active handle as a safety net (swallowing errors,
-/// since it may run while unwinding a poisoned team). A moved-from
-/// handle is inactive.
+/// The in-flight state of one halo exchange of one batch or a group of
+/// same-shape batches (a DistField is the width-1 batch), between the
+/// posts and the unpack of HaloExchanger::exchange(). Owns the posted
+/// receive requests — one per peer rank — and their landing buffers;
+/// finish() completes them in post order and unpacks into the halos.
+/// The batches, the communicator and the exchanger (which owns the
+/// plan) must outlive the handle. If finish() throws (a receive timed
+/// out, a CRC mismatch), the destructor finishes what is still active
+/// as a safety net, swallowing errors, since it runs while unwinding a
+/// poisoned team. A moved-from handle is inactive.
 class HaloHandle {
  public:
   HaloHandle() = default;
@@ -112,8 +110,8 @@ class HaloHandle {
   Communicator* comm_ = nullptr;
   std::vector<DistFieldBatch*> fields_;  ///< caller order
   std::vector<PendingRecv> recvs_;
-  /// Copied from the exchanger at begin(): each pending message carries
-  /// a one-element CRC32C trailer to verify before unpacking.
+  /// Copied from the exchanger at begin_group(): each pending message
+  /// carries a one-element CRC32C trailer to verify before unpacking.
   bool crc_ = false;
 };
 
@@ -126,23 +124,14 @@ class HaloExchanger {
 
   /// Update all halos of `field` (owned by the calling rank).
   /// Collective: every rank of the communicator must call with its own
-  /// field. Equivalent to begin() immediately followed by finish().
-  void exchange(Communicator& comm, DistFieldBatch& field) const {
-    begin(comm, field).finish();
-  }
-
-  /// Split-phase: pack and post all sends/receives, do the local copies
-  /// and zero fills, and return the in-flight handle. The halo cells of
-  /// the field are in an unspecified state until finish(); the owned
-  /// interior may be read freely (but not written) in between. One
-  /// message per peer rank carries all nb() members. The
+  /// field. One message per peer rank carries all nb() members. The
   /// fault-injection halo payload hook arms only on width-1 fields — a
   /// single solve, or a batch that retirement has compacted down to one
   /// survivor; members of wider batches recover through per-member
   /// sub-batches (DESIGN.md §10, §11).
-  HaloHandle begin(Communicator& comm, DistFieldBatch& field) const {
+  void exchange(Communicator& comm, DistFieldBatch& field) const {
     DistFieldBatch* const one[1] = {&field};
-    return begin_group(comm, one);
+    begin_group(comm, one).finish();
   }
 
   /// Aggregated deep-halo exchange of several same-shape batches (the
@@ -182,9 +171,9 @@ class HaloExchanger {
   bool crc() const { return crc_enabled_; }
 
  private:
-  /// The one engine behind begin() and exchange_group(): split-phase
-  /// exchange of every field of the group, one message per peer rank
-  /// for all of them.
+  /// The one engine behind exchange() and exchange_group(): pack and
+  /// post the exchange of every field of the group, one message per peer
+  /// rank for all of them, and return the in-flight handle.
   HaloHandle begin_group(Communicator& comm,
                          std::span<DistFieldBatch* const> fields) const;
 

@@ -108,9 +108,8 @@ int BlockEvpPreconditioner::simplified_tiles() const {
 }
 
 // Contract: every apply is block-local and communication-free — it
-// never touches `comm` beyond cost accounting and reads no halo points.
-// The overlapped solvers rely on this to run it while reductions are in
-// flight (split-phase engine); keep it that way.
+// never touches `comm` beyond cost accounting and reads no halo points;
+// keep it that way.
 void BlockEvpPreconditioner::apply_batch(comm::Communicator& comm,
                                          const comm::DistFieldBatch& in,
                                          comm::DistFieldBatch& out) {

@@ -47,7 +47,7 @@ class BarotropicMode {
   /// (the solve may attest HaloFreshness::kFresh); the caller then
   /// solves (K + phi area) eta = rhs — possibly batched across several
   /// members' systems, with the full decorator stack (per-member
-  /// resilience, overlap) riding along — and hands the stats to
+  /// resilience) riding along — and hands the stats to
   /// step_finish() for the failure accounting and the velocity
   /// correction.
   /// step() == step_begin() + solver.solve() + step_finish(), bit for

@@ -6,14 +6,6 @@
 
 namespace minipop::perf {
 
-OverlapAccounting overlap_accounting(const comm::CostCounters& costs) {
-  OverlapAccounting a;
-  a.posted_seconds = costs.posted_comm_seconds;
-  a.exposed_seconds = costs.exposed_comm_seconds;
-  a.requests = costs.requests;
-  return a;
-}
-
 GridCase pop_0p1deg_case() {
   GridCase g;
   g.name = "0.1deg";

@@ -5,36 +5,9 @@
 // improvements (Table 1) and simulation rates (Figs. 8/11 right).
 #pragma once
 
-#include "src/comm/cost_tracker.hpp"
 #include "src/perf/cost_equations.hpp"
 
 namespace minipop::perf {
-
-/// Measured posted-vs-exposed communication split from a solve (the
-/// split-phase engine's observables). "Posted" is total request
-/// in-flight time (post to observed completion); "exposed" is the part
-/// the caller actually blocked on in wait(). Their difference is the
-/// communication the overlap hid behind interior compute — the quantity
-/// the paper's pipelined variants exist to maximize.
-struct OverlapAccounting {
-  double posted_seconds = 0.0;
-  double exposed_seconds = 0.0;
-  std::uint64_t requests = 0;
-
-  double hidden_seconds() const {
-    const double h = posted_seconds - exposed_seconds;
-    return h > 0.0 ? h : 0.0;
-  }
-  /// Fraction of posted communication hidden behind compute; 0 when
-  /// nothing was posted (e.g. a serial run).
-  double hidden_fraction() const {
-    return posted_seconds > 0.0 ? hidden_seconds() / posted_seconds : 0.0;
-  }
-};
-
-/// Extract the overlap split from a CostCounters window (typically
-/// SolveStats::costs).
-OverlapAccounting overlap_accounting(const comm::CostCounters& costs);
 
 /// A production grid case for the model.
 struct GridCase {

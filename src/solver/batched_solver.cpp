@@ -328,7 +328,6 @@ BatchSolveStats BatchedPcsiSolver::solve(comm::Communicator& comm,
     return solve_comm_avoid(comm, halo, a, m, b, x);
   const auto snapshot = comm.costs().counters();
   const int nb0 = b.nb();
-  const bool ov = opt_.overlap;
 
   BatchControl ctl = init_control(opt_, comm, a, b, x);
   if (ctl.n_active == 0) {
@@ -358,20 +357,14 @@ BatchSolveStats BatchedPcsiSolver::solve(comm::Communicator& comm,
 
   // Initial step (Algorithm 2, step 2), gated so zero-RHS members'
   // solutions stay exactly at the early-out's fill(0).
-  if (ov)
-    a.residual_overlapped_batch(comm, halo, *bw, *xw, r, x_fresh);
-  else
-    a.residual_batch(comm, halo, *bw, *xw, r, x_fresh);
+  a.residual_batch(comm, halo, *bw, *xw, r, x_fresh);
   m.apply_batch(comm, r, rp);
   copy_interior(rp, dx);
   std::fill(ca.begin(), ca.end(), 1.0 / gamma);
   scale(comm, ca.data(), dx, a.span_plan(), ctl.active.data());
   std::fill(ca.begin(), ca.end(), 1.0);
   axpy(comm, ca.data(), dx, *xw, a.span_plan(), ctl.active.data());
-  if (ov)
-    a.residual_overlapped_batch(comm, halo, *bw, *xw, r);
-  else
-    a.residual_batch(comm, halo, *bw, *xw, r);
+  a.residual_batch(comm, halo, *bw, *xw, r);
 
   for (int k = 1; k <= opt_.max_iterations; ++k) {
     ctl.out.iterations = k;
@@ -391,11 +384,7 @@ BatchSolveStats BatchedPcsiSolver::solve(comm::Communicator& comm,
       // One fused residual+norm sweep, one CURRENT-WIDTH vector
       // allreduce: slot s reduces bit-identically to the 1-element
       // check reduction of that member solved alone.
-      if (ov)
-        a.residual_local_norm2_overlapped_batch(comm, halo, *bw, *xw, r,
-                                                sums.data());
-      else
-        a.residual_local_norm2_batch(comm, halo, *bw, *xw, r, sums.data());
+      a.residual_local_norm2_batch(comm, halo, *bw, *xw, r, sums.data());
       reduce_guarded(ctl, comm, std::span<double>(sums.data(), ctl.cur_nb));
       if (ctl.n_active == 0) break;
       check_members(ctl, comm, halo, a, *bw, r, *xw, k, sums.data(),
@@ -406,10 +395,7 @@ BatchSolveStats BatchedPcsiSolver::solve(comm::Communicator& comm,
                 sums, x.halo());
       }
     } else {
-      if (ov)
-        a.residual_overlapped_batch(comm, halo, *bw, *xw, r);
-      else
-        a.residual_batch(comm, halo, *bw, *xw, r);
+      a.residual_batch(comm, halo, *bw, *xw, r);
     }
   }
 
@@ -562,7 +548,6 @@ BatchSolveStats BatchedChronGearSolver::solve(comm::Communicator& comm,
   MINIPOP_REQUIRE(b.compatible_with(x), "batched chron_gear: b/x mismatch");
   const auto snapshot = comm.costs().counters();
   const int nb0 = b.nb();
-  const bool ov = opt_.overlap;
 
   BatchControl ctl = init_control(opt_, comm, a, b, x);
   if (ctl.n_active == 0) {
@@ -580,10 +565,7 @@ BatchSolveStats BatchedChronGearSolver::solve(comm::Communicator& comm,
   comm::DistFieldBatch s_dir(a.decomposition(), a.rank(), nb0, x.halo());
   comm::DistFieldBatch p_dir(a.decomposition(), a.rank(), nb0, x.halo());
 
-  if (ov)
-    a.residual_overlapped_batch(comm, halo, *bw, *xw, r, x_fresh);
-  else
-    a.residual_batch(comm, halo, *bw, *xw, r, x_fresh);
+  a.residual_batch(comm, halo, *bw, *xw, r, x_fresh);
 
   // Per-member recurrence scalars, indexed by ORIGINAL member id so
   // they survive retirement compactions.
@@ -600,10 +582,7 @@ BatchSolveStats BatchedChronGearSolver::solve(comm::Communicator& comm,
       if (ctl.active[s]) ctl.out.members[ctl.member_of[s]].iterations = k;
 
     m.apply_batch(comm, r, rp);
-    if (ov)
-      a.apply_overlapped_batch(comm, halo, rp, z);
-    else
-      a.apply_batch(comm, halo, rp, z);
+    a.apply_batch(comm, halo, rp, z);
 
     // All members' fused {rho, delta[, ||r||²]} partial sums ride ONE
     // grouped vector allreduce. Element-wise fixed-order combination

@@ -29,10 +29,6 @@
 // only the lane count. See DESIGN.md §10 for the policy discussion.
 //
 // Three lockstep cores share this machinery: P-CSI, ChronGear and PCG.
-// SolverOptions::overlap is honored by P-CSI and ChronGear: the
-// split-phase batched sweeps hide the aggregated halo exchange behind
-// the interior stencil update (bitwise identical to the blocking path).
-// PCG's sweeps stay blocking.
 #pragma once
 
 #include <memory>
@@ -177,8 +173,7 @@ class BatchedChronGearSolver final : public BatchedSolver {
 /// Lockstep batched textbook PCG, the historical POP solver that
 /// ChronGear improves on. Per-member rho, and two vector allreduces per
 /// iteration: {r·z, plus ||r||² at checks} and p·q. Its sweeps stay
-/// unfused, blocking and depth-1: SolverOptions::overlap and halo_depth
-/// are ignored.
+/// unfused and depth-1: SolverOptions::halo_depth is ignored.
 class BatchedPcgSolver final : public BatchedSolver {
  public:
   explicit BatchedPcgSolver(const SolverOptions& options = {});

@@ -30,52 +30,6 @@ kernels::Stencil9 stencil_view(
       c[static_cast<int>(grid::Dir::kCenter)].nx()};
 }
 
-/// Sub-rectangle of a block interior: [i0, i0+ni) x [j0, j0+nj).
-struct SubRect {
-  int i0, j0, ni, nj;
-};
-
-/// Stencil view with all nine coefficient pointers advanced to (i0, j0).
-kernels::Stencil9 shift(const kernels::Stencil9& s, int i0, int j0) {
-  const std::ptrdiff_t off = static_cast<std::ptrdiff_t>(j0) * s.stride + i0;
-  return kernels::Stencil9{s.c0 + off,  s.ce + off,  s.cw + off,
-                           s.cn + off,  s.cs + off,  s.cne + off,
-                           s.cnw + off, s.cse + off, s.csw + off,
-                           s.stride};
-}
-
-/// Field pointer advanced to member 0 of cell (i0, j0) of a sub-rect:
-/// the member-interleaved layout widens cell columns by nb, the stencil
-/// coefficients stay width 1. Works on const and mutable planes alike.
-auto* at(auto* base, std::ptrdiff_t stride, int nb, const SubRect& r) {
-  return base + static_cast<std::ptrdiff_t>(r.j0) * stride +
-         static_cast<std::ptrdiff_t>(r.i0) * nb;
-}
-
-/// Halo-independent interior of an nx x ny block: the 9-point stencil
-/// reads only the ±1 ring, so cells at least one in from every edge
-/// never touch the halo. False when the block is too thin to have one
-/// (then the whole block is rim).
-bool interior_rect(int nx, int ny, SubRect* r) {
-  if (nx <= 2 || ny <= 2) return false;
-  *r = {1, 1, nx - 2, ny - 2};
-  return true;
-}
-
-/// Complement of interior_rect: 1-wide strips along the four edges (or
-/// the whole block when there is no interior).
-int rim_rects(int nx, int ny, SubRect out[4]) {
-  if (nx <= 2 || ny <= 2) {
-    out[0] = {0, 0, nx, ny};
-    return 1;
-  }
-  out[0] = {0, 0, nx, 1};
-  out[1] = {0, ny - 1, nx, 1};
-  out[2] = {0, 1, 1, ny - 2};
-  out[3] = {nx - 1, 1, 1, ny - 2};
-  return 4;
-}
-
 /// Offer each block interior of a sweep's freshly written output to the
 /// installed FaultInjector. Armed whenever the working batch is one
 /// member wide — a single solve, or a wider batch that retirement has
@@ -168,23 +122,11 @@ DistOperator::DistOperator(const grid::NinePointStencil& stencil,
         if (mask(i, j)) ++local_ocean_cells_;
       }
     local_cells_ += static_cast<long>(b.nx) * b.ny;
-    // Span plan (DESIGN.md §14): compress the block mask once; the
-    // interior/rim clippings mirror the overlapped sweeps' sub-rects so
-    // their shifted field pointers index the re-based spans directly.
+    // Span plan (DESIGN.md §14): compress the block mask once.
     BlockSpans full(mask.data(), mask.nx(), b.nx, b.ny);
 #if MINIPOP_BOUNDS_CHECK
     full.validate(mask.data(), mask.nx());
 #endif
-    SubRect in;
-    span_interior_.push_back(interior_rect(b.nx, b.ny, &in)
-                                 ? full.clipped(in.i0, in.j0, in.ni, in.nj)
-                                 : BlockSpans());
-    SubRect rim[4];
-    const int nrim = rim_rects(b.nx, b.ny, rim);
-    std::array<BlockSpans, 4> rims;
-    for (int k = 0; k < nrim; ++k)
-      rims[k] = full.clipped(rim[k].i0, rim[k].j0, rim[k].ni, rim[k].nj);
-    span_rim_.push_back(std::move(rims));
     span_full_.push_back(std::move(full));
 
     block_coeff_.push_back(std::move(coeffs));
@@ -249,112 +191,6 @@ void DistOperator::count(comm::Communicator& comm, std::uint64_t per_point,
       static_cast<std::uint64_t>(local_ocean_cells_) * nb, swept);
 }
 
-template <class Sweep>
-void DistOperator::sweep_regions(comm::Communicator& comm,
-                                 const comm::HaloExchanger& halo,
-                                 comm::DistFieldBatch& x,
-                                 comm::HaloFreshness fresh, bool overlap,
-                                 const Sweep& sweep) const {
-  if (!overlap || fresh == comm::HaloFreshness::kFresh) {
-    if (fresh == comm::HaloFreshness::kStale) halo.exchange(comm, x);
-    for (int lb = 0; lb < num_local_blocks(); ++lb)
-      sweep(lb, SubRect{0, 0, x.info(lb).nx, x.info(lb).ny}, span_full_[lb]);
-    return;
-  }
-  auto inflight = halo.begin(comm, x);
-  for (int lb = 0; lb < num_local_blocks(); ++lb) {
-    SubRect in;
-    if (interior_rect(x.info(lb).nx, x.info(lb).ny, &in))
-      sweep(lb, in, span_interior_[lb]);
-  }
-  inflight.finish();
-  for (int lb = 0; lb < num_local_blocks(); ++lb) {
-    SubRect rim[4];
-    const int n = rim_rects(x.info(lb).nx, x.info(lb).ny, rim);
-    for (int k = 0; k < n; ++k) sweep(lb, rim[k], span_rim_[lb][k]);
-  }
-}
-
-void DistOperator::apply_impl(comm::Communicator& comm,
-                              const comm::HaloExchanger& halo,
-                              comm::DistFieldBatch& x, comm::DistFieldBatch& y,
-                              comm::HaloFreshness fresh, bool overlap) const {
-  MINIPOP_REQUIRE(x.compatible_with(y), "x/y field mismatch");
-  MINIPOP_REQUIRE(&x.decomposition() == decomp_ && x.rank() == rank_,
-                  "field does not match operator decomposition");
-  MINIPOP_REQUIRE(&x != &y, "apply requires distinct x and y");
-  offer_coeff_fault_sites();
-  const auto& coeff = block_coeff_;
-  const int nb = x.nb();
-  sweep_regions(comm, halo, x, fresh, overlap,
-                [&](int lb, const SubRect& q, const BlockSpans& sp) {
-                  kernels::apply9(shift(stencil_view(coeff[lb]), q.i0, q.j0),
-                                  sp.row_offset(), sp.spans(), nb, q.nj,
-                                  at(x.interior(lb), x.stride(lb), nb, q),
-                                  x.stride(lb),
-                                  at(y.interior(lb), y.stride(lb), nb, q),
-                                  y.stride(lb));
-                });
-#if MINIPOP_BOUNDS_CHECK
-  for (int lb = 0; lb < num_local_blocks(); ++lb) {
-    const auto& b = x.info(lb);
-    const std::ptrdiff_t ss = static_cast<std::ptrdiff_t>(b.nx) * nb;
-    std::vector<double> scratch(static_cast<std::size_t>(ss) * b.ny);
-    kernels::masked::apply9(stencil_view(coeff[lb]), nb, b.nx, b.ny,
-                            x.interior(lb), x.stride(lb), scratch.data(),
-                            ss);
-    audit_span_field(block_mask_[lb], nb, b.nx, b.ny, y.interior(lb),
-                     y.stride(lb), scratch.data(), ss);
-  }
-#endif
-  // Paper convention (§2): a nine-point matvec is 9 operations per point.
-  count(comm, 9, nb);
-  offer_interiors(rank_, y, block_mask_);
-}
-
-void DistOperator::residual_impl(comm::Communicator& comm,
-                                 const comm::HaloExchanger& halo,
-                                 const comm::DistFieldBatch& b,
-                                 comm::DistFieldBatch& x,
-                                 comm::DistFieldBatch& r,
-                                 comm::HaloFreshness fresh,
-                                 bool overlap) const {
-  MINIPOP_REQUIRE(b.compatible_with(x) && b.compatible_with(r),
-                  "b/x/r field mismatch");
-  MINIPOP_REQUIRE(&x.decomposition() == decomp_ && x.rank() == rank_,
-                  "field does not match operator decomposition");
-  MINIPOP_REQUIRE(&b != &r && &x != &r, "residual requires distinct r");
-  offer_coeff_fault_sites();
-  const auto& coeff = block_coeff_;
-  const int nb = x.nb();
-  sweep_regions(comm, halo, x, fresh, overlap,
-                [&](int lb, const SubRect& q, const BlockSpans& sp) {
-                  kernels::residual9(
-                      shift(stencil_view(coeff[lb]), q.i0, q.j0),
-                      sp.row_offset(), sp.spans(), nb, q.nj,
-                      at(b.interior(lb), b.stride(lb), nb, q), b.stride(lb),
-                      at(x.interior(lb), x.stride(lb), nb, q), x.stride(lb),
-                      at(r.interior(lb), r.stride(lb), nb, q),
-                      r.stride(lb));
-                });
-#if MINIPOP_BOUNDS_CHECK
-  for (int lb = 0; lb < num_local_blocks(); ++lb) {
-    const auto& info = r.info(lb);
-    const std::ptrdiff_t ss = static_cast<std::ptrdiff_t>(info.nx) * nb;
-    std::vector<double> scratch(static_cast<std::size_t>(ss) * info.ny);
-    kernels::masked::residual9(stencil_view(coeff[lb]), nb, info.nx,
-                               info.ny, b.interior(lb), b.stride(lb),
-                               x.interior(lb), x.stride(lb), scratch.data(),
-                               ss);
-    audit_span_field(block_mask_[lb], nb, info.nx, info.ny, r.interior(lb),
-                     r.stride(lb), scratch.data(), ss);
-  }
-#endif
-  // Matvec (9 ops/point) + subtraction (1 op/point), as before fusion.
-  count(comm, 10, nb);
-  offer_interiors(rank_, r, block_mask_);
-}
-
 void DistOperator::abft_local_sums_batch(comm::Communicator& comm,
                                          const comm::DistFieldBatch& b,
                                          const comm::DistFieldBatch& r,
@@ -386,7 +222,35 @@ void DistOperator::apply_batch(comm::Communicator& comm,
                                const comm::HaloExchanger& halo,
                                comm::DistFieldBatch& x, comm::DistFieldBatch& y,
                                comm::HaloFreshness fresh) const {
-  apply_impl(comm, halo, x, y, fresh, false);
+  MINIPOP_REQUIRE(x.compatible_with(y), "x/y field mismatch");
+  MINIPOP_REQUIRE(&x.decomposition() == decomp_ && x.rank() == rank_,
+                  "field does not match operator decomposition");
+  MINIPOP_REQUIRE(&x != &y, "apply requires distinct x and y");
+  offer_coeff_fault_sites();
+  if (fresh == comm::HaloFreshness::kStale) halo.exchange(comm, x);
+
+  const auto& coeff = block_coeff_;
+  const int nb = x.nb();
+  for (int lb = 0; lb < num_local_blocks(); ++lb)
+    kernels::apply9(stencil_view(coeff[lb]), span_full_[lb].row_offset(),
+                    span_full_[lb].spans(), nb, x.info(lb).ny,
+                    x.interior(lb), x.stride(lb), y.interior(lb),
+                    y.stride(lb));
+#if MINIPOP_BOUNDS_CHECK
+  for (int lb = 0; lb < num_local_blocks(); ++lb) {
+    const auto& b = x.info(lb);
+    const std::ptrdiff_t ss = static_cast<std::ptrdiff_t>(b.nx) * nb;
+    std::vector<double> scratch(static_cast<std::size_t>(ss) * b.ny);
+    kernels::masked::apply9(stencil_view(coeff[lb]), nb, b.nx, b.ny,
+                            x.interior(lb), x.stride(lb), scratch.data(),
+                            ss);
+    audit_span_field(block_mask_[lb], nb, b.nx, b.ny, y.interior(lb),
+                     y.stride(lb), scratch.data(), ss);
+  }
+#endif
+  // Paper convention (§2): a nine-point matvec is 9 operations per point.
+  count(comm, 9, nb);
+  offer_interiors(rank_, y, block_mask_);
 }
 
 void DistOperator::residual_batch(comm::Communicator& comm,
@@ -395,7 +259,37 @@ void DistOperator::residual_batch(comm::Communicator& comm,
                                   comm::DistFieldBatch& x,
                                   comm::DistFieldBatch& r,
                                   comm::HaloFreshness fresh) const {
-  residual_impl(comm, halo, b, x, r, fresh, false);
+  MINIPOP_REQUIRE(b.compatible_with(x) && b.compatible_with(r),
+                  "b/x/r field mismatch");
+  MINIPOP_REQUIRE(&x.decomposition() == decomp_ && x.rank() == rank_,
+                  "field does not match operator decomposition");
+  MINIPOP_REQUIRE(&b != &r && &x != &r, "residual requires distinct r");
+  offer_coeff_fault_sites();
+  if (fresh == comm::HaloFreshness::kStale) halo.exchange(comm, x);
+
+  const auto& coeff = block_coeff_;
+  const int nb = x.nb();
+  for (int lb = 0; lb < num_local_blocks(); ++lb)
+    kernels::residual9(stencil_view(coeff[lb]), span_full_[lb].row_offset(),
+                       span_full_[lb].spans(), nb, x.info(lb).ny,
+                       b.interior(lb), b.stride(lb), x.interior(lb),
+                       x.stride(lb), r.interior(lb), r.stride(lb));
+#if MINIPOP_BOUNDS_CHECK
+  for (int lb = 0; lb < num_local_blocks(); ++lb) {
+    const auto& info = r.info(lb);
+    const std::ptrdiff_t ss = static_cast<std::ptrdiff_t>(info.nx) * nb;
+    std::vector<double> scratch(static_cast<std::size_t>(ss) * info.ny);
+    kernels::masked::residual9(stencil_view(coeff[lb]), nb, info.nx,
+                               info.ny, b.interior(lb), b.stride(lb),
+                               x.interior(lb), x.stride(lb), scratch.data(),
+                               ss);
+    audit_span_field(block_mask_[lb], nb, info.nx, info.ny, r.interior(lb),
+                     r.stride(lb), scratch.data(), ss);
+  }
+#endif
+  // Matvec (9 ops/point) + subtraction (1 op/point), as before fusion.
+  count(comm, 10, nb);
+  offer_interiors(rank_, r, block_mask_);
 }
 
 void DistOperator::residual_local_norm2_batch(
@@ -442,34 +336,6 @@ void DistOperator::residual_local_norm2_batch(
   // flip striking between two sweeps: it rides r into the next iterates
   // and the *next* check window must catch it.
   offer_interiors(rank_, r, block_mask_);
-}
-
-void DistOperator::apply_overlapped_batch(comm::Communicator& comm,
-                                          const comm::HaloExchanger& halo,
-                                          comm::DistFieldBatch& x,
-                                          comm::DistFieldBatch& y,
-                                          comm::HaloFreshness fresh) const {
-  apply_impl(comm, halo, x, y, fresh, true);
-}
-
-void DistOperator::residual_overlapped_batch(
-    comm::Communicator& comm, const comm::HaloExchanger& halo,
-    const comm::DistFieldBatch& b, comm::DistFieldBatch& x,
-    comm::DistFieldBatch& r, comm::HaloFreshness fresh) const {
-  residual_impl(comm, halo, b, x, r, fresh, true);
-}
-
-void DistOperator::residual_local_norm2_overlapped_batch(
-    comm::Communicator& comm, const comm::HaloExchanger& halo,
-    const comm::DistFieldBatch& b, comm::DistFieldBatch& x,
-    comm::DistFieldBatch& r, double* sums, comm::HaloFreshness fresh) const {
-  // The fused kernel threads whole-block accumulators, which an
-  // interior/rim split would reorder. Instead overlap the residual sweep
-  // and take the per-member norms in a second pass with the blocking
-  // accumulation order ("residual_norm2_9 == residual9 + dot"). Flops
-  // match the blocking path.
-  residual_overlapped_batch(comm, halo, b, x, r, fresh);
-  local_dot_batch(comm, r, r, sums);
 }
 
 void DistOperator::local_dot_batch(comm::Communicator& comm,

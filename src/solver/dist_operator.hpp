@@ -120,38 +120,6 @@ class DistOperator {
       comm::DistFieldBatch& r, double* sums,
       comm::HaloFreshness fresh = comm::HaloFreshness::kStale) const;
 
-  // Split-phase variants: halo.begin() -> sweep the halo-independent
-  // interior of each block while all rims are on the wire ->
-  // halo.finish() -> sweep the 1-wide boundary rim whose stencil reads
-  // the halo. Per-cell outputs bitwise match the blocking sweeps (the
-  // 9-point stencil writes each cell independently); the overlapped
-  // norm² accumulates via residual + dot, whose order is contractually
-  // bit-identical to the fused kernel. With kFresh they skip the
-  // exchange and degrade to the blocking sweeps.
-
-  /// y = A x, all members, exchange hidden behind the interior sweep.
-  void apply_overlapped_batch(
-      comm::Communicator& comm, const comm::HaloExchanger& halo,
-      comm::DistFieldBatch& x, comm::DistFieldBatch& y,
-      comm::HaloFreshness fresh = comm::HaloFreshness::kStale) const;
-
-  /// r = b - A x, all members, exchange hidden behind the interior
-  /// sweep.
-  void residual_overlapped_batch(
-      comm::Communicator& comm, const comm::HaloExchanger& halo,
-      const comm::DistFieldBatch& b, comm::DistFieldBatch& x,
-      comm::DistFieldBatch& r,
-      comm::HaloFreshness fresh = comm::HaloFreshness::kStale) const;
-
-  /// Overlapped r = b - A x plus local masked ||r_m||² per member;
-  /// bit-identical to residual_local_norm2_batch (and to
-  /// residual_batch + local_dot_batch). sums[0..nb) is OVERWRITTEN.
-  void residual_local_norm2_overlapped_batch(
-      comm::Communicator& comm, const comm::HaloExchanger& halo,
-      const comm::DistFieldBatch& b, comm::DistFieldBatch& x,
-      comm::DistFieldBatch& r, double* sums,
-      comm::HaloFreshness fresh = comm::HaloFreshness::kStale) const;
-
   /// Local masked per-member dots: sums[0..nb) is OVERWRITTEN.
   void local_dot_batch(comm::Communicator& comm,
                        const comm::DistFieldBatch& a,
@@ -195,28 +163,6 @@ class DistOperator {
   const util::MaskArray& block_mask(int lb) const { return block_mask_[lb]; }
 
  private:
-  // Sweep bodies behind the blocking and split-phase entry points;
-  // `overlap` selects the split-phase exchange.
-  void apply_impl(comm::Communicator& comm, const comm::HaloExchanger& halo,
-                  comm::DistFieldBatch& x, comm::DistFieldBatch& y,
-                  comm::HaloFreshness fresh, bool overlap) const;
-  void residual_impl(comm::Communicator& comm,
-                     const comm::HaloExchanger& halo,
-                     const comm::DistFieldBatch& b, comm::DistFieldBatch& x,
-                     comm::DistFieldBatch& r, comm::HaloFreshness fresh,
-                     bool overlap) const;
-
-  /// Refresh x's halo and run sweep(lb, rect, spans) over every local
-  /// block interior: blocking (exchange, then whole blocks) or, with
-  /// overlap and a stale halo, split-phase (begin, halo-independent
-  /// interiors, finish, rims). `spans` is the plan of `rect`, re-based
-  /// to its origin.
-  template <class Sweep>
-  void sweep_regions(comm::Communicator& comm,
-                     const comm::HaloExchanger& halo,
-                     comm::DistFieldBatch& x, comm::HaloFreshness fresh,
-                     bool overlap, const Sweep& sweep) const;
-
   /// Record one sweep over every local interior for nb members:
   /// `per_point` flops per cell and member, and the ocean/swept census.
   void count(comm::Communicator& comm, std::uint64_t per_point,
@@ -233,14 +179,8 @@ class DistOperator {
   /// and repair).
   void build_column_sums() const;
 
-  /// Span plans over the full block interiors plus the interior/rim
-  /// decomposition the overlapped sweeps use: span_interior_[lb] covers
-  /// interior_rect (empty when the block is too thin to have one),
-  /// span_rim_[lb][k] the k-th rim strip of rim_rects, all with spans
-  /// re-based to the sub-rect origin like the shifted field pointers.
+  /// Span plan over the full block interiors.
   SpanPlan span_full_;
-  SpanPlan span_interior_;
-  std::vector<std::array<BlockSpans, 4>> span_rim_;
 
   const grid::Decomposition* decomp_;
   /// Kept for repair_coefficients(): the model's stencil outlives the

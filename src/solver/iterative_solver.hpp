@@ -114,13 +114,6 @@ struct SolverOptions {
   /// Record the relative residual at every convergence check into
   /// SolveStats::residual_history (convergence-curve studies).
   bool record_residuals = false;
-  /// Use the split-phase engine: halo exchanges hidden behind the
-  /// interior stencil sweep, and reductions hidden behind computation
-  /// wherever that is possible without changing the arithmetic. Iterates,
-  /// iteration counts and residuals are bitwise identical to the
-  /// blocking path; CostTracker's posted/exposed seconds show how much
-  /// communication was actually hidden.
-  bool overlap = false;
   /// Communication-avoiding ghost-zone depth k of the P-CSI cores:
   /// exchange a depth-k halo of {x, dx, r} once (one aggregated message
   /// per neighbour), then run k sweeps on shrinking extended domains with
@@ -132,9 +125,7 @@ struct SolverOptions {
   /// exchange; 2..4 = depth-k groups; kHaloDepthAuto (0) picks k from
   /// the perf model (perf::choose_halo_depth). Only P-CSI with the
   /// diagonal/identity preconditioners runs deep; block-EVP needs its
-  /// own exchange inside apply and falls back to k = 1 loudly. When
-  /// k > 1 is in effect it takes precedence over `overlap` (the grouped
-  /// sweeps leave no per-iteration exchange to hide).
+  /// own exchange inside apply and falls back to k = 1 loudly.
   int halo_depth = 1;
 
   // --- convergence guards (piggybacked on the check_frequency

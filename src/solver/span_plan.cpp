@@ -1,7 +1,5 @@
 #include "src/solver/span_plan.hpp"
 
-#include <algorithm>
-
 #include "src/util/error.hpp"
 
 namespace minipop::solver {
@@ -26,31 +24,6 @@ BlockSpans::BlockSpans(const unsigned char* mask, std::ptrdiff_t mask_stride,
     }
   }
   row_offset_[ny] = static_cast<int>(spans_.size());
-}
-
-BlockSpans BlockSpans::clipped(int i0, int j0, int ni, int nj) const {
-  MINIPOP_REQUIRE(i0 >= 0 && j0 >= 0 && ni >= 0 && nj >= 0 &&
-                      i0 + ni <= nx_ && j0 + nj <= ny_,
-                  "clip rect (" << i0 << "," << j0 << ")+" << ni << "x"
-                                << nj << " outside " << nx_ << "x" << ny_);
-  BlockSpans out;
-  out.nx_ = ni;
-  out.ny_ = nj;
-  out.row_offset_.resize(static_cast<size_t>(nj) + 1, 0);
-  for (int j = 0; j < nj; ++j) {
-    out.row_offset_[j] = static_cast<int>(out.spans_.size());
-    const int sj = j0 + j;
-    for (int s = row_offset_[sj]; s < row_offset_[sj + 1]; ++s) {
-      // Intersect span [a, b) with the clip window [i0, i0+ni).
-      const int a = std::max(spans_[s].i0, i0);
-      const int b = std::min(spans_[s].i0 + spans_[s].len, i0 + ni);
-      if (a >= b) continue;
-      out.spans_.push_back(kernels::Span{a - i0, b - a});
-      out.active_points_ += b - a;
-    }
-  }
-  out.row_offset_[nj] = static_cast<int>(out.spans_.size());
-  return out;
 }
 
 void BlockSpans::validate(const unsigned char* mask,

@@ -51,11 +51,6 @@ class BlockSpans {
   const int* row_offset() const { return row_offset_.data(); }
   const kernels::Span* spans() const { return spans_.data(); }
 
-  /// Plan for the sub-rectangle [i0, i0+ni) × [j0, j0+nj), with spans
-  /// re-based so i0 maps to 0 — usable with field pointers already
-  /// offset to the sub-rect origin (interior and rim sweeps).
-  BlockSpans clipped(int i0, int j0, int ni, int nj) const;
-
   /// Structural audit (used by MINIPOP_BOUNDS_CHECK builds): throws
   /// unless the spans exactly cover the mask-true cells of the given
   /// plane. O(nx*ny); never called from hot paths in release builds.

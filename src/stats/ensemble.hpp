@@ -33,8 +33,7 @@ struct EnsembleConfig {
   /// nranks > 1 splits one model across ranks — combining the two would
   /// need per-rank model groups, which nothing here needs yet. The
   /// batched stack carries the full decorator chain (resilience with
-  /// per-member recovery, overlap), so any SolverConfig composes with
-  /// batch > 1. Batched members are bitwise identical to batch == 1
+  /// per-member recovery), so any SolverConfig composes with batch > 1. Batched members are bitwise identical to batch == 1
   /// members: P-CSI/ChronGear batched solves are bit-exact per member
   /// and the resilience decorator is bitwise-neutral in fault-free
   /// runs.

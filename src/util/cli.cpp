@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <climits>
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
 
@@ -49,6 +50,14 @@ int Cli::get_int(const std::string& name, int fallback) const {
   return parse_int("--" + name, *v);
 }
 
+int Cli::get_int(const std::string& name, int fallback, int min) const {
+  const int out = get_int(name, fallback);
+  if (out < min)
+    throw Error("--" + name + "=" + std::to_string(out) + " is below " +
+                std::to_string(min));
+  return out;
+}
+
 double Cli::get_double(const std::string& name, double fallback) const {
   auto v = raw(name);
   if (!v || v->empty()) return fallback;
@@ -56,6 +65,14 @@ double Cli::get_double(const std::string& name, double fallback) const {
   double out = std::strtod(v->c_str(), &end);
   if (end == v->c_str() || *end != '\0')
     throw Error("--" + name + "=" + *v + " is not a number");
+  return out;
+}
+
+double Cli::get_positive(const std::string& name, double fallback) const {
+  const double out = get_double(name, fallback);
+  if (!std::isfinite(out) || out <= 0.0)
+    throw Error("--" + name + "=" + get(name, "") +
+                " is not a finite number > 0");
   return out;
 }
 
@@ -76,12 +93,20 @@ std::vector<std::string> Cli::unread() const {
 
 void Cli::reject_unread() const {
   const std::vector<std::string> names = unread();
-  if (names.empty()) return;
-  std::string msg = "unknown option";
-  if (names.size() > 1) msg += "s";
-  for (std::size_t k = 0; k < names.size(); ++k)
-    msg += (k == 0 ? " --" : ", --") + names[k];
-  throw Error(msg);
+  if (!names.empty()) {
+    std::string msg = "unknown option";
+    if (names.size() > 1) msg += "s";
+    for (std::size_t k = 0; k < names.size(); ++k)
+      msg += (k == 0 ? " --" : ", --") + names[k];
+    throw Error(msg);
+  }
+  if (!positional_read_ && !positional_.empty()) {
+    std::string msg = "unexpected argument";
+    if (positional_.size() > 1) msg += "s";
+    for (std::size_t k = 0; k < positional_.size(); ++k)
+      msg += (k == 0 ? " " : ", ") + positional_[k];
+    throw Error(msg);
+  }
 }
 
 int Cli::usage_error(const std::exception& e,

@@ -2,11 +2,12 @@
 //
 // Accepts --key=value and boolean --flag forms (values always use '=' so
 // flags never swallow positionals). Every lookup (has/get*) marks its
-// option as read, so after a program has looked up all the options it
-// knows, reject_unread() turns a misspelled or unsupported flag into a
-// loud error instead of a silent run with the defaults. Programs that
-// forward unknown arguments (the benches hand them to google-benchmark)
-// simply do not call it.
+// option as read, and positional() marks the positional arguments read,
+// so after a program has looked up all the arguments it knows,
+// reject_unread() turns a misspelled or unsupported flag, or a stray
+// positional argument, into a loud error instead of a silent run with
+// the defaults. Programs that forward unknown arguments (the benches
+// hand them to google-benchmark) simply do not call it.
 #pragma once
 
 #include <exception>
@@ -30,13 +31,18 @@ class Cli {
   /// ("--days=x is not a number").
   int get_int(const std::string& name, int fallback) const;
   double get_double(const std::string& name, double fallback) const;
+  /// get_int that also throws unless the value is at least `min`.
+  int get_int(const std::string& name, int fallback, int min) const;
+  /// get_double that also throws unless the value is finite and > 0.
+  double get_positive(const std::string& name, double fallback) const;
   bool get_bool(const std::string& name, bool fallback = false) const;
 
   /// Options that were passed but never looked up, in command-line
   /// order.
   std::vector<std::string> unread() const;
 
-  /// Throws util::Error naming every unread option. Call after the last
+  /// Throws util::Error naming every unread option, or the positional
+  /// arguments when the program never read them. Call after the last
   /// lookup.
   void reject_unread() const;
 
@@ -44,8 +50,11 @@ class Cli {
   /// and "usage: <program> <usage>" to stderr and returns exit code 2.
   int usage_error(const std::exception& e, const std::string& usage) const;
 
-  /// Positional (non --option) arguments in order.
-  const std::vector<std::string>& positional() const { return positional_; }
+  /// Positional (non --option) arguments in order; marks them read.
+  const std::vector<std::string>& positional() const {
+    positional_read_ = true;
+    return positional_;
+  }
 
   /// Program name (argv[0]).
   const std::string& program() const { return program_; }
@@ -58,6 +67,7 @@ class Cli {
   std::vector<std::string> order_;  ///< option names, first occurrence
   mutable std::unordered_set<std::string> read_;
   std::vector<std::string> positional_;
+  mutable bool positional_read_ = false;
 };
 
 /// Parse `text` as a whole decimal integer; throws util::Error naming

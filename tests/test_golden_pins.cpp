@@ -2,7 +2,7 @@
 // relative residual (exact bits), the residual history, a CRC32C of
 // the solution bits and the integer cost counters of the solve and of
 // the solver's construction, for every configuration the solver matrix
-// sweeps (solver x resilient x overlap, diagonal preconditioner), for every
+// sweeps (solver x resilient, diagonal preconditioner), for every
 // solver under block-EVP, and for pcsi+diagonal at halo depths 1 and 3
 // on 1 and 4 ranks.
 //
@@ -85,38 +85,20 @@ const Pin kPins[] = {
     {"pcg/fp64", 70, 0x3db3c3f4d8252e99ull, 7, 0x148a4a77u, 0xe5267484u, 0,
      {355068, 0, 0, 0, 70, 70, 140, 147, 0, 89908, 124488, 0, 0},
      {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
-    {"pcg/fp64/overlap", 70, 0x3db3c3f4d8252e99ull, 7, 0x148a4a77u, 0xe5267484u, 0,
-     {355068, 0, 0, 0, 70, 70, 140, 147, 0, 89908, 124488, 0, 0},
-     {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
     {"pcg/fp64/resilient", 70, 0x3db3c3f4d8252e99ull, 7, 0x148a4a77u, 0xe5267484u, 0,
-     {355068, 0, 0, 0, 70, 70, 141, 148, 0, 89908, 124488, 0, 0},
-     {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
-    {"pcg/fp64/resilient/overlap", 70, 0x3db3c3f4d8252e99ull, 7, 0x148a4a77u, 0xe5267484u, 0,
      {355068, 0, 0, 0, 70, 70, 141, 148, 0, 89908, 124488, 0, 0},
      {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
     {"chrongear/fp64", 70, 0x3db37189e24d9ffbull, 7, 0x62561be2u, 0xf40867c2u, 0,
      {392616, 0, 0, 0, 71, 71, 71, 148, 0, 63700, 88200, 0, 0},
      {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
-    {"chrongear/fp64/overlap", 70, 0x3db37189e24d9ffbull, 7, 0x62561be2u, 0xf40867c2u, 0,
-     {392616, 0, 0, 0, 71, 71, 71, 148, 0, 63700, 88200, 0, 0},
-     {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
     {"chrongear/fp64/resilient", 70, 0x3db37189e24d9ffbull, 7, 0x62561be2u, 0xf40867c2u, 0,
-     {392616, 0, 0, 0, 71, 71, 72, 149, 0, 63700, 88200, 0, 0},
-     {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
-    {"chrongear/fp64/resilient/overlap", 70, 0x3db37189e24d9ffbull, 7, 0x62561be2u, 0xf40867c2u, 0,
      {392616, 0, 0, 0, 71, 71, 72, 149, 0, 63700, 88200, 0, 0},
      {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
     {"pcsi/fp64", 110, 0x3dcb4b4a853eb258ull, 11, 0xeb1890ceu, 0x9bbb4dd2u, 0,
      {427896, 0, 0, 0, 112, 112, 12, 12, 0, 61152, 84672, 0, 0},
      {85932, 0, 0, 0, 17, 17, 35, 35, 0, 24934, 34524, 0, 0}},
-    {"pcsi/fp64/overlap", 110, 0x3dcb4b4a853eb258ull, 11, 0xeb1890ceu, 0x9bbb4dd2u, 0,
-     {427896, 0, 0, 0, 112, 112, 12, 12, 0, 63154, 87444, 0, 0},
-     {85932, 0, 0, 0, 17, 17, 35, 35, 0, 24934, 34524, 0, 0}},
     {"pcsi/fp64/resilient", 110, 0x3dcb4b4a853eb258ull, 11, 0xeb1890ceu, 0x9bbb4dd2u, 0,
      {427896, 0, 0, 0, 112, 112, 13, 13, 0, 61152, 84672, 0, 0},
-     {85932, 0, 0, 0, 17, 17, 35, 35, 0, 24934, 34524, 0, 0}},
-    {"pcsi/fp64/resilient/overlap", 110, 0x3dcb4b4a853eb258ull, 11, 0xeb1890ceu, 0x9bbb4dd2u, 0,
-     {427896, 0, 0, 0, 112, 112, 13, 13, 0, 63154, 87444, 0, 0},
      {85932, 0, 0, 0, 17, 17, 35, 35, 0, 24934, 34524, 0, 0}},
     {"pcg/block-evp/fp64", 40, 0x3d5679b15ef08e57ull, 4, 0xadf6ff20u, 0x482f3280u, 0,
      {409716, 0, 0, 0, 40, 40, 81, 85, 0, 43862, 60732, 0, 0},
@@ -187,21 +169,18 @@ TEST(GoldenPins, SolverMatrixConfigurations) {
   std::vector<std::string> labels;
   labels.reserve(16);
   for (ms::SolverKind kind : solvers)
-    for (int resilient = 0; resilient < 2; ++resilient)
-      for (int overlap = 0; overlap < 2; ++overlap) {
-        ms::SolverConfig cfg;
-        cfg.solver = kind;
-        cfg.preconditioner = ms::PreconditionerKind::kDiagonal;
-        cfg.options.rel_tolerance = 1e-10;
-        cfg.options.overlap = overlap != 0;
-        cfg.options.record_residuals = true;
-        cfg.resilient = resilient != 0;
-        cfg.lanczos.rel_tolerance = 0.02;
-        labels.push_back(ms::to_string(kind) + "/fp64" +
-                         (resilient ? "/resilient" : "") +
-                         (overlap ? "/overlap" : ""));
-        check(measure(labels.back().c_str(), p, 1, cfg, 9000));
-      }
+    for (int resilient = 0; resilient < 2; ++resilient) {
+      ms::SolverConfig cfg;
+      cfg.solver = kind;
+      cfg.preconditioner = ms::PreconditionerKind::kDiagonal;
+      cfg.options.rel_tolerance = 1e-10;
+      cfg.options.record_residuals = true;
+      cfg.resilient = resilient != 0;
+      cfg.lanczos.rel_tolerance = 0.02;
+      labels.push_back(ms::to_string(kind) + "/fp64" +
+                       (resilient ? "/resilient" : ""));
+      check(measure(labels.back().c_str(), p, 1, cfg, 9000));
+    }
 }
 
 // The paper's block-EVP preconditioner under every solver, default

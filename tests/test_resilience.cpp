@@ -261,16 +261,12 @@ TEST(Detection, ZeroRhsReturnsConvergedZeroForEverySolver) {
   const mu::Field zero(24, 20, 0.0);
   ms::SolverOptions opt;
   for (const std::string& kind : kAllKinds) {
-    for (const bool overlap : {false, true}) {
-      SCOPED_TRACE(kind + (overlap ? "+overlap" : ""));
-      ms::SolverOptions o = opt;
-      o.overlap = overlap;
-      SolveRun r = run_with(p, 1, make_kind(kind, o), &zero);
-      EXPECT_TRUE(r.stats.converged);
-      EXPECT_EQ(r.stats.iterations, 0);
-      EXPECT_EQ(r.stats.failure, ms::FailureKind::kNone);
-      for (const double v : r.x) EXPECT_EQ(v, 0.0);
-    }
+    SCOPED_TRACE(kind);
+    SolveRun r = run_with(p, 1, make_kind(kind, opt), &zero);
+    EXPECT_TRUE(r.stats.converged);
+    EXPECT_EQ(r.stats.iterations, 0);
+    EXPECT_EQ(r.stats.failure, ms::FailureKind::kNone);
+    for (const double v : r.x) EXPECT_EQ(v, 0.0);
   }
 }
 
@@ -287,17 +283,13 @@ TEST(Detection, NanRhsDetectedWithinOneCheckWindow) {
   ASSERT_TRUE(planted);
   ms::SolverOptions opt;
   for (const std::string& kind : kAllKinds) {
-    for (const bool overlap : {false, true}) {
-      SCOPED_TRACE(kind + (overlap ? "+overlap" : ""));
-      ms::SolverOptions o = opt;
-      o.overlap = overlap;
-      SolveRun r = run_with(p, 1, make_kind(kind, o), &bad);
-      EXPECT_FALSE(r.stats.converged);
-      EXPECT_EQ(r.stats.failure, ms::FailureKind::kNanDetected);
-      // Detected no later than the first check window — never a full
-      // max_iterations run on poisoned data.
-      EXPECT_LE(r.stats.iterations, o.check_frequency);
-    }
+    SCOPED_TRACE(kind);
+    SolveRun r = run_with(p, 1, make_kind(kind, opt), &bad);
+    EXPECT_FALSE(r.stats.converged);
+    EXPECT_EQ(r.stats.failure, ms::FailureKind::kNanDetected);
+    // Detected no later than the first check window — never a full
+    // max_iterations run on poisoned data.
+    EXPECT_LE(r.stats.iterations, opt.check_frequency);
   }
 }
 
@@ -561,6 +553,40 @@ TEST(Timeouts, MissingMessageThrowsAndResyncRestoresTeam) {
   EXPECT_EQ(caught[1], 1);
   EXPECT_EQ(sum[0], 3.0);
   EXPECT_EQ(sum[1], 3.0);
+}
+
+TEST(Timeouts, HaloExchangeTimeoutUnwindsAndResyncRestoresHalos) {
+  // A halo exchange whose peer never sends throws out of finish(), so
+  // the in-flight handle unwinds through its destructor's safety net
+  // and abandons its receives. After the collective resync the next
+  // exchange must deliver exactly the halos of an undisturbed one.
+  const int nranks = 2;
+  Problem p = make_problem(16, 16, 8, nranks);
+  mc::HaloExchanger halo(*p.decomp);
+  mc::ThreadTeam team(nranks);
+  team.set_recv_timeout(150.0, 3);
+  std::vector<int> caught(nranks, 0);
+  team.run([&](mc::Communicator& comm) {
+    const int r = comm.rank();
+    mc::DistField ref(*p.decomp, r), f(*p.decomp, r);
+    ref.load_global(p.b_global);
+    f.load_global(p.b_global);
+    halo.exchange(comm, ref);
+    try {
+      if (r == 0)
+        halo.exchange(comm, f);  // rank 1 never sends its strips
+      else
+        comm.barrier();  // pushed out by the team-wide timeout flag
+    } catch (const mc::CommTimeoutError&) {
+      caught[r] = 1;
+    }
+    comm.resync();
+    halo.exchange(comm, f);
+    for (int lb = 0; lb < f.num_local_blocks(); ++lb)
+      expect_fields_bitwise(ref.data(lb), f.data(lb));
+  });
+  EXPECT_EQ(caught[0], 1);
+  EXPECT_EQ(caught[1], 1);
 }
 
 TEST(Timeouts, ZeroTimeoutMeansInfiniteWait) {

@@ -1,8 +1,7 @@
 // Full SolverConfig composition matrix over the unified execution core
-// (DESIGN.md §11): every solver x resilient x overlap combination
-// composes with batching — each solver runs its lockstep batched core
-// under every decoration. No combination may silently fall back or
-// diverge.
+// (DESIGN.md §11): every solver x resilient combination composes with
+// batching — each solver runs its lockstep batched core under every
+// decoration. No combination may silently fall back or diverge.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -74,55 +73,51 @@ TEST(SolverMatrix, EveryConfigComposesOrRejectsLoudly) {
 
   for (ms::SolverKind kind : solvers) {
     for (int resilient = 0; resilient < 2; ++resilient) {
-      for (int overlap = 0; overlap < 2; ++overlap) {
-        ms::SolverConfig cfg;
-        cfg.solver = kind;
-        cfg.preconditioner = ms::PreconditionerKind::kDiagonal;
-        cfg.options.rel_tolerance = 1e-10;
-        cfg.resilient = resilient != 0;
-        cfg.options.overlap = overlap != 0;
-        cfg.lanczos.rel_tolerance = 0.02;
+      ms::SolverConfig cfg;
+      cfg.solver = kind;
+      cfg.preconditioner = ms::PreconditionerKind::kDiagonal;
+      cfg.options.rel_tolerance = 1e-10;
+      cfg.resilient = resilient != 0;
+      cfg.lanczos.rel_tolerance = 0.02;
 
-        SCOPED_TRACE(ms::to_string(kind) + (resilient ? "/resilient" : "") +
-                     (overlap ? "/overlap" : ""));
+      SCOPED_TRACE(ms::to_string(kind) + (resilient ? "/resilient" : ""));
 
-        ms::BarotropicSolver solver(comm, *p.halo, *p.grid, p.depth,
-                                    *p.stencil, *p.decomp, cfg);
-        EXPECT_FALSE(solver.batched().name().empty());
+      ms::BarotropicSolver solver(comm, *p.halo, *p.grid, p.depth,
+                                  *p.stencil, *p.decomp, cfg);
+      EXPECT_FALSE(solver.batched().name().empty());
 
-        // B=1: the degenerate batch must converge like a single solve.
-        const double tol = 1e-8;
-        {
-          mc::DistField b(*p.decomp, 0), x(*p.decomp, 0);
-          b.load_global(rhs[0]);
-          const mc::DistField* bs[1] = {&b};
-          mc::DistField* xs[1] = {&x};
-          const auto stats = solver.solve_batch(comm, bs, xs);
-          ASSERT_EQ(static_cast<int>(stats.members.size()), 1);
-          EXPECT_TRUE(stats.members[0].converged);
-          EXPECT_LE(stats.members[0].relative_residual, tol);
-        }
-
-        // B=4 with distinct right-hand sides: per-member convergence.
-        std::vector<mc::DistField> bb, xb;
-        std::vector<const mc::DistField*> bs;
-        std::vector<mc::DistField*> xs;
-        for (int m = 0; m < nb; ++m) {
-          bb.emplace_back(*p.decomp, 0);
-          xb.emplace_back(*p.decomp, 0);
-          bb.back().load_global(rhs[m]);
-        }
-        for (int m = 0; m < nb; ++m) {
-          bs.push_back(&bb[m]);
-          xs.push_back(&xb[m]);
-        }
+      // B=1: the degenerate batch must converge like a single solve.
+      const double tol = 1e-8;
+      {
+        mc::DistField b(*p.decomp, 0), x(*p.decomp, 0);
+        b.load_global(rhs[0]);
+        const mc::DistField* bs[1] = {&b};
+        mc::DistField* xs[1] = {&x};
         const auto stats = solver.solve_batch(comm, bs, xs);
-        ASSERT_EQ(static_cast<int>(stats.members.size()), nb);
-        for (int m = 0; m < nb; ++m) {
-          EXPECT_TRUE(stats.members[m].converged) << "member " << m;
-          EXPECT_LE(stats.members[m].relative_residual, tol)
-              << "member " << m;
-        }
+        ASSERT_EQ(static_cast<int>(stats.members.size()), 1);
+        EXPECT_TRUE(stats.members[0].converged);
+        EXPECT_LE(stats.members[0].relative_residual, tol);
+      }
+
+      // B=4 with distinct right-hand sides: per-member convergence.
+      std::vector<mc::DistField> bb, xb;
+      std::vector<const mc::DistField*> bs;
+      std::vector<mc::DistField*> xs;
+      for (int m = 0; m < nb; ++m) {
+        bb.emplace_back(*p.decomp, 0);
+        xb.emplace_back(*p.decomp, 0);
+        bb.back().load_global(rhs[m]);
+      }
+      for (int m = 0; m < nb; ++m) {
+        bs.push_back(&bb[m]);
+        xs.push_back(&xb[m]);
+      }
+      const auto stats = solver.solve_batch(comm, bs, xs);
+      ASSERT_EQ(static_cast<int>(stats.members.size()), nb);
+      for (int m = 0; m < nb; ++m) {
+        EXPECT_TRUE(stats.members[m].converged) << "member " << m;
+        EXPECT_LE(stats.members[m].relative_residual, tol)
+            << "member " << m;
       }
     }
   }

@@ -132,9 +132,8 @@ ms::EigenBounds lanczos_bounds_serial(const Problem& p,
 }  // namespace
 
 // -------------------------------------------------------------------
-// Structure: the run-length encoding reconstructs the mask exactly,
-// validate() accepts it, and clipped() equals a from-scratch build of
-// the window.
+// Structure: the run-length encoding reconstructs the mask exactly and
+// validate() accepts it.
 // -------------------------------------------------------------------
 
 TEST(SpanPlan, StructureReconstructsRandomFeatureMasks) {
@@ -157,35 +156,6 @@ TEST(SpanPlan, StructureReconstructsRandomFeatureMasks) {
       for (int j = 0; j < ny; ++j)
         for (int i = 0; i < nx; ++i)
           ASSERT_EQ(rec(i, j), m(i, j)) << "(" << i << "," << j << ")";
-    }
-  }
-}
-
-TEST(SpanPlan, ClippedMatchesDirectWindowBuild) {
-  const int nx = 21, ny = 15;
-  for (std::uint64_t seed = 7; seed <= 9; ++seed) {
-    const mu::MaskArray m = feature_mask(nx, ny, seed, 0.5);
-    ms::BlockSpans full(m.data(), m.nx(), nx, ny);
-    mu::Xoshiro256 rng(seed);
-    for (int trial = 0; trial < 12; ++trial) {
-      const int i0 = static_cast<int>(rng.below(nx));
-      const int j0 = static_cast<int>(rng.below(ny));
-      const int ni = 1 + static_cast<int>(rng.below(nx - i0));
-      const int nj = 1 + static_cast<int>(rng.below(ny - j0));
-      const ms::BlockSpans clip = full.clipped(i0, j0, ni, nj);
-      // Window-origin pointer into the parent mask: the clipped plan
-      // must validate against it and equal a from-scratch build.
-      const unsigned char* w = m.data() + j0 * m.nx() + i0;
-      clip.validate(w, m.nx());
-      ms::BlockSpans direct(w, m.nx(), ni, nj);
-      ASSERT_EQ(clip.num_spans(), direct.num_spans());
-      EXPECT_EQ(clip.active_points(), direct.active_points());
-      for (int j = 0; j <= nj; ++j)
-        ASSERT_EQ(clip.row_offset()[j], direct.row_offset()[j]);
-      for (int s = 0; s < clip.num_spans(); ++s) {
-        EXPECT_EQ(clip.spans()[s].i0, direct.spans()[s].i0);
-        EXPECT_EQ(clip.spans()[s].len, direct.spans()[s].len);
-      }
     }
   }
 }

@@ -158,6 +158,44 @@ TEST(Cli, ReportsOptionsPassedButNeverRead) {
   EXPECT_NO_THROW(cli.reject_unread());
 }
 
+TEST(Cli, RejectsPositionalArgumentsNeverRead) {
+  const char* argv[] = {"prog", "--days=3", "stray.json", "extra"};
+  mu::Cli cli(4, argv);
+  EXPECT_EQ(cli.get_int("days", 90), 3);
+  try {
+    cli.reject_unread();
+    FAIL() << "should have thrown";
+  } catch (const mu::Error& e) {
+    EXPECT_STREQ(e.what(), "unexpected arguments stray.json, extra");
+  }
+  // A program that reads its positionals accepts them.
+  EXPECT_EQ(cli.positional().size(), 2u);
+  EXPECT_NO_THROW(cli.reject_unread());
+}
+
+TEST(Cli, RangeCheckedLookups) {
+  const char* argv[] = {"prog", "--nz=0", "--members=2", "--days=-1",
+                        "--tol=nan", "--dt=inf", "--scale=0.5"};
+  mu::Cli cli(7, argv);
+  EXPECT_THROW(cli.get_int("nz", 4, 1), mu::Error);
+  EXPECT_EQ(cli.get_int("members", 10, 2), 2);
+  EXPECT_EQ(cli.get_int("months", 3, 1), 3);  // absent: the fallback
+  EXPECT_THROW(cli.get_positive("days", 90.0), mu::Error);
+  EXPECT_THROW(cli.get_positive("tol", 1e-13), mu::Error);
+  EXPECT_THROW(cli.get_positive("dt", 1.0), mu::Error);
+  EXPECT_EQ(cli.get_positive("scale", 0.1), 0.5);
+  try {
+    cli.get_int("nz", 4, 1);
+  } catch (const mu::Error& e) {
+    EXPECT_STREQ(e.what(), "--nz=0 is below 1");
+  }
+  try {
+    cli.get_positive("days", 90.0);
+  } catch (const mu::Error& e) {
+    EXPECT_STREQ(e.what(), "--days=-1 is not a finite number > 0");
+  }
+}
+
 TEST(Table, FormatsAlignedColumns) {
   mu::Table t({"cores", "time"});
   t.row().add_int(16).add(1.25, 2);
