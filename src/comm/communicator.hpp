@@ -8,16 +8,15 @@
 //   * ThreadComm  — N ranks as threads with mailbox point-to-point and
 //                   deterministic, fixed-order global reductions
 //
-// The primitives are split-phase (MPI_Isend/Irecv/Iallreduce style):
-// posting returns a Request handle that is completed with test()/wait().
-// The blocking calls are thin wrappers (post + wait). Real-machine wall
-// times are *not* modeled here (we are on a workstation); the
-// CostTracker records message/reduction/flop counts — plus the time
-// blocked in wait() — and src/perf converts counts to modeled times.
+// The primitives are blocking, as the paper's cost model (§2.2) prices
+// them: a send is eager (the data is copied before it returns), a
+// receive and a reduction return once their data has arrived. Real-
+// machine wall times are *not* modeled here (we are on a workstation);
+// the CostTracker records message/reduction/flop counts — plus the time
+// blocked waiting for peers — and src/perf converts counts to modeled
+// times.
 #pragma once
 
-#include <cstddef>
-#include <memory>
 #include <span>
 
 #include "src/comm/cost_tracker.hpp"
@@ -28,7 +27,7 @@ namespace minipop::comm {
 enum class ReduceOp { kSum, kMax, kMin };
 
 /// A communication wait exceeded its configured timeout (see
-/// ThreadComm::set_recv_timeout). Once one rank throws this, the whole
+/// ThreadTeam::set_recv_timeout). Once one rank throws this, the whole
 /// team's communication state is suspect: every subsequent blocking call
 /// on any rank of the team also throws until Communicator::resync() has
 /// been run collectively. Distinct from util::Error subclassing alone so
@@ -50,55 +49,6 @@ class CorruptPayloadError : public util::Error {
   using util::Error::Error;
 };
 
-/// Backend-side completion state of one in-flight split-phase operation.
-/// poll() attempts completion without blocking and returns true once the
-/// operation has finished with its results (if any) delivered to the
-/// caller's buffers; block() waits for that to happen. After either has
-/// reported completion the state is dead and must not be used again.
-class RequestState {
- public:
-  virtual ~RequestState() = default;
-  virtual bool poll() = 0;
-  virtual void block() = 0;
-};
-
-/// Lightweight handle to one in-flight split-phase operation (the
-/// MPI_Request analogue). Movable, not copyable. Completing through
-/// wait() records the time blocked inside it as exposed communication
-/// in the owning communicator's CostTracker.
-///
-/// A Request destroyed before completion is *abandoned*: the destructor
-/// makes one non-blocking completion attempt and then drops the state.
-/// Abandonment never blocks (so error-path unwinding cannot deadlock on
-/// a peer that died); an abandoned irecv simply leaves any late-arriving
-/// message queued, and an abandoned iallreduce keeps the contribution it
-/// already made so peers still complete. Deliberate code should always
-/// complete its requests.
-class Request {
- public:
-  Request() = default;  ///< already-complete (used by eager/serial ops)
-  Request(std::unique_ptr<RequestState> state, CostTracker* costs);
-  Request(Request&&) noexcept = default;
-  Request& operator=(Request&& o) noexcept;
-  Request(const Request&) = delete;
-  Request& operator=(const Request&) = delete;
-  ~Request();
-
-  bool done() const { return state_ == nullptr; }
-
-  /// Nonblocking completion attempt; true once complete (idempotent).
-  bool test();
-
-  /// Block until complete. No-op if already complete.
-  void wait();
-
- private:
-  void record_completion(double exposed_seconds);
-
-  std::unique_ptr<RequestState> state_;
-  CostTracker* costs_ = nullptr;
-};
-
 class Communicator {
  public:
   virtual ~Communicator() = default;
@@ -106,36 +56,21 @@ class Communicator {
   virtual int rank() const = 0;
   virtual int size() const = 0;
 
-  /// Post a fused in-place reduction of a small vector across all ranks
-  /// (MPI_Iallreduce). `values` must stay alive until the returned
-  /// request completes; on completion it holds the reduced vector.
+  /// Fused in-place reduction of a small vector across all ranks
+  /// (MPI_Allreduce); on return `values` holds the reduced vector.
   /// Deterministic: combination order is rank 0..p-1 regardless of
-  /// arrival order. Collective — every rank must post its reductions in
+  /// arrival order. Collective — every rank must make its reductions in
   /// the same order.
-  virtual Request iallreduce(std::span<double> values, ReduceOp op) = 0;
+  virtual void allreduce(std::span<double> values, ReduceOp op) = 0;
 
-  /// Post a buffered ("eager") point-to-point send of raw bytes. The
-  /// backends copy `data` at post time, so the returned request is
-  /// always already complete and `data` may be reused immediately.
-  /// Point-to-point is byte-addressed (MPI_BYTE style); the typed
-  /// wrappers below view element spans as bytes.
-  virtual Request isend_bytes(int dest, int tag,
-                              std::span<const std::byte> data) = 0;
+  /// Buffered ("eager") point-to-point send: the backend copies `data`
+  /// before returning, so the caller may reuse it at once and the send
+  /// never waits for the receiver.
+  virtual void send(int dest, int tag, std::span<const double> data) = 0;
 
-  /// Post a receive matching (src, tag); data.size() must equal the
-  /// sent byte count. `data` must stay alive until the request
-  /// completes.
-  virtual Request irecv_bytes(int src, int tag,
-                              std::span<std::byte> data) = 0;
-
-  /// Typed element wrappers over the byte primitives (the historical
-  /// API; kept non-virtual so backends implement bytes only).
-  Request isend(int dest, int tag, std::span<const double> data) {
-    return isend_bytes(dest, tag, std::as_bytes(data));
-  }
-  Request irecv(int src, int tag, std::span<double> data) {
-    return irecv_bytes(src, tag, std::as_writable_bytes(data));
-  }
+  /// Receive the message matching (src, tag), blocking until it
+  /// arrives; data.size() must equal the sent element count.
+  virtual void recv(int src, int tag, std::span<double> data) = 0;
 
   virtual void barrier() = 0;
 
@@ -157,11 +92,6 @@ class Communicator {
   /// No-op on backends with no peers.
   virtual void declare_desync() {}
 
-  // Blocking wrappers: post + wait.
-  void allreduce(std::span<double> values, ReduceOp op);
-  void send(int dest, int tag, std::span<const double> data);
-  void recv(int src, int tag, std::span<double> data);
-
   CostTracker& costs() { return costs_; }
   const CostTracker& costs() const { return costs_; }
 
@@ -175,11 +105,10 @@ class Communicator {
   /// window of kTagEpochWindow epochs; callers build tags as
   /// `epoch * kTagEpochStride + local_tag` with local_tag <
   /// kTagEpochStride. Every rank must call this in the same collective
-  /// order (exactly like posting collectives), which keeps the counters
-  /// in sync without communication. The window bounds how many epochs
-  /// may be in flight at once; reusing an epoch whose messages are still
-  /// outstanding is caught by the ThreadComm tag audit under
-  /// MINIPOP_BOUNDS_CHECK.
+  /// order (exactly like collectives), which keeps the counters in sync
+  /// without communication. The window bounds how many epochs may be in
+  /// flight at once: a fast rank can start its next exchange while a
+  /// slow peer is still receiving the current one.
   static constexpr int kTagEpochWindow = 4;
   static constexpr int kTagEpochStride = 1 << 27;
   int next_tag_epoch() {

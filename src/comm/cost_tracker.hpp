@@ -26,7 +26,10 @@ struct CostCounters {
   std::uint64_t halo_member_updates = 0;
   std::uint64_t allreduces = 0;      ///< global reduction rounds
   std::uint64_t allreduce_doubles = 0;
-  std::uint64_t requests = 0;  ///< nonblocking ops that were in flight
+  /// Communication calls that waited on peers: one per ThreadComm recv
+  /// and allreduce. A send is eager and never waits, and SerialComm has
+  /// no peers, so neither counts.
+  std::uint64_t requests = 0;
 
   /// Land-aware sweep accounting (DESIGN.md §14): every kernel sweep
   /// records the ocean cells of the swept region (`active_points`) and
@@ -46,8 +49,9 @@ struct CostCounters {
   std::uint64_t integrity_checks = 0;
   std::uint64_t integrity_failures = 0;
 
-  /// Wall time blocked inside Request::wait(): the communication the
-  /// caller waited on.
+  /// Wall time the `requests` spent blocked waiting for peers (the
+  /// message to arrive, the last rank to join the reduction): the
+  /// communication the caller waited on.
   double exposed_comm_seconds = 0.0;
 
   CostCounters& operator+=(const CostCounters& o) {

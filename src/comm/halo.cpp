@@ -260,57 +260,6 @@ std::uint32_t decode_crc(double trailer) {
 
 }  // namespace
 
-HaloHandle::~HaloHandle() {
-  if (!active()) return;
-  try {
-    finish();
-  } catch (...) {
-    // Safety-net finish during unwinding (e.g. a poisoned team): drop
-    // whatever could not complete. Requests abandon non-blocking.
-  }
-}
-
-void HaloHandle::finish() {
-  if (!active()) return;
-  const int h = fields_.front()->halo();
-  const int w = fields_.front()->nb();
-  // Complete in post order (ascending peer rank), so every exchange
-  // unpacks in one fixed order.
-  for (PendingRecv& p : recvs_) {
-    p.request.wait();
-    std::span<const double> payload(p.buf);
-    if (crc_) {
-      // Strip and verify the one-element CRC trailer before the payload
-      // touches field memory.
-      payload = payload.first(payload.size() - 1);
-      const std::uint32_t want = decode_crc(p.buf.back());
-      const std::uint32_t got =
-          util::crc32c(payload.data(), payload.size_bytes());
-      comm_->costs().add_integrity_check(got != want);
-      if (got != want) {
-        // Wake peers blocked on this rank before unwinding, then let
-        // the recovery layer resync the team and restart the solve.
-        comm_->declare_desync();
-        throw CorruptPayloadError(
-            "halo payload failed CRC32C verification (silent wire "
-            "corruption detected)");
-      }
-    }
-    // Strip by strip in wire order, each strip's rims in caller order.
-    const double* in = payload.data();
-    for (const HaloStrip& s : p.peer->recv)
-      for (DistFieldBatch* f : fields_)
-        in = unpack_w(f->data(s.lb), h, w, s.r, in);
-  }
-  // One round, refreshing every field's planes: halo latency is paid
-  // once for the whole group — the counter the comm-avoiding audits
-  // watch.
-  comm_->costs().add_halo_exchange(w * static_cast<int>(fields_.size()));
-  recvs_.clear();
-  fields_.clear();
-  comm_ = nullptr;
-}
-
 HaloExchanger::HaloExchanger(const grid::Decomposition& decomp)
     : decomp_(&decomp),
       max_halo_(decomp.max_halo_width()),
@@ -330,7 +279,7 @@ const HaloPlan& HaloExchanger::plan(int rank, int halo) const {
   return *slot;
 }
 
-HaloHandle HaloExchanger::begin_group(
+void HaloExchanger::exchange_group(
     Communicator& comm, std::span<DistFieldBatch* const> fields) const {
   MINIPOP_REQUIRE(!fields.empty(), "halo exchange of an empty group");
   const DistFieldBatch& f0 = *fields.front();
@@ -354,13 +303,8 @@ HaloHandle HaloExchanger::begin_group(
   const std::size_t scale = static_cast<std::size_t>(w) * fields.size();
   const std::size_t trailer = crc_enabled_ ? 1 : 0;
 
-  HaloHandle handle;
-  handle.comm_ = &comm;
-  handle.fields_.assign(fields.begin(), fields.end());
-  handle.crc_ = crc_enabled_;
-
-  // Phase 1: one eager send per peer (complete at post time), strip by
-  // strip in the receiver's order, every field's rim back to back.
+  // Phase 1: one eager send per peer, strip by strip in the receiver's
+  // order, every field's rim back to back.
   std::vector<double> buf;
   for (const HaloPeerPlan& peer : plan.peers) {
     if (peer.send.empty()) continue;
@@ -387,24 +331,10 @@ HaloHandle HaloExchanger::begin_group(
                                reinterpret_cast<unsigned char*>(buf.data()),
                                payload * sizeof(double));
     }
-    comm.isend(peer.rank, tag, std::span<const double>(buf));
+    comm.send(peer.rank, tag, std::span<const double>(buf));
   }
 
-  // Phase 2: one receive per peer, in ascending peer order — the order
-  // finish() unpacks in, into landing buffers the handle owns.
-  handle.recvs_.reserve(plan.peers.size());
-  for (const HaloPeerPlan& peer : plan.peers) {
-    if (peer.recv.empty()) continue;
-    HaloHandle::PendingRecv& posted = handle.recvs_.emplace_back();
-    posted.buf.resize(peer.recv_cells * scale + trailer);
-    posted.peer = &peer;
-    posted.request =
-        comm.irecv(peer.rank, epoch * Communicator::kTagEpochStride +
-                                  peer.rank,
-                   std::span<double>(posted.buf));
-  }
-
-  // Phase 3: zero fills and direct on-rank copies (no communication).
+  // Phase 2: zero fills and direct on-rank copies (no communication).
   for (const HaloStrip& z : plan.zeros)
     for (DistFieldBatch* f : fields)
       zero_region_w(f->data(z.lb), h, w, z.r);
@@ -412,7 +342,42 @@ HaloHandle HaloExchanger::begin_group(
     for (DistFieldBatch* f : fields)
       copy_w(f->data(c.dst.lb), c.dst.r, f->data(c.src.lb), c.src.r, h, w);
 
-  return handle;
+  // Phase 3: one receive per peer in ascending peer rank, so every
+  // exchange unpacks in one fixed order.
+  for (const HaloPeerPlan& peer : plan.peers) {
+    if (peer.recv.empty()) continue;
+    buf.resize(peer.recv_cells * scale + trailer);
+    comm.recv(peer.rank, epoch * Communicator::kTagEpochStride + peer.rank,
+              std::span<double>(buf));
+    std::span<const double> payload(buf);
+    if (crc_enabled_) {
+      // Strip and verify the one-element CRC trailer before the payload
+      // touches field memory.
+      payload = payload.first(payload.size() - 1);
+      const std::uint32_t want = decode_crc(buf.back());
+      const std::uint32_t got =
+          util::crc32c(payload.data(), payload.size_bytes());
+      comm.costs().add_integrity_check(got != want);
+      if (got != want) {
+        // Wake peers blocked on this rank before unwinding, then let
+        // the recovery layer resync the team and restart the solve.
+        comm.declare_desync();
+        throw CorruptPayloadError(
+            "halo payload failed CRC32C verification (silent wire "
+            "corruption detected)");
+      }
+    }
+    // Strip by strip in wire order, each strip's rims in caller order.
+    const double* in = payload.data();
+    for (const HaloStrip& s : peer.recv)
+      for (DistFieldBatch* f : fields)
+        in = unpack_w(f->data(s.lb), h, w, s.r, in);
+  }
+
+  // One round, refreshing every field's planes: halo latency is paid
+  // once for the whole group — the counter the comm-avoiding audits
+  // watch.
+  comm.costs().add_halo_exchange(w * static_cast<int>(fields.size()));
 }
 
 std::uint64_t HaloExchanger::bytes_sent_per_exchange(

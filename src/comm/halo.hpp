@@ -19,34 +19,30 @@
 // width and group size only scale buffer sizes, so they stay out of the
 // plan key.
 //
-// An exchange is blocking. Inside, it posts one send and one receive
-// per peer rank and performs the local copies and zero fills, returning
-// a HaloHandle that owns the in-flight state; the handle's finish()
-// waits for the receives and unpacks. Each exchange draws a fresh tag
-// epoch from the communicator and tags its messages (epoch, source
-// rank), so the messages of consecutive exchanges never match each
-// other's receives.
+// An exchange is blocking. It sends one eager message per peer rank,
+// performs the zero fills and local copies, then receives, verifies and
+// unpacks one message per peer in ascending peer rank. Each exchange
+// draws a fresh tag epoch from the communicator and tags its messages
+// (epoch, source rank), so the messages of consecutive exchanges never
+// match each other's receives.
 //
 // There is ONE exchange engine, over batches: a DistField is the
 // width-1 batch, and an nb-member batch's member-interleaved layout makes
 // a region row ni * nb contiguous elements — so the same messages carry
 // ALL members, the same message count as a single field with nb x the
-// payload. finish() counts one exchange round refreshing nb member
-// planes (CostTracker::add_halo_exchange(nb)).
+// payload. An exchange counts one round refreshing nb member planes per
+// field (CostTracker::add_halo_exchange).
 #pragma once
 
 #include <memory>
 #include <mutex>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "src/comm/communicator.hpp"
 #include "src/comm/dist_field_batch.hpp"
 
 namespace minipop::comm {
-
-class HaloExchanger;
 
 /// Caller's statement about the halo state of an input field. Operators
 /// exchange a kStale input's halo before sweeping; kFresh skips the
@@ -58,62 +54,8 @@ class HaloExchanger;
 enum class HaloFreshness { kStale, kFresh };
 
 namespace detail {
-struct HaloPlan;      // one (rank, halo width)'s resolved exchange
-struct HaloPeerPlan;  // the strips exchanged with one peer rank
+struct HaloPlan;  // one (rank, halo width)'s resolved exchange
 }  // namespace detail
-
-/// The in-flight state of one halo exchange of one batch or a group of
-/// same-shape batches (a DistField is the width-1 batch), between the
-/// posts and the unpack of HaloExchanger::exchange(). Owns the posted
-/// receive requests — one per peer rank — and their landing buffers;
-/// finish() completes them in post order and unpacks into the halos.
-/// The batches, the communicator and the exchanger (which owns the
-/// plan) must outlive the handle. If finish() throws (a receive timed
-/// out, a CRC mismatch), the destructor finishes what is still active
-/// as a safety net, swallowing errors, since it runs while unwinding a
-/// poisoned team. A moved-from handle is inactive.
-class HaloHandle {
- public:
-  HaloHandle() = default;
-  HaloHandle(HaloHandle&& o) noexcept
-      : comm_(std::exchange(o.comm_, nullptr)),
-        fields_(std::exchange(o.fields_, {})),
-        recvs_(std::move(o.recvs_)),
-        crc_(o.crc_) {}
-  HaloHandle& operator=(HaloHandle&&) = delete;
-  HaloHandle(const HaloHandle&) = delete;
-  HaloHandle& operator=(const HaloHandle&) = delete;
-  ~HaloHandle();
-
-  bool active() const { return !fields_.empty(); }
-
-  /// Wait for all receives, unpack the halos, and count the exchange
-  /// (one round refreshing nb member planes per field). No-op on an
-  /// inactive handle.
-  void finish();
-
- private:
-  friend class HaloExchanger;
-
-  struct PendingRecv {
-    // `request` must be declared after `buf`: an abandoned Request's
-    // destructor performs one non-blocking test, which can still deliver
-    // a matured message into the landing span — so the request has to
-    // die (reverse declaration order) while the buffer it targets is
-    // alive. With the opposite order, unwinding a timed-out exchange
-    // writes into freed memory.
-    std::vector<double> buf;
-    const detail::HaloPeerPlan* peer = nullptr;  ///< strips, wire order
-    Request request;
-  };
-
-  Communicator* comm_ = nullptr;
-  std::vector<DistFieldBatch*> fields_;  ///< caller order
-  std::vector<PendingRecv> recvs_;
-  /// Copied from the exchanger at begin_group(): each pending message
-  /// carries a one-element CRC32C trailer to verify before unpacking.
-  bool crc_ = false;
-};
 
 class HaloExchanger {
  public:
@@ -131,7 +73,7 @@ class HaloExchanger {
   /// sub-batches (DESIGN.md §10, §11).
   void exchange(Communicator& comm, DistFieldBatch& field) const {
     DistFieldBatch* const one[1] = {&field};
-    begin_group(comm, one).finish();
+    exchange_group(comm, one);
   }
 
   /// Aggregated deep-halo exchange of several same-shape batches (the
@@ -143,11 +85,10 @@ class HaloExchanger {
   /// each field's rims are bitwise identical to what its own exchange()
   /// would deliver. With CRC enabled, one trailer covers the whole
   /// concatenated payload; the fault payload hook arms on width-1
-  /// groups exactly like the single-field path. Blocking.
+  /// groups exactly like the single-field path. The one engine behind
+  /// exchange(). Blocking.
   void exchange_group(Communicator& comm,
-                      std::span<DistFieldBatch* const> fields) const {
-    begin_group(comm, fields).finish();
-  }
+                      std::span<DistFieldBatch* const> fields) const;
 
   /// Bytes this rank sends per exchange of `field` (for cost
   /// reporting), read off the plan: every peer message's strips plus,
@@ -158,7 +99,7 @@ class HaloExchanger {
 
   /// Enable CRC32C protection of every peer halo message: the sender
   /// appends a one-element trailer carrying the CRC of the payload
-  /// bytes, and finish() verifies it before unpacking. A mismatch
+  /// bytes, and the receiver verifies it before unpacking. A mismatch
   /// declares the team desynchronized and throws CorruptPayloadError
   /// (the sends are eager-buffered — there is nothing live to
   /// retransmit — so recovery restarts from a checkpoint after the
@@ -171,12 +112,6 @@ class HaloExchanger {
   bool crc() const { return crc_enabled_; }
 
  private:
-  /// The one engine behind exchange() and exchange_group(): pack and
-  /// post the exchange of every field of the group, one message per peer
-  /// rank for all of them, and return the in-flight handle.
-  HaloHandle begin_group(Communicator& comm,
-                         std::span<DistFieldBatch* const> fields) const;
-
   /// The plan of (rank, halo), built on first use. The ranks of a
   /// ThreadTeam may share one exchanger, so the lookup holds plans_mu_;
   /// it is never held across communication. A built plan never moves.

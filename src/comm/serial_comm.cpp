@@ -4,25 +4,20 @@
 
 namespace minipop::comm {
 
-Request SerialComm::iallreduce(std::span<double> values, ReduceOp /*op*/) {
+void SerialComm::allreduce(std::span<double> values, ReduceOp /*op*/) {
   // One rank: the local values are already the reduction, but the event
   // still counts (POP performs the MPI_Allreduce regardless of size).
-  // Complete at post time, so the default-constructed Request is done
-  // and contributes no in-flight time.
+  // Nothing waits, so it adds no request and no exposed time.
   costs_.add_allreduce(values.size());
-  return Request{};
 }
 
-Request SerialComm::isend_bytes(int /*dest*/, int /*tag*/,
-                                std::span<const std::byte> /*data*/) {
+void SerialComm::send(int /*dest*/, int /*tag*/,
+                      std::span<const double> /*data*/) {
   MINIPOP_REQUIRE(false, "SerialComm has no peers to send to");
-  return Request{};
 }
 
-Request SerialComm::irecv_bytes(int /*src*/, int /*tag*/,
-                                std::span<std::byte> /*data*/) {
+void SerialComm::recv(int /*src*/, int /*tag*/, std::span<double> /*data*/) {
   MINIPOP_REQUIRE(false, "SerialComm has no peers to receive from");
-  return Request{};
 }
 
 }  // namespace minipop::comm

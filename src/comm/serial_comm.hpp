@@ -1,6 +1,6 @@
-// Single-rank communicator: reductions are identities (and complete at
-// post time), point-to-point is an error (a single rank has no peers;
-// same-rank halo copies bypass the communicator entirely).
+// Single-rank communicator: reductions are identities, point-to-point
+// is an error (a single rank has no peers; same-rank halo copies bypass
+// the communicator entirely).
 #pragma once
 
 #include "src/comm/communicator.hpp"
@@ -12,10 +12,9 @@ class SerialComm final : public Communicator {
   int rank() const override { return 0; }
   int size() const override { return 1; }
 
-  Request iallreduce(std::span<double> values, ReduceOp op) override;
-  Request isend_bytes(int dest, int tag,
-                      std::span<const std::byte> data) override;
-  Request irecv_bytes(int src, int tag, std::span<std::byte> data) override;
+  void allreduce(std::span<double> values, ReduceOp op) override;
+  void send(int dest, int tag, std::span<const double> data) override;
+  void recv(int src, int tag, std::span<double> data) override;
   void barrier() override {}
 };
 

@@ -11,71 +11,41 @@
 
 namespace minipop::comm {
 
-// ---------------------------------------------------------------------------
-// Request states
-
-/// Future for one rank's view of an in-flight reduction round.
-class ThreadReduceRequest final : public RequestState {
- public:
-  ThreadReduceRequest(ThreadTeam* team,
-                      std::shared_ptr<ThreadTeam::ReduceRound> round,
-                      std::span<double> out)
-      : team_(team), round_(std::move(round)), out_(out) {}
-
-  bool poll() override { return team_->reduce_poll(*round_, out_); }
-  void block() override { team_->reduce_block(*round_, out_); }
-
- private:
-  ThreadTeam* team_;
-  std::shared_ptr<ThreadTeam::ReduceRound> round_;
-  std::span<double> out_;
-};
-
-/// Mailbox future for one posted receive.
-class ThreadRecvRequest final : public RequestState {
- public:
-  ThreadRecvRequest(ThreadTeam* team, ThreadTeam::ChannelKey key,
-                    std::span<std::byte> out)
-      : team_(team), key_(key), out_(out) {}
-
-  bool poll() override { return team_->recv_poll(key_, out_); }
-  void block() override { team_->recv_block(key_, out_); }
-
- private:
-  ThreadTeam* team_;
-  ThreadTeam::ChannelKey key_;
-  std::span<std::byte> out_;
-};
+namespace {
+double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // ThreadComm
 
 int ThreadComm::size() const { return team_->nranks(); }
 
-Request ThreadComm::iallreduce(std::span<double> values, ReduceOp op) {
+void ThreadComm::allreduce(std::span<double> values, ReduceOp op) {
   fault::hook_rank_stall(rank_);
   costs_.add_allreduce(values.size());
-  auto round = team_->post_allreduce(rank_, values, op);
-  return Request(
-      std::make_unique<ThreadReduceRequest>(team_, std::move(round), values),
-      &costs_);
+  const auto round = team_->post_allreduce(rank_, values, op);
+  costs_.add_request();
+  const auto t0 = std::chrono::steady_clock::now();
+  team_->reduce_block(*round, values);
+  costs_.add_exposed_seconds(seconds_since(t0));
 }
 
-Request ThreadComm::isend_bytes(int dest, int tag,
-                                std::span<const std::byte> data) {
-  costs_.add_message(data.size());
+void ThreadComm::send(int dest, int tag, std::span<const double> data) {
+  costs_.add_message(data.size_bytes());
   team_->post_send(rank_, dest, tag, data);
-  // Eager protocol: the message is buffered at post time, so the send is
-  // already complete and contributes no in-flight request time.
-  return Request{};
 }
 
-Request ThreadComm::irecv_bytes(int src, int tag,
-                                std::span<std::byte> data) {
-  const ThreadTeam::ChannelKey key{src, rank_, tag};
-  team_->post_recv(key);
-  return Request(std::make_unique<ThreadRecvRequest>(team_, key, data),
-                 &costs_);
+void ThreadComm::recv(int src, int tag, std::span<double> data) {
+  MINIPOP_REQUIRE(src >= 0 && src < size(), "recv from rank " << src);
+  MINIPOP_REQUIRE(tag >= 0, "tag " << tag);
+  team_->throw_if_failed();
+  costs_.add_request();
+  const auto t0 = std::chrono::steady_clock::now();
+  team_->recv_block({src, rank_, tag}, data);
+  costs_.add_exposed_seconds(seconds_since(t0));
 }
 
 void ThreadComm::barrier() { team_->do_barrier(); }
@@ -113,9 +83,6 @@ void ThreadTeam::run(const std::function<void(Communicator&)>& fn) {
   poisoned_ = false;
   timed_out_ = false;
   resync_arrived_ = 0;
-#if MINIPOP_BOUNDS_CHECK
-  outstanding_recvs_.clear();
-#endif
 
   std::vector<std::thread> threads;
   std::vector<std::exception_ptr> errors(nranks_);
@@ -168,6 +135,12 @@ void ThreadTeam::throw_if_poisoned() const {
     throw TeamPoisonedError("virtual-MPI team aborted: a peer rank failed");
 }
 
+void ThreadTeam::throw_if_failed() {
+  std::lock_guard<std::mutex> lock(mu_);
+  throw_if_poisoned();
+  throw_if_timed_out();
+}
+
 void ThreadTeam::throw_if_timed_out() const {
   if (timed_out_)
     throw CommTimeoutError(
@@ -200,17 +173,12 @@ void ThreadTeam::do_resync() {
   if (++resync_arrived_ == nranks_) {
     // Last arriver wipes the failed communication epoch: queued and
     // in-flight messages, reduction rounds and ordinals, the barrier
-    // count and the timeout flag. Outstanding requests from before the
-    // fence are dead; abandoning them is safe (Request's destructor
-    // never blocks).
+    // count and the timeout flag.
     mailboxes_.clear();
     reduce_rounds_.clear();
     std::fill(reduce_posts_.begin(), reduce_posts_.end(), 0);
     barrier_arrived_ = 0;
     timed_out_ = false;
-#if MINIPOP_BOUNDS_CHECK
-    outstanding_recvs_.clear();
-#endif
     resync_arrived_ = 0;
     ++resync_generation_;
     cv_.notify_all();
@@ -283,24 +251,13 @@ std::shared_ptr<ThreadTeam::ReduceRound> ThreadTeam::post_allreduce(
       }
     }
     round->done = true;
-    // Every rank has posted by now, so nothing routes to this ordinal
-    // again; requests keep the round alive through their shared_ptr.
+    // Every rank has arrived by now, so nothing routes to this ordinal
+    // again; waiting ranks keep the round alive through their shared_ptr.
     reduce_rounds_.erase(ordinal);
     lock.unlock();
     cv_.notify_all();
   }
   return round;
-}
-
-bool ThreadTeam::reduce_poll(ReduceRound& round, std::span<double> out) {
-  std::lock_guard<std::mutex> lock(mu_);
-  throw_if_poisoned();
-  if (!round.done) {
-    throw_if_timed_out();
-    return false;
-  }
-  std::copy(round.result.begin(), round.result.end(), out.begin());
-  return true;
 }
 
 void ThreadTeam::reduce_block(ReduceRound& round, std::span<double> out) {
@@ -317,7 +274,7 @@ void ThreadTeam::reduce_block(ReduceRound& round, std::span<double> out) {
 // Point-to-point
 
 void ThreadTeam::post_send(int src, int dest, int tag,
-                           std::span<const std::byte> data) {
+                           std::span<const double> data) {
   MINIPOP_REQUIRE(dest >= 0 && dest < nranks_, "send to rank " << dest);
   MINIPOP_REQUIRE(tag >= 0, "tag " << tag);
   const ChannelKey key{src, dest, tag};
@@ -332,7 +289,7 @@ void ThreadTeam::post_send(int src, int dest, int tag,
       // matures, delivery is dropped — a late message must not leak into
       // a fresh epoch whose tags it could accidentally match.
       const std::uint64_t generation = resync_generation_;
-      Message msg{std::vector<std::byte>(data.begin(), data.end())};
+      Message msg{std::vector<double>(data.begin(), data.end())};
       delayed_threads_.emplace_back(
           [this, key, generation, delay_ms = fate.delay_ms,
            msg = std::move(msg)]() mutable {
@@ -352,59 +309,26 @@ void ThreadTeam::post_send(int src, int dest, int tag,
                                                                         : 1;
     for (int c = 0; c < copies; ++c)
       mailboxes_[key].push_back(
-          Message{std::vector<std::byte>(data.begin(), data.end())});
+          Message{std::vector<double>(data.begin(), data.end())});
   }
   cv_.notify_all();
 }
 
-void ThreadTeam::post_recv(const ChannelKey& key) {
-  MINIPOP_REQUIRE(key.src >= 0 && key.src < nranks_,
-                  "recv from rank " << key.src);
-  MINIPOP_REQUIRE(key.tag >= 0, "tag " << key.tag);
-  std::lock_guard<std::mutex> lock(mu_);
-  throw_if_poisoned();
-  throw_if_timed_out();
-#if MINIPOP_BOUNDS_CHECK
-  const int outstanding = ++outstanding_recvs_[key];
-  MINIPOP_REQUIRE(outstanding == 1,
-                  "tag-epoch audit: recv posted on channel (src="
-                      << key.src << " dest=" << key.dest
-                      << " tag=" << key.tag << ") while "
-                      << (outstanding - 1)
-                      << " matching recv(s) are still outstanding — a tag "
-                         "epoch was reused before its exchange finished");
-#endif
-}
-
 bool ThreadTeam::try_take_locked(const ChannelKey& key,
-                                 std::span<std::byte> out) {
+                                 std::span<double> out) {
   auto it = mailboxes_.find(key);
   if (it == mailboxes_.end() || it->second.empty()) return false;
   Message msg = std::move(it->second.front());
   it->second.pop_front();
   MINIPOP_REQUIRE(msg.data.size() == out.size(),
-                  "recv size " << out.size() << " bytes != sent "
+                  "recv size " << out.size() << " != sent "
                                << msg.data.size() << " (src=" << key.src
                                << " tag=" << key.tag << ")");
-#if MINIPOP_BOUNDS_CHECK
-  auto oit = outstanding_recvs_.find(key);
-  if (oit != outstanding_recvs_.end() && --oit->second <= 0)
-    outstanding_recvs_.erase(oit);
-#endif
   std::copy(msg.data.begin(), msg.data.end(), out.begin());
   return true;
 }
 
-bool ThreadTeam::recv_poll(const ChannelKey& key, std::span<std::byte> out) {
-  std::lock_guard<std::mutex> lock(mu_);
-  throw_if_poisoned();
-  if (try_take_locked(key, out)) return true;
-  throw_if_timed_out();
-  return false;
-}
-
-void ThreadTeam::recv_block(const ChannelKey& key,
-                            std::span<std::byte> out) {
+void ThreadTeam::recv_block(const ChannelKey& key, std::span<double> out) {
   std::unique_lock<std::mutex> lock(mu_);
   const auto ready = [&] {
     if (poisoned_ || timed_out_) return true;

@@ -3,19 +3,17 @@
 // for deterministic global reductions.
 //
 // Semantics mirror the subset of MPI the solvers need:
-//   * isend() is buffered/eager (never blocks, complete at post time) —
+//   * send() is buffered/eager (never blocks, complete on return) —
 //     like MPI's eager protocol that §5 of the paper tunes via
 //     MP_EAGER_LIMIT;
-//   * irecv() posts a mailbox future matching (src, tag) that completes
-//     when the message arrives;
-//   * iallreduce() posts a full-team rendezvous round whose combination
+//   * recv() blocks until the message matching (src, tag) arrives;
+//   * allreduce() joins a full-team rendezvous round whose combination
 //     order is fixed (rank 0, 1, ..., p-1) regardless of arrival order,
 //     so results are bitwise reproducible for a given rank count,
-//     exactly like a fixed-topology MPI reduction tree. Ranks contribute
-//     at post time; requests complete once every rank has posted.
-//     Collectives are matched by call ordinal, so every rank must post
-//     its reductions in the same order — but several may be in flight
-//     at once.
+//     exactly like a fixed-topology MPI reduction tree. Rounds are
+//     matched by call ordinal, so every rank must make its reductions in
+//     the same order; a fast rank may enter round n+1 before a slow one
+//     has read round n.
 #pragma once
 
 #include <condition_variable>
@@ -43,8 +41,6 @@ class TeamPoisonedError : public util::Error {
 };
 
 class ThreadTeam;
-class ThreadReduceRequest;
-class ThreadRecvRequest;
 
 /// Communicator handed to each rank function by ThreadTeam::run().
 class ThreadComm final : public Communicator {
@@ -52,10 +48,9 @@ class ThreadComm final : public Communicator {
   int rank() const override { return rank_; }
   int size() const override;
 
-  Request iallreduce(std::span<double> values, ReduceOp op) override;
-  Request isend_bytes(int dest, int tag,
-                      std::span<const std::byte> data) override;
-  Request irecv_bytes(int src, int tag, std::span<std::byte> data) override;
+  void allreduce(std::span<double> values, ReduceOp op) override;
+  void send(int dest, int tag, std::span<const double> data) override;
+  void recv(int src, int tag, std::span<double> data) override;
   void barrier() override;
   void resync() override;
   void declare_desync() override;
@@ -78,7 +73,7 @@ class ThreadTeam {
 
   int nranks() const { return nranks_; }
 
-  /// Bound blocking receives: a recv_block that finds no message within
+  /// Bound blocking receives: a recv that finds no message within
   /// `total_ms` throws CommTimeoutError instead of waiting forever. The
   /// wait is split into `retries` attempts with exponentially growing
   /// slices (slice, 2*slice, 4*slice, ... summing to total_ms) — the
@@ -101,13 +96,9 @@ class ThreadTeam {
 
  private:
   friend class ThreadComm;
-  friend class ThreadReduceRequest;
-  friend class ThreadRecvRequest;
 
-  // Mailbox payloads are raw bytes: the team relays whatever the sender
-  // packed without reinterpretation; sizes are checked in bytes.
   struct Message {
-    std::vector<std::byte> data;
+    std::vector<double> data;
   };
 
   /// Point-to-point channel identity. A plain struct key (not a packed
@@ -123,9 +114,10 @@ class ThreadTeam {
   };
 
   /// One in-flight deterministic reduction. Every rank deposits its
-  /// contribution at post time; the last arriver combines in fixed rank
-  /// order 0..p-1 and marks the round done. Requests hold a shared_ptr,
-  /// so the team's routing map drops the round as soon as it completes.
+  /// contribution on arrival; the last arriver combines in fixed rank
+  /// order 0..p-1 and marks the round done. Waiting ranks hold a
+  /// shared_ptr, so the team's routing map drops the round as soon as
+  /// it completes.
   struct ReduceRound {
     ReduceOp op{};
     std::vector<std::vector<double>> slots;
@@ -137,15 +129,11 @@ class ThreadTeam {
   std::shared_ptr<ReduceRound> post_allreduce(int rank,
                                               std::span<double> values,
                                               ReduceOp op);
-  bool reduce_poll(ReduceRound& round, std::span<double> out);
   void reduce_block(ReduceRound& round, std::span<double> out);
 
-  void post_send(int src, int dest, int tag,
-                 std::span<const std::byte> data);
-  void post_recv(const ChannelKey& key);
-  bool recv_poll(const ChannelKey& key, std::span<std::byte> out);
-  void recv_block(const ChannelKey& key, std::span<std::byte> out);
-  bool try_take_locked(const ChannelKey& key, std::span<std::byte> out);
+  void post_send(int src, int dest, int tag, std::span<const double> data);
+  void recv_block(const ChannelKey& key, std::span<double> out);
+  bool try_take_locked(const ChannelKey& key, std::span<double> out);
 
   void do_barrier();
   void do_resync();
@@ -155,6 +143,8 @@ class ThreadTeam {
   bool poisoned_ = false;
   void poison();
   void throw_if_poisoned() const;
+  /// Locks and throws if the team is poisoned or timed out.
+  void throw_if_failed();
 
   /// Set when any rank's receive timed out: the team's collective state
   /// is out of sync (ordinals, mailboxes), so every rank aborts its
@@ -198,14 +188,6 @@ class ThreadTeam {
   // Timer threads carrying fault-delayed mailbox deliveries; joined at
   // the end of run() so no delivery outlives its team run.
   std::vector<std::thread> delayed_threads_;
-
-#if MINIPOP_BOUNDS_CHECK
-  // Tag-epoch audit: number of posted-but-uncompleted recvs per channel.
-  // Posting a second recv on a channel that already has one outstanding
-  // means a tag (epoch) was reused while the previous exchange was still
-  // in flight — the failure the tag-epoch window exists to prevent.
-  std::unordered_map<ChannelKey, int, ChannelKeyHash> outstanding_recvs_;
-#endif
 };
 
 }  // namespace minipop::comm

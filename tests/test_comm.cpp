@@ -27,6 +27,9 @@ TEST(SerialComm, AllreduceIsIdentityButCounted) {
   EXPECT_EQ(v[1], 4.0);
   EXPECT_EQ(comm.costs().counters().allreduces, 1u);
   EXPECT_EQ(comm.costs().counters().allreduce_doubles, 2u);
+  // Nothing waits on a peer: no request, no exposed time.
+  EXPECT_EQ(comm.costs().counters().requests, 0u);
+  EXPECT_EQ(comm.costs().counters().exposed_comm_seconds, 0.0);
 }
 
 TEST(SerialComm, SendRecvThrow) {
@@ -205,6 +208,10 @@ TEST(ThreadTeam, CostCountersPerRank) {
   EXPECT_EQ(team.costs(0).p2p_messages, 1u);
   EXPECT_EQ(team.costs(0).p2p_bytes, 24u);
   EXPECT_EQ(team.costs(1).p2p_messages, 0u);
+  // A request is a call that waits on peers: the allreduce on both
+  // ranks and the recv on rank 1, never the eager send.
+  EXPECT_EQ(team.costs(0).requests, 1u);
+  EXPECT_EQ(team.costs(1).requests, 2u);
   EXPECT_EQ(team.total_costs().flops, 20u);
 }
 
@@ -459,6 +466,28 @@ TEST(Halo, BytesSentAccounting) {
       EXPECT_EQ(c.integrity_checks, crc ? kExchanges * peers : 0u);
     }
   }
+}
+
+// Every exchange draws a fresh tag epoch, so 3x the epoch window wraps
+// the counter several times. Each exchange carries different interior
+// values: a message matched to the wrong exchange would leave a stale
+// halo.
+TEST(SplitHalo, EpochWindowWrapsAcrossManyExchanges) {
+  constexpr int kRanks = 3;
+  mu::MaskArray mask(18, 18, 1);
+  mg::Decomposition d(18, 18, true, mask, 6, 6, kRanks);
+  mc::HaloExchanger hx(d);
+  mc::ThreadTeam team(kRanks);
+  team.run([&](mc::Communicator& comm) {
+    mc::DistField f(d, comm.rank());
+    for (int k = 0; k < 3 * mc::Communicator::kTagEpochWindow; ++k) {
+      SCOPED_TRACE("exchange " + std::to_string(k));
+      const auto shift = [k](int) { return 1e6 * k; };
+      load_pattern(f, shift);
+      hx.exchange(comm, f);
+      check_halos(d, f, 0, shift(0));
+    }
+  });
 }
 
 // Plans are built on first use under the exchanger's lock: threads that

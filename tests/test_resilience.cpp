@@ -510,10 +510,10 @@ TEST(Timeouts, LateSendWithinTimeoutDelivers) {
     if (comm.rank() == 1) {
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
       double v = 42.5;
-      comm.isend(0, 3, std::span<const double>(&v, 1)).wait();
+      comm.send(0, 3, std::span<const double>(&v, 1));
     } else {
       double v = 0.0;
-      comm.irecv(1, 3, std::span<double>(&v, 1)).wait();
+      comm.recv(1, 3, std::span<double>(&v, 1));
       got[0] = v;
     }
   });
@@ -530,7 +530,7 @@ TEST(Timeouts, MissingMessageThrowsAndResyncRestoresTeam) {
       // Nobody ever sends on (src=1, tag=7): must throw, not hang.
       double v = 0.0;
       try {
-        comm.irecv(1, 7, std::span<double>(&v, 1)).wait();
+        comm.recv(1, 7, std::span<double>(&v, 1));
       } catch (const mc::CommTimeoutError&) {
         caught[0] = 1;
       }
@@ -546,7 +546,7 @@ TEST(Timeouts, MissingMessageThrowsAndResyncRestoresTeam) {
     comm.resync();
     // After the fence the team is fully usable again.
     double s = comm.rank() + 1.0;
-    comm.iallreduce(std::span<double>(&s, 1), mc::ReduceOp::kSum).wait();
+    comm.allreduce(std::span<double>(&s, 1), mc::ReduceOp::kSum);
     sum[comm.rank()] = s;
   });
   EXPECT_EQ(caught[0], 1);
@@ -556,10 +556,9 @@ TEST(Timeouts, MissingMessageThrowsAndResyncRestoresTeam) {
 }
 
 TEST(Timeouts, HaloExchangeTimeoutUnwindsAndResyncRestoresHalos) {
-  // A halo exchange whose peer never sends throws out of finish(), so
-  // the in-flight handle unwinds through its destructor's safety net
-  // and abandons its receives. After the collective resync the next
-  // exchange must deliver exactly the halos of an undisturbed one.
+  // A halo exchange whose peer never sends throws out of its blocking
+  // receive. After the collective resync the next exchange must deliver
+  // exactly the halos of an undisturbed one.
   const int nranks = 2;
   Problem p = make_problem(16, 16, 8, nranks);
   mc::HaloExchanger halo(*p.decomp);
@@ -599,10 +598,10 @@ TEST(Timeouts, ZeroTimeoutMeansInfiniteWait) {
   team.run([&](mc::Communicator& comm) {
     if (comm.rank() == 1) {
       double v = -7.25;
-      comm.isend(0, 9, std::span<const double>(&v, 1)).wait();
+      comm.send(0, 9, std::span<const double>(&v, 1));
     } else {
       double v = 0.0;
-      comm.irecv(1, 9, std::span<double>(&v, 1)).wait();
+      comm.recv(1, 9, std::span<double>(&v, 1));
       got[0] = v;
     }
   });
@@ -613,7 +612,7 @@ TEST(Timeouts, SerialResyncIsANoOp) {
   mc::SerialComm comm;
   comm.resync();  // must not throw
   double v = 4.0;
-  comm.iallreduce(std::span<double>(&v, 1), mc::ReduceOp::kSum).wait();
+  comm.allreduce(std::span<double>(&v, 1), mc::ReduceOp::kSum);
   EXPECT_EQ(v, 4.0);
 }
 

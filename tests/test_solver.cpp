@@ -327,6 +327,57 @@ TEST(Solvers, WarmStartConvergesFaster) {
   EXPECT_LE(warm.iterations, opt.check_frequency);
 }
 
+// A caller that attests a fresh input halo saves the solve exactly one
+// exchange and changes no bit: the stale path exchanges x itself, the
+// fresh path trusts the caller's exchange of the same values.
+TEST(HaloFreshness, FreshInputSkipsExactlyOneExchange) {
+  auto p = make_problem(24, 16, 6, 1, /*periodic=*/false, /*seed=*/11);
+  mu::Field x0_global(24, 16, 0.0);
+  mu::Xoshiro256 rng(55);
+  for (double& v : x0_global) v = rng.uniform(-1, 1);
+  ms::SolverOptions opt;
+  opt.rel_tolerance = 1e-10;
+  opt.record_residuals = true;
+  ms::BatchedChronGearSolver solver(opt);
+
+  struct Run {
+    mu::Field x;
+    ms::SolveStats stats;
+    std::uint64_t halo_exchanges;
+  };
+  auto solve_with = [&](mc::HaloFreshness fresh) {
+    mc::SerialComm comm;
+    mc::HaloExchanger halo(*p.decomp);
+    ms::DistOperator a(*p.stencil, *p.decomp, 0);
+    ms::DiagonalPreconditioner m(a);
+    mc::DistField b(*p.decomp, 0), x(*p.decomp, 0);
+    b.load_global(p.b_global);
+    x.load_global(x0_global);
+    halo.exchange(comm, x);
+    const auto snapshot = comm.costs().counters();
+    Run run{mu::Field(24, 16, 0.0),
+            ms::solve_one(solver, comm, halo, a, m, b, x, fresh), 0};
+    x.store_global(run.x);
+    run.halo_exchanges = comm.costs().since(snapshot).halo_exchanges;
+    return run;
+  };
+
+  const Run stale = solve_with(mc::HaloFreshness::kStale);
+  const Run fresh = solve_with(mc::HaloFreshness::kFresh);
+  ASSERT_TRUE(stale.stats.converged);
+  EXPECT_EQ(stale.stats.converged, fresh.stats.converged);
+  EXPECT_EQ(stale.stats.iterations, fresh.stats.iterations);
+  EXPECT_EQ(stale.stats.relative_residual, fresh.stats.relative_residual);
+  // Recorded residuals: an empty history would compare vacuously.
+  ASSERT_FALSE(stale.stats.residual_history.empty());
+  EXPECT_EQ(stale.stats.residual_history, fresh.stats.residual_history);
+  for (int j = 0; j < 16; ++j)
+    for (int i = 0; i < 24; ++i)
+      ASSERT_EQ(stale.x(i, j), fresh.x(i, j)) << "at (" << i << ", " << j
+                                              << ")";
+  EXPECT_EQ(stale.halo_exchanges, fresh.halo_exchanges + 1);
+}
+
 TEST(Solvers, MultiRankMatchesSerial) {
   const int nranks = 4;
   auto p = make_problem(24, 16, 6, nranks);
