@@ -52,8 +52,8 @@ BarotropicMode::BarotropicMode(comm::Communicator& comm,
         cy_halo_.at(lb, i, j) = 0.5 * geo.hu(i, j) * geo.dxu(i, j);
       }
   }
-  halo.exchange(comm, cx_halo_);
-  halo.exchange(comm, cy_halo_);
+  comm::DistFieldBatch* const coefficients[2] = {&cx_halo_, &cy_halo_};
+  halo.exchange_group(comm, coefficients);
 }
 
 solver::SolveStats BarotropicMode::step(comm::Communicator& comm,
@@ -144,8 +144,8 @@ void BarotropicMode::step_begin(comm::Communicator& comm, double yearday) {
     }
   }
 
-  halo_->exchange(comm, ustar_);
-  halo_->exchange(comm, vstar_);
+  comm::DistFieldBatch* const predicted[2] = {&ustar_, &vstar_};
+  halo_->exchange_group(comm, predicted);
 
   // --- Elliptic right-hand side at cells --------------------------------
   // S(u)_cell = sum over the cell's 4 corners of (sgx cx u + sgy cy v),
@@ -235,8 +235,8 @@ void BarotropicMode::step_finish(comm::Communicator& comm,
   }
 
   // Leave all prognostic halos fresh (the tracer reads u/v halos).
-  halo_->exchange(comm, u_);
-  halo_->exchange(comm, v_);
+  comm::DistFieldBatch* const velocity[2] = {&u_, &v_};
+  halo_->exchange_group(comm, velocity);
 }
 
 }  // namespace minipop::model

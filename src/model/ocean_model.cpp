@@ -234,9 +234,9 @@ void OceanModel::load_state(comm::Communicator& comm, std::istream& is) {
   MINIPOP_REQUIRE(is.good(), "checkpoint read failed");
 
   // Restore the fresh-halo invariant the stepping relies on.
-  halo_->exchange(comm, barotropic_->eta());
-  halo_->exchange(comm, barotropic_->u());
-  halo_->exchange(comm, barotropic_->v());
+  comm::DistFieldBatch* const state[3] = {
+      &barotropic_->eta(), &barotropic_->u(), &barotropic_->v()};
+  halo_->exchange_group(comm, state);
 }
 
 }  // namespace minipop::model

@@ -107,7 +107,9 @@ void TemperatureTracer::step(comm::Communicator& comm,
       1.0 / (cfg_.restore_days * kSecondsPerDay);
   const double kappa_v = 1.0e-4;  // vertical mixing [m^2/s]
 
-  for (int k = 0; k < nz(); ++k) halo_->exchange(comm, levels_[k]);
+  std::vector<comm::DistFieldBatch*> levels;
+  for (auto& t : levels_) levels.push_back(&t);
+  halo_->exchange_group(comm, levels);
 
   for (int k = 0; k < nz(); ++k) {
     const double vp = velocity_profile(k);

@@ -149,6 +149,28 @@ TEST(OceanModel, MultiRankRunsAndAgreesApproximately) {
   });
 }
 
+// Outside the elliptic solve a model step makes five halo rounds: eta
+// before the predictor, {u*, v*}, eta after the solve, {u, v} and one
+// round for all tracer levels.
+TEST(OceanModel, StepMakesFiveHaloRoundsOutsideTheSolve) {
+  const auto check_step = [](mc::Communicator& comm, int nranks) {
+    mm::OceanModel model(comm, small_config(nranks));
+    const mc::CostCounters before = comm.costs().counters();
+    const auto stats = model.step(comm);
+    const mc::CostCounters step = comm.costs().since(before);
+    EXPECT_GT(stats.costs.halo_exchanges, 0u);
+    EXPECT_EQ(step.halo_exchanges - stats.costs.halo_exchanges, 5u);
+  };
+  {
+    SCOPED_TRACE("1 rank");
+    mc::SerialComm comm;
+    check_step(comm, 1);
+  }
+  SCOPED_TRACE("4 ranks");
+  mc::ThreadTeam team(4);
+  team.run([&](mc::Communicator& comm) { check_step(comm, 4); });
+}
+
 TEST(OceanModel, PcsiAndChronGearProduceConsistentOcean) {
   // Swapping the solver must not change the ocean beyond solver
   // tolerance over a short run — the premise of the paper's §6 analysis.
