@@ -78,7 +78,7 @@ class ThreadTeam {
   /// wait is split into `retries` attempts with exponentially growing
   /// slices (slice, 2*slice, 4*slice, ... summing to total_ms) — the
   /// retry/backoff ladder an MPI progress loop would use. Once one rank
-  /// times out the whole team is flagged: every blocked or newly posted
+  /// times out the whole team is flagged: every blocked or new
   /// operation on any rank throws CommTimeoutError until resync() runs
   /// collectively. total_ms <= 0 restores the default infinite wait.
   void set_recv_timeout(double total_ms, int retries = 4);
@@ -168,9 +168,9 @@ class ThreadTeam {
   std::unordered_map<ChannelKey, std::deque<Message>, ChannelKeyHash>
       mailboxes_;
 
-  // Reduction rounds routed by global call ordinal: per-rank post
-  // counters stay in sync because collectives are posted in the same
-  // order on every rank.
+  // Reduction rounds routed by global call ordinal: per-rank call
+  // counters stay in sync because every rank makes its collectives in
+  // the same order.
   std::unordered_map<std::uint64_t, std::shared_ptr<ReduceRound>>
       reduce_rounds_;
   std::vector<std::uint64_t> reduce_posts_;
