@@ -468,6 +468,42 @@ TEST(Halo, BytesSentAccounting) {
   }
 }
 
+// A message whose CRC trailer does not match its payload throws
+// CorruptPayloadError and counts exactly one failed integrity check:
+// the exchange verifies each received message once, also on the path
+// that throws.
+TEST(Halo, CrcMismatchCountsOneFailedCheck) {
+  mu::MaskArray mask(16, 8, 1);
+  mg::Decomposition d(16, 8, false, mask, 8, 8, 2);
+  mc::HaloExchanger hx(d);
+  hx.set_crc(true);
+  mc::ThreadTeam team(2);
+  bool caught = false;
+  team.run([&](mc::Communicator& comm) {
+    mc::DistField f(d, comm.rank());
+    if (comm.rank() == 0) {
+      try {
+        hx.exchange(comm, f);
+      } catch (const mc::CorruptPayloadError&) {
+        caught = true;
+      }
+      return;
+    }
+    // Rank 1 stands in for a corrupted wire: the message rank 0 expects
+    // (same size and tag) with a payload of ones and a zero trailer.
+    std::vector<double> msg(hx.bytes_sent_per_exchange(f) / sizeof(double),
+                            1.0);
+    msg.back() = 0.0;
+    const int tag =
+        comm.next_tag_epoch() * mc::Communicator::kTagEpochStride + 1;
+    comm.send(0, tag, std::span<const double>(msg));
+  });
+  EXPECT_TRUE(caught);
+  EXPECT_EQ(team.costs(0).integrity_checks, 1u);
+  EXPECT_EQ(team.costs(0).integrity_failures, 1u);
+  EXPECT_EQ(team.costs(0).halo_exchanges, 0u);
+}
+
 // Every exchange draws a fresh tag epoch, so 3x the epoch window wraps
 // the counter several times. Each exchange carries different interior
 // values: a message matched to the wrong exchange would leave a stale
