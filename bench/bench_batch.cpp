@@ -16,9 +16,17 @@
 //
 //   ./build/bench/bench_batch [output.json]
 //   ./build/bench/bench_batch --smoke   # CI: B=4 on 4 ranks, asserts
-//                                       # efficiency > 1 and identity
+//                                       # efficiency > 1 and identity;
+//                                       # block-EVP B=8, identity only
 //
-// A second table runs one batched solve through the composed decorator
+// A second table runs P-CSI with the block-EVP preconditioner on one
+// rank, B in {1, 2, 4, 8, 16}, with the same bitwise member check. Full
+// groups of 8 members run the EVP apply with members as lanes; the
+// others (B < 8) go one at a time through the tile packs, so their batch
+// efficiency sits near 1. `--smoke` runs it at B = 8 and gates on
+// identity only.
+//
+// A third table runs one batched solve through the composed decorator
 // stack (core + resilience) against the plain batch of the same
 // systems; the composition must be free: bitwise-identical members and
 // the same halo payload.
@@ -83,10 +91,12 @@ struct Case {
   }
 };
 
-solver::SolverConfig pcsi_config() {
+solver::SolverConfig pcsi_config(
+    solver::PreconditionerKind precond =
+        solver::PreconditionerKind::kDiagonal) {
   solver::SolverConfig cfg;
   cfg.solver = solver::SolverKind::kPcsi;
-  cfg.preconditioner = solver::PreconditionerKind::kDiagonal;
+  cfg.preconditioner = precond;
   cfg.options.rel_tolerance = 1e-10;
   cfg.resilient = false;
   cfg.lanczos.rel_tolerance = 0.02;
@@ -119,12 +129,13 @@ struct Row {
   double efficiency() const { return seq_seconds / batch_seconds; }
 };
 
-/// Run the B-vs-sequential comparison on `nranks` ranks. The body is
-/// executed by every rank; collectives keep the ranks in lockstep, so
-/// rank 0's wall-clock around a collective-bounded region times the
-/// team. Repeats take the best time; costs and identity come from the
-/// first repeat.
-Row run_case(const Case& c, int nranks, int batch, int repeats) {
+/// Run the B-vs-sequential comparison of `cfg` on `nranks` ranks. The
+/// body is executed by every rank; collectives keep the ranks in
+/// lockstep, so rank 0's wall-clock around a collective-bounded region
+/// times the team. Repeats take the best time; costs and identity come
+/// from the first repeat.
+Row run_case(const Case& c, const solver::SolverConfig& cfg, int nranks,
+             int batch, int repeats) {
   using clock = std::chrono::steady_clock;
   Row row;
   row.nranks = nranks;
@@ -142,7 +153,7 @@ Row run_case(const Case& c, int nranks, int batch, int repeats) {
   auto body = [&](comm::Communicator& comm) {
     const int r = comm.rank();
     solver::BarotropicSolver solver(comm, *c.halo, *c.grid, c.depth,
-                                    *c.stencil, *c.decomp, pcsi_config());
+                                    *c.stencil, *c.decomp, cfg);
     std::vector<comm::DistField> b, x;
     for (int m = 0; m < batch; ++m) {
       b.emplace_back(*c.decomp, r);
@@ -334,11 +345,7 @@ ComposedRow run_composed(const Case& c, int nranks, int batch,
   return row;
 }
 
-void write_json(const std::string& path, const std::vector<Row>& rows,
-                const std::vector<ComposedRow>& composed) {
-  std::ofstream os(path);
-  os << "{\n  \"bench\": \"batch\",\n  \"solver\": \"pcsi+diagonal\",\n"
-     << "  \"cases\": [\n";
+void write_rows(std::ofstream& os, const std::vector<Row>& rows) {
   for (std::size_t k = 0; k < rows.size(); ++k) {
     const Row& w = rows[k];
     char buf[768];
@@ -361,6 +368,18 @@ void write_json(const std::string& path, const std::vector<Row>& rows,
         w.allreduces_batch, k + 1 < rows.size() ? "," : "");
     os << buf;
   }
+}
+
+void write_json(const std::string& path, const std::vector<Row>& rows,
+                const std::vector<Row>& evp_rows,
+                const std::vector<ComposedRow>& composed) {
+  std::ofstream os(path);
+  os << "{\n  \"bench\": \"batch\",\n  \"solver\": \"pcsi+diagonal\",\n"
+     << "  \"cases\": [\n";
+  write_rows(os, rows);
+  os << "  ],\n  \"evp_solver\": \"pcsi+block-evp\",\n"
+     << "  \"evp_cases\": [\n";
+  write_rows(os, evp_rows);
   os << "  ],\n  \"composed\": [\n";
   for (std::size_t k = 0; k < composed.size(); ++k) {
     const ComposedRow& w = composed[k];
@@ -403,22 +422,40 @@ int main(int argc, char** argv) {
       smoke ? std::vector<int>{4} : std::vector<int>{1, 4};
   const int repeats = 3;
 
+  const auto print_row = [](const Row& w) {
+    std::printf("%6d %6d %12.3e %12.3e %9.2fx %9.1f %9.1f %9.1f %9s\n",
+                w.nranks, w.batch, w.seq_seconds / w.batch,
+                w.batch_seconds / w.batch, w.efficiency(),
+                w.halo_exchanges_batch, w.p2p_messages_batch,
+                w.allreduces_batch, w.identity_ok ? "ok" : "DIFFER");
+  };
+  const char* row_header = "%6s %6s %12s %12s %10s %9s %9s %9s %9s\n";
   std::vector<Row> rows;
-  std::printf(
-      "%6s %6s %12s %12s %10s %9s %9s %9s %9s\n", "nranks", "B",
-      "seq_s/sol", "bat_s/sol", "eff", "halo/sol", "msg/sol", "red/sol",
-      "bits");
+  std::printf(row_header, "nranks", "B", "seq_s/sol", "bat_s/sol", "eff",
+              "halo/sol", "msg/sol", "red/sol", "bits");
   for (const int nranks : rank_counts) {
     Case c(48, 40, 12, 10, nranks);
     for (const int batch : batches) {
-      rows.push_back(run_case(c, nranks, batch, repeats));
-      const Row& w = rows.back();
-      std::printf(
-          "%6d %6d %12.3e %12.3e %9.2fx %9.1f %9.1f %9.1f %9s\n",
-          w.nranks, w.batch, w.seq_seconds / w.batch,
-          w.batch_seconds / w.batch, w.efficiency(),
-          w.halo_exchanges_batch, w.p2p_messages_batch,
-          w.allreduces_batch, w.identity_ok ? "ok" : "DIFFER");
+      rows.push_back(run_case(c, pcsi_config(), nranks, batch, repeats));
+      print_row(rows.back());
+    }
+  }
+
+  // P-CSI + block-EVP on one rank: the EVP apply's lane choice follows
+  // the batch width (DESIGN.md §10).
+  const std::vector<int> evp_batches =
+      smoke ? std::vector<int>{8} : std::vector<int>{1, 2, 4, 8, 16};
+  std::vector<Row> evp_rows;
+  std::printf("\npcsi+block-evp\n");
+  std::printf(row_header, "nranks", "B", "seq_s/sol", "bat_s/sol", "eff",
+              "halo/sol", "msg/sol", "red/sol", "bits");
+  {
+    Case c(48, 40, 12, 10, 1);
+    for (const int batch : evp_batches) {
+      evp_rows.push_back(run_case(
+          c, pcsi_config(solver::PreconditionerKind::kBlockEvp), 1, batch,
+          repeats));
+      print_row(evp_rows.back());
     }
   }
 
@@ -441,7 +478,7 @@ int main(int argc, char** argv) {
                 w.converged ? "ok" : "DIVERGED");
   }
 
-  write_json(json_path, rows, composed);
+  write_json(json_path, rows, evp_rows, composed);
   std::printf("\nwrote %s\n", json_path.c_str());
 
   bool ok = true;
@@ -458,6 +495,13 @@ int main(int argc, char** argv) {
       ok = false;
     }
   }
+  for (const Row& w : evp_rows)
+    if (!w.identity_ok) {
+      std::printf("FAIL: batched block-EVP members differ from scalar "
+                  "(nranks=%d B=%d)\n",
+                  w.nranks, w.batch);
+      ok = false;
+    }
   for (const ComposedRow& w : composed) {
     if (!w.converged) {
       std::printf("FAIL: composed batched solve diverged (nranks=%d "

@@ -1,7 +1,8 @@
 // Kernel benchmark harness: times the hot-path kernels behind the
 // barotropic solvers (src/solver/kernels.*, at width 1 over the block's
 // land-span plan) against the seed's unfused Field-indexing loops, the
-// block-EVP preconditioner (one tile march and a full apply), plus
+// block-EVP preconditioner (one tile march, a full apply and the
+// per-member cost of an 8-member batch apply), plus
 // end-to-end ChronGear and P-CSI solves, on a representative masked
 // production block (the full 1-degree POP grid as one 320x384 tile).
 // Prints a table and writes BENCH_kernels.json — run it from the repo
@@ -346,14 +347,21 @@ int main(int argc, char** argv) {
   // Full block-EVP preconditioner application (gather + two marches +
   // LU guess correction + masked scatter per tile) with the default
   // options — 12x12 production tiles — through the width-1 apply_batch
-  // the solvers call. Traffic convention: two marches of 11 elements
-  // per point.
+  // the solvers call (tiles as lanes), and per member of an 8-member
+  // batch (members as lanes over each tile). Traffic convention: two
+  // marches of 11 elements per point.
   {
     evp::BlockEvpPreconditioner evp(op, *c.grid, c.depth);
     comm::DistFieldBatch bb(*c.decomp, 0, 1), rb(*c.decomp, 0, 1);
     bb.load_member(0, b);
     add("evp_apply", 2 * 11 * 8,
         time_best([&] { evp.apply_batch(comm, bb, rb); }));
+    constexpr int kMembers = 8;
+    comm::DistFieldBatch b8(*c.decomp, 0, kMembers),
+        r8(*c.decomp, 0, kMembers);
+    for (int m = 0; m < kMembers; ++m) b8.load_member(m, b);
+    add("evp_apply_batch8", 2 * 11 * 8,
+        time_best([&] { evp.apply_batch(comm, b8, r8); }) / kMembers);
   }
 
   const double sweep_speedup = unfused / fused;

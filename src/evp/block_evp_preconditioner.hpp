@@ -21,9 +21,20 @@
 // a strictly finer block-diagonal preconditioner with the same parallel
 // structure. Set max_tile = 0 to force whole-block tiles (the paper's
 // configuration at high core counts).
+//
+// Lanes: at set-up each tile is packed, as soon as it is built, into a
+// pack of up to lanes::kPackLanes tiles of its shape, and its
+// EvpTileSolver is released, so every coefficient is stored once. A pack
+// holds the nine coefficient planes, W's LU factors and pivots of its
+// tiles lane-fastest. The lane kernel (evp_lanes.hpp) then runs eight
+// independent marching chains in lockstep, each lane bitwise equal to a
+// width-1 EvpTileSolver::solve of its problem. A width-1 apply runs the
+// packs with tiles as lanes. A batch runs each full group of eight
+// members as lanes over one tile, sharing that tile's coefficients, and
+// the nb mod 8 remaining members one at a time through the tile packs.
 #pragma once
 
-#include <memory>
+#include <cstdint>
 #include <vector>
 
 #include "src/evp/evp_solver.hpp"
@@ -58,10 +69,12 @@ class BlockEvpPreconditioner final : public solver::Preconditioner {
                          const util::Field& depth,
                          const BlockEvpOptions& options = {});
 
-  /// Each tile is gathered straight from the batch planes (member
-  /// stride nb), solved and scattered back member by member, each
-  /// member's operations in the same order as a width-1 apply. Block-
-  /// local and communication-free.
+  /// Tiles are gathered straight from the batch planes (member stride
+  /// nb) into the lane scratch, solved eight lanes at a time and
+  /// scattered back under the mask: full groups of eight members as
+  /// lanes over each tile, the other members one at a time with tiles
+  /// as lanes. Every member's bits equal a width-1 apply. Block-local
+  /// and communication-free.
   void apply_batch(comm::Communicator& comm, const comm::DistFieldBatch& in,
                    comm::DistFieldBatch& out) override;
 
@@ -70,29 +83,68 @@ class BlockEvpPreconditioner final : public solver::Preconditioner {
   }
 
   const BlockEvpOptions& options() const { return options_; }
-  int num_tiles() const { return static_cast<int>(tiles_.size()); }
+  int num_tiles() const { return num_tiles_; }
+  /// Where a tile sits: its local block and its window of that block's
+  /// interior.
+  struct TileWindow {
+    int local_block, i0, j0, nx, ny;
+  };
+  /// Every tile's window, in pack and lane order.
+  std::vector<TileWindow> tile_windows() const;
   /// Tiles that failed the marching accuracy self-check and were split
   /// (strong local anisotropy); purely informational.
   int subdivided_tiles() const { return subdivided_tiles_; }
   /// Tiles actually using the simplified (edge-dropping) marching — the
   /// per-tile anisotropy guard may veto the request.
-  int simplified_tiles() const;
+  int simplified_tiles() const { return simplified_tiles_; }
 
   /// Total preprocessing flops across this rank's tiles (paper §4.3
   /// discusses the low setup cost; bench_fig06 reports it).
   std::uint64_t setup_flops() const { return setup_flops_; }
 
  private:
+  /// Placement of one packed tile: lane l of a pack is tiles[l].
   struct Tile {
-    int local_block;
-    std::unique_ptr<EvpTileSolver> solver;
+    int local_block, i0, j0;
   };
+  /// Up to kPackLanes tiles of one shape, their operands lane-fastest
+  /// (evp_lanes.hpp). Unused lanes hold cne = 1, LU = I and the identity
+  /// permutation, so they solve a zero right-hand side to zero.
+  struct Pack {
+    int nx, ny;
+    std::vector<Tile> tiles;
+    std::vector<double> coeff;  ///< 9 planes of nx * ny * kPackLanes
+    std::vector<double> lu;     ///< k * k * kPackLanes
+    std::vector<int> perm;      ///< k * kPackLanes
+    /// Operands at pitch kPackLanes. Read with lane step 1, lane l sees
+    /// tile l; offset to `lane` and read with step 0, every lane sees
+    /// that lane's tile.
+    lanes::TileOperands operands(int lane = 0) const {
+      return {nx, ny, coeff.data() + lane, lu.data() + lane,
+              perm.data() + lane};
+    }
+  };
+
+  void pack(int local_block, const EvpTileSolver& tile);
+  /// Member m of the batch through every pack, tiles as lanes.
+  void apply_tile_lanes(const comm::DistFieldBatch& in,
+                        comm::DistFieldBatch& out, int m);
+  /// Members m0 .. m0 + kPackLanes - 1 as lanes over each tile.
+  void apply_member_lanes(const comm::DistFieldBatch& in,
+                          comm::DistFieldBatch& out, int m0);
 
   const solver::DistOperator* op_;
   BlockEvpOptions options_;
-  std::vector<Tile> tiles_;
+  std::vector<Pack> packs_;
+  int num_tiles_ = 0;
+  int simplified_tiles_ = 0;
+  /// Sum of the tiles' solve_flops(): an apply counts it per member.
+  std::uint64_t solve_flops_ = 0;
   std::uint64_t setup_flops_ = 0;
   int subdivided_tiles_ = 0;
+  /// Lane scratch sized for the largest pack: right-hand sides, padded
+  /// solutions, f-set residuals and guess corrections.
+  std::vector<double> y_, x_, f_, g_;
 };
 
 }  // namespace minipop::evp

@@ -1,7 +1,9 @@
 #include "src/evp/evp_solver.hpp"
 
+#include <algorithm>
 #include <cmath>
 
+#include "src/linalg/dense.hpp"
 #include "src/util/error.hpp"
 
 namespace minipop::evp {
@@ -47,43 +49,57 @@ EvpTileSolver::EvpTileSolver(
       simplified_ = false;
   }
 
-  // Copy coefficients, zero-padded by one ring.
+  // Copy the tile's coefficients.
+  const std::size_t cells = static_cast<std::size_t>(nx) * ny;
+  coeff_.assign(grid::kNumDirs * cells, 0.0);
   for (int d = 0; d < grid::kNumDirs; ++d) {
-    coeff_[d] = util::Field(nx + 2, ny + 2, 0.0);
     const bool is_edge = (d == D(Dir::kEast) || d == D(Dir::kWest) ||
                           d == D(Dir::kNorth) || d == D(Dir::kSouth));
     if (simplified_ && is_edge) continue;  // paper §4.3 variant
     for (int j = 0; j < ny; ++j)
       for (int i = 0; i < nx; ++i)
-        coeff_[d](i + 1, j + 1) = block_coeff[d](i0 + i, j0 + j);
+        coeff_[d * cells + static_cast<std::size_t>(j) * nx + i] =
+            block_coeff[d](i0 + i, j0 + j);
   }
 
   // Marching pivot must be nonzero wherever an equation is consumed.
+  const double* cne = coeff_.data() + D(Dir::kNorthEast) * cells;
   for (int j = 0; j + 1 < ny; ++j)
     for (int i = 0; i + 1 < nx; ++i)
-      MINIPOP_REQUIRE(coeff_[D(Dir::kNorthEast)](i + 1, j + 1) != 0.0,
+      MINIPOP_REQUIRE(cne[static_cast<std::size_t>(j) * nx + i] != 0.0,
                       "zero NE pivot at tile cell (" << i << "," << j
                       << ") — EVP needs a regularized (land-free) operator");
 
   // Preprocessing: influence matrix W by marching unit guesses with zero
   // right-hand side, then its LU factorization (Algorithm 3, steps 1-8).
-  const util::Field zero_y(nx, ny, 0.0);
+  // Each march runs kPackLanes columns as lanes that share the tile's
+  // coefficients; a column's operations are those of a width-1 march.
+  constexpr int L = lanes::kPackLanes;
+  const lanes::TileOperands ops = operands();
+  const std::vector<double> zero_y(cells * L, 0.0);
+  std::vector<double> x(lanes::padded_cells(nx, ny) * L);
+  std::vector<double> f(static_cast<std::size_t>(k_) * L);
+  const std::ptrdiff_t row = static_cast<std::ptrdiff_t>(nx + 2) * L;
   linalg::DenseMatrix w(k_, k_);
-  util::Field x(nx, ny);
-  std::vector<double> f(k_);
-  for (int m = 0; m < k_; ++m) {
-    x.fill(0.0);
-    if (m < nx)
-      x(m, 0) = 1.0;
-    else
-      x(0, m - nx + 1) = 1.0;
-    march(zero_y, x);
-    residual_at_f(x, zero_y, f);
-    for (int r = 0; r < k_; ++r) w(r, m) = f[r];
+  for (int m0 = 0; m0 < k_; m0 += L) {
+    std::fill(x.begin(), x.end(), 0.0);
+    for (int l = 0; l < L && m0 + l < k_; ++l) {
+      const int m = m0 + l;  // unit guess at guess cell m
+      x[(m < nx ? row + static_cast<std::ptrdiff_t>(m + 1) * L
+                : (m - nx + 2) * row + L) +
+        l] = 1.0;
+    }
+    lanes::march<L, 1, 0>(ops, zero_y, x);
+    lanes::residual_f<L, 1, 0>(ops, x, zero_y, f);
+    for (int l = 0; l < L && m0 + l < k_; ++l)
+      for (int r = 0; r < k_; ++r) w(r, m0 + l) = f[r * L + l];
   }
-  w_lu_ = std::make_unique<linalg::LuFactorization>(std::move(w));
-  f_.resize(k_);
-  g_.resize(k_);
+  const linalg::LuFactorization w_lu(std::move(w));
+  lu_.resize(static_cast<std::size_t>(k_) * k_);
+  for (int r = 0; r < k_; ++r)
+    for (int c = 0; c < k_; ++c)
+      lu_[static_cast<std::size_t>(r) * k_ + c] = w_lu.factors()(r, c);
+  perm_ = w_lu.permutation();
 
   const std::uint64_t pts = static_cast<std::uint64_t>(nx) * ny;
   const std::uint64_t march_ops = (simplified_ ? 5u : 9u) * pts;
@@ -116,74 +132,34 @@ EvpTileSolver::EvpTileSolver(
   }
 }
 
-void EvpTileSolver::march(const util::Field& y, util::Field& x) const {
-  // The guess cells (south row, west column) of x are inputs; everything
-  // else is overwritten by the Eq. 4 recurrence.
-  const auto& cc = coeff_[D(Dir::kCenter)];
-  const auto& ce = coeff_[D(Dir::kEast)];
-  const auto& cw = coeff_[D(Dir::kWest)];
-  const auto& cn = coeff_[D(Dir::kNorth)];
-  const auto& cs = coeff_[D(Dir::kSouth)];
-  const auto& cne = coeff_[D(Dir::kNorthEast)];
-  const auto& cnw = coeff_[D(Dir::kNorthWest)];
-  const auto& cse = coeff_[D(Dir::kSouthEast)];
-  const auto& csw = coeff_[D(Dir::kSouthWest)];
+namespace {
 
-  // X(a, b): tile value with zero Dirichlet outside.
-  auto X = [&](int a, int b) -> double {
-    return (a >= 0 && a < nx_ && b >= 0 && b < ny_) ? x(a, b) : 0.0;
-  };
-  // Checked form of the recurrence, for cells whose 3x3 read window can
-  // leave the tile (the first marching row and column).
-  auto step_checked = [&](int a, int b) {
-    const int ea = a - 1;
-    const int eb = b - 1;
-    const int I = ea + 1;  // padded coefficient coordinates
-    const int J = eb + 1;
-    const double sum =
-        cc(I, J) * X(ea, eb) + ce(I, J) * X(ea + 1, eb) +
-        cw(I, J) * X(ea - 1, eb) + cn(I, J) * X(ea, eb + 1) +
-        cs(I, J) * X(ea, eb - 1) + cnw(I, J) * X(ea - 1, eb + 1) +
-        cse(I, J) * X(ea + 1, eb - 1) + csw(I, J) * X(ea - 1, eb - 1);
-    x(a, b) = (y(ea, eb) - sum) / cne(I, J);
-  };
+/// Copy a tile field into (or out of) the interior of a width-1 padded
+/// lane array.
+void to_padded(const util::Field& in, std::vector<double>& out) {
+  const int nx = in.nx();
+  for (int j = 0; j < in.ny(); ++j)
+    std::copy_n(in.data() + static_cast<std::ptrdiff_t>(j) * nx, nx,
+                out.data() + static_cast<std::ptrdiff_t>(j + 1) * (nx + 2) +
+                    1);
+}
+void from_padded(const std::vector<double>& in, util::Field& out) {
+  const int nx = out.nx();
+  for (int j = 0; j < out.ny(); ++j)
+    std::copy_n(in.data() + static_cast<std::ptrdiff_t>(j + 1) * (nx + 2) + 1,
+                nx, out.data() + static_cast<std::ptrdiff_t>(j) * nx);
+}
 
-  // The recurrence at (a, b) reads x(a-2..a, b-2..b): once a, b >= 2
-  // every access is in-bounds, so the zero-Dirichlet checks and the
-  // per-access index arithmetic are dead weight on the (serial)
-  // dependent chain. Peel the checked boundary and hoist row pointers;
-  // the expression and FP order are identical to the checked form, so
-  // results are bit-for-bit unchanged.
-  const std::ptrdiff_t cp = cc.nx();  // padded coefficient pitch
-  for (int b = 1; b < ny_; ++b) {
-    if (b == 1 || nx_ == 1) {  // 1-wide tiles have no interior column
-      for (int a = 1; a < nx_; ++a) step_checked(a, b);
-      continue;
-    }
-    step_checked(1, b);
-    const std::ptrdiff_t J = b;  // = eb + 1
-    const double* ccJ = cc.data() + J * cp;
-    const double* ceJ = ce.data() + J * cp;
-    const double* cwJ = cw.data() + J * cp;
-    const double* cnJ = cn.data() + J * cp;
-    const double* csJ = cs.data() + J * cp;
-    const double* cneJ = cne.data() + J * cp;
-    const double* cnwJ = cnw.data() + J * cp;
-    const double* cseJ = cse.data() + J * cp;
-    const double* cswJ = csw.data() + J * cp;
-    const double* yb = y.data() + static_cast<std::ptrdiff_t>(b - 1) * nx_;
-    double* xb = x.data() + static_cast<std::ptrdiff_t>(b) * nx_;
-    const double* xb1 = xb - nx_;      // e-row eb (= tile row b - 1)
-    const double* xb2 = xb - 2 * nx_;  // tile row b - 2
-    for (int a = 2; a < nx_; ++a) {
-      const int ea = a - 1;
-      const double sum =
-          ccJ[a] * xb1[ea] + ceJ[a] * xb1[ea + 1] + cwJ[a] * xb1[ea - 1] +
-          cnJ[a] * xb[ea] + csJ[a] * xb2[ea] + cnwJ[a] * xb[ea - 1] +
-          cseJ[a] * xb2[ea + 1] + cswJ[a] * xb2[ea - 1];
-      xb[a] = (yb[ea] - sum) / cneJ[a];
-    }
-  }
+}  // namespace
+
+void EvpTileSolver::march_sweep(const util::Field& y, util::Field& x) const {
+  MINIPOP_REQUIRE(y.nx() == nx_ && y.ny() == ny_ && x.nx() == nx_ &&
+                      x.ny() == ny_,
+                  "tile shape mismatch");
+  std::vector<double> xp(lanes::padded_cells(nx_, ny_), 0.0);
+  to_padded(x, xp);
+  lanes::march<1, 1, 0>(operands(), y.flat(), xp);
+  from_padded(xp, x);
 }
 
 void EvpTileSolver::apply_operator(const util::Field& in,
@@ -193,52 +169,26 @@ void EvpTileSolver::apply_operator(const util::Field& in,
   auto X = [&](int a, int b) -> double {
     return (a >= 0 && a < nx_ && b >= 0 && b < ny_) ? in(a, b) : 0.0;
   };
+  const std::size_t cells = static_cast<std::size_t>(nx_) * ny_;
   for (int b = 0; b < ny_; ++b)
     for (int a = 0; a < nx_; ++a) {
       double acc = 0.0;
       for (int d = 0; d < grid::kNumDirs; ++d) {
         const auto [di, dj] = grid::kDirOffset[d];
-        acc += coeff_[d](a + 1, b + 1) * X(a + di, b + dj);
+        acc += coeff_[d * cells + static_cast<std::size_t>(b) * nx_ + a] *
+               X(a + di, b + dj);
       }
       out(a, b) = acc;
     }
 }
 
-void EvpTileSolver::residual_at_f(const util::Field& x, const util::Field& y,
-                                  std::vector<double>& f) const {
-  f.resize(k_);
-  auto X = [&](int a, int b) -> double {
-    return (a >= 0 && a < nx_ && b >= 0 && b < ny_) ? x(a, b) : 0.0;
-  };
-  auto row_residual = [&](int a, int b) -> double {
-    double acc = -y(a, b);
-    for (int d = 0; d < grid::kNumDirs; ++d) {
-      const auto [di, dj] = grid::kDirOffset[d];
-      acc += coeff_[d](a + 1, b + 1) * X(a + di, b + dj);
-    }
-    return acc;
-  };
-  for (int a = 0; a < nx_; ++a) f[a] = row_residual(a, ny_ - 1);
-  for (int b = 0; b + 1 < ny_; ++b) f[nx_ + b] = row_residual(nx_ - 1, b);
-}
-
 void EvpTileSolver::solve(const util::Field& y, util::Field& x) const {
   MINIPOP_REQUIRE(y.nx() == nx_ && y.ny() == ny_, "tile rhs shape mismatch");
   if (x.nx() != nx_ || x.ny() != ny_) x = util::Field(nx_, ny_);
-
-  // Algorithm 3, solving phase: march with zero guess, correct the guess
-  // by -W^{-1} F, march again.
-  x.fill(0.0);
-  march(y, x);
-  residual_at_f(x, y, f_);
-  w_lu_->solve_into(f_.data(), g_.data());
-  for (int m = 0; m < k_; ++m) {
-    if (m < nx_)
-      x(m, 0) = -g_[m];
-    else
-      x(0, m - nx_ + 1) = -g_[m];
-  }
-  march(y, x);
+  std::vector<double> xp(lanes::padded_cells(nx_, ny_));
+  std::vector<double> f(k_), g(k_);
+  lanes::solve<1, 1, 0>(operands(), y.flat(), xp, f, g);
+  from_padded(xp, x);
 }
 
 std::uint64_t EvpTileSolver::solve_flops() const {

@@ -23,16 +23,22 @@
 //
 // The simplified variant drops the E/W/N/S coefficients, which for POP's
 // B-grid operator are an order of magnitude below the corner ones
-// (§4.3); this halves the marching cost with little convergence impact.
+// (§4.3). In the paper's count a solve then costs 14 instead of 22 flops
+// per point, with little convergence impact. The march still multiplies
+// the zeroed coefficients, so a simplified 12 x 12 tile solves only ~4%
+// faster here.
+//
+// The solve, the march and the unit-guess columns of W all run the lane
+// kernel of evp_lanes.hpp: solve() and march_sweep() at width 1, W eight
+// columns per march.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
+#include "src/evp/evp_lanes.hpp"
 #include "src/grid/stencil.hpp"
-#include "src/linalg/dense.hpp"
 #include "src/util/array2d.hpp"
 
 namespace minipop::evp {
@@ -82,9 +88,7 @@ class EvpTileSolver {
   /// cells of x as input — the hot kernel inside solve(), exposed for
   /// kernel benchmarks (bench_kernels) and stability studies. x must
   /// be nx x ny with the south row / west column holding the guess.
-  void march_sweep(const util::Field& y, util::Field& x) const {
-    march(y, x);
-  }
+  void march_sweep(const util::Field& y, util::Field& x) const;
 
   /// Flops of one solve in the paper's counting (22 per point full,
   /// 14 per point simplified).
@@ -101,21 +105,21 @@ class EvpTileSolver {
   /// paper's 1e-8-at-12x12 round-off figure is observable here).
   double measured_accuracy() const { return measured_accuracy_; }
 
- private:
-  void march(const util::Field& y, util::Field& x) const;
-  void residual_at_f(const util::Field& x, const util::Field& y,
-                     std::vector<double>& f) const;
+  /// The tile's coefficients, W's LU factors and pivots in the lane
+  /// kernel's width-1 layout (BlockEvpPreconditioner packs them).
+  lanes::TileOperands operands() const {
+    return {nx_, ny_, coeff_.data(), lu_.data(), perm_.data()};
+  }
 
+ private:
   int i0_, j0_, nx_, ny_, k_;
   bool simplified_;
-  /// Tile-local coefficients, zero-padded by one ring: coeff_[d] has
-  /// shape (nx+2) x (ny+2) with the tile at offset (1, 1).
-  std::array<util::Field, grid::kNumDirs> coeff_;
-  std::unique_ptr<linalg::LuFactorization> w_lu_;
-  /// Scratch for the guess correction (residuals F and correction g) —
-  /// solve() runs thousands of times per preconditioner sweep and must
-  /// not allocate.
-  mutable std::vector<double> f_, g_;
+  /// Nine tile-local coefficient planes of nx * ny entries (grid::Dir
+  /// order); the simplified variant's edge planes stay zero.
+  std::vector<double> coeff_;
+  /// LU factors of W (k x k, row-major) and their row permutation.
+  std::vector<double> lu_;
+  std::vector<int> perm_;
   std::uint64_t setup_flops_ = 0;
   double measured_accuracy_ = 0.0;
 };

@@ -108,13 +108,8 @@ LuFactorization::LuFactorization(DenseMatrix a)
 std::vector<double> LuFactorization::solve(const std::vector<double>& b) const {
   MINIPOP_REQUIRE(static_cast<int>(b.size()) == n_,
                   "solve: b.size()=" << b.size() << " n=" << n_);
-  std::vector<double> x(n_);
-  solve_into(b.data(), x.data());
-  return x;
-}
-
-void LuFactorization::solve_into(const double* b, double* x) const {
   // Apply permutation, then forward substitution with unit lower factor.
+  std::vector<double> x(n_);
   for (int r = 0; r < n_; ++r) x[r] = b[perm_[r]];
   for (int r = 1; r < n_; ++r) {
     double acc = x[r];
@@ -127,6 +122,7 @@ void LuFactorization::solve_into(const double* b, double* x) const {
     for (int c = r + 1; c < n_; ++c) acc -= lu_(r, c) * x[c];
     x[r] = acc / lu_(r, r);
   }
+  return x;
 }
 
 DenseMatrix LuFactorization::inverse() const {

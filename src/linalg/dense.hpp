@@ -2,8 +2,9 @@
 // LU factorization with partial pivoting, solve and explicit inverse.
 //
 // Used by the EVP preconditioner for the influence-coefficient matrix W
-// (size 2n-5 for an n×n block, so ≲ 50×50 in practice) and by tests as a
-// reference solver for the assembled stencil operator on small grids.
+// (size nx + ny - 1 for an nx × ny tile: 23 for a 12 × 12 tile) and by
+// tests as a reference solver for the assembled stencil operator on small
+// grids.
 #pragma once
 
 #include <cstddef>
@@ -59,10 +60,11 @@ class LuFactorization {
   /// Solve A x = b.
   std::vector<double> solve(const std::vector<double>& b) const;
 
-  /// Allocation-free solve: x = A^-1 b, both length size(). b and x may
-  /// not alias. For hot callers (EVP tile corrections) that solve the
-  /// same small system thousands of times per sweep.
-  void solve_into(const double* b, double* x) const;
+  /// The packed factors: the unit lower factor L below the diagonal and
+  /// U on and above it, so that P A = L U.
+  const DenseMatrix& factors() const { return lu_; }
+  /// Row permutation P: row r of P A is row permutation()[r] of A.
+  const std::vector<int>& permutation() const { return perm_; }
 
   /// Explicit inverse (n solves against unit vectors).
   DenseMatrix inverse() const;

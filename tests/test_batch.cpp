@@ -74,10 +74,12 @@ struct Problem {
   }
 };
 
-ms::SolverConfig batch_config(ms::SolverKind kind) {
+ms::SolverConfig batch_config(
+    ms::SolverKind kind,
+    ms::PreconditionerKind precond = ms::PreconditionerKind::kDiagonal) {
   ms::SolverConfig cfg;
   cfg.solver = kind;
-  cfg.preconditioner = ms::PreconditionerKind::kDiagonal;
+  cfg.preconditioner = precond;
   cfg.options.rel_tolerance = 1e-12;
   cfg.resilient = false;
   cfg.lanczos.rel_tolerance = 0.02;
@@ -266,14 +268,16 @@ TEST(BatchDots, MatchScalarDotsBitwise) {
 class BatchedSolveIdentityTest
     : public ::testing::TestWithParam<std::tuple<ms::SolverKind, int>> {};
 
+namespace {
+
 // B=1 batched solves and every member of a B=4 batched solve must be
 // bit-identical to BarotropicSolver::solve: same iteration counts, same
 // relative residuals, same solution bits — serial and on 4 ThreadComm
 // ranks. (tests/test_golden_pins.cpp pins solve() itself against the
 // retired scalar solvers.) The batch also has to aggregate: far fewer
 // halo rounds and reductions than the 4 sequential solves.
-TEST_P(BatchedSolveIdentityTest, MembersMatchScalarSolveBitwise) {
-  const auto [kind, nranks] = GetParam();
+void expect_batch_members_match_scalar(ms::SolverKind kind, int nranks,
+                                       ms::PreconditionerKind precond) {
   Problem p;
   const int nb = 4;
   const auto& decomp = (nranks == 1) ? *p.decomp : *p.decomp4;
@@ -296,7 +300,7 @@ TEST_P(BatchedSolveIdentityTest, MembersMatchScalarSolveBitwise) {
   auto body = [&](mc::Communicator& comm) {
     const int r = comm.rank();
     ms::BarotropicSolver solver(comm, halo, *p.grid, p.depth, *p.stencil,
-                                decomp, batch_config(kind));
+                                decomp, batch_config(kind, precond));
 
     // Scalar references.
     auto snap = comm.costs().counters();
@@ -377,6 +381,23 @@ TEST_P(BatchedSolveIdentityTest, MembersMatchScalarSolveBitwise) {
     EXPECT_LT(2 * batch_costs[r].allreduces, scalar_costs[r].allreduces)
         << "rank " << r;
   }
+}
+
+}  // namespace
+
+TEST_P(BatchedSolveIdentityTest, MembersMatchScalarSolveBitwise) {
+  const auto [kind, nranks] = GetParam();
+  expect_batch_members_match_scalar(kind, nranks,
+                                    ms::PreconditionerKind::kDiagonal);
+}
+
+// The same contract under block-EVP: at B = 4 each member's apply runs
+// through the tile packs (the lane kernel, tiles as lanes) and must
+// keep the bits of the member's own width-1 apply.
+TEST_P(BatchedSolveIdentityTest, BlockEvpMembersMatchScalarSolveBitwise) {
+  const auto [kind, nranks] = GetParam();
+  expect_batch_members_match_scalar(kind, nranks,
+                                    ms::PreconditionerKind::kBlockEvp);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <map>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "src/comm/serial_comm.hpp"
 #include "src/comm/thread_comm.hpp"
@@ -365,6 +370,101 @@ TEST(BlockEvp, ReducesChronGearIterationsVsDiagonal) {
   x2.store_global(xb);
   for (int j = 0; j < 36; ++j)
     for (int i = 0; i < 40; ++i) EXPECT_NEAR(xa(i, j), xb(i, j), 1e-5);
+}
+
+TEST(BlockEvp, LaneApplyMatchesTileSolveBitwise) {
+  // 49 x 27 cells in 12 x 20 blocks: four 12-wide block columns and a
+  // 1-wide one, block rows 20 and 7 high. Whole-block tiles (max_tile
+  // = 0) at a 3e-8 accuracy gate split every 12 x 20 tile in two (and
+  // nothing else), so the tiles come in four shapes — eight 12 x 10
+  // (subdivided: one full pack), four 12 x 7, one 1 x 20 and one 1 x 7
+  // (partial packs). A random depth with land gives every tile its own
+  // coefficients, so a lane that read another lane's tile would change
+  // its bits. Batch widths 1, 2, 8, 9 and 16 cover tile lanes, member
+  // lanes and both together.
+  const int nx = 49, ny = 27;
+  auto g = uniform_grid(nx, ny);
+  mu::Xoshiro256 rng(31);
+  mu::Field depth(nx, ny);
+  for (int j = 0; j < ny; ++j)
+    for (int i = 0; i < nx; ++i) depth(i, j) = rng.uniform(1500.0, 4500.0);
+  depth(5, 5) = depth(30, 21) = depth(48, 3) = 0.0;  // land, masked out
+  mg::NinePointStencil st(g, depth, kPhi);
+  mg::Decomposition d(nx, ny, false, st.mask(), 12, 20, 1);
+  ms::DistOperator op(st, d, 0);
+  me::BlockEvpOptions opt;
+  opt.max_tile = 0;
+  opt.tile_accuracy = 3e-8;
+  me::BlockEvpPreconditioner m(op, g, depth, opt);
+
+  const auto windows = m.tile_windows();
+  ASSERT_EQ(static_cast<int>(windows.size()), m.num_tiles());
+  EXPECT_GT(m.subdivided_tiles(), 0);
+  std::map<std::pair<int, int>, int> shapes;
+  for (const auto& w : windows) ++shapes[{w.nx, w.ny}];
+  EXPECT_EQ(shapes, (std::map<std::pair<int, int>, int>{
+                        {{12, 10}, 8}, {{12, 7}, 4}, {{1, 20}, 1},
+                        {{1, 7}, 1}}));
+
+  // Width-1 reference tiles on the same regularized coefficients.
+  const mu::Field reg_depth =
+      me::regularize_land_depth(depth, opt.land_epsilon);
+  const mg::NinePointStencil reg(g, reg_depth, op.phi());
+  me::EvpOptions topt;
+  topt.simplified = opt.simplified;
+  topt.validate_accuracy = opt.tile_accuracy;
+  std::vector<me::EvpTileSolver> tiles;
+  std::uint64_t solve_flops = 0;
+  for (const auto& w : windows) {
+    const auto& b = d.block(d.blocks_of_rank(0)[w.local_block]);
+    std::array<mu::Field, mg::kNumDirs> coeff;
+    for (int dir = 0; dir < mg::kNumDirs; ++dir) {
+      coeff[dir] = mu::Field(b.nx, b.ny);
+      for (int j = 0; j < b.ny; ++j)
+        for (int i = 0; i < b.nx; ++i)
+          coeff[dir](i, j) =
+              reg.coeff(static_cast<mg::Dir>(dir))(b.i0 + i, b.j0 + j);
+    }
+    tiles.emplace_back(coeff, w.i0, w.j0, w.nx, w.ny, topt);
+    solve_flops += tiles.back().solve_flops();
+  }
+
+  auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  mc::SerialComm comm;
+  for (const int nb : {1, 2, 8, 9, 16}) {
+    // Halo 1: the 1-wide blocks cannot hold the default halo of 2.
+    mc::DistFieldBatch in(d, 0, nb, 1), out(d, 0, nb, 1);
+    for (int lb = 0; lb < in.num_local_blocks(); ++lb)
+      for (int j = 0; j < in.info(lb).ny; ++j)
+        for (int i = 0; i < in.info(lb).nx; ++i)
+          for (int q = 0; q < nb; ++q) in.at(lb, i, j, q) = rng.uniform(-1, 1);
+    const auto before = comm.costs().counters();
+    m.apply_batch(comm, in, out);
+    EXPECT_EQ(comm.costs().since(before).flops, solve_flops * nb);
+
+    mu::Field y, x;
+    int differ = 0;
+    for (std::size_t t = 0; t < windows.size(); ++t) {
+      const auto& w = windows[t];
+      const auto& mask = op.block_mask(w.local_block);
+      y = mu::Field(w.nx, w.ny);
+      for (int q = 0; q < nb; ++q) {
+        for (int j = 0; j < w.ny; ++j)
+          for (int i = 0; i < w.nx; ++i)
+            y(i, j) = in.at(w.local_block, w.i0 + i, w.j0 + j, q);
+        tiles[t].solve(y, x);
+        for (int j = 0; j < w.ny; ++j)
+          for (int i = 0; i < w.nx; ++i) {
+            const double want =
+                mask(w.i0 + i, w.j0 + j) ? x(i, j) : 0.0;
+            if (bits(out.at(w.local_block, w.i0 + i, w.j0 + j, q)) !=
+                bits(want))
+              ++differ;
+          }
+      }
+    }
+    EXPECT_EQ(differ, 0) << "nb = " << nb;
+  }
 }
 
 TEST(BarotropicSolver, AllConfigurationsConverge) {
