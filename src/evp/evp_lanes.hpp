@@ -67,6 +67,15 @@ const double* plane(const TileOperands& t, grid::Dir d) {
 
 }  // namespace detail
 
+/// Offset in x of lane 0 of guess cell m: cell (m, 0) along the south
+/// row for m < nx, then (0, m - nx + 1) up the west column.
+template <int L>
+std::ptrdiff_t guess_offset(int nx, int m) {
+  const std::ptrdiff_t row = static_cast<std::ptrdiff_t>(nx + 2) * L;
+  return m < nx ? row + static_cast<std::ptrdiff_t>(m + 1) * L
+                : (m - nx + 2) * row + L;
+}
+
 /// Zero the guess cells (south row, west column) and the ring of x: the
 /// state a solve starts from. Other cells are written before they are
 /// read, so stale values from an earlier call do not matter.
@@ -226,13 +235,8 @@ void solve(const TileOperands& t, std::span<const double> y,
   march<L, P, S>(t, y, x);
   residual_f<L, P, S>(t, x, y, f);
   lu_solve<L, P, S>(t, f, g);
-  const std::ptrdiff_t row = static_cast<std::ptrdiff_t>(nx + 2) * L;
   for (int m = 0; m < t.k(); ++m) {
-    // Guess cell m: (m, 0) on the south row, then (0, m - nx + 1) up
-    // the west column.
-    const std::ptrdiff_t e =
-        m < nx ? row + static_cast<std::ptrdiff_t>(m + 1) * L
-               : (m - nx + 2) * row + L;
+    const std::ptrdiff_t e = guess_offset<L>(nx, m);
     for (int l = 0; l < L; ++l) x[e + l] = -g[m * L + l];
   }
   march<L, P, S>(t, y, x);

@@ -79,16 +79,11 @@ EvpTileSolver::EvpTileSolver(
   const std::vector<double> zero_y(cells * L, 0.0);
   std::vector<double> x(lanes::padded_cells(nx, ny) * L);
   std::vector<double> f(static_cast<std::size_t>(k_) * L);
-  const std::ptrdiff_t row = static_cast<std::ptrdiff_t>(nx + 2) * L;
   linalg::DenseMatrix w(k_, k_);
   for (int m0 = 0; m0 < k_; m0 += L) {
     std::fill(x.begin(), x.end(), 0.0);
-    for (int l = 0; l < L && m0 + l < k_; ++l) {
-      const int m = m0 + l;  // unit guess at guess cell m
-      x[(m < nx ? row + static_cast<std::ptrdiff_t>(m + 1) * L
-                : (m - nx + 2) * row + L) +
-        l] = 1.0;
-    }
+    for (int l = 0; l < L && m0 + l < k_; ++l)  // lane l: unit guess m0 + l
+      x[lanes::guess_offset<L>(nx, m0 + l) + l] = 1.0;
     lanes::march<L, 1, 0>(ops, zero_y, x);
     lanes::residual_f<L, 1, 0>(ops, x, zero_y, f);
     for (int l = 0; l < L && m0 + l < k_; ++l)
