@@ -80,8 +80,8 @@ class DistFieldBatch {
   /// Copy the FULL padded plane (interior + halos) of `src`'s member
   /// `src_m` into this batch's member `m`, so halo freshness carries
   /// over. `src` must be member_compatible. Used to gather fields into
-  /// a batch, by convergence-retirement compaction and by the
-  /// per-member recovery sub-batches of the resilient decorator.
+  /// a batch and by the per-member recovery sub-batches of the
+  /// resilient decorator.
   void copy_member_from(int m, const DistFieldBatch& src, int src_m);
 
   /// Load the one plane of a width-1 `f` (a DistField) into member m.
@@ -94,9 +94,9 @@ class DistFieldBatch {
   }
 
   /// Interior-only variant of copy_member_from that tolerates a
-  /// different halo width (the comm-avoiding solvers migrate members
-  /// between caller batches and deep-halo working batches). Halo cells
-  /// of member m are left untouched.
+  /// different halo width (the comm-avoiding solver copies members
+  /// between the caller's batches and its deep-halo working batches).
+  /// Halo cells of member m are left untouched.
   void copy_member_interior_from(int m, const DistFieldBatch& src, int src_m);
 
   /// Shape compatibility: same decomposition object, rank, halo, and

@@ -314,11 +314,10 @@ void HaloExchanger::exchange_group(
     for (const HaloStrip& s : peer.send)
       for (const DistFieldBatch* f : fields)
         out = pack_w(f->data(s.lb), h, w, s.r, out);
-    // The payload site arms on one-member working batches (width 1): a
-    // single solve, or a batch that retirement has compacted down to
-    // one survivor — the hook addresses one scalar plane. Members of
-    // wider batches recover through per-member sub-batches of the
-    // resilient decorator rather than through injected wire corruption.
+    // The payload site arms on width-1 exchanges (a single solve): the
+    // hook addresses one scalar plane. Members of wider batches recover
+    // through per-member sub-batches of the resilient decorator rather
+    // than through injected wire corruption.
     if (w == 1) fault::hook_halo_payload(my_rank, buf.data(), payload);
     if (crc_enabled_) {
       // The CRC is taken AFTER hook_halo_payload: that site models

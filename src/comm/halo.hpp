@@ -67,9 +67,8 @@ class HaloExchanger {
   /// Update all halos of `field` (owned by the calling rank).
   /// Collective: every rank of the communicator must call with its own
   /// field. One message per peer rank carries all nb() members. The
-  /// fault-injection halo payload hook arms only on width-1 fields — a
-  /// single solve, or a batch that retirement has compacted down to one
-  /// survivor; members of wider batches recover through per-member
+  /// fault-injection halo payload hook arms only on width-1 fields (a
+  /// single solve); members of wider batches recover through per-member
   /// sub-batches (DESIGN.md §10, §11).
   void exchange(Communicator& comm, DistFieldBatch& field) const {
     DistFieldBatch* const one[1] = {&field};

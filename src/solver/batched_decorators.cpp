@@ -149,7 +149,6 @@ BatchSolveStats BatchedResilientSolver::solve(comm::Communicator& comm,
     }
 
     out.iterations += stats.iterations;
-    out.retirements += stats.retirements;
 
     // Settle converged members (their planes are final); collect the
     // failed ones and the worst agreed failure, which drives the chain.

@@ -22,11 +22,9 @@
 //
 // Lockstep + masking: members share one iteration loop. A member that
 // converges (or trips a guard) at a convergence check FREEZES — its x
-// plane stops updating, exactly as if it had been solved alone — but
-// its lanes keep riding in the batch until retirement
-// (SolverOptions::batch_retire_fraction) compacts the survivors into a
-// narrower batch. Retirement never changes any member's arithmetic,
-// only the lane count. See DESIGN.md §10 for the policy discussion.
+// plane stops updating, exactly as if it had been solved alone — and
+// its lanes ride along masked until the solve ends: a batch keeps its
+// width and member order for the whole solve. See DESIGN.md §10.
 //
 // Three lockstep cores share this machinery: P-CSI, ChronGear and PCG.
 #pragma once
@@ -71,12 +69,10 @@ struct BatchMemberStats {
 /// Outcome of a batched solve.
 struct BatchSolveStats {
   /// Per-member outcomes, indexed by the member's position in the batch
-  /// handed to solve() (stable across retirement compactions).
+  /// handed to solve().
   std::vector<BatchMemberStats> members;
   /// Total lockstep iterations the batch ran (max over members).
   int iterations = 0;
-  /// Number of retirement compactions performed.
-  int retirements = 0;
   /// Always 0: the solvers run in fp64 only and have no refinement
   /// sweeps. Kept so the golden-pin and bench_e2e records keep their
   /// column.
@@ -89,10 +85,8 @@ struct BatchSolveStats {
 /// Interface of the batched solvers and their decorators. A guard
 /// failure (divergence/stagnation/NaN) freezes THAT member and the
 /// batch keeps iterating the others. The fault-injection halo payload
-/// and solver-vector hooks arm whenever the working batch is one member
-/// wide: a single solve, or a wider batch that retirement has compacted
-/// down to one survivor. Wider working batches recover member by member
-/// (DESIGN.md §10).
+/// and solver-vector hooks arm on width-1 solves only; members of wider
+/// batches recover member by member (DESIGN.md §10).
 class BatchedSolver {
  public:
   virtual ~BatchedSolver() = default;
@@ -134,9 +128,8 @@ class BatchedPcsiSolver final : public BatchedSolver {
   /// Communication-avoiding batched loop (SolverOptions::halo_depth > 1
   /// with a pointwise preconditioner): ONE grouped deep exchange of
   /// {x, dx, r} per group of up to k lockstep iterations, on deep-halo
-  /// working copies of the whole batch. Per-member iterates, freeze
-  /// decisions and retirement compactions are bitwise identical to the
-  /// depth-1 lockstep loop.
+  /// working copies of the whole batch. Per-member iterates and freeze
+  /// decisions are bitwise identical to the depth-1 lockstep loop.
   BatchSolveStats solve_comm_avoid(comm::Communicator& comm,
                                    const comm::HaloExchanger& halo,
                                    const DistOperator& a, Preconditioner& m,

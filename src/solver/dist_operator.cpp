@@ -31,13 +31,11 @@ kernels::Stencil9 stencil_view(
 }
 
 /// Offer each block interior of a sweep's freshly written output to the
-/// installed FaultInjector. Armed whenever the working batch is one
-/// member wide — a single solve, or a wider batch that retirement has
-/// compacted down to one survivor — because the hook addresses one
-/// scalar plane. A member of a wider working batch that diverges
-/// recovers through the per-member sub-batches of the resilient
-/// decorator (DESIGN.md §11). Compiles to nothing when MINIPOP_FAULTS is
-/// off.
+/// installed FaultInjector. Armed on width-1 solves only, because the
+/// hook addresses one scalar plane. A member of a wider batch that
+/// diverges recovers through the per-member sub-batches of the
+/// resilient decorator (DESIGN.md §11). Compiles to nothing when
+/// MINIPOP_FAULTS is off.
 void offer_interiors(int rank, comm::DistFieldBatch& v,
                      const std::vector<util::MaskArray>& masks) {
 #if MINIPOP_FAULTS

@@ -93,11 +93,10 @@ class DistOperator {
   // boundary update) unless the caller attests kFresh, so callers never
   // manage halos themselves. Reductions fill per-member arrays the
   // caller combines in ONE vector allreduce. The solver-vector fault
-  // hooks arm on width-1 batches only: a single solve, or a batch that
-  // retirement has compacted down to one survivor. A member of a wider
-  // batch that diverges recovers through the per-member sub-batch path
-  // of the resilient decorator (DESIGN.md §11). Coefficient fault sites
-  // arm on every sweep (shared planes).
+  // hooks arm on width-1 solves only. A member of a wider batch that
+  // diverges recovers through the per-member sub-batch path of the
+  // resilient decorator (DESIGN.md §11). Coefficient fault sites arm on
+  // every sweep (shared planes).
 
   /// y = A x, all members. sums-free; 9*nb flops/point.
   void apply_batch(

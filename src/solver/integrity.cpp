@@ -64,12 +64,12 @@ void BatchIntegrityAuditor::at_check(
     comm::Communicator& comm, const comm::HaloExchanger& halo,
     const DistOperator& a, const comm::DistFieldBatch& b,
     const comm::DistFieldBatch& r, comm::DistFieldBatch& x,
-    const double* b_norm2_by_member, const int* member_of,
-    const unsigned char* active, int cur_nb, const double* r_norm2,
-    bool r_is_true, const unsigned char* accept, bool any_accept,
-    FailureKind* fail) {
+    const double* b_norm2, const unsigned char* active,
+    const double* r_norm2, bool r_is_true, const unsigned char* accept,
+    bool any_accept, FailureKind* fail) {
   ++checks_;
-  const std::size_t nb = static_cast<std::size_t>(cur_nb);
+  const int width = b.nb();
+  const std::size_t nb = static_cast<std::size_t>(width);
   const bool abft_due =
       integrity_.abft_interval > 0 &&
       checks_ % integrity_.abft_interval == 0;
@@ -89,21 +89,21 @@ void BatchIntegrityAuditor::at_check(
     if (allreduce_sum_guarded(comm, integrity_,
                               std::span<double>(abft_sums_), &bad)) {
       for (int i : bad) {
-        if (i < 3 * cur_nb)
-          fail[i % cur_nb] = FailureKind::kCorruptReduction;
+        if (i < 3 * width)
+          fail[i % width] = FailureKind::kCorruptReduction;
         else  // a corrupt ocean-cell slot poisons every verdict
-          for (int s = 0; s < cur_nb; ++s)
+          for (int s = 0; s < width; ++s)
             fail[s] = FailureKind::kCorruptReduction;
       }
     } else {
       const double n_ocean = abft_sums_[3 * nb];
-      for (int s = 0; s < cur_nb; ++s) {
+      for (int s = 0; s < width; ++s) {
         if (!active[s] || fail[s] != FailureKind::kNone) continue;
         const bool bad_s = abft_mismatch(
             integrity_, abft_sums_[static_cast<std::size_t>(s)],
             abft_sums_[nb + static_cast<std::size_t>(s)],
             abft_sums_[2 * nb + static_cast<std::size_t>(s)], n_ocean,
-            b_norm2_by_member[member_of[s]]);
+            b_norm2[s]);
         comm.costs().add_integrity_check(bad_s);
         if (bad_s) fail[s] = FailureKind::kCorruptOperator;
       }
@@ -111,9 +111,8 @@ void BatchIntegrityAuditor::at_check(
   }
 
   if (drift_due) {
-    // Scratch allocated per audit: the batch width shrinks across
-    // retirements, and audits are rare (cadence-gated).
-    comm::DistFieldBatch scratch(a.decomposition(), a.rank(), cur_nb,
+    // Scratch allocated per audit: audits are rare (cadence-gated).
+    comm::DistFieldBatch scratch(a.decomposition(), a.rank(), width,
                                  x.halo());
     true_sums_.resize(nb);
     a.residual_local_norm2_batch(comm, halo, b, x, scratch,
@@ -124,14 +123,12 @@ void BatchIntegrityAuditor::at_check(
                               &bad)) {
       for (int i : bad) fail[i] = FailureKind::kCorruptReduction;
     } else {
-      for (int s = 0; s < cur_nb; ++s) {
+      for (int s = 0; s < width; ++s) {
         if (!active[s] || fail[s] != FailureKind::kNone) continue;
         if (!(accept[s] || drift_cadence)) continue;
-        const int mm = member_of[s];
-        const double rel_true =
-            std::sqrt(true_sums_[static_cast<std::size_t>(s)] /
-                      b_norm2_by_member[mm]);
-        const double rel_rec = std::sqrt(r_norm2[s] / b_norm2_by_member[mm]);
+        const double rel_true = std::sqrt(
+            true_sums_[static_cast<std::size_t>(s)] / b_norm2[s]);
+        const double rel_rec = std::sqrt(r_norm2[s] / b_norm2[s]);
         const bool bad_s = drift_mismatch(integrity_, rel_true, rel_rec);
         comm.costs().add_integrity_check(bad_s);
         if (bad_s) fail[s] = FailureKind::kSilentDrift;

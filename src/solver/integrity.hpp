@@ -57,7 +57,7 @@ bool drift_mismatch(const IntegrityOptions& integrity, double rel_true,
 /// state untouched — audits only read b/r/x (the true-residual sweep
 /// refreshes x's halo, which no core's subsequent arithmetic reads).
 /// One ABFT sweep and/or one true-residual sweep covers every lane of
-/// the current batch, verdicts applied per member (DESIGN.md §12).
+/// the batch, verdicts applied per member (DESIGN.md §12).
 /// Constructed once per solve; at_check() is collective.
 class BatchIntegrityAuditor {
  public:
@@ -67,18 +67,17 @@ class BatchIntegrityAuditor {
   /// Run whatever audits are due at this convergence check, writing a
   /// verdict (kNone, kCorruptOperator, kSilentDrift, or
   /// kCorruptReduction when an audit's own guarded reduction
-  /// mismatches) into fail[s] for each of the cur_nb slots. Slot
-  /// bookkeeping arrives as raw arrays (compacting slots, member_of
-  /// indirection): `b_norm2_by_member` is indexed by member_of[s];
-  /// `active[s]` skips frozen lanes; `r_norm2[s]` is each slot's reduced recurrence norm
-  /// (ignored when r_is_true). The drift audit SWEEPS when any slot is
-  /// accepting or the cadence is due, but its verdict only applies to
-  /// slots that are themselves accepting or cadence-due. Collective.
+  /// mismatches) into fail[m] for each of the b.nb() members. Member
+  /// bookkeeping arrives as raw arrays indexed by member: `b_norm2[m]`;
+  /// `active[m]` skips frozen lanes; `r_norm2[m]` is the member's
+  /// reduced recurrence norm (ignored when r_is_true). The drift audit
+  /// SWEEPS when any member is accepting or the cadence is due, but its
+  /// verdict only applies to members that are themselves accepting or
+  /// cadence-due. Collective.
   void at_check(comm::Communicator& comm, const comm::HaloExchanger& halo,
                 const DistOperator& a, const comm::DistFieldBatch& b,
                 const comm::DistFieldBatch& r, comm::DistFieldBatch& x,
-                const double* b_norm2_by_member, const int* member_of,
-                const unsigned char* active, int cur_nb,
+                const double* b_norm2, const unsigned char* active,
                 const double* r_norm2, bool r_is_true,
                 const unsigned char* accept, bool any_accept,
                 FailureKind* fail);
@@ -86,8 +85,8 @@ class BatchIntegrityAuditor {
  private:
   const IntegrityOptions& integrity_;
   int checks_ = 0;
-  std::vector<double> abft_sums_;  // 3*cur_nb + 1 (piggybacked N_ocean)
-  std::vector<double> true_sums_;  // cur_nb
+  std::vector<double> abft_sums_;  // 3*nb + 1 (piggybacked N_ocean)
+  std::vector<double> true_sums_;  // nb
 };
 
 }  // namespace minipop::solver

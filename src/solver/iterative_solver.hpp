@@ -144,18 +144,6 @@ struct SolverOptions {
   /// progress for the stagnation guard.
   double stagnation_decrease = 1e-3;
 
-  // --- batched multi-RHS path (BatchedSolver) ---
-
-  /// Retirement threshold of the batched solvers: when, at a convergence
-  /// check, the fraction of still-active members drops to or below this
-  /// value, the batch is compacted — frozen members retire (their
-  /// solution planes are final) and the survivors migrate into a
-  /// narrower batch so subsequent sweeps stop paying for retired lanes.
-  /// <= 0 disables retirement (frozen members ride along, masked);
-  /// >= 1 compacts at the first check where any member froze. Retirement
-  /// never changes any member's arithmetic, only the lane count.
-  double batch_retire_fraction = 0.5;
-
   /// Silent-data-corruption checks (all off by default).
   IntegrityOptions integrity;
 

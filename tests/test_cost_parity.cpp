@@ -118,7 +118,7 @@ TEST_P(CostParityTest, BatchedCountsAreExactlyBTimesScalar) {
 
     // One batched solve of nb copies of the SAME system: the members
     // are bit-identical, so they converge at the same lockstep sweep —
-    // no early freezes, no retirement, pure aggregation.
+    // no early freezes, pure aggregation.
     std::vector<mc::DistField> bb, xb;
     std::vector<const mc::DistField*> bs;
     std::vector<mc::DistField*> xs;

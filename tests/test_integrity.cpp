@@ -745,16 +745,15 @@ TEST(SdcCampaign, CoeffBitFlipTypedAcrossBatchedConfigs) {
   }
 }
 
-// The solver-vector site arms on width-1 working batches only, for
-// every core: a member of a wider batch recovers through the resilient
-// decorator's per-member sub-batches instead.
+// The solver-vector site arms on width-1 solves only, for every core,
+// however many members of a wider batch have frozen: a member of a
+// wider batch recovers through the resilient decorator's per-member
+// sub-batches instead.
 TEST(SdcCampaign, SolverVectorSiteArmsOnWidthOneBatchesOnly) {
   Problem p = make_problem(32, 24, 8, 1);
   const ms::EigenBounds bounds = lanczos_bounds_serial(p);
   ms::SolverOptions opt;
   opt.rel_tolerance = 1e-10;
-  // No retirement: a batch compacted down to one survivor is width 1.
-  opt.batch_retire_fraction = 0.0;
   for (const std::string& kind : {std::string("pcsi"), std::string("cg"),
                                   std::string("pcg")}) {
     for (const int nb : {1, 4}) {
@@ -771,22 +770,6 @@ TEST(SdcCampaign, SolverVectorSiteArmsOnWidthOneBatchesOnly) {
         EXPECT_EQ(offered, 0);
     }
   }
-}
-
-// Width 1 is the working batch, not the batch the caller handed in:
-// once retirement compacts a wider batch down to one survivor, that
-// survivor's sweeps write a scalar plane and the site arms on them.
-TEST(SdcCampaign, SolverVectorSiteArmsOnceABatchCompactsToOneSurvivor) {
-  Problem p = make_problem(32, 24, 8, 1);
-  const ms::EigenBounds bounds = lanczos_bounds_serial(p);
-  ms::SolverOptions opt;  // default batch_retire_fraction
-  opt.rel_tolerance = 1e-10;
-  mf::FaultScope scope{mf::FaultPlan{}};  // counts offers, fires none
-  BatchRun run =
-      run_batch(p, 1, make_rhs(p, 4), make_batched("pcsi", opt, bounds));
-  for (const auto& m : run.stats.members) EXPECT_TRUE(m.converged);
-  EXPECT_GE(run.stats.retirements, 1);
-  EXPECT_GT(scope.injector().events(mf::FaultSite::kSolverVector, 0), 0);
 }
 
 TEST(SdcCampaign, HaloBitFlipBehindCrcRecoveredAcrossBatchedConfigs) {
