@@ -46,7 +46,7 @@ std::string Cli::get(const std::string& name,
 
 int Cli::get_int(const std::string& name, int fallback) const {
   auto v = raw(name);
-  if (!v || v->empty()) return fallback;
+  if (!v) return fallback;
   return parse_int("--" + name, *v);
 }
 
@@ -60,7 +60,7 @@ int Cli::get_int(const std::string& name, int fallback, int min) const {
 
 double Cli::get_double(const std::string& name, double fallback) const {
   auto v = raw(name);
-  if (!v || v->empty()) return fallback;
+  if (!v) return fallback;
   char* end = nullptr;
   double out = std::strtod(v->c_str(), &end);
   if (end == v->c_str() || *end != '\0')

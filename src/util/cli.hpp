@@ -6,8 +6,7 @@
 // so after a program has looked up all the arguments it knows,
 // reject_unread() turns a misspelled or unsupported flag, or a stray
 // positional argument, into a loud error instead of a silent run with
-// the defaults. Programs that forward unknown arguments (the benches
-// hand them to google-benchmark) simply do not call it.
+// the defaults. Every example and every program under bench/ calls it.
 #pragma once
 
 #include <exception>
@@ -27,8 +26,9 @@ class Cli {
   bool has(const std::string& name) const;
 
   std::string get(const std::string& name, const std::string& fallback) const;
-  /// Typed lookups throw util::Error on a malformed value
-  /// ("--days=x is not a number").
+  /// Typed lookups return the fallback only when the option is absent;
+  /// they throw util::Error on a malformed or empty value ("--days=x is
+  /// not a number", "--days= is not a number" for a bare --days).
   int get_int(const std::string& name, int fallback) const;
   double get_double(const std::string& name, double fallback) const;
   /// get_int that also throws unless the value is at least `min`.

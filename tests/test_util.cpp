@@ -114,13 +114,34 @@ TEST(Cli, RejectsMalformedNumbers) {
 }
 
 TEST(Cli, RejectsMalformedValuesOfEveryType) {
-  const char* argv[] = {"prog", "--depth=x", "--tol=1e-3q", "--on=maybe",
-                        "--big=99999999999"};
-  mu::Cli cli(5, argv);
+  const char* argv[] = {"prog",    "--depth=x", "--tol=1e-3q",
+                        "--on=maybe", "--big=99999999999", "--nx=",
+                        "--ny",    "--rtol=",   "--days"};
+  mu::Cli cli(9, argv);
   EXPECT_THROW(cli.get_int("depth", 1), mu::Error);
   EXPECT_THROW(cli.get_double("tol", 0.0), mu::Error);
   EXPECT_THROW(cli.get_bool("on"), mu::Error);
   EXPECT_THROW(cli.get_int("big", 0), mu::Error);
+  // A present but empty value is malformed, not absent: it must not
+  // silently take the fallback.
+  EXPECT_THROW(cli.get_int("nx", 1), mu::Error);
+  EXPECT_THROW(cli.get_int("ny", 1), mu::Error);
+  EXPECT_THROW(cli.get_int("nx", 1, 0), mu::Error);
+  EXPECT_THROW(cli.get_double("rtol", 1.0), mu::Error);
+  EXPECT_THROW(cli.get_double("days", 1.0), mu::Error);
+  EXPECT_THROW(cli.get_positive("days", 1.0), mu::Error);
+  try {
+    cli.get_int("nx", 1);
+    FAIL() << "should have thrown";
+  } catch (const mu::Error& e) {
+    EXPECT_STREQ(e.what(), "--nx= is not an integer");
+  }
+  try {
+    cli.get_double("days", 1.0);
+    FAIL() << "should have thrown";
+  } catch (const mu::Error& e) {
+    EXPECT_STREQ(e.what(), "--days= is not a number");
+  }
   EXPECT_EQ(mu::parse_int("--block-size", "16"), 16);
   EXPECT_EQ(mu::parse_int("--block-size", "-3"), -3);
   EXPECT_THROW(mu::parse_int("--block-size", ""), mu::Error);
