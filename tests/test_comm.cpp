@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <functional>
 #include <set>
 #include <string>
 #include <thread>
@@ -14,6 +17,7 @@
 #include "src/comm/thread_comm.hpp"
 #include "src/grid/bathymetry.hpp"
 #include "src/util/error.hpp"
+#include "src/util/rng.hpp"
 
 namespace mc = minipop::comm;
 namespace mg = minipop::grid;
@@ -213,6 +217,173 @@ TEST(ThreadTeam, CostCountersPerRank) {
   EXPECT_EQ(team.costs(0).requests, 1u);
   EXPECT_EQ(team.costs(1).requests, 2u);
   EXPECT_EQ(team.total_costs().flops, 20u);
+}
+
+// A receive must name the element count it expects: a mismatch with the
+// sent count throws, and the message says which source and tag.
+TEST(ThreadTeam, RecvSizeMismatchNamesSourceAndTag) {
+  mc::ThreadTeam team(2);
+  std::string what;
+  team.run([&](mc::Communicator& comm) {
+    if (comm.rank() == 0) {
+      const double d[3] = {1, 2, 3};
+      comm.send(1, 7, std::span<const double>(d, 3));
+      return;
+    }
+    double d[2];
+    try {
+      comm.recv(0, 7, std::span<double>(d, 2));
+    } catch (const mu::Error& e) {
+      what = e.what();
+    }
+  });
+  EXPECT_NE(what.find("recv size 2 != sent 3"), std::string::npos) << what;
+  EXPECT_NE(what.find("src=0"), std::string::npos) << what;
+  EXPECT_NE(what.find("tag=7"), std::string::npos) << what;
+}
+
+// An allreduce is collective in its op and its length too: a rank that
+// disagrees fails the run with a mismatch error, never a wrong result or
+// a hang, and run() reports that error rather than the poison it causes.
+TEST(ThreadTeam, AllreduceOpOrLengthMismatchThrows) {
+  const auto expect_mismatch =
+      [](const std::function<void(mc::Communicator&)>& fn) {
+        mc::ThreadTeam team(3);
+        try {
+          team.run(fn);
+          ADD_FAILURE() << "mismatched allreduce did not throw";
+        } catch (const mu::Error& e) {
+          EXPECT_NE(std::string(e.what()).find("mismatch"),
+                    std::string::npos)
+              << e.what();
+        }
+      };
+  expect_mismatch([](mc::Communicator& comm) {
+    double v = 1.0;
+    comm.allreduce(std::span<double>(&v, 1), comm.rank() == 1
+                                                 ? mc::ReduceOp::kMax
+                                                 : mc::ReduceOp::kSum);
+  });
+  expect_mismatch([](mc::Communicator& comm) {
+    double v[2] = {1.0, 2.0};
+    comm.allreduce(std::span<double>(v, comm.rank() == 2 ? 2 : 1),
+                   mc::ReduceOp::kSum);
+  });
+}
+
+// Messages on one (source, destination) pair are matched by tag, not by
+// arrival: received in the reverse of their sending order, and with
+// different lengths, each arrives under its own tag. Repeating the
+// exchange reuses the receiver's payload buffers across lengths.
+TEST(ThreadTeam, TagsOnOnePairMatchOutOfSendingOrder) {
+  mc::ThreadTeam team(2);
+  std::vector<std::vector<double>> got;
+  team.run([&](mc::Communicator& comm) {
+    for (int round = 0; round < 3; ++round) {
+      if (comm.rank() == 0) {
+        const double a[3] = {1.0 + round, 2.0, 3.0};
+        const double b = 20.0 + round;
+        comm.send(1, 1, std::span<const double>(a, 3));
+        comm.send(1, 2, std::span<const double>(&b, 1));
+      } else {
+        std::vector<double> b(1), a(3);
+        comm.recv(0, 2, std::span<double>(b));
+        comm.recv(0, 1, std::span<double>(a));
+        got.push_back(b);
+        got.push_back(a);
+      }
+      comm.barrier();
+    }
+  });
+  ASSERT_EQ(got.size(), 6u);
+  for (int round = 0; round < 3; ++round) {
+    EXPECT_EQ(got[2 * round], std::vector<double>({20.0 + round}));
+    EXPECT_EQ(got[2 * round + 1],
+              std::vector<double>({1.0 + round, 2.0, 3.0}));
+  }
+}
+
+namespace {
+
+/// Rank r's contribution to element k of reduction n in the stress test:
+/// magnitudes spread over 60 binary orders, so the sum depends on the
+/// combination order.
+double stress_value(int r, int n, int k) {
+  mu::SplitMix64 h(static_cast<std::uint64_t>(n) * 64 + r * 8 + k);
+  const std::uint64_t bits = h.next();
+  const double mantissa = static_cast<double>(bits >> 11) * 0x1.0p-53 - 0.5;
+  return std::ldexp(mantissa, static_cast<int>(bits % 61) - 30);
+}
+
+}  // namespace
+
+// Back-to-back reductions with random per-rank delays, so a fast rank
+// enters reduction n+1 while a slow one has not yet read reduction n.
+// Between them every rank sends to its right neighbour under a fresh tag
+// epoch and collects the messages of a whole epoch window at once, in
+// the reverse of their sending order. Every reduction must equal the
+// fixed-order (rank 0..p-1) combination bit for bit, and every message
+// must arrive under its own epoch.
+TEST(ThreadTeam, StressReductionsAndEpochWindowSends) {
+  constexpr int kRanks = 4;
+  constexpr int kRounds = 4000;
+  constexpr int kWindow = mc::Communicator::kTagEpochWindow;
+  constexpr mc::ReduceOp kOps[] = {mc::ReduceOp::kSum, mc::ReduceOp::kMax,
+                                   mc::ReduceOp::kMin};
+  mc::ThreadTeam team(kRanks);
+  std::vector<int> bad_reductions(kRanks, 0), bad_messages(kRanks, 0);
+  team.run([&](mc::Communicator& comm) {
+    const int r = comm.rank();
+    const int right = (r + 1) % kRanks;
+    const int left = (r + kRanks - 1) % kRanks;
+    mu::Xoshiro256 rng(1000 + r);
+    std::vector<double> v(3), ref(3), msg(4), in(4);
+    int tags[kWindow];
+    for (int n = 0; n < kRounds; ++n) {
+      const std::size_t len = 1 + n % 3;
+      const mc::ReduceOp op = kOps[(n / 3) % 3];
+      for (std::size_t k = 0; k < len; ++k) {
+        v[k] = stress_value(r, n, static_cast<int>(k));
+        ref[k] = stress_value(0, n, static_cast<int>(k));
+        for (int q = 1; q < kRanks; ++q) {
+          const double c = stress_value(q, n, static_cast<int>(k));
+          ref[k] = op == mc::ReduceOp::kSum ? ref[k] + c
+                   : op == mc::ReduceOp::kMax ? std::max(ref[k], c)
+                                              : std::min(ref[k], c);
+        }
+      }
+      if (rng() % 4 == 0)
+        std::this_thread::sleep_for(std::chrono::microseconds(rng() % 40));
+      comm.allreduce(std::span<double>(v.data(), len), op);
+      for (std::size_t k = 0; k < len; ++k)
+        if (v[k] != ref[k]) ++bad_reductions[r];
+
+      const int slot = n % kWindow;
+      tags[slot] = comm.next_tag_epoch() * mc::Communicator::kTagEpochStride +
+                   1 + slot;
+      for (std::size_t k = 0; k < msg.size(); ++k) msg[k] = n + 0.25 * r;
+      comm.send(right, tags[slot],
+                std::span<const double>(msg.data(), 1 + slot));
+      if (slot != kWindow - 1) continue;
+      for (int s = kWindow - 1; s >= 0; --s) {
+        comm.recv(left, tags[s], std::span<double>(in.data(), 1 + s));
+        const double want = n - (kWindow - 1 - s) + 0.25 * left;
+        for (int k = 0; k <= s; ++k)
+          if (in[k] != want) ++bad_messages[r];
+      }
+    }
+  });
+  for (int r = 0; r < kRanks; ++r) {
+    EXPECT_EQ(bad_reductions[r], 0) << "rank " << r;
+    EXPECT_EQ(bad_messages[r], 0) << "rank " << r;
+  }
+  // Exact counts: one reduction, one send and one receive per round.
+  for (int r = 0; r < kRanks; ++r) {
+    EXPECT_EQ(team.costs(r).allreduces, static_cast<std::uint64_t>(kRounds));
+    EXPECT_EQ(team.costs(r).p2p_messages,
+              static_cast<std::uint64_t>(kRounds));
+    EXPECT_EQ(team.costs(r).requests, 2u * kRounds);
+  }
 }
 
 // --- DistField / halo exchange ------------------------------------------
