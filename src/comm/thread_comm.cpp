@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <exception>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -26,10 +27,10 @@ int ThreadComm::size() const { return team_->nranks(); }
 void ThreadComm::allreduce(std::span<double> values, ReduceOp op) {
   fault::hook_rank_stall(rank_);
   costs_.add_allreduce(values.size());
-  const auto round = team_->post_allreduce(rank_, values, op);
+  const std::uint64_t round = team_->post_allreduce(rank_, values, op);
   costs_.add_request();
   const auto t0 = std::chrono::steady_clock::now();
-  team_->reduce_block(*round, values);
+  team_->reduce_block(round, values);
   costs_.add_exposed_seconds(seconds_since(t0));
 }
 
@@ -44,7 +45,7 @@ void ThreadComm::recv(int src, int tag, std::span<double> data) {
   team_->throw_if_failed();
   costs_.add_request();
   const auto t0 = std::chrono::steady_clock::now();
-  team_->recv_block({src, rank_, tag}, data);
+  team_->recv_block(src, rank_, tag, data);
   costs_.add_exposed_seconds(seconds_since(t0));
 }
 
@@ -69,6 +70,10 @@ ThreadTeam::ThreadTeam(int nranks) : nranks_(nranks) {
   comms_.reserve(nranks);
   for (int r = 0; r < nranks; ++r)
     comms_.push_back(std::unique_ptr<ThreadComm>(new ThreadComm(this, r)));
+  inboxes_ = std::vector<Inbox>(nranks);
+  for (Inbox& inbox : inboxes_) inbox.from.resize(nranks);
+  for (ReduceSlot& slot : ring_) slot.parts.resize(nranks);
+  reduce_posts_.assign(nranks, 0);
 }
 
 ThreadTeam::~ThreadTeam() = default;
@@ -76,9 +81,8 @@ ThreadTeam::~ThreadTeam() = default;
 void ThreadTeam::run(const std::function<void(Communicator&)>& fn) {
   // Fresh counters and message/reduction state per run.
   for (auto& c : comms_) c->costs().reset();
-  mailboxes_.clear();
-  reduce_rounds_.clear();
-  reduce_posts_.assign(nranks_, 0);
+  for (Inbox& inbox : inboxes_) inbox.clear();
+  reset_ring();
   barrier_arrived_ = 0;
   poisoned_ = false;
   timed_out_ = false;
@@ -122,21 +126,12 @@ void ThreadTeam::run(const std::function<void(Communicator&)>& fn) {
   if (poison_error) std::rethrow_exception(poison_error);
 }
 
-void ThreadTeam::poison() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    poisoned_ = true;
-  }
-  cv_.notify_all();
-}
-
 void ThreadTeam::throw_if_poisoned() const {
   if (poisoned_)
     throw TeamPoisonedError("virtual-MPI team aborted: a peer rank failed");
 }
 
-void ThreadTeam::throw_if_failed() {
-  std::lock_guard<std::mutex> lock(mu_);
+void ThreadTeam::throw_if_failed() const {
   throw_if_poisoned();
   throw_if_timed_out();
 }
@@ -148,20 +143,34 @@ void ThreadTeam::throw_if_timed_out() const {
         "Communicator::resync() required");
 }
 
-void ThreadTeam::declare_timeout() {
+std::vector<std::unique_lock<std::mutex>> ThreadTeam::lock_inboxes_and_ring() {
+  std::vector<std::unique_lock<std::mutex>> held;
+  held.reserve(inboxes_.size() + 1);
+  for (Inbox& inbox : inboxes_) held.emplace_back(inbox.mu);
+  held.emplace_back(ring_mu_);
+  return held;
+}
+
+void ThreadTeam::notify_all_waits() {
+  cv_.notify_all();
+  for (Inbox& inbox : inboxes_) inbox.cv.notify_all();
+  ring_cv_.notify_all();
+}
+
+void ThreadTeam::raise_flag(std::atomic<bool>& flag) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    timed_out_ = true;
+    const auto held = lock_inboxes_and_ring();
+    flag = true;
   }
-  // Every blocking wait's predicate re-checks timed_out_ on wake, so
-  // this is enough to abort peers stuck on data the declarer will never
-  // provide; they throw CommTimeoutError and meet us in do_resync().
-  cv_.notify_all();
+  // Every blocking wait's predicate re-checks both flags on wake, so
+  // this aborts peers stuck on data the raiser will never provide; they
+  // throw and meet in do_resync() (timeout) or unwind run() (poison).
+  notify_all_waits();
 }
 
 void ThreadTeam::set_recv_timeout(double total_ms, int retries) {
   MINIPOP_REQUIRE(retries >= 1 && retries < 31, "retries " << retries);
-  std::lock_guard<std::mutex> lock(mu_);
   recv_timeout_ms_ = total_ms;
   recv_retries_ = retries;
 }
@@ -171,14 +180,16 @@ void ThreadTeam::do_resync() {
   throw_if_poisoned();
   const std::uint64_t my_generation = resync_generation_;
   if (++resync_arrived_ == nranks_) {
-    // Last arriver wipes the failed communication epoch: queued and
-    // in-flight messages, reduction rounds and ordinals, the barrier
-    // count and the timeout flag.
-    mailboxes_.clear();
-    reduce_rounds_.clear();
-    std::fill(reduce_posts_.begin(), reduce_posts_.end(), 0);
+    // Last arriver wipes the failed communication epoch: queued
+    // messages, the reduction ring and ordinals, the barrier count and
+    // the timeout flag.
+    {
+      const auto held = lock_inboxes_and_ring();
+      for (Inbox& inbox : inboxes_) inbox.clear();
+      reset_ring();
+      timed_out_ = false;
+    }
     barrier_arrived_ = 0;
-    timed_out_ = false;
     resync_arrived_ = 0;
     ++resync_generation_;
     cv_.notify_all();
@@ -201,142 +212,153 @@ CostCounters ThreadTeam::total_costs() const {
   return total;
 }
 
-std::size_t ThreadTeam::ChannelKeyHash::operator()(
-    const ChannelKey& k) const {
-  std::uint64_t h = static_cast<std::uint32_t>(k.src);
-  h = h * 0x9e3779b97f4a7c15ULL + static_cast<std::uint32_t>(k.dest);
-  h = h * 0x9e3779b97f4a7c15ULL + static_cast<std::uint32_t>(k.tag);
-  h ^= h >> 32;
-  return static_cast<std::size_t>(h);
-}
-
 // ---------------------------------------------------------------------------
 // Reductions
 
-std::shared_ptr<ThreadTeam::ReduceRound> ThreadTeam::post_allreduce(
-    int rank, std::span<double> values, ReduceOp op) {
-  std::unique_lock<std::mutex> lock(mu_);
-  throw_if_poisoned();
-  throw_if_timed_out();
-  const std::uint64_t ordinal = reduce_posts_[rank]++;
-  auto [it, inserted] = reduce_rounds_.try_emplace(ordinal);
-  if (inserted) {
-    it->second = std::make_shared<ReduceRound>();
-    it->second->op = op;
-    it->second->slots.resize(nranks_);
-  }
-  std::shared_ptr<ReduceRound> round = it->second;
-  MINIPOP_REQUIRE(round->op == op,
+void ThreadTeam::reset_ring() {
+  for (ReduceSlot& slot : ring_) slot.arrived = 0;
+  rounds_done_ = 0;
+  std::fill(reduce_posts_.begin(), reduce_posts_.end(), 0);
+}
+
+std::uint64_t ThreadTeam::post_allreduce(int rank,
+                                         std::span<const double> values,
+                                         ReduceOp op) {
+  throw_if_failed();
+  std::unique_lock<std::mutex> lock(ring_mu_);
+  const std::uint64_t round = reduce_posts_[rank]++;
+  ReduceSlot& slot = ring_[round % 2];
+  if (slot.arrived == 0) slot.op = op;
+  MINIPOP_REQUIRE(slot.op == op,
                   "allreduce op mismatch across ranks at collective #"
-                      << ordinal);
-  round->slots[rank].assign(values.begin(), values.end());
-  if (++round->arrived == nranks_) {
-    // Last arriver combines in fixed rank order — deterministic result.
-    round->result = round->slots[0];
-    for (int r = 1; r < nranks_; ++r) {
-      MINIPOP_REQUIRE(round->slots[r].size() == round->result.size(),
-                      "allreduce size mismatch at rank " << r);
-      for (std::size_t k = 0; k < round->result.size(); ++k) {
-        switch (round->op) {
-          case ReduceOp::kSum: round->result[k] += round->slots[r][k]; break;
-          case ReduceOp::kMax:
-            round->result[k] =
-                std::max(round->result[k], round->slots[r][k]);
-            break;
-          case ReduceOp::kMin:
-            round->result[k] =
-                std::min(round->result[k], round->slots[r][k]);
-            break;
-        }
+                      << round);
+  slot.parts[rank].assign(values.begin(), values.end());
+  if (++slot.arrived < nranks_) return round;
+
+  // Last arriver combines in fixed rank order — deterministic result.
+  std::vector<double>& acc = slot.result;
+  acc.assign(slot.parts[0].begin(), slot.parts[0].end());
+  for (int r = 1; r < nranks_; ++r) {
+    const std::vector<double>& part = slot.parts[r];
+    MINIPOP_REQUIRE(part.size() == acc.size(),
+                    "allreduce size mismatch at rank " << r);
+    for (std::size_t k = 0; k < acc.size(); ++k) {
+      switch (op) {
+        case ReduceOp::kSum: acc[k] += part[k]; break;
+        case ReduceOp::kMax: acc[k] = std::max(acc[k], part[k]); break;
+        case ReduceOp::kMin: acc[k] = std::min(acc[k], part[k]); break;
       }
     }
-    round->done = true;
-    // Every rank has arrived by now, so nothing routes to this ordinal
-    // again; waiting ranks keep the round alive through their shared_ptr.
-    reduce_rounds_.erase(ordinal);
-    lock.unlock();
-    cv_.notify_all();
   }
+  slot.arrived = 0;
+  rounds_done_ = round + 1;
+  lock.unlock();
+  ring_cv_.notify_all();
   return round;
 }
 
-void ThreadTeam::reduce_block(ReduceRound& round, std::span<double> out) {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [&] { return poisoned_ || timed_out_ || round.done; });
+void ThreadTeam::reduce_block(std::uint64_t round, std::span<double> out) {
+  std::unique_lock<std::mutex> lock(ring_mu_);
+  ring_cv_.wait(lock, [&] {
+    return poisoned_ || timed_out_ || rounds_done_ > round;
+  });
   throw_if_poisoned();
   // A completed round is still good data even if a peer timed out
   // elsewhere; only an incomplete one can never finish.
-  if (!round.done) throw_if_timed_out();
-  std::copy(round.result.begin(), round.result.end(), out.begin());
+  if (rounds_done_ <= round) throw_if_timed_out();
+  const std::vector<double>& result = ring_[round % 2].result;
+  std::copy(result.begin(), result.end(), out.begin());
 }
 
 // ---------------------------------------------------------------------------
 // Point-to-point
 
+void ThreadTeam::Inbox::clear() {
+  for (std::vector<Message>& fifo : from) {
+    for (Message& m : fifo) spare.push_back(std::move(m.data));
+    fifo.clear();
+  }
+}
+
 void ThreadTeam::post_send(int src, int dest, int tag,
                            std::span<const double> data) {
   MINIPOP_REQUIRE(dest >= 0 && dest < nranks_, "send to rank " << dest);
   MINIPOP_REQUIRE(tag >= 0, "tag " << tag);
-  const ChannelKey key{src, dest, tag};
   const fault::MailboxDecision fate = fault::hook_mailbox(src);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    throw_if_timed_out();
-    if (fate.fired && fate.action == fault::MailboxAction::kDrop) return;
-    if (fate.fired && fate.action == fault::MailboxAction::kDelay) {
+  throw_if_timed_out();
+  if (!fate.fired) return deliver(src, dest, tag, data, 1);
+  switch (fate.action) {
+    case fault::MailboxAction::kDrop: return;
+    case fault::MailboxAction::kDuplicate:
+      return deliver(src, dest, tag, data, 2);
+    case fault::MailboxAction::kDelay: {
       // Deliver from a timer thread. The message is stamped with the
       // current resync generation: if a resync intervenes before it
       // matures, delivery is dropped — a late message must not leak into
       // a fresh epoch whose tags it could accidentally match.
-      const std::uint64_t generation = resync_generation_;
-      Message msg{std::vector<double>(data.begin(), data.end())};
+      std::lock_guard<std::mutex> lock(mu_);
       delayed_threads_.emplace_back(
-          [this, key, generation, delay_ms = fate.delay_ms,
-           msg = std::move(msg)]() mutable {
+          [this, src, dest, tag, generation = resync_generation_,
+           delay_ms = fate.delay_ms,
+           msg = std::vector<double>(data.begin(), data.end())] {
             std::this_thread::sleep_for(
                 std::chrono::duration<double, std::milli>(delay_ms));
-            {
-              std::lock_guard<std::mutex> inner(mu_);
-              if (poisoned_ || resync_generation_ != generation) return;
-              mailboxes_[key].push_back(std::move(msg));
-            }
-            cv_.notify_all();
+            std::lock_guard<std::mutex> inner(mu_);
+            if (poisoned_ || resync_generation_ != generation) return;
+            deliver(src, dest, tag, msg, 1);
           });
       return;
     }
-    const int copies =
-        (fate.fired && fate.action == fault::MailboxAction::kDuplicate) ? 2
-                                                                        : 1;
-    for (int c = 0; c < copies; ++c)
-      mailboxes_[key].push_back(
-          Message{std::vector<double>(data.begin(), data.end())});
   }
-  cv_.notify_all();
 }
 
-bool ThreadTeam::try_take_locked(const ChannelKey& key,
+void ThreadTeam::deliver(int src, int dest, int tag,
+                         std::span<const double> data, int copies) {
+  Inbox& inbox = inboxes_[dest];
+  {
+    std::lock_guard<std::mutex> lock(inbox.mu);
+    for (int c = 0; c < copies; ++c) {
+      std::vector<double> payload;
+      if (!inbox.spare.empty()) {
+        payload = std::move(inbox.spare.back());
+        inbox.spare.pop_back();
+      }
+      payload.assign(data.begin(), data.end());
+      inbox.from[src].push_back(Message{tag, std::move(payload)});
+    }
+  }
+  inbox.cv.notify_one();
+}
+
+bool ThreadTeam::try_take_locked(Inbox& inbox, int src, int tag,
                                  std::span<double> out) {
-  auto it = mailboxes_.find(key);
-  if (it == mailboxes_.end() || it->second.empty()) return false;
-  Message msg = std::move(it->second.front());
-  it->second.pop_front();
-  MINIPOP_REQUIRE(msg.data.size() == out.size(),
-                  "recv size " << out.size() << " != sent "
-                               << msg.data.size() << " (src=" << key.src
-                               << " tag=" << key.tag << ")");
-  std::copy(msg.data.begin(), msg.data.end(), out.begin());
+  std::vector<Message>& fifo = inbox.from[src];
+  const auto it = std::find_if(fifo.begin(), fifo.end(),
+                               [tag](const Message& m) { return m.tag == tag; });
+  if (it == fifo.end()) return false;
+  std::vector<double> data = std::move(it->data);
+  fifo.erase(it);
+  const std::size_t sent = data.size();
+  if (sent == out.size()) std::copy(data.begin(), data.end(), out.begin());
+  inbox.spare.push_back(std::move(data));
+  MINIPOP_REQUIRE(sent == out.size(),
+                  "recv size " << out.size() << " != sent " << sent
+                               << " (src=" << src << " tag=" << tag << ")");
   return true;
 }
 
-void ThreadTeam::recv_block(const ChannelKey& key, std::span<double> out) {
-  std::unique_lock<std::mutex> lock(mu_);
+void ThreadTeam::recv_block(int src, int dest, int tag,
+                            std::span<double> out) {
+  Inbox& inbox = inboxes_[dest];
+  std::unique_lock<std::mutex> lock(inbox.mu);
+  const std::vector<Message>& fifo = inbox.from[src];
   const auto ready = [&] {
-    if (poisoned_ || timed_out_) return true;
-    auto it = mailboxes_.find(key);
-    return it != mailboxes_.end() && !it->second.empty();
+    return poisoned_ || timed_out_ ||
+           std::any_of(fifo.begin(), fifo.end(),
+                       [tag](const Message& m) { return m.tag == tag; });
   };
   if (recv_timeout_ms_ <= 0.0) {
-    cv_.wait(lock, ready);
+    inbox.cv.wait(lock, ready);
   } else {
     // Retry ladder with exponential backoff: attempt i waits slice*2^i,
     // the attempts summing to recv_timeout_ms_.
@@ -344,28 +366,28 @@ void ThreadTeam::recv_block(const ChannelKey& key, std::span<double> out) {
     const double slice = recv_timeout_ms_ / ((1u << attempts) - 1);
     bool satisfied = ready();
     for (int a = 0; a < attempts && !satisfied; ++a)
-      satisfied = cv_.wait_for(
+      satisfied = inbox.cv.wait_for(
           lock,
           std::chrono::duration<double, std::milli>(slice * (1u << a)),
           ready);
     if (!satisfied) {
       // First observer of the timeout: flag the team so every peer
       // unwinds to the resync fence instead of waiting on collectives
-      // this rank will never join.
-      timed_out_ = true;
+      // this rank will never join. The flag takes every inbox lock, so
+      // this one is released first.
       lock.unlock();
-      cv_.notify_all();
+      declare_timeout();
       throw CommTimeoutError("recv timed out after " +
                              std::to_string(recv_timeout_ms_) +
-                             " ms (src=" + std::to_string(key.src) +
-                             " tag=" + std::to_string(key.tag) + ")");
+                             " ms (src=" + std::to_string(src) +
+                             " tag=" + std::to_string(tag) + ")");
     }
   }
   throw_if_poisoned();
-  if (!try_take_locked(key, out)) {
+  if (!try_take_locked(inbox, src, tag, out)) {
     throw_if_timed_out();
     MINIPOP_REQUIRE(false, "recv woke without a matching message (src="
-                               << key.src << " tag=" << key.tag << ")");
+                               << src << " tag=" << tag << ")");
   }
 }
 
