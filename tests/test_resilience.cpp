@@ -893,13 +893,31 @@ TEST(FaultCampaign, HaloBitFlipRecoversToFaultFreeAnswer) {
   expect_fields_near(dec.x, clean.x, 1e-4);
 }
 
+namespace {
+
+/// A solver configuration the ThreadComm fault campaigns run on 4 ranks.
+struct CommFaultCase {
+  std::string name;
+  SolverFactory make;
+};
+
+/// ChronGear at halo depth 1, and P-CSI + diagonal at halo depth 3: the
+/// comm-avoiding path `sim_diag_r4` runs, whose exchange_group messages
+/// carry three rims of several fields.
+std::vector<CommFaultCase> comm_fault_cases(const Problem& p,
+                                            const ms::SolverOptions& opt) {
+  ms::SolverOptions deep = opt;
+  deep.halo_depth = 3;
+  return {{"chrongear", make_kind("cg", opt)},
+          {"pcsi depth 3", make_kind("pcsi", deep, lanczos_bounds_serial(p))}};
+}
+
+}  // namespace
+
 TEST(FaultCampaign, DroppedMessageTimesOutThenRecovers) {
   Problem p = make_problem(32, 24, 8, 4);
   ms::SolverOptions opt;
   opt.rel_tolerance = 1e-10;
-  SolveRun clean = run_with(p, 4, make_kind("cg", opt));
-  ASSERT_TRUE(clean.stats.converged);
-
   mf::FaultRule r;
   r.site = mf::FaultSite::kMailbox;
   r.rank = 1;
@@ -907,22 +925,27 @@ TEST(FaultCampaign, DroppedMessageTimesOutThenRecovers) {
   r.mailbox = mf::MailboxAction::kDrop;
   mf::FaultPlan plan;
   plan.add(r);
-  mf::FaultScope scope(plan);
-  SolveRun dec = run_with(
-      p, 4,
-      [&](int) {
-        return std::unique_ptr<ms::BatchedSolver>(
-            std::make_unique<ms::BatchedResilientSolver>(
-                make_kind("cg", opt)(0)));
-      },
-      nullptr, /*recv_timeout_ms=*/500.0);
-  EXPECT_EQ(scope.injector().fire_count(), 1);
-  EXPECT_TRUE(dec.stats.converged);
-  ASSERT_GE(dec.events.size(), 1u);
-  EXPECT_EQ(dec.events[0].failure, ms::FailureKind::kCommTimeout);
-  // Post-resync restart from the entry checkpoint replays the fault-free
-  // solve bit for bit.
-  expect_fields_bitwise(dec.x, clean.x);
+  for (const CommFaultCase& c : comm_fault_cases(p, opt)) {
+    SCOPED_TRACE(c.name);
+    SolveRun clean = run_with(p, 4, c.make);
+    ASSERT_TRUE(clean.stats.converged);
+
+    mf::FaultScope scope(plan);
+    SolveRun dec = run_with(
+        p, 4,
+        [&](int rank) {
+          return std::unique_ptr<ms::BatchedSolver>(
+              std::make_unique<ms::BatchedResilientSolver>(c.make(rank)));
+        },
+        nullptr, /*recv_timeout_ms=*/500.0);
+    EXPECT_EQ(scope.injector().fire_count(), 1);
+    EXPECT_TRUE(dec.stats.converged);
+    ASSERT_GE(dec.events.size(), 1u);
+    EXPECT_EQ(dec.events[0].failure, ms::FailureKind::kCommTimeout);
+    // Post-resync restart from the entry checkpoint replays the
+    // fault-free solve bit for bit.
+    expect_fields_bitwise(dec.x, clean.x);
+  }
 }
 
 TEST(FaultCampaign, DelayedMessageUnderTimeoutIsHarmless) {
@@ -930,9 +953,6 @@ TEST(FaultCampaign, DelayedMessageUnderTimeoutIsHarmless) {
   ms::SolverOptions opt;
   opt.rel_tolerance = 1e-10;
   opt.record_residuals = true;
-  SolveRun clean = run_with(p, 4, make_kind("cg", opt));
-  ASSERT_TRUE(clean.stats.converged);
-
   mf::FaultRule r;
   r.site = mf::FaultSite::kMailbox;
   r.rank = 2;
@@ -941,15 +961,26 @@ TEST(FaultCampaign, DelayedMessageUnderTimeoutIsHarmless) {
   r.delay_ms = 25.0;
   mf::FaultPlan plan;
   plan.add(r);
-  mf::FaultScope scope(plan);
-  SolveRun late = run_with(p, 4, make_kind("cg", opt), nullptr,
-                      /*recv_timeout_ms=*/5000.0);
-  EXPECT_EQ(scope.injector().fire_count(), 1);
-  // A late delivery changes only timing, never data or iteration counts.
-  expect_stats_bitwise(late.stats, clean.stats);
-  expect_fields_bitwise(late.x, clean.x);
+  for (const CommFaultCase& c : comm_fault_cases(p, opt)) {
+    SCOPED_TRACE(c.name);
+    SolveRun clean = run_with(p, 4, c.make);
+    ASSERT_TRUE(clean.stats.converged);
+
+    mf::FaultScope scope(plan);
+    SolveRun late = run_with(p, 4, c.make, nullptr,
+                             /*recv_timeout_ms=*/5000.0);
+    EXPECT_EQ(scope.injector().fire_count(), 1);
+    // A late delivery changes only timing, never data or iteration
+    // counts.
+    expect_stats_bitwise(late.stats, clean.stats);
+    expect_fields_bitwise(late.x, clean.x);
+  }
 }
 
+// ChronGear only: at halo depth 3 the stale duplicate is later matched by
+// an exchange of another width, and the receive's size check throws a
+// plain util::Error out of the solve, which the resilient solver neither
+// recovers nor reports as a typed failure.
 TEST(FaultCampaign, DuplicatedMessageNeverHangsOrLiesAboutConvergence) {
   Problem p = make_problem(32, 24, 8, 4);
   ms::SolverOptions opt;
@@ -986,9 +1017,6 @@ TEST(FaultCampaign, RankStallOnlyDelaysTheSolve) {
   ms::SolverOptions opt;
   opt.rel_tolerance = 1e-10;
   opt.record_residuals = true;
-  SolveRun clean = run_with(p, 4, make_kind("cg", opt));
-  ASSERT_TRUE(clean.stats.converged);
-
   mf::FaultRule r;
   r.site = mf::FaultSite::kRankStall;
   r.rank = 2;
@@ -996,11 +1024,17 @@ TEST(FaultCampaign, RankStallOnlyDelaysTheSolve) {
   r.delay_ms = 40.0;
   mf::FaultPlan plan;
   plan.add(r);
-  mf::FaultScope scope(plan);
-  SolveRun stalled = run_with(p, 4, make_kind("cg", opt));
-  EXPECT_EQ(scope.injector().fire_count(), 1);
-  expect_stats_bitwise(stalled.stats, clean.stats);
-  expect_fields_bitwise(stalled.x, clean.x);
+  for (const CommFaultCase& c : comm_fault_cases(p, opt)) {
+    SCOPED_TRACE(c.name);
+    SolveRun clean = run_with(p, 4, c.make);
+    ASSERT_TRUE(clean.stats.converged);
+
+    mf::FaultScope scope(plan);
+    SolveRun stalled = run_with(p, 4, c.make);
+    EXPECT_EQ(scope.injector().fire_count(), 1);
+    expect_stats_bitwise(stalled.stats, clean.stats);
+    expect_fields_bitwise(stalled.x, clean.x);
+  }
 }
 
 TEST(FaultCampaign, CorruptedEigenBoundsReestimatedAndRecovered) {
