@@ -11,6 +11,13 @@
 // depth-1 solve — the depth-k schedule reproduces the depth-1 bits
 // exactly, so the rounds drop ~k x while the answer does not move.
 //
+// Latency part: ThreadComm's own cost per call on 2 and 4 ranks — a
+// ping-pong round trip of a 1-double message and of one halo message
+// the size of `sim_diag_r4`'s mean (655 doubles, 5,240 B), and a
+// 1-double allreduce — as the median and quartiles of 2000 timed calls.
+// They are the message and reduction latencies a machine profile fitted
+// to the running host needs; no gate reads them.
+//
 // Modeled part: comm_avoid_iteration_costs() swept over p in
 // {1024..16384} ranks and k in {1..4} on the paper's 0.1-degree grid
 // for the Yellowstone and Edison profiles, with choose_halo_depth()'s
@@ -29,6 +36,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -39,6 +47,8 @@
 using namespace minipop;
 
 namespace {
+
+constexpr int kLatencyCalls = 2000;
 
 /// Bowl-with-island bathymetry, 16 blocks of 12x10 over 4 ranks — the
 /// same latency-bound regime as bench_batch. Interior blocks are 12x10,
@@ -145,6 +155,74 @@ Row run_depth(const Case& c, int nranks, int depth, int repeats,
   return row;
 }
 
+/// One latency row: quartiles of the per-call wall times of `op`.
+struct LatencyRow {
+  int ranks = 0;
+  std::string op;
+  std::size_t bytes = 0;  ///< message or reduction payload
+  std::size_t calls = 0;
+  double p25_us = 0, median_us = 0, p75_us = 0;
+};
+
+LatencyRow summarize(int ranks, std::string op, std::size_t bytes,
+                     std::vector<double> us) {
+  std::sort(us.begin(), us.end());
+  const auto at = [&](double q) {
+    return us[static_cast<std::size_t>(q * (us.size() - 1))];
+  };
+  return {ranks, std::move(op), bytes, us.size(), at(0.25), at(0.5),
+          at(0.75)};
+}
+
+/// Times `calls` ping-pong round trips of `doubles`-element messages and
+/// `calls` 1-double allreduces on `nranks` ranks, after `calls` untimed
+/// warm-up calls each. Ranks pair up as (r, r^1), every pair bouncing at
+/// once as halo exchanges do; the even rank of pair 0 (rank 0) records.
+std::vector<LatencyRow> measure_latency(int nranks,
+                                        const std::vector<int>& sizes,
+                                        int calls) {
+  using clock = std::chrono::steady_clock;
+  std::vector<LatencyRow> rows;
+  comm::ThreadTeam team(nranks);
+  team.run([&](comm::Communicator& comm) {
+    const int r = comm.rank();
+    const int partner = r ^ 1;
+    const auto elapsed_us = [](clock::time_point t0) {
+      return std::chrono::duration<double, std::micro>(clock::now() - t0)
+          .count();
+    };
+    std::vector<double> us(calls);
+    for (const int doubles : sizes) {
+      std::vector<double> msg(doubles, 1.0);
+      (void)comm.allreduce_sum(0.0);  // align ranks before timing
+      for (int k = -calls; k < calls; ++k) {
+        const auto t0 = clock::now();
+        if (r % 2 == 0) {
+          comm.send(partner, 1, std::span<const double>(msg));
+          comm.recv(partner, 1, std::span<double>(msg));
+        } else {
+          comm.recv(partner, 1, std::span<double>(msg));
+          comm.send(partner, 1, std::span<const double>(msg));
+        }
+        if (k >= 0) us[k] = elapsed_us(t0);
+      }
+      if (r == 0)
+        rows.push_back(summarize(nranks,
+                                 "pingpong_" + std::to_string(doubles),
+                                 doubles * sizeof(double), us));
+    }
+    for (int k = -calls; k < calls; ++k) {
+      double v = 1.0;
+      const auto t0 = clock::now();
+      comm.allreduce(std::span<double>(&v, 1), comm::ReduceOp::kSum);
+      if (k >= 0) us[k] = elapsed_us(t0);
+    }
+    if (r == 0)
+      rows.push_back(summarize(nranks, "allreduce_1", sizeof(double), us));
+  });
+  return rows;
+}
+
 struct ModelPoint {
   std::string machine;
   int ranks = 0;
@@ -188,6 +266,7 @@ std::vector<ModelPoint> model_curves() {
 }
 
 void write_json(const std::string& path, const std::vector<Row>& rows,
+                const std::vector<LatencyRow>& latency,
                 const std::vector<ModelPoint>& model) {
   std::ofstream os(path);
   os << "{\n  \"bench\": \"comm_avoid\",\n"
@@ -208,6 +287,18 @@ void write_json(const std::string& path, const std::vector<Row>& rows,
         static_cast<unsigned long long>(w.flops),
         static_cast<unsigned long long>(w.redundant_flops),
         k + 1 < rows.size() ? "," : "");
+    os << buf;
+  }
+  os << "  ],\n  \"latency\": [\n";
+  for (std::size_t k = 0; k < latency.size(); ++k) {
+    const LatencyRow& w = latency[k];
+    char buf[512];
+    std::snprintf(buf, sizeof(buf),
+                  "    {\"ranks\": %d, \"op\": \"%s\", \"bytes\": %zu, "
+                  "\"calls\": %zu, \"p25_us\": %.3f, \"median_us\": %.3f, "
+                  "\"p75_us\": %.3f}%s\n",
+                  w.ranks, w.op.c_str(), w.bytes, w.calls, w.p25_us,
+                  w.median_us, w.p75_us, k + 1 < latency.size() ? "," : "");
     os << buf;
   }
   os << "  ],\n  \"model\": [\n";
@@ -275,6 +366,20 @@ int main(int argc, char** argv) {
                 round_ratio, row.identity_ok ? "ok" : "DIFFER");
   }
 
+  // 655 doubles: the mean halo message of sim_diag_r4 (5,241 B =
+  // comm.bytes_per_step / comm.msgs_per_step) in whole doubles.
+  std::vector<LatencyRow> latency;
+  std::printf("\nThreadComm latency per call, %d calls each (us):\n",
+              kLatencyCalls);
+  std::printf("%6s %14s %8s %9s %9s %9s\n", "ranks", "op", "bytes", "p25",
+              "median", "p75");
+  for (const int p : {2, 4})
+    for (const LatencyRow& w : measure_latency(p, {1, 655}, kLatencyCalls)) {
+      std::printf("%6d %14s %8zu %9.2f %9.2f %9.2f\n", w.ranks, w.op.c_str(),
+                  w.bytes, w.p25_us, w.median_us, w.p75_us);
+      latency.push_back(w);
+    }
+
   const std::vector<ModelPoint> model = model_curves();
   std::printf("\nmodeled per-iteration cost, 0.1-degree grid "
               "(3600x2400), check frequency 10:\n");
@@ -287,7 +392,7 @@ int main(int argc, char** argv) {
                 w.costs.computation, w.costs.halo, w.costs.reduction,
                 w.costs.total(), w.chosen);
 
-  write_json(json_path, rows, model);
+  write_json(json_path, rows, latency, model);
   std::printf("\nwrote %s\n", json_path.c_str());
 
   bool ok = true;
