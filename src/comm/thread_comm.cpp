@@ -151,12 +151,6 @@ std::vector<std::unique_lock<std::mutex>> ThreadTeam::lock_inboxes_and_ring() {
   return held;
 }
 
-void ThreadTeam::notify_all_waits() {
-  cv_.notify_all();
-  for (Inbox& inbox : inboxes_) inbox.cv.notify_all();
-  ring_cv_.notify_all();
-}
-
 void ThreadTeam::raise_flag(std::atomic<bool>& flag) {
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -166,7 +160,9 @@ void ThreadTeam::raise_flag(std::atomic<bool>& flag) {
   // Every blocking wait's predicate re-checks both flags on wake, so
   // this aborts peers stuck on data the raiser will never provide; they
   // throw and meet in do_resync() (timeout) or unwind run() (poison).
-  notify_all_waits();
+  cv_.notify_all();
+  for (Inbox& inbox : inboxes_) inbox.cv.notify_all();
+  ring_cv_.notify_all();
 }
 
 void ThreadTeam::set_recv_timeout(double total_ms, int retries) {
@@ -333,8 +329,9 @@ void ThreadTeam::deliver(int src, int dest, int tag,
 bool ThreadTeam::try_take_locked(Inbox& inbox, int src, int tag,
                                  std::span<double> out) {
   std::vector<Message>& fifo = inbox.from[src];
-  const auto it = std::find_if(fifo.begin(), fifo.end(),
-                               [tag](const Message& m) { return m.tag == tag; });
+  const auto it = std::find_if(
+      fifo.begin(), fifo.end(),
+      [tag](const Message& m) { return m.tag == tag; });
   if (it == fifo.end()) return false;
   std::vector<double> data = std::move(it->data);
   fifo.erase(it);

@@ -179,7 +179,6 @@ class ThreadTeam {
   void raise_flag(std::atomic<bool>& flag);
   /// Locks every inbox in rank order, then the ring.
   std::vector<std::unique_lock<std::mutex>> lock_inboxes_and_ring();
-  void notify_all_waits();
 
   double recv_timeout_ms_ = 0.0;  ///< <= 0: wait forever (default)
   int recv_retries_ = 4;
