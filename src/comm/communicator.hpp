@@ -5,8 +5,9 @@
 // exchanges halos point-to-point, and participates in fused global
 // reductions. Two backends exist:
 //   * SerialComm  — size 1, no communication (reference/big-grid path)
-//   * ThreadComm  — N ranks as threads with mailbox point-to-point and
-//                   deterministic, fixed-order global reductions
+//   * ThreadComm  — N ranks as threads with one inbox per rank for
+//                   point-to-point and deterministic, fixed-order global
+//                   reductions
 //
 // The primitives are blocking, as the paper's cost model (§2.2) prices
 // them: a send is eager (the data is copied before it returns), a
@@ -74,8 +75,8 @@ class Communicator {
 
   virtual void barrier() = 0;
 
-  /// Collective fence that clears any failed-communication state (pending
-  /// mailboxes, reduction ordinals, timeout flags) and returns with every
+  /// Collective fence that clears any failed-communication state (queued
+  /// messages, reduction ordinals, timeout flags) and returns with every
   /// rank at a common point, ready for fresh collectives. A no-op on
   /// healthy backends with nothing outstanding; after a CommTimeoutError
   /// it is the only way to make the team usable again. Every rank must
