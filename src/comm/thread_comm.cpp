@@ -157,7 +157,7 @@ void ThreadTeam::raise_flag(std::atomic<bool>& flag) {
     const auto held = lock_inboxes_and_ring();
     flag = true;
   }
-  // Every blocking wait's predicate re-checks both flags on wake, so
+  // Every blocking wait's predicate re-checks the flags on wake, so
   // this aborts peers stuck on data the raiser will never provide; they
   // throw and meet in do_resync() (timeout) or unwind run() (poison).
   cv_.notify_all();
