@@ -27,7 +27,9 @@
 //    campaign silent-wrong-answer, in full runs) is violated.
 // 2. Fault campaign (needs -DMINIPOP_FAULTS=ON; skipped and marked in
 //    the JSON otherwise): a matrix of injection site x fault rate x
-//    solver over a 4-rank virtual-MPI team, including the silent-data-
+//    solver (ChronGear, P-CSI, and P-CSI at halo depth 3 — "pcsi-d3",
+//    the comm-avoiding schedule) over a 4-rank virtual-MPI team,
+//    including the silent-data-
 //    corruption sites the integrity layer exists for (halo wire bit
 //    flips behind the CRC, stencil-coefficient flips caught by the ABFT
 //    checksum, corrupted allreduce contributions caught by the guarded
@@ -122,17 +124,19 @@ struct SolveRun {
 
 #if MINIPOP_FAULTS
 /// One solve over `nranks` virtual ranks (1 = SerialComm) with a
-/// diagonal preconditioner; gathers the solution and rank 0's stats and
-/// recovery log. Only the fault campaigns need it.
+/// diagonal preconditioner, on an operator with coefficient rim `rim`
+/// (depth-k P-CSI needs k - 1); gathers the solution and rank 0's stats
+/// and recovery log. Only the fault campaigns need it.
 SolveRun run_with(const Problem& p, int nranks, const SolverFactory& make,
-                  double recv_timeout_ms = 0.0, bool halo_crc = false) {
+                  double recv_timeout_ms = 0.0, bool halo_crc = false,
+                  int rim = 0) {
   SolveRun out;
   out.x = mu::Field(p.decomp->nx_global(), p.decomp->ny_global(), 0.0);
   std::vector<ms::SolveStats> stats(nranks);
   mc::HaloExchanger halo(*p.decomp);
   halo.set_crc(halo_crc);
   auto body = [&](mc::Communicator& comm) {
-    ms::DistOperator a(*p.stencil, *p.decomp, comm.rank());
+    ms::DistOperator a(*p.stencil, *p.decomp, comm.rank(), rim);
     ms::DiagonalPreconditioner m(a);
     std::unique_ptr<ms::BatchedSolver> s = make(comm.rank());
     mc::DistField b(*p.decomp, comm.rank()), x(*p.decomp, comm.rank());
@@ -182,12 +186,15 @@ ms::SolverOptions integrity_options() {
   return opt;
 }
 
+/// Halo depth of a campaign solver kind: "pcsi-d3" is P-CSI at depth 3.
+int depth_of(const std::string& kind) { return kind == "pcsi-d3" ? 3 : 1; }
+
 std::unique_ptr<ms::BatchedSolver> make_primary(const std::string& kind,
                                                 ms::EigenBounds bounds,
-                                                const ms::SolverOptions& opt) {
-  if (kind == "pcsi")
-    return std::make_unique<ms::BatchedPcsiSolver>(bounds, opt);
-  return std::make_unique<ms::BatchedChronGearSolver>(opt);
+                                                ms::SolverOptions opt) {
+  if (kind == "cg") return std::make_unique<ms::BatchedChronGearSolver>(opt);
+  opt.halo_depth = depth_of(kind);
+  return std::make_unique<ms::BatchedPcsiSolver>(bounds, opt);
 }
 
 std::unique_ptr<ms::BatchedSolver> make_primary(const std::string& kind,
@@ -426,7 +433,7 @@ CampaignCell run_cell(const Problem& p, int nranks, const std::string& site,
       mf::FaultScope scope(plan);
       run = run_with(p, nranks,
                      factory ? *factory : decorated(kind, bounds),
-                     recv_timeout_ms, halo_crc);
+                     recv_timeout_ms, halo_crc, depth_of(kind) - 1);
     }
     note_actions(cell, run);
     for (const auto& ev : run.events) {
@@ -453,11 +460,12 @@ std::vector<CampaignCell> run_campaign(const Problem& p,
                                        const mu::Field& clean_pcsi) {
   const int nranks = 4;
   std::vector<CampaignCell> cells;
+  // Depth-3 P-CSI is bitwise depth-1 P-CSI: one clean answer serves both.
   auto clean_for = [&](const std::string& kind) -> const mu::Field& {
-    return kind == "pcsi" ? clean_pcsi : clean_cg;
+    return kind == "cg" ? clean_cg : clean_pcsi;
   };
 
-  for (const std::string kind : {"cg", "pcsi"}) {
+  for (const std::string kind : {"cg", "pcsi", "pcsi-d3"}) {
     // Scheduled one-shot faults: deterministic worst cases.
     {
       mf::FaultRule r;
@@ -564,13 +572,13 @@ std::vector<CampaignCell> run_campaign(const Problem& p,
   }
   // P-CSI-only: corrupted Chebyshev interval, recovered by Lanczos
   // re-estimation.
-  {
+  for (const std::string kind : {"pcsi", "pcsi-d3"}) {
     mf::FaultRule r;
     r.site = mf::FaultSite::kEigenBounds;
     r.trigger_event = 0;
     r.nu_scale = 1e-3;
     r.mu_scale = 1e-3;
-    cells.push_back(run_cell(p, nranks, "eigen_bounds", "event 0", "pcsi",
+    cells.push_back(run_cell(p, nranks, "eigen_bounds", "event 0", kind,
                              bounds, clean_pcsi, mf::FaultPlan{}.add(r), 3));
   }
   return cells;
@@ -679,11 +687,11 @@ int main(int argc, char** argv) {
     const ms::EigenBounds cb = lanczos_bounds_serial(pc);
     const SolveRun clean_cg = run_with(pc, 4, decorated("cg", cb));
     const SolveRun clean_pcsi = run_with(pc, 4, decorated("pcsi", cb));
-    std::printf("\n%-22s %-10s %-6s %7s %9s %7s %8s\n", "site", "schedule",
+    std::printf("\n%-22s %-10s %-7s %7s %9s %7s %8s\n", "site", "schedule",
                 "solver", "trials", "recovered", "typed", "detect");
     cells = run_campaign(pc, cb, clean_cg.x, clean_pcsi.x);
     for (const auto& c : cells) {
-      std::printf("%-22s %-10s %-6s %7d %9d %7d %8.1f\n", c.site.c_str(),
+      std::printf("%-22s %-10s %-7s %7d %9d %7d %8.1f\n", c.site.c_str(),
                   c.schedule.c_str(), c.solver.c_str(), c.trials,
                   c.recovered, c.typed_fail, c.mean_detect_iters);
       silent_total += c.silent;

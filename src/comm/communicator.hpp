@@ -38,13 +38,16 @@ class CommTimeoutError : public util::Error {
   using util::Error::Error;
 };
 
-/// A halo message failed its CRC32C integrity check at unpack. The
-/// payload was corrupted between pack and delivery (wire/NIC/memory);
-/// the sends are eager-buffered, so the receiver cannot ask for a
-/// retransmit of live data — the thrower first calls declare_desync()
-/// so the whole team funnels into resync(), then the recovery layer
-/// restarts the solve from a checkpoint. Typed so it can be told apart
-/// from a timeout (the data arrived — it arrived wrong).
+/// A received message is not the one its receive expects: a halo
+/// message failed its CRC32C integrity check at unpack (the payload was
+/// corrupted between pack and delivery: wire/NIC/memory), or the
+/// message matched under the receive's tag has another size than the
+/// receive (a stale duplicate met by a later exchange of another
+/// width). The sends are eager-buffered, so the receiver cannot ask for
+/// a retransmit of live data — the thrower first flags the team
+/// desynchronized so the whole team funnels into resync(), then the
+/// recovery layer restarts the solve from a checkpoint. Typed so it can
+/// be told apart from a timeout (the data arrived — it arrived wrong).
 class CorruptPayloadError : public util::Error {
  public:
   using util::Error::Error;

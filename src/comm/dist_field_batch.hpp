@@ -61,6 +61,16 @@ class DistFieldBatch {
     return f.data() + static_cast<std::ptrdiff_t>(halo_) * f.nx() +
            static_cast<std::ptrdiff_t>(halo_) * nb_;
   }
+  /// Raw pointer to member 0 of cell (-e, -e) of local block lb: the
+  /// corner of the interior grown by e cells on every side (0 <= e <=
+  /// halo()), where the sweeps over a grown region start. corner(lb, 0)
+  /// is interior(lb).
+  double* corner(int lb, int e) {
+    return interior(lb) - static_cast<std::ptrdiff_t>(e) * (stride(lb) + nb_);
+  }
+  const double* corner(int lb, int e) const {
+    return interior(lb) - static_cast<std::ptrdiff_t>(e) * (stride(lb) + nb_);
+  }
   /// Padded row pitch of local block lb, in elements (already includes
   /// the nb-fold widening).
   std::ptrdiff_t stride(int lb) const { return data_[lb].nx(); }
@@ -94,9 +104,9 @@ class DistFieldBatch {
   }
 
   /// Interior-only variant of copy_member_from that tolerates a
-  /// different halo width (the comm-avoiding solver copies members
-  /// between the caller's batches and its deep-halo working batches).
-  /// Halo cells of member m are left untouched.
+  /// different halo width (depth-k P-CSI copies b and x into deep-halo
+  /// working batches and x back). Halo cells of member m are left
+  /// untouched.
   void copy_member_interior_from(int m, const DistFieldBatch& src, int src_m);
 
   /// Shape compatibility: same decomposition object, rank, halo, and

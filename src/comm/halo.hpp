@@ -75,11 +75,11 @@ class HaloExchanger {
     exchange_group(comm, one);
   }
 
-  /// Aggregated deep-halo exchange of several same-shape batches (the
-  /// communication-avoiding solvers' once-per-group refresh of
-  /// {x, dx, r}): ONE message per peer rank carries, strip by strip,
-  /// every field's rim back to back, so a group of N fields costs the
-  /// same message count — and one exchange round — as a single field. All
+  /// Aggregated deep-halo exchange of several same-shape batches (depth-k
+  /// P-CSI's once-per-group refresh of {x, dx}): ONE message per peer
+  /// rank carries, strip by strip, every field's rim back to back, so a
+  /// group of N fields costs the same message count — and one exchange
+  /// round — as a single field. All
   /// fields must share decomposition, rank, halo width and batch width;
   /// each field's rims are bitwise identical to what its own exchange()
   /// would deliver. With CRC enabled, one trailer covers the whole

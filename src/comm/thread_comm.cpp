@@ -326,22 +326,19 @@ void ThreadTeam::deliver(int src, int dest, int tag,
   inbox.cv.notify_one();
 }
 
-bool ThreadTeam::try_take_locked(Inbox& inbox, int src, int tag,
-                                 std::span<double> out) {
+std::optional<std::size_t> ThreadTeam::try_take_locked(
+    Inbox& inbox, int src, int tag, std::span<double> out) {
   std::vector<Message>& fifo = inbox.from[src];
   const auto it = std::find_if(
       fifo.begin(), fifo.end(),
       [tag](const Message& m) { return m.tag == tag; });
-  if (it == fifo.end()) return false;
+  if (it == fifo.end()) return std::nullopt;
   std::vector<double> data = std::move(it->data);
   fifo.erase(it);
   const std::size_t sent = data.size();
   if (sent == out.size()) std::copy(data.begin(), data.end(), out.begin());
   inbox.spare.push_back(std::move(data));
-  MINIPOP_REQUIRE(sent == out.size(),
-                  "recv size " << out.size() << " != sent " << sent
-                               << " (src=" << src << " tag=" << tag << ")");
-  return true;
+  return sent;
 }
 
 void ThreadTeam::recv_block(int src, int dest, int tag,
@@ -381,10 +378,24 @@ void ThreadTeam::recv_block(int src, int dest, int tag,
     }
   }
   throw_if_poisoned();
-  if (!try_take_locked(inbox, src, tag, out)) {
+  const std::optional<std::size_t> sent = try_take_locked(inbox, src, tag, out);
+  if (!sent) {
     throw_if_timed_out();
     MINIPOP_REQUIRE(false, "recv woke without a matching message (src="
                                << src << " tag=" << tag << ")");
+  }
+  if (*sent != out.size()) {
+    // A message of another size under this tag is not this receive's
+    // (a stale duplicate matched by a later exchange of another width):
+    // the team's message state is out of sync. As after a timeout, drop
+    // the inbox lock, flag the team so every peer unwinds to the resync
+    // fence, and throw the typed error recovery restarts from.
+    lock.unlock();
+    declare_timeout();
+    throw CorruptPayloadError("recv size " + std::to_string(out.size()) +
+                              " != sent " + std::to_string(*sent) +
+                              " (src=" + std::to_string(src) +
+                              " tag=" + std::to_string(tag) + ")");
   }
 }
 

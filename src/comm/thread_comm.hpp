@@ -34,6 +34,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -148,8 +149,11 @@ class ThreadTeam {
   void deliver(int src, int dest, int tag, std::span<const double> data,
                int copies);
   void recv_block(int src, int dest, int tag, std::span<double> out);
-  bool try_take_locked(Inbox& inbox, int src, int tag,
-                       std::span<double> out);
+  /// Take the first message with `tag` from src's FIFO (inbox lock
+  /// held) and return its size, copying it into `out` when the sizes
+  /// match; nullopt when there is none.
+  std::optional<std::size_t> try_take_locked(Inbox& inbox, int src, int tag,
+                                             std::span<double> out);
 
   void do_barrier();
   void do_resync();

@@ -104,26 +104,25 @@ IterationCosts comm_avoid_iteration_costs(const MachineProfile& m, Config c,
   const double s =
       std::sqrt(static_cast<double>(points) / p);  // subdomain edge
 
-  // Redundant perimeter work: iteration j of a k-group preconditions and
-  // updates on extension e = k - j + 1 and evaluates the residual on
-  // e - 1. Ops split per point: T_p precond + 4 update at e, 10 residual
-  // at e - 1 (the remaining ~2 ops/pt of the paper's 12 are the check
-  // masking, already in the reduction term and interior-only).
+  // Redundant perimeter work: a k-group computes the residual, then
+  // preconditions and updates, on extensions e = k - 1, ..., 0, one
+  // sweep of each per extension. Ops per point: 10 residual + T_p
+  // precond + 4 update (the remaining ~2 ops/pt of the paper's 12 are
+  // the check masking, already in the reduction term and
+  // interior-only).
   const double precond_ops = is_evp(c) ? 14.0 : 1.0;
   double redundant = 0.0;
-  for (int e = 1; e <= k; ++e) {
-    const double extra_e = 4.0 * e * s + 4.0 * e * e;
-    const double extra_em1 = 4.0 * (e - 1) * s + 4.0 * (e - 1) * (e - 1);
-    redundant += (precond_ops + 4.0) * extra_e + 10.0 * extra_em1;
-  }
+  for (int e = 1; e < k; ++e)
+    redundant += (10.0 + precond_ops + 4.0) * (4.0 * e * s + 4.0 * e * e);
   // Ghost-rim land is skipped exactly like interior land, so redundant
   // work is discounted by the same ocean fraction.
   out.computation += redundant / k * ocean_fraction * m.theta;
 
   // One grouped exchange per k iterations: message latency divides by
-  // k; the payload carries width-k rims of the THREE iteration fields
-  // {x, dx, r} (vs the baseline's one width-2 rim of x per iteration).
-  const double group_bytes = 3.0 * 4.0 * k * s * 8.0;
+  // k; the payload carries width-k rims of the TWO fields the group
+  // reads beyond the interior, {x, dx} (vs the baseline's one width-2
+  // rim of x per iteration); r never travels.
+  const double group_bytes = 2.0 * 4.0 * k * s * 8.0;
   out.halo = (exchange_latency(m, p) + group_bytes * m.beta) / k;
   return out;
 }

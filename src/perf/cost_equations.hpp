@@ -61,14 +61,14 @@ IterationCosts iteration_costs(const MachineProfile& m, Config c,
 
 /// Amortized cost of one P-CSI iteration under the depth-k
 /// communication-avoiding schedule (DESIGN.md §13): one grouped
-/// exchange of the three iteration fields {x, dx, r} with width-k rims
-/// buys k iterations, so the per-iteration message latency divides by
-/// k, while the shrinking extended-domain sweeps add redundant
-/// perimeter flops — stage extension e costs (s+2e)^2 - s^2 ~ 4es+4e^2
-/// extra points on an s x s subdomain (s = sqrt(points/p)), averaging
-/// ~2sk + O(k^2) redundant points per iteration over a group.
+/// exchange of {x, dx} with width-k rims buys k iterations, so the
+/// per-iteration message latency divides by k, while the sweeps on
+/// shrinking grown regions (extensions k - 1, ..., 0) add redundant
+/// perimeter flops — extension e costs (s+2e)^2 - s^2 = 4es+4e^2 extra
+/// points on an s x s subdomain (s = sqrt(points/p)), averaging
+/// ~2s(k - 1) + O(k^2) redundant points per sweep over a group.
 /// k == 1 IS the baseline schedule and returns iteration_costs()
-/// exactly (the depth-1 engine does no redundant work and no grouping).
+/// exactly (the depth-1 schedule does no redundant work and no grouping).
 /// Only meaningful for P-CSI configs: ChronGear's per-iteration
 /// reduction forces a group boundary every iteration, so is_pcsi(c) is
 /// required.

@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
+#include <optional>
 #include <span>
 
 #include "src/fault/fault_injector.hpp"
-#include "src/solver/comm_avoid.hpp"
 #include "src/solver/field_ops.hpp"
 #include "src/solver/integrity.hpp"
 #include "src/solver/kernels.hpp"
@@ -97,10 +96,10 @@ BatchControl init_control(const SolverOptions& opt, comm::Communicator& comm,
   return ctl;
 }
 
-/// Copy the comm-avoiding path's working solution back to the caller's
-/// batch: same halo width keeps the full-plane copy (halo freshness
-/// carries over), a wider working halo copies the interior (the
-/// caller's halos are stale either way after a comm-avoiding solve).
+/// Copy a depth-k P-CSI solve's deep-halo working solution back to the
+/// caller's batch: same halo width keeps the full-plane copy (halo
+/// freshness carries over), a wider working halo copies the interior
+/// (the caller's halos are stale either way after a depth-k solve).
 void flush_member(comm::DistFieldBatch& x_caller, int m,
                   const comm::DistFieldBatch& xw) {
   if (x_caller.halo() == xw.halo())
@@ -215,8 +214,6 @@ BatchedPcsiSolver::BatchedPcsiSolver(EigenBounds bounds,
   set_bounds(bounds);
 }
 
-BatchedPcsiSolver::~BatchedPcsiSolver() = default;
-
 void BatchedPcsiSolver::set_bounds(EigenBounds bounds) {
   MINIPOP_REQUIRE(bounds.nu > 0.0 && bounds.mu > bounds.nu,
                   "invalid eigenvalue interval [" << bounds.nu << ", "
@@ -232,13 +229,20 @@ BatchSolveStats BatchedPcsiSolver::solve(comm::Communicator& comm,
                                          comm::DistFieldBatch& x,
                                          comm::HaloFreshness x_fresh) {
   MINIPOP_REQUIRE(b.compatible_with(x), "batched pcsi: b/x mismatch");
-  if (opt_.halo_depth > 1 &&
-      (m.name() == "diagonal" || m.name() == "identity") &&
-      std::min(std::max(opt_.halo_depth, 1),
-               a.decomposition().max_halo_width()) > 1)
-    return solve_comm_avoid(comm, halo, a, m, b, x);
+  // Iterations per halo exchange (DESIGN.md §13). Only a pointwise
+  // preconditioner applies on the grown regions the schedule sweeps.
+  const int depth =
+      m.pointwise() ? std::min(std::max(opt_.halo_depth, 1),
+                               a.decomposition().max_halo_width())
+                    : 1;
+  MINIPOP_REQUIRE(a.rim() >= depth - 1,
+                  "pcsi at halo depth " << depth
+                                        << " needs an operator built with rim "
+                                        << depth - 1 << ", got rim "
+                                        << a.rim());
   const auto snapshot = comm.costs().counters();
   const int nb = b.nb();
+  const int cf = opt_.check_frequency;
 
   BatchControl ctl = init_control(opt_, comm, a, b, x);
   if (ctl.n_active == 0) {
@@ -254,171 +258,93 @@ BatchSolveStats BatchedPcsiSolver::solve(comm::Communicator& comm,
   const double gamma = beta / alpha;
   double omega = 2.0 / gamma;  // omega_0
 
-  comm::DistFieldBatch r(a.decomposition(), a.rank(), nb, x.halo());
-  comm::DistFieldBatch rp(a.decomposition(), a.rank(), nb, x.halo());
-  comm::DistFieldBatch dx(a.decomposition(), a.rank(), nb, x.halo());
-
-  std::vector<double> ca(nb), cb(nb), cc(nb, 1.0);
-  std::vector<double> sums(nb);
-
-  // Initial step (Algorithm 2, step 2), gated so zero-RHS members'
-  // solutions stay exactly at the early-out's fill(0).
-  a.residual_batch(comm, halo, b, x, r, x_fresh);
-  m.apply_batch(comm, r, rp);
-  copy_interior(rp, dx);
-  std::fill(ca.begin(), ca.end(), 1.0 / gamma);
-  scale(comm, ca.data(), dx, a.span_plan(), ctl.active.data());
-  std::fill(ca.begin(), ca.end(), 1.0);
-  axpy(comm, ca.data(), dx, x, a.span_plan(), ctl.active.data());
-  a.residual_batch(comm, halo, b, x, r);
-
-  for (int k = 1; k <= opt_.max_iterations; ++k) {
-    ctl.out.iterations = k;
-    for (int s = 0; s < nb; ++s)
-      if (ctl.active[s]) ctl.out.members[s].iterations = k;
-
-    omega = 1.0 / (gamma - omega / (4.0 * alpha * alpha));
-
-    m.apply_batch(comm, r, rp);
-    std::fill(ca.begin(), ca.end(), omega);
-    std::fill(cb.begin(), cb.end(), gamma * omega - 1.0);
-    lincomb_axpy(comm, ca.data(), rp, cb.data(), dx, cc.data(), x,
-                 a.span_plan(), ctl.active.data());
-
-    if (k % opt_.check_frequency == 0) {
-      // One fused residual+norm sweep, one vector allreduce: member s
-      // reduces bit-identically to the 1-element check reduction of
-      // that member solved alone.
-      a.residual_local_norm2_batch(comm, halo, b, x, r, sums.data());
-      reduce_guarded(ctl, comm, std::span<double>(sums));
-      if (ctl.n_active == 0) break;
-      check_members(ctl, comm, halo, a, b, r, x, k, sums.data(),
-                    /*r_is_true=*/true);
-      if (ctl.n_active == 0) break;
-    } else {
-      a.residual_batch(comm, halo, b, x, r);
+  // At depth k > 1 the solve runs on deep-halo copies of b and x: every
+  // operand of a grown sweep needs a halo at least k wide. (Copied AFTER
+  // init_control so zero-RHS members' fill(0) carries in.) b never
+  // changes, so its rims are exchanged once per solve.
+  std::optional<comm::DistFieldBatch> b_deep, x_deep;
+  if (depth > 1) {
+    const int hw = std::max(x.halo(), depth);
+    b_deep.emplace(a.decomposition(), a.rank(), nb, hw);
+    x_deep.emplace(a.decomposition(), a.rank(), nb, hw);
+    for (int s = 0; s < nb; ++s) {
+      b_deep->copy_member_interior_from(s, b, s);
+      x_deep->copy_member_interior_from(s, x, s);
     }
+    halo.exchange(comm, *b_deep);
+    x_fresh = comm::HaloFreshness::kStale;
   }
+  const comm::DistFieldBatch& bw = b_deep ? *b_deep : b;
+  comm::DistFieldBatch& xw = x_deep ? *x_deep : x;
 
-  finish(ctl, comm, a, r, sums);
-  ctl.out.costs = comm.costs().since(snapshot);
-  return ctl.out;
-}
-
-// Communication-avoiding batched P-CSI (DESIGN.md §13): the lockstep
-// loop above with the per-iteration exchanges grouped — one deep
-// exchange of {x, dx, r} per group of up to `depth` iterations, the
-// sweeps running on shrinking extended domains over the whole batch.
-// Freeze decisions and every member's iterates are bitwise identical
-// to the depth-1 loop (the ghost arithmetic replays the neighbouring
-// owners' operations on identical operands; the check norm separates
-// the fused residual+norm sweep into residual + dot, which the kernel
-// contract pins to the same bits).
-BatchSolveStats BatchedPcsiSolver::solve_comm_avoid(
-    comm::Communicator& comm, const comm::HaloExchanger& halo,
-    const DistOperator& a, Preconditioner& m, const comm::DistFieldBatch& b,
-    comm::DistFieldBatch& x) {
-  const auto snapshot = comm.costs().counters();
-  const int nb = b.nb();
-
-  const int depth = std::min(std::max(opt_.halo_depth, 1),
-                             a.decomposition().max_halo_width());
-  const CaPrecond kind = m.name() == "diagonal" ? CaPrecond::kDiagonal
-                                                : CaPrecond::kIdentity;
-  if (!ca_engine_ || ca_engine_op_ != &a || ca_engine_->width() != depth) {
-    ca_engine_ = std::make_unique<CommAvoidEngine>(a, depth);
-    ca_engine_op_ = &a;
-  }
-  const CommAvoidEngine& eng = *ca_engine_;
-
-  BatchControl ctl = init_control(opt_, comm, a, b, x);
-  if (ctl.n_active == 0) {
-    ctl.out.costs = comm.costs().since(snapshot);
-    return ctl.out;
-  }
-
-  EigenBounds eb = bounds_;
-  fault::hook_eigen_bounds(a.rank(), &eb.nu, &eb.mu);
-  const double alpha = 2.0 / (eb.mu - eb.nu);
-  const double beta = (eb.mu + eb.nu) / (eb.mu - eb.nu);
-  const double gamma = beta / alpha;
-  double omega = 2.0 / gamma;  // omega_0
-
-  // Deep-halo working copies of b and x. Unlike the depth-1 path the
-  // solve never runs on the caller's planes: every operand of the
-  // extended sweeps needs a ghost region at least `depth` wide. (Copied
-  // AFTER init_control so zero-RHS members' fill(0) carries in.)
-  const int hw = std::max(x.halo(), depth);
-  comm::DistFieldBatch bw(a.decomposition(), a.rank(), nb, hw);
-  comm::DistFieldBatch xw(a.decomposition(), a.rank(), nb, hw);
-  for (int s = 0; s < nb; ++s) {
-    bw.copy_member_interior_from(s, b, s);
-    xw.copy_member_interior_from(s, x, s);
-  }
-  comm::DistFieldBatch r(a.decomposition(), a.rank(), nb, hw);
-  comm::DistFieldBatch rp(a.decomposition(), a.rank(), nb, hw);
-  comm::DistFieldBatch dx(a.decomposition(), a.rank(), nb, hw);
+  comm::DistFieldBatch r(a.decomposition(), a.rank(), nb, xw.halo());
+  comm::DistFieldBatch rp(a.decomposition(), a.rank(), nb, xw.halo());
+  comm::DistFieldBatch dx(a.decomposition(), a.rank(), nb, xw.halo());
 
   std::vector<double> ca(nb), cb(nb), cc(nb, 1.0);
   std::vector<double> sums(nb);
 
-  // b's deep ghosts feed every extended residual sweep and b never
-  // changes: ONE exchange per solve.
-  halo.exchange(comm, bw);
-
-  // Initial step (Algorithm 2, step 2), gated like the depth-1 path so
-  // zero-RHS members' solutions stay exactly at the early-out's fill(0).
-  a.residual_batch(comm, halo, bw, xw, r);
+  // Initial step (Algorithm 2, step 2) up to x_1, gated so zero-RHS
+  // members' solutions stay exactly at the early-out's fill(0).
+  a.residual_batch(comm, halo, bw, xw, r, x_fresh);
   m.apply_batch(comm, r, rp);
   copy_interior(rp, dx);
   std::fill(ca.begin(), ca.end(), 1.0 / gamma);
   scale(comm, ca.data(), dx, a.span_plan(), ctl.active.data());
   std::fill(ca.begin(), ca.end(), 1.0);
   axpy(comm, ca.data(), dx, xw, a.span_plan(), ctl.active.data());
-  a.residual_batch(comm, halo, bw, xw, r);
 
-  comm::DistFieldBatch* const group[3] = {&xw, &dx, &r};
-  int k = 1;
-  while (k <= opt_.max_iterations) {
-    // Group boundaries align with check iterations, so the checked r is
-    // always the group's final interior residual.
-    const int to_check =
-        opt_.check_frequency - ((k - 1) % opt_.check_frequency);
-    const int remaining = opt_.max_iterations - k + 1;
-    const int g = std::min({depth, to_check, remaining});
-
-    halo.exchange_group(comm, group);
-
-    for (int j = 1; j <= g; ++j, ++k) {
+  // Iteration k updates x on the region r was last computed on — the
+  // interior grown by e — and computes r_k one cell narrower. When e
+  // reaches 0, ONE exchange refreshes x's rims, and dx's when a later
+  // update reads them, for a group of w <= depth iterations. A group
+  // never runs past a check or the last iteration, so every checked
+  // residual lies on the interior; r never travels. At depth 1, w is 1:
+  // one exchange of x per iteration.
+  comm::DistFieldBatch* const group[2] = {&xw, &dx};
+  int e = 0;
+  for (int k = 0; k <= opt_.max_iterations; ++k) {
+    if (k > 0) {
       ctl.out.iterations = k;
       for (int s = 0; s < nb; ++s)
         if (ctl.active[s]) ctl.out.members[s].iterations = k;
 
       omega = 1.0 / (gamma - omega / (4.0 * alpha * alpha));
-      const int ept = g - j + 1;  // precond/update extension
-      eng.precond_batch(comm, kind, r, rp, ept);
+      m.apply_batch_ext(comm, r, rp, e);
       std::fill(ca.begin(), ca.end(), omega);
       std::fill(cb.begin(), cb.end(), gamma * omega - 1.0);
-      eng.update_batch(comm, ca.data(), rp, cb.data(), dx, cc.data(), xw,
-                       ctl.active.data(), ctl.n_active, ept);
-      eng.residual_batch(comm, bw, xw, r, ept - 1);
+      lincomb_axpy(comm, ca.data(), rp, cb.data(), dx, cc.data(), xw,
+                   a.span_plan(e), ctl.active.data(), e);
     }
-    const int k_last = k - 1;
-
-    if (k_last % opt_.check_frequency == 0) {
-      // r's interior IS the lockstep residual; one vector allreduce of
-      // the per-member masked norms, as in the depth-1 check.
-      a.local_dot_batch(comm, r, r, sums.data());
+    if (e == 0) {
+      const int next_check = std::max(cf, (k + cf - 1) / cf * cf);
+      const int w = std::min(
+          {depth, next_check - k + 1, opt_.max_iterations - k + 1});
+      halo.exchange_group(
+          comm, std::span<comm::DistFieldBatch* const>(group, w > 1 ? 2 : 1));
+      e = w;
+    }
+    --e;
+    if (k > 0 && k % cf == 0) {
+      // One fused residual+norm sweep, one vector allreduce: member s
+      // reduces bit-identically to the 1-element check reduction of
+      // that member solved alone.
+      a.residual_local_norm2_batch(comm, halo, bw, xw, r, sums.data(),
+                                   comm::HaloFreshness::kFresh);
       reduce_guarded(ctl, comm, std::span<double>(sums));
       if (ctl.n_active == 0) break;
-      check_members(ctl, comm, halo, a, bw, r, xw, k_last, sums.data(),
+      check_members(ctl, comm, halo, a, bw, r, xw, k, sums.data(),
                     /*r_is_true=*/true);
       if (ctl.n_active == 0) break;
+    } else {
+      a.residual_batch(comm, halo, bw, xw, r, comm::HaloFreshness::kFresh,
+                       e);
     }
   }
 
   finish(ctl, comm, a, r, sums);
-  for (int s = 0; s < nb; ++s) flush_member(x, s, xw);
+  if (x_deep)
+    for (int s = 0; s < nb; ++s) flush_member(x, s, *x_deep);
   ctl.out.costs = comm.costs().since(snapshot);
   return ctl.out;
 }

@@ -42,8 +42,6 @@
 
 namespace minipop::solver {
 
-class CommAvoidEngine;
-
 /// Estimated extreme eigenvalues of M^-1 A (from Lanczos; see
 /// lanczos.hpp) — the Chebyshev interval of P-CSI.
 struct EigenBounds {
@@ -110,8 +108,11 @@ class BatchedSolver {
 class BatchedPcsiSolver final : public BatchedSolver {
  public:
   BatchedPcsiSolver(EigenBounds bounds, const SolverOptions& options = {});
-  ~BatchedPcsiSolver() override;
 
+  /// SolverOptions::halo_depth k > 1 with a pointwise preconditioner
+  /// runs the depth-k schedule (DESIGN.md §13): one exchange per group
+  /// of up to k iterations, bitwise identical to depth 1. It needs an
+  /// operator built with rim >= k - 1 and throws otherwise.
   BatchSolveStats solve(
       comm::Communicator& comm, const comm::HaloExchanger& halo,
       const DistOperator& a, Preconditioner& m,
@@ -125,23 +126,8 @@ class BatchedPcsiSolver final : public BatchedSolver {
   void set_bounds(EigenBounds bounds);
 
  private:
-  /// Communication-avoiding batched loop (SolverOptions::halo_depth > 1
-  /// with a pointwise preconditioner): ONE grouped deep exchange of
-  /// {x, dx, r} per group of up to k lockstep iterations, on deep-halo
-  /// working copies of the whole batch. Per-member iterates and freeze
-  /// decisions are bitwise identical to the depth-1 lockstep loop.
-  BatchSolveStats solve_comm_avoid(comm::Communicator& comm,
-                                   const comm::HaloExchanger& halo,
-                                   const DistOperator& a, Preconditioner& m,
-                                   const comm::DistFieldBatch& b,
-                                   comm::DistFieldBatch& x);
-
   EigenBounds bounds_;
   SolverOptions opt_;
-  /// Cached ghost-zone engine, rebuilt when the operator or resolved
-  /// depth changes.
-  std::unique_ptr<CommAvoidEngine> ca_engine_;
-  const DistOperator* ca_engine_op_ = nullptr;
 };
 
 /// Lockstep batched ChronGear (s-step preconditioned CG). Per-member

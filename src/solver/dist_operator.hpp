@@ -9,6 +9,15 @@
 // the *input* is communication-equivalent and stays correct for block
 // preconditioners, whose output cannot be extended into the halo
 // locally.)
+//
+// Grown regions (DESIGN.md §13). An operator built with rim > 0 pads
+// every block's coefficient planes by `rim` cells holding the
+// neighbours' true coefficients (periodic wrap in x, zeros outside the
+// domain), and keeps one land-span plan per region grown by e in
+// [0, rim]. A residual sweep on the region grown by e then repeats, on
+// a ghost cell, the owning rank's own arithmetic on the same operands,
+// so it lands on the same bits: P-CSI's depth-k schedule runs k sweeps
+// after one deep exchange on rim k - 1. rim = 0 is the plain layout.
 #pragma once
 
 #include <array>
@@ -19,32 +28,43 @@
 #include "src/comm/dist_field.hpp"
 #include "src/comm/halo.hpp"
 #include "src/grid/stencil.hpp"
+#include "src/solver/kernels.hpp"
 #include "src/solver/span_plan.hpp"
 
 namespace minipop::solver {
 
 class DistOperator {
  public:
+  /// `rim` (0, or below decomp.max_halo_width()) pads the coefficient
+  /// planes for sweeps on regions grown by up to `rim` cells.
   DistOperator(const grid::NinePointStencil& stencil,
-               const grid::Decomposition& decomp, int rank);
+               const grid::Decomposition& decomp, int rank, int rim = 0);
 
   const grid::Decomposition& decomposition() const { return *decomp_; }
-  /// Construction-time stencil (global coefficient planes). The deep-halo
-  /// engine gathers its EXTENDED per-block planes from these — the same
-  /// source the per-block copies came from, so ghost-zone coefficients are
-  /// bitwise equal to the owning block's interior coefficients.
-  const grid::NinePointStencil& stencil() const { return *stencil_; }
   int rank() const { return rank_; }
+  /// Width of the coefficient planes' ghost rim.
+  int rim() const { return rim_; }
   int num_local_blocks() const {
     return static_cast<int>(block_coeff_.size());
   }
   long local_ocean_cells() const { return local_ocean_cells_; }
   double phi() const { return phi_; }
 
-  /// Land-span plan of the whole block interiors, indexed by local block
-  /// (DESIGN.md §14): every sweep of the operator, the preconditioners,
-  /// the field ops and the batched core runs over it.
-  const SpanPlan& span_plan() const { return span_full_; }
+  /// Land-span plan of the block interiors grown by e cells (0 <= e <=
+  /// rim()), indexed by local block (DESIGN.md §14): every sweep of the
+  /// operator, the preconditioners, the field ops and the batched cores
+  /// runs over one. Plan e covers the (nx+2e) x (ny+2e) region whose
+  /// corner is DistFieldBatch::corner(lb, e); ghost-rim land is skipped
+  /// exactly like interior land.
+  const SpanPlan& span_plan(int e = 0) const { return span_plans_[e]; }
+
+  /// Record one sweep over the interiors grown by e for `members`
+  /// members: `per_point` flops per swept cell and member, and the
+  /// ocean/swept census. The cells beyond the interiors are also
+  /// charged to redundant_flops, so the cost of the grown sweeps stays
+  /// auditable.
+  void count(comm::Communicator& comm, std::uint64_t per_point, int members,
+             int e = 0) const;
 
   // -------------------------------------------------------------------
   // ABFT operator checksums (DESIGN.md §12). The column-sum field
@@ -77,11 +97,12 @@ class DistOperator {
     return column_sum_[lb];
   }
 
-  /// Restore the coefficient planes from the construction-time stencil
-  /// (which recovery trusts: it lives in the model's read-only setup,
-  /// not in solver working state) and rebuild the column sums. Recovery
-  /// calls this on a kCorruptOperator verdict before restarting from a
-  /// checkpoint; a no-op on healthy coefficients (same values copied).
+  /// Restore the coefficient planes, rims included, from the
+  /// construction-time stencil (which recovery trusts: it lives in the
+  /// model's read-only setup, not in solver working state) and rebuild
+  /// the column sums. Recovery calls this on a kCorruptOperator verdict
+  /// before restarting from a checkpoint; a no-op on healthy
+  /// coefficients (same values copied).
   void repair_coefficients() const;
 
   // -------------------------------------------------------------------
@@ -104,12 +125,15 @@ class DistOperator {
       comm::DistFieldBatch& x, comm::DistFieldBatch& y,
       comm::HaloFreshness fresh = comm::HaloFreshness::kStale) const;
 
-  /// r = b - A x, all members.
+  /// r = b - A x, all members, on the interiors grown by `ext` (0 <=
+  /// ext <= rim()): reads b on that region and x one cell wider, so
+  /// b.halo() >= ext and x.halo() > ext.
   void residual_batch(
       comm::Communicator& comm, const comm::HaloExchanger& halo,
       const comm::DistFieldBatch& b, comm::DistFieldBatch& x,
       comm::DistFieldBatch& r,
-      comm::HaloFreshness fresh = comm::HaloFreshness::kStale) const;
+      comm::HaloFreshness fresh = comm::HaloFreshness::kStale,
+      int ext = 0) const;
 
   /// Fused r = b - A x AND local masked ||r_m||² for every member:
   /// sums[0..nb) is OVERWRITTEN with the local sums.
@@ -151,44 +175,54 @@ class DistOperator {
   double local_dot(comm::Communicator& comm, const comm::DistField& a,
                    const comm::DistField& b) const;
 
-  /// Operator diagonal of local block lb (interior coordinates).
+  /// Operator diagonal of local block lb, padded like block_coeff.
   const util::Field& block_diagonal(int lb) const {
     return block_coeff_[lb][static_cast<int>(grid::Dir::kCenter)];
   }
-  /// Coefficient field of direction d for local block lb.
+  /// Coefficient plane of direction d for local block lb, padded by
+  /// rim(): interior cell (i, j) is element (i + rim(), j + rim()).
   const util::Field& block_coeff(int lb, grid::Dir d) const {
     return block_coeff_[lb][static_cast<int>(d)];
   }
+  /// Land mask of local block lb (interior coordinates, no rim).
   const util::MaskArray& block_mask(int lb) const { return block_mask_[lb]; }
 
  private:
-  /// Record one sweep over every local interior for nb members:
-  /// `per_point` flops per cell and member, and the ocean/swept census.
-  void count(comm::Communicator& comm, std::uint64_t per_point,
-             int nb) const;
+  /// Stencil view of local block lb's coefficient planes at the corner
+  /// of its interior grown by e.
+  kernels::Stencil9 stencil_at(int lb, int e) const;
 
-  /// Fault-injection point: offer the coefficient planes to the
-  /// installed FaultInjector (kCoeffBitFlip) at the entry of every
-  /// sweep, at every batch width, since all read the same planes. The
-  /// corrupted sweep output rides into the iterates; the ABFT audit
-  /// must catch it. Compiles to nothing when MINIPOP_FAULTS is off.
+  /// Fault-injection point: offer the coefficient planes, rims
+  /// included, to the installed FaultInjector (kCoeffBitFlip) at the
+  /// entry of every sweep, at every batch width, since all read the
+  /// same planes. The corrupted sweep output rides into the iterates;
+  /// the ABFT audit must catch it. Compiles to nothing when
+  /// MINIPOP_FAULTS is off.
   void offer_coeff_fault_sites() const;
 
   /// Rebuild column_sum_ from the current block_coeff_ (construction
   /// and repair).
   void build_column_sums() const;
 
-  /// Span plan over the full block interiors.
-  SpanPlan span_full_;
+  /// Copy the padded coefficient planes out of the stencil
+  /// (construction and repair).
+  void gather_coefficients() const;
+
+  /// span_plans_[e]: the plan of the interiors grown by e.
+  std::vector<SpanPlan> span_plans_;
+  /// Cells and ocean cells of the grown regions, summed over local
+  /// blocks and indexed by e (count()'s census).
+  std::vector<std::uint64_t> cells_, ocean_cells_;
 
   const grid::Decomposition* decomp_;
   /// Kept for repair_coefficients(): the model's stencil outlives the
   /// operator (same ownership as decomp_).
   const grid::NinePointStencil* stencil_;
   int rank_;
+  int rim_;
   double phi_;
   long local_ocean_cells_ = 0;
-  long local_cells_ = 0;
+  /// Nine coefficient planes per block, (nx + 2 rim) x (ny + 2 rim).
   /// mutable: repair_coefficients() restores the planes through the
   /// const reference the solvers hold; each rank owns its DistOperator,
   /// so no two threads share one.

@@ -6,24 +6,30 @@
 namespace minipop::solver {
 
 namespace {
-// Cost of an update over the plan: flops on every interior point of
-// each updated member (a frozen member's solve has, logically, already
-// returned), and the plan's ocean census against the swept interior.
+// Cost of an update over the plan of the interiors grown by `ext`: flops
+// on every point of that region for each updated member (a frozen
+// member's solve has, logically, already returned), the share beyond
+// the interiors also as redundant flops, and the plan's ocean census
+// against the swept region.
 void count_update(comm::Communicator& comm, std::uint64_t flops_per_point,
                   const comm::DistFieldBatch& x, const SpanPlan& plan,
-                  const unsigned char* active) {
+                  const unsigned char* active, int ext = 0) {
   std::uint64_t lanes = 0;
   for (int m = 0; m < x.nb(); ++m)
     if (!active || active[m]) ++lanes;
-  std::uint64_t points = 0;
+  std::uint64_t points = 0, interior = 0;
   for (int lb = 0; lb < x.num_local_blocks(); ++lb) {
     const auto& b = x.info(lb);
-    points += static_cast<std::uint64_t>(b.nx) * b.ny;
+    points += static_cast<std::uint64_t>(b.nx + 2 * ext) * (b.ny + 2 * ext);
+    interior += static_cast<std::uint64_t>(b.nx) * b.ny;
   }
   std::uint64_t ocean = 0;
   for (const auto& bs : plan)
     ocean += static_cast<std::uint64_t>(bs.active_points());
   comm.costs().add_flops(flops_per_point * points * lanes);
+  if (ext > 0)
+    comm.costs().add_redundant_flops(flops_per_point * (points - interior) *
+                                     lanes);
   comm.costs().add_points(ocean * lanes, points * lanes);
 }
 }  // namespace
@@ -55,16 +61,18 @@ void lincomb_axpy(comm::Communicator& comm, const double* a,
                   const comm::DistFieldBatch& x, const double* b,
                   comm::DistFieldBatch& y, const double* c,
                   comm::DistFieldBatch& z, const SpanPlan& plan,
-                  const unsigned char* active) {
+                  const unsigned char* active, int ext) {
   MINIPOP_REQUIRE(x.compatible_with(y) && x.compatible_with(z),
                   "lincomb_axpy field mismatch");
+  MINIPOP_REQUIRE(ext >= 0 && ext <= x.halo(),
+                  "update on the interior grown by " << ext);
   for (int lb = 0; lb < x.num_local_blocks(); ++lb)
     kernels::lincomb_axpy(plan[lb].row_offset(), plan[lb].spans(), x.nb(),
-                          x.info(lb).ny, a, x.interior(lb), x.stride(lb), b,
-                          y.interior(lb), y.stride(lb), c, z.interior(lb),
-                          z.stride(lb), active);
+                          x.info(lb).ny + 2 * ext, a, x.corner(lb, ext),
+                          x.stride(lb), b, y.corner(lb, ext), y.stride(lb), c,
+                          z.corner(lb, ext), z.stride(lb), active);
   // Same count as the lincomb + axpy it fuses: 2 + 2 ops/point.
-  count_update(comm, 4, x, plan, active);
+  count_update(comm, 4, x, plan, active, ext);
 }
 
 void scale(comm::Communicator& comm, const double* a, comm::DistFieldBatch& x,

@@ -34,12 +34,16 @@ void axpy(comm::Communicator& comm, const double* a,
 
 /// Fused y_m = a[m]*x_m + b[m]*y_m followed by z_m += c[m]*y_m in one
 /// sweep (the direction and iterate updates of P-CSI steps 7-8 and
-/// ChronGear steps 13-16). Bit-identical to lincomb then axpy.
+/// ChronGear steps 13-16). Bit-identical to lincomb then axpy. With
+/// ext > 0 the sweep covers the interiors grown by ext cells (0 < ext
+/// <= the fields' halo), and `plan` must be the operator's
+/// span_plan(ext); the cells beyond the interiors count as redundant
+/// flops.
 void lincomb_axpy(comm::Communicator& comm, const double* a,
                   const comm::DistFieldBatch& x, const double* b,
                   comm::DistFieldBatch& y, const double* c,
                   comm::DistFieldBatch& z, const SpanPlan& plan,
-                  const unsigned char* active = nullptr);
+                  const unsigned char* active = nullptr, int ext = 0);
 
 /// x_m *= a[m].
 void scale(comm::Communicator& comm, const double* a, comm::DistFieldBatch& x,

@@ -115,10 +115,12 @@ struct SolverOptions {
   /// SolveStats::residual_history (convergence-curve studies).
   bool record_residuals = false;
   /// Communication-avoiding ghost-zone depth k of the P-CSI cores:
-  /// exchange a depth-k halo of {x, dx, r} once (one aggregated message
-  /// per neighbour), then run k sweeps on shrinking extended domains with
-  /// zero exchanges in between — halo rounds per solve drop ~k x at the
-  /// price of redundant rim flops (CostCounters::redundant_flops).
+  /// exchange a depth-k halo of {x, dx} once (one aggregated message
+  /// per neighbour), then run k iterations on shrinking grown regions
+  /// with zero exchanges in between — halo rounds per solve drop ~k x
+  /// at the price of redundant rim flops (CostCounters::
+  /// redundant_flops). The operator must be built with rim k - 1
+  /// (BarotropicSolver does so from the resolved depth).
   /// Iterates, residuals and iteration counts are bitwise identical to
   /// k = 1 (the redundant ghost computation executes the same FP ops on
   /// the same values the owner does). 1 = classic per-iteration

@@ -78,9 +78,10 @@
 
 namespace minipop::solver::kernels {
 
-/// Base pointers of one block's nine coefficient arrays (unpadded,
-/// bnx-pitch, row-major — the layout DistOperator stores). Order follows
-/// grid::Dir. `stride` is the coefficient row pitch (= block nx).
+/// Pointers to the first swept cell of one block's nine coefficient
+/// planes (row-major, the layout DistOperator stores: each plane padded
+/// by the operator's rim). Order follows grid::Dir. `stride` is the
+/// coefficient row pitch (= block nx + 2 * rim).
 struct Stencil9 {
   const double* c0;   ///< center
   const double* ce;   ///< east

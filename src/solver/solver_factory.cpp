@@ -42,6 +42,60 @@ std::string to_string(PreconditionerKind k) {
   return "?";
 }
 
+namespace {
+
+/// `config` with SolverOptions::halo_depth resolved (DESIGN.md §13) to
+/// a concrete k in [1, min(kMaxHaloDepth, widest-supported rim)]. Only
+/// P-CSI has the reduction-free iteration body the grouped schedule
+/// needs, and only the pointwise preconditioners apply on grown regions
+/// — every other combination falls back to depth 1, loudly when the
+/// user asked for more.
+SolverConfig with_resolved_halo_depth(SolverConfig config,
+                                      const grid::Decomposition& decomp) {
+  int& hd = config.options.halo_depth;
+  MINIPOP_REQUIRE(hd == kHaloDepthAuto || (hd >= 1 && hd <= kMaxHaloDepth),
+                  "halo_depth=" << hd << " (want 1.." << kMaxHaloDepth
+                                << " or " << kHaloDepthAuto << "=auto)");
+  if (config.solver != SolverKind::kPcsi) {
+    if (hd > 1)
+      MINIPOP_WARN("halo_depth=" << hd << " ignored: solver '"
+                                 << to_string(config.solver)
+                                 << "' has no comm-avoiding schedule");
+    hd = 1;
+  } else if (config.preconditioner == PreconditionerKind::kBlockEvp) {
+    if (hd != 1)
+      MINIPOP_WARN("halo_depth=" << hd
+                                 << " ignored: block-evp has no "
+                                    "extended-domain apply; running "
+                                    "depth-1 exchanges");
+    hd = 1;
+  } else {
+    if (hd == kHaloDepthAuto) {
+      const long points =
+          static_cast<long>(decomp.nx_global()) * decomp.ny_global();
+      // Land-aware: the model discounts sweep flops by the mask's
+      // ocean fraction, which shifts the break-even toward deeper
+      // ghost zones on land-heavy grids (redundant rim work is
+      // discounted too; exchange latency is not).
+      hd = perf::choose_halo_depth(
+          perf::yellowstone_profile(), perf::Config::kPcsiDiag, points,
+          decomp.nranks(), config.options.check_frequency, kMaxHaloDepth,
+          decomp.ocean_fraction());
+      MINIPOP_INFO("halo_depth=auto resolved to " << hd);
+    }
+    const int widest = std::min(kMaxHaloDepth, decomp.max_halo_width());
+    if (hd > widest) {
+      MINIPOP_WARN("halo_depth=" << hd << " clamped to " << widest
+                                 << " (narrowest active block bounds "
+                                    "the ghost rim)");
+      hd = widest;
+    }
+  }
+  return config;
+}
+
+}  // namespace
+
 BarotropicSolver::BarotropicSolver(comm::Communicator& comm,
                                    const comm::HaloExchanger& halo,
                                    const grid::CurvilinearGrid& grid,
@@ -49,57 +103,10 @@ BarotropicSolver::BarotropicSolver(comm::Communicator& comm,
                                    const grid::NinePointStencil& stencil,
                                    const grid::Decomposition& decomp,
                                    const SolverConfig& config)
-    : config_(config),
+    : config_(with_resolved_halo_depth(config, decomp)),
       halo_(&halo),
-      op_(stencil, decomp, comm.rank()) {
-  // Resolve the comm-avoiding ghost-zone depth (DESIGN.md §13) to a
-  // concrete k in [1, min(kMaxHaloDepth, widest-supported rim)] before
-  // anything reads it. Only P-CSI has the reduction-free iteration body
-  // the grouped schedule needs, and only the pointwise preconditioners
-  // have an extended-domain apply — every other combination falls back
-  // to depth 1, loudly when the user asked for more.
-  {
-    int& hd = config_.options.halo_depth;
-    MINIPOP_REQUIRE(hd == kHaloDepthAuto ||
-                        (hd >= 1 && hd <= kMaxHaloDepth),
-                    "halo_depth=" << hd << " (want 1.." << kMaxHaloDepth
-                                  << " or " << kHaloDepthAuto << "=auto)");
-    if (config_.solver != SolverKind::kPcsi) {
-      if (hd > 1)
-        MINIPOP_WARN("halo_depth=" << hd << " ignored: solver '"
-                                   << to_string(config_.solver)
-                                   << "' has no comm-avoiding schedule");
-      hd = 1;
-    } else if (config_.preconditioner == PreconditionerKind::kBlockEvp) {
-      if (hd != 1)
-        MINIPOP_WARN(
-            "halo_depth=" << hd
-                          << " ignored: block-evp has no extended-domain "
-                             "apply; running depth-1 exchanges");
-      hd = 1;
-    } else {
-      if (hd == kHaloDepthAuto) {
-        const long points = static_cast<long>(decomp.nx_global()) *
-                            decomp.ny_global();
-        // Land-aware: the model discounts sweep flops by the mask's
-        // ocean fraction, which shifts the break-even toward deeper
-        // ghost zones on land-heavy grids (redundant rim work is
-        // discounted too; exchange latency is not).
-        hd = perf::choose_halo_depth(
-            perf::yellowstone_profile(), perf::Config::kPcsiDiag, points,
-            decomp.nranks(), config_.options.check_frequency, kMaxHaloDepth,
-            decomp.ocean_fraction());
-        MINIPOP_INFO("halo_depth=auto resolved to " << hd);
-      }
-      const int widest = std::min(kMaxHaloDepth, decomp.max_halo_width());
-      if (hd > widest) {
-        MINIPOP_WARN("halo_depth=" << hd << " clamped to " << widest
-                                   << " (narrowest active block bounds "
-                                      "the ghost rim)");
-        hd = widest;
-      }
-    }
-  }
+      // Depth-k P-CSI sweeps the interior grown by up to k - 1 cells.
+      op_(stencil, decomp, comm.rank(), config_.options.halo_depth - 1) {
   switch (config_.preconditioner) {
     case PreconditionerKind::kIdentity:
       precond_ = std::make_unique<IdentityPreconditioner>(op_);

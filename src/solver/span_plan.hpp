@@ -8,8 +8,8 @@
 // compact list of contiguous ocean runs ("spans"); every kernel in
 // kernels.hpp iterates mask-free and unit-stride over those runs.
 //
-// The plan is computed once per operator (and once per comm-avoid
-// extension depth) from the land mask, so the sweeps visit precisely the
+// The plan is computed once per operator and grown region (DistOperator::
+// span_plan(e)) from the land mask, so the sweeps visit precisely the
 // cells whose masked contribution is non-trivial — the bitwise-identity
 // argument against the masked reference family lives with the kernel
 // declarations in kernels.hpp.
@@ -34,8 +34,8 @@ class BlockSpans {
 
   /// Build from a raw mask plane: mask[j * mask_stride + i] != 0 marks
   /// ocean. The plane may be a sub-window of a larger field (stride >
-  /// nx), which is how the comm-avoid engine derives per-depth plans
-  /// from its padded planes.
+  /// nx), which is how DistOperator derives the plan of every grown
+  /// region from one padded mask.
   BlockSpans(const unsigned char* mask, std::ptrdiff_t mask_stride, int nx,
              int ny);
 

@@ -500,6 +500,84 @@ TEST(HaloDepthValidation, AutoResolvesToConcreteDepth) {
   EXPECT_LE(hd, ms::kMaxHaloDepth);
 }
 
+/// Lanczos bounds of the diagonally preconditioned operator on one rank.
+ms::EigenBounds serial_bounds(const CaProblem& p) {
+  mc::SerialComm comm;
+  const ms::DistOperator a(*p.stencil, *p.decomp, 0);
+  ms::DiagonalPreconditioner m(a);
+  ms::LanczosOptions lopt;
+  lopt.rel_tolerance = 0.02;
+  return ms::estimate_eigenvalue_bounds(comm, *p.halo, a, m, lopt).bounds;
+}
+
+// A depth-k P-CSI solve sweeps the interior grown by up to k - 1 cells,
+// so it needs an operator whose planes carry that rim: too small a rim
+// is a loud error, never a silent fall back to depth 1.
+TEST(HaloDepthValidation, PcsiRequiresOperatorRimOfDepthMinusOne) {
+  CaProblem p(24, 20, false, 1);
+  ms::SolverOptions opt;
+  opt.rel_tolerance = 1e-10;
+  opt.halo_depth = 3;
+  ms::BatchedPcsiSolver pcsi(serial_bounds(p), opt);
+  mc::SerialComm comm;
+  mc::DistField b(*p.decomp, 0), x(*p.decomp, 0);
+  b.load_global(p.random_rhs(4242));
+  for (int rim : {0, 1}) {
+    SCOPED_TRACE("rim " + std::to_string(rim));
+    const ms::DistOperator a(*p.stencil, *p.decomp, 0, rim);
+    ms::DiagonalPreconditioner m(a);
+    try {
+      ms::solve_one(pcsi, comm, *p.halo, a, m, b, x);
+      ADD_FAILURE() << "depth-3 solve ran on a rim-" << rim << " operator";
+    } catch (const mu::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("needs an operator built with "
+                                           "rim 2"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  const ms::DistOperator a(*p.stencil, *p.decomp, 0, 2);
+  ms::DiagonalPreconditioner m(a);
+  EXPECT_NO_THROW(ms::solve_one(pcsi, comm, *p.halo, a, m, b, x));
+  // The rim must leave a halo cell beyond it for the widest sweep.
+  EXPECT_THROW(ms::DistOperator(*p.stencil, *p.decomp, 0,
+                                p.decomp->max_halo_width()),
+               mu::Error);
+}
+
+// Padding the planes changes only where they live: a depth-1 solve on a
+// rim-2 operator reproduces the rim-0 solve and its counters exactly.
+TEST(CommAvoidCosts, PaddedOperatorLeavesDepth1SolveUnchanged) {
+  CaProblem p(24, 20, false, 1);
+  ms::SolverOptions opt;
+  opt.rel_tolerance = 1e-10;
+  opt.record_residuals = true;
+  ms::BatchedPcsiSolver pcsi(serial_bounds(p), opt);
+  mc::SerialComm comm;
+  mc::DistField b(*p.decomp, 0);
+  b.load_global(p.random_rhs(4242));
+  std::vector<ms::SolveStats> stats;
+  std::vector<mu::Field> xs;
+  for (int rim : {0, 2}) {
+    const ms::DistOperator a(*p.stencil, *p.decomp, 0, rim);
+    ms::DiagonalPreconditioner m(a);
+    mc::DistField x(*p.decomp, 0);
+    stats.push_back(ms::solve_one(pcsi, comm, *p.halo, a, m, b, x));
+    xs.emplace_back(p.grid->nx(), p.grid->ny(), 0.0);
+    x.store_global(xs.back());
+  }
+  ASSERT_FALSE(stats[0].residual_history.empty());
+  EXPECT_EQ(stats[1].iterations, stats[0].iterations);
+  EXPECT_EQ(stats[1].relative_residual, stats[0].relative_residual);
+  EXPECT_EQ(stats[1].residual_history, stats[0].residual_history);
+  EXPECT_EQ(stats[1].costs.flops, stats[0].costs.flops);
+  EXPECT_EQ(stats[1].costs.redundant_flops, 0u);
+  EXPECT_EQ(stats[1].costs.halo_exchanges, stats[0].costs.halo_exchanges);
+  EXPECT_EQ(stats[1].costs.active_points, stats[0].costs.active_points);
+  EXPECT_EQ(stats[1].costs.swept_points, stats[0].costs.swept_points);
+  expect_same_bits(xs[1], xs[0], p.stencil->mask());
+}
+
 // --- Hilbert / decomposition determinism ----------------------------------
 
 TEST(DecompositionDeterminism, RepeatedConstructionIsIdentical) {

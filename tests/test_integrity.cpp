@@ -149,9 +149,12 @@ struct SolveRun {
   std::vector<ms::RecoveryEvent> events;
 };
 
+/// One width-1 solve over `nranks` virtual ranks (1 = SerialComm) on an
+/// operator with coefficient rim `rim` (depth-k P-CSI needs k - 1).
 SolveRun run_with(const Problem& p, int nranks, const SolverFactory& make,
                   const mu::Field* b_override = nullptr,
-                  double recv_timeout_ms = 0.0, bool halo_crc = false) {
+                  double recv_timeout_ms = 0.0, bool halo_crc = false,
+                  int rim = 0) {
   SolveRun out;
   out.x = mu::Field(p.decomp->nx_global(), p.decomp->ny_global(), 0.0);
   std::vector<ms::SolveStats> stats(nranks);
@@ -159,7 +162,7 @@ SolveRun run_with(const Problem& p, int nranks, const SolverFactory& make,
   halo.set_crc(halo_crc);
   const mu::Field& bg = b_override ? *b_override : p.b_global;
   auto body = [&](mc::Communicator& comm) {
-    ms::DistOperator a(*p.stencil, *p.decomp, comm.rank());
+    ms::DistOperator a(*p.stencil, *p.decomp, comm.rank(), rim);
     ms::DiagonalPreconditioner m(a);
     std::unique_ptr<ms::BatchedSolver> s = make(comm.rank());
     mc::DistField b(*p.decomp, comm.rank()), x(*p.decomp, comm.rank());
@@ -851,6 +854,56 @@ TEST(SdcRecovery, BatchedCorruptOperatorRepairedThenReplaysCleanSolve) {
   for (std::size_t m = 0; m < rhs.size(); ++m) {
     EXPECT_TRUE(dec.stats.members[m].converged) << "member " << m;
     expect_fields_bitwise(dec.x[m], clean.x[m]);
+  }
+}
+
+// Coefficient bit flips on the depth-3 P-CSI path on 4 ranks, whose
+// operator planes carry a 2-cell rim of the neighbours' coefficients.
+// The flips land on rank 1 at coefficient-site event 2 + 7 (s mod 5)
+// with plan seed 7919 s: s = 2 flips a north coefficient of an owned
+// ocean cell (block 1, cell (5, 0)); s = 1 flips a north-west
+// coefficient two cells east of block 0, in the rim.
+TEST(SdcRecovery, DepthThreeCoeffFlipsRepairedOrTyped) {
+  Problem p = make_problem(32, 24, 8, 4);
+  const ms::EigenBounds bounds = lanczos_bounds_serial(p);
+  ms::SolverOptions opt;
+  opt.rel_tolerance = 1e-10;
+  opt.max_iterations = 1000;
+  opt.record_residuals = true;
+  opt.integrity.abft_interval = 1;
+  opt.halo_depth = 3;
+  const SolveRun clean = run_with(p, 4, make_kind("pcsi", opt, bounds),
+                                  nullptr, 0.0, false, /*rim=*/2);
+  ASSERT_TRUE(clean.stats.converged);
+  const auto flip = [&](int s) {
+    mf::FaultPlan plan =
+        one_rule(mf::FaultSite::kCoeffBitFlip, 2 + 7 * (s % 5), 62, 1);
+    plan.seed = 7919u * static_cast<std::uint64_t>(s);
+    mf::FaultScope scope(plan);
+    SolveRun run = run_with(p, 4, resilient(make_kind("pcsi", opt, bounds)),
+                            nullptr, 0.0, false, /*rim=*/2);
+    EXPECT_EQ(scope.injector().fire_count(), 1);
+    return run;
+  };
+  {
+    SCOPED_TRACE("owned cell");
+    const SolveRun dec = flip(2);
+    ASSERT_GE(dec.events.size(), 1u);
+    EXPECT_EQ(dec.events[0].failure, ms::FailureKind::kCorruptOperator);
+    EXPECT_EQ(dec.events[0].action, "repair_operator");
+    EXPECT_TRUE(dec.stats.converged);
+    expect_fields_bitwise(dec.x, clean.x);
+  }
+  {
+    // The ABFT column sums cover owned cells only, so a rim flip may go
+    // unseen by the audit; it must still never pass for a converged
+    // right answer.
+    SCOPED_TRACE("rim cell");
+    const SolveRun dec = flip(1);
+    if (dec.stats.converged)
+      expect_fields_near(dec.x, clean.x, 1e-6);
+    else
+      EXPECT_NE(dec.stats.failure, ms::FailureKind::kNone);
   }
 }
 

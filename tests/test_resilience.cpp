@@ -121,7 +121,8 @@ using SolverFactory =
     std::function<std::unique_ptr<ms::BatchedSolver>(int rank)>;
 
 /// One width-1 solve with a diagonal preconditioner over `nranks`
-/// virtual ranks (1 = SerialComm). Returns the gathered solution,
+/// virtual ranks (1 = SerialComm), on an operator with coefficient rim
+/// `rim` (depth-k P-CSI needs k - 1). Returns the gathered solution,
 /// rank-0 stats, and — when the factory produced a
 /// BatchedResilientSolver — rank 0's recovery log.
 struct SolveRun {
@@ -132,14 +133,14 @@ struct SolveRun {
 
 SolveRun run_with(const Problem& p, int nranks, const SolverFactory& make,
              const mu::Field* b_override = nullptr,
-             double recv_timeout_ms = 0.0) {
+             double recv_timeout_ms = 0.0, int rim = 0) {
   SolveRun out;
   out.x = mu::Field(p.decomp->nx_global(), p.decomp->ny_global(), 0.0);
   std::vector<ms::SolveStats> stats(nranks);
   mc::HaloExchanger halo(*p.decomp);
   const mu::Field& bg = b_override ? *b_override : p.b_global;
   auto body = [&](mc::Communicator& comm) {
-    ms::DistOperator a(*p.stencil, *p.decomp, comm.rank());
+    ms::DistOperator a(*p.stencil, *p.decomp, comm.rank(), rim);
     ms::DiagonalPreconditioner m(a);
     std::unique_ptr<ms::BatchedSolver> s = make(comm.rank());
     mc::DistField b(*p.decomp, comm.rank()), x(*p.decomp, comm.rank());
@@ -555,6 +556,40 @@ TEST(Timeouts, MissingMessageThrowsAndResyncRestoresTeam) {
   EXPECT_EQ(sum[1], 3.0);
 }
 
+// A message of another size under the receive's tag is not this
+// receive's (a stale duplicate met by an exchange of another width): the
+// receive throws the typed CorruptPayloadError and flags the team, so a
+// peer blocked in a collective unwinds too and resync() restores it.
+TEST(Timeouts, RecvSizeMismatchIsTypedAndResyncRestoresTeam) {
+  mc::ThreadTeam team(2);
+  std::vector<int> caught(2, 0);
+  std::vector<double> sum(2, 0.0);
+  team.run([&](mc::Communicator& comm) {
+    try {
+      if (comm.rank() == 0) {
+        const double d[3] = {1, 2, 3};
+        comm.send(1, 7, std::span<const double>(d, 3));
+        comm.barrier();
+      } else {
+        double d[2];
+        comm.recv(0, 7, std::span<double>(d, 2));
+      }
+    } catch (const mc::CorruptPayloadError&) {
+      caught[comm.rank()] = 1;
+    } catch (const mc::CommTimeoutError&) {
+      caught[comm.rank()] = 2;
+    }
+    comm.resync();
+    double s = comm.rank() + 1.0;
+    comm.allreduce(std::span<double>(&s, 1), mc::ReduceOp::kSum);
+    sum[comm.rank()] = s;
+  });
+  EXPECT_EQ(caught[0], 2);  // the barrier unwinds on the team flag
+  EXPECT_EQ(caught[1], 1);
+  EXPECT_EQ(sum[0], 3.0);
+  EXPECT_EQ(sum[1], 3.0);
+}
+
 TEST(Timeouts, HaloExchangeTimeoutUnwindsAndResyncRestoresHalos) {
   // A halo exchange whose peer never sends throws out of its blocking
   // receive. After the collective resync the next exchange must deliver
@@ -895,21 +930,24 @@ TEST(FaultCampaign, HaloBitFlipRecoversToFaultFreeAnswer) {
 
 namespace {
 
-/// A solver configuration the ThreadComm fault campaigns run on 4 ranks.
+/// A solver configuration the ThreadComm fault campaigns run on 4 ranks,
+/// with the operator rim it needs.
 struct CommFaultCase {
   std::string name;
   SolverFactory make;
+  int rim = 0;
 };
 
 /// ChronGear at halo depth 1, and P-CSI + diagonal at halo depth 3: the
-/// comm-avoiding path `sim_diag_r4` runs, whose exchange_group messages
-/// carry three rims of several fields.
+/// comm-avoiding path `sim_diag_r4` runs, whose exchanges mix sizes (b
+/// alone, {x} and {x, dx}, three cells deep).
 std::vector<CommFaultCase> comm_fault_cases(const Problem& p,
                                             const ms::SolverOptions& opt) {
   ms::SolverOptions deep = opt;
   deep.halo_depth = 3;
   return {{"chrongear", make_kind("cg", opt)},
-          {"pcsi depth 3", make_kind("pcsi", deep, lanczos_bounds_serial(p))}};
+          {"pcsi depth 3", make_kind("pcsi", deep, lanczos_bounds_serial(p)),
+           2}};
 }
 
 }  // namespace
@@ -927,7 +965,7 @@ TEST(FaultCampaign, DroppedMessageTimesOutThenRecovers) {
   plan.add(r);
   for (const CommFaultCase& c : comm_fault_cases(p, opt)) {
     SCOPED_TRACE(c.name);
-    SolveRun clean = run_with(p, 4, c.make);
+    SolveRun clean = run_with(p, 4, c.make, nullptr, 0.0, c.rim);
     ASSERT_TRUE(clean.stats.converged);
 
     mf::FaultScope scope(plan);
@@ -937,7 +975,7 @@ TEST(FaultCampaign, DroppedMessageTimesOutThenRecovers) {
           return std::unique_ptr<ms::BatchedSolver>(
               std::make_unique<ms::BatchedResilientSolver>(c.make(rank)));
         },
-        nullptr, /*recv_timeout_ms=*/500.0);
+        nullptr, /*recv_timeout_ms=*/500.0, c.rim);
     EXPECT_EQ(scope.injector().fire_count(), 1);
     EXPECT_TRUE(dec.stats.converged);
     ASSERT_GE(dec.events.size(), 1u);
@@ -963,12 +1001,12 @@ TEST(FaultCampaign, DelayedMessageUnderTimeoutIsHarmless) {
   plan.add(r);
   for (const CommFaultCase& c : comm_fault_cases(p, opt)) {
     SCOPED_TRACE(c.name);
-    SolveRun clean = run_with(p, 4, c.make);
+    SolveRun clean = run_with(p, 4, c.make, nullptr, 0.0, c.rim);
     ASSERT_TRUE(clean.stats.converged);
 
     mf::FaultScope scope(plan);
     SolveRun late = run_with(p, 4, c.make, nullptr,
-                             /*recv_timeout_ms=*/5000.0);
+                             /*recv_timeout_ms=*/5000.0, c.rim);
     EXPECT_EQ(scope.injector().fire_count(), 1);
     // A late delivery changes only timing, never data or iteration
     // counts.
@@ -977,10 +1015,6 @@ TEST(FaultCampaign, DelayedMessageUnderTimeoutIsHarmless) {
   }
 }
 
-// ChronGear only: at halo depth 3 the stale duplicate is later matched by
-// an exchange of another width, and the receive's size check throws a
-// plain util::Error out of the solve, which the resilient solver neither
-// recovers nor reports as a typed failure.
 TEST(FaultCampaign, DuplicatedMessageNeverHangsOrLiesAboutConvergence) {
   Problem p = make_problem(32, 24, 8, 4);
   ms::SolverOptions opt;
@@ -993,23 +1027,25 @@ TEST(FaultCampaign, DuplicatedMessageNeverHangsOrLiesAboutConvergence) {
   r.mailbox = mf::MailboxAction::kDuplicate;
   mf::FaultPlan plan;
   plan.add(r);
-  mf::FaultScope scope(plan);
-  // The stale duplicate shifts a channel's queue by one message for the
-  // rest of the run: the contract is "recover or return a typed
-  // failure", and above all: terminate.
-  SolveRun dec = run_with(
-      p, 4,
-      [&](int) {
-        return std::unique_ptr<ms::BatchedSolver>(
-            std::make_unique<ms::BatchedResilientSolver>(
-                make_kind("cg", opt)(0)));
-      },
-      nullptr, /*recv_timeout_ms=*/1000.0);
-  EXPECT_EQ(scope.injector().fire_count(), 1);
-  if (dec.stats.converged)
-    EXPECT_LE(dec.stats.relative_residual, opt.rel_tolerance);
-  else
-    EXPECT_NE(dec.stats.failure, ms::FailureKind::kNone);
+  for (const CommFaultCase& c : comm_fault_cases(p, opt)) {
+    SCOPED_TRACE(c.name);
+    mf::FaultScope scope(plan);
+    // The stale duplicate shifts a channel's queue by one message for
+    // the rest of the run: the contract is "recover or return a typed
+    // failure", and above all: terminate.
+    SolveRun dec = run_with(
+        p, 4,
+        [&](int rank) {
+          return std::unique_ptr<ms::BatchedSolver>(
+              std::make_unique<ms::BatchedResilientSolver>(c.make(rank)));
+        },
+        nullptr, /*recv_timeout_ms=*/1000.0, c.rim);
+    EXPECT_EQ(scope.injector().fire_count(), 1);
+    if (dec.stats.converged)
+      EXPECT_LE(dec.stats.relative_residual, opt.rel_tolerance);
+    else
+      EXPECT_NE(dec.stats.failure, ms::FailureKind::kNone);
+  }
 }
 
 TEST(FaultCampaign, RankStallOnlyDelaysTheSolve) {
@@ -1026,11 +1062,11 @@ TEST(FaultCampaign, RankStallOnlyDelaysTheSolve) {
   plan.add(r);
   for (const CommFaultCase& c : comm_fault_cases(p, opt)) {
     SCOPED_TRACE(c.name);
-    SolveRun clean = run_with(p, 4, c.make);
+    SolveRun clean = run_with(p, 4, c.make, nullptr, 0.0, c.rim);
     ASSERT_TRUE(clean.stats.converged);
 
     mf::FaultScope scope(plan);
-    SolveRun stalled = run_with(p, 4, c.make);
+    SolveRun stalled = run_with(p, 4, c.make, nullptr, 0.0, c.rim);
     EXPECT_EQ(scope.injector().fire_count(), 1);
     expect_stats_bitwise(stalled.stats, clean.stats);
     expect_fields_bitwise(stalled.x, clean.x);

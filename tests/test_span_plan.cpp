@@ -662,7 +662,8 @@ SolveOut run_once(const Problem& p, int nranks, const std::string& kind,
   opt.halo_depth = halo_depth;
 
   auto body = [&](mc::Communicator& comm) {
-    ms::DistOperator a(*p.stencil, *p.decomp, comm.rank());
+    // Depth-k P-CSI sweeps the interior grown by up to k - 1 cells.
+    ms::DistOperator a(*p.stencil, *p.decomp, comm.rank(), halo_depth - 1);
     ms::DiagonalPreconditioner m(a);
     std::unique_ptr<ms::BatchedSolver> s;
     if (kind == "pcsi")
@@ -692,7 +693,9 @@ SolveOut run_once(const Problem& p, int nranks, const std::string& kind,
 // path. The 4-rank row's p2p_messages and requests cells were
 // regenerated (3120 -> 624, 3152 -> 656) when the halo engine went from
 // one message per (block, direction) to one per peer rank; every other
-// cell and every bit stayed.
+// cell and every bit stayed. The depth-2 row's counter cells were
+// regenerated (all lower) when the depth-k schedule stopped exchanging
+// r and sweeping the widest rim; every bit stayed.
 const minipop::test::Pin kFeatureMaskPins[] = {
     {"pcsi/ranks1/depth1", 310, 0x3dcdc2dd32234721ull, 31, 0x45dab237u, 0x091a0a3cu, 0,
      {3127080, 0, 0, 0, 312, 312, 32, 32, 0, 355680, 617760, 0, 0},
@@ -701,7 +704,7 @@ const minipop::test::Pin kFeatureMaskPins[] = {
      {852840, 0, 624, 199680, 312, 312, 32, 32, 656, 97344, 168480, 0, 0},
      {119460, 0, 0, 0, 9, 9, 19, 19, 0, 27740, 48180, 0, 0}},
     {"pcsi/ranks1/depth2", 310, 0x3dcdc2dd32234721ull, 31, 0x45dab237u, 0x091a0a3cu, 0,
-     {5343580, 2216500, 0, 0, 158, 468, 32, 32, 0, 657465, 1273720, 0, 0},
+     {4382580, 1255500, 0, 0, 158, 313, 32, 32, 0, 479835, 868860, 0, 0},
      {119460, 0, 0, 0, 9, 9, 19, 19, 0, 27740, 48180, 0, 0}},
     {"chrongear/ranks1/depth1", 110, 0x3dd736d03bdf727cull, 11, 0xef16de32u, 0xd50b6f56u, 0,
      {1614360, 0, 0, 0, 111, 111, 111, 232, 0, 209000, 363000, 0, 0},
